@@ -13,10 +13,10 @@ document (see the operators module docstring for the format).  Reports are
 JSON with sorted keys; repeated invocations with the same inputs produce
 byte-identical output.
 
-Exit codes: 0 success, 1 input error, 3 analyze found NonConstantRank,
-4 counterexample requested for an operator without rank drops, 5 the
-configured check failed (blow-up factor not reached, or a minimality
-comparison lost).
+Exit codes: 0 success, 1 input error or out of memory, 3 analyze found
+NonConstantRank, 4 counterexample requested for an operator without rank
+drops, 5 the configured check failed (blow-up factor not reached, or a
+minimality comparison lost).
 """
 
 import argparse
@@ -161,6 +161,8 @@ def cmd_counterexample(args) -> int:
 
 def cmd_minimality(args) -> int:
     op = _load_operator(args.source)
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     grid = Grid(op.n, args.N)
     results = []
     for trial in range(args.trials):
@@ -251,6 +253,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, UnknownOperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -228,8 +228,11 @@ def l2_minimality_check(op: Operator, phi: GridField, kernel_trials: int = 20,
 
     Competitors are kernel projections of seeded random band-limited
     fields.  Returns True when no competitor beats the canonical
-    projection by more than slack.
+    projection by more than slack.  Raises ValueError for fewer than one
+    competitor, which would pass without comparing anything.
     """
+    if kernel_trials < 1:
+        raise ValueError("kernel_trials must be at least 1")
     base = lp_norm(apply_Dk(op.k, phi - apply_PA(op, phi, tol)), 2)
     grid = phi.grid
     for trial in range(kernel_trials):

@@ -134,20 +134,12 @@ class Operator:
         return np.zeros((self.dim_w, self.dim_v))
 
 
-def _check_frequency(op: Operator, xi) -> np.ndarray:
+def symbol(op: Operator, xi) -> np.ndarray:
+    """Evaluate A(xi) = i^k sum_alpha xi^alpha A_alpha as a dimW x dimV complex matrix."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (op.n,):
         raise ValueError(f"frequency must have length {op.n}, got shape {xi.shape}")
-    if not np.isfinite(xi).all():
-        raise ValueError("frequency has non-finite entries")
-    return xi
-
-
-def symbol(op: Operator, xi) -> np.ndarray:
-    """Evaluate A(xi) = i^k sum_alpha xi^alpha A_alpha as a dimW x dimV complex matrix."""
-    xi = _check_frequency(op, xi)
-    powers = np.prod(xi[None, :] ** op.alpha_array, axis=1)
-    return (1j ** op.k) * np.tensordot(powers, op.matrix_array, axes=1)
+    return symbol_stack(op, xi[None, :])[0]
 
 
 def symbol_stack(op: Operator, xis) -> np.ndarray:

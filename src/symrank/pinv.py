@@ -1,11 +1,12 @@
 """Moore-Penrose calculus on symbol matrices.
 
-Two independent pseudoinverse routes are provided and cross-validated by
-the test suite: an SVD route (pinv_svd) and a characteristic-polynomial
-route (pinv_decell) built on a Faddeev-LeVerrier trace recursion.  On top
-of these sit the kernel projector I - A+ A and the derivative recovery
-multiplier that maps Aphi-coefficients to D^k(phi - P_A phi)-coefficients
-frequency by frequency.
+Numerical rank, the pseudoinverse (pinv_svd) and the kernel projector
+I - A+ A all come from the SVD with one rank cutoff, on single matrices or
+stacks.  The characteristic-polynomial route (pinv_decell, a
+Faddeev-LeVerrier trace recursion) is the independent oracle the test
+suite cross-checks the SVD route against.  The derivative recovery
+multiplier maps Aphi-coefficients to D^k(phi - P_A phi)-coefficients at a
+frequency.
 """
 
 import math
@@ -19,7 +20,7 @@ from .operators import Operator, MultiIndex, multi_indices, multinomial_weight, 
 DEFAULT_TOL = 1e-10
 
 # pinv_decell refuses to divide by a trailing coefficient this small
-# relative to the largest one; callers fall back to pinv_svd.
+# relative to the largest one.
 DECELL_COEFF_FLOOR = 1e-12
 
 
@@ -31,42 +32,52 @@ class ZeroFrequencyError(ValueError):
     """The derivative recovery multiplier is undefined at frequency zero."""
 
 
-def _as_matrix(mat) -> np.ndarray:
+def _as_matrices(mat) -> np.ndarray:
+    """A nonempty, finite complex matrix or stack of matrices, shape (..., m, n)."""
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-        raise ValueError(f"expected a 2d matrix, got shape {mat.shape}")
+    if mat.ndim < 2 or mat.size == 0:
+        raise ValueError(f"expected a 2d matrix or a stack of them, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
     return mat
 
 
-def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int:
-    """Count of singular values above tol * sigma_max; 0 for the zero matrix."""
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-    mat = _as_matrix(mat)
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
+def _as_matrix(mat) -> np.ndarray:
+    mat = _as_matrices(mat)
+    if mat.ndim != 2:
+        raise ValueError(f"expected a 2d matrix, got shape {mat.shape}")
+    return mat
 
 
-def pinv_svd(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Pseudoinverse via SVD.
+def _kept(sigma: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the singular values that count: sigma > tol * sigma_max.
 
-    Singular values at or below tol * sigma_max are treated as zero, so the
-    zero matrix maps to the zero matrix.  Satisfies the four Penrose
-    identities to rounding for well-separated spectra.
+    sigma is (..., r) in numpy.linalg.svd order.  The comparison is strict,
+    so a zero matrix keeps none and has rank 0.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
-    mat = _as_matrix(mat)
-    u, sigma, vh = np.linalg.svd(mat, full_matrices=False)
-    cutoff = tol * sigma[0]
+    return sigma > tol * sigma[..., :1]
+
+
+def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int:
+    """Count of singular values above tol * sigma_max; 0 for the zero matrix."""
+    sigma = np.linalg.svd(_as_matrix(mat), compute_uv=False)
+    return int(np.count_nonzero(_kept(sigma, tol)))
+
+
+def pinv_svd(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Pseudoinverse via SVD of a matrix (m, n) or a stack (..., m, n).
+
+    Singular values at or below tol * sigma_max of their own matrix are
+    treated as zero, so the zero matrix maps to the zero matrix.  Satisfies
+    the four Penrose identities to rounding for well-separated spectra.
+    """
+    u, sigma, vh = np.linalg.svd(_as_matrices(mat), full_matrices=False)
+    keep = _kept(sigma, tol)
     inv = np.zeros_like(sigma)
-    keep = sigma > cutoff
     inv[keep] = 1.0 / sigma[keep]
-    return vh.conj().T @ (inv[:, None] * u.conj().T)
+    return np.swapaxes(vh.conj(), -1, -2) @ (inv[..., :, None] * np.swapaxes(u.conj(), -1, -2))
 
 
 def char_poly_coeffs(mat, hermitian_tol: float = 1e-10) -> np.ndarray:
@@ -101,8 +112,8 @@ def pinv_decell(mat, rank: int) -> np.ndarray:
         A+ = -(1/a_r) A* (a_0 (A A*)^(r-1) + a_1 (A A*)^(r-2) + .. + a_(r-1) I)
 
     The zero matrix (rank 0) maps to the zero matrix by convention.  Raises
-    IllConditionedError when |a_r| is negligible next to max_j |a_j|, in
-    which case callers should fall back to pinv_svd.
+    IllConditionedError when |a_r| is negligible next to max_j |a_j|;
+    pinv_svd has no such restriction.
     """
     mat = _as_matrix(mat)
     rows, cols = mat.shape
@@ -123,14 +134,20 @@ def pinv_decell(mat, rank: int) -> np.ndarray:
 
 
 def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto ker A, computed as I - A+ A.
+    """Orthogonal projector I - A+ A onto ker A, for a matrix or a stack (..., m, n).
 
     Hermitian and idempotent to rounding; the zero matrix yields the
     identity (everything is kernel).
     """
-    mat = _as_matrix(mat)
-    proj = np.eye(mat.shape[1], dtype=complex) - pinv_svd(mat, tol) @ mat
-    return 0.5 * (proj + proj.conj().T)
+    mat = _as_matrices(mat)
+    dim_v = mat.shape[-1]
+    mats = mat.reshape((-1,) + mat.shape[-2:])
+    _, sigma, vh = np.linalg.svd(mats, full_matrices=False)
+    keep = _kept(sigma, tol)
+    cokernel = np.einsum("mi,miv,miw->mvw", keep.astype(float), vh.conj(), vh)
+    proj = np.eye(dim_v, dtype=complex)[None, :, :] - cokernel
+    proj = 0.5 * (proj + proj.conj().transpose(0, 2, 1))
+    return proj.reshape(mat.shape[:-2] + (dim_v, dim_v))
 
 
 @dataclass(frozen=True)
@@ -164,25 +181,20 @@ class MultiplierValue:
 def multiplier(op: Operator, xi, tol: float = DEFAULT_TOL) -> MultiplierValue:
     """Derivative recovery multiplier at a nonzero frequency.
 
-    The pseudoinverse is taken from pinv_decell at the numerical rank of
-    the symbol, falling back to pinv_svd when the polynomial route reports
-    ill-conditioning.  Degree-0 homogeneous wherever the rank is locally
-    constant; at rank-drop frequencies the value is still returned
-    pointwise (this is exactly where its norm blows up nearby).
+    The pseudoinverse is pinv_svd of the symbol.  Degree-0 homogeneous
+    wherever the rank is locally constant; at rank-drop frequencies the
+    value is still returned pointwise (this is exactly where its norm
+    blows up nearby).  spectral.apply_multiplier applies the same map to
+    a whole field at once.
     """
     xi = np.asarray(xi, dtype=float)
     mat = symbol(op, xi)
     if not xi.any():
         raise ZeroFrequencyError("multiplier undefined at frequency zero")
-    rank = numerical_rank(mat, tol)
-    try:
-        dagger = pinv_decell(mat, rank)
-    except IllConditionedError:
-        dagger = pinv_svd(mat, tol)
     alphas = multi_indices(op.n, op.k)
     powers = np.array([math.prod((1j * x) ** a for x, a in zip(xi, alpha)) for alpha in alphas])
     return MultiplierValue(
-        matrix=np.kron(dagger, powers[:, None]),
+        matrix=np.kron(pinv_svd(mat, tol), powers[:, None]),
         alphas=alphas,
         dim_v=op.dim_v,
         dim_w=op.dim_w,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import Operator, symbol, symbol_stack
-from .pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
+from .pinv import DEFAULT_TOL, _kept, kernel_projector, numerical_rank, pinv_svd
 
 # refinement target for drop directions, radians
 ANGULAR_RESOLUTION = 1e-3
@@ -121,11 +121,8 @@ class RankProfile:
 
 
 def _ranks_at(op: Operator, directions: np.ndarray, tol: float) -> np.ndarray:
-    mats = symbol_stack(op, directions)
-    sigma = np.linalg.svd(mats, compute_uv=False)
-    smax = sigma[:, 0]
-    counts = (sigma > tol * np.where(smax > 0.0, smax, 1.0)[:, None]).sum(axis=1)
-    return np.where(smax > 0.0, counts, 0).astype(int)
+    sigma = np.linalg.svd(symbol_stack(op, directions), compute_uv=False)
+    return _kept(sigma, tol).sum(axis=1)
 
 
 def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL,

@@ -14,7 +14,6 @@ random fields keep |xi|_inf <= N/4 so products of symbols and fields stay
 well inside the grid.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import Operator, multi_indices, multinomial_weight
-from .pinv import DEFAULT_TOL, multiplier
+from .operators import Operator, multi_indices, multinomial_weight, symbol_stack
+from .pinv import DEFAULT_TOL, kernel_projector, pinv_svd
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,15 +210,9 @@ def lp_norm(field: GridField, p: float) -> float:
 @lru_cache(maxsize=32)
 def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     """A(xi) over the whole frequency mesh, shape (dimW, dimV, size, ..., size)."""
-    mesh = integer_frequencies(grid)
-    out = np.zeros((op.dim_w, op.dim_v) + grid.shape, dtype=complex)
-    for (alpha, _), mat in zip(op.terms, op.matrix_array):
-        power = np.ones(grid.shape)
-        for axis_exp, axis_mesh in zip(alpha, mesh):
-            if axis_exp:
-                power = power * axis_mesh ** axis_exp
-        out += np.multiply.outer(mat, power)
-    out *= 1j ** op.k
+    xis = integer_frequencies(grid).reshape(grid.n, -1).T
+    stack = symbol_stack(op, xis).reshape(grid.shape + (op.dim_w, op.dim_v))
+    out = np.ascontiguousarray(np.moveaxis(stack, (-2, -1), (0, 1)))
     out.setflags(write=False)
     return out
 
@@ -256,17 +249,10 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     Frequency zero (and any exact rank-0 frequency) gets the identity:
     everything there is kernel, so the projection keeps constants intact.
     """
-    tensor = _symbol_tensor(op, grid)
-    count = int(np.prod(grid.shape))
-    mats = tensor.reshape(op.dim_w, op.dim_v, count).transpose(2, 0, 1)
-    _, sigma, vh = np.linalg.svd(mats, full_matrices=False)
-    keep = sigma > tol * sigma[:, :1]
-    cokernel = np.einsum("mi,miv,miw->mvw", keep.astype(float), vh.conj(), vh)
-    proj = np.eye(op.dim_v, dtype=complex)[None, :, :] - cokernel
-    proj = 0.5 * (proj + proj.conj().transpose(0, 2, 1))
-    proj = proj.transpose(1, 2, 0).reshape((op.dim_v, op.dim_v) + grid.shape)
-    proj.setflags(write=False)
-    return proj
+    proj = kernel_projector(np.moveaxis(_symbol_tensor(op, grid), (0, 1), (-2, -1)), tol)
+    table = np.moveaxis(proj, (-2, -1), (0, 1))
+    table.setflags(write=False)
+    return table
 
 
 def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -278,9 +264,24 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     return inverse_transform(FrequencyField(field.grid, out))
 
 
-def _derivative_weights(n: int, k: int, fiber_dim: int) -> np.ndarray:
-    weights = np.array([multinomial_weight(a) for a in multi_indices(n, k)], dtype=float)
-    return np.tile(weights, fiber_dim)
+def _derivatives(grid: Grid, k: int, coeffs: np.ndarray) -> GridField:
+    """Grid field of all order-k derivatives of the field with these coefficients.
+
+    Fiber layout and weights are those documented on apply_Dk.
+    """
+    alphas = multi_indices(grid.n, k)
+    mesh = integer_frequencies(grid)
+    powers = np.empty((len(alphas),) + grid.shape, dtype=complex)
+    for t, alpha in enumerate(alphas):
+        power = np.ones(grid.shape, dtype=complex)
+        for axis_exp, axis_mesh in zip(alpha, mesh):
+            if axis_exp:
+                power = power * (1j * axis_mesh) ** axis_exp
+        powers[t] = power
+    out = np.einsum("t...,v...->vt...", powers, coeffs)
+    out = out.reshape((coeffs.shape[0] * len(alphas),) + grid.shape)
+    weights = np.array([multinomial_weight(a) for a in alphas], dtype=float)
+    return inverse_transform(FrequencyField(grid, out, np.tile(weights, coeffs.shape[0])))
 
 
 def apply_Dk(k: int, field: GridField) -> GridField:
@@ -295,46 +296,22 @@ def apply_Dk(k: int, field: GridField) -> GridField:
         raise ValueError("k must be a positive integer")
     if field.fiber_weights is not None:
         raise ValueError("input field must not carry fiber weights")
-    grid = field.grid
-    alphas = multi_indices(grid.n, k)
-    mesh = integer_frequencies(grid)
-    coeffs = forward_transform(field).coeffs
-    powers = np.empty((len(alphas),) + grid.shape, dtype=complex)
-    for t, alpha in enumerate(alphas):
-        power = np.ones(grid.shape, dtype=complex)
-        for axis_exp, axis_mesh in zip(alpha, mesh):
-            if axis_exp:
-                power = power * (1j * axis_mesh) ** axis_exp
-        powers[t] = power
-    out = np.einsum("t...,v...->vt...", powers, coeffs)
-    out = out.reshape((field.fiber_dim * len(alphas),) + grid.shape)
-    weights = _derivative_weights(grid.n, k, field.fiber_dim)
-    return inverse_transform(FrequencyField(grid, out, weights))
+    return _derivatives(field.grid, k, forward_transform(field).coeffs)
 
 
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
-    """Apply the derivative recovery multiplier frequency by frequency.
+    """Apply the derivative recovery multiplier: A+(xi), then the derivatives.
 
-    Input is a codomain-valued field (fiber dimW, typically apply_A(phi));
-    output is a derivative array (fiber dimV * T) equal to
+    One batched pinv_svd over the frequency mesh, then the derivative step
+    of apply_Dk.  Input is a codomain-valued field (fiber dimW, typically
+    apply_A(phi)); output is a derivative array (fiber dimV * T) equal to
     apply_Dk(k, phi - apply_PA(phi)) when the input is apply_A(phi).  The
-    multiplier vanishes at frequency zero by convention (the symbol is
-    zero there and constants never contribute to either side).
+    multiplier vanishes at frequency zero, where the symbol is zero.
     """
     _check_field(op, field, op.dim_w, "input")
-    grid = field.grid
-    coeffs = forward_transform(field).coeffs.reshape(op.dim_w, -1)
-    mesh = integer_frequencies(grid).reshape(grid.n, -1)
-    slots = len(multi_indices(grid.n, op.k))
-    out = np.zeros((op.dim_v * slots, coeffs.shape[1]), dtype=complex)
-    for idx in range(coeffs.shape[1]):
-        xi = mesh[:, idx]
-        if not xi.any():
-            continue
-        out[:, idx] = multiplier(op, xi, tol).matrix @ coeffs[:, idx]
-    out = out.reshape((op.dim_v * slots,) + grid.shape)
-    weights = _derivative_weights(grid.n, op.k, op.dim_v)
-    return inverse_transform(FrequencyField(grid, out, weights))
+    coeffs = forward_transform(field).coeffs
+    dagger = pinv_svd(np.moveaxis(_symbol_tensor(op, field.grid), (0, 1), (-2, -1)), tol)
+    return _derivatives(field.grid, op.k, np.einsum("...vw,w...->v...", dagger, coeffs))
 
 
 def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> GridField:
@@ -349,16 +326,18 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
         raise ValueError("fiber_dim must be positive")
     if not 1 <= max_freq <= grid.size // 4:
         raise ValueError(f"max_freq must lie in [1, {grid.size // 4}] on this grid")
-    band = [v for v in itertools.product(range(-max_freq, max_freq + 1), repeat=grid.n) if any(v)]
-    primaries = [v for v in band if v > tuple(-c for c in v)]
+    axis = np.arange(-max_freq, max_freq + 1)
+    band = np.stack(np.meshgrid(*([axis] * grid.n), indexing="ij")).reshape(grid.n, -1)
+    # one of each pair {v, -v}: the v whose first nonzero component is positive
+    # (v > -v as tuples), which also drops v = 0
+    first_nonzero = band[(band != 0).argmax(axis=0), np.arange(band.shape[1])]
+    primaries = band[:, first_nonzero > 0]
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((fiber_dim, len(primaries), 2))
+    draws = rng.standard_normal((fiber_dim, primaries.shape[1], 2))
     values = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
     coeffs = np.zeros((fiber_dim,) + grid.shape, dtype=complex)
-    pos = np.array([[c % grid.size for c in v] for v in primaries]).T
-    neg = np.array([[-c % grid.size for c in v] for v in primaries]).T
-    coeffs[(slice(None), *pos)] = values
-    coeffs[(slice(None), *neg)] = values.conj()
+    coeffs[(slice(None), *(primaries % grid.size))] = values
+    coeffs[(slice(None), *(-primaries % grid.size))] = values.conj()
     return inverse_transform(FrequencyField(grid, coeffs))
 
 

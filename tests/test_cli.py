@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from symrank import cli
 from symrank.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_NO_RANK_DROP,
                          EXIT_NON_CONSTANT_RANK, EXIT_OK, main)
 from symrank.operators import serialize_operator
@@ -201,6 +202,25 @@ def test_minimality_gradient_trivial_kernel(capsys):
                             "--N", "8", "--kernel-trials", "4")
     assert code == EXIT_OK
     assert doc["all_pass"] is True
+
+
+@pytest.mark.parametrize("counts", [("--trials", "0"), ("--trials", "1", "--kernel-trials", "0")])
+def test_minimality_rejects_empty_work(capsys, counts):
+    code, out, err = run(capsys, "minimality", "zoo:divergence", "--N", "8", *counts)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "trials" in err
+
+
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 2.40 GiB for an array with shape (3, 3, 256, 256, 256)")
+
+    monkeypatch.setattr(cli, "cmd_zoo", exhausted)
+    code, out, err = run(capsys, "zoo")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ zoo

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from symrank.pinv import (DEFAULT_TOL, IllConditionedError, ZeroFrequencyError,
                           char_poly_coeffs, kernel_projector, multiplier, numerical_rank,
                           pinv_decell, pinv_svd)
-from symrank.operators import multi_indices, multinomial_weight, symbol
+from symrank.operators import Operator, multi_indices, multinomial_weight, symbol
+from symrank.rank import rank_profile
+from symrank.spectral import Grid, _kernel_projector_table
 from symrank.zoo import zoo_get
 
 
@@ -186,6 +188,55 @@ def test_kernel_projector_properties(rows, cols, rank, seed):
 
 def test_kernel_projector_zero_matrix_is_identity():
     assert np.allclose(kernel_projector(np.zeros((2, 3))), np.eye(3))
+
+
+# -------------------------------------------------------------- one cutoff rule
+
+@pytest.mark.parametrize("mat, rank", [
+    (np.diag([1.0, 1.01 * DEFAULT_TOL]), 2),
+    (np.diag([1.0, 0.99 * DEFAULT_TOL]), 1),
+    (np.zeros((2, 2)), 0),
+], ids=["above-tol", "below-tol", "zero"])
+def test_every_route_applies_the_same_cutoff(mat, rank):
+    assert numerical_rank(mat) == rank
+    assert np.count_nonzero(np.linalg.svd(pinv_svd(mat), compute_uv=False)) == rank
+    assert np.isclose(np.trace(kernel_projector(mat)).real, 2 - rank)
+    if rank == 0:
+        # a zero coefficient is no operator, but every symbol is zero at frequency 0
+        op, freqs = Operator("cutoff", 1, 1, 2, 2, (((1,), np.eye(2)),)), [0]
+    else:
+        # the symbol at xi is i xi mat, so the relative cutoff sees mat at every xi != 0
+        op, freqs = Operator("cutoff", 1, 1, 2, 2, (((1,), mat),)), [1, 2, -2, -1]
+        assert set(rank_profile(op, num_samples=8).ranks.tolist()) == {rank}
+    table = _kernel_projector_table(op, Grid(1, 4), DEFAULT_TOL)
+    for xi in freqs:
+        assert np.isclose(np.trace(table[:, :, xi % 4]).real, 2 - rank)
+
+
+def test_stack_routes_equal_per_matrix_results():
+    mats = np.stack([random_matrix_with_rank(3, 4, rank, seed)
+                     for seed, rank in enumerate([0, 1, 2, 3, 3, 1])]).reshape(2, 3, 3, 4)
+    dagger = pinv_svd(mats)
+    proj = kernel_projector(mats)
+    assert dagger.shape == (2, 3, 4, 3) and proj.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_allclose(dagger[idx], pinv_svd(mats[idx]), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(proj[idx], kernel_projector(mats[idx]), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("route", [pinv_svd, kernel_projector])
+def test_stack_routes_reject_bad_input(route):
+    bad = np.ones((2, 2, 2))
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        route(bad)
+    with pytest.raises(ValueError, match="expected a 2d matrix"):
+        route(np.ones(3))
+    for empty in (np.zeros((2, 0)), np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError, match="expected a 2d matrix"):
+            route(empty)
+    with pytest.raises(ValueError, match="tol"):
+        route(np.ones((2, 2, 2)), tol=1.0)
 
 
 # -------------------------------------------------------------- multiplier

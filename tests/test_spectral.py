@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank.operators import multi_indices, symbol
+from symrank.pinv import numerical_rank, pinv_decell
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_A_adjoint,
                               apply_Dk, apply_PA, apply_multiplier, dump_field,
                               forward_transform, inverse_transform, integer_frequencies,
@@ -299,7 +301,57 @@ def test_multiplier_zero_mode_convention():
     assert np.abs(out.data).max() < 1e-13
 
 
+@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
+def test_multiplier_matches_decell_route_at_every_frequency(entry):
+    # d1d2 and wave have rank-drop frequencies on this grid (axes, diagonals)
+    op = entry.build()
+    grid = Grid(op.n, 8)
+    rng = np.random.default_rng(17)
+    coeffs = (rng.standard_normal((op.dim_w,) + grid.shape)
+              + 1j * rng.standard_normal((op.dim_w,) + grid.shape))
+    out = apply_multiplier(op, inverse_transform(FrequencyField(grid, coeffs)))
+    alphas = multi_indices(op.n, op.k)
+    got = forward_transform(out).coeffs.reshape(op.dim_v * len(alphas), -1)
+    want = np.zeros_like(got)
+    flat = coeffs.reshape(op.dim_w, -1)
+    mesh = integer_frequencies(grid).reshape(op.n, -1)
+    for idx in range(mesh.shape[1]):
+        xi = mesh[:, idx]
+        if not xi.any():
+            continue
+        mat = symbol(op, xi)
+        dagger = pinv_decell(mat, numerical_rank(mat))
+        powers = np.array([math.prod((1j * x) ** a for x, a in zip(xi, alpha))
+                           for alpha in alphas])
+        want[:, idx] = np.kron(dagger, powers[:, None]) @ flat[:, idx]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # ------------------------------------------------------------------ random fields
+
+def itertools_band_coeffs(grid: Grid, fiber_dim: int, max_freq: int, seed) -> np.ndarray:
+    """Reference construction of the random_band_limited coefficients, one band vector at a time."""
+    band = [v for v in itertools.product(range(-max_freq, max_freq + 1), repeat=grid.n) if any(v)]
+    primaries = [v for v in band if v > tuple(-c for c in v)]
+    draws = np.random.default_rng(seed).standard_normal((fiber_dim, len(primaries), 2))
+    values = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+    coeffs = np.zeros((fiber_dim,) + grid.shape, dtype=complex)
+    for j, v in enumerate(primaries):
+        coeffs[(slice(None),) + tuple(c % grid.size for c in v)] = values[:, j]
+        coeffs[(slice(None),) + tuple(-c % grid.size for c in v)] = values[:, j].conj()
+    return coeffs
+
+
+@pytest.mark.parametrize("n, size, max_freq", [
+    (1, 8, 1), (1, 8, 2), (1, 32, 8), (2, 8, 1), (2, 8, 2), (2, 16, 4), (3, 8, 1), (3, 8, 2),
+])
+def test_random_band_limited_matches_itertools_band(n, size, max_freq):
+    grid = Grid(n, size)
+    seed = [5, n, max_freq]
+    want = inverse_transform(FrequencyField(grid, itertools_band_coeffs(grid, 2, max_freq, seed)))
+    assert np.array_equal(random_band_limited(grid, 2, max_freq, seed).data, want.data)
+
+
 
 def test_random_band_limited_is_real_and_mean_free():
     grid = Grid(2, 16)

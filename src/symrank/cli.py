@@ -13,9 +13,9 @@ document (see the operators module docstring for the format).  Reports are
 JSON with sorted keys; repeated invocations with the same inputs produce
 byte-identical output.
 
-Exit codes: 0 success, 1 input error or out of memory, 3 analyze found
-NonConstantRank, 4 counterexample requested for an operator without rank
-drops, 5 the configured check failed (blow-up factor not reached, or a
+Exit codes: 0 success, 1 input error, bad path or out of memory, 3 analyze
+found NonConstantRank, 4 counterexample requested for an operator without
+rank drops, 5 the configured check failed (blow-up factor not reached, or a
 minimality comparison lost).
 """
 
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, UnknownOperatorError) as exc:
+    except (ValueError, OSError, UnknownOperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError as exc:

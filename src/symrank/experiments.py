@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import Operator, symbol
-from .pinv import DEFAULT_TOL
+from .operators import Operator, symbol, symbol_stack
+from .pinv import DEFAULT_TOL, numerical_rank
 from .rank import sphere_samples
 from .spectral import (Grid, GridField, apply_A, apply_A_adjoint, apply_Dk, apply_PA,
                        lp_norm, periodic_bump, random_band_limited, single_mode,
@@ -61,7 +61,7 @@ def symbol_bound_ratio(op: Operator, xi, w, tol: float = DEFAULT_TOL) -> float:
     w = np.asarray(w, dtype=complex)
     mat = symbol(op, xi)
     adjoint_w = mat.conj().T @ w
-    sigma_max = float(np.linalg.svd(mat, compute_uv=False)[0])
+    sigma_max = float(np.linalg.norm(mat, 2))
     if np.linalg.norm(adjoint_w) <= tol * sigma_max * np.linalg.norm(w):
         raise DegenerateProbeError(f"{op.name}: probe annihilated by the adjoint symbol at {tuple(xi)}")
     return float(np.linalg.norm(xi) ** op.k * np.linalg.norm(adjoint_w)
@@ -89,12 +89,12 @@ def symbol_bound_sup(op: Operator, directions=512, probes: int = 4, seed: int = 
     else:
         dirs = np.asarray(directions, dtype=float)
         dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    mats = symbol_stack(op, dirs)
     rng = np.random.default_rng(seed)
     best = None
-    for xi in dirs:
-        mat = symbol(op, xi)
-        u, sigma, _ = np.linalg.svd(mat)
-        candidates = [u[:, i] for i in range(len(sigma)) if sigma[i] > 0]
+    for xi, mat, rank in zip(dirs, mats, numerical_rank(mats, tol)):
+        u, _, _ = np.linalg.svd(mat)
+        candidates = list(u[:, :rank].T)
         for _ in range(probes):
             probe = rng.standard_normal(op.dim_w) + 1j * rng.standard_normal(op.dim_w)
             candidates.append(probe / np.linalg.norm(probe))
@@ -123,7 +123,6 @@ class WitnessConfig:
     frequencies: tuple[tuple[int, ...], ...]
     w: tuple[complex, ...] | None = None
     window: float | None = None
-    target_direction: tuple[float, ...] | None = None
 
     def __post_init__(self):
         freqs = tuple(tuple(int(x) for x in f) for f in self.frequencies)
@@ -153,6 +152,9 @@ def witness_family(op: Operator, cfg: WitnessConfig, grid: Grid,
     """
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
+    if cfg.window is not None:
+        bump = periodic_bump(grid, cfg.window)
+        mesh = _coordinate_mesh(grid)
     fields = []
     for freq in cfg.frequencies:
         if max(abs(x) for x in freq) > grid.size // 4:
@@ -173,8 +175,6 @@ def witness_family(op: Operator, cfg: WitnessConfig, grid: Grid,
         if cfg.window is None:
             wave = single_mode(grid, freq, w)
         else:
-            bump = periodic_bump(grid, cfg.window)
-            mesh = _coordinate_mesh(grid)
             phase = np.exp(1j * sum(f * axis for f, axis in zip(freq, mesh)))
             wave = GridField(grid, w.reshape((-1,) + (1,) * grid.n) * (bump * phase)[None])
         fields.append(apply_A_adjoint(op, wave))
@@ -210,7 +210,7 @@ def build_frequency_ladder(op: Operator, drop_direction, rungs: int = 4,
             if not cand.any():
                 continue
             mat = symbol(op, cand.astype(float))
-            sigma_max = float(np.linalg.svd(mat, compute_uv=False)[0])
+            sigma_max = float(np.linalg.norm(mat, 2))
             if sigma_max > 1e-9 * max(1.0, float(np.linalg.norm(cand)) ** op.k):
                 chosen = tuple(int(x) for x in cand)
                 break

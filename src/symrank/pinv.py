@@ -60,10 +60,15 @@ def _kept(sigma: np.ndarray, tol: float) -> np.ndarray:
     return sigma > tol * sigma[..., :1]
 
 
-def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int:
-    """Count of singular values above tol * sigma_max; 0 for the zero matrix."""
-    sigma = np.linalg.svd(_as_matrix(mat), compute_uv=False)
-    return int(np.count_nonzero(_kept(sigma, tol)))
+def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int | np.ndarray:
+    """Count of singular values above tol * sigma_max; 0 for the zero matrix.
+
+    An int for one matrix (m, n); an int array of shape (...) for a stack
+    (..., m, n), each matrix measured against its own sigma_max.
+    """
+    sigma = np.linalg.svd(_as_matrices(mat), compute_uv=False)
+    ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def pinv_svd(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -175,7 +180,7 @@ class MultiplierValue:
     def operator_norm(self) -> float:
         """Largest amplification from |w| to the weighted derivative-array norm."""
         scaled = np.sqrt(self.row_weights)[:, None] * self.matrix
-        return float(np.linalg.svd(scaled, compute_uv=False)[0])
+        return float(np.linalg.norm(scaled, 2))
 
 
 def multiplier(op: Operator, xi, tol: float = DEFAULT_TOL) -> MultiplierValue:

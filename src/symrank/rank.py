@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import Operator, symbol, symbol_stack
-from .pinv import DEFAULT_TOL, _kept, kernel_projector, numerical_rank, pinv_svd
+from .pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
 
 # refinement target for drop directions, radians
 ANGULAR_RESOLUTION = 1e-3
@@ -60,7 +60,8 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
 
     Contains the +-coordinate axes and every normalized +-1 sign vector
     first (axis-aligned and diagonal degeneracies live there), then
-    num_random seeded gaussian directions.
+    num_random seeded gaussian directions.  For n = 1 the sign vectors are
+    the two axes again, so they are left out.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -72,13 +73,9 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
             e = np.zeros(n)
             e[j] = s
             structured.append(e)
-    for signs in itertools.product((1.0, -1.0), repeat=n):
-        structured.append(np.array(signs) / np.sqrt(n))
-    # drop exact duplicates (n = 1 makes signs coincide with axes)
-    unique = []
-    for vec in structured:
-        if not any(np.array_equal(vec, u) for u in unique):
-            unique.append(vec)
+    if n >= 2:
+        structured.extend(np.array(signs) / np.sqrt(n)
+                          for signs in itertools.product((1.0, -1.0), repeat=n))
     rng = np.random.default_rng(seed)
     randoms = rng.standard_normal((num_random, n))
     norms = np.linalg.norm(randoms, axis=1)
@@ -86,7 +83,7 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
         bad = norms < 1e-8
         randoms[bad] = rng.standard_normal((int(bad.sum()), n))
         norms = np.linalg.norm(randoms, axis=1)
-    return np.vstack(unique + [randoms / norms[:, None]])
+    return np.vstack(structured + [randoms / norms[:, None]])
 
 
 @dataclass(frozen=True)
@@ -104,10 +101,6 @@ class RankProfile:
     # per drop direction: nearby full-rank directions seen during bisection
     drop_neighbors: tuple[tuple[np.ndarray, ...], ...]
 
-    @property
-    def samples(self) -> list[tuple[np.ndarray, int]]:
-        return [(self.directions[i], int(self.ranks[i])) for i in range(len(self.ranks))]
-
     def to_dict(self) -> dict:
         return {
             "operator": self.operator,
@@ -118,11 +111,6 @@ class RankProfile:
             "sample_count": int(len(self.ranks)),
             "drop_directions": [[float(x) for x in d] for d in self.drop_directions],
         }
-
-
-def _ranks_at(op: Operator, directions: np.ndarray, tol: float) -> np.ndarray:
-    sigma = np.linalg.svd(symbol_stack(op, directions), compute_uv=False)
-    return _kept(sigma, tol).sum(axis=1)
 
 
 def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL,
@@ -139,7 +127,7 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     directions = sphere_samples(op.n, num_samples, seed)
-    ranks = _ranks_at(op, directions, tol)
+    ranks = numerical_rank(symbol_stack(op, directions), tol)
     min_rank = int(ranks.min())
     max_rank = int(ranks.max())
     drops: list[np.ndarray] = []
@@ -158,7 +146,7 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
                 if angular_distance(lo, hi) <= ANGULAR_RESOLUTION:
                     break
                 mid = slerp(lo, hi, 0.5)
-                if _ranks_at(op, mid[None, :], tol)[0] < max_rank:
+                if numerical_rank(symbol(op, mid), tol) < max_rank:
                     lo = mid
                 else:
                     hi = mid
@@ -218,10 +206,6 @@ class RankDropWitness:
         }
 
 
-def _operator_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
 def find_rank_drop_witness(op: Operator, profile: RankProfile,
                            tol: float = DEFAULT_TOL) -> RankDropWitness:
     """Extract a rank-drop certificate from a NonConstantRank profile.
@@ -243,7 +227,7 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
             angle = angular_distance(low, high)
             if angle > WITNESS_MAX_ANGLE:
                 continue
-            gap = _operator_norm(symbol(op, high) - mat_low)
+            gap = float(np.linalg.norm(symbol(op, high) - mat_low, 2))
             candidates.append((gap, angle, tuple(low), tuple(high), low, high))
     if not candidates:
         raise DegenerateWitnessError(f"{op.name}: no full-rank direction near any drop direction")
@@ -262,7 +246,7 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
     if norms[best] <= tol:
         raise DegenerateWitnessError(
             f"{op.name}: kernel of A(xi_low) is invisible to the adjoint at xi_high")
-    gap = _operator_norm(mat_high - mat_low)
+    gap = float(np.linalg.norm(mat_high - mat_low, 2))
     return RankDropWitness(
         xi_high=high,
         xi_low=low,
@@ -287,7 +271,7 @@ def daggerbound_check(op: Operator, witness: RankDropWitness,
     with equal ranks makes the check vacuous (holds is returned True
     without asserting anything).
     """
-    lhs = _operator_norm(pinv_svd(symbol(op, witness.xi_high), tol))
+    lhs = float(np.linalg.norm(pinv_svd(symbol(op, witness.xi_high), tol), 2))
     rhs = witness.dagger_lower_bound
     applies = witness.rank_high > witness.rank_low
     return DaggerBound(lhs=lhs, rhs=rhs, holds=(not applies) or lhs >= rhs * (1.0 - 1e-8))

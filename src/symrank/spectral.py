@@ -209,12 +209,17 @@ def lp_norm(field: GridField, p: float) -> float:
 
 @lru_cache(maxsize=32)
 def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
-    """A(xi) over the whole frequency mesh, shape (dimW, dimV, size, ..., size)."""
+    """A(xi) over the whole frequency mesh, shape (size, ..., size, dimW, dimV).
+
+    Frequency axes in fft layout come first and the matrix axes last: the
+    (..., m, n) stack layout of the pinv routines.  The einsums that apply
+    it ask for order="C" output, which keeps the field axes contiguous for
+    the FFTs instead of following this table's strides.
+    """
     xis = integer_frequencies(grid).reshape(grid.n, -1).T
     stack = symbol_stack(op, xis).reshape(grid.shape + (op.dim_w, op.dim_v))
-    out = np.ascontiguousarray(np.moveaxis(stack, (-2, -1), (0, 1)))
-    out.setflags(write=False)
-    return out
+    stack.setflags(write=False)
+    return stack
 
 
 def _check_field(op: Operator, field: GridField, fiber_dim: int, role: str):
@@ -230,7 +235,8 @@ def apply_A(op: Operator, field: GridField) -> GridField:
     """Apply the operator spectrally: multiply coefficients by A(xi)."""
     _check_field(op, field, op.dim_v, "input")
     coeffs = forward_transform(field).coeffs
-    out = np.einsum("wv...,v...->w...", _symbol_tensor(op, field.grid), coeffs)
+    out = np.einsum("...wv,v...->w...", _symbol_tensor(op, field.grid), coeffs,
+                    order="C")
     return inverse_transform(FrequencyField(field.grid, out))
 
 
@@ -238,19 +244,20 @@ def apply_A_adjoint(op: Operator, field: GridField) -> GridField:
     """Apply the adjoint spectrally: multiply coefficients by A*(xi)."""
     _check_field(op, field, op.dim_w, "input")
     coeffs = forward_transform(field).coeffs
-    out = np.einsum("wv...,w...->v...", _symbol_tensor(op, field.grid).conj(), coeffs)
+    out = np.einsum("...wv,w...->v...", _symbol_tensor(op, field.grid).conj(), coeffs,
+                    order="C")
     return inverse_transform(FrequencyField(field.grid, out))
 
 
 @lru_cache(maxsize=32)
 def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
-    """Projector onto ker A(xi) per frequency, shape (dimV, dimV, size, ..., size).
+    """Projector onto ker A(xi) per frequency, shape (size, ..., size, dimV, dimV).
 
-    Frequency zero (and any exact rank-0 frequency) gets the identity:
-    everything there is kernel, so the projection keeps constants intact.
+    Same layout as _symbol_tensor.  Frequency zero (and any exact rank-0
+    frequency) gets the identity: everything there is kernel, so the
+    projection keeps constants intact.
     """
-    proj = kernel_projector(np.moveaxis(_symbol_tensor(op, grid), (0, 1), (-2, -1)), tol)
-    table = np.moveaxis(proj, (-2, -1), (0, 1))
+    table = kernel_projector(_symbol_tensor(op, grid), tol)
     table.setflags(write=False)
     return table
 
@@ -260,7 +267,7 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     _check_field(op, field, op.dim_v, "input")
     coeffs = forward_transform(field).coeffs
     table = _kernel_projector_table(op, field.grid, float(tol))
-    out = np.einsum("vw...,w...->v...", table, coeffs)
+    out = np.einsum("...vw,w...->v...", table, coeffs, order="C")
     return inverse_transform(FrequencyField(field.grid, out))
 
 
@@ -310,8 +317,9 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     """
     _check_field(op, field, op.dim_w, "input")
     coeffs = forward_transform(field).coeffs
-    dagger = pinv_svd(np.moveaxis(_symbol_tensor(op, field.grid), (0, 1), (-2, -1)), tol)
-    return _derivatives(field.grid, op.k, np.einsum("...vw,w...->v...", dagger, coeffs))
+    dagger = pinv_svd(_symbol_tensor(op, field.grid), tol)
+    out = np.einsum("...vw,w...->v...", dagger, coeffs, order="C")
+    return _derivatives(field.grid, op.k, out)
 
 
 def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> GridField:

@@ -91,6 +91,16 @@ def test_malformed_document_exits_one(tmp_path, capsys):
     assert "missing field" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("zoo", "--out", "{dir}"),
+    ("verify", "zoo:gradient", "--N", "8", "--trials", "1", "--csv", "{dir}/missing/x.csv"),
+], ids=["out-is-a-directory", "csv-in-missing-directory"])
+def test_unwritable_output_path_is_a_one_line_error(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_invalid_p_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "zoo:divergence", "--p", "0.5"])

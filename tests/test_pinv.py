@@ -210,7 +210,7 @@ def test_every_route_applies_the_same_cutoff(mat, rank):
         assert set(rank_profile(op, num_samples=8).ranks.tolist()) == {rank}
     table = _kernel_projector_table(op, Grid(1, 4), DEFAULT_TOL)
     for xi in freqs:
-        assert np.isclose(np.trace(table[:, :, xi % 4]).real, 2 - rank)
+        assert np.isclose(np.trace(table[xi % 4]).real, 2 - rank)
 
 
 def test_stack_routes_equal_per_matrix_results():
@@ -218,13 +218,16 @@ def test_stack_routes_equal_per_matrix_results():
                      for seed, rank in enumerate([0, 1, 2, 3, 3, 1])]).reshape(2, 3, 3, 4)
     dagger = pinv_svd(mats)
     proj = kernel_projector(mats)
+    ranks = numerical_rank(mats)
     assert dagger.shape == (2, 3, 4, 3) and proj.shape == (2, 3, 4, 4)
+    assert ranks.shape == (2, 3) and ranks.tolist() == [[0, 1, 2], [3, 3, 1]]
     for idx in np.ndindex(2, 3):
+        assert ranks[idx] == numerical_rank(mats[idx])
         np.testing.assert_allclose(dagger[idx], pinv_svd(mats[idx]), rtol=0, atol=1e-13)
         np.testing.assert_allclose(proj[idx], kernel_projector(mats[idx]), rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("route", [pinv_svd, kernel_projector])
+@pytest.mark.parametrize("route", [pinv_svd, kernel_projector, numerical_rank])
 def test_stack_routes_reject_bad_input(route):
     bad = np.ones((2, 2, 2))
     bad[1, 0, 0] = np.nan

@@ -73,6 +73,19 @@ def test_sphere_samples_n1_dedupes():
     assert np.allclose(np.abs(pts), 1.0)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sphere_samples_lead_with_axes_then_sign_vectors(n):
+    structured = sphere_samples(n, n + 1, seed=0)[:2 * n + 2 ** n]
+    axes = np.zeros((2 * n, n))
+    for j in range(n):
+        axes[2 * j, j], axes[2 * j + 1, j] = 1.0, -1.0
+    # row i of the sign block has -1 where i, written in n binary digits, has a 1
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    signs = (1.0 - 2.0 * bits) / np.sqrt(n)
+    np.testing.assert_array_equal(structured, np.vstack([axes, signs]))
+    assert len(np.unique(structured, axis=0)) == len(structured)
+
+
 def test_sphere_samples_validation():
     with pytest.raises(ValueError, match="num_random"):
         sphere_samples(3, 2)

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank.operators import multi_indices, symbol
-from symrank.pinv import numerical_rank, pinv_decell
+from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_decell
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_A_adjoint,
                               apply_Dk, apply_PA, apply_multiplier, dump_field,
                               forward_transform, inverse_transform, integer_frequencies,
                               load_field, lp_norm, mode_index, periodic_bump,
-                              random_band_limited, single_mode)
+                              random_band_limited, single_mode, _kernel_projector_table,
+                              _symbol_tensor)
 from symrank.zoo import zoo_get, zoo_list
 
 TWO_PI = 2.0 * math.pi
@@ -191,6 +192,22 @@ def test_apply_A_fiber_dim_guard():
     grid = Grid(3, 4)
     with pytest.raises(ValueError, match="fiber dimension 3"):
         apply_A(op, GridField(grid, np.ones((1, 4, 4, 4), dtype=complex)))
+
+
+# ------------------------------------------------------------------ tables
+
+@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
+def test_tables_are_read_only_stacks_with_matrix_axes_last(entry):
+    op = entry.build()
+    grid = Grid(op.n, 4)
+    symbols = _symbol_tensor(op, grid)
+    projectors = _kernel_projector_table(op, grid, DEFAULT_TOL)
+    assert not symbols.flags.writeable and not projectors.flags.writeable
+    for xi in itertools.product(range(-2, 2), repeat=op.n):
+        idx = mode_index(grid, xi)
+        mat = symbol(op, np.array(xi, dtype=float))
+        np.testing.assert_array_equal(symbols[idx], mat)
+        np.testing.assert_array_equal(projectors[idx], kernel_projector(mat))
 
 
 # ------------------------------------------------------------------ projection

@@ -22,6 +22,7 @@ minimality comparison lost).
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -124,6 +125,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if not (math.isfinite(args.factor) and args.factor > 0):
+        raise ValueError("--factor must be a finite number greater than 0")
     op = _load_operator(args.source)
     profile = rank_profile(op, tol=args.tol, seed=args.seed)
     if profile.verdict is not Verdict.NON_CONSTANT_RANK:

@@ -6,7 +6,10 @@ The central quantity is
 
 which stays bounded over field families exactly when the symbol has
 constant rank on the sphere, and is driven to infinity along witness
-families concentrated near rank-drop directions otherwise.
+families concentrated near rank-drop directions otherwise.  Every piece of
+it is a Fourier multiplier, so the ratio and the minimality check work on
+coefficients; only a p != 2 norm needs grid values, and at p = 2 both
+sides are coefficient sums (Parseval).
 """
 
 from dataclasses import dataclass, field
@@ -16,9 +19,10 @@ import numpy as np
 from .operators import Operator, symbol, symbol_stack
 from .pinv import DEFAULT_TOL, numerical_rank
 from .rank import sphere_samples
-from .spectral import (Grid, GridField, apply_A, apply_A_adjoint, apply_Dk, apply_PA,
-                       lp_norm, periodic_bump, random_band_limited, single_mode,
-                       _coordinate_mesh)
+from .spectral import (FrequencyField, Grid, GridField, apply_A_adjoint, forward_transform,
+                       inverse_transform, lp_norm, periodic_bump, single_mode,
+                       _check_field, _coefficient_norm, _coordinate_mesh, _derivatives,
+                       _kernel_projector_table, _matvec, _random_coefficients, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -37,18 +41,33 @@ class EmptyExperimentError(ValueError):
     """A report was requested for an experiment with no completed trials."""
 
 
-def estimate_ratio(op: Operator, phi: GridField, p: float, tol: float = DEFAULT_TOL) -> float:
+def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
+                   tol: float = DEFAULT_TOL) -> float:
     """||D^k(phi - P_A phi)||_p / ||A phi||_p on phi's grid.
 
-    Raises KernelInputError when ||A phi||_2 <= tol * ||phi||_2.
-    Invariant under rescaling of phi; for p = 2 this is the sharp constant
-    of the derivative recovery estimate on the given field.
+    phi is a GridField, transformed once, or its FrequencyField.  A phi and
+    phi - P_A phi are formed on coefficients.  At p = 2 the ratio is a
+    quotient of coefficient l2 norms (Parseval), the derivative side weighted
+    by |xi|^2k, and needs no transform; at any other p exactly the two fields
+    A phi and D^k(phi - P_A phi) go back to the grid for lp_norm.  Raises
+    ValueError unless p >= 1 and KernelInputError when
+    ||A phi||_2 <= tol * ||phi||_2.  Invariant under rescaling of phi; for
+    p = 2 this is the sharp constant of the derivative recovery estimate on
+    the given field.
     """
-    a_phi = apply_A(op, phi)
-    if lp_norm(a_phi, 2) <= tol * lp_norm(phi, 2):
+    if not p >= 1.0:
+        raise ValueError("p must be at least 1")
+    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
+    _check_field(op, freq, op.dim_v, "input")
+    a_phi = _matvec(_symbol_tensor(op, freq.grid), freq)
+    if _coefficient_norm(a_phi) <= tol * _coefficient_norm(freq):
         raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
-    resolved = phi - apply_PA(op, phi, tol)
-    return lp_norm(apply_Dk(op.k, resolved), p) / lp_norm(a_phi, p)
+    kernel_part = _matvec(_kernel_projector_table(op, freq.grid, float(tol)), freq)
+    resolved = FrequencyField(freq.grid, freq.coeffs - kernel_part.coeffs)
+    if p == 2.0:
+        return _coefficient_norm(resolved, op.k) / _coefficient_norm(a_phi)
+    derivatives = inverse_transform(_derivatives(op.k, resolved))
+    return lp_norm(derivatives, p) / lp_norm(inverse_transform(a_phi), p)
 
 
 def symbol_bound_ratio(op: Operator, xi, w, tol: float = DEFAULT_TOL) -> float:
@@ -229,18 +248,27 @@ def l2_minimality_check(op: Operator, phi: GridField, kernel_trials: int = 20,
     Competitors are kernel projections of seeded random band-limited
     fields.  Returns True when no competitor beats the canonical
     projection by more than slack.  Raises ValueError for fewer than one
-    competitor, which would pass without comparing anything.
+    competitor, which would pass without comparing anything.  Every norm
+    here is L2, so after one forward transform of phi the check runs on
+    coefficients: competitors are drawn as coefficients and projected with
+    the cached projector table.
     """
     if kernel_trials < 1:
         raise ValueError("kernel_trials must be at least 1")
-    base = lp_norm(apply_Dk(op.k, phi - apply_PA(op, phi, tol)), 2)
+    freq = forward_transform(phi)
+    _check_field(op, freq, op.dim_v, "input")
     grid = phi.grid
+    projector = _kernel_projector_table(op, grid, float(tol))
+
+    def distance(kernel_field: FrequencyField) -> float:
+        return _coefficient_norm(FrequencyField(grid, freq.coeffs - kernel_field.coeffs), op.k)
+
+    base = distance(_matvec(projector, freq))
     for trial in range(kernel_trials):
         # trailing 1 keeps this seed stream disjoint from any [seed, trial]
         # stream a caller used for phi (SeedSequence drops trailing zeros)
-        raw = random_band_limited(grid, op.dim_v, grid.size // 4, seed=[seed, trial, 1])
-        psi = apply_PA(op, raw, tol)
-        if base > lp_norm(apply_Dk(op.k, phi - psi), 2) + slack:
+        raw = _random_coefficients(grid, op.dim_v, grid.size // 4, seed=[seed, trial, 1])
+        if base > distance(_matvec(projector, raw)) + slack:
             return False
     return True
 
@@ -336,8 +364,11 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
     """Measure estimate_ratio on seeded random band-limited fields.
 
     Runs `trials` fields per grid size; each trial derives its randomness
-    from (seed, grid size, trial index).  Kernel inputs are excluded and
-    counted rather than reported as ratios.
+    from (seed, grid size, trial index).  The fields are drawn as
+    coefficients (those of random_band_limited) and passed to
+    estimate_ratio as FrequencyFields, so a p = 2 sweep makes no transform
+    and any other p two inverse transforms per trial.  Kernel inputs are
+    excluded and counted rather than reported as ratios.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -351,7 +382,7 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
         grid = Grid(op.n, size)
         band = max_freq if max_freq is not None else grid.size // 4
         for trial in range(trials):
-            phi = random_band_limited(grid, op.dim_v, band, seed=[seed, size, trial])
+            phi = _random_coefficients(grid, op.dim_v, band, seed=[seed, size, trial])
             try:
                 ratio = estimate_ratio(op, phi, p, tol)
             except KernelInputError:

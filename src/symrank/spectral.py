@@ -9,13 +9,20 @@ rounding: a single mode c * exp(i x.xi) has the lone coefficient
 c * (2pi)^(n/2).
 
 Differentiation, operator application, and kernel projection are all
-frequency multipliers here, hence exact on resolved modes.  Band-limited
-random fields keep |xi|_inf <= N/4 so products of symbols and fields stay
-well inside the grid.
+frequency multipliers here, hence exact on resolved modes.  Each is one
+private coefficient-level step (_matvec with a symbol table, _derivatives);
+the public apply_* functions wrap a step between forward_transform and
+inverse_transform.  Code that chains several steps, such as the estimate
+ratio, stays on FrequencyField coefficients and transforms back only the
+fields whose grid values an L^p norm with p != 2 needs: at p = 2 the grid
+norm is a coefficient sum (_coefficient_norm).  Band-limited random fields
+keep |xi|_inf <= N/4 so products of symbols and fields stay well inside the
+grid.
 """
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -199,7 +206,7 @@ def single_mode(grid: Grid, xi, amplitude) -> GridField:
 
 def lp_norm(field: GridField, p: float) -> float:
     """Grid L^p norm: Riemann sum of the pointwise fiber norm; p = inf gives the max."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be at least 1")
     pointwise = field.pointwise_norm()
     if math.isinf(p):
@@ -207,22 +214,76 @@ def lp_norm(field: GridField, p: float) -> float:
     return float((np.sum(pointwise ** p) * field.grid.cell_volume) ** (1.0 / p))
 
 
+def _coefficient_norm(freq: FrequencyField, k: int = 0) -> float:
+    """sqrt(sum_xi |xi|^2k |freq(xi)|^2) for a field without fiber weights.
+
+    By Parseval, k = 0 gives lp_norm(inverse_transform(freq), 2) and k >= 1
+    gives lp_norm(inverse_transform(_derivatives(k, freq)), 2), without the
+    transform or the dimV * T derivative array: the weights k!/alpha! of
+    apply_Dk sum |xi^alpha|^2 to |xi|^2k (multinomial theorem).
+    """
+    coeffs = freq.coeffs.reshape(freq.fiber_dim, -1)
+    squares = (np.einsum("vj,vj->j", coeffs.real, coeffs.real)
+               + np.einsum("vj,vj->j", coeffs.imag, coeffs.imag))
+    if k:
+        mesh = integer_frequencies(freq.grid).reshape(freq.grid.n, -1)
+        squares = np.einsum("ij,ij->j", mesh, mesh) ** k * squares
+    return float(np.sqrt(squares.sum()))
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: int) -> None:
+    """Raise MemoryError when a table build on this grid cannot fit in memory.
+
+    The estimate counts matrix_entries complex numbers per frequency for
+    what the table build holds at its peak, plus the largest field the
+    calculus makes: all order-k derivatives, dimV * T fiber components.  It
+    runs before anything is allocated, so an oversized grid is refused
+    instead of being killed part way.
+    """
+    derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
+    needed = 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers)
+    available = _physical_memory()
+    if available is not None and needed > available:
+        raise MemoryError(
+            f"{op.name} on a {grid.size}^{grid.n} grid needs about {needed / 1e9:.3g} GB "
+            f"for its tables and largest field; physical memory is {available / 1e9:.3g} GB")
+
+
 @lru_cache(maxsize=32)
 def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     """A(xi) over the whole frequency mesh, shape (size, ..., size, dimW, dimV).
 
     Frequency axes in fft layout come first and the matrix axes last: the
-    (..., m, n) stack layout of the pinv routines.  The einsums that apply
-    it ask for order="C" output, which keeps the field axes contiguous for
-    the FFTs instead of following this table's strides.
+    (..., m, n) stack layout of the pinv routines.  Raises MemoryError
+    before building when the grid is too large (see _refuse_oversized).
     """
+    _refuse_oversized(op, grid, op.dim_w * op.dim_v)
     xis = integer_frequencies(grid).reshape(grid.n, -1).T
     stack = symbol_stack(op, xis).reshape(grid.shape + (op.dim_w, op.dim_v))
     stack.setflags(write=False)
     return stack
 
 
-def _check_field(op: Operator, field: GridField, fiber_dim: int, role: str):
+def _matvec(table: np.ndarray, freq: FrequencyField) -> FrequencyField:
+    """table[xi] @ freq(xi) at every frequency xi: the one symbol-multiplier step.
+
+    table is a (size, ..., size, m, n) stack in _symbol_tensor's layout.  The
+    einsum asks for order="C" output, which keeps the field axes contiguous
+    for the FFTs instead of following the table's strides.
+    """
+    out = np.einsum("...ij,j...->i...", table, freq.coeffs, order="C")
+    return FrequencyField(freq.grid, out)
+
+
+def _check_field(op: Operator, field: GridField | FrequencyField, fiber_dim: int, role: str):
     if field.grid.n != op.n:
         raise ValueError(f"field has {field.grid.n} axes, operator acts on {op.n}")
     if field.fiber_dim != fiber_dim:
@@ -234,19 +295,14 @@ def _check_field(op: Operator, field: GridField, fiber_dim: int, role: str):
 def apply_A(op: Operator, field: GridField) -> GridField:
     """Apply the operator spectrally: multiply coefficients by A(xi)."""
     _check_field(op, field, op.dim_v, "input")
-    coeffs = forward_transform(field).coeffs
-    out = np.einsum("...wv,v...->w...", _symbol_tensor(op, field.grid), coeffs,
-                    order="C")
-    return inverse_transform(FrequencyField(field.grid, out))
+    return inverse_transform(_matvec(_symbol_tensor(op, field.grid), forward_transform(field)))
 
 
 def apply_A_adjoint(op: Operator, field: GridField) -> GridField:
     """Apply the adjoint spectrally: multiply coefficients by A*(xi)."""
     _check_field(op, field, op.dim_w, "input")
-    coeffs = forward_transform(field).coeffs
-    out = np.einsum("...wv,w...->v...", _symbol_tensor(op, field.grid).conj(), coeffs,
-                    order="C")
-    return inverse_transform(FrequencyField(field.grid, out))
+    adjoint = np.swapaxes(_symbol_tensor(op, field.grid), -1, -2).conj()
+    return inverse_transform(_matvec(adjoint, forward_transform(field)))
 
 
 @lru_cache(maxsize=32)
@@ -255,8 +311,14 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
 
     Same layout as _symbol_tensor.  Frequency zero (and any exact rank-0
     frequency) gets the identity: everything there is kernel, so the
-    projection keeps constants intact.
+    projection keeps constants intact.  Raises MemoryError before building
+    when the grid is too large (see _refuse_oversized).
     """
+    # the build holds the symbol table, its SVD factors u and vh, and the
+    # projector with two temporaries of the same size inside kernel_projector
+    rank = min(op.dim_w, op.dim_v)
+    _refuse_oversized(op, grid, op.dim_w * op.dim_v + (op.dim_w + op.dim_v) * rank
+                      + 3 * op.dim_v ** 2)
     table = kernel_projector(_symbol_tensor(op, grid), tol)
     table.setflags(write=False)
     return table
@@ -265,17 +327,16 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
 def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
     """Project every coefficient onto ker A(xi) (the canonical kernel part of the field)."""
     _check_field(op, field, op.dim_v, "input")
-    coeffs = forward_transform(field).coeffs
     table = _kernel_projector_table(op, field.grid, float(tol))
-    out = np.einsum("...vw,w...->v...", table, coeffs, order="C")
-    return inverse_transform(FrequencyField(field.grid, out))
+    return inverse_transform(_matvec(table, forward_transform(field)))
 
 
-def _derivatives(grid: Grid, k: int, coeffs: np.ndarray) -> GridField:
-    """Grid field of all order-k derivatives of the field with these coefficients.
+def _derivatives(k: int, freq: FrequencyField) -> FrequencyField:
+    """Coefficients of all order-k derivatives of freq.
 
     Fiber layout and weights are those documented on apply_Dk.
     """
+    grid = freq.grid
     alphas = multi_indices(grid.n, k)
     mesh = integer_frequencies(grid)
     powers = np.empty((len(alphas),) + grid.shape, dtype=complex)
@@ -285,10 +346,10 @@ def _derivatives(grid: Grid, k: int, coeffs: np.ndarray) -> GridField:
             if axis_exp:
                 power = power * (1j * axis_mesh) ** axis_exp
         powers[t] = power
-    out = np.einsum("t...,v...->vt...", powers, coeffs)
-    out = out.reshape((coeffs.shape[0] * len(alphas),) + grid.shape)
+    out = np.einsum("t...,v...->vt...", powers, freq.coeffs)
+    out = out.reshape((freq.fiber_dim * len(alphas),) + grid.shape)
     weights = np.array([multinomial_weight(a) for a in alphas], dtype=float)
-    return inverse_transform(FrequencyField(grid, out, np.tile(weights, coeffs.shape[0])))
+    return FrequencyField(grid, out, np.tile(weights, freq.fiber_dim))
 
 
 def apply_Dk(k: int, field: GridField) -> GridField:
@@ -303,7 +364,7 @@ def apply_Dk(k: int, field: GridField) -> GridField:
         raise ValueError("k must be a positive integer")
     if field.fiber_weights is not None:
         raise ValueError("input field must not carry fiber weights")
-    return _derivatives(field.grid, k, forward_transform(field).coeffs)
+    return inverse_transform(_derivatives(k, forward_transform(field)))
 
 
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -316,20 +377,12 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     multiplier vanishes at frequency zero, where the symbol is zero.
     """
     _check_field(op, field, op.dim_w, "input")
-    coeffs = forward_transform(field).coeffs
     dagger = pinv_svd(_symbol_tensor(op, field.grid), tol)
-    out = np.einsum("...vw,w...->v...", dagger, coeffs, order="C")
-    return _derivatives(field.grid, op.k, out)
+    return inverse_transform(_derivatives(op.k, _matvec(dagger, forward_transform(field))))
 
 
-def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> GridField:
-    """Real-valued random field with independent unit-variance coefficients.
-
-    Every integer frequency with 0 < |xi|_inf <= max_freq (max_freq at most
-    size/4) carries a complex gaussian coefficient, Hermitian-paired so the
-    field is real up to rounding; the mean (frequency zero) is exactly zero.
-    Deterministic for a given seed (an int or sequence of ints).
-    """
+def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> FrequencyField:
+    """Coefficients of random_band_limited(grid, fiber_dim, max_freq, seed)."""
     if fiber_dim < 1:
         raise ValueError("fiber_dim must be positive")
     if not 1 <= max_freq <= grid.size // 4:
@@ -346,7 +399,18 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
     coeffs = np.zeros((fiber_dim,) + grid.shape, dtype=complex)
     coeffs[(slice(None), *(primaries % grid.size))] = values
     coeffs[(slice(None), *(-primaries % grid.size))] = values.conj()
-    return inverse_transform(FrequencyField(grid, coeffs))
+    return FrequencyField(grid, coeffs)
+
+
+def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> GridField:
+    """Real-valued random field with independent unit-variance coefficients.
+
+    Every integer frequency with 0 < |xi|_inf <= max_freq (max_freq at most
+    size/4) carries a complex gaussian coefficient, Hermitian-paired so the
+    field is real up to rounding; the mean (frequency zero) is exactly zero.
+    Deterministic for a given seed (an int or sequence of ints).
+    """
+    return inverse_transform(_random_coefficients(grid, fiber_dim, max_freq, seed))
 
 
 def periodic_bump(grid: Grid, width: float) -> np.ndarray:

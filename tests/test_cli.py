@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from symrank import cli
+from symrank import cli, spectral
 from symrank.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_NO_RANK_DROP,
                          EXIT_NON_CONSTANT_RANK, EXIT_OK, main)
 from symrank.operators import serialize_operator
@@ -175,6 +175,14 @@ def test_counterexample_unreached_factor_exits_five(capsys):
     assert doc["growth"] < 100
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf", "0", "-2"])
+def test_counterexample_rejects_unusable_factor(capsys, factor):
+    code, out, err = run(capsys, "counterexample", "zoo:d1d2", "--factor", factor)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: --factor") and err.count("\n") == 1
+
+
 def test_counterexample_windowed_reports_smaller_growth(capsys):
     # localized witnesses measure below the single-mode closed form at this
     # width, so the default factor is not reached
@@ -231,6 +239,17 @@ def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+def test_grid_beyond_physical_memory_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 5)
+    spectral._symbol_tensor.cache_clear()
+    spectral._kernel_projector_table.cache_clear()
+    code, out, err = run(capsys, "verify", "zoo:curl", "--N", "8", "--trials", "1")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: out of memory: curl on a 8^3 grid needs about")
+    assert err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ zoo

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symrank import experiments, spectral
 from symrank.experiments import (DegenerateProbeError, EmptyExperimentError, KernelInputError,
                                  TrialRecord, WitnessConfig, assemble_report,
                                  build_frequency_ladder, estimate_ratio, l2_minimality_check,
                                  ratio_sweep, symbol_bound_ratio, symbol_bound_sup,
                                  witness_family)
-from symrank.spectral import (Grid, apply_A, apply_PA, forward_transform, lp_norm,
+from symrank.rank import Verdict
+from symrank.spectral import (Grid, apply_A, apply_Dk, apply_PA, forward_transform, lp_norm,
                               random_band_limited, single_mode)
-from symrank.zoo import zoo_get
+from symrank.zoo import zoo_get, zoo_list
 
 TWO_PI = 2.0 * math.pi
+CONSTANT_RANK = [entry.name for entry in zoo_list()
+                 if entry.expected_verdict is not Verdict.NON_CONSTANT_RANK]
 
 
 def raw_divergence_ratio(phi):
@@ -70,6 +74,53 @@ def test_estimate_ratio_rejects_kernel_fields():
     solenoidal = apply_PA(op, random_band_limited(grid, 3, 2, seed=1))
     with pytest.raises(KernelInputError):
         estimate_ratio(op, solenoidal, 2.0)
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan])
+@pytest.mark.parametrize("as_coefficients", [False, True])
+def test_estimate_ratio_rejects_p_below_one_or_nan(p, as_coefficients):
+    op = zoo_get("curl")
+    phi = random_band_limited(Grid(3, 8), 3, 2, seed=8)
+    with pytest.raises(ValueError, match="at least 1"):
+        estimate_ratio(op, forward_transform(phi) if as_coefficients else phi, p)
+
+
+def grid_composition_ratio(op, phi, p):
+    """Oracle: the estimate ratio composed from the public grid functions."""
+    resolved = phi - apply_PA(op, phi)
+    return lp_norm(apply_Dk(op.k, resolved), p) / lp_norm(apply_A(op, phi), p)
+
+
+@pytest.mark.parametrize("name", CONSTANT_RANK)
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+def test_estimate_ratio_coefficient_route_matches_grid_composition(name, p):
+    op = zoo_get(name)
+    phi = random_band_limited(Grid(op.n, 8), op.dim_v, 2, seed=[21, 1])
+    expected = grid_composition_ratio(op, phi, p)
+    assert math.isclose(estimate_ratio(op, phi, p), expected, rel_tol=1e-13)
+    assert math.isclose(estimate_ratio(op, forward_transform(phi), p), expected, rel_tol=1e-13)
+
+
+def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
+    calls = {"forward_transform": 0, "inverse_transform": 0}
+
+    def counted(name):
+        original = getattr(spectral, name)
+
+        def wrapper(field):
+            calls[name] += 1
+            return original(field)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (spectral, experiments):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    op = zoo_get("curl")
+    ratio_sweep(op, p=2.0, trials=3, grid_sizes=[8])
+    assert calls == {"forward_transform": 0, "inverse_transform": 0}
+    ratio_sweep(op, p=3.0, trials=3, grid_sizes=[8])
+    assert calls == {"forward_transform": 0, "inverse_transform": 2 * 3}
 
 
 # ------------------------------------------------------------------ symbol bound
@@ -257,6 +308,28 @@ def test_l2_minimality_slack_handles_the_equality_competitor():
     phi = random_band_limited(grid, 3, grid.size // 4, seed=[6, 0, 1])
     assert l2_minimality_check(op, phi, kernel_trials=1, seed=6)
     assert not l2_minimality_check(op, phi, kernel_trials=1, seed=6, slack=-1e-6)
+
+
+def grid_composition_minimality(op, phi, kernel_trials, seed, slack):
+    """Oracle: l2_minimality_check composed from the public grid functions."""
+    base = lp_norm(apply_Dk(op.k, phi - apply_PA(op, phi)), 2)
+    for trial in range(kernel_trials):
+        raw = random_band_limited(phi.grid, op.dim_v, phi.grid.size // 4, seed=[seed, trial, 1])
+        if base > lp_norm(apply_Dk(op.k, phi - apply_PA(op, raw)), 2) + slack:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", CONSTANT_RANK)
+@pytest.mark.parametrize("slack", [1e-10, -1e-6])
+def test_l2_minimality_coefficient_route_matches_grid_composition(name, slack):
+    op = zoo_get(name)
+    grid = Grid(op.n, 8)
+    # a generic field, and one that competitor 0 reproduces (an exact tie)
+    for phi_seed in ([22, 0], [3, 0, 1]):
+        phi = random_band_limited(grid, op.dim_v, grid.size // 4, seed=phi_seed)
+        expected = grid_composition_minimality(op, phi, 3, 3, slack)
+        assert l2_minimality_check(op, phi, kernel_trials=3, seed=3, slack=slack) is expected
 
 
 # ------------------------------------------------------------------ reports

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symrank import spectral
 from symrank.operators import multi_indices, symbol
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_decell
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_A_adjoint,
@@ -127,8 +128,9 @@ def test_lp_norm_constant_field():
     for p in (1.0, 2.0, 3.5):
         assert math.isclose(lp_norm(phi, p), 3.0 * TWO_PI ** (2 / p), rel_tol=1e-12)
     assert math.isclose(lp_norm(phi, math.inf), 3.0, rel_tol=1e-12)
-    with pytest.raises(ValueError, match="at least 1"):
-        lp_norm(phi, 0.5)
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError, match="at least 1"):
+            lp_norm(phi, p)
 
 
 @given(st.floats(-8.0, 8.0), st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
@@ -208,6 +210,33 @@ def test_tables_are_read_only_stacks_with_matrix_axes_last(entry):
         mat = symbol(op, np.array(xi, dtype=float))
         np.testing.assert_array_equal(symbols[idx], mat)
         np.testing.assert_array_equal(projectors[idx], kernel_projector(mat))
+
+
+def test_memory_estimate_of_a_large_grid(monkeypatch):
+    # the estimate alone: _refuse_oversized allocates nothing
+    curl = zoo_get("curl")
+    symbol_entries = curl.dim_w * curl.dim_v
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 8 * 10 ** 9)
+    spectral._refuse_oversized(curl, Grid(3, 128), symbol_entries)
+    spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 4 * 10 ** 9)
+    # 2.4 GB of symbol table and 2.4 GB for the nine derivative components
+    with pytest.raises(MemoryError, match=r"curl on a 256\^3 grid needs about 4.83 GB"):
+        spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: None)
+    spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
+
+
+def test_tables_refuse_to_build_beyond_physical_memory(monkeypatch):
+    # a 1e5-byte machine refuses even an 8^3 curl table (about 0.15 MB)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 5)
+    _symbol_tensor.cache_clear()
+    _kernel_projector_table.cache_clear()
+    op = zoo_get("curl")
+    with pytest.raises(MemoryError, match=r"8\^3 grid"):
+        _symbol_tensor(op, Grid(3, 8))
+    with pytest.raises(MemoryError, match=r"8\^3 grid"):
+        _kernel_projector_table(op, Grid(3, 8), DEFAULT_TOL)
 
 
 # ------------------------------------------------------------------ projection

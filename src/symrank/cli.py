@@ -33,7 +33,7 @@ from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
 from .rank import (DegenerateWitnessError, Verdict, daggerbound_check,
                    find_rank_drop_witness, rank_profile)
-from .spectral import Grid, random_band_limited
+from .spectral import Grid, _kernel_projector_table, _random_coefficients
 from .zoo import UnknownOperatorError, zoo_get, zoo_list
 
 EXIT_OK = 0
@@ -167,9 +167,11 @@ def cmd_minimality(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     grid = Grid(op.n, args.N)
+    # the table lookup refuses an oversized grid before any field is drawn
+    _kernel_projector_table(op, grid, float(args.tol))
     results = []
     for trial in range(args.trials):
-        phi = random_band_limited(grid, op.dim_v, grid.size // 4, seed=[args.seed, trial])
+        phi = _random_coefficients(grid, op.dim_v, grid.size // 4, seed=[args.seed, trial])
         ok = l2_minimality_check(op, phi, kernel_trials=args.kernel_trials,
                                  seed=args.seed, tol=args.tol)
         results.append({"trial": trial, "pass": ok})

@@ -26,11 +26,10 @@ from .spectral import (FrequencyField, Grid, GridField, apply_A_adjoint, forward
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
-CONTEXT_SYMBOL_BOUND = "SymbolBound"
 
 
 class KernelInputError(ValueError):
-    """estimate_ratio called on an approximate kernel element; the quotient is meaningless."""
+    """estimate_ratio input with ||phi - P_A phi|| <= tol ||phi||; the quotient is meaningless."""
 
 
 class DegenerateProbeError(ValueError):
@@ -48,42 +47,53 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
     phi is a GridField, transformed once, or its FrequencyField.  A phi and
     phi - P_A phi are formed on coefficients.  At p = 2 the ratio is a
     quotient of coefficient l2 norms (Parseval), the derivative side weighted
-    by |xi|^2k, and needs no transform; at any other p exactly the two fields
-    A phi and D^k(phi - P_A phi) go back to the grid for lp_norm.  Raises
+    by |xi|^2k, and needs no transform; at any other p D^k(phi - P_A phi),
+    then A phi, go back to the grid for lp_norm, one at a time.  Raises
     ValueError unless p >= 1 and KernelInputError when
-    ||A phi||_2 <= tol * ||phi||_2.  Invariant under rescaling of phi; for
-    p = 2 this is the sharp constant of the derivative recovery estimate on
-    the given field.
+    ||phi - P_A phi||_2 <= tol * ||phi||_2 (P_A uses pinv's relative cutoff,
+    so A -> cA scales the ratio by 1/c and rejects the same fields).
+    Invariant under rescaling of phi; for p = 2 this is the sharp constant
+    of the derivative recovery estimate on the given field.
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
-    a_phi = _matvec(_symbol_tensor(op, freq.grid), freq)
-    if _coefficient_norm(a_phi) <= tol * _coefficient_norm(freq):
+    projector = _kernel_projector_table(op, freq.grid, float(tol))
+    resolved = FrequencyField(freq.grid, freq.coeffs - _matvec(projector, freq).coeffs)
+    if _coefficient_norm(resolved) <= tol * _coefficient_norm(freq):
         raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
-    kernel_part = _matvec(_kernel_projector_table(op, freq.grid, float(tol)), freq)
-    resolved = FrequencyField(freq.grid, freq.coeffs - kernel_part.coeffs)
+    symbols = _symbol_tensor(op, freq.grid)
     if p == 2.0:
-        return _coefficient_norm(resolved, op.k) / _coefficient_norm(a_phi)
-    derivatives = inverse_transform(_derivatives(op.k, resolved))
-    return lp_norm(derivatives, p) / lp_norm(inverse_transform(a_phi), p)
+        return _coefficient_norm(resolved, op.k) / _coefficient_norm(_matvec(symbols, freq))
+    derivative_norm = lp_norm(inverse_transform(_derivatives(op.k, resolved)), p)
+    return derivative_norm / lp_norm(inverse_transform(_matvec(symbols, freq)), p)
+
+
+def _adjoint_probe(op: Operator, xi, w, tol: float):
+    """A(xi), w and A*(xi) w, where w = None means the top left singular vector u_0.
+
+    Raises DegenerateProbeError when |A*(xi) w| <= tol * sigma_max(A(xi)) |w|,
+    relative like pinv's cutoff; |A*(xi) u_0| = sigma_max, so u_0 fails only
+    where the symbol vanishes.
+    """
+    mat = symbol(op, np.asarray(xi, dtype=float))
+    u, sigma, _ = np.linalg.svd(mat)
+    w = u[:, 0] if w is None else np.asarray(w, dtype=complex)
+    adjoint_w = mat.conj().T @ w
+    if np.linalg.norm(adjoint_w) <= tol * sigma[0] * np.linalg.norm(w):
+        raise DegenerateProbeError(f"{op.name}: probe annihilated by the adjoint symbol at {tuple(xi)}")
+    return mat, w, adjoint_w
 
 
 def symbol_bound_ratio(op: Operator, xi, w, tol: float = DEFAULT_TOL) -> float:
     """|xi|^k ||A*(xi) w|| / ||A(xi) A*(xi) w||, the single-mode estimate ratio.
 
-    Scale-invariant in xi.  Raises DegenerateProbeError when A*(xi) w
-    vanishes to tolerance (relative to sigma_max(A) |w|).
+    Scale-invariant in xi.  Raises DegenerateProbeError when
+    |A*(xi) w| <= tol * sigma_max(A(xi)) |w|.
     """
-    xi = np.asarray(xi, dtype=float)
-    w = np.asarray(w, dtype=complex)
-    mat = symbol(op, xi)
-    adjoint_w = mat.conj().T @ w
-    sigma_max = float(np.linalg.norm(mat, 2))
-    if np.linalg.norm(adjoint_w) <= tol * sigma_max * np.linalg.norm(w):
-        raise DegenerateProbeError(f"{op.name}: probe annihilated by the adjoint symbol at {tuple(xi)}")
-    return float(np.linalg.norm(xi) ** op.k * np.linalg.norm(adjoint_w)
+    mat, _, adjoint_w = _adjoint_probe(op, xi, w, tol)
+    return float(np.linalg.norm(np.asarray(xi, dtype=float)) ** op.k * np.linalg.norm(adjoint_w)
                  / np.linalg.norm(mat @ adjoint_w))
 
 
@@ -167,80 +177,64 @@ def witness_family(op: Operator, cfg: WitnessConfig, grid: Grid,
     A*(xi_m) w at xi_m, so P_A phi_m = 0 exactly and estimate_ratio at any
     p equals symbol_bound_ratio(op, xi_m, w).  With a window, the wave is
     multiplied by a periodized bump before applying A*; the measured ratio
-    approaches the single-mode value as the window widens.
+    approaches the single-mode value as the window widens.  Raises
+    DegenerateProbeError when |A*(xi_m) w| <= tol * sigma_max(A(xi_m)) |w|,
+    and MemoryError before any field exists when the tables cannot fit.
     """
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
+    _kernel_projector_table(op, grid, float(tol))
     if cfg.window is not None:
         bump = periodic_bump(grid, cfg.window)
         mesh = _coordinate_mesh(grid)
+    w = None if cfg.w is None else np.array(cfg.w, dtype=complex)
+    if w is not None and w.shape != (op.dim_w,):
+        raise ValueError(f"w must have length {op.dim_w}")
     fields = []
     for freq in cfg.frequencies:
         if max(abs(x) for x in freq) > grid.size // 4:
             raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
                              f"(|xi|_inf must be <= {grid.size // 4})")
-        mat = symbol(op, np.array(freq, dtype=float))
-        if cfg.w is None:
-            u, sigma, _ = np.linalg.svd(mat)
-            if sigma[0] <= tol * max(1.0, float(np.linalg.norm(freq)) ** op.k):
-                raise DegenerateProbeError(f"{op.name}: symbol vanishes at {freq}")
-            w = u[:, 0]
-        else:
-            w = np.array(cfg.w, dtype=complex)
-            if w.shape != (op.dim_w,):
-                raise ValueError(f"w must have length {op.dim_w}")
-        if np.linalg.norm(mat.conj().T @ w) <= tol * max(1.0, float(np.linalg.norm(freq)) ** op.k):
-            raise DegenerateProbeError(f"{op.name}: probe annihilated by the adjoint symbol at {freq}")
+        _, probe, adjoint_w = _adjoint_probe(op, freq, w, tol)
         if cfg.window is None:
-            wave = single_mode(grid, freq, w)
-        else:
-            phase = np.exp(1j * sum(f * axis for f, axis in zip(freq, mesh)))
-            wave = GridField(grid, w.reshape((-1,) + (1,) * grid.n) * (bump * phase)[None])
+            fields.append(single_mode(grid, freq, adjoint_w))
+            continue
+        phase = np.exp(1j * sum(f * axis for f, axis in zip(freq, mesh)))
+        wave = GridField(grid, probe.reshape((-1,) + (1,) * grid.n) * (bump * phase)[None])
         fields.append(apply_A_adjoint(op, wave))
     return fields
 
 
-def build_frequency_ladder(op: Operator, drop_direction, rungs: int = 4,
-                           base: int = 2) -> list[tuple[int, ...]]:
+def build_frequency_ladder(op: Operator, drop_direction, rungs: int = 4) -> list[tuple[int, ...]]:
     """Integer frequencies approaching a drop direction with doubling magnitude.
 
-    Rung j targets (base * 2^j) * u rounded to integers; when the rounded
-    frequency lands where the symbol vanishes (for example exactly on the
-    degenerate axis), the smallest axis offset that revives the symbol is
-    added.  For the mixed second derivative with u = e1 this yields the
-    family (m, 1), m = base * 2^j.
+    Rung j targets 2^(j+1) * u rounded to integers.  A rung is usable iff
+    numerical_rank of the symbol there is positive, the classifier's own
+    rank; when the rounded frequency is not (for example exactly on the
+    degenerate axis), the first axis offset +-e_i that is usable is added.
+    For the mixed second derivative with u = e1 this yields the family
+    (m, 1), m = 2^(j+1).
     """
     if rungs < 1:
         raise ValueError("rungs must be positive")
     u = np.asarray(drop_direction, dtype=float)
     u = u / np.linalg.norm(u)
-    offsets = [np.zeros(op.n, dtype=int)]
-    for j in range(op.n):
-        for s in (1, -1):
-            e = np.zeros(op.n, dtype=int)
-            e[j] = s
-            offsets.append(e)
+    axes = np.eye(op.n, dtype=int)
+    offsets = np.vstack([0 * axes[0]] + [s * e for e in axes for s in (1, -1)])
     ladder = []
     for j in range(rungs):
-        scale = base * 2 ** j
-        chosen = None
-        for offset in offsets:
-            cand = np.rint(scale * u).astype(int) + offset
-            if not cand.any():
-                continue
-            mat = symbol(op, cand.astype(float))
-            sigma_max = float(np.linalg.norm(mat, 2))
-            if sigma_max > 1e-9 * max(1.0, float(np.linalg.norm(cand)) ** op.k):
-                chosen = tuple(int(x) for x in cand)
-                break
-        if chosen is None:
+        scale = 2 ** (j + 1)
+        cands = np.rint(scale * u).astype(int) + offsets
+        # the zero frequency has the zero symbol, rank 0
+        usable = np.flatnonzero(numerical_rank(symbol_stack(op, cands.astype(float))) > 0)
+        if not usable.size:
             raise DegenerateProbeError(
                 f"{op.name}: no usable frequency near rung {scale} of direction {tuple(u)}")
-        ladder.append(chosen)
+        ladder.append(tuple(int(x) for x in cands[usable[0]]))
     return ladder
 
 
-def l2_minimality_check(op: Operator, phi: GridField, kernel_trials: int = 20,
+def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_trials: int = 20,
                         seed: int = 0, tol: float = DEFAULT_TOL,
                         slack: float = 1e-10) -> bool:
     """Check that P_A phi minimizes ||D^k(phi - psi)||_2 over kernel fields psi.
@@ -249,13 +243,13 @@ def l2_minimality_check(op: Operator, phi: GridField, kernel_trials: int = 20,
     fields.  Returns True when no competitor beats the canonical
     projection by more than slack.  Raises ValueError for fewer than one
     competitor, which would pass without comparing anything.  Every norm
-    here is L2, so after one forward transform of phi the check runs on
-    coefficients: competitors are drawn as coefficients and projected with
-    the cached projector table.
+    here is L2, so the check runs on coefficients: phi is a GridField,
+    transformed once, or its FrequencyField, and competitors are drawn as
+    coefficients and projected with the cached projector table.
     """
     if kernel_trials < 1:
         raise ValueError("kernel_trials must be at least 1")
-    freq = forward_transform(phi)
+    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
     grid = phi.grid
     projector = _kernel_projector_table(op, grid, float(tol))
@@ -367,8 +361,9 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
     from (seed, grid size, trial index).  The fields are drawn as
     coefficients (those of random_band_limited) and passed to
     estimate_ratio as FrequencyFields, so a p = 2 sweep makes no transform
-    and any other p two inverse transforms per trial.  Kernel inputs are
-    excluded and counted rather than reported as ratios.
+    and any other p two inverse transforms per trial.  A grid too large for
+    its tables is refused before its first field is drawn.  Kernel inputs
+    are excluded and counted rather than reported as ratios.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -381,6 +376,7 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
     for size in grid_sizes:
         grid = Grid(op.n, size)
         band = max_freq if max_freq is not None else grid.size // 4
+        _kernel_projector_table(op, grid, float(tol))
         for trial in range(trials):
             phi = _random_coefficients(grid, op.dim_v, band, seed=[seed, size, trial])
             try:

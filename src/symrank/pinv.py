@@ -141,17 +141,18 @@ def pinv_decell(mat, rank: int) -> np.ndarray:
 def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector I - A+ A onto ker A, for a matrix or a stack (..., m, n).
 
-    Hermitian and idempotent to rounding; the zero matrix yields the
-    identity (everything is kernel).
+    Exactly Hermitian (entry (w, v) of the kept rows' product vh_r^H vh_r
+    multiplies the conjugates of entry (v, w)'s factors) and idempotent to
+    rounding; the zero matrix yields the identity (everything is kernel).
     """
     mat = _as_matrices(mat)
     dim_v = mat.shape[-1]
     mats = mat.reshape((-1,) + mat.shape[-2:])
-    _, sigma, vh = np.linalg.svd(mats, full_matrices=False)
-    keep = _kept(sigma, tol)
-    cokernel = np.einsum("mi,miv,miw->mvw", keep.astype(float), vh.conj(), vh)
-    proj = np.eye(dim_v, dtype=complex)[None, :, :] - cokernel
-    proj = 0.5 * (proj + proj.conj().transpose(0, 2, 1))
+    sigma, vh = np.linalg.svd(mats, full_matrices=False)[1:]
+    kept_rows = vh.conj()
+    kept_rows[~_kept(sigma, tol)] = 0.0
+    proj = np.einsum("miv,miw->mvw", kept_rows, vh)
+    np.subtract(np.eye(dim_v, dtype=complex), proj, out=proj)
     return proj.reshape(mat.shape[:-2] + (dim_v, dim_v))
 
 

@@ -243,13 +243,14 @@ def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: int) -> None:
     """Raise MemoryError when a table build on this grid cannot fit in memory.
 
     The estimate counts matrix_entries complex numbers per frequency for
-    what the table build holds at its peak, plus the largest field the
-    calculus makes: all order-k derivatives, dimV * T fiber components.  It
-    runs before anything is allocated, so an oversized grid is refused
-    instead of being killed part way.
+    what the table build holds at its peak, the largest field the calculus
+    makes (all order-k derivatives, dimV * T fiber components), and 1 MiB
+    for numpy's iteration buffers and Python objects, which do not grow
+    with the grid.  It runs before anything is allocated, so an oversized
+    grid is refused instead of being killed part way.
     """
     derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
-    needed = 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers)
+    needed = 2 ** 20 + 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers)
     available = _physical_memory()
     if available is not None and needed > available:
         raise MemoryError(
@@ -314,11 +315,11 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     projection keeps constants intact.  Raises MemoryError before building
     when the grid is too large (see _refuse_oversized).
     """
-    # the build holds the symbol table, its SVD factors u and vh, and the
-    # projector with two temporaries of the same size inside kernel_projector
+    # kernel_projector holds the symbol table and the singular values
+    # throughout, u and vh during the SVD, then vh, its conjugate and the table
     rank = min(op.dim_w, op.dim_v)
-    _refuse_oversized(op, grid, op.dim_w * op.dim_v + (op.dim_w + op.dim_v) * rank
-                      + 3 * op.dim_v ** 2)
+    peak = max((op.dim_w + op.dim_v) * rank, 2 * op.dim_v * rank + op.dim_v ** 2)
+    _refuse_oversized(op, grid, op.dim_w * op.dim_v + rank + peak)
     table = kernel_projector(_symbol_tensor(op, grid), tol)
     table.setflags(write=False)
     return table

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from symrank import cli, spectral
+from symrank import cli, experiments, spectral
 from symrank.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_NO_RANK_DROP,
                          EXIT_NON_CONSTANT_RANK, EXIT_OK, main)
 from symrank.operators import serialize_operator
@@ -250,6 +250,77 @@ def test_grid_beyond_physical_memory_is_refused(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: out of memory: curl on a 8^3 grid needs about")
     assert err.count("\n") == 1
+
+
+def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch):
+    # an oversized grid is refused before the first random draw or witness mode
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 5)
+    allocations = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            allocations.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((experiments, "_random_coefficients"), (experiments, "single_mode"),
+                         (cli, "_random_coefficients")):
+        counted(module, name)
+    for argv in (("verify", "zoo:curl", "--N", "8", "--trials", "1"),
+                 ("minimality", "zoo:curl", "--N", "8", "--trials", "1"),
+                 ("counterexample", "zoo:d1d2")):
+        spectral._symbol_tensor.cache_clear()
+        spectral._kernel_projector_table.cache_clear()
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith("error: out of memory:")
+        assert allocations == [], argv
+
+
+def test_minimality_makes_no_transforms(capsys, monkeypatch):
+    calls = []
+    for name in ("forward_transform", "inverse_transform"):
+        original = getattr(spectral, name)
+
+        def wrapper(field, name=name, original=original):
+            calls.append(name)
+            return original(field)
+        for module in (spectral, experiments):
+            monkeypatch.setattr(module, name, wrapper)
+    code, doc, _ = run_json(capsys, "minimality", "zoo:curl", "--N", "8", "--trials", "3",
+                            "--kernel-trials", "2")
+    assert code == EXIT_OK and doc["all_pass"] is True
+    assert calls == []
+
+
+def scaled_document(tmp_path, name: str, c: float):
+    doc = json.loads(serialize_operator(zoo_get(name)))
+    for term in doc["terms"]:
+        term["matrix"] = [[c * x for x in row] for row in term["matrix"]]
+    path = tmp_path / f"{name}-{c:g}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_rescaling_the_operator_changes_no_verdict_growth_or_exit_code(tmp_path, capsys, c):
+    # every zero decision is relative to the symbol's own scale: c * A gives
+    # ratios / c and the same exclusions, verdicts, growth and exit codes
+    verify = ("--N", "8", "--trials", "3", "--p", "3")
+    _, unscaled, _ = run_json(capsys, "verify", "zoo:divergence", *verify)
+    code, doc, _ = run_json(capsys, "verify", scaled_document(tmp_path, "divergence", c), *verify)
+    assert code == EXIT_OK and doc["excluded"] == 0
+    assert doc["max_ratio"] * c == pytest.approx(unscaled["max_ratio"], rel=1e-12)
+    d1d2 = scaled_document(tmp_path, "d1d2", c)
+    code, doc, _ = run_json(capsys, "analyze", d1d2)
+    assert code == EXIT_NON_CONSTANT_RANK and doc["verdict"] == "NonConstantRank"
+    _, unscaled, _ = run_json(capsys, "counterexample", "zoo:d1d2")
+    code, doc, _ = run_json(capsys, "counterexample", d1d2)
+    assert code == EXIT_OK
+    assert doc["ladder"] == unscaled["ladder"]
+    assert doc["growth"] == pytest.approx(unscaled["growth"], rel=1e-12)
 
 
 # ------------------------------------------------------------------ zoo

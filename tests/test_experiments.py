@@ -12,6 +12,7 @@ from symrank.experiments import (DegenerateProbeError, EmptyExperimentError, Ker
                                  build_frequency_ladder, estimate_ratio, l2_minimality_check,
                                  ratio_sweep, symbol_bound_ratio, symbol_bound_sup,
                                  witness_family)
+from symrank.operators import symbol
 from symrank.rank import Verdict
 from symrank.spectral import (Grid, apply_A, apply_Dk, apply_PA, forward_transform, lp_norm,
                               random_band_limited, single_mode)
@@ -221,6 +222,29 @@ def test_witness_family_rejects_degenerate_frequency():
     grid = Grid(2, 16)
     with pytest.raises(DegenerateProbeError):
         witness_family(op, WitnessConfig(frequencies=((4, 0),)), grid)
+
+
+@pytest.mark.parametrize("name, xi", [("divergence", (1, 2, 3)), ("curl", (2, 1, -1)),
+                                      ("d1d2", (4, 1)), ("symmetric_gradient", (3, 2)),
+                                      ("wave", (3, 1))])
+@pytest.mark.parametrize("default_probe", [False, True])
+def test_exact_witness_is_the_closed_form_single_mode(name, xi, default_probe):
+    # the field's one coefficient is A*(xi) w, so the ratio is the symbol bound
+    op = zoo_get(name)
+    grid = Grid(op.n, 16)
+    mat = symbol(op, np.array(xi, dtype=float))
+    if default_probe:
+        w = np.linalg.svd(mat)[0][:, 0]
+        cfg = WitnessConfig(frequencies=(xi,))
+    else:
+        w = np.array([1.0, 1j]) @ np.random.default_rng(12).standard_normal((2, op.dim_w))
+        w /= np.linalg.norm(w)
+        cfg = WitnessConfig(frequencies=(xi,), w=tuple(w))
+    phi = witness_family(op, cfg, grid)[0]
+    np.testing.assert_array_equal(phi.data, single_mode(grid, xi, mat.conj().T @ w).data)
+    bound = symbol_bound_ratio(op, np.array(xi, float), w)
+    for p in (1.0, 2.0, math.inf):
+        assert math.isclose(estimate_ratio(op, phi, p), bound, rel_tol=1e-14)
 
 
 def test_witness_config_validation():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,29 @@ def test_memory_estimate_of_a_large_grid(monkeypatch):
         spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: None)
     spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
+
+
+@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
+@pytest.mark.parametrize("size", [8, 16])
+def test_projector_memory_estimate_covers_its_build_peak(monkeypatch, entry, size):
+    op = entry.build()
+    grid = Grid(op.n, size)
+    _symbol_tensor.cache_clear()
+    _kernel_projector_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = _kernel_projector_table(op, grid, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(table, np.swapaxes(table, -1, -2).conj())
+    # with the symbol table cached only the projector's own estimate can refuse
+    _kernel_projector_table.cache_clear()
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(MemoryError):
+        _kernel_projector_table(op, grid, DEFAULT_TOL)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: None)
+    np.testing.assert_array_equal(_kernel_projector_table(op, grid, DEFAULT_TOL), table)
 
 
 def test_tables_refuse_to_build_beyond_physical_memory(monkeypatch):

@@ -137,6 +137,8 @@ def cmd_counterexample(args) -> int:
     ladder = build_frequency_ladder(op, witness.xi_low, rungs=args.rungs)
     cfg = WitnessConfig(frequencies=tuple(ladder), window=args.window)
     grid = Grid(op.n, args.N)
+    # the table lookup refuses an oversized grid before any witness is built
+    _kernel_projector_table(op, grid, float(args.tol))
     fields = witness_family(op, cfg, grid, tol=args.tol)
     records = []
     for index, (freq, phi) in enumerate(zip(ladder, fields)):

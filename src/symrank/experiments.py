@@ -178,12 +178,10 @@ def witness_family(op: Operator, cfg: WitnessConfig, grid: Grid,
     p equals symbol_bound_ratio(op, xi_m, w).  With a window, the wave is
     multiplied by a periodized bump before applying A*; the measured ratio
     approaches the single-mode value as the window widens.  Raises
-    DegenerateProbeError when |A*(xi_m) w| <= tol * sigma_max(A(xi_m)) |w|,
-    and MemoryError before any field exists when the tables cannot fit.
+    DegenerateProbeError when |A*(xi_m) w| <= tol * sigma_max(A(xi_m)) |w|.
     """
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
-    _kernel_projector_table(op, grid, float(tol))
     if cfg.window is not None:
         bump = periodic_bump(grid, cfg.window)
         mesh = _coordinate_mesh(grid)

@@ -243,14 +243,13 @@ def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: int) -> None:
     """Raise MemoryError when a table build on this grid cannot fit in memory.
 
     The estimate counts matrix_entries complex numbers per frequency for
-    what the table build holds at its peak, the largest field the calculus
-    makes (all order-k derivatives, dimV * T fiber components), and 1 MiB
-    for numpy's iteration buffers and Python objects, which do not grow
-    with the grid.  It runs before anything is allocated, so an oversized
-    grid is refused instead of being killed part way.
+    what the table build holds at its peak, plus the largest field the
+    calculus makes: all order-k derivatives, dimV * T fiber components.  It
+    runs before anything is allocated, so an oversized grid is refused
+    instead of being killed part way.
     """
     derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
-    needed = 2 ** 20 + 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers)
+    needed = 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers)
     available = _physical_memory()
     if available is not None and needed > available:
         raise MemoryError(

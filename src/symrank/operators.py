@@ -143,14 +143,43 @@ def symbol(op: Operator, xi) -> np.ndarray:
 
 
 def symbol_stack(op: Operator, xis) -> np.ndarray:
-    """Evaluate the symbol at every row of xis; returns shape (len(xis), dimW, dimV)."""
+    """Evaluate the symbol at every row of xis; returns shape (len(xis), dimW, dimV).
+
+    The coefficients are real, so A(xi) = i^k M(xi) with M(xi) = sum_alpha
+    xi^alpha A_alpha real, and the stack is i^k times the real stack of M
+    exactly: its real part for even k, its imaginary part for odd k, is M up
+    to sign (see _real_factor).  The monomials xi^alpha are products of
+    per-axis power columns x_j, x_j * x_j, ... built by repeated
+    multiplication.
+    """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != op.n:
         raise ValueError(f"expected an array of shape (m, {op.n})")
     if not np.isfinite(xis).all():
         raise ValueError("frequencies have non-finite entries")
-    powers = np.prod(xis[:, None, :] ** op.alpha_array[None, :, :], axis=2)
+    axis_powers = []
+    for j, top in enumerate(op.alpha_array.max(axis=0)):
+        columns = [xis[:, j]]
+        for _ in range(1, top):
+            columns.append(columns[-1] * xis[:, j])
+        axis_powers.append(columns)
+    powers = np.ones((len(xis), len(op.terms)))
+    for t, alpha in enumerate(op.alpha_array):
+        for j, exponent in enumerate(alpha):
+            if exponent:
+                powers[:, t] *= axis_powers[j][exponent - 1]
     return (1j ** op.k) * np.einsum("st,twv->swv", powers, op.matrix_array)
+
+
+def _real_factor(op: Operator, stack: np.ndarray) -> np.ndarray:
+    """Zero-copy real view R of a symbol stack, with stack = i^(k mod 2) R exactly.
+
+    R is (-1)^(k // 2) M for the real M of A = i^k M (see symbol_stack):
+    the real part of the stack for even k, its imaginary part for odd k.
+    R has the rank, kernel and kernel projector of A (P_A = P_M), and
+    A+ = i^-(k mod 2) R+.
+    """
+    return stack.imag if op.k % 2 else stack.real
 
 
 def adjoint_symbol(op: Operator, xi) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Moore-Penrose calculus on symbol matrices.
 
 Numerical rank, the pseudoinverse (pinv_svd) and the kernel projector
-I - A+ A all come from the SVD with one rank cutoff, on single matrices or
-stacks.  The characteristic-polynomial route (pinv_decell, a
+I - A+ A all come from one SVD helper with one rank cutoff, on single
+matrices or stacks.  Real input stays real, so LAPACK works in real
+arithmetic and the pseudoinverse and projector come back real; complex
+input stays complex.  Stacks of rows or columns (min(m, n) = 1) skip
+LAPACK: their SVD is the closed form sigma = |a| with singular vector
+a / |a|.  The characteristic-polynomial route (pinv_decell, a
 Faddeev-LeVerrier trace recursion) is the independent oracle the test
 suite cross-checks the SVD route against.  The derivative recovery
 multiplier maps Aphi-coefficients to D^k(phi - P_A phi)-coefficients at a
@@ -33,8 +37,12 @@ class ZeroFrequencyError(ValueError):
 
 
 def _as_matrices(mat) -> np.ndarray:
-    """A nonempty, finite complex matrix or stack of matrices, shape (..., m, n)."""
-    mat = np.asarray(mat, dtype=complex)
+    """A nonempty, finite matrix or stack of matrices, shape (..., m, n).
+
+    Float when the input is real, complex when it is complex.
+    """
+    mat = np.asarray(mat)
+    mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
     if mat.ndim < 2 or mat.size == 0:
         raise ValueError(f"expected a 2d matrix or a stack of them, got shape {mat.shape}")
     if not np.isfinite(mat).all():
@@ -43,10 +51,44 @@ def _as_matrices(mat) -> np.ndarray:
 
 
 def _as_matrix(mat) -> np.ndarray:
+    """One complex matrix (m, n), for the characteristic-polynomial route."""
     mat = _as_matrices(mat)
     if mat.ndim != 2:
         raise ValueError(f"expected a 2d matrix, got shape {mat.shape}")
-    return mat
+    return mat.astype(complex, copy=False)
+
+
+def _svd(mats: np.ndarray, compute_uv: bool = True):
+    """numpy.linalg.svd(mats, full_matrices=False) of a stack from _as_matrices.
+
+    Returns (u, sigma, vh), or sigma alone without compute_uv, in the dtype
+    of mats.  A stack of rows or columns (min(m, n) = 1) takes the
+    closed-form rank-one SVD of each row or column a: sigma = |a|, the
+    singular vector on a's side is a / |a| and the one on the other side
+    is [[1]].  |a| is taken after dividing a by max_i |a_i|, so it neither
+    underflows nor overflows at any finite scale.  A zero a gets sigma = 0
+    and a zero singular vector, which the strict cutoff of _kept never keeps.
+    """
+    rows, cols = mats.shape[-2:]
+    if min(rows, cols) > 1:
+        return np.linalg.svd(mats, full_matrices=False, compute_uv=compute_uv)
+    vec = mats[..., 0, :] if rows == 1 else mats[..., :, 0]
+    scale = np.abs(vec).max(axis=-1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    unit = vec / scale
+    squares = np.einsum("...i,...i->...", unit.real, unit.real)
+    if np.iscomplexobj(unit):
+        squares += np.einsum("...i,...i->...", unit.imag, unit.imag)
+    length = np.sqrt(squares)[..., None]
+    sigma = scale * length
+    if not compute_uv:
+        return sigma
+    length[length == 0.0] = 1.0
+    unit /= length
+    one = np.ones(mats.shape[:-2] + (1, 1), dtype=mats.dtype)
+    if rows == 1:
+        return one, sigma, unit[..., None, :]
+    return unit[..., :, None], sigma, one
 
 
 def _kept(sigma: np.ndarray, tol: float) -> np.ndarray:
@@ -64,9 +106,11 @@ def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int | np.ndarray:
     """Count of singular values above tol * sigma_max; 0 for the zero matrix.
 
     An int for one matrix (m, n); an int array of shape (...) for a stack
-    (..., m, n), each matrix measured against its own sigma_max.
+    (..., m, n), each matrix measured against its own sigma_max.  Real
+    input is decomposed in real arithmetic, and rows and columns by the
+    closed form sigma = |a| (see _svd).
     """
-    sigma = np.linalg.svd(_as_matrices(mat), compute_uv=False)
+    sigma = _svd(_as_matrices(mat), compute_uv=False)
     ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
@@ -77,8 +121,10 @@ def pinv_svd(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     Singular values at or below tol * sigma_max of their own matrix are
     treated as zero, so the zero matrix maps to the zero matrix.  Satisfies
     the four Penrose identities to rounding for well-separated spectra.
+    Real input gives a real pseudoinverse; rows and columns use the closed
+    form a+ = a* / |a|^2 in SVD shape (see _svd).
     """
-    u, sigma, vh = np.linalg.svd(_as_matrices(mat), full_matrices=False)
+    u, sigma, vh = _svd(_as_matrices(mat))
     keep = _kept(sigma, tol)
     inv = np.zeros_like(sigma)
     inv[keep] = 1.0 / sigma[keep]
@@ -144,15 +190,18 @@ def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     Exactly Hermitian (entry (w, v) of the kept rows' product vh_r^H vh_r
     multiplies the conjugates of entry (v, w)'s factors) and idempotent to
     rounding; the zero matrix yields the identity (everything is kernel).
+    Real input gives a real, exactly symmetric projector.  Rows and columns
+    use the closed form (see _svd): a nonzero row a gives I - a* a / |a|^2,
+    a nonzero column the 1 x 1 zero.
     """
     mat = _as_matrices(mat)
     dim_v = mat.shape[-1]
     mats = mat.reshape((-1,) + mat.shape[-2:])
-    sigma, vh = np.linalg.svd(mats, full_matrices=False)[1:]
-    kept_rows = vh.conj()
+    sigma, vh = _svd(mats)[1:]
+    kept_rows = np.conjugate(vh)
     kept_rows[~_kept(sigma, tol)] = 0.0
     proj = np.einsum("miv,miw->mvw", kept_rows, vh)
-    np.subtract(np.eye(dim_v, dtype=complex), proj, out=proj)
+    np.subtract(np.eye(dim_v, dtype=proj.dtype), proj, out=proj)
     return proj.reshape(mat.shape[:-2] + (dim_v, dim_v))
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import Operator, symbol, symbol_stack
+from .operators import Operator, _real_factor, symbol, symbol_stack
 from .pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
 
 # refinement target for drop directions, radians
@@ -123,11 +123,13 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     drop direction is localized to ANGULAR_RESOLUTION radians.  The
     verdict for equal ranks is sampling-based, not a certificate; the
     NonConstantRank verdict is certified by the returned drop directions.
+    Ranks are taken of the real factor M of A = i^k M, which has the rank
+    of A, so the SVDs run in real arithmetic.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     directions = sphere_samples(op.n, num_samples, seed)
-    ranks = numerical_rank(symbol_stack(op, directions), tol)
+    ranks = numerical_rank(_real_factor(op, symbol_stack(op, directions)), tol)
     min_rank = int(ranks.min())
     max_rank = int(ranks.max())
     drops: list[np.ndarray] = []
@@ -146,7 +148,7 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
                 if angular_distance(lo, hi) <= ANGULAR_RESOLUTION:
                     break
                 mid = slerp(lo, hi, 0.5)
-                if numerical_rank(symbol(op, mid), tol) < max_rank:
+                if numerical_rank(_real_factor(op, symbol(op, mid)), tol) < max_rank:
                     lo = mid
                 else:
                     hi = mid

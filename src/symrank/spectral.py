@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import Operator, multi_indices, multinomial_weight, symbol_stack
+from .operators import (Operator, _real_factor, multi_indices, multinomial_weight,
+                        symbol_stack)
 from .pinv import DEFAULT_TOL, kernel_projector, pinv_svd
 
 TWO_PI = 2.0 * math.pi
@@ -239,14 +240,15 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: int) -> None:
+def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: float) -> None:
     """Raise MemoryError when a table build on this grid cannot fit in memory.
 
-    The estimate counts matrix_entries complex numbers per frequency for
-    what the table build holds at its peak, plus the largest field the
-    calculus makes: all order-k derivatives, dimV * T fiber components.  It
-    runs before anything is allocated, so an oversized grid is refused
-    instead of being killed part way.
+    The estimate counts matrix_entries complex numbers per frequency (a
+    real number counts as half of one) for what the table build holds at
+    its peak, plus the largest field the calculus makes: all order-k
+    derivatives, dimV * T fiber components.  It runs before anything is
+    allocated, so an oversized grid is refused instead of being killed
+    part way.
     """
     derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
     needed = 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers)
@@ -309,17 +311,20 @@ def apply_A_adjoint(op: Operator, field: GridField) -> GridField:
 def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """Projector onto ker A(xi) per frequency, shape (size, ..., size, dimV, dimV).
 
-    Same layout as _symbol_tensor.  Frequency zero (and any exact rank-0
+    Same layout as _symbol_tensor, but real: A = i^k M with M real, and
+    P_A = P_M, so the table is kernel_projector of the real view of the
+    symbol table (_real_factor).  Frequency zero (and any exact rank-0
     frequency) gets the identity: everything there is kernel, so the
     projection keeps constants intact.  Raises MemoryError before building
     when the grid is too large (see _refuse_oversized).
     """
-    # kernel_projector holds the symbol table and the singular values
-    # throughout, u and vh during the SVD, then vh, its conjugate and the table
+    # kernel_projector holds the complex symbol table and the singular values
+    # throughout, u and vh during the SVD, then vh, its conjugate and the
+    # table; all but the symbol table are real, half a complex entry each
     rank = min(op.dim_w, op.dim_v)
     peak = max((op.dim_w + op.dim_v) * rank, 2 * op.dim_v * rank + op.dim_v ** 2)
-    _refuse_oversized(op, grid, op.dim_w * op.dim_v + rank + peak)
-    table = kernel_projector(_symbol_tensor(op, grid), tol)
+    _refuse_oversized(op, grid, op.dim_w * op.dim_v + (rank + peak) / 2)
+    table = kernel_projector(_real_factor(op, _symbol_tensor(op, grid)), tol)
     table.setflags(write=False)
     return table
 
@@ -371,13 +376,18 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     """Apply the derivative recovery multiplier: A+(xi), then the derivatives.
 
     One batched pinv_svd over the frequency mesh, then the derivative step
-    of apply_Dk.  Input is a codomain-valued field (fiber dimW, typically
-    apply_A(phi)); output is a derivative array (fiber dimV * T) equal to
-    apply_Dk(k, phi - apply_PA(phi)) when the input is apply_A(phi).  The
-    multiplier vanishes at frequency zero, where the symbol is zero.
+    of apply_Dk.  The pseudoinverse is taken in real arithmetic: A = i^k M
+    with M real gives A+ = i^-k M+, and with the real view R of the symbol
+    table (_real_factor) that is A+ = i^-(k mod 2) R+.  Input is a
+    codomain-valued field (fiber dimW, typically apply_A(phi)); output is a
+    derivative array (fiber dimV * T) equal to apply_Dk(k, phi -
+    apply_PA(phi)) when the input is apply_A(phi).  The multiplier vanishes
+    at frequency zero, where the symbol is zero.
     """
     _check_field(op, field, op.dim_w, "input")
-    dagger = pinv_svd(_symbol_tensor(op, field.grid), tol)
+    dagger = pinv_svd(_real_factor(op, _symbol_tensor(op, field.grid)), tol)
+    if op.k % 2:
+        dagger = -1j * dagger
     return inverse_transform(_derivatives(op.k, _matvec(dagger, forward_transform(field))))
 
 

@@ -323,6 +323,14 @@ def test_rescaling_the_operator_changes_no_verdict_growth_or_exit_code(tmp_path,
     assert doc["growth"] == pytest.approx(unscaled["growth"], rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_analyze_finds_the_rank_drop_at_extreme_scales(tmp_path, capsys, c):
+    # the scalar symbol's |a| must neither underflow nor overflow into rank 0
+    code, doc, _ = run_json(capsys, "analyze", scaled_document(tmp_path, "d1d2", c))
+    assert code == EXIT_NON_CONSTANT_RANK and doc["verdict"] == "NonConstantRank"
+    assert (doc["min_rank"], doc["max_rank"]) == (0, 1)
+
+
 # ------------------------------------------------------------------ zoo
 
 def test_zoo_lists_all_operators(capsys):

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from symrank.pinv import (DEFAULT_TOL, IllConditionedError, ZeroFrequencyError,
                           char_poly_coeffs, kernel_projector, multiplier, numerical_rank,
                           pinv_decell, pinv_svd)
-from symrank.operators import Operator, multi_indices, multinomial_weight, symbol
-from symrank.rank import rank_profile
+from symrank.operators import (Operator, _real_factor, multi_indices, multinomial_weight, symbol,
+                               symbol_stack)
+from symrank.rank import rank_profile, sphere_samples
 from symrank.spectral import Grid, _kernel_projector_table
-from symrank.zoo import zoo_get
+from symrank.zoo import zoo_get, zoo_list
 
 
 def random_matrix_with_rank(rows, cols, rank, seed, complex_entries=True):
@@ -240,6 +241,84 @@ def test_stack_routes_reject_bad_input(route):
             route(empty)
     with pytest.raises(ValueError, match="tol"):
         route(np.ones((2, 2, 2)), tol=1.0)
+
+
+# ------------------------------------------- closed form and real route
+
+def svd_routes(mats, tol=DEFAULT_TOL):
+    """Rank, pseudoinverse and kernel projector straight from numpy.linalg.svd."""
+    u, sigma, vh = np.linalg.svd(mats, full_matrices=False)
+    keep = sigma > tol * sigma[..., :1]
+    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=keep)
+    vh_h = np.swapaxes(vh.conj(), -1, -2)
+    dagger = vh_h @ (inv[..., :, None] * np.swapaxes(u.conj(), -1, -2))
+    proj = np.eye(mats.shape[-1]) - vh_h @ (keep[..., :, None] * vh)
+    return np.count_nonzero(keep, axis=-1), dagger, proj
+
+
+def assert_close_per_matrix(got, expected, rtol):
+    """Each matrix within rtol of the largest entry of its expected value."""
+    axes = (-2, -1)
+    size = np.abs(expected).max(axis=axes)
+    assert (np.abs(got - expected).max(axis=axes) <= rtol * size).all()
+
+
+def vector_stack(kind):
+    """Four rows (1 x 3) or columns (3 x 1): random, zero, one nonzero entry, and
+    entries 1e-30 apart in size, real or complex."""
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((4, 1, 3))
+    if kind.startswith("complex"):
+        rows = rows + 1j * rng.standard_normal((4, 1, 3))
+    rows[1] = 0.0
+    rows[2, 0, :2] = 0.0
+    rows[3, 0, 1] *= 1e-30
+    return np.swapaxes(rows, -1, -2) if kind.endswith("columns") else rows
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-12, 1.0, 1e12, 1e200])
+@pytest.mark.parametrize("kind", ["real-rows", "complex-rows", "real-columns", "complex-columns"])
+def test_closed_form_matches_lapack_at_every_scale(kind, c):
+    # |a| is taken after dividing by max |a_i|: unscaled, |a|^2 underflows to
+    # 0 at 1e-200 and overflows at 1e200, and either reads as rank 0
+    mats = c * vector_stack(kind)
+    ranks, dagger, proj = svd_routes(mats)
+    assert ranks.tolist() == [1, 0, 1, 1]
+    assert numerical_rank(mats).tolist() == ranks.tolist()
+    assert [numerical_rank(mat) for mat in mats] == ranks.tolist()
+    assert_close_per_matrix(pinv_svd(mats), dagger, 1e-14)
+    assert_close_per_matrix(kernel_projector(mats), proj, 1e-14)
+    real = kind.startswith("real")
+    assert (pinv_svd(mats).dtype == float) == real
+    assert (kernel_projector(mats).dtype == float) == real
+
+
+@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
+def test_real_factor_route_equals_complex_route_on_zoo_symbols(entry):
+    op = entry.build()
+    mats = symbol_stack(op, np.vstack([np.zeros(op.n), sphere_samples(op.n, 64)]))
+    real = _real_factor(op, mats)
+    assert real.dtype == float and np.shares_memory(real, mats)
+    # A = i^(k mod 2) R exactly, so the two routes see the same matrices
+    np.testing.assert_array_equal(1j ** (op.k % 2) * real, mats)
+    assert numerical_rank(real).tolist() == numerical_rank(mats).tolist()
+    np.testing.assert_allclose(kernel_projector(real), kernel_projector(mats), rtol=0, atol=1e-14)
+    assert_close_per_matrix(1j ** -(op.k % 2) * pinv_svd(real), pinv_svd(mats), 1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_real_route_equals_complex_route_on_rank_deficient_stacks(k):
+    # shapes with LAPACK on both sides and the closed form on both sides
+    for rows, cols in ((3, 4), (4, 3), (1, 4), (4, 1)):
+        real = np.stack([random_matrix_with_rank(rows, cols, rank, seed, complex_entries=False).real
+                         for seed, rank in enumerate([0, 1, min(rows, cols), 1, 0])])
+        if rows > 1 and cols > 1:
+            real[3] = random_matrix_with_rank(rows, cols, 2, 7, complex_entries=False).real
+        mats = 1j ** k * real
+        assert numerical_rank(real).tolist() == numerical_rank(mats).tolist()
+        np.testing.assert_allclose(kernel_projector(real), kernel_projector(mats),
+                                   rtol=0, atol=1e-14)
+        assert_close_per_matrix(1j ** -k * pinv_svd(real), pinv_svd(mats), 1e-14)
 
 
 # -------------------------------------------------------------- multiplier

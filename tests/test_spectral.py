@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank import spectral
-from symrank.operators import multi_indices, symbol
+from symrank.operators import _real_factor, multi_indices, symbol
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_decell
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_A_adjoint,
                               apply_Dk, apply_PA, apply_multiplier, dump_field,
@@ -210,7 +210,9 @@ def test_tables_are_read_only_stacks_with_matrix_axes_last(entry):
         idx = mode_index(grid, xi)
         mat = symbol(op, np.array(xi, dtype=float))
         np.testing.assert_array_equal(symbols[idx], mat)
-        np.testing.assert_array_equal(projectors[idx], kernel_projector(mat))
+        # the table is the projector of the real factor M of A = i^k M, and P_A = P_M
+        np.testing.assert_array_equal(projectors[idx], kernel_projector(_real_factor(op, mat)))
+        np.testing.assert_allclose(projectors[idx], kernel_projector(mat), rtol=0, atol=1e-15)
 
 
 def test_memory_estimate_of_a_large_grid(monkeypatch):

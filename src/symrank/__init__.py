@@ -10,38 +10,33 @@ on the periodic domain: bounded over random band-limited fields at constant
 rank, unbounded along single-mode witness families near rank drops.
 """
 
-from .experiments import (EstimateReport, KernelInputError, SymbolBoundResult, TrialRecord,
-                          WitnessConfig, build_frequency_ladder, estimate_ratio,
-                          l2_minimality_check, ratio_sweep, symbol_bound_ratio,
-                          symbol_bound_sup, witness_family)
-from .operators import (Operator, OperatorSpecError, adjoint_symbol, multi_indices,
-                        multinomial_weight, operator_from_document, parse_operator,
-                        serialize_operator, symbol, symbol_stack)
-from .pinv import (DEFAULT_TOL, IllConditionedError, MultiplierValue, char_poly_coeffs,
-                   kernel_projector, multiplier, numerical_rank, pinv_decell, pinv_svd)
+from .experiments import (EstimateReport, KernelInputError, TrialRecord, WitnessConfig,
+                          build_frequency_ladder, estimate_ratio, l2_minimality_check,
+                          ratio_sweep, symbol_bound_ratio, witness_family)
+from .operators import (Operator, OperatorSpecError, multi_indices, multinomial_weight,
+                        operator_from_document, parse_operator, serialize_operator, symbol,
+                        symbol_stack)
+from .pinv import (DEFAULT_TOL, MultiplierValue, kernel_projector, multiplier, numerical_rank,
+                   pinv_svd)
 from .rank import (DaggerBound, RankDropWitness, RankProfile, Verdict, daggerbound_check,
-                   find_rank_drop_witness, is_elliptic, rank_profile, sphere_samples)
+                   find_rank_drop_witness, rank_profile, sphere_samples)
 from .spectral import (Grid, GridField, FrequencyField, apply_A, apply_A_adjoint, apply_Dk,
-                       apply_PA, apply_multiplier, dump_field, forward_transform,
-                       inverse_transform, load_field, lp_norm, mode_index, periodic_bump,
-                       random_band_limited, single_mode)
+                       apply_PA, apply_multiplier, forward_transform, inverse_transform,
+                       lp_norm, mode_index, periodic_bump, random_band_limited, single_mode)
 from .zoo import UnknownOperatorError, ZooEntry, zoo_get, zoo_list
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOL", "DaggerBound", "EstimateReport", "FrequencyField", "Grid", "GridField",
-    "IllConditionedError", "KernelInputError", "MultiplierValue", "Operator",
-    "OperatorSpecError", "RankDropWitness", "RankProfile", "SymbolBoundResult",
-    "TrialRecord", "UnknownOperatorError", "Verdict", "WitnessConfig", "ZooEntry",
-    "adjoint_symbol", "apply_A", "apply_A_adjoint", "apply_Dk", "apply_PA",
-    "apply_multiplier", "build_frequency_ladder", "char_poly_coeffs", "daggerbound_check",
-    "dump_field", "estimate_ratio", "find_rank_drop_witness", "forward_transform",
-    "inverse_transform", "is_elliptic", "kernel_projector", "l2_minimality_check",
-    "load_field", "lp_norm", "mode_index", "multi_indices", "multinomial_weight",
+    "KernelInputError", "MultiplierValue", "Operator", "OperatorSpecError",
+    "RankDropWitness", "RankProfile", "TrialRecord", "UnknownOperatorError", "Verdict",
+    "WitnessConfig", "ZooEntry", "apply_A", "apply_A_adjoint", "apply_Dk", "apply_PA",
+    "apply_multiplier", "build_frequency_ladder", "daggerbound_check", "estimate_ratio",
+    "find_rank_drop_witness", "forward_transform", "inverse_transform", "kernel_projector",
+    "l2_minimality_check", "lp_norm", "mode_index", "multi_indices", "multinomial_weight",
     "multiplier", "numerical_rank", "operator_from_document", "parse_operator",
-    "periodic_bump", "pinv_decell", "pinv_svd", "random_band_limited", "rank_profile",
-    "ratio_sweep", "serialize_operator", "single_mode", "sphere_samples", "symbol",
-    "symbol_bound_ratio", "symbol_bound_sup", "symbol_stack", "witness_family",
-    "zoo_get", "zoo_list",
+    "periodic_bump", "pinv_svd", "random_band_limited", "rank_profile", "ratio_sweep",
+    "serialize_operator", "single_mode", "sphere_samples", "symbol", "symbol_bound_ratio",
+    "symbol_stack", "witness_family", "zoo_get", "zoo_list",
 ]

@@ -18,7 +18,6 @@ import numpy as np
 
 from .operators import Operator, symbol, symbol_stack
 from .pinv import DEFAULT_TOL, numerical_rank
-from .rank import sphere_samples
 from .spectral import (FrequencyField, Grid, GridField, apply_A_adjoint, forward_transform,
                        inverse_transform, lp_norm, periodic_bump, single_mode,
                        _check_field, _coefficient_norm, _coordinate_mesh, _derivatives,
@@ -73,15 +72,20 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
 def _adjoint_probe(op: Operator, xi, w, tol: float):
     """A(xi), w and A*(xi) w, where w = None means the top left singular vector u_0.
 
-    Raises DegenerateProbeError when |A*(xi) w| <= tol * sigma_max(A(xi)) |w|,
-    relative like pinv's cutoff; |A*(xi) u_0| = sigma_max, so u_0 fails only
-    where the symbol vanishes.
+    w and A*(xi) w come back scaled exactly by the power of two that brings
+    sigma_max(A(xi)) into [0.5, 1), so no field built from them overflows
+    under A.  Raises DegenerateProbeError when |A*(xi) w| <= tol *
+    sigma_max(A(xi)) |w|, relative like pinv's cutoff; |A*(xi) u_0| =
+    sigma_max, so u_0 fails only where the symbol vanishes.
     """
     mat = symbol(op, np.asarray(xi, dtype=float))
     u, sigma, _ = np.linalg.svd(mat)
     w = u[:, 0] if w is None else np.asarray(w, dtype=complex)
+    exponent = np.frexp(sigma[0])[1]
+    floor = tol * np.ldexp(sigma[0], -exponent) * np.linalg.norm(w)
+    w = w * np.ldexp(1.0, -exponent)
     adjoint_w = mat.conj().T @ w
-    if np.linalg.norm(adjoint_w) <= tol * sigma[0] * np.linalg.norm(w):
+    if np.linalg.norm(adjoint_w) <= floor:
         raise DegenerateProbeError(f"{op.name}: probe annihilated by the adjoint symbol at {tuple(xi)}")
     return mat, w, adjoint_w
 
@@ -95,48 +99,6 @@ def symbol_bound_ratio(op: Operator, xi, w, tol: float = DEFAULT_TOL) -> float:
     mat, _, adjoint_w = _adjoint_probe(op, xi, w, tol)
     return float(np.linalg.norm(np.asarray(xi, dtype=float)) ** op.k * np.linalg.norm(adjoint_w)
                  / np.linalg.norm(mat @ adjoint_w))
-
-
-@dataclass(frozen=True)
-class SymbolBoundResult:
-    sup: float
-    xi: np.ndarray
-    w: np.ndarray
-
-
-def symbol_bound_sup(op: Operator, directions=512, probes: int = 4, seed: int = 0,
-                     tol: float = DEFAULT_TOL) -> SymbolBoundResult:
-    """Maximum of symbol_bound_ratio over sphere directions and probe vectors.
-
-    directions is either a count (seeded sphere sweep) or an explicit array
-    of directions.  Probes per direction are the left singular vectors of
-    the symbol plus seeded random complex unit vectors; degenerate pairs
-    are skipped.
-    """
-    if isinstance(directions, (int, np.integer)):
-        dirs = sphere_samples(op.n, int(directions), seed)
-    else:
-        dirs = np.asarray(directions, dtype=float)
-        dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    mats = symbol_stack(op, dirs)
-    rng = np.random.default_rng(seed)
-    best = None
-    for xi, mat, rank in zip(dirs, mats, numerical_rank(mats, tol)):
-        u, _, _ = np.linalg.svd(mat)
-        candidates = list(u[:, :rank].T)
-        for _ in range(probes):
-            probe = rng.standard_normal(op.dim_w) + 1j * rng.standard_normal(op.dim_w)
-            candidates.append(probe / np.linalg.norm(probe))
-        for w in candidates:
-            try:
-                value = symbol_bound_ratio(op, xi, w, tol)
-            except DegenerateProbeError:
-                continue
-            if best is None or value > best[0]:
-                best = (value, xi, w)
-    if best is None:
-        raise DegenerateProbeError(f"{op.name}: every probe was degenerate")
-    return SymbolBoundResult(sup=best[0], xi=best[1], w=best[2])
 
 
 @dataclass(frozen=True)
@@ -176,7 +138,9 @@ def witness_family(op: Operator, cfg: WitnessConfig, grid: Grid,
     For window = None the field is the exact single mode with coefficient
     A*(xi_m) w at xi_m, so P_A phi_m = 0 exactly and estimate_ratio at any
     p equals symbol_bound_ratio(op, xi_m, w).  With a window, the wave is
-    multiplied by a periodized bump before applying A*; the measured ratio
+    multiplied by a periodized bump before applying A*.  Either field is
+    scaled by the power of two that brings sigma_max(A(xi_m)) into [0.5, 1)
+    (see _adjoint_probe), which no ratio sees; the measured windowed ratio
     approaches the single-mode value as the window widens.  Raises
     DegenerateProbeError when |A*(xi_m) w| <= tol * sigma_max(A(xi_m)) |w|.
     """

@@ -125,14 +125,6 @@ class Operator:
         arr.setflags(write=False)
         return arr
 
-    def coefficient(self, alpha: MultiIndex) -> np.ndarray:
-        """The dim_w x dim_v matrix attached to alpha (zero if absent)."""
-        alpha = tuple(int(a) for a in alpha)
-        for a, matrix in self.terms:
-            if a == alpha:
-                return np.array(matrix, dtype=float)
-        return np.zeros((self.dim_w, self.dim_v))
-
 
 def symbol(op: Operator, xi) -> np.ndarray:
     """Evaluate A(xi) = i^k sum_alpha xi^alpha A_alpha as a dimW x dimV complex matrix."""
@@ -180,11 +172,6 @@ def _real_factor(op: Operator, stack: np.ndarray) -> np.ndarray:
     A+ = i^-(k mod 2) R+.
     """
     return stack.imag if op.k % 2 else stack.real
-
-
-def adjoint_symbol(op: Operator, xi) -> np.ndarray:
-    """Conjugate transpose A*(xi), a dimV x dimW complex matrix."""
-    return symbol(op, xi).conj().T
 
 
 def _reject_nonfinite(token):

@@ -141,8 +141,8 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
         high_dirs = directions[ranks == max_rank]
         for i in np.flatnonzero(ranks < max_rank):
             low = directions[i]
-            angles = np.arccos(np.clip(high_dirs @ low, -1.0, 1.0))
-            lo, hi = low, high_dirs[int(np.argmin(angles))]
+            # nearest = largest dot product; one rounded past 1 ties at 1
+            lo, hi = low, high_dirs[int(np.argmax(np.minimum(high_dirs @ low, 1.0)))]
             seen_high = [hi]
             for _ in range(_MAX_BISECTIONS):
                 if angular_distance(lo, hi) <= ANGULAR_RESOLUTION:
@@ -169,13 +169,6 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
         drop_directions=tuple(drops[i] for i in order),
         drop_neighbors=tuple(neighbors[i] for i in order),
     )
-
-
-def is_elliptic(op: Operator, profile: RankProfile) -> bool:
-    """True iff the sampled minimum rank equals dimV (symbol injective everywhere seen)."""
-    if profile.operator != op.name:
-        raise ValueError(f"profile was built for {profile.operator!r}, not {op.name!r}")
-    return profile.min_rank == op.dim_v
 
 
 @dataclass(frozen=True)
@@ -229,13 +222,12 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
             angle = angular_distance(low, high)
             if angle > WITNESS_MAX_ANGLE:
                 continue
-            gap = float(np.linalg.norm(symbol(op, high) - mat_low, 2))
-            candidates.append((gap, angle, tuple(low), tuple(high), low, high))
+            mat_high = symbol(op, high)
+            gap = float(np.linalg.norm(mat_high - mat_low, 2))
+            candidates.append((gap, angle, tuple(low), tuple(high), low, high, mat_low, mat_high))
     if not candidates:
         raise DegenerateWitnessError(f"{op.name}: no full-rank direction near any drop direction")
-    _, _, _, _, low, high = min(candidates, key=lambda c: c[:4])
-    mat_low = symbol(op, low)
-    mat_high = symbol(op, high)
+    gap, _, _, _, low, high, mat_low, mat_high = min(candidates, key=lambda c: c[:4])
     rank_low = numerical_rank(mat_low, tol)
     rank_high = numerical_rank(mat_high, tol)
     # kernel basis of A(xi_low): trailing right singular vectors
@@ -248,7 +240,6 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
     if norms[best] <= tol:
         raise DegenerateWitnessError(
             f"{op.name}: kernel of A(xi_low) is invisible to the adjoint at xi_high")
-    gap = float(np.linalg.norm(mat_high - mat_low, 2))
     return RankDropWitness(
         xi_high=high,
         xi_low=low,

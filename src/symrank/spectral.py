@@ -20,7 +20,6 @@ keep |xi|_inf <= N/4 so products of symbols and fields stay well inside the
 grid.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -138,11 +137,18 @@ class GridField:
     __rmul__ = __mul__
 
     def pointwise_norm(self) -> np.ndarray:
-        """sqrt(sum_c w_c |f_c(x)|^2) over the grid."""
-        mags = np.abs(self.data) ** 2
+        """sqrt(sum_c w_c |f_c(x)|^2) over the grid.
+
+        |f_c| is squared after an exact scaling by 2^-e, e = frexp(max |f_c|)[1].
+        """
+        mags = np.abs(self.data)
+        exponent = math.frexp(mags.max())[1]
+        np.ldexp(mags, -exponent, out=mags)
+        np.square(mags, out=mags)
         if self.fiber_weights is not None:
-            mags = self.fiber_weights.reshape((-1,) + (1,) * self.grid.n) * mags
-        return np.sqrt(mags.sum(axis=0))
+            mags *= self.fiber_weights.reshape((-1,) + (1,) * self.grid.n)
+        norm = np.sqrt(mags.sum(axis=0))
+        return np.ldexp(norm, exponent, out=norm)
 
 
 @dataclass(frozen=True)
@@ -210,9 +216,15 @@ def lp_norm(field: GridField, p: float) -> float:
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
     pointwise = field.pointwise_norm()
-    if math.isinf(p):
-        return float(pointwise.max())
-    return float((np.sum(pointwise ** p) * field.grid.cell_volume) ** (1.0 / p))
+    top = float(pointwise.max())
+    if math.isinf(p) or top == 0.0:
+        return top
+    # dividing by the largest power of two <= top is exact and keeps the largest
+    # term, in [1, 2^p), in range up to p = 512; a larger p divides by top itself
+    scale = math.ldexp(0.5, math.frexp(top)[1]) if p <= 512 else top
+    pointwise /= scale
+    total = (np.sum(pointwise ** p) * field.grid.cell_volume) ** (1.0 / p)
+    return float(total * scale)
 
 
 def _coefficient_norm(freq: FrequencyField, k: int = 0) -> float:
@@ -224,12 +236,19 @@ def _coefficient_norm(freq: FrequencyField, k: int = 0) -> float:
     apply_Dk sum |xi^alpha|^2 to |xi|^2k (multinomial theorem).
     """
     coeffs = freq.coeffs.reshape(freq.fiber_dim, -1)
-    squares = (np.einsum("vj,vj->j", coeffs.real, coeffs.real)
-               + np.einsum("vj,vj->j", coeffs.imag, coeffs.imag))
+    # squares at pointwise_norm's exact scale, row by row: no temporary of coeffs' size
+    parts = freq.coeffs.ravel().view(float)  # real and imaginary parts, interleaved
+    exponent = math.frexp(max(parts.max(), -parts.min()))[1]
+    unit = np.empty(coeffs.shape[1])
+    squares, imag_squares = np.zeros(coeffs.shape[1]), np.zeros(coeffs.shape[1])
+    for row in coeffs:
+        squares += np.square(np.ldexp(row.real, -exponent, out=unit), out=unit)
+        imag_squares += np.square(np.ldexp(row.imag, -exponent, out=unit), out=unit)
+    squares += imag_squares
     if k:
         mesh = integer_frequencies(freq.grid).reshape(freq.grid.n, -1)
         squares = np.einsum("ij,ij->j", mesh, mesh) ** k * squares
-    return float(np.sqrt(squares.sum()))
+    return float(np.ldexp(np.sqrt(squares.sum()), exponent))
 
 
 def _physical_memory() -> int | None:
@@ -445,37 +464,3 @@ def periodic_bump(grid: Grid, width: float) -> np.ndarray:
         out = out * profile
     return out
 
-
-def dump_field(field: GridField, path: str) -> None:
-    """Write a field document: JSON header plus [re, im] pairs.
-
-    Data is laid out row-major by grid point (C order) and then by fiber
-    component within each point.
-    """
-    flat = field.data.reshape(field.fiber_dim, -1).T
-    doc = {
-        "n": field.grid.n,
-        "N": field.grid.size,
-        "fiber_dim": field.fiber_dim,
-        "layout": "grid-major",
-        "fiber_weights": None if field.fiber_weights is None else list(field.fiber_weights),
-        "data": [[float(z.real), float(z.imag)] for z in flat.ravel()],
-    }
-    with open(path, "w") as handle:
-        json.dump(doc, handle, sort_keys=True)
-        handle.write("\n")
-
-
-def load_field(path: str) -> GridField:
-    """Read a field document written by dump_field."""
-    with open(path) as handle:
-        doc = json.load(handle)
-    grid = Grid(int(doc["n"]), int(doc["N"]))
-    fiber_dim = int(doc["fiber_dim"])
-    pairs = np.array(doc["data"], dtype=float)
-    if pairs.shape != (fiber_dim * grid.size ** grid.n, 2):
-        raise ValueError("field document data has the wrong length")
-    flat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(-1, fiber_dim).T
-    weights = doc.get("fiber_weights")
-    return GridField(grid, flat.reshape((fiber_dim,) + grid.shape),
-                     None if weights is None else np.array(weights, dtype=float))

@@ -14,12 +14,14 @@ from symrank.experiments import (WitnessConfig, build_frequency_ladder,
                                  estimate_ratio, l2_minimality_check, ratio_sweep,
                                  witness_family)
 from symrank.operators import symbol
-from symrank.pinv import multiplier, numerical_rank, pinv_decell, pinv_svd
+from symrank.pinv import multiplier, numerical_rank, pinv_svd
 from symrank.rank import (angular_distance, daggerbound_check,
                           find_rank_drop_witness, rank_profile, slerp)
 from symrank.spectral import (Grid, GridField, apply_A, apply_Dk, apply_PA,
                               apply_multiplier, lp_norm, random_band_limited)
 from symrank.zoo import zoo_get, zoo_list
+
+from decell import pinv_decell
 
 CONSTANT_RANK_NAMES = ("gradient", "gradient3", "divergence", "curl",
                        "laplacian", "symmetric_gradient")

@@ -304,7 +304,7 @@ def scaled_document(tmp_path, name: str, c: float):
     return str(path)
 
 
-@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("c", [1e-200, 1e-12, 1.0, 1e12, 1e200])
 def test_rescaling_the_operator_changes_no_verdict_growth_or_exit_code(tmp_path, capsys, c):
     # every zero decision is relative to the symbol's own scale: c * A gives
     # ratios / c and the same exclusions, verdicts, growth and exit codes

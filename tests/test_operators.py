@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrank.operators import (Operator, OperatorSpecError, adjoint_symbol, multi_indices,
-                               multinomial_weight, operator_from_document, parse_operator,
-                               serialize_operator, symbol, symbol_stack)
+from symrank.operators import (Operator, OperatorSpecError, multi_indices, multinomial_weight,
+                               operator_from_document, parse_operator, serialize_operator,
+                               symbol, symbol_stack)
 from symrank.zoo import zoo_get, zoo_list
 
 
@@ -53,13 +53,6 @@ def test_terms_are_canonicalized():
     assert a == b
     assert [alpha for alpha, _ in a.terms] == [(0, 2), (2, 0)]
     assert hash(a) == hash(b)
-
-
-def test_coefficient_lookup():
-    op = zoo_get("wave")
-    assert op.coefficient((2, 0)) == np.array([[1.0]])
-    assert op.coefficient((0, 2)) == np.array([[-1.0]])
-    assert op.coefficient((1, 1)) == np.array([[0.0]])
 
 
 @pytest.mark.parametrize("terms, message", [
@@ -149,12 +142,6 @@ def test_symbol_reflection_conjugation(name):
     for _ in range(5):
         xi = rng.standard_normal(op.n)
         assert np.allclose(symbol(op, xi).conj(), symbol(op, -xi), atol=1e-12)
-
-
-def test_adjoint_symbol_is_conjugate_transpose():
-    op = zoo_get("symmetric_gradient")
-    xi = np.array([0.3, -1.2])
-    assert np.allclose(adjoint_symbol(op, xi), symbol(op, xi).conj().T)
 
 
 @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(0.1, 5.0))

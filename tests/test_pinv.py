@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrank.pinv import (DEFAULT_TOL, IllConditionedError, ZeroFrequencyError,
-                          char_poly_coeffs, kernel_projector, multiplier, numerical_rank,
-                          pinv_decell, pinv_svd)
+from symrank.pinv import (DEFAULT_TOL, ZeroFrequencyError, kernel_projector, multiplier,
+                          numerical_rank, pinv_svd)
 from symrank.operators import (Operator, _real_factor, multi_indices, multinomial_weight, symbol,
                                symbol_stack)
 from symrank.rank import rank_profile, sphere_samples
 from symrank.spectral import Grid, _kernel_projector_table
 from symrank.zoo import zoo_get, zoo_list
+
+from decell import IllConditionedError, char_poly_coeffs, pinv_decell
 
 
 def random_matrix_with_rank(rows, cols, rank, seed, complex_entries=True):

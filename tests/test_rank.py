@@ -10,8 +10,7 @@ from symrank.operators import Operator, symbol
 from symrank.pinv import pinv_svd
 from symrank.rank import (ANGULAR_RESOLUTION, DegenerateWitnessError, NoRankDropError,
                           RankDropWitness, Verdict, angular_distance, daggerbound_check,
-                          find_rank_drop_witness, is_elliptic, rank_profile, slerp,
-                          sphere_samples)
+                          find_rank_drop_witness, rank_profile, slerp, sphere_samples)
 from symrank.zoo import zoo_get, zoo_list
 
 
@@ -164,15 +163,6 @@ def test_profile_to_dict_serializes():
     text = json.dumps(doc, sort_keys=True)
     assert json.loads(text)["verdict"] == "ConstantRank"
     assert doc["sample_count"] == len(profile.ranks)
-
-
-def test_is_elliptic():
-    grad = zoo_get("gradient")
-    div = zoo_get("divergence")
-    assert is_elliptic(grad, rank_profile(grad, num_samples=64))
-    assert not is_elliptic(div, rank_profile(div, num_samples=64))
-    with pytest.raises(ValueError, match="profile was built for"):
-        is_elliptic(grad, rank_profile(div, num_samples=64))
 
 
 def test_elliptic_symbols_are_coercive_on_samples():

@@ -46,6 +46,8 @@ DOMAIN_NOTE = ("ratios are measured on the periodic domain [0, 2*pi)^n "
                "with band-limited fields")
 SAMPLING_CAVEAT = ("ConstantRank and Elliptic verdicts are sampling-based; "
                    "only NonConstantRank verdicts carry a certificate")
+ENDPOINT_NOTE = ("constant rank does not give the L^p estimate at p = 1 (Ornstein 1962) "
+                 "or p = inf (by duality), so a bounded max_ratio at this p is not evidence for it")
 
 
 def _load_operator(source: str) -> Operator:
@@ -118,6 +120,8 @@ def cmd_verify(args) -> int:
     if profile.verdict is Verdict.NON_CONSTANT_RANK:
         notes.append("random fields rarely concentrate near rank drops; "
                      "use the counterexample command to exhibit unbounded ratios")
+    if args.p in (1.0, math.inf):
+        notes.append(ENDPOINT_NOTE)
     doc["notes"] = notes
     _emit(doc, args)
     _write_csv(report, args)
@@ -157,6 +161,8 @@ def cmd_counterexample(args) -> int:
     doc["ladder"] = [list(freq) for freq in ladder]
     doc["growth"] = growth
     doc["notes"] = [DOMAIN_NOTE]
+    if args.p in (1.0, math.inf):
+        doc["notes"].append(ENDPOINT_NOTE)
     _emit(doc, args)
     _write_csv(report, args)
     if growth >= args.factor:

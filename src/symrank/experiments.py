@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import Operator, symbol, symbol_stack
-from .pinv import DEFAULT_TOL, numerical_rank
+from .pinv import DEFAULT_TOL, _norm, numerical_rank
 from .spectral import (FrequencyField, Grid, GridField, apply_A_adjoint, forward_transform,
                        inverse_transform, lp_norm, periodic_bump, single_mode,
                        _check_field, _coefficient_norm, _coordinate_mesh, _derivatives,
@@ -93,12 +93,12 @@ def _adjoint_probe(op: Operator, xi, w, tol: float):
 def symbol_bound_ratio(op: Operator, xi, w, tol: float = DEFAULT_TOL) -> float:
     """|xi|^k ||A*(xi) w|| / ||A(xi) A*(xi) w||, the single-mode estimate ratio.
 
-    Scale-invariant in xi.  Raises DegenerateProbeError when
-    |A*(xi) w| <= tol * sigma_max(A(xi)) |w|.
+    Scale-invariant in xi; A -> cA scales it by 1/c (every norm is pinv._norm).
+    Raises DegenerateProbeError when |A*(xi) w| <= tol * sigma_max(A(xi)) |w|.
     """
     mat, _, adjoint_w = _adjoint_probe(op, xi, w, tol)
-    return float(np.linalg.norm(np.asarray(xi, dtype=float)) ** op.k * np.linalg.norm(adjoint_w)
-                 / np.linalg.norm(mat @ adjoint_w))
+    return float(_norm(np.asarray(xi, dtype=float)) ** op.k * _norm(adjoint_w)
+                 / _norm(mat @ adjoint_w))
 
 
 @dataclass(frozen=True)

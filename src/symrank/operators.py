@@ -134,32 +134,40 @@ def symbol(op: Operator, xi) -> np.ndarray:
     return symbol_stack(op, xi[None, :])[0]
 
 
+def _monomials(xis: np.ndarray, alphas) -> np.ndarray:
+    """xi^alpha for every row xi of xis (m, n) and every multi-index alpha; shape (m, T).
+
+    Products of per-axis powers x_j, x_j * x_j, ... built by repeated
+    multiplication: exact on integer frequencies.
+    """
+    axis_powers = []
+    for j, top in enumerate(np.max(alphas, axis=0)):
+        columns = [xis[:, j]]
+        for _ in range(1, top):
+            columns.append(columns[-1] * xis[:, j])
+        axis_powers.append(columns)
+    powers = np.ones((len(xis), len(alphas)))
+    for t, alpha in enumerate(alphas):
+        for j, exponent in enumerate(alpha):
+            if exponent:
+                powers[:, t] *= axis_powers[j][exponent - 1]
+    return powers
+
+
 def symbol_stack(op: Operator, xis) -> np.ndarray:
     """Evaluate the symbol at every row of xis; returns shape (len(xis), dimW, dimV).
 
     The coefficients are real, so A(xi) = i^k M(xi) with M(xi) = sum_alpha
     xi^alpha A_alpha real, and the stack is i^k times the real stack of M
     exactly: its real part for even k, its imaginary part for odd k, is M up
-    to sign (see _real_factor).  The monomials xi^alpha are products of
-    per-axis power columns x_j, x_j * x_j, ... built by repeated
-    multiplication.
+    to sign (see _real_factor).  The monomials xi^alpha come from _monomials.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != op.n:
         raise ValueError(f"expected an array of shape (m, {op.n})")
     if not np.isfinite(xis).all():
         raise ValueError("frequencies have non-finite entries")
-    axis_powers = []
-    for j, top in enumerate(op.alpha_array.max(axis=0)):
-        columns = [xis[:, j]]
-        for _ in range(1, top):
-            columns.append(columns[-1] * xis[:, j])
-        axis_powers.append(columns)
-    powers = np.ones((len(xis), len(op.terms)))
-    for t, alpha in enumerate(op.alpha_array):
-        for j, exponent in enumerate(alpha):
-            if exponent:
-                powers[:, t] *= axis_powers[j][exponent - 1]
+    powers = _monomials(xis, op.alpha_array)
     return (1j ** op.k) * np.einsum("st,twv->swv", powers, op.matrix_array)
 
 

@@ -5,9 +5,10 @@ I - A+ A all come from one SVD helper with one rank cutoff, on single
 matrices or stacks.  Real input stays real, so LAPACK works in real
 arithmetic and the pseudoinverse and projector come back real; complex
 input stays complex.  Stacks of rows or columns (min(m, n) = 1) skip
-LAPACK: their SVD is the closed form sigma = |a| with singular vector
-a / |a|.  The derivative recovery multiplier maps Aphi-coefficients to
-D^k(phi - P_A phi)-coefficients at a frequency.
+LAPACK: their SVD is the closed form sigma = |a| = _norm(a) with singular
+vector a / |a|; _norm is the package's one overflow-free norm, for every
+value that carries the operator's scale.  The derivative recovery
+multiplier maps Aphi-coefficients to D^k(phi - P_A phi)-coefficients.
 """
 
 import math
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import Operator, MultiIndex, multi_indices, multinomial_weight, symbol
+from .operators import Operator, MultiIndex, _monomials, multi_indices, multinomial_weight, symbol
 
 DEFAULT_TOL = 1e-10
 
@@ -39,33 +40,50 @@ def _as_matrices(mat) -> np.ndarray:
     return mat
 
 
+def _norm(values, p: float = 2.0, axis: int | None = None, weights=None) -> np.ndarray:
+    """(sum weights * |values|^p)^(1/p) along axis (None: all), or max |values| at p = inf.
+
+    |values| is first divided by its largest entry in each reduced slice, so
+    the largest term is exactly 1 at every finite scale and p >= 1; an
+    all-zero slice has norm 0.  weights broadcast against values.
+    """
+    mags = np.abs(values, order="C")
+    top = mags.max(axis=axis, keepdims=True)
+    if math.isinf(p):
+        return np.squeeze(top, axis)
+    # an all-zero slice is divided by the smallest subnormal instead and stays zero
+    mags /= np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
+    if p == 2.0:
+        np.square(mags, out=mags)
+    else:
+        mags **= p
+    if weights is not None:
+        mags *= weights
+    total = mags.sum(axis=axis, keepdims=True)
+    root = np.sqrt(total, out=total) if p == 2.0 else np.power(total, 1.0 / p, out=total)
+    root *= top
+    return np.squeeze(root, axis)
+
+
 def _svd(mats: np.ndarray, compute_uv: bool = True):
     """numpy.linalg.svd(mats, full_matrices=False) of a stack from _as_matrices.
 
     Returns (u, sigma, vh), or sigma alone without compute_uv, in the dtype
     of mats.  A stack of rows or columns (min(m, n) = 1) takes the
-    closed-form rank-one SVD of each row or column a: sigma = |a|, the
-    singular vector on a's side is a / |a| and the one on the other side
-    is [[1]].  |a| is taken after dividing a by max_i |a_i|, so it neither
-    underflows nor overflows at any finite scale.  A zero a gets sigma = 0
-    and a zero singular vector, which the strict cutoff of _kept never keeps.
+    closed-form rank-one SVD of each row or column a: sigma = |a| = _norm(a),
+    the singular vector on a's side is a / |a| and the one on the other side
+    is [[1]].  A zero a gets sigma = 0 and a zero singular vector, which the
+    strict cutoff of _kept never keeps.
     """
     rows, cols = mats.shape[-2:]
     if min(rows, cols) > 1:
         return np.linalg.svd(mats, full_matrices=False, compute_uv=compute_uv)
     vec = mats[..., 0, :] if rows == 1 else mats[..., :, 0]
-    scale = np.abs(vec).max(axis=-1, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    unit = vec / scale
-    squares = np.einsum("...i,...i->...", unit.real, unit.real)
-    if np.iscomplexobj(unit):
-        squares += np.einsum("...i,...i->...", unit.imag, unit.imag)
-    length = np.sqrt(squares)[..., None]
-    sigma = scale * length
+    # numpy reduces a leading axis of _norm's C-ordered |a| far faster than a short trailing one
+    sigma = _norm(np.moveaxis(vec, -1, 0), axis=0)[..., None]
     if not compute_uv:
         return sigma
-    length[length == 0.0] = 1.0
-    unit /= length
+    unit = vec / np.where(sigma > 0.0, sigma, 1.0)
     one = np.ones(mats.shape[:-2] + (1, 1), dtype=mats.dtype)
     if rows == 1:
         return one, sigma, unit[..., None, :]
@@ -175,7 +193,7 @@ def multiplier(op: Operator, xi, tol: float = DEFAULT_TOL) -> MultiplierValue:
     if not xi.any():
         raise ZeroFrequencyError("multiplier undefined at frequency zero")
     alphas = multi_indices(op.n, op.k)
-    powers = np.array([math.prod((1j * x) ** a for x, a in zip(xi, alpha)) for alpha in alphas])
+    powers = (1j ** op.k) * _monomials(xi[None, :], alphas)[0]
     return MultiplierValue(
         matrix=np.kron(pinv_svd(mat, tol), powers[:, None]),
         alphas=alphas,

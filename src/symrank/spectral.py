@@ -27,9 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import (Operator, _real_factor, multi_indices, multinomial_weight,
-                        symbol_stack)
-from .pinv import DEFAULT_TOL, kernel_projector, pinv_svd
+from .operators import (Operator, _monomials, _real_factor, multi_indices,
+                        multinomial_weight, symbol_stack)
+from .pinv import DEFAULT_TOL, _norm, kernel_projector, pinv_svd
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,18 +137,11 @@ class GridField:
     __rmul__ = __mul__
 
     def pointwise_norm(self) -> np.ndarray:
-        """sqrt(sum_c w_c |f_c(x)|^2) over the grid.
-
-        |f_c| is squared after an exact scaling by 2^-e, e = frexp(max |f_c|)[1].
-        """
-        mags = np.abs(self.data)
-        exponent = math.frexp(mags.max())[1]
-        np.ldexp(mags, -exponent, out=mags)
-        np.square(mags, out=mags)
-        if self.fiber_weights is not None:
-            mags *= self.fiber_weights.reshape((-1,) + (1,) * self.grid.n)
-        norm = np.sqrt(mags.sum(axis=0))
-        return np.ldexp(norm, exponent, out=norm)
+        """sqrt(sum_c w_c |f_c(x)|^2) at every grid point x, by pinv._norm (scaled per point)."""
+        weights = self.fiber_weights
+        if weights is not None:
+            weights = weights.reshape((-1,) + (1,) * self.grid.n)
+        return _norm(self.data, axis=0, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -215,16 +208,7 @@ def lp_norm(field: GridField, p: float) -> float:
     """Grid L^p norm: Riemann sum of the pointwise fiber norm; p = inf gives the max."""
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
-    pointwise = field.pointwise_norm()
-    top = float(pointwise.max())
-    if math.isinf(p) or top == 0.0:
-        return top
-    # dividing by the largest power of two <= top is exact and keeps the largest
-    # term, in [1, 2^p), in range up to p = 512; a larger p divides by top itself
-    scale = math.ldexp(0.5, math.frexp(top)[1]) if p <= 512 else top
-    pointwise /= scale
-    total = (np.sum(pointwise ** p) * field.grid.cell_volume) ** (1.0 / p)
-    return float(total * scale)
+    return float(_norm(field.pointwise_norm(), p) * field.grid.cell_volume ** (1.0 / p))
 
 
 def _coefficient_norm(freq: FrequencyField, k: int = 0) -> float:
@@ -235,20 +219,9 @@ def _coefficient_norm(freq: FrequencyField, k: int = 0) -> float:
     transform or the dimV * T derivative array: the weights k!/alpha! of
     apply_Dk sum |xi^alpha|^2 to |xi|^2k (multinomial theorem).
     """
-    coeffs = freq.coeffs.reshape(freq.fiber_dim, -1)
-    # squares at pointwise_norm's exact scale, row by row: no temporary of coeffs' size
-    parts = freq.coeffs.ravel().view(float)  # real and imaginary parts, interleaved
-    exponent = math.frexp(max(parts.max(), -parts.min()))[1]
-    unit = np.empty(coeffs.shape[1])
-    squares, imag_squares = np.zeros(coeffs.shape[1]), np.zeros(coeffs.shape[1])
-    for row in coeffs:
-        squares += np.square(np.ldexp(row.real, -exponent, out=unit), out=unit)
-        imag_squares += np.square(np.ldexp(row.imag, -exponent, out=unit), out=unit)
-    squares += imag_squares
-    if k:
-        mesh = integer_frequencies(freq.grid).reshape(freq.grid.n, -1)
-        squares = np.einsum("ij,ij->j", mesh, mesh) ** k * squares
-    return float(np.ldexp(np.sqrt(squares.sum()), exponent))
+    mesh = integer_frequencies(freq.grid).reshape(freq.grid.n, -1)
+    weights = np.einsum("ij,ij->j", mesh, mesh) ** k if k else None
+    return float(_norm(freq.coeffs.reshape(freq.fiber_dim, -1), weights=weights))
 
 
 def _physical_memory() -> int | None:
@@ -362,15 +335,8 @@ def _derivatives(k: int, freq: FrequencyField) -> FrequencyField:
     """
     grid = freq.grid
     alphas = multi_indices(grid.n, k)
-    mesh = integer_frequencies(grid)
-    powers = np.empty((len(alphas),) + grid.shape, dtype=complex)
-    for t, alpha in enumerate(alphas):
-        power = np.ones(grid.shape, dtype=complex)
-        for axis_exp, axis_mesh in zip(alpha, mesh):
-            if axis_exp:
-                power = power * (1j * axis_mesh) ** axis_exp
-        powers[t] = power
-    out = np.einsum("t...,v...->vt...", powers, freq.coeffs)
+    powers = (1j ** k) * _monomials(integer_frequencies(grid).reshape(grid.n, -1).T, alphas)
+    out = np.einsum("st,vs->vts", powers, freq.coeffs.reshape(freq.fiber_dim, -1), order="C")
     out = out.reshape((freq.fiber_dim * len(alphas),) + grid.shape)
     weights = np.array([multinomial_weight(a) for a in alphas], dtype=float)
     return FrequencyField(grid, out, np.tile(weights, freq.fiber_dim))

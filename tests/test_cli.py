@@ -145,6 +145,19 @@ def test_verify_runs_on_non_constant_rank_with_caveat(capsys):
 
 # ------------------------------------------------------------------ counterexample
 
+@pytest.mark.parametrize("p, endpoint", [("1", True), ("1.5", False), ("2", False), ("inf", True)])
+def test_endpoint_exponents_add_one_note_and_keep_exit_codes(capsys, p, endpoint):
+    # constant rank gives the estimate only for 1 < p < inf
+    code, doc, _ = run_json(capsys, "verify", "zoo:laplacian", "--N", "8", "--trials", "2",
+                            "--p", p)
+    assert code == EXIT_OK
+    assert doc["notes"].count(cli.ENDPOINT_NOTE) == endpoint
+    code, doc, _ = run_json(capsys, "counterexample", "zoo:d1d2", "--N", "32", "--rungs", "3",
+                            "--factor", "3", "--p", p)
+    assert code == EXIT_OK
+    assert doc["notes"].count(cli.ENDPOINT_NOTE) == endpoint
+
+
 def test_counterexample_d1d2_default_blowup(capsys):
     code, doc, _ = run_json(capsys, "counterexample", "zoo:d1d2")
     assert code == EXIT_OK

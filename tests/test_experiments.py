@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,7 @@ from symrank.experiments import (DegenerateProbeError, EmptyExperimentError, Ker
                                  TrialRecord, WitnessConfig, assemble_report,
                                  build_frequency_ladder, estimate_ratio, l2_minimality_check,
                                  ratio_sweep, symbol_bound_ratio, witness_family)
-from symrank.operators import symbol
+from symrank.operators import Operator, symbol
 from symrank.rank import Verdict
 from symrank.spectral import (Grid, apply_A, apply_Dk, apply_PA, forward_transform, lp_norm,
                               random_band_limited, single_mode)
@@ -125,15 +126,25 @@ def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
 
 # ------------------------------------------------------------------ symbol bound
 
-def test_symbol_bound_ratio_frozen_examples():
-    op = zoo_get("d1d2")
+def scaled(op: Operator, c: float) -> Operator:
+    terms = tuple((alpha, tuple(tuple(c * x for x in row) for row in matrix))
+                  for alpha, matrix in op.terms)
+    return dataclasses.replace(op, terms=terms)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-160, 1.0, 1e160, 1e200])
+def test_symbol_bound_ratio_frozen_examples(c):
+    # A -> cA scales the ratio by exactly 1/c; unscaled norms of A A* w
+    # underflow or overflow at these c
+    op = scaled(zoo_get("d1d2"), c)
     w = np.array([1.0 + 0j])
     # |xi|^2 |A* w| / |A A* w| at xi = (1, delta) is (1 + delta^2)/delta
-    assert math.isclose(symbol_bound_ratio(op, (1.0, 0.25), w), 4.25, rel_tol=1e-12)
-    assert math.isclose(symbol_bound_ratio(op, (1.0, 1.0), w), 2.0, rel_tol=1e-12)
+    assert math.isclose(c * symbol_bound_ratio(op, (1.0, 0.25), w), 4.25, rel_tol=1e-12)
+    assert math.isclose(c * symbol_bound_ratio(op, (4.0, 1.0), [1]), 4.25, rel_tol=1e-12)
+    assert math.isclose(c * symbol_bound_ratio(op, (1.0, 1.0), w), 2.0, rel_tol=1e-12)
     # divergence and curl have ratio 1 everywhere the probe survives
-    div = zoo_get("divergence")
-    assert math.isclose(symbol_bound_ratio(div, (3.0, -1.0, 2.0), np.array([1.0 + 0j])),
+    div = scaled(zoo_get("divergence"), c)
+    assert math.isclose(c * symbol_bound_ratio(div, (3.0, -1.0, 2.0), np.array([1.0 + 0j])),
                         1.0, rel_tol=1e-12)
 
 

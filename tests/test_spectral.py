@@ -148,6 +148,13 @@ def test_lp_norm_absolute_homogeneity(t, p, seed):
                         rel_tol=1e-10, abs_tol=1e-12)
 
 
+def test_pointwise_norm_scales_each_point_by_its_own_max():
+    # one scale for the whole field squares 1e-200 and 3e-170 to zero next to 1
+    values = [1.0, 1e-200, 3e-170, 0.0]
+    norm = GridField(Grid(1, 4), [values]).pointwise_norm()
+    assert np.allclose(norm, values, rtol=1e-15, atol=0.0)
+
+
 def test_fiber_weights_enter_pointwise_norm():
     grid = Grid(1, 4)
     data = np.ones((2, 4), dtype=complex)

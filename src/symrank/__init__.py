@@ -20,7 +20,7 @@ from .pinv import (DEFAULT_TOL, MultiplierValue, kernel_projector, multiplier, n
                    pinv_svd)
 from .rank import (DaggerBound, RankDropWitness, RankProfile, Verdict, daggerbound_check,
                    find_rank_drop_witness, rank_profile, sphere_samples)
-from .spectral import (Grid, GridField, FrequencyField, apply_A, apply_A_adjoint, apply_Dk,
+from .spectral import (Grid, GridField, FrequencyField, apply_A, apply_Dk,
                        apply_PA, apply_multiplier, forward_transform, inverse_transform,
                        lp_norm, mode_index, periodic_bump, random_band_limited, single_mode)
 from .zoo import UnknownOperatorError, ZooEntry, zoo_get, zoo_list
@@ -31,7 +31,7 @@ __all__ = [
     "DEFAULT_TOL", "DaggerBound", "EstimateReport", "FrequencyField", "Grid", "GridField",
     "KernelInputError", "MultiplierValue", "Operator", "OperatorSpecError",
     "RankDropWitness", "RankProfile", "TrialRecord", "UnknownOperatorError", "Verdict",
-    "WitnessConfig", "ZooEntry", "apply_A", "apply_A_adjoint", "apply_Dk", "apply_PA",
+    "WitnessConfig", "ZooEntry", "apply_A", "apply_Dk", "apply_PA",
     "apply_multiplier", "build_frequency_ladder", "daggerbound_check", "estimate_ratio",
     "find_rank_drop_witness", "forward_transform", "inverse_transform", "kernel_projector",
     "l2_minimality_check", "lp_norm", "mode_index", "multi_indices", "multinomial_weight",

@@ -18,10 +18,10 @@ import numpy as np
 
 from .operators import Operator, symbol, symbol_stack
 from .pinv import DEFAULT_TOL, _norm, numerical_rank
-from .spectral import (FrequencyField, Grid, GridField, apply_A_adjoint, forward_transform,
-                       inverse_transform, lp_norm, periodic_bump, single_mode,
-                       _check_field, _coefficient_norm, _coordinate_mesh, _derivatives,
-                       _kernel_projector_table, _matvec, _random_coefficients, _symbol_tensor)
+from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
+                       inverse_transform, lp_norm, periodic_bump, _check_field,
+                       _coefficient_norm, _derivatives, _kernel_projector_table, _matvec,
+                       _random_coefficients, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -132,38 +132,45 @@ class WitnessConfig:
 
 
 def witness_family(op: Operator, cfg: WitnessConfig, grid: Grid,
-                   tol: float = DEFAULT_TOL) -> list[GridField]:
-    """One field per configured frequency: A* applied spectrally to a probe wave.
+                   tol: float = DEFAULT_TOL) -> list[FrequencyField]:
+    """One field per configured frequency xi_m, as coefficients: A* applied to a probe wave.
 
-    For window = None the field is the exact single mode with coefficient
-    A*(xi_m) w at xi_m, so P_A phi_m = 0 exactly and estimate_ratio at any
-    p equals symbol_bound_ratio(op, xi_m, w).  With a window, the wave is
-    multiplied by a periodized bump before applying A*.  Either field is
-    scaled by the power of two that brings sigma_max(A(xi_m)) into [0.5, 1)
-    (see _adjoint_probe), which no ratio sees; the measured windowed ratio
-    approaches the single-mode value as the window widens.  Raises
-    DegenerateProbeError when |A*(xi_m) w| <= tol * sigma_max(A(xi_m)) |w|.
+    The wave envelope(x) exp(i x.xi_m) w has, by the discrete shift theorem,
+    the field coefficient A*(eta) w * envelope_hat(eta - xi_m) at eta: the
+    envelope's coefficients rolled by xi_m times the symbol table contracted
+    with w, so no rung is transformed.  For window = None the envelope is 1,
+    one coefficient (2pi)^(n/2) at frequency zero, and the rung is the exact
+    single mode A*(xi_m) w at xi_m: P_A phi_m = 0 and estimate_ratio at any
+    p equals symbol_bound_ratio(op, xi_m, w).  A window is periodic_bump,
+    forward-transformed once per family; the windowed ratio approaches the
+    single-mode value as the window widens.  w is scaled by the power of two
+    that brings sigma_max(A(xi_m)) into [0.5, 1) (see _adjoint_probe), which
+    no ratio sees.  Raises DegenerateProbeError when |A*(xi_m) w| <= tol *
+    sigma_max(A(xi_m)) |w|.
     """
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
-    if cfg.window is not None:
-        bump = periodic_bump(grid, cfg.window)
-        mesh = _coordinate_mesh(grid)
     w = None if cfg.w is None else np.array(cfg.w, dtype=complex)
     if w is not None and w.shape != (op.dim_w,):
         raise ValueError(f"w must have length {op.dim_w}")
+    if cfg.window is None:
+        envelope = np.zeros(grid.shape, dtype=complex)
+        envelope[(0,) * grid.n] = TWO_PI ** (grid.n / 2.0)
+    else:
+        bump = GridField(grid, periodic_bump(grid, cfg.window)[None])
+        envelope = forward_transform(bump).coeffs[0]
+    symbols = _symbol_tensor(op, grid)
     fields = []
     for freq in cfg.frequencies:
         if max(abs(x) for x in freq) > grid.size // 4:
             raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
                              f"(|xi|_inf must be <= {grid.size // 4})")
-        _, probe, adjoint_w = _adjoint_probe(op, freq, w, tol)
-        if cfg.window is None:
-            fields.append(single_mode(grid, freq, adjoint_w))
-            continue
-        phase = np.exp(1j * sum(f * axis for f, axis in zip(freq, mesh)))
-        wave = GridField(grid, probe.reshape((-1,) + (1,) * grid.n) * (bump * phase)[None])
-        fields.append(apply_A_adjoint(op, wave))
+        _, probe, _ = _adjoint_probe(op, freq, w, tol)
+        # A*(eta) w = conj(A(eta)^T conj(w)): conjugate the product, not the table
+        coeffs = np.einsum("...ij,i->j...", symbols, probe.conj(), order="C")
+        np.conjugate(coeffs, out=coeffs)
+        coeffs *= np.roll(envelope, freq, axis=tuple(range(grid.n)))
+        fields.append(FrequencyField(grid, coeffs))
     return fields
 
 

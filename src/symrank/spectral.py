@@ -23,7 +23,7 @@ grid.
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -59,14 +59,6 @@ class Grid:
     @property
     def spacing(self) -> float:
         return TWO_PI / self.size
-
-
-@lru_cache(maxsize=64)
-def _coordinate_mesh(grid: Grid) -> np.ndarray:
-    axis = TWO_PI * np.arange(grid.size) / grid.size
-    mesh = np.stack(np.meshgrid(*([axis] * grid.n), indexing="ij"))
-    mesh.setflags(write=False)
-    return mesh
 
 
 @lru_cache(maxsize=64)
@@ -172,15 +164,15 @@ def _spatial_axes(grid: Grid) -> tuple[int, ...]:
 
 def forward_transform(field: GridField) -> FrequencyField:
     """Grid values to coefficients; unitary between grid L2 and coefficient l2."""
-    scale = (TWO_PI / field.grid.size) ** (field.grid.n / 2.0)
-    coeffs = np.fft.fftn(field.data, axes=_spatial_axes(field.grid), norm="ortho") * scale
+    coeffs = np.fft.fftn(field.data, axes=_spatial_axes(field.grid), norm="ortho")
+    coeffs *= (TWO_PI / field.grid.size) ** (field.grid.n / 2.0)
     return FrequencyField(field.grid, coeffs, field.fiber_weights)
 
 
 def inverse_transform(freq: FrequencyField) -> GridField:
     """Coefficients back to grid values; exact inverse of forward_transform."""
-    scale = (TWO_PI / freq.grid.size) ** (freq.grid.n / 2.0)
-    data = np.fft.ifftn(freq.coeffs / scale, axes=_spatial_axes(freq.grid), norm="ortho")
+    data = np.fft.ifftn(freq.coeffs, axes=_spatial_axes(freq.grid), norm="ortho")
+    data /= (TWO_PI / freq.grid.size) ** (freq.grid.n / 2.0)
     return GridField(freq.grid, data, freq.fiber_weights)
 
 
@@ -211,6 +203,15 @@ def lp_norm(field: GridField, p: float) -> float:
     return float(_norm(field.pointwise_norm(), p) * field.grid.cell_volume ** (1.0 / p))
 
 
+@lru_cache(maxsize=64)
+def _derivative_weights(grid: Grid, k: int) -> np.ndarray:
+    """|xi|^2k over the flattened frequency mesh, fft layout; read-only."""
+    mesh = integer_frequencies(grid).reshape(grid.n, -1)
+    weights = np.einsum("ij,ij->j", mesh, mesh) ** k
+    weights.setflags(write=False)
+    return weights
+
+
 def _coefficient_norm(freq: FrequencyField, k: int = 0) -> float:
     """sqrt(sum_xi |xi|^2k |freq(xi)|^2) for a field without fiber weights.
 
@@ -219,8 +220,7 @@ def _coefficient_norm(freq: FrequencyField, k: int = 0) -> float:
     transform or the dimV * T derivative array: the weights k!/alpha! of
     apply_Dk sum |xi^alpha|^2 to |xi|^2k (multinomial theorem).
     """
-    mesh = integer_frequencies(freq.grid).reshape(freq.grid.n, -1)
-    weights = np.einsum("ij,ij->j", mesh, mesh) ** k if k else None
+    weights = _derivative_weights(freq.grid, k) if k else None
     return float(_norm(freq.coeffs.reshape(freq.fiber_dim, -1), weights=weights))
 
 
@@ -290,13 +290,6 @@ def apply_A(op: Operator, field: GridField) -> GridField:
     """Apply the operator spectrally: multiply coefficients by A(xi)."""
     _check_field(op, field, op.dim_v, "input")
     return inverse_transform(_matvec(_symbol_tensor(op, field.grid), forward_transform(field)))
-
-
-def apply_A_adjoint(op: Operator, field: GridField) -> GridField:
-    """Apply the adjoint spectrally: multiply coefficients by A*(xi)."""
-    _check_field(op, field, op.dim_w, "input")
-    adjoint = np.swapaxes(_symbol_tensor(op, field.grid), -1, -2).conj()
-    return inverse_transform(_matvec(adjoint, forward_transform(field)))
 
 
 @lru_cache(maxsize=32)
@@ -417,16 +410,13 @@ def periodic_bump(grid: Grid, width: float) -> np.ndarray:
     """
     if not 0.0 < width <= 1.0:
         raise ValueError("width must lie in (0, 1]")
-    mesh = _coordinate_mesh(grid)
-    out = np.ones(grid.shape)
-    for axis_mesh in mesh:
-        t = np.abs(axis_mesh - math.pi) / (width * math.pi)
-        s = np.clip(2.0 * (1.0 - t), 0.0, 1.0)
-        inner = (s > 0.0) & (s < 1.0)
-        profile = np.where(s >= 1.0, 1.0, 0.0)
-        a = np.exp(-1.0 / np.where(inner, s, 1.0))
-        b = np.exp(-1.0 / np.where(inner, 1.0 - s, 1.0))
-        profile[inner] = (a / (a + b))[inner]
-        out = out * profile
-    return out
+    t = np.abs(TWO_PI * np.arange(grid.size) / grid.size - math.pi) / (width * math.pi)
+    s = np.clip(2.0 * (1.0 - t), 0.0, 1.0)
+    inner = (s > 0.0) & (s < 1.0)
+    profile = np.where(s >= 1.0, 1.0, 0.0)
+    a = np.exp(-1.0 / np.where(inner, s, 1.0))
+    b = np.exp(-1.0 / np.where(inner, 1.0 - s, 1.0))
+    profile[inner] = (a / (a + b))[inner]
+    # the window is separable: the outer product of one profile per axis
+    return reduce(np.multiply.outer, [profile] * grid.n)
 

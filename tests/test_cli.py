@@ -266,7 +266,7 @@ def test_grid_beyond_physical_memory_is_refused(capsys, monkeypatch):
 
 
 def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch):
-    # an oversized grid is refused before the first random draw or witness mode
+    # an oversized grid is refused before the first random draw or witness family
     monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 5)
     allocations = []
 
@@ -278,8 +278,8 @@ def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch)
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((experiments, "_random_coefficients"), (experiments, "single_mode"),
-                         (cli, "_random_coefficients")):
+    for module, name in ((experiments, "_random_coefficients"), (cli, "_random_coefficients"),
+                         (cli, "witness_family")):
         counted(module, name)
     for argv in (("verify", "zoo:curl", "--N", "8", "--trials", "1"),
                  ("minimality", "zoo:curl", "--N", "8", "--trials", "1"),
@@ -306,6 +306,29 @@ def test_minimality_makes_no_transforms(capsys, monkeypatch):
                             "--kernel-trials", "2")
     assert code == EXIT_OK and doc["all_pass"] is True
     assert calls == []
+
+
+@pytest.mark.parametrize("window, exit_code, expected", [
+    ((), EXIT_CHECK_FAILED, []),
+    (("--window", "0.5", "--factor", "1.25"), EXIT_OK, ["forward_transform"])])
+def test_counterexample_transforms_only_the_window(capsys, monkeypatch, window, exit_code,
+                                                   expected):
+    # witnesses are built as coefficients: an exact p = 2 ladder makes no
+    # transform, and a windowed one transforms its bump once per family (the
+    # exact ladder grows 3.92 over three rungs, short of the default factor 4)
+    calls = []
+    for name in ("forward_transform", "inverse_transform"):
+        original = getattr(spectral, name)
+
+        def wrapper(field, name=name, original=original):
+            calls.append(name)
+            return original(field)
+        for module in (spectral, experiments):
+            monkeypatch.setattr(module, name, wrapper)
+    code, _, _ = run_json(capsys, "counterexample", "zoo:wave", "--N", "32", "--rungs", "3",
+                          *window)
+    assert code == exit_code
+    assert calls == expected
 
 
 def scaled_document(tmp_path, name: str, c: float):

@@ -12,10 +12,11 @@ from symrank.experiments import (DegenerateProbeError, EmptyExperimentError, Ker
                                  TrialRecord, WitnessConfig, assemble_report,
                                  build_frequency_ladder, estimate_ratio, l2_minimality_check,
                                  ratio_sweep, symbol_bound_ratio, witness_family)
-from symrank.operators import Operator, symbol
+from symrank.operators import Operator, symbol, symbol_stack
+from symrank.pinv import kernel_projector
 from symrank.rank import Verdict
 from symrank.spectral import (Grid, apply_A, apply_Dk, apply_PA, forward_transform, lp_norm,
-                              random_band_limited, single_mode)
+                              mode_index, periodic_bump, random_band_limited)
 from symrank.zoo import zoo_get, zoo_list
 
 TWO_PI = 2.0 * math.pi
@@ -180,12 +181,22 @@ def test_symbol_bound_equals_estimate_ratio_on_single_modes():
 
 # ------------------------------------------------------------------ witness families
 
+def single_mode_column(grid, phi, xi):
+    """The one nonzero coefficient column of a witness, which must sit at mode_index(xi)."""
+    nonzero = np.flatnonzero(np.abs(phi.coeffs).reshape(phi.fiber_dim, -1).max(axis=0))
+    assert nonzero.tolist() == [np.ravel_multi_index(mode_index(grid, xi), grid.shape)]
+    return phi.coeffs[(slice(None),) + mode_index(grid, xi)]
+
+
 def test_witness_family_single_mode_annihilates_projection():
+    # the one coefficient A*(xi) w lies in the range of A*(xi), orthogonal to ker A(xi)
     for name, xi in (("divergence", (1, 0, 2)), ("d1d2", (4, 1))):
         op = zoo_get(name)
         grid = Grid(op.n, 16)
         phi = witness_family(op, WitnessConfig(frequencies=(xi,)), grid)[0]
-        assert lp_norm(apply_PA(op, phi), 2) < 1e-10 * lp_norm(phi, 2)
+        column = single_mode_column(grid, phi, xi)
+        projector = kernel_projector(symbol(op, np.array(xi, float)))
+        assert np.linalg.norm(projector @ column) < 1e-10 * np.linalg.norm(column)
 
 
 def test_witness_family_default_probe_is_top_singular_vector():
@@ -194,7 +205,8 @@ def test_witness_family_default_probe_is_top_singular_vector():
     explicit = witness_family(op, WitnessConfig(frequencies=((4, 1),), w=(1.0 + 0j,)), grid)[0]
     default = witness_family(op, WitnessConfig(frequencies=((4, 1),)), grid)[0]
     # scalar codomain: the two probes agree up to a unit phase
-    ratio = default.data[np.abs(default.data) > 1e-12] / explicit.data[np.abs(explicit.data) > 1e-12]
+    ratio = (single_mode_column(grid, default, (4, 1))
+             / single_mode_column(grid, explicit, (4, 1)))
     assert np.allclose(np.abs(ratio), 1.0)
 
 
@@ -231,11 +243,37 @@ def test_exact_witness_is_the_closed_form_single_mode(name, xi, default_probe):
         w /= np.linalg.norm(w)
         cfg = WitnessConfig(frequencies=(xi,), w=tuple(w))
     phi = witness_family(op, cfg, grid)[0]
-    amplitude = mat.conj().T @ w * 2.0 ** -math.frexp(sigma[0])[1]
-    np.testing.assert_array_equal(phi.data, single_mode(grid, xi, amplitude).data)
+    probe = w * 2.0 ** -math.frexp(sigma[0])[1]
+    np.testing.assert_array_equal(single_mode_column(grid, phi, xi),
+                                  mat.conj().T @ probe * TWO_PI ** (op.n / 2.0))
     bound = symbol_bound_ratio(op, np.array(xi, float), w)
     for p in (1.0, 2.0, math.inf):
         assert math.isclose(estimate_ratio(op, phi, p), bound, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("name, xi", [("d1d2", (-5, 3)), ("d1d2", (4, -6)),
+                                      ("curl", (2, -1, -3)), ("curl", (-3, 0, 2))])
+def test_windowed_witness_obeys_the_shift_theorem(name, xi):
+    # oracle: the grid construction itself, bump * exp(i x.xi) * probe, forward
+    # transformed with plain numpy, then A*(eta) applied at every frequency eta
+    op = zoo_get(name)
+    grid = Grid(op.n, 32 if op.n == 2 else 16)
+    w = np.array([1.0, 1j]) @ np.random.default_rng(5).standard_normal((2, op.dim_w))
+    w /= np.linalg.norm(w)
+    sigma = np.linalg.svd(symbol(op, np.array(xi, float)), compute_uv=False)
+    probe = w * 2.0 ** -math.frexp(sigma[0])[1]
+    axis = TWO_PI * np.arange(grid.size) / grid.size
+    x = np.meshgrid(*([axis] * grid.n), indexing="ij")
+    wave = periodic_bump(grid, 0.5) * np.exp(1j * sum(f * c for f, c in zip(xi, x)))
+    scale = (TWO_PI / grid.size) ** (grid.n / 2.0)
+    wave_hat = np.fft.fftn(wave, norm="ortho") * scale
+    eta = np.stack(np.meshgrid(*([np.fft.fftfreq(grid.size, 1.0 / grid.size)] * grid.n),
+                               indexing="ij")).reshape(grid.n, -1)
+    mats = symbol_stack(op, eta.T.astype(float))
+    expected = np.einsum("sij,i,s->js", mats.conj(), probe, wave_hat.ravel())
+    phi = witness_family(op, WitnessConfig(frequencies=(xi,), w=tuple(w), window=0.5), grid)[0]
+    got = phi.coeffs.reshape(op.dim_v, -1)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_witness_config_validation():

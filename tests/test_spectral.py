@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from symrank import spectral
 from symrank.operators import _real_factor, multi_indices, symbol
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank
-from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_A_adjoint,
-                              apply_Dk, apply_PA, apply_multiplier, forward_transform,
+from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_Dk, apply_PA,
+                              apply_multiplier, forward_transform,
                               inverse_transform, integer_frequencies, lp_norm, mode_index,
                               periodic_bump, random_band_limited, single_mode,
                               _kernel_projector_table, _symbol_tensor)
@@ -188,17 +188,6 @@ def test_apply_A_gradient_matches_raw_spectral_derivative():
     out = apply_A(zoo_get("gradient"), phi)
     assert np.abs(out.data[0] - dx).max() < 1e-11
     assert np.abs(out.data[1] - dy).max() < 1e-11
-
-
-def test_apply_A_adjoint_is_the_adjoint():
-    for name in ("divergence", "symmetric_gradient"):
-        op = zoo_get(name)
-        grid = Grid(op.n, 8)
-        phi = random_band_limited(grid, op.dim_v, 2, seed=3)
-        psi = random_band_limited(grid, op.dim_w, 2, seed=4)
-        lhs = grid_inner(apply_A(op, phi), psi)
-        rhs = grid_inner(phi, apply_A_adjoint(op, psi))
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
 def test_apply_A_fiber_dim_guard():

@@ -26,9 +26,9 @@ import math
 import sys
 from pathlib import Path
 
-from .experiments import (CONTEXT_WITNESS_FAMILY, TrialRecord, WitnessConfig,
-                          assemble_report, build_frequency_ladder, estimate_ratio,
-                          l2_minimality_check, ratio_sweep, witness_family)
+from .experiments import (CONTEXT_WITNESS_FAMILY, TrialRecord, assemble_report,
+                          build_frequency_ladder, estimate_ratio, l2_minimality_check,
+                          ratio_sweep, witness_family)
 from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
 from .rank import (DegenerateWitnessError, Verdict, daggerbound_check,
@@ -138,12 +138,11 @@ def cmd_counterexample(args) -> int:
                "message": "no rank drop - no counterexample expected"}, args)
         return EXIT_NO_RANK_DROP
     witness = find_rank_drop_witness(op, profile, args.tol)
-    ladder = build_frequency_ladder(op, witness.xi_low, rungs=args.rungs)
-    cfg = WitnessConfig(frequencies=tuple(ladder), window=args.window)
+    ladder = build_frequency_ladder(op, witness, rungs=args.rungs)
     grid = Grid(op.n, args.N)
     # the table lookup refuses an oversized grid before any witness is built
     _kernel_projector_table(op, grid, float(args.tol))
-    fields = witness_family(op, cfg, grid, tol=args.tol)
+    fields = witness_family(op, ladder, grid, args.window, args.tol)
     records = []
     for index, (freq, phi) in enumerate(zip(ladder, fields)):
         label = "xi=[" + " ".join(str(x) for x in freq) + "]"

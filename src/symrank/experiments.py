@@ -1,4 +1,4 @@
-"""Estimate-ratio experiments, symbol bounds, witness families, and reports.
+"""Estimate-ratio experiments, witness families, and reports.
 
 The central quantity is
 
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import Operator, symbol, symbol_stack
-from .pinv import DEFAULT_TOL, _norm, numerical_rank
+from .pinv import DEFAULT_TOL, _kept, numerical_rank
+from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
                        inverse_transform, lp_norm, periodic_bump, _check_field,
                        _coefficient_norm, _derivatives, _kernel_projector_table, _matvec,
@@ -32,7 +33,11 @@ class KernelInputError(ValueError):
 
 
 class DegenerateProbeError(ValueError):
-    """The probe vector w is annihilated by the adjoint symbol at this frequency."""
+    """No probe at a witness frequency.
+
+    The symbol vanishes there (rank 0), or no candidate of a ladder rung
+    has the generic rank.
+    """
 
 
 class EmptyExperimentError(ValueError):
@@ -69,104 +74,64 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
     return derivative_norm / lp_norm(inverse_transform(_matvec(symbols, freq)), p)
 
 
-def _adjoint_probe(op: Operator, xi, w, tol: float):
-    """A(xi), w and A*(xi) w, where w = None means the top left singular vector u_0.
+def _adjoint_probe(op: Operator, xi, tol: float) -> np.ndarray:
+    """u_{r-1}, the left singular vector of A(xi)'s smallest kept singular value.
 
-    w and A*(xi) w come back scaled exactly by the power of two that brings
-    sigma_max(A(xi)) into [0.5, 1), so no field built from them overflows
-    under A.  Raises DegenerateProbeError when |A*(xi) w| <= tol *
-    sigma_max(A(xi)) |w|, relative like pinv's cutoff; |A*(xi) u_0| =
-    sigma_max, so u_0 fails only where the symbol vanishes.
+    r is the rank under pinv's one cutoff (_kept), so |A*(xi) u_{r-1}| =
+    sigma_r(A(xi)) is the singular value that vanishes at a rank drop, and
+    an exact rung's ratio is |xi|^k / sigma_r(A(xi)).  The probe comes back
+    scaled exactly by the power of two that brings sigma_max(A(xi)) into
+    [0.5, 1), so no field built from it overflows under A.  Raises
+    DegenerateProbeError where the symbol vanishes (r = 0).
     """
-    mat = symbol(op, np.asarray(xi, dtype=float))
-    u, sigma, _ = np.linalg.svd(mat)
-    w = u[:, 0] if w is None else np.asarray(w, dtype=complex)
-    exponent = np.frexp(sigma[0])[1]
-    floor = tol * np.ldexp(sigma[0], -exponent) * np.linalg.norm(w)
-    w = w * np.ldexp(1.0, -exponent)
-    adjoint_w = mat.conj().T @ w
-    if np.linalg.norm(adjoint_w) <= floor:
-        raise DegenerateProbeError(f"{op.name}: probe annihilated by the adjoint symbol at {tuple(xi)}")
-    return mat, w, adjoint_w
+    u, sigma, _ = np.linalg.svd(symbol(op, np.asarray(xi, dtype=float)))
+    rank = np.count_nonzero(_kept(sigma, tol))
+    if not rank:
+        raise DegenerateProbeError(f"{op.name}: the symbol vanishes at {tuple(xi)}")
+    return u[:, rank - 1] * np.ldexp(1.0, -np.frexp(sigma[0])[1])
 
 
-def symbol_bound_ratio(op: Operator, xi, w, tol: float = DEFAULT_TOL) -> float:
-    """|xi|^k ||A*(xi) w|| / ||A(xi) A*(xi) w||, the single-mode estimate ratio.
-
-    Scale-invariant in xi; A -> cA scales it by 1/c (every norm is pinv._norm).
-    Raises DegenerateProbeError when |A*(xi) w| <= tol * sigma_max(A(xi)) |w|.
-    """
-    mat, _, adjoint_w = _adjoint_probe(op, xi, w, tol)
-    return float(_norm(np.asarray(xi, dtype=float)) ** op.k * _norm(adjoint_w)
-                 / _norm(mat @ adjoint_w))
-
-
-@dataclass(frozen=True)
-class WitnessConfig:
-    """Recipe for a family of near-kernel-orthogonal test fields.
-
-    frequencies is the integer ladder approaching the target drop
-    direction; w is a fixed unit codomain probe, or None to use the top
-    left singular vector of the symbol at each rung; window is None for
-    exact single modes or a bump width in (0, 1] (fraction of the torus).
-    """
-
-    frequencies: tuple[tuple[int, ...], ...]
-    w: tuple[complex, ...] | None = None
-    window: float | None = None
-
-    def __post_init__(self):
-        freqs = tuple(tuple(int(x) for x in f) for f in self.frequencies)
-        if not freqs:
-            raise ValueError("frequencies must be nonempty")
-        if any(not any(f) for f in freqs):
-            raise ValueError("frequencies must be nonzero integer vectors")
-        object.__setattr__(self, "frequencies", freqs)
-        if self.w is not None:
-            w = tuple(complex(x) for x in self.w)
-            if abs(np.linalg.norm(w) - 1.0) > 1e-8:
-                raise ValueError("w must be a unit vector")
-            object.__setattr__(self, "w", w)
-        if self.window is not None and not 0.0 < self.window <= 1.0:
-            raise ValueError("window width must lie in (0, 1]")
-
-
-def witness_family(op: Operator, cfg: WitnessConfig, grid: Grid,
+def witness_family(op: Operator, frequencies, grid: Grid, window: float | None = None,
                    tol: float = DEFAULT_TOL) -> list[FrequencyField]:
-    """One field per configured frequency xi_m, as coefficients: A* applied to a probe wave.
+    """One field per integer frequency xi_m, as coefficients: A* applied to a probe wave.
 
-    The wave envelope(x) exp(i x.xi_m) w has, by the discrete shift theorem,
-    the field coefficient A*(eta) w * envelope_hat(eta - xi_m) at eta: the
+    The probe u is _adjoint_probe's u_{r-1} at xi_m.  The wave
+    envelope(x) exp(i x.xi_m) u has, by the discrete shift theorem, the
+    field coefficient A*(eta) u * envelope_hat(eta - xi_m) at eta: the
     envelope's coefficients rolled by xi_m times the symbol table contracted
-    with w, so no rung is transformed.  For window = None the envelope is 1,
+    with u, so no rung is transformed.  For window = None the envelope is 1,
     one coefficient (2pi)^(n/2) at frequency zero, and the rung is the exact
-    single mode A*(xi_m) w at xi_m: P_A phi_m = 0 and estimate_ratio at any
-    p equals symbol_bound_ratio(op, xi_m, w).  A window is periodic_bump,
-    forward-transformed once per family; the windowed ratio approaches the
-    single-mode value as the window widens.  w is scaled by the power of two
-    that brings sigma_max(A(xi_m)) into [0.5, 1) (see _adjoint_probe), which
-    no ratio sees.  Raises DegenerateProbeError when |A*(xi_m) w| <= tol *
-    sigma_max(A(xi_m)) |w|.
+    single mode A*(xi_m) u at xi_m: P_A phi_m = 0 and estimate_ratio at any
+    p equals |xi_m|^k / sigma_r(A(xi_m)).  A window in (0, 1] is the width
+    of periodic_bump (a fraction of the torus), forward-transformed once per
+    family; the windowed ratio approaches the single-mode value as the
+    window widens.  Raises ValueError for no frequencies, a zero frequency,
+    a window outside (0, 1] or |xi_m|_inf > N/4, and DegenerateProbeError
+    where the symbol vanishes.
     """
+    frequencies = [tuple(int(x) for x in freq) for freq in frequencies]
+    if not frequencies:
+        raise ValueError("frequencies must be nonempty")
+    if any(not any(freq) for freq in frequencies):
+        raise ValueError("frequencies must be nonzero integer vectors")
+    if window is not None and not 0.0 < window <= 1.0:
+        raise ValueError("window width must lie in (0, 1]")
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
-    w = None if cfg.w is None else np.array(cfg.w, dtype=complex)
-    if w is not None and w.shape != (op.dim_w,):
-        raise ValueError(f"w must have length {op.dim_w}")
-    if cfg.window is None:
+    if window is None:
         envelope = np.zeros(grid.shape, dtype=complex)
         envelope[(0,) * grid.n] = TWO_PI ** (grid.n / 2.0)
     else:
-        bump = GridField(grid, periodic_bump(grid, cfg.window)[None])
+        bump = GridField(grid, periodic_bump(grid, window)[None])
         envelope = forward_transform(bump).coeffs[0]
     symbols = _symbol_tensor(op, grid)
     fields = []
-    for freq in cfg.frequencies:
+    for freq in frequencies:
         if max(abs(x) for x in freq) > grid.size // 4:
             raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
                              f"(|xi|_inf must be <= {grid.size // 4})")
-        _, probe, _ = _adjoint_probe(op, freq, w, tol)
-        # A*(eta) w = conj(A(eta)^T conj(w)): conjugate the product, not the table
+        probe = _adjoint_probe(op, freq, tol)
+        # A*(eta) u = conj(A(eta)^T conj(u)): conjugate the product, not the table
         coeffs = np.einsum("...ij,i->j...", symbols, probe.conj(), order="C")
         np.conjugate(coeffs, out=coeffs)
         coeffs *= np.roll(envelope, freq, axis=tuple(range(grid.n)))
@@ -174,19 +139,23 @@ def witness_family(op: Operator, cfg: WitnessConfig, grid: Grid,
     return fields
 
 
-def build_frequency_ladder(op: Operator, drop_direction, rungs: int = 4) -> list[tuple[int, ...]]:
-    """Integer frequencies approaching a drop direction with doubling magnitude.
+def build_frequency_ladder(op: Operator, witness: RankDropWitness,
+                           rungs: int = 4) -> list[tuple[int, ...]]:
+    """Integer frequencies approaching the witness's drop direction with doubling magnitude.
 
-    Rung j targets 2^(j+1) * u rounded to integers.  A rung is usable iff
-    numerical_rank of the symbol there is positive, the classifier's own
-    rank; when the rounded frequency is not (for example exactly on the
-    degenerate axis), the first axis offset +-e_i that is usable is added.
-    For the mixed second derivative with u = e1 this yields the family
-    (m, 1), m = 2^(j+1).
+    Rung j targets 2^(j+1) * u rounded to integers, u = xi_low / |xi_low|.
+    A rung is usable iff numerical_rank of the symbol there is the generic
+    rank witness.rank_high.  On the drop set the rank is lower, so
+    _adjoint_probe would probe a singular value that does not vanish there
+    and the ratios would not grow.  When the rounded frequency is not usable
+    (for example exactly on the degenerate axis), the first axis offset
+    +-e_i that is usable is taken.  For the mixed second derivative with
+    u = e1 this yields the family (m, 1), m = 2^(j+1).  Raises
+    DegenerateProbeError when no candidate of a rung is usable.
     """
     if rungs < 1:
         raise ValueError("rungs must be positive")
-    u = np.asarray(drop_direction, dtype=float)
+    u = np.asarray(witness.xi_low, dtype=float)
     u = u / np.linalg.norm(u)
     axes = np.eye(op.n, dtype=int)
     offsets = np.vstack([0 * axes[0]] + [s * e for e in axes for s in (1, -1)])
@@ -194,11 +163,12 @@ def build_frequency_ladder(op: Operator, drop_direction, rungs: int = 4) -> list
     for j in range(rungs):
         scale = 2 ** (j + 1)
         cands = np.rint(scale * u).astype(int) + offsets
-        # the zero frequency has the zero symbol, rank 0
-        usable = np.flatnonzero(numerical_rank(symbol_stack(op, cands.astype(float))) > 0)
+        ranks = numerical_rank(symbol_stack(op, cands.astype(float)))
+        usable = np.flatnonzero(ranks == witness.rank_high)
         if not usable.size:
             raise DegenerateProbeError(
-                f"{op.name}: no usable frequency near rung {scale} of direction {tuple(u)}")
+                f"{op.name}: no frequency of rank {witness.rank_high} near rung {scale} "
+                f"of direction {tuple(u)}")
         ladder.append(tuple(int(x) for x in cands[usable[0]]))
     return ladder
 

@@ -7,23 +7,14 @@ arithmetic and the pseudoinverse and projector come back real; complex
 input stays complex.  Stacks of rows or columns (min(m, n) = 1) skip
 LAPACK: their SVD is the closed form sigma = |a| = _norm(a) with singular
 vector a / |a|; _norm is the package's one overflow-free norm, for every
-value that carries the operator's scale.  The derivative recovery
-multiplier maps Aphi-coefficients to D^k(phi - P_A phi)-coefficients.
+value that carries the operator's scale.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .operators import Operator, MultiIndex, _monomials, multi_indices, multinomial_weight, symbol
-
 DEFAULT_TOL = 1e-10
-
-
-class ZeroFrequencyError(ValueError):
-    """The derivative recovery multiplier is undefined at frequency zero."""
 
 
 def _as_matrices(mat) -> np.ndarray:
@@ -149,54 +140,3 @@ def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     proj = np.einsum("miv,miw->mvw", kept_rows, vh)
     np.subtract(np.eye(dim_v, dtype=proj.dtype), proj, out=proj)
     return proj.reshape(mat.shape[:-2] + (dim_v, dim_v))
-
-
-@dataclass(frozen=True)
-class MultiplierValue:
-    """Frequency-domain value of the derivative recovery map.
-
-    Sends a codomain vector w to A+(xi) w tensored with the array of
-    (i xi)^alpha over |alpha| = k.  Flattened row index is j * T + t for
-    domain component j and multi-index slot t, with the T multi-indices in
-    lexicographic order.  Row weights k!/alpha! turn the Euclidean row
-    norm into the derivative-array norm in which |D^k phi-hat| equals
-    |xi|^k |phi-hat|.
-    """
-
-    matrix: np.ndarray
-    alphas: tuple[MultiIndex, ...]
-    dim_v: int
-    dim_w: int
-
-    @cached_property
-    def row_weights(self) -> np.ndarray:
-        weights = np.array([multinomial_weight(a) for a in self.alphas], dtype=float)
-        return np.tile(weights, self.dim_v)
-
-    def operator_norm(self) -> float:
-        """Largest amplification from |w| to the weighted derivative-array norm."""
-        scaled = np.sqrt(self.row_weights)[:, None] * self.matrix
-        return float(np.linalg.norm(scaled, 2))
-
-
-def multiplier(op: Operator, xi, tol: float = DEFAULT_TOL) -> MultiplierValue:
-    """Derivative recovery multiplier at a nonzero frequency.
-
-    The pseudoinverse is pinv_svd of the symbol.  Degree-0 homogeneous
-    wherever the rank is locally constant; at rank-drop frequencies the
-    value is still returned pointwise (this is exactly where its norm
-    blows up nearby).  spectral.apply_multiplier applies the same map to
-    a whole field at once.
-    """
-    xi = np.asarray(xi, dtype=float)
-    mat = symbol(op, xi)
-    if not xi.any():
-        raise ZeroFrequencyError("multiplier undefined at frequency zero")
-    alphas = multi_indices(op.n, op.k)
-    powers = (1j ** op.k) * _monomials(xi[None, :], alphas)[0]
-    return MultiplierValue(
-        matrix=np.kron(pinv_svd(mat, tol), powers[:, None]),
-        alphas=alphas,
-        dim_v=op.dim_v,
-        dim_w=op.dim_w,
-    )

@@ -105,7 +105,7 @@ class GridField:
     def fiber_dim(self) -> int:
         return self.data.shape[0]
 
-    def _merge_weights(self, other: "GridField") -> np.ndarray | None:
+    def __sub__(self, other: "GridField") -> "GridField":
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
         a, b = self.fiber_weights, other.fiber_weights
@@ -113,20 +113,7 @@ class GridField:
             raise ValueError("fields have incompatible fiber weights")
         if self.data.shape != other.data.shape:
             raise ValueError("fields have different fiber dimensions")
-        return a
-
-    def __add__(self, other: "GridField") -> "GridField":
-        weights = self._merge_weights(other)
-        return GridField(self.grid, self.data + other.data, weights)
-
-    def __sub__(self, other: "GridField") -> "GridField":
-        weights = self._merge_weights(other)
-        return GridField(self.grid, self.data - other.data, weights)
-
-    def __mul__(self, scalar) -> "GridField":
-        return GridField(self.grid, self.data * complex(scalar), self.fiber_weights)
-
-    __rmul__ = __mul__
+        return GridField(self.grid, self.data - other.data, a)
 
     def pointwise_norm(self) -> np.ndarray:
         """sqrt(sum_c w_c |f_c(x)|^2) at every grid point x, by pinv._norm (scaled per point)."""
@@ -174,26 +161,6 @@ def inverse_transform(freq: FrequencyField) -> GridField:
     data = np.fft.ifftn(freq.coeffs, axes=_spatial_axes(freq.grid), norm="ortho")
     data /= (TWO_PI / freq.grid.size) ** (freq.grid.n / 2.0)
     return GridField(freq.grid, data, freq.fiber_weights)
-
-
-def mode_index(grid: Grid, xi) -> tuple[int, ...]:
-    """Array index of integer frequency xi in fft layout; xi in [-N/2, N/2)^n."""
-    xi = [int(x) for x in xi]
-    if len(xi) != grid.n:
-        raise ValueError(f"frequency must have length {grid.n}")
-    half = grid.size // 2
-    for x in xi:
-        if not -half <= x < half:
-            raise ValueError(f"frequency component {x} outside [-{half}, {half})")
-    return tuple(x % grid.size for x in xi)
-
-
-def single_mode(grid: Grid, xi, amplitude) -> GridField:
-    """The field amplitude * exp(i x.xi) for an integer frequency xi."""
-    amplitude = np.atleast_1d(np.asarray(amplitude, dtype=complex))
-    coeffs = np.zeros((amplitude.shape[0],) + grid.shape, dtype=complex)
-    coeffs[(slice(None),) + mode_index(grid, xi)] = amplitude * (TWO_PI ** (grid.n / 2.0))
-    return inverse_transform(FrequencyField(grid, coeffs))
 
 
 def lp_norm(field: GridField, p: float) -> float:

@@ -1,11 +1,13 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from symrank import cli, experiments, spectral
 from symrank.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_NO_RANK_DROP,
                          EXIT_NON_CONSTANT_RANK, EXIT_OK, main)
-from symrank.operators import serialize_operator
+from symrank.operators import Operator, serialize_operator
 from symrank.zoo import zoo_get, zoo_list
 
 
@@ -173,6 +175,29 @@ def test_counterexample_wave_default_blowup(capsys):
     assert code == EXIT_OK
     assert doc["ladder"] == [[2, 1], [4, 3], [7, 6], [12, 11]]
     assert doc["growth"] == pytest.approx(265 / 23 / (5 / 3), rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["lap_plus_d1d2", "diag_d1_d1_plus_d2"])
+def test_counterexample_vector_valued_drop_blowup(tmp_path, capsys, name):
+    # rank 2 drops to 1 and sigma_max stays near |xi|^k, so only a probe on
+    # sigma_2 sees the drop: rungs (1, -m), ratios |xi|^k / sigma_2
+    source = tmp_path / f"{name}.json"
+    if name == "lap_plus_d1d2":
+        source = Path(__file__).parent / "lap_plus_d1d2.json"
+        expected = [(m * m + 1) / m for m in (2, 4, 8, 16)]
+    else:
+        diag = Operator(name=name, n=2, k=1, dim_v=2, dim_w=2,
+                        terms=(((1, 0), ((1.0, 0.0), (0.0, 1.0))),
+                               ((0, 1), ((0.0, 0.0), (0.0, 1.0)))))
+        source.write_text(serialize_operator(diag))
+        expected = [math.sqrt(m * m + 1) for m in (2, 4, 8, 16)]
+    code, doc, _ = run_json(capsys, "analyze", str(source))
+    assert code == EXIT_NON_CONSTANT_RANK
+    code, doc, _ = run_json(capsys, "counterexample", str(source))
+    assert code == EXIT_OK
+    assert doc["ladder"] == [[1, -2], [1, -4], [1, -8], [1, -16]]
+    assert [r["ratio"] for r in doc["records"]] == pytest.approx(expected, rel=1e-12)
+    assert doc["growth"] >= 4
 
 
 def test_counterexample_constant_rank_exits_four(capsys):

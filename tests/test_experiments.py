@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,19 +10,39 @@ from hypothesis import strategies as st
 
 from symrank import experiments, spectral
 from symrank.experiments import (DegenerateProbeError, EmptyExperimentError, KernelInputError,
-                                 TrialRecord, WitnessConfig, assemble_report,
-                                 build_frequency_ladder, estimate_ratio, l2_minimality_check,
-                                 ratio_sweep, symbol_bound_ratio, witness_family)
-from symrank.operators import Operator, symbol, symbol_stack
+                                 TrialRecord, assemble_report, build_frequency_ladder,
+                                 estimate_ratio, l2_minimality_check, ratio_sweep,
+                                 witness_family)
+from symrank.operators import Operator, parse_operator, symbol, symbol_stack
 from symrank.pinv import kernel_projector
-from symrank.rank import Verdict
-from symrank.spectral import (Grid, apply_A, apply_Dk, apply_PA, forward_transform, lp_norm,
-                              mode_index, periodic_bump, random_band_limited)
+from symrank.rank import Verdict, find_rank_drop_witness, rank_profile
+from symrank.spectral import (Grid, GridField, apply_A, apply_Dk, apply_PA, forward_transform,
+                              lp_norm, periodic_bump, random_band_limited)
 from symrank.zoo import zoo_get, zoo_list
 
 TWO_PI = 2.0 * math.pi
 CONSTANT_RANK = [entry.name for entry in zoo_list()
                  if entry.expected_verdict is not Verdict.NON_CONSTANT_RANK]
+NON_CONSTANT_RANK = [entry.name for entry in zoo_list()
+                     if entry.expected_verdict is Verdict.NON_CONSTANT_RANK]
+# rank 2 dropping to 1: sigma_max stays near |xi|^k at the drop, only sigma_2 vanishes
+VECTOR_DROPS = {
+    "lap_plus_d1d2": parse_operator((Path(__file__).parent / "lap_plus_d1d2.json").read_text()),
+    "diag_d1_d1_plus_d2": Operator(name="diag_d1_d1_plus_d2", n=2, k=1, dim_v=2, dim_w=2,
+                                   terms=(((1, 0), ((1.0, 0.0), (0.0, 1.0))),
+                                          ((0, 1), ((0.0, 0.0), (0.0, 1.0))))),
+}
+
+
+def operator(name: str) -> Operator:
+    return VECTOR_DROPS[name] if name in VECTOR_DROPS else zoo_get(name)
+
+
+def symbol_bound(op: Operator, xi) -> float:
+    """|xi|^k / sigma_r(A(xi)), r the rank of A(xi): plain numpy, the exact rung's ratio."""
+    mat = symbol(op, np.array(xi, dtype=float))
+    sigma = np.linalg.svd(mat, compute_uv=False)
+    return float(np.linalg.norm(xi) ** op.k / sigma[np.linalg.matrix_rank(mat) - 1])
 
 
 def raw_divergence_ratio(phi):
@@ -67,7 +88,8 @@ def test_estimate_ratio_scale_invariance():
     phi = random_band_limited(grid, 3, 2, seed=8)
     base = estimate_ratio(op, phi, 2.0)
     for t in (1e-3, 7.0, 250.0):
-        assert math.isclose(estimate_ratio(op, phi * t, 2.0), base, rel_tol=1e-12)
+        assert math.isclose(estimate_ratio(op, GridField(phi.grid, t * phi.data), 2.0), base,
+                            rel_tol=1e-12)
 
 
 def test_estimate_ratio_rejects_kernel_fields():
@@ -126,6 +148,7 @@ def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
 
 
 # ------------------------------------------------------------------ symbol bound
+# The exact single-mode witness at xi has the estimate ratio symbol_bound(op, xi) at every p.
 
 def scaled(op: Operator, c: float) -> Operator:
     terms = tuple((alpha, tuple(tuple(c * x for x in row) for row in matrix))
@@ -135,133 +158,109 @@ def scaled(op: Operator, c: float) -> Operator:
 
 @pytest.mark.parametrize("c", [1e-200, 1e-160, 1.0, 1e160, 1e200])
 def test_symbol_bound_ratio_frozen_examples(c):
-    # A -> cA scales the ratio by exactly 1/c; unscaled norms of A A* w
-    # underflow or overflow at these c
-    op = scaled(zoo_get("d1d2"), c)
-    w = np.array([1.0 + 0j])
-    # |xi|^2 |A* w| / |A A* w| at xi = (1, delta) is (1 + delta^2)/delta
-    assert math.isclose(c * symbol_bound_ratio(op, (1.0, 0.25), w), 4.25, rel_tol=1e-12)
-    assert math.isclose(c * symbol_bound_ratio(op, (4.0, 1.0), [1]), 4.25, rel_tol=1e-12)
-    assert math.isclose(c * symbol_bound_ratio(op, (1.0, 1.0), w), 2.0, rel_tol=1e-12)
-    # divergence and curl have ratio 1 everywhere the probe survives
-    div = scaled(zoo_get("divergence"), c)
-    assert math.isclose(c * symbol_bound_ratio(div, (3.0, -1.0, 2.0), np.array([1.0 + 0j])),
-                        1.0, rel_tol=1e-12)
+    # A -> cA scales the ratio by exactly 1/c; unscaled norms of A A* u
+    # underflow or overflow at these c.  d1d2 at (m, 1) gives (m^2 + 1)/m;
+    # lap_plus_d1d2 at (1, m) gives the same through sigma_2 = m, where its
+    # top singular value m^2 + 1 would give 1
+    for name, xi, expected in (("d1d2", (4, 1), 4.25), ("d1d2", (1, 1), 2.0),
+                               ("lap_plus_d1d2", (1, 4), 4.25), ("divergence", (3, -1, 2), 1.0)):
+        op = scaled(operator(name), c)
+        phi = witness_family(op, [xi], Grid(op.n, 16))[0]
+        assert math.isclose(c * estimate_ratio(op, phi, 2.0), expected, rel_tol=1e-12)
 
 
 def test_symbol_bound_ratio_scale_invariant_in_xi():
-    op = zoo_get("d1d2")
-    w = np.array([1.0 + 0j])
-    a = symbol_bound_ratio(op, (1.0, 0.25), w)
-    b = symbol_bound_ratio(op, (8.0, 2.0), w)
-    assert math.isclose(a, b, rel_tol=1e-12)
-
-
-def test_symbol_bound_ratio_degenerate_probe():
-    op = zoo_get("d1d2")
-    with pytest.raises(DegenerateProbeError):
-        symbol_bound_ratio(op, (1.0, 0.0), np.array([1.0 + 0j]))
+    for name, ladder in (("d1d2", [(4, 1), (8, 2)]), ("lap_plus_d1d2", [(1, 4), (2, 8)])):
+        op = operator(name)
+        a, b = (estimate_ratio(op, phi, 2.0) for phi in witness_family(op, ladder, Grid(2, 32)))
+        assert math.isclose(a, b, rel_tol=1e-12)
 
 
 def test_symbol_bound_equals_estimate_ratio_on_single_modes():
-    # the defining identity of the witness construction, exact at every p
-    cases = (("divergence", (1, 2, 3)), ("curl", (2, 1, -1)), ("d1d2", (4, 1)),
-             ("symmetric_gradient", (3, 2)), ("wave", (3, 1)))
-    rng = np.random.default_rng(12)
-    for name, xi in cases:
-        op = zoo_get(name)
-        grid = Grid(op.n, 16)
-        w = rng.standard_normal(op.dim_w) + 1j * rng.standard_normal(op.dim_w)
-        w /= np.linalg.norm(w)
-        phi = witness_family(op, WitnessConfig(frequencies=(xi,), w=tuple(w)), grid)[0]
-        bound = symbol_bound_ratio(op, np.array(xi, float), w)
-        for p in (1.0, 2.0, 3.5, math.inf):
-            assert math.isclose(estimate_ratio(op, phi, p), bound, rel_tol=1e-10)
+    # every rung of every drop ladder has the generic rank, and its exact
+    # witness has the symbol bound as its ratio at every p
+    for name in NON_CONSTANT_RANK + list(VECTOR_DROPS):
+        op = operator(name)
+        profile = rank_profile(op)
+        ladder = build_frequency_ladder(op, find_rank_drop_witness(op, profile))
+        ranks = [np.linalg.matrix_rank(symbol(op, np.array(xi, float))) for xi in ladder]
+        assert ranks == [profile.max_rank] * len(ladder), name
+        for xi, phi in zip(ladder, witness_family(op, ladder, Grid(op.n, 64))):
+            for p in (1.0, 2.0, 3.0, math.inf):
+                assert math.isclose(estimate_ratio(op, phi, p), symbol_bound(op, xi),
+                                    rel_tol=1e-12), (name, xi, p)
 
 
 # ------------------------------------------------------------------ witness families
 
 def single_mode_column(grid, phi, xi):
-    """The one nonzero coefficient column of a witness, which must sit at mode_index(xi)."""
+    """The one nonzero coefficient column of a witness, which must sit at xi's fft index."""
+    index = tuple(x % grid.size for x in xi)
     nonzero = np.flatnonzero(np.abs(phi.coeffs).reshape(phi.fiber_dim, -1).max(axis=0))
-    assert nonzero.tolist() == [np.ravel_multi_index(mode_index(grid, xi), grid.shape)]
-    return phi.coeffs[(slice(None),) + mode_index(grid, xi)]
+    assert nonzero.tolist() == [np.ravel_multi_index(index, grid.shape)]
+    return phi.coeffs[(slice(None),) + index]
 
 
 def test_witness_family_single_mode_annihilates_projection():
-    # the one coefficient A*(xi) w lies in the range of A*(xi), orthogonal to ker A(xi)
-    for name, xi in (("divergence", (1, 0, 2)), ("d1d2", (4, 1))):
-        op = zoo_get(name)
+    # the one coefficient A*(xi) u lies in the range of A*(xi), orthogonal to ker A(xi)
+    for name, xi in (("divergence", (1, 0, 2)), ("d1d2", (4, 1)), ("lap_plus_d1d2", (1, 4))):
+        op = operator(name)
         grid = Grid(op.n, 16)
-        phi = witness_family(op, WitnessConfig(frequencies=(xi,)), grid)[0]
+        phi = witness_family(op, [xi], grid)[0]
         column = single_mode_column(grid, phi, xi)
         projector = kernel_projector(symbol(op, np.array(xi, float)))
         assert np.linalg.norm(projector @ column) < 1e-10 * np.linalg.norm(column)
-
-
-def test_witness_family_default_probe_is_top_singular_vector():
-    op = zoo_get("d1d2")
-    grid = Grid(2, 16)
-    explicit = witness_family(op, WitnessConfig(frequencies=((4, 1),), w=(1.0 + 0j,)), grid)[0]
-    default = witness_family(op, WitnessConfig(frequencies=((4, 1),)), grid)[0]
-    # scalar codomain: the two probes agree up to a unit phase
-    ratio = (single_mode_column(grid, default, (4, 1))
-             / single_mode_column(grid, explicit, (4, 1)))
-    assert np.allclose(np.abs(ratio), 1.0)
 
 
 def test_witness_family_rejects_unresolvable_frequency():
     op = zoo_get("d1d2")
     grid = Grid(2, 16)
     with pytest.raises(ValueError, match="unresolvable"):
-        witness_family(op, WitnessConfig(frequencies=((8, 1),)), grid)
+        witness_family(op, [(8, 1)], grid)
 
 
 def test_witness_family_rejects_degenerate_frequency():
+    # the symbol vanishes on the axes, so there is no probe at (4, 0)
     op = zoo_get("d1d2")
     grid = Grid(2, 16)
     with pytest.raises(DegenerateProbeError):
-        witness_family(op, WitnessConfig(frequencies=((4, 0),)), grid)
+        witness_family(op, [(4, 0)], grid)
+
+
+def probe(mat: np.ndarray) -> np.ndarray:
+    """u_{r-1} of A(xi), r its rank, times the power of two bringing sigma_max into [0.5, 1)."""
+    u, sigma, _ = np.linalg.svd(mat)
+    return u[:, np.linalg.matrix_rank(mat) - 1] * 2.0 ** -math.frexp(sigma[0])[1]
 
 
 @pytest.mark.parametrize("name, xi", [("divergence", (1, 2, 3)), ("curl", (2, 1, -1)),
                                       ("d1d2", (4, 1)), ("symmetric_gradient", (3, 2)),
-                                      ("wave", (3, 1))])
-@pytest.mark.parametrize("default_probe", [False, True])
-def test_exact_witness_is_the_closed_form_single_mode(name, xi, default_probe):
-    # the field's one coefficient is A*(xi) w, scaled by the power of two that
-    # brings sigma_max into [0.5, 1), so the ratio is the symbol bound
-    op = zoo_get(name)
-    grid = Grid(op.n, 16)
-    mat = symbol(op, np.array(xi, dtype=float))
-    u, sigma, _ = np.linalg.svd(mat)
-    if default_probe:
-        w = u[:, 0]
-        cfg = WitnessConfig(frequencies=(xi,))
-    else:
-        w = np.array([1.0, 1j]) @ np.random.default_rng(12).standard_normal((2, op.dim_w))
-        w /= np.linalg.norm(w)
-        cfg = WitnessConfig(frequencies=(xi,), w=tuple(w))
-    phi = witness_family(op, cfg, grid)[0]
-    probe = w * 2.0 ** -math.frexp(sigma[0])[1]
-    np.testing.assert_array_equal(single_mode_column(grid, phi, xi),
-                                  mat.conj().T @ probe * TWO_PI ** (op.n / 2.0))
-    bound = symbol_bound_ratio(op, np.array(xi, float), w)
-    for p in (1.0, 2.0, math.inf):
-        assert math.isclose(estimate_ratio(op, phi, p), bound, rel_tol=1e-14)
+                                      ("wave", (3, 1)), ("lap_plus_d1d2", (1, 4)),
+                                      ("diag_d1_d1_plus_d2", (-3, 1))])
+@pytest.mark.parametrize("rescaled", [False, True])
+def test_exact_witness_is_the_closed_form_single_mode(name, xi, rescaled):
+    # the field's one coefficient is A*(xi) u_{r-1}, so the ratio is the symbol
+    # bound; the power-of-two scaling keeps it so where A A* u would
+    # underflow or overflow (A -> 1e-200 A and 1e200 A)
+    grid = Grid(len(xi), 16)
+    for c in (1e-200, 1e200) if rescaled else (1.0,):
+        op = scaled(operator(name), c)
+        mat = symbol(op, np.array(xi, dtype=float))
+        phi = witness_family(op, [xi], grid)[0]
+        np.testing.assert_array_equal(single_mode_column(grid, phi, xi),
+                                      mat.conj().T @ probe(mat) * TWO_PI ** (op.n / 2.0))
+        for p in (1.0, 2.0, 3.0, math.inf):
+            assert math.isclose(estimate_ratio(op, phi, p), symbol_bound(op, xi), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("name, xi", [("d1d2", (-5, 3)), ("d1d2", (4, -6)),
-                                      ("curl", (2, -1, -3)), ("curl", (-3, 0, 2))])
+                                      ("curl", (2, -1, -3)), ("curl", (-3, 0, 2)),
+                                      ("lap_plus_d1d2", (3, -5)), ("diag_d1_d1_plus_d2", (-2, 7))])
 def test_windowed_witness_obeys_the_shift_theorem(name, xi):
     # oracle: the grid construction itself, bump * exp(i x.xi) * probe, forward
     # transformed with plain numpy, then A*(eta) applied at every frequency eta
-    op = zoo_get(name)
+    op = operator(name)
     grid = Grid(op.n, 32 if op.n == 2 else 16)
-    w = np.array([1.0, 1j]) @ np.random.default_rng(5).standard_normal((2, op.dim_w))
-    w /= np.linalg.norm(w)
-    sigma = np.linalg.svd(symbol(op, np.array(xi, float)), compute_uv=False)
-    probe = w * 2.0 ** -math.frexp(sigma[0])[1]
     axis = TWO_PI * np.arange(grid.size) / grid.size
     x = np.meshgrid(*([axis] * grid.n), indexing="ij")
     wave = periodic_bump(grid, 0.5) * np.exp(1j * sum(f * c for f, c in zip(xi, x)))
@@ -270,21 +269,22 @@ def test_windowed_witness_obeys_the_shift_theorem(name, xi):
     eta = np.stack(np.meshgrid(*([np.fft.fftfreq(grid.size, 1.0 / grid.size)] * grid.n),
                                indexing="ij")).reshape(grid.n, -1)
     mats = symbol_stack(op, eta.T.astype(float))
-    expected = np.einsum("sij,i,s->js", mats.conj(), probe, wave_hat.ravel())
-    phi = witness_family(op, WitnessConfig(frequencies=(xi,), w=tuple(w), window=0.5), grid)[0]
+    expected = np.einsum("sij,i,s->js", mats.conj(), probe(symbol(op, np.array(xi, float))),
+                         wave_hat.ravel())
+    phi = witness_family(op, [xi], grid, window=0.5)[0]
     got = phi.coeffs.reshape(op.dim_v, -1)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_witness_config_validation():
+    op = zoo_get("d1d2")
+    grid = Grid(2, 16)
     with pytest.raises(ValueError, match="nonempty"):
-        WitnessConfig(frequencies=())
+        witness_family(op, [], grid)
     with pytest.raises(ValueError, match="nonzero"):
-        WitnessConfig(frequencies=((0, 0),))
-    with pytest.raises(ValueError, match="unit"):
-        WitnessConfig(frequencies=((1, 1),), w=(2.0,))
+        witness_family(op, [(0, 0)], grid)
     with pytest.raises(ValueError, match="width"):
-        WitnessConfig(frequencies=((1, 1),), window=1.5)
+        witness_family(op, [(1, 1)], grid, window=1.5)
 
 
 def test_windowed_witness_converges_to_single_mode_value():
@@ -294,10 +294,10 @@ def test_windowed_witness_converges_to_single_mode_value():
     op = zoo_get("d1d2")
     grid = Grid(2, 64)
     xi0 = (12, 6)
-    target = symbol_bound_ratio(op, np.array(xi0, float), np.array([1.0 + 0j]))
+    target = symbol_bound(op, xi0)
     diffs = []
     for width in (0.5, 0.75, 1.0):
-        phi = witness_family(op, WitnessConfig(frequencies=(xi0,), window=width), grid)[0]
+        phi = witness_family(op, [xi0], grid, window=width)[0]
         ratio = estimate_ratio(op, phi, 2.0)
         diffs.append(abs(ratio - target) / target)
     assert all(diff <= 0.10 for diff in diffs)
@@ -306,26 +306,35 @@ def test_windowed_witness_converges_to_single_mode_value():
 
 # ------------------------------------------------------------------ ladders
 
+def witness_toward(op: Operator, direction):
+    """op's rank-drop witness, with its drop direction replaced by direction."""
+    witness = find_rank_drop_witness(op, rank_profile(op))
+    return dataclasses.replace(witness, xi_low=np.array(direction, dtype=float))
+
+
 def test_ladder_d1d2_axis_direction():
     op = zoo_get("d1d2")
-    assert build_frequency_ladder(op, (1.0, 0.0)) == [(2, 1), (4, 1), (8, 1), (16, 1)]
-    assert build_frequency_ladder(op, (0.0, 1.0), rungs=2) == [(1, 2), (1, 4)]
+    assert build_frequency_ladder(op, witness_toward(op, (1.0, 0.0))) == [
+        (2, 1), (4, 1), (8, 1), (16, 1)]
+    assert build_frequency_ladder(op, witness_toward(op, (0.0, 1.0)), rungs=2) == [(1, 2), (1, 4)]
 
 
 def test_ladder_wave_diagonal_direction():
     op = zoo_get("wave")
-    assert build_frequency_ladder(op, (1.0, 1.0)) == [(2, 1), (4, 3), (7, 6), (12, 11)]
+    assert build_frequency_ladder(op, witness_toward(op, (1.0, 1.0))) == [
+        (2, 1), (4, 3), (7, 6), (12, 11)]
 
 
 def test_ladder_generic_direction_needs_no_offset():
     op = zoo_get("d1d2")
-    u = np.array([0.8, 0.6])
-    assert build_frequency_ladder(op, u, rungs=3) == [(2, 1), (3, 2), (6, 5)]
+    ladder = build_frequency_ladder(op, witness_toward(op, (0.8, 0.6)), rungs=3)
+    assert ladder == [(2, 1), (3, 2), (6, 5)]
 
 
 def test_ladder_validation():
+    op = zoo_get("d1d2")
     with pytest.raises(ValueError, match="rungs"):
-        build_frequency_ladder(zoo_get("d1d2"), (1.0, 0.0), rungs=0)
+        build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=0)
 
 
 def test_d1d2_ladder_ratios_closed_form():
@@ -333,7 +342,7 @@ def test_d1d2_ladder_ratios_closed_form():
     op = zoo_get("d1d2")
     grid = Grid(2, 64)
     ladder = [(2, 1), (4, 1), (8, 1), (16, 1)]
-    fields = witness_family(op, WitnessConfig(frequencies=tuple(ladder)), grid)
+    fields = witness_family(op, ladder, grid)
     for p in (1.0, 2.0, math.inf):
         ratios = [estimate_ratio(op, phi, p) for phi in fields]
         for (m, _), ratio in zip(ladder, ratios):

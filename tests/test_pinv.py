@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrank.pinv import (DEFAULT_TOL, ZeroFrequencyError, kernel_projector, multiplier,
-                          numerical_rank, pinv_svd)
-from symrank.operators import (Operator, _real_factor, multi_indices, multinomial_weight, symbol,
-                               symbol_stack)
+from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
+from symrank.operators import Operator, _real_factor, symbol, symbol_stack
 from symrank.rank import rank_profile, sphere_samples
 from symrank.spectral import Grid, _kernel_projector_table
 from symrank.zoo import zoo_get, zoo_list
@@ -322,52 +320,18 @@ def test_real_route_equals_complex_route_on_rank_deficient_stacks(k):
         assert_close_per_matrix(1j ** -k * pinv_svd(real), pinv_svd(mats), 1e-14)
 
 
-# -------------------------------------------------------------- multiplier
-
-def test_multiplier_zero_frequency_rejected():
-    with pytest.raises(ZeroFrequencyError):
-        multiplier(zoo_get("divergence"), (0.0, 0.0, 0.0))
-
-
-def test_multiplier_divergence_oracle():
-    op = zoo_get("divergence")
-    xi = np.array([0.0, 0.0, 1.0])
-    value = multiplier(op, xi)
-    # A+ = -i e3, powers (i xi)^alpha over alphas (0,0,1),(0,1,0),(1,0,0) = (i, 0, 0)
-    dagger = np.array([[0.0], [0.0], [-1.0j]])
-    powers = np.array([1.0j, 0.0, 0.0])
-    assert value.alphas == multi_indices(3, 1)
-    assert np.allclose(value.matrix, np.kron(dagger, powers[:, None]), atol=1e-14)
-    # row norm of the flattened array is |xi|^k |A+ w| with unit weights at k=1
-    assert np.isclose(value.operator_norm(), 1.0)
-
-
-def test_multiplier_row_weights():
-    op = zoo_get("laplacian")
-    value = multiplier(op, (1.0, 1.0))
-    assert value.alphas == ((0, 2), (1, 1), (2, 0))
-    assert np.allclose(value.row_weights, [1.0, 2.0, 1.0])
-    assert [multinomial_weight(a) for a in value.alphas] == [1, 2, 1]
-
+# -------------------------------------------------------------- homogeneity
 
 @pytest.mark.parametrize("name", ["divergence", "curl", "gradient", "laplacian",
                                   "symmetric_gradient"])
 def test_multiplier_degree_zero_homogeneity(name):
+    # at constant rank A+(t xi) = t^-k A+(xi), so the recovery multiplier
+    # A+(xi) tensor (i xi)^alpha is homogeneous of degree 0
     op = zoo_get(name)
     rng = np.random.default_rng(21)
     for _ in range(5):
         xi = rng.standard_normal(op.n)
-        base = multiplier(op, xi)
+        base = pinv_svd(symbol(op, xi))
         for t in (2.0, 10.0):
-            scaled = multiplier(op, t * xi)
-            assert np.abs(scaled.matrix - base.matrix).max() < 1e-8 * max(
-                1.0, np.abs(base.matrix).max())
-
-
-def test_multiplier_norm_is_symbol_bound_at_unit_frequency():
-    # for the laplacian |A+(xi)| |xi|^k = 1 on the sphere and the weighted
-    # row norm of the multiplier equals exactly that
-    op = zoo_get("laplacian")
-    for xi in ([1.0, 0.0], [0.6, 0.8], [-0.28, 0.96]):
-        value = multiplier(op, np.array(xi))
-        assert np.isclose(value.operator_norm(), 1.0, atol=1e-12)
+            scaled = t ** op.k * pinv_svd(symbol(op, t * xi))
+            assert np.abs(scaled - base).max() < 1e-8 * max(1.0, np.abs(base).max())

@@ -12,8 +12,8 @@ from symrank.operators import _real_factor, multi_indices, symbol
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_Dk, apply_PA,
                               apply_multiplier, forward_transform,
-                              inverse_transform, integer_frequencies, lp_norm, mode_index,
-                              periodic_bump, random_band_limited, single_mode,
+                              inverse_transform, integer_frequencies, lp_norm,
+                              periodic_bump, random_band_limited,
                               _kernel_projector_table, _symbol_tensor)
 from symrank.zoo import zoo_get, zoo_list
 
@@ -25,6 +25,13 @@ TWO_PI = 2.0 * math.pi
 def grid_inner(a: GridField, b: GridField) -> complex:
     """L2 inner product as a plain Riemann sum."""
     return complex(np.sum(a.data.conj() * b.data) * a.grid.cell_volume)
+
+
+def plane_wave(grid: Grid, xi, amplitude) -> GridField:
+    """amplitude * exp(i x.xi) on the grid, with plain numpy; amplitude is the fiber vector."""
+    axis = np.arange(grid.size) * grid.spacing
+    phase = sum(f * x for f, x in zip(xi, np.meshgrid(*([axis] * grid.n), indexing="ij")))
+    return GridField(grid, np.multiply.outer(np.atleast_1d(amplitude), np.exp(1j * phase)))
 
 
 def raw_coeffs(grid: Grid, data: np.ndarray) -> np.ndarray:
@@ -63,7 +70,7 @@ def test_gridfield_validation():
     a = GridField(grid, np.ones((1, 4, 4)))
     b = GridField(Grid(2, 8), np.ones((1, 8, 8)))
     with pytest.raises(ValueError, match="different grids"):
-        a + b
+        a - b
 
 
 # ------------------------------------------------------------------ transform
@@ -92,13 +99,13 @@ def test_forward_transform_matches_raw_numpy():
 
 
 def test_single_mode_values_and_norm():
+    # the lone coefficient (2pi)^(n/2) at xi's fft index is the mode exp(i x.xi)
     grid = Grid(2, 8)
     xi = (1, -2)
-    phi = single_mode(grid, xi, 1.0)
-    x = np.arange(8) * grid.spacing
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    expected = np.exp(1j * (xi[0] * xx + xi[1] * yy))
-    assert np.abs(phi.data[0] - expected).max() < 1e-12
+    coeffs = np.zeros((1,) + grid.shape, dtype=complex)
+    coeffs[0, 1, 6] = TWO_PI ** (2 / 2)
+    phi = inverse_transform(FrequencyField(grid, coeffs))
+    assert np.abs(phi.data - plane_wave(grid, xi, 1.0).data).max() < 1e-12
     # |e^{i x xi}| = 1, so the L2 norm is the measure of the torus squarerooted
     assert math.isclose(lp_norm(phi, 2), TWO_PI ** (2 / 2), rel_tol=1e-12)
     assert math.isclose(lp_norm(phi, math.inf), 1.0, rel_tol=1e-12)
@@ -106,20 +113,10 @@ def test_single_mode_values_and_norm():
 
 def test_single_mode_coefficient_placement():
     grid = Grid(2, 8)
-    coeffs = forward_transform(single_mode(grid, (3, -4), 2.0)).coeffs
-    idx = mode_index(grid, (3, -4))
-    assert math.isclose(abs(coeffs[(0,) + idx]), 2.0 * TWO_PI ** (2 / 2), rel_tol=1e-12)
-    coeffs[(0,) + idx] = 0.0
+    coeffs = forward_transform(plane_wave(grid, (3, -4), 2.0)).coeffs
+    assert math.isclose(abs(coeffs[0, 3, 4]), 2.0 * TWO_PI ** (2 / 2), rel_tol=1e-12)
+    coeffs[0, 3, 4] = 0.0
     assert np.abs(coeffs).max() < 1e-12
-
-
-def test_mode_index_bounds():
-    grid = Grid(2, 8)
-    assert mode_index(grid, (-4, 3)) == (4, 3)
-    with pytest.raises(ValueError, match="outside"):
-        mode_index(grid, (4, 0))
-    with pytest.raises(ValueError, match="length"):
-        mode_index(grid, (1,))
 
 
 # ------------------------------------------------------------------ norms
@@ -132,7 +129,8 @@ def test_lp_norm_constant_field():
     assert math.isclose(lp_norm(phi, math.inf), 3.0, rel_tol=1e-12)
     # |f|^p overflows or underflows at these scales and exponents unless it is normalised first
     for p, scale in itertools.product((400.0, 1e4), (1e-10, 1.0, 1e10)):
-        assert math.isclose(lp_norm(phi * scale, p), scale * 3.0 * TWO_PI ** (2 / p), rel_tol=1e-12)
+        assert math.isclose(lp_norm(GridField(grid, scale * phi.data), p),
+                            scale * 3.0 * TWO_PI ** (2 / p), rel_tol=1e-12)
     for p in (0.5, math.nan):
         with pytest.raises(ValueError, match="at least 1"):
             lp_norm(phi, p)
@@ -144,7 +142,7 @@ def test_lp_norm_constant_field():
 def test_lp_norm_absolute_homogeneity(t, p, seed):
     grid = Grid(2, 8)
     phi = random_band_limited(grid, 2, 2, seed=seed)
-    assert math.isclose(lp_norm(phi * t, p), abs(t) * lp_norm(phi, p),
+    assert math.isclose(lp_norm(GridField(grid, t * phi.data), p), abs(t) * lp_norm(phi, p),
                         rel_tol=1e-10, abs_tol=1e-12)
 
 
@@ -170,9 +168,9 @@ def test_apply_A_on_single_mode_is_symbol_action():
         grid = Grid(op.n, 8)
         xi = tuple(2 if i == 0 else 1 for i in range(op.n))
         v = np.arange(1, op.dim_v + 1).astype(complex)
-        phi = single_mode(grid, xi, v)
+        phi = plane_wave(grid, xi, v)
         out = apply_A(op, phi)
-        expected = single_mode(grid, xi, symbol(op, np.array(xi, float)) @ v)
+        expected = plane_wave(grid, xi, symbol(op, np.array(xi, float)) @ v)
         assert np.abs(out.data - expected.data).max() < 1e-10
 
 
@@ -207,7 +205,7 @@ def test_tables_are_read_only_stacks_with_matrix_axes_last(entry):
     projectors = _kernel_projector_table(op, grid, DEFAULT_TOL)
     assert not symbols.flags.writeable and not projectors.flags.writeable
     for xi in itertools.product(range(-2, 2), repeat=op.n):
-        idx = mode_index(grid, xi)
+        idx = tuple(x % grid.size for x in xi)
         mat = symbol(op, np.array(xi, dtype=float))
         np.testing.assert_array_equal(symbols[idx], mat)
         # the table is the projector of the real factor M of A = i^k M, and P_A = P_M
@@ -320,7 +318,7 @@ def test_elliptic_projection_vanishes_on_mean_free_fields():
 def test_apply_Dk_single_mode_layout():
     grid = Grid(2, 8)
     xi = (2, 3)
-    phi = single_mode(grid, xi, 1.0)
+    phi = plane_wave(grid, xi, 1.0)
     out = apply_Dk(1, phi)
     # fiber order follows multi_indices(2, 1) = ((0,1), (1,0))
     assert multi_indices(2, 1) == ((0, 1), (1, 0))
@@ -333,7 +331,7 @@ def test_apply_Dk_norm_is_xi_power():
     grid = Grid(2, 16)
     for k in (1, 2, 3):
         for xi in ((1, -2), (3, 4)):
-            phi = single_mode(grid, xi, 1.0)
+            phi = plane_wave(grid, xi, 1.0)
             out = apply_Dk(k, phi)
             expected = np.linalg.norm(xi) ** k
             assert np.allclose(out.pointwise_norm(), expected, rtol=1e-10)

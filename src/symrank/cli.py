@@ -138,7 +138,7 @@ def cmd_counterexample(args) -> int:
                "message": "no rank drop - no counterexample expected"}, args)
         return EXIT_NO_RANK_DROP
     witness = find_rank_drop_witness(op, profile, args.tol)
-    ladder = build_frequency_ladder(op, witness, rungs=args.rungs)
+    ladder = build_frequency_ladder(op, witness, rungs=args.rungs, tol=args.tol)
     grid = Grid(op.n, args.N)
     # the table lookup refuses an oversized grid before any witness is built
     _kernel_projector_table(op, grid, float(args.tol))

@@ -139,12 +139,13 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     return fields
 
 
-def build_frequency_ladder(op: Operator, witness: RankDropWitness,
-                           rungs: int = 4) -> list[tuple[int, ...]]:
+def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 4,
+                           tol: float = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """Integer frequencies approaching the witness's drop direction with doubling magnitude.
 
     Rung j targets 2^(j+1) * u rounded to integers, u = xi_low / |xi_low|.
-    A rung is usable iff numerical_rank of the symbol there is the generic
+    A rung is usable iff numerical_rank of the symbol there, at tol (the
+    cutoff _adjoint_probe counts the probe's rank with), is the generic
     rank witness.rank_high.  On the drop set the rank is lower, so
     _adjoint_probe would probe a singular value that does not vanish there
     and the ratios would not grow.  When the rounded frequency is not usable
@@ -163,7 +164,7 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness,
     for j in range(rungs):
         scale = 2 ** (j + 1)
         cands = np.rint(scale * u).astype(int) + offsets
-        ranks = numerical_rank(symbol_stack(op, cands.astype(float)))
+        ranks = numerical_rank(symbol_stack(op, cands.astype(float)), tol)
         usable = np.flatnonzero(ranks == witness.rank_high)
         if not usable.size:
             raise DegenerateProbeError(

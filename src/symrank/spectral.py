@@ -18,12 +18,20 @@ fields whose grid values an L^p norm with p != 2 needs: at p = 2 the grid
 norm is a coefficient sum (_coefficient_norm).  Band-limited random fields
 keep |xi|_inf <= N/4 so products of symbols and fields stay well inside the
 grid.
+
+The two SVD tables, the kernel projector and the pseudoinverse, have a
+parity in xi (the symbol of order k has M(-xi) = (-1)^k M(xi)), so
+_half_spectrum runs the SVD on the first-axis planes 0..N/2 only and fills
+the others by mirroring xi -> -xi.  The exception is an entry with another
+axis at index N/2: its mirror +N/2 is not a grid frequency, so it is built
+directly.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -259,26 +267,73 @@ def apply_A(op: Operator, field: GridField) -> GridField:
     return inverse_transform(_matvec(_symbol_tensor(op, field.grid), forward_transform(field)))
 
 
+def _half_spectrum(op: Operator, grid: Grid, build, parity: int) -> np.ndarray:
+    """build(R) over the whole frequency mesh, with build run on about half of it.
+
+    R is the real view of the symbol table (_real_factor) and build a stack
+    routine of pinv (kernel_projector, pinv_svd) whose table obeys T(-xi) =
+    parity * T(xi), as R(-xi) = (-1)^k R(xi) makes the projector even and
+    the pseudoinverse of parity (-1)^k.  build runs on the first-axis planes
+    0..N/2 (frequencies 0..N/2-1 and -N/2).  Plane N - a (frequency -a) is
+    parity times plane a with every other axis index negated, j -> -j mod
+    N, written straight into the output.  -(-N/2) is not a grid frequency,
+    so the mirrored entries with another axis at index N/2 are built
+    directly.  A mirrored entry equals build at -xi to rounding, not bitwise.
+    """
+    real_symbols = _real_factor(op, _symbol_tensor(op, grid))
+    half = grid.size // 2
+    built = build(real_symbols[:half + 1])
+    table = np.empty((grid.size,) + built.shape[1:], dtype=built.dtype)
+    table[:half + 1] = built
+    del built
+    # along one axis, index j holds the negated frequency of index (size - j) % size:
+    # index 0 maps to itself, indices 1..size-1 to size-1..1
+    negate = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    sources = table[half - 1:0:-1]
+    for pieces in itertools.product(negate, repeat=grid.n - 1):
+        target = (slice(half + 1, None),) + tuple(to for to, _ in pieces)
+        source = (slice(None),) + tuple(frm for _, frm in pieces)
+        np.multiply(sources[source], parity, out=table[target])
+    for axis in range(1, grid.n):
+        nyquist = (slice(half + 1, None),) + (slice(None),) * (axis - 1) + (half,)
+        table[nyquist] = build(real_symbols[nyquist])
+    return table
+
+
 @lru_cache(maxsize=32)
 def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """Projector onto ker A(xi) per frequency, shape (size, ..., size, dimV, dimV).
 
     Same layout as _symbol_tensor, but real: A = i^k M with M real, and
     P_A = P_M, so the table is kernel_projector of the real view of the
-    symbol table (_real_factor).  Frequency zero (and any exact rank-0
-    frequency) gets the identity: everything there is kernel, so the
-    projection keeps constants intact.  Raises MemoryError before building
-    when the grid is too large (see _refuse_oversized).
+    symbol table (_real_factor).  The projector is even in xi, so
+    kernel_projector runs on the first-axis planes 0..N/2 and the others
+    are mirrored, except their entries with another axis at index N/2,
+    which have no mirror on the grid (see _half_spectrum).  Frequency zero
+    (and any exact rank-0 frequency) gets the identity: everything there is
+    kernel, so the projection keeps constants intact.  Raises MemoryError
+    before building when the grid is too large (see _refuse_oversized).
     """
-    # kernel_projector holds the complex symbol table and the singular values
-    # throughout, u and vh during the SVD, then vh, its conjugate and the
-    # table; all but the symbol table are real, half a complex entry each
+    # kernel_projector holds the singular values throughout, u and vh during
+    # the SVD, then vh, its conjugate and its output, here on at most 3/4 of
+    # the mesh; copying that output into the full table holds both, under
+    # 2 dimV^2 real entries per frequency.  All but the complex symbol table
+    # are real, half a complex entry each
     rank = min(op.dim_w, op.dim_v)
     peak = max((op.dim_w + op.dim_v) * rank, 2 * op.dim_v * rank + op.dim_v ** 2)
-    _refuse_oversized(op, grid, op.dim_w * op.dim_v + (rank + peak) / 2)
-    table = kernel_projector(_real_factor(op, _symbol_tensor(op, grid)), tol)
+    _refuse_oversized(op, grid, op.dim_w * op.dim_v + max(rank + peak, 2 * op.dim_v ** 2) / 2)
+    table = _half_spectrum(op, grid, partial(kernel_projector, tol=tol), 1)
     table.setflags(write=False)
     return table
+
+
+def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
+    """R+ per frequency for the real view R of the symbol table (_real_factor).
+
+    Shape (size, ..., size, dimV, dimW); A+ = i^-(k mod 2) R+.  R+ has
+    parity (-1)^k in xi, so pinv_svd runs on half the mesh (_half_spectrum).
+    """
+    return _half_spectrum(op, grid, partial(pinv_svd, tol=tol), (-1) ** op.k)
 
 
 def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -320,17 +375,20 @@ def apply_Dk(k: int, field: GridField) -> GridField:
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
     """Apply the derivative recovery multiplier: A+(xi), then the derivatives.
 
-    One batched pinv_svd over the frequency mesh, then the derivative step
-    of apply_Dk.  The pseudoinverse is taken in real arithmetic: A = i^k M
-    with M real gives A+ = i^-k M+, and with the real view R of the symbol
-    table (_real_factor) that is A+ = i^-(k mod 2) R+.  Input is a
+    One batched pinv_svd table (_pseudoinverse_table), then the derivative
+    step of apply_Dk.  The pseudoinverse is taken in real arithmetic: A =
+    i^k M with M real gives A+ = i^-k M+, and with the real view R of the
+    symbol table (_real_factor) that is A+ = i^-(k mod 2) R+.  R+ has parity
+    (-1)^k in xi, so pinv_svd runs on the first-axis planes 0..N/2 and the
+    others are mirrored, except their entries with another axis at index
+    N/2, which have no mirror on the grid (see _half_spectrum).  Input is a
     codomain-valued field (fiber dimW, typically apply_A(phi)); output is a
     derivative array (fiber dimV * T) equal to apply_Dk(k, phi -
     apply_PA(phi)) when the input is apply_A(phi).  The multiplier vanishes
     at frequency zero, where the symbol is zero.
     """
     _check_field(op, field, op.dim_w, "input")
-    dagger = pinv_svd(_real_factor(op, _symbol_tensor(op, field.grid)), tol)
+    dagger = _pseudoinverse_table(op, field.grid, tol)
     if op.k % 2:
         dagger = -1j * dagger
     return inverse_transform(_derivatives(op.k, _matvec(dagger, forward_transform(field))))

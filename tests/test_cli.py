@@ -2,12 +2,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symrank import cli, experiments, spectral
 from symrank.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_NO_RANK_DROP,
                          EXIT_NON_CONSTANT_RANK, EXIT_OK, main)
-from symrank.operators import Operator, serialize_operator
+from symrank.operators import Operator, parse_operator, serialize_operator, symbol
+from symrank.pinv import numerical_rank
 from symrank.zoo import zoo_get, zoo_list
 
 
@@ -198,6 +200,20 @@ def test_counterexample_vector_valued_drop_blowup(tmp_path, capsys, name):
     assert doc["ladder"] == [[1, -2], [1, -4], [1, -8], [1, -16]]
     assert [r["ratio"] for r in doc["records"]] == pytest.approx(expected, rel=1e-12)
     assert doc["growth"] >= 4
+
+
+def test_counterexample_ladder_counts_ranks_at_the_probe_tol(capsys):
+    # at a coarse --tol, a rung of full rank under the default cutoff can have
+    # rank 1 under tol, where the probe would see sigma_1 and the ratio stay 1
+    source = Path(__file__).parent / "lap_plus_d1d2.json"
+    op = parse_operator(source.read_text())
+    code, doc, _ = run_json(capsys, "counterexample", str(source), "--tol", "0.3")
+    assert code == EXIT_CHECK_FAILED
+    rank_high = doc["witness"]["rank_high"]
+    for rung in doc["ladder"]:
+        assert numerical_rank(symbol(op, np.array(rung, dtype=float)), 0.3) == rank_high
+    ratios = [r["ratio"] for r in doc["records"]]
+    assert ratios == pytest.approx([2.5, 2.5, 73 / 24, 221 / 70], rel=1e-12)
 
 
 def test_counterexample_constant_rank_exits_four(capsys):

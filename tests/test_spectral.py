@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank import spectral
-from symrank.operators import _real_factor, multi_indices, symbol
-from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank
+from symrank.operators import Operator, _real_factor, multi_indices, parse_operator, symbol
+from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_Dk, apply_PA,
                               apply_multiplier, forward_transform,
                               inverse_transform, integer_frequencies, lp_norm,
@@ -211,6 +212,48 @@ def test_tables_are_read_only_stacks_with_matrix_axes_last(entry):
         # the table is the projector of the real factor M of A = i^k M, and P_A = P_M
         np.testing.assert_array_equal(projectors[idx], kernel_projector(_real_factor(op, mat)))
         np.testing.assert_allclose(projectors[idx], kernel_projector(mat), rtol=0, atol=1e-15)
+
+
+# every zoo operator, a vector-valued drop and a 1-D operator of odd order,
+# whose pseudoinverse table is odd in xi
+MIRRORED = [entry.build() for entry in zoo_list()] + [
+    parse_operator((Path(__file__).parent / "lap_plus_d1d2.json").read_text()),
+    Operator(name="line", n=1, k=3, dim_v=2, dim_w=2,
+             terms=(((3,), ((1.0, 2.0), (0.0, 0.0))),)),
+]
+
+
+@pytest.mark.parametrize("size", [4, 8, 16])
+@pytest.mark.parametrize("op", MIRRORED, ids=lambda op: op.name)
+def test_half_spectrum_tables_match_per_frequency_builds(op, size):
+    # the tables build the first-axis planes 0..N/2 and mirror the others, all
+    # but the entries with another axis at N/2, whose mirror is off the grid
+    grid = Grid(op.n, size)
+    want_projectors = np.empty(grid.shape + (op.dim_v, op.dim_v))
+    want_daggers = np.empty(grid.shape + (op.dim_v, op.dim_w))
+    for xi in itertools.product(range(-size // 2, size // 2), repeat=op.n):
+        idx = tuple(x % size for x in xi)
+        real = _real_factor(op, symbol(op, np.array(xi, dtype=float)))
+        want_projectors[idx] = kernel_projector(real)
+        want_daggers[idx] = pinv_svd(real)
+    np.testing.assert_allclose(_kernel_projector_table(op, grid, DEFAULT_TOL), want_projectors,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(spectral._pseudoinverse_table(op, grid, DEFAULT_TOL), want_daggers,
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("size", [4, 8])
+@pytest.mark.parametrize("first", [1, -1])
+def test_projection_of_a_mode_at_the_nyquist_index(first, size):
+    # (-1, -N/2, 0) lies in a mirrored plane, but (1, N/2, 0) is not on the grid
+    op = zoo_get("curl")
+    grid = Grid(3, size)
+    xi = (first, -size // 2, 0)
+    amplitude = np.array([1.0, 2.0, -0.5])
+    projected = apply_PA(op, plane_wave(grid, xi, amplitude))
+    kernel_part = kernel_projector(symbol(op, np.array(xi, dtype=float))) @ amplitude
+    np.testing.assert_allclose(projected.data, plane_wave(grid, xi, kernel_part).data,
+                               rtol=0, atol=1e-14)
 
 
 def test_memory_estimate_of_a_large_grid(monkeypatch):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import Operator, symbol, symbol_stack
+from .operators import Operator, _real_factor, symbol, symbol_stack
 from .pinv import DEFAULT_TOL, _kept, numerical_rank
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
@@ -144,9 +144,10 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     """Integer frequencies approaching the witness's drop direction with doubling magnitude.
 
     Rung j targets 2^(j+1) * u rounded to integers, u = xi_low / |xi_low|.
-    A rung is usable iff numerical_rank of the symbol there, at tol (the
-    cutoff _adjoint_probe counts the probe's rank with), is the generic
-    rank witness.rank_high.  On the drop set the rank is lower, so
+    A rung is usable iff numerical_rank of the symbol's real factor there
+    (_real_factor, as for every batched rank), at tol (the cutoff
+    _adjoint_probe counts the probe's rank with), is the generic rank
+    witness.rank_high.  On the drop set the rank is lower, so
     _adjoint_probe would probe a singular value that does not vanish there
     and the ratios would not grow.  When the rounded frequency is not usable
     (for example exactly on the degenerate axis), the first axis offset
@@ -164,7 +165,7 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     for j in range(rungs):
         scale = 2 ** (j + 1)
         cands = np.rint(scale * u).astype(int) + offsets
-        ranks = numerical_rank(symbol_stack(op, cands.astype(float)), tol)
+        ranks = numerical_rank(_real_factor(op, symbol_stack(op, cands.astype(float))), tol)
         usable = np.flatnonzero(ranks == witness.rank_high)
         if not usable.size:
             raise DegenerateProbeError(

@@ -1,15 +1,24 @@
 """Moore-Penrose calculus on symbol matrices.
 
 Numerical rank, the pseudoinverse (pinv_svd) and the kernel projector
-I - A+ A all come from one SVD helper with one rank cutoff, on single
-matrices or stacks.  Real input stays real, so LAPACK works in real
-arithmetic and the pseudoinverse and projector come back real; complex
-input stays complex.  Stacks of rows or columns (min(m, n) = 1) skip
-LAPACK: their SVD is the closed form sigma = |a| = _norm(a) with singular
-vector a / |a|; _norm is the package's one overflow-free norm, for every
-value that carries the operator's scale.
+I - A+ A all come from one SVD helper (_svd) with one rank cutoff (_kept),
+on single matrices or stacks.  Real input stays real and complex input
+stays complex.
+
+Every symbol stack the package decomposes is real (A = i^k M with M real).
+Real stacks take a one-sided (Hestenes) Jacobi kernel, vectorized over
+blocks of the stack, so the Python loop runs over column pairs and sweeps
+where LAPACK's gesdd costs one call per matrix; one-sided Jacobi computes
+small singular values at least as accurately as QR-based SVD (Demmel &
+Veselic, 1992).  Complex input goes to LAPACK (numpy.linalg.svd): it comes
+only from public-API callers and from single complex symbols at a few
+sites (the witness probe, the drop witness, the dagger bound), where the
+kernel's per-call overhead would exceed LAPACK's.  _norm is the package's
+one overflow-free norm for the other values that carry the operator's
+scale.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -56,29 +65,158 @@ def _norm(values, p: float = 2.0, axis: int | None = None, weights=None) -> np.n
     return np.squeeze(root, axis)
 
 
+# matrices per block of the Jacobi kernel: the working set is bounded for any
+# stack length, and blocks of this size also run faster than one whole stack
+_BLOCK = 8192
+# small matrices converge in a few sweeps; a block still rotating after this
+# many has met a case the kernel does not handle
+_MAX_SWEEPS = 60
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_r x[r] * y[r] for two (rows, B) column blocks, added in row order.
+
+    Explicit per-row products round the same at every stack length and
+    position, which a strided einsum or sum reduction does not promise.
+    """
+    acc = x[0] * y[0]
+    for row in range(1, len(x)):
+        acc += x[row] * y[row]
+    return acc
+
+
+def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+    """(x, y) <- (c x - s y, s x + c y) in place, one (c, s) per matrix of the block."""
+    new_x = c * x
+    new_x -= s * y
+    y *= c
+    y += s * x
+    x[...] = new_x
+
+
+def _jacobi_block(work: np.ndarray, compute_uv: bool):
+    """One-sided (Hestenes) Jacobi SVD of a block of matrices, in place.
+
+    work is (r, rows, B), r <= rows: work[c] is column c of each of the B
+    matrices, prescaled so that the largest entry has magnitude in [0.5, 1).
+    Column pairs are rotated until every pair is orthogonal to rows * eps of
+    its norms; a column whose squared norm is below (rows eps)^2 ||A||_F^2 is
+    numerical zero and never rotated, which keeps rank-deficient matrices
+    from cycling at rounding level.  Returns (sigma, unit, v) with sigma (r,
+    B) descending per matrix, unit the columns divided by sigma (a zero
+    column stays zero) and v (r, r, B) the accumulated rotations, v[c] column
+    c of V; unit and v are None without compute_uv.  A matrix that needs no
+    more rotations is left unchanged but for the sign of zero entries, which
+    the final + 0.0 canonicalizes, so every output is bitwise independent of
+    the other matrices in the block.
+    """
+    rank, rows, size = work.shape
+    tol = rows * np.finfo(float).eps
+    floor = tol * tol * sum(_dot(col, col) for col in work)
+    if compute_uv:
+        v = np.zeros((rank, rank, size))
+        for c in range(rank):
+            v[c, c] = 1.0
+    pairs = list(itertools.combinations(range(rank), 2))
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for i, j in pairs:
+            x, y = work[i], work[j]
+            alpha, beta, gamma = _dot(x, x), _dot(y, y), _dot(x, y)
+            rotate = np.abs(gamma) > tol * np.sqrt(alpha * beta)
+            rotate &= np.minimum(alpha, beta) > floor
+            if not rotate.any():
+                continue
+            rotated = True
+            # t = tan of the rotation angle, the smaller root of t^2 + 2 zeta t - 1 with
+            # zeta = (beta - alpha) / 2 gamma, multiplied through by |2 gamma| so that
+            # nothing overflows; prescaled entries keep the sqrt argument in range
+            diff = beta - alpha
+            gamma *= 2.0
+            t = np.divide(np.copysign(1.0, diff) * gamma,
+                          np.abs(diff) + np.sqrt(diff * diff + gamma * gamma),
+                          out=np.zeros(size), where=rotate)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            _rotate(x, y, c, s)
+            if compute_uv:
+                _rotate(v[i], v[j], c, s)
+        if not rotated:
+            break
+    else:
+        raise np.linalg.LinAlgError(f"Jacobi SVD did not converge in {_MAX_SWEEPS} sweeps")
+    sigma = np.sqrt([_dot(col, col) for col in work])
+    if rank > 1:
+        order = np.argsort(-sigma, axis=0, kind="stable")
+        sigma = np.take_along_axis(sigma, order, axis=0)
+        if compute_uv:
+            work = np.take_along_axis(work, order[:, None], axis=0)
+            v = np.take_along_axis(v, order[:, None], axis=0)
+    if not compute_uv:
+        return sigma, None, None
+    work /= np.where(sigma > 0.0, sigma, 1.0)[:, None]
+    work += 0.0
+    v += 0.0
+    return sigma, work, v
+
+
+def _svd_entries(rows: int, cols: int, count: int) -> float:
+    """Real entries per matrix that _svd holds at its peak on a real stack of count matrices.
+
+    u, sigma and vh, plus the Jacobi working set of one block spread over
+    the stack: per matrix of the block, at most the columns and their sorted
+    copy, the rotations before and after sorting, two column temporaries of
+    a rotation and a few scalars.
+    """
+    rank, length = min(rows, cols), max(rows, cols)
+    working = 2 * rank * (length + rank) + 2 * length + 8
+    return (rows + cols + 1) * rank + working * min(1.0, _BLOCK / count)
+
+
 def _svd(mats: np.ndarray, compute_uv: bool = True):
     """numpy.linalg.svd(mats, full_matrices=False) of a stack from _as_matrices.
 
     Returns (u, sigma, vh), or sigma alone without compute_uv, in the dtype
-    of mats.  A stack of rows or columns (min(m, n) = 1) takes the
-    closed-form rank-one SVD of each row or column a: sigma = |a| = _norm(a),
-    the singular vector on a's side is a / |a| and the one on the other side
-    is [[1]].  A zero a gets sigma = 0 and a zero singular vector, which the
-    strict cutoff of _kept never keeps.
+    of mats.  Complex stacks go to LAPACK.  Real stacks take the Jacobi
+    kernel (_jacobi_block) on blocks of _BLOCK matrices, rotating the
+    min(m, n) columns of A, or of A^T when A is wide, so a row or column
+    needs no rotation: sigma = |a|.  Each matrix is first scaled exactly by
+    a power of two, so operators scaled by 1e+-200 neither overflow nor
+    underflow.  Singular vectors of a zero singular value are zero, which
+    the strict cutoff of _kept never keeps.  A matrix decomposes to the same
+    bits alone and anywhere in a stack.  Raises LinAlgError (a ValueError)
+    if a block does not converge.
     """
-    rows, cols = mats.shape[-2:]
-    if min(rows, cols) > 1:
+    if np.iscomplexobj(mats):
         return np.linalg.svd(mats, full_matrices=False, compute_uv=compute_uv)
-    vec = mats[..., 0, :] if rows == 1 else mats[..., :, 0]
-    # numpy reduces a leading axis of _norm's C-ordered |a| far faster than a short trailing one
-    sigma = _norm(np.moveaxis(vec, -1, 0), axis=0)[..., None]
+    rows, cols = mats.shape[-2:]
+    rank = min(rows, cols)
+    wide = rows < cols
+    stack = mats.reshape((-1, rows, cols))
+    sigma = np.empty((len(stack), rank))
+    if compute_uv:
+        u = np.empty((len(stack), rows, rank))
+        vh = np.empty((len(stack), rank, cols))
+    for start in range(0, len(stack), _BLOCK):
+        block = stack[start:start + _BLOCK]
+        # the columns of A, or of A^T for a wide A, each a (rows, B) slab
+        work = np.empty((rank, max(rows, cols), len(block)))
+        np.copyto(work, block.transpose((1, 2, 0) if wide else (2, 1, 0)))
+        exponent = np.frexp(np.abs(work).max(axis=(0, 1)))[1]
+        np.ldexp(work, -exponent, out=work)
+        part_sigma, unit, v = _jacobi_block(work, compute_uv)
+        stop = start + len(block)
+        sigma[start:stop] = np.ldexp(part_sigma, exponent).T
+        if compute_uv:
+            # A = unit diag(sigma) v^T, or its transpose for a wide A
+            left, right = (v, unit) if wide else (unit, v)
+            u[start:stop] = left.transpose(2, 1, 0)
+            vh[start:stop] = right.transpose(2, 0, 1)
+    lead = mats.shape[:-2]
+    sigma = sigma.reshape(lead + (rank,))
     if not compute_uv:
         return sigma
-    unit = vec / np.where(sigma > 0.0, sigma, 1.0)
-    one = np.ones(mats.shape[:-2] + (1, 1), dtype=mats.dtype)
-    if rows == 1:
-        return one, sigma, unit[..., None, :]
-    return unit[..., :, None], sigma, one
+    return u.reshape(lead + (rows, rank)), sigma, vh.reshape(lead + (rank, cols))
 
 
 def _kept(sigma: np.ndarray, tol: float) -> np.ndarray:
@@ -97,8 +235,7 @@ def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int | np.ndarray:
 
     An int for one matrix (m, n); an int array of shape (...) for a stack
     (..., m, n), each matrix measured against its own sigma_max.  Real
-    input is decomposed in real arithmetic, and rows and columns by the
-    closed form sigma = |a| (see _svd).
+    input is decomposed in real arithmetic by the Jacobi kernel (see _svd).
     """
     sigma = _svd(_as_matrices(mat), compute_uv=False)
     ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
@@ -111,8 +248,8 @@ def pinv_svd(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     Singular values at or below tol * sigma_max of their own matrix are
     treated as zero, so the zero matrix maps to the zero matrix.  Satisfies
     the four Penrose identities to rounding for well-separated spectra.
-    Real input gives a real pseudoinverse; rows and columns use the closed
-    form a+ = a* / |a|^2 in SVD shape (see _svd).
+    Real input gives a real pseudoinverse (see _svd); a nonzero row or
+    column a gives a* / |a|^2.
     """
     u, sigma, vh = _svd(_as_matrices(mat))
     keep = _kept(sigma, tol)
@@ -127,9 +264,8 @@ def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     Exactly Hermitian (entry (w, v) of the kept rows' product vh_r^H vh_r
     multiplies the conjugates of entry (v, w)'s factors) and idempotent to
     rounding; the zero matrix yields the identity (everything is kernel).
-    Real input gives a real, exactly symmetric projector.  Rows and columns
-    use the closed form (see _svd): a nonzero row a gives I - a* a / |a|^2,
-    a nonzero column the 1 x 1 zero.
+    Real input gives a real, exactly symmetric projector (see _svd).  A
+    nonzero row a gives I - a* a / |a|^2, a nonzero column the 1 x 1 zero.
     """
     mat = _as_matrices(mat)
     dim_v = mat.shape[-1]

@@ -37,7 +37,7 @@ import numpy as np
 
 from .operators import (Operator, _monomials, _real_factor, multi_indices,
                         multinomial_weight, symbol_stack)
-from .pinv import DEFAULT_TOL, _norm, kernel_projector, pinv_svd
+from .pinv import DEFAULT_TOL, _norm, _svd_entries, kernel_projector, pinv_svd
 
 TWO_PI = 2.0 * math.pi
 
@@ -300,6 +300,21 @@ def _half_spectrum(op: Operator, grid: Grid, build, parity: int) -> np.ndarray:
     return table
 
 
+def _refuse_oversized_table(op: Operator, grid: Grid, output_peak: int, table_entries: int):
+    """_refuse_oversized for a _half_spectrum table of a pinv stack routine.
+
+    While _svd runs, the complex symbol table and _svd's own peak
+    (pinv._svd_entries, counted per frequency of the whole mesh, an upper
+    bound for the half mesh it runs on) are alive.  Then the routine holds
+    output_peak real entries per frequency, and copying its half-mesh output
+    into the full table holds both, under 2 table_entries.  Real entries
+    count as half a complex one.
+    """
+    svd = _svd_entries(op.dim_w, op.dim_v, grid.size ** grid.n)
+    peak = max(svd, output_peak, 2 * table_entries)
+    _refuse_oversized(op, grid, op.dim_w * op.dim_v + peak / 2)
+
+
 @lru_cache(maxsize=32)
 def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """Projector onto ker A(xi) per frequency, shape (size, ..., size, dimV, dimV).
@@ -314,26 +329,33 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     kernel, so the projection keeps constants intact.  Raises MemoryError
     before building when the grid is too large (see _refuse_oversized).
     """
-    # kernel_projector holds the singular values throughout, u and vh during
-    # the SVD, then vh, its conjugate and its output, here on at most 3/4 of
-    # the mesh; copying that output into the full table holds both, under
-    # 2 dimV^2 real entries per frequency.  All but the complex symbol table
-    # are real, half a complex entry each
+    # after the SVD, kernel_projector holds sigma, vh, its masked copy and
+    # the dimV x dimV output
     rank = min(op.dim_w, op.dim_v)
-    peak = max((op.dim_w + op.dim_v) * rank, 2 * op.dim_v * rank + op.dim_v ** 2)
-    _refuse_oversized(op, grid, op.dim_w * op.dim_v + max(rank + peak, 2 * op.dim_v ** 2) / 2)
+    _refuse_oversized_table(op, grid, rank + 2 * rank * op.dim_v + op.dim_v ** 2, op.dim_v ** 2)
     table = _half_spectrum(op, grid, partial(kernel_projector, tol=tol), 1)
     table.setflags(write=False)
     return table
 
 
+@lru_cache(maxsize=32)
 def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """R+ per frequency for the real view R of the symbol table (_real_factor).
 
     Shape (size, ..., size, dimV, dimW); A+ = i^-(k mod 2) R+.  R+ has
     parity (-1)^k in xi, so pinv_svd runs on half the mesh (_half_spectrum).
+    Read-only and cached like _kernel_projector_table, with the same
+    memory refusal.
     """
-    return _half_spectrum(op, grid, partial(pinv_svd, tol=tol), (-1) ** op.k)
+    # pinv_svd holds u, sigma and vh, the inverted sigma, the scaled u^T and
+    # the dimV x dimW output
+    rank = min(op.dim_w, op.dim_v)
+    entries = op.dim_v * op.dim_w
+    _refuse_oversized_table(op, grid, (op.dim_w + op.dim_v + 2) * rank + op.dim_w * rank + entries,
+                            entries)
+    table = _half_spectrum(op, grid, partial(pinv_svd, tol=tol), (-1) ** op.k)
+    table.setflags(write=False)
+    return table
 
 
 def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -375,9 +397,10 @@ def apply_Dk(k: int, field: GridField) -> GridField:
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
     """Apply the derivative recovery multiplier: A+(xi), then the derivatives.
 
-    One batched pinv_svd table (_pseudoinverse_table), then the derivative
-    step of apply_Dk.  The pseudoinverse is taken in real arithmetic: A =
-    i^k M with M real gives A+ = i^-k M+, and with the real view R of the
+    One batched pinv_svd table (_pseudoinverse_table, cached like the
+    projector table), then the derivative step of apply_Dk.  The
+    pseudoinverse is taken in real arithmetic: A = i^k M with M real gives
+    A+ = i^-k M+, and with the real view R of the
     symbol table (_real_factor) that is A+ = i^-(k mod 2) R+.  R+ has parity
     (-1)^k in xi, so pinv_svd runs on the first-axis planes 0..N/2 and the
     others are mirrored, except their entries with another axis at index
@@ -388,7 +411,7 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     at frequency zero, where the symbol is zero.
     """
     _check_field(op, field, op.dim_w, "input")
-    dagger = _pseudoinverse_table(op, field.grid, tol)
+    dagger = _pseudoinverse_table(op, field.grid, float(tol))
     if op.k % 2:
         dagger = -1j * dagger
     return inverse_transform(_derivatives(op.k, _matvec(dagger, forward_transform(field))))

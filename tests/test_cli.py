@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symrank import cli, experiments, spectral
+from symrank import cli, experiments, pinv, spectral
 from symrank.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_NO_RANK_DROP,
                          EXIT_NON_CONSTANT_RANK, EXIT_OK, main)
 from symrank.operators import Operator, parse_operator, serialize_operator, symbol
@@ -293,6 +293,15 @@ def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+def test_svd_without_convergence_is_an_input_error(capsys, monkeypatch):
+    # the Jacobi kernel raises LinAlgError, a ValueError, at its sweep cap
+    monkeypatch.setattr(pinv, "_MAX_SWEEPS", 1)
+    code, out, err = run(capsys, "analyze", "zoo:curl", "--samples", "16")
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: Jacobi SVD did not converge") and err.count("\n") == 1
 
 
 def test_grid_beyond_physical_memory_is_refused(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symrank import pinv
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
 from symrank.operators import Operator, _real_factor, symbol, symbol_stack
 from symrank.rank import rank_profile, sphere_samples
@@ -278,8 +279,10 @@ def vector_stack(kind):
 @pytest.mark.parametrize("c", [1e-200, 1e-12, 1.0, 1e12, 1e200])
 @pytest.mark.parametrize("kind", ["real-rows", "complex-rows", "real-columns", "complex-columns"])
 def test_closed_form_matches_lapack_at_every_scale(kind, c):
-    # |a| is taken after dividing by max |a_i|: unscaled, |a|^2 underflows to
-    # 0 at 1e-200 and overflows at 1e200, and either reads as rank 0
+    # a real row or column is the Jacobi kernel's case without rotations, sigma
+    # = |a| after an exact power-of-two prescale (complex ones go to LAPACK):
+    # unscaled, |a|^2 underflows to 0 at 1e-200 and overflows at 1e200, and
+    # either reads as rank 0
     mats = c * vector_stack(kind)
     ranks, dagger, proj = svd_routes(mats)
     assert ranks.tolist() == [1, 0, 1, 1]
@@ -318,6 +321,84 @@ def test_real_route_equals_complex_route_on_rank_deficient_stacks(k):
         np.testing.assert_allclose(kernel_projector(real), kernel_projector(mats),
                                    rtol=0, atol=1e-14)
         assert_close_per_matrix(1j ** -k * pinv_svd(real), pinv_svd(mats), 1e-14)
+
+
+# -------------------------------------------------------------- Jacobi kernel
+
+KINDS = ("random", "deficient", "graded", "zero", "skew")
+
+
+def kernel_input(rows, cols, kind, rank, scale, rng):
+    """One real matrix of a kind the symbol tables meet, times scale."""
+    if kind == "zero":
+        return np.zeros((rows, cols))
+    if kind == "skew":
+        # the curl symbol at a random xi, cropped to the shape: rank 2 at 3 x 3
+        a, b, c = rng.standard_normal(3)
+        mat = np.zeros((4, 4))
+        mat[:3, :3] = [[0.0, -c, b], [c, 0.0, -a], [-b, a, 0.0]]
+        return scale * mat[:rows, :cols]
+    if kind == "deficient":
+        # rank-deficient by construction: an inner dimension below min(rows, cols)
+        inner = rank % min(rows, cols)
+        return scale * (rng.standard_normal((rows, inner)) @ rng.standard_normal((inner, cols)))
+    mat = rng.standard_normal((rows, cols))
+    if kind == "graded":
+        # columns graded down to 1e-12
+        mat *= np.logspace(0, -12, cols)
+    return scale * mat
+
+
+def orthonormal_columns(q, cols):
+    return np.abs(q[:, cols].T @ q[:, cols] - np.eye(np.count_nonzero(cols))).max(initial=0.0)
+
+
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 3),
+                          st.sampled_from([1e-200, 1.0, 1e200])), min_size=1, max_size=6),
+       st.integers(0, 2 ** 31))
+@settings(max_examples=200, deadline=None)
+def test_jacobi_kernel_matches_lapack(rows, cols, specs, seed):
+    rng = np.random.default_rng(seed)
+    mats = np.stack([kernel_input(rows, cols, kind, rank, scale, rng)
+                     for kind, rank, scale in specs])
+    u, sigma, vh = pinv._svd(mats)
+    np.testing.assert_array_equal(pinv._svd(mats, compute_uv=False), sigma)
+    want = np.linalg.svd(mats, compute_uv=False)
+    for mat, u1, s1, vh1, w1 in zip(mats, u, sigma, vh, want):
+        top = w1[0]
+        assert np.abs(s1 - w1).max() <= 1e-14 * top
+        assert (np.diff(s1) <= 0).all()
+        assert np.abs((u1 * s1) @ vh1 - mat).max() <= 1e-14 * top
+        # the rotated side is orthonormal throughout; the normalized side on
+        # every column above numerical zero (a zero column stays zero)
+        visible = s1 > 1e-13 * top
+        assert orthonormal_columns(u1, visible) <= 1e-14
+        assert orthonormal_columns(vh1.T, visible) <= 1e-14
+        exact = vh1.T if rows >= cols else u1
+        assert orthonormal_columns(exact, np.ones(len(s1), dtype=bool)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 2), (2, 3), (1, 3), (4, 4)])
+def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape):
+    # report bytes must not depend on how many frequencies share a block, so a
+    # matrix decomposes to the same bits alone and anywhere in a stack longer
+    # than one block, signed zeros included
+    rng = np.random.default_rng(3)
+    mats = rng.standard_normal((pinv._BLOCK + 40,) + shape)
+    mats[::7] = 0.0
+    mats[1::5, 0] = -0.0
+    mats[2::9, :, -1] = 0.0
+    mats[3::11] *= 1e-200
+    mats[4::13] *= 1e200
+    mats[6::3] = [kernel_input(*shape, "skew", 0, 1.0, rng) for _ in mats[6::3]]
+    stacked = pinv._svd(mats)
+    stacked_sigma = pinv._svd(mats, compute_uv=False)
+    for i in [*range(30), *range(pinv._BLOCK - 5, len(mats))]:
+        alone = pinv._svd(mats[i])
+        for got, want in zip(alone, stacked):
+            assert got.tobytes() == want[i].tobytes(), i
+        assert pinv._svd(mats[i], compute_uv=False).tobytes() == stacked_sigma[i].tobytes()
 
 
 # -------------------------------------------------------------- homogeneity

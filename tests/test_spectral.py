@@ -205,6 +205,7 @@ def test_tables_are_read_only_stacks_with_matrix_axes_last(entry):
     symbols = _symbol_tensor(op, grid)
     projectors = _kernel_projector_table(op, grid, DEFAULT_TOL)
     assert not symbols.flags.writeable and not projectors.flags.writeable
+    assert not spectral._pseudoinverse_table(op, grid, DEFAULT_TOL).flags.writeable
     for xi in itertools.product(range(-2, 2), repeat=op.n):
         idx = tuple(x % grid.size for x in xi)
         mat = symbol(op, np.array(xi, dtype=float))
@@ -303,16 +304,45 @@ def test_projector_memory_estimate_covers_its_build_growth(monkeypatch, entry):
     assert peak16 - peak8 <= per_frequency * (16 ** op.n - 8 ** op.n)
 
 
+@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
+def test_pseudoinverse_memory_estimate_covers_its_build_growth(monkeypatch, entry):
+    # the projector test's measure, for the other table with an SVD build
+    op = entry.build()
+    entries = []
+    refuse = spectral._refuse_oversized
+    monkeypatch.setattr(spectral, "_refuse_oversized",
+                        lambda op, grid, count: entries.append(count) or refuse(op, grid, count))
+
+    def build(size):
+        _symbol_tensor.cache_clear()
+        spectral._pseudoinverse_table.cache_clear()
+        tracemalloc.start()
+        try:
+            spectral._pseudoinverse_table(op, Grid(op.n, size), DEFAULT_TOL)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for size in (8, 16):
+        build(size)
+    growth = build(16) - build(8)
+    derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
+    assert growth <= 16 * (max(entries) + derivative_fibers) * (16 ** op.n - 8 ** op.n)
+
+
 def test_tables_refuse_to_build_beyond_physical_memory(monkeypatch):
     # a 1e5-byte machine refuses even an 8^3 curl table (about 0.15 MB)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 5)
     _symbol_tensor.cache_clear()
     _kernel_projector_table.cache_clear()
+    spectral._pseudoinverse_table.cache_clear()
     op = zoo_get("curl")
     with pytest.raises(MemoryError, match=r"8\^3 grid"):
         _symbol_tensor(op, Grid(3, 8))
     with pytest.raises(MemoryError, match=r"8\^3 grid"):
         _kernel_projector_table(op, Grid(3, 8), DEFAULT_TOL)
+    with pytest.raises(MemoryError, match=r"8\^3 grid"):
+        spectral._pseudoinverse_table(op, Grid(3, 8), DEFAULT_TOL)
 
 
 # ------------------------------------------------------------------ projection

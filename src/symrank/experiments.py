@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import Operator, _real_factor, symbol, symbol_stack
-from .pinv import DEFAULT_TOL, _kept, numerical_rank
+from .operators import Operator, _real_stack
+from .pinv import DEFAULT_TOL, _kept, _svd, numerical_rank
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
                        inverse_transform, lp_norm, periodic_bump, _check_field,
@@ -67,6 +67,7 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
     resolved = FrequencyField(freq.grid, freq.coeffs - _matvec(projector, freq).coeffs)
     if _coefficient_norm(resolved) <= tol * _coefficient_norm(freq):
         raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
+    # M phi has the norms of A phi = i^k M phi
     symbols = _symbol_tensor(op, freq.grid)
     if p == 2.0:
         return _coefficient_norm(resolved, op.k) / _coefficient_norm(_matvec(symbols, freq))
@@ -75,16 +76,18 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
 
 
 def _adjoint_probe(op: Operator, xi, tol: float) -> np.ndarray:
-    """u_{r-1}, the left singular vector of A(xi)'s smallest kept singular value.
+    """u_{r-1}, the left singular vector of M(xi)'s smallest kept singular value.
 
-    r is the rank under pinv's one cutoff (_kept), so |A*(xi) u_{r-1}| =
-    sigma_r(A(xi)) is the singular value that vanishes at a rank drop, and
-    an exact rung's ratio is |xi|^k / sigma_r(A(xi)).  The probe comes back
-    scaled exactly by the power of two that brings sigma_max(A(xi)) into
-    [0.5, 1), so no field built from it overflows under A.  Raises
-    DegenerateProbeError where the symbol vanishes (r = 0).
+    M is the real factor of A = i^k M, so u_{r-1} is real and a left
+    singular vector of A(xi) as well.  r is the rank under pinv's one cutoff
+    (_kept), so |A*(xi) u_{r-1}| = sigma_r(A(xi)) is the singular value that
+    vanishes at a rank drop, and an exact rung's ratio is |xi|^k /
+    sigma_r(A(xi)).  The probe comes back scaled exactly by the power of two
+    that brings sigma_max(A(xi)) into [0.5, 1), so no field built from it
+    overflows under A.  Raises DegenerateProbeError where the symbol
+    vanishes (r = 0).
     """
-    u, sigma, _ = np.linalg.svd(symbol(op, np.asarray(xi, dtype=float)))
+    u, sigma, _ = _svd(_real_stack(op, [xi])[0], want_u=True)
     rank = np.count_nonzero(_kept(sigma, tol))
     if not rank:
         raise DegenerateProbeError(f"{op.name}: the symbol vanishes at {tuple(xi)}")
@@ -95,11 +98,12 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
                    tol: float = DEFAULT_TOL) -> list[FrequencyField]:
     """One field per integer frequency xi_m, as coefficients: A* applied to a probe wave.
 
-    The probe u is _adjoint_probe's u_{r-1} at xi_m.  The wave
+    The probe u is _adjoint_probe's real u_{r-1} at xi_m.  The wave
     envelope(x) exp(i x.xi_m) u has, by the discrete shift theorem, the
     field coefficient A*(eta) u * envelope_hat(eta - xi_m) at eta: the
-    envelope's coefficients rolled by xi_m times the symbol table contracted
-    with u, so no rung is transformed.  For window = None the envelope is 1,
+    envelope's coefficients rolled by xi_m times A*(eta) u = (-i)^k M(eta)^T
+    u, the real symbol table contracted with u times the phase, so no rung
+    is transformed.  For window = None the envelope is 1,
     one coefficient (2pi)^(n/2) at frequency zero, and the rung is the exact
     single mode A*(xi_m) u at xi_m: P_A phi_m = 0 and estimate_ratio at any
     p equals |xi_m|^k / sigma_r(A(xi_m)).  A window in (0, 1] is the width
@@ -131,9 +135,7 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
             raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
                              f"(|xi|_inf must be <= {grid.size // 4})")
         probe = _adjoint_probe(op, freq, tol)
-        # A*(eta) u = conj(A(eta)^T conj(u)): conjugate the product, not the table
-        coeffs = np.einsum("...ij,i->j...", symbols, probe.conj(), order="C")
-        np.conjugate(coeffs, out=coeffs)
+        coeffs = (-1j) ** op.k * np.einsum("...ij,i->j...", symbols, probe, order="C")
         coeffs *= np.roll(envelope, freq, axis=tuple(range(grid.n)))
         fields.append(FrequencyField(grid, coeffs))
     return fields
@@ -144,10 +146,9 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     """Integer frequencies approaching the witness's drop direction with doubling magnitude.
 
     Rung j targets 2^(j+1) * u rounded to integers, u = xi_low / |xi_low|.
-    A rung is usable iff numerical_rank of the symbol's real factor there
-    (_real_factor, as for every batched rank), at tol (the cutoff
-    _adjoint_probe counts the probe's rank with), is the generic rank
-    witness.rank_high.  On the drop set the rank is lower, so
+    A rung is usable iff numerical_rank of the real symbol M there, at tol
+    (the cutoff _adjoint_probe counts the probe's rank with), is the generic
+    rank witness.rank_high.  On the drop set the rank is lower, so
     _adjoint_probe would probe a singular value that does not vanish there
     and the ratios would not grow.  When the rounded frequency is not usable
     (for example exactly on the degenerate axis), the first axis offset
@@ -165,7 +166,7 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     for j in range(rungs):
         scale = 2 ** (j + 1)
         cands = np.rint(scale * u).astype(int) + offsets
-        ranks = numerical_rank(_real_factor(op, symbol_stack(op, cands.astype(float))), tol)
+        ranks = numerical_rank(_real_stack(op, cands), tol)
         usable = np.flatnonzero(ranks == witness.rank_high)
         if not usable.size:
             raise DegenerateProbeError(

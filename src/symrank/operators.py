@@ -4,9 +4,12 @@ An operator is a finite sum of terms A_alpha d^alpha, all of the same total
 order k, mapping fields with values in R^dimV to fields with values in
 R^dimW.  Its symbol at a real frequency xi is the complex dimW x dimV matrix
 
-    A(xi) = sum_{|alpha|=k} (i xi)^alpha A_alpha = i^k sum_alpha xi^alpha A_alpha,
+    A(xi) = sum_{|alpha|=k} (i xi)^alpha A_alpha = i^k M(xi),  M(xi) = sum_alpha xi^alpha A_alpha,
 
-homogeneous of degree k.  Operators are immutable, hashable values.  The
+homogeneous of degree k.  The coefficients are real, so M is real, and it
+is the package's one symbol format (_real_stack): A has the rank, kernel
+and kernel projector of M, and A+ = i^-k M+.  symbol and symbol_stack
+return i^k M for callers that want A itself.  Operators are immutable, hashable values.  The
 JSON document format accepted by parse_operator is the interchange format
 used by the command line tools:
 
@@ -154,13 +157,12 @@ def _monomials(xis: np.ndarray, alphas) -> np.ndarray:
     return powers
 
 
-def symbol_stack(op: Operator, xis) -> np.ndarray:
-    """Evaluate the symbol at every row of xis; returns shape (len(xis), dimW, dimV).
+def _real_stack(op: Operator, xis) -> np.ndarray:
+    """M(xi) = sum_alpha xi^alpha A_alpha at every row of xis, shape (len(xis), dimW, dimV).
 
-    The coefficients are real, so A(xi) = i^k M(xi) with M(xi) = sum_alpha
-    xi^alpha A_alpha real, and the stack is i^k times the real stack of M
-    exactly: its real part for even k, its imaginary part for odd k, is M up
-    to sign (see _real_factor).  The monomials xi^alpha come from _monomials.
+    The real factor of the symbol A = i^k M, in float64: every rank, kernel
+    projector, pseudoinverse and symbol table of the package is taken of M.
+    The monomials xi^alpha come from _monomials.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != op.n:
@@ -168,18 +170,15 @@ def symbol_stack(op: Operator, xis) -> np.ndarray:
     if not np.isfinite(xis).all():
         raise ValueError("frequencies have non-finite entries")
     powers = _monomials(xis, op.alpha_array)
-    return (1j ** op.k) * np.einsum("st,twv->swv", powers, op.matrix_array)
+    return np.einsum("st,twv->swv", powers, op.matrix_array)
 
 
-def _real_factor(op: Operator, stack: np.ndarray) -> np.ndarray:
-    """Zero-copy real view R of a symbol stack, with stack = i^(k mod 2) R exactly.
+def symbol_stack(op: Operator, xis) -> np.ndarray:
+    """Evaluate the symbol at every row of xis; returns shape (len(xis), dimW, dimV).
 
-    R is (-1)^(k // 2) M for the real M of A = i^k M (see symbol_stack):
-    the real part of the stack for even k, its imaginary part for odd k.
-    R has the rank, kernel and kernel projector of A (P_A = P_M), and
-    A+ = i^-(k mod 2) R+.
+    Exactly i^k times the real stack of M (_real_stack).
     """
-    return stack.imag if op.k % 2 else stack.real
+    return (1j ** op.k) * _real_stack(op, xis)
 
 
 def _reject_nonfinite(token):

@@ -5,17 +5,15 @@ I - A+ A all come from one SVD helper (_svd) with one rank cutoff (_kept),
 on single matrices or stacks.  Real input stays real and complex input
 stays complex.
 
-Every symbol stack the package decomposes is real (A = i^k M with M real).
-Real stacks take a one-sided (Hestenes) Jacobi kernel, vectorized over
+Every symbol matrix the package decomposes is the real M of A = i^k M
+(see operators._real_stack), single matrices and whole tables alike.
+Real input takes a one-sided (Hestenes) Jacobi kernel, vectorized over
 blocks of the stack, so the Python loop runs over column pairs and sweeps
 where LAPACK's gesdd costs one call per matrix; one-sided Jacobi computes
 small singular values at least as accurately as QR-based SVD (Demmel &
-Veselic, 1992).  Complex input goes to LAPACK (numpy.linalg.svd): it comes
-only from public-API callers and from single complex symbols at a few
-sites (the witness probe, the drop witness, the dagger bound), where the
-kernel's per-call overhead would exceed LAPACK's.  _norm is the package's
-one overflow-free norm for the other values that carry the operator's
-scale.
+Veselic, 1992).  Complex input comes only from public-API callers and
+goes to LAPACK (numpy.linalg.svd).  _norm is the package's one
+overflow-free norm for the other values that carry the operator's scale.
 """
 
 import itertools
@@ -94,7 +92,7 @@ def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
     x[...] = new_x
 
 
-def _jacobi_block(work: np.ndarray, compute_uv: bool):
+def _jacobi_block(work: np.ndarray, normalize: bool, accumulate: bool):
     """One-sided (Hestenes) Jacobi SVD of a block of matrices, in place.
 
     work is (r, rows, B), r <= rows: work[c] is column c of each of the B
@@ -104,16 +102,18 @@ def _jacobi_block(work: np.ndarray, compute_uv: bool):
     numerical zero and never rotated, which keeps rank-deficient matrices
     from cycling at rounding level.  Returns (sigma, unit, v) with sigma (r,
     B) descending per matrix, unit the columns divided by sigma (a zero
-    column stays zero) and v (r, r, B) the accumulated rotations, v[c] column
-    c of V; unit and v are None without compute_uv.  A matrix that needs no
-    more rotations is left unchanged but for the sign of zero entries, which
-    the final + 0.0 canonicalizes, so every output is bitwise independent of
-    the other matrices in the block.
+    column stays zero), or None without normalize, and v (r, r, B) the
+    accumulated rotations, v[c] column c of V, or None without accumulate.
+    A matrix that needs no more rotations is left unchanged but for the sign
+    of zero entries, which the final + 0.0 canonicalizes, so every output is
+    bitwise independent of the other matrices in the block and of which
+    factors were asked for.
     """
     rank, rows, size = work.shape
     tol = rows * np.finfo(float).eps
     floor = tol * tol * sum(_dot(col, col) for col in work)
-    if compute_uv:
+    v = None
+    if accumulate:
         v = np.zeros((rank, rank, size))
         for c in range(rank):
             v[c, c] = 1.0
@@ -139,7 +139,7 @@ def _jacobi_block(work: np.ndarray, compute_uv: bool):
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = c * t
             _rotate(x, y, c, s)
-            if compute_uv:
+            if accumulate:
                 _rotate(v[i], v[j], c, s)
         if not rotated:
             break
@@ -149,54 +149,62 @@ def _jacobi_block(work: np.ndarray, compute_uv: bool):
     if rank > 1:
         order = np.argsort(-sigma, axis=0, kind="stable")
         sigma = np.take_along_axis(sigma, order, axis=0)
-        if compute_uv:
+        if normalize:
             work = np.take_along_axis(work, order[:, None], axis=0)
+        if accumulate:
             v = np.take_along_axis(v, order[:, None], axis=0)
-    if not compute_uv:
-        return sigma, None, None
-    work /= np.where(sigma > 0.0, sigma, 1.0)[:, None]
-    work += 0.0
-    v += 0.0
-    return sigma, work, v
+    if normalize:
+        work /= np.where(sigma > 0.0, sigma, 1.0)[:, None]
+        work += 0.0
+    if accumulate:
+        v += 0.0
+    return sigma, (work if normalize else None), v
 
 
-def _svd_entries(rows: int, cols: int, count: int) -> float:
+def _svd_entries(rows: int, cols: int, count: int, want_u: bool, want_vh: bool) -> float:
     """Real entries per matrix that _svd holds at its peak on a real stack of count matrices.
 
-    u, sigma and vh, plus the Jacobi working set of one block spread over
-    the stack: per matrix of the block, at most the columns and their sorted
-    copy, the rotations before and after sorting, two column temporaries of
-    a rotation and a few scalars.
+    sigma and the factors asked for, plus the Jacobi working set of one
+    block spread over the stack: per matrix of the block, at most the
+    columns and, when they are normalized, their sorted copy, the rotations
+    before and after sorting when they are accumulated, two column
+    temporaries of a rotation and a few scalars.
     """
     rank, length = min(rows, cols), max(rows, cols)
-    working = 2 * rank * (length + rank) + 2 * length + 8
-    return (rows + cols + 1) * rank + working * min(1.0, _BLOCK / count)
+    wide = rows < cols
+    normalize, accumulate = (want_vh, want_u) if wide else (want_u, want_vh)
+    working = rank * length * (1 + normalize) + 2 * rank * rank * accumulate + 2 * length + 8
+    factors = rank * (1 + rows * want_u + cols * want_vh)
+    return factors + working * min(1.0, _BLOCK / count)
 
 
-def _svd(mats: np.ndarray, compute_uv: bool = True):
+def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
     """numpy.linalg.svd(mats, full_matrices=False) of a stack from _as_matrices.
 
-    Returns (u, sigma, vh), or sigma alone without compute_uv, in the dtype
-    of mats.  Complex stacks go to LAPACK.  Real stacks take the Jacobi
-    kernel (_jacobi_block) on blocks of _BLOCK matrices, rotating the
-    min(m, n) columns of A, or of A^T when A is wide, so a row or column
-    needs no rotation: sigma = |a|.  Each matrix is first scaled exactly by
-    a power of two, so operators scaled by 1e+-200 neither overflow nor
-    underflow.  Singular vectors of a zero singular value are zero, which
-    the strict cutoff of _kept never keeps.  A matrix decomposes to the same
-    bits alone and anywhere in a stack.  Raises LinAlgError (a ValueError)
-    if a block does not converge.
+    Returns (u, sigma, vh) in the dtype of mats, with u and vh None unless
+    asked for, so a caller pays only for the factors it reads.  Complex
+    stacks go to LAPACK.  Real stacks take the Jacobi kernel (_jacobi_block)
+    on blocks of _BLOCK matrices, rotating the min(m, n) columns of A, or of
+    A^T when A is wide, so a row or column needs no rotation: sigma = |a|.
+    The normalized columns give u (vh for a wide A) and the accumulated
+    rotations vh (u), and each is computed only when asked for.  Each
+    matrix is first scaled exactly by a power of two, so operators scaled by
+    1e+-200 neither overflow nor underflow.  Singular vectors of a zero
+    singular value are zero, which the strict cutoff of _kept never keeps.
+    A matrix decomposes to the same bits alone and anywhere in a stack.
+    Raises LinAlgError (a ValueError) if a block does not converge.
     """
     if np.iscomplexobj(mats):
-        return np.linalg.svd(mats, full_matrices=False, compute_uv=compute_uv)
+        u, sigma, vh = np.linalg.svd(mats, full_matrices=False)
+        return (u if want_u else None), sigma, (vh if want_vh else None)
     rows, cols = mats.shape[-2:]
     rank = min(rows, cols)
     wide = rows < cols
+    normalize, accumulate = (want_vh, want_u) if wide else (want_u, want_vh)
     stack = mats.reshape((-1, rows, cols))
     sigma = np.empty((len(stack), rank))
-    if compute_uv:
-        u = np.empty((len(stack), rows, rank))
-        vh = np.empty((len(stack), rank, cols))
+    u = np.empty((len(stack), rows, rank)) if want_u else None
+    vh = np.empty((len(stack), rank, cols)) if want_vh else None
     for start in range(0, len(stack), _BLOCK):
         block = stack[start:start + _BLOCK]
         # the columns of A, or of A^T for a wide A, each a (rows, B) slab
@@ -204,19 +212,21 @@ def _svd(mats: np.ndarray, compute_uv: bool = True):
         np.copyto(work, block.transpose((1, 2, 0) if wide else (2, 1, 0)))
         exponent = np.frexp(np.abs(work).max(axis=(0, 1)))[1]
         np.ldexp(work, -exponent, out=work)
-        part_sigma, unit, v = _jacobi_block(work, compute_uv)
+        part_sigma, unit, v = _jacobi_block(work, normalize, accumulate)
         stop = start + len(block)
         sigma[start:stop] = np.ldexp(part_sigma, exponent).T
-        if compute_uv:
-            # A = unit diag(sigma) v^T, or its transpose for a wide A
-            left, right = (v, unit) if wide else (unit, v)
+        # A = unit diag(sigma) v^T, or its transpose for a wide A
+        left, right = (v, unit) if wide else (unit, v)
+        if want_u:
             u[start:stop] = left.transpose(2, 1, 0)
+        if want_vh:
             vh[start:stop] = right.transpose(2, 0, 1)
     lead = mats.shape[:-2]
-    sigma = sigma.reshape(lead + (rank,))
-    if not compute_uv:
-        return sigma
-    return u.reshape(lead + (rows, rank)), sigma, vh.reshape(lead + (rank, cols))
+    if want_u:
+        u = u.reshape(lead + (rows, rank))
+    if want_vh:
+        vh = vh.reshape(lead + (rank, cols))
+    return u, sigma.reshape(lead + (rank,)), vh
 
 
 def _kept(sigma: np.ndarray, tol: float) -> np.ndarray:
@@ -237,7 +247,7 @@ def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int | np.ndarray:
     (..., m, n), each matrix measured against its own sigma_max.  Real
     input is decomposed in real arithmetic by the Jacobi kernel (see _svd).
     """
-    sigma = _svd(_as_matrices(mat), compute_uv=False)
+    sigma = _svd(_as_matrices(mat))[1]
     ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
@@ -251,7 +261,7 @@ def pinv_svd(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     Real input gives a real pseudoinverse (see _svd); a nonzero row or
     column a gives a* / |a|^2.
     """
-    u, sigma, vh = _svd(_as_matrices(mat))
+    u, sigma, vh = _svd(_as_matrices(mat), want_u=True, want_vh=True)
     keep = _kept(sigma, tol)
     inv = np.zeros_like(sigma)
     inv[keep] = 1.0 / sigma[keep]
@@ -270,7 +280,7 @@ def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     mat = _as_matrices(mat)
     dim_v = mat.shape[-1]
     mats = mat.reshape((-1,) + mat.shape[-2:])
-    sigma, vh = _svd(mats)[1:]
+    sigma, vh = _svd(mats, want_vh=True)[1:]
     kept_rows = np.conjugate(vh)
     kept_rows[~_kept(sigma, tol)] = 0.0
     proj = np.einsum("miv,miw->mvw", kept_rows, vh)

@@ -6,17 +6,20 @@ last case localizes rank-drop directions by bisection and extracts a
 certificate witness: a unit vector killed by the symbol at the drop
 direction but visible to the adjoint at a nearby full-rank direction,
 together with a lower bound forcing the pseudoinverse norm to blow up.
+Every decomposition here is of the real M of A = i^k M (see
+operators._real_stack) through pinv: M has the rank, kernel projector and
+spectral norms of A, and |A+| = |M+|.
 """
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .operators import Operator, _real_factor, symbol, symbol_stack
-from .pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
+from .operators import Operator, _real_stack
+from .pinv import DEFAULT_TOL, _svd, kernel_projector, numerical_rank, pinv_svd
+from .spectral import _refuse_beyond_memory
 
 # refinement target for drop directions, radians
 ANGULAR_RESOLUTION = 1e-3
@@ -67,15 +70,20 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
         raise ValueError("need n >= 1")
     if num_random < n + 1:
         raise ValueError("need num_random >= n + 1")
-    structured = []
-    for j in range(n):
-        for s in (1.0, -1.0):
-            e = np.zeros(n)
-            e[j] = s
-            structured.append(e)
+    structured = 2 * n + (2 ** n if n >= 2 else 0)
+    out = np.zeros((structured + num_random, n))
+    index = np.arange(n)
+    out[2 * index, index] = 1.0
+    out[2 * index + 1, index] = -1.0
     if n >= 2:
-        structured.extend(np.array(signs) / np.sqrt(n)
-                          for signs in itertools.product((1.0, -1.0), repeat=n))
+        # sign vector t has -1 where t, written in n binary digits, has a 1: the order
+        # of itertools.product((1.0, -1.0), repeat=n), filled a column at a time into
+        # the output so that no temporary grows with n 2^n
+        signs = out[2 * n:structured]
+        rows = np.arange(2 ** n)
+        for j in range(n):
+            signs[:, j] = 1.0 - 2.0 * ((rows >> (n - 1 - j)) & 1)
+        signs /= np.sqrt(n)
     rng = np.random.default_rng(seed)
     randoms = rng.standard_normal((num_random, n))
     norms = np.linalg.norm(randoms, axis=1)
@@ -83,7 +91,23 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
         bad = norms < 1e-8
         randoms[bad] = rng.standard_normal((int(bad.sum()), n))
         norms = np.linalg.norm(randoms, axis=1)
-    return np.vstack(structured + [randoms / norms[:, None]])
+    np.divide(randoms, norms[:, None], out=out[structured:])
+    return out
+
+
+def _refuse_oversized_sweep(op: Operator, num_samples: int) -> None:
+    """Raise MemoryError when a rank_profile sweep cannot fit in physical memory.
+
+    The sweep holds its directions (sphere_samples: 2n axes, 2^n sign
+    vectors for n >= 2 and num_samples random ones) and the real symbol
+    stack at all of them, n + dimW * dimV doubles per direction.  The check
+    runs before either is allocated, so a sweep too large for the machine
+    is refused instead of being killed part way.
+    """
+    count = 2 * op.n + (2 ** op.n if op.n >= 2 else 0) + num_samples
+    _refuse_beyond_memory(8 * count * (op.n + op.dim_w * op.dim_v),
+                          f"{op.name}: a sphere sweep of {count} directions in {op.n} dimensions",
+                          "for the directions and their symbols")
 
 
 @dataclass(frozen=True)
@@ -123,13 +147,16 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     drop direction is localized to ANGULAR_RESOLUTION radians.  The
     verdict for equal ranks is sampling-based, not a certificate; the
     NonConstantRank verdict is certified by the returned drop directions.
-    Ranks are taken of the real factor M of A = i^k M, which has the rank
-    of A, so the SVDs run in real arithmetic.
+    Ranks are taken of the real M of A = i^k M, which has the rank of A.
+    Raises MemoryError before sampling when the directions and their symbol
+    stack would exceed physical memory (2^n sign vectors make that so for
+    large n).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
+    _refuse_oversized_sweep(op, num_samples)
     directions = sphere_samples(op.n, num_samples, seed)
-    ranks = numerical_rank(_real_factor(op, symbol_stack(op, directions)), tol)
+    ranks = numerical_rank(_real_stack(op, directions), tol)
     min_rank = int(ranks.min())
     max_rank = int(ranks.max())
     drops: list[np.ndarray] = []
@@ -148,7 +175,7 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
                 if angular_distance(lo, hi) <= ANGULAR_RESOLUTION:
                     break
                 mid = slerp(lo, hi, 0.5)
-                if numerical_rank(_real_factor(op, symbol(op, mid)), tol) < max_rank:
+                if numerical_rank(_real_stack(op, [mid])[0], tol) < max_rank:
                     lo = mid
                 else:
                     hi = mid
@@ -208,43 +235,39 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
     xi_low is a refined drop direction; xi_high is the nearby full-rank
     direction (within WITNESS_MAX_ANGLE) minimizing |A(xi_high) - A(xi_low)|
     among the refinement samples, ties broken by angular distance and then
-    lexicographic order.  v is the largest kernel vector of A(xi_low) after
-    projecting off ker A(xi_high).
+    lexicographic order; the gaps of all candidate pairs are the largest
+    singular values of one stack of real differences M(xi_high) - M(xi_low).
+    The columns of the kernel projector of M(xi_low) span its kernel; v is
+    the column with the largest part off ker A(xi_high), that part
+    normalized.
     """
     if profile.operator != op.name:
         raise ValueError(f"profile was built for {profile.operator!r}, not {op.name!r}")
     if profile.verdict is not Verdict.NON_CONSTANT_RANK:
         raise NoRankDropError(f"{op.name}: verdict is {profile.verdict.value}, no rank drop")
-    candidates = []
-    for low, highs in zip(profile.drop_directions, profile.drop_neighbors):
-        mat_low = symbol(op, low)
-        for high in highs:
-            angle = angular_distance(low, high)
-            if angle > WITNESS_MAX_ANGLE:
-                continue
-            mat_high = symbol(op, high)
-            gap = float(np.linalg.norm(mat_high - mat_low, 2))
-            candidates.append((gap, angle, tuple(low), tuple(high), low, high, mat_low, mat_high))
-    if not candidates:
+    pairs = [(low, high) for low, highs in zip(profile.drop_directions, profile.drop_neighbors)
+             for high in highs if angular_distance(low, high) <= WITNESS_MAX_ANGLE]
+    if not pairs:
         raise DegenerateWitnessError(f"{op.name}: no full-rank direction near any drop direction")
-    gap, _, _, _, low, high, mat_low, mat_high = min(candidates, key=lambda c: c[:4])
-    rank_low = numerical_rank(mat_low, tol)
-    rank_high = numerical_rank(mat_high, tol)
-    # kernel basis of A(xi_low): trailing right singular vectors
-    _, _, vh = np.linalg.svd(mat_low)
-    kernel_basis = vh[rank_low:].conj().T
-    proj_high = kernel_projector(mat_high, tol)
-    visible = kernel_basis - proj_high @ kernel_basis
+    lows, highs = (np.array(side) for side in zip(*pairs))
+    gaps = _svd(_real_stack(op, highs) - _real_stack(op, lows))[1][:, 0]
+    best = min(range(len(pairs)), key=lambda c: (gaps[c], angular_distance(*pairs[c]),
+                                                 tuple(pairs[c][0]), tuple(pairs[c][1])))
+    low, high = pairs[best]
+    mats = _real_stack(op, [low, high])
+    rank_low, rank_high = numerical_rank(mats, tol).tolist()
+    proj_low, proj_high = kernel_projector(mats, tol)
+    visible = proj_low - proj_high @ proj_low
     norms = np.linalg.norm(visible, axis=0)
-    best = int(np.argmax(norms))
-    if norms[best] <= tol:
+    column = int(np.argmax(norms))
+    if norms[column] <= tol:
         raise DegenerateWitnessError(
             f"{op.name}: kernel of A(xi_low) is invisible to the adjoint at xi_high")
     return RankDropWitness(
         xi_high=high,
         xi_low=low,
-        v=visible[:, best] / norms[best],
-        dagger_lower_bound=1.0 / gap,
+        v=visible[:, column] / norms[column],
+        dagger_lower_bound=1.0 / float(gaps[best]),
         rank_high=rank_high,
         rank_low=rank_low,
     )
@@ -264,7 +287,8 @@ def daggerbound_check(op: Operator, witness: RankDropWitness,
     with equal ranks makes the check vacuous (holds is returned True
     without asserting anything).
     """
-    lhs = float(np.linalg.norm(pinv_svd(symbol(op, witness.xi_high), tol), 2))
+    dagger = pinv_svd(_real_stack(op, [witness.xi_high])[0], tol)
+    lhs = float(_svd(dagger)[1][0])  # |A+| = |M+|, its largest singular value
     rhs = witness.dagger_lower_bound
     applies = witness.rank_high > witness.rank_low
     return DaggerBound(lhs=lhs, rhs=rhs, holds=(not applies) or lhs >= rhs * (1.0 - 1e-8))

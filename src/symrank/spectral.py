@@ -12,15 +12,19 @@ Differentiation, operator application, and kernel projection are all
 frequency multipliers here, hence exact on resolved modes.  Each is one
 private coefficient-level step (_matvec with a symbol table, _derivatives);
 the public apply_* functions wrap a step between forward_transform and
-inverse_transform.  Code that chains several steps, such as the estimate
-ratio, stays on FrequencyField coefficients and transforms back only the
-fields whose grid values an L^p norm with p != 2 needs: at p = 2 the grid
-norm is a coefficient sum (_coefficient_norm).  Band-limited random fields
+inverse_transform.  The symbol table holds the real M of A = i^k M
+(operators._real_stack), so the symbol and pseudoinverse tables are real
+like the projector table (P_A = P_M, A+ = i^-k M+), and only apply_A and
+apply_multiplier multiply by a phase, i^k and i^-k.  Code that chains
+several steps, such as the estimate ratio, stays on FrequencyField
+coefficients and transforms back only the fields whose grid values an L^p
+norm with p != 2 needs: at p = 2 the grid norm is a coefficient sum
+(_coefficient_norm).  Band-limited random fields
 keep |xi|_inf <= N/4 so products of symbols and fields stay well inside the
 grid.
 
 The two SVD tables, the kernel projector and the pseudoinverse, have a
-parity in xi (the symbol of order k has M(-xi) = (-1)^k M(xi)), so
+parity in xi (M(-xi) = (-1)^k M(xi) for an operator of order k), so
 _half_spectrum runs the SVD on the first-axis planes 0..N/2 only and fills
 the others by mirroring xi -> -xi.  The exception is an entry with another
 axis at index N/2: its mirror +N/2 is not a grid frequency, so it is built
@@ -35,11 +39,13 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from .operators import (Operator, _monomials, _real_factor, multi_indices,
-                        multinomial_weight, symbol_stack)
+from .operators import Operator, _monomials, _real_stack, multi_indices, multinomial_weight
 from .pinv import DEFAULT_TOL, _norm, _svd_entries, kernel_projector, pinv_svd
 
 TWO_PI = 2.0 * math.pi
+# frequencies per pass of _matvec: a chunk of a 3 x 3 table with its input, output
+# and temporary takes about 0.75 MB, which stays in a core's L2 cache
+_MATVEC_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -207,6 +213,14 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _refuse_beyond_memory(needed: float, subject: str, purpose: str) -> None:
+    """Raise MemoryError, naming subject and purpose, when needed bytes exceed physical memory."""
+    available = _physical_memory()
+    if available is not None and needed > available:
+        raise MemoryError(f"{subject} needs about {needed / 1e9:.3g} GB {purpose}; "
+                          f"physical memory is {available / 1e9:.3g} GB")
+
+
 def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: float) -> None:
     """Raise MemoryError when a table build on this grid cannot fit in memory.
 
@@ -219,24 +233,23 @@ def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: float) -> None:
     """
     derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
     needed = 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers)
-    available = _physical_memory()
-    if available is not None and needed > available:
-        raise MemoryError(
-            f"{op.name} on a {grid.size}^{grid.n} grid needs about {needed / 1e9:.3g} GB "
-            f"for its tables and largest field; physical memory is {available / 1e9:.3g} GB")
+    _refuse_beyond_memory(needed, f"{op.name} on a {grid.size}^{grid.n} grid",
+                          "for its tables and largest field")
 
 
 @lru_cache(maxsize=32)
 def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
-    """A(xi) over the whole frequency mesh, shape (size, ..., size, dimW, dimV).
+    """M(xi) over the whole frequency mesh, shape (size, ..., size, dimW, dimV), float64.
 
-    Frequency axes in fft layout come first and the matrix axes last: the
-    (..., m, n) stack layout of the pinv routines.  Raises MemoryError
-    before building when the grid is too large (see _refuse_oversized).
+    The real factor of A = i^k M (operators._real_stack): i^k times an
+    entry is symbol(op, xi) exactly.  Frequency axes in fft layout come
+    first and the matrix axes last: the (..., m, n) stack layout of the
+    pinv routines.  Raises MemoryError before building when the grid is too
+    large (see _refuse_oversized).
     """
-    _refuse_oversized(op, grid, op.dim_w * op.dim_v)
+    _refuse_oversized(op, grid, op.dim_w * op.dim_v / 2)
     xis = integer_frequencies(grid).reshape(grid.n, -1).T
-    stack = symbol_stack(op, xis).reshape(grid.shape + (op.dim_w, op.dim_v))
+    stack = _real_stack(op, xis).reshape(grid.shape + (op.dim_w, op.dim_v))
     stack.setflags(write=False)
     return stack
 
@@ -244,11 +257,30 @@ def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
 def _matvec(table: np.ndarray, freq: FrequencyField) -> FrequencyField:
     """table[xi] @ freq(xi) at every frequency xi: the one symbol-multiplier step.
 
-    table is a (size, ..., size, m, n) stack in _symbol_tensor's layout.  The
-    einsum asks for order="C" output, which keeps the field axes contiguous
-    for the FFTs instead of following the table's strides.
+    table is a real (size, ..., size, m, n) stack in _symbol_tensor's
+    layout and freq complex.  Row i of the output is sum_j table[..., i, j]
+    * freq[j], m x n broadcast multiply-adds in order j = 0, 1, ..., run on
+    _MATVEC_CHUNK frequencies at a time so that the strided table entries
+    are read from cache; the field axes of the output are contiguous for
+    the FFTs.
     """
-    out = np.einsum("...ij,j...->i...", table, freq.coeffs, order="C")
+    rows, cols = table.shape[-2:]
+    size = freq.grid.size ** freq.grid.n
+    flat_table = table.reshape(size, rows, cols)
+    flat_in = freq.coeffs.reshape(cols, size)
+    out = np.empty((rows,) + freq.grid.shape, dtype=complex)
+    flat_out = out.reshape(rows, size)
+    term = np.empty(min(size, _MATVEC_CHUNK), dtype=complex)
+    for start in range(0, size, _MATVEC_CHUNK):
+        chunk = slice(start, start + _MATVEC_CHUNK)
+        entries, coeffs = flat_table[chunk], flat_in[:, chunk]
+        part = term[:len(entries)]
+        for i in range(rows):
+            row = flat_out[i, chunk]
+            np.multiply(entries[:, i, 0], coeffs[0], out=row)
+            for j in range(1, cols):
+                np.multiply(entries[:, i, j], coeffs[j], out=part)
+                row += part
     return FrequencyField(freq.grid, out)
 
 
@@ -262,27 +294,29 @@ def _check_field(op: Operator, field: GridField | FrequencyField, fiber_dim: int
 
 
 def apply_A(op: Operator, field: GridField) -> GridField:
-    """Apply the operator spectrally: multiply coefficients by A(xi)."""
+    """Apply the operator spectrally: multiply coefficients by A(xi) = i^k M(xi)."""
     _check_field(op, field, op.dim_v, "input")
-    return inverse_transform(_matvec(_symbol_tensor(op, field.grid), forward_transform(field)))
+    out = _matvec(_symbol_tensor(op, field.grid), forward_transform(field))
+    np.multiply(out.coeffs, 1j ** op.k, out=out.coeffs)
+    return inverse_transform(out)
 
 
 def _half_spectrum(op: Operator, grid: Grid, build, parity: int) -> np.ndarray:
-    """build(R) over the whole frequency mesh, with build run on about half of it.
+    """build(M) over the whole frequency mesh, with build run on about half of it.
 
-    R is the real view of the symbol table (_real_factor) and build a stack
-    routine of pinv (kernel_projector, pinv_svd) whose table obeys T(-xi) =
-    parity * T(xi), as R(-xi) = (-1)^k R(xi) makes the projector even and
-    the pseudoinverse of parity (-1)^k.  build runs on the first-axis planes
+    M is the real symbol table (_symbol_tensor) and build a stack routine
+    of pinv (kernel_projector, pinv_svd) whose table obeys T(-xi) = parity *
+    T(xi), as M(-xi) = (-1)^k M(xi) makes the projector even and the
+    pseudoinverse of parity (-1)^k.  build runs on the first-axis planes
     0..N/2 (frequencies 0..N/2-1 and -N/2).  Plane N - a (frequency -a) is
     parity times plane a with every other axis index negated, j -> -j mod
     N, written straight into the output.  -(-N/2) is not a grid frequency,
     so the mirrored entries with another axis at index N/2 are built
     directly.  A mirrored entry equals build at -xi to rounding, not bitwise.
     """
-    real_symbols = _real_factor(op, _symbol_tensor(op, grid))
+    symbols = _symbol_tensor(op, grid)
     half = grid.size // 2
-    built = build(real_symbols[:half + 1])
+    built = build(symbols[:half + 1])
     table = np.empty((grid.size,) + built.shape[1:], dtype=built.dtype)
     table[:half + 1] = built
     del built
@@ -296,43 +330,45 @@ def _half_spectrum(op: Operator, grid: Grid, build, parity: int) -> np.ndarray:
         np.multiply(sources[source], parity, out=table[target])
     for axis in range(1, grid.n):
         nyquist = (slice(half + 1, None),) + (slice(None),) * (axis - 1) + (half,)
-        table[nyquist] = build(real_symbols[nyquist])
+        table[nyquist] = build(symbols[nyquist])
     return table
 
 
-def _refuse_oversized_table(op: Operator, grid: Grid, output_peak: int, table_entries: int):
+def _refuse_oversized_table(op: Operator, grid: Grid, svd: float, output_peak: int,
+                            table_entries: int):
     """_refuse_oversized for a _half_spectrum table of a pinv stack routine.
 
-    While _svd runs, the complex symbol table and _svd's own peak
-    (pinv._svd_entries, counted per frequency of the whole mesh, an upper
-    bound for the half mesh it runs on) are alive.  Then the routine holds
-    output_peak real entries per frequency, and copying its half-mesh output
-    into the full table holds both, under 2 table_entries.  Real entries
-    count as half a complex one.
+    While _svd runs, the real symbol table and _svd's own peak of svd real
+    entries per frequency (pinv._svd_entries, counted on the whole mesh, an
+    upper bound for the half mesh it runs on) are alive.  Then the routine
+    holds output_peak real entries per frequency, and copying its half-mesh
+    output into the full table holds both, under 2 table_entries.  Real
+    entries count as half a complex one.
     """
-    svd = _svd_entries(op.dim_w, op.dim_v, grid.size ** grid.n)
     peak = max(svd, output_peak, 2 * table_entries)
-    _refuse_oversized(op, grid, op.dim_w * op.dim_v + peak / 2)
+    _refuse_oversized(op, grid, (op.dim_w * op.dim_v + peak) / 2)
 
 
 @lru_cache(maxsize=32)
 def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """Projector onto ker A(xi) per frequency, shape (size, ..., size, dimV, dimV).
 
-    Same layout as _symbol_tensor, but real: A = i^k M with M real, and
-    P_A = P_M, so the table is kernel_projector of the real view of the
-    symbol table (_real_factor).  The projector is even in xi, so
-    kernel_projector runs on the first-axis planes 0..N/2 and the others
-    are mirrored, except their entries with another axis at index N/2,
-    which have no mirror on the grid (see _half_spectrum).  Frequency zero
-    (and any exact rank-0 frequency) gets the identity: everything there is
-    kernel, so the projection keeps constants intact.  Raises MemoryError
-    before building when the grid is too large (see _refuse_oversized).
+    Same layout as _symbol_tensor and real like it: P_A = P_M, so the table
+    is kernel_projector of the real symbol table.  The projector is even in
+    xi, so kernel_projector runs on the first-axis planes 0..N/2 and the
+    others are mirrored, except their entries with another axis at index
+    N/2, which have no mirror on the grid (see _half_spectrum).  Frequency
+    zero (and any exact rank-0 frequency) gets the identity: everything
+    there is kernel, so the projection keeps constants intact.  Raises
+    MemoryError before building when the grid is too large (see
+    _refuse_oversized).
     """
-    # after the SVD, kernel_projector holds sigma, vh, its masked copy and
-    # the dimV x dimV output
+    # _svd returns sigma and vh only; after it kernel_projector holds them,
+    # the masked copy of vh and the dimV x dimV output
     rank = min(op.dim_w, op.dim_v)
-    _refuse_oversized_table(op, grid, rank + 2 * rank * op.dim_v + op.dim_v ** 2, op.dim_v ** 2)
+    svd = _svd_entries(op.dim_w, op.dim_v, grid.size ** grid.n, want_u=False, want_vh=True)
+    _refuse_oversized_table(op, grid, svd, rank + 2 * rank * op.dim_v + op.dim_v ** 2,
+                            op.dim_v ** 2)
     table = _half_spectrum(op, grid, partial(kernel_projector, tol=tol), 1)
     table.setflags(write=False)
     return table
@@ -340,19 +376,19 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
-    """R+ per frequency for the real view R of the symbol table (_real_factor).
+    """M+ per frequency for the real symbol table M, shape (size, ..., size, dimV, dimW).
 
-    Shape (size, ..., size, dimV, dimW); A+ = i^-(k mod 2) R+.  R+ has
-    parity (-1)^k in xi, so pinv_svd runs on half the mesh (_half_spectrum).
-    Read-only and cached like _kernel_projector_table, with the same
-    memory refusal.
+    A+ = i^-k M+.  M+ has parity (-1)^k in xi, so pinv_svd runs on half the
+    mesh (_half_spectrum).  Read-only and cached like
+    _kernel_projector_table, with the same memory refusal.
     """
     # pinv_svd holds u, sigma and vh, the inverted sigma, the scaled u^T and
     # the dimV x dimW output
     rank = min(op.dim_w, op.dim_v)
     entries = op.dim_v * op.dim_w
-    _refuse_oversized_table(op, grid, (op.dim_w + op.dim_v + 2) * rank + op.dim_w * rank + entries,
-                            entries)
+    svd = _svd_entries(op.dim_w, op.dim_v, grid.size ** grid.n, want_u=True, want_vh=True)
+    _refuse_oversized_table(op, grid, svd,
+                            (op.dim_w + op.dim_v + 2) * rank + op.dim_w * rank + entries, entries)
     table = _half_spectrum(op, grid, partial(pinv_svd, tol=tol), (-1) ** op.k)
     table.setflags(write=False)
     return table
@@ -397,24 +433,23 @@ def apply_Dk(k: int, field: GridField) -> GridField:
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
     """Apply the derivative recovery multiplier: A+(xi), then the derivatives.
 
-    One batched pinv_svd table (_pseudoinverse_table, cached like the
-    projector table), then the derivative step of apply_Dk.  The
-    pseudoinverse is taken in real arithmetic: A = i^k M with M real gives
-    A+ = i^-k M+, and with the real view R of the
-    symbol table (_real_factor) that is A+ = i^-(k mod 2) R+.  R+ has parity
-    (-1)^k in xi, so pinv_svd runs on the first-axis planes 0..N/2 and the
-    others are mirrored, except their entries with another axis at index
-    N/2, which have no mirror on the grid (see _half_spectrum).  Input is a
-    codomain-valued field (fiber dimW, typically apply_A(phi)); output is a
-    derivative array (fiber dimV * T) equal to apply_Dk(k, phi -
-    apply_PA(phi)) when the input is apply_A(phi).  The multiplier vanishes
-    at frequency zero, where the symbol is zero.
+    One batched pinv_svd table of the real symbol table M
+    (_pseudoinverse_table, cached like the projector table), the phase
+    i^-k on its output (A = i^k M gives A+ = i^-k M+), then the derivative
+    step of apply_Dk.  M+ has parity (-1)^k in xi, so pinv_svd runs on the
+    first-axis planes 0..N/2 and the others are mirrored, except their
+    entries with another axis at index N/2, which have no mirror on the grid
+    (see _half_spectrum).  Input is a codomain-valued field (fiber dimW,
+    typically apply_A(phi)); output is a derivative array (fiber dimV * T)
+    equal to apply_Dk(k, phi - apply_PA(phi)) when the input is
+    apply_A(phi).  The multiplier vanishes at frequency zero, where the
+    symbol is zero.
     """
     _check_field(op, field, op.dim_w, "input")
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
-    if op.k % 2:
-        dagger = -1j * dagger
-    return inverse_transform(_derivatives(op.k, _matvec(dagger, forward_transform(field))))
+    out = _matvec(dagger, forward_transform(field))
+    np.multiply(out.coeffs, (-1j) ** op.k, out=out.coeffs)
+    return inverse_transform(_derivatives(op.k, out))
 
 
 def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> FrequencyField:

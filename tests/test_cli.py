@@ -315,6 +315,18 @@ def test_grid_beyond_physical_memory_is_refused(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "counterexample"])
+def test_sphere_sweep_beyond_physical_memory_is_refused(capsys, tmp_path, command):
+    # 2^40 sign vectors of a 40-variable operator: refused up front, not killed
+    doc = {"name": "x40", "n": 40, "k": 1, "dimV": 1, "dimW": 1,
+           "terms": [{"alpha": [1] + [0] * 39, "matrix": [[1.0]]}]}
+    path = tmp_path / "x40.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error: out of memory: x40: a sphere sweep of") and err.count("\n") == 1
+
+
 def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch):
     # an oversized grid is refused before the first random draw or witness family
     monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 5)

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrank import experiments, spectral
+from symrank import experiments, pinv, spectral
 from symrank.experiments import (DegenerateProbeError, EmptyExperimentError, KernelInputError,
                                  TrialRecord, assemble_report, build_frequency_ladder,
                                  estimate_ratio, l2_minimality_check, ratio_sweep,
                                  witness_family)
-from symrank.operators import Operator, parse_operator, symbol, symbol_stack
+from symrank.operators import Operator, _real_stack, parse_operator, symbol, symbol_stack
 from symrank.pinv import kernel_projector
 from symrank.rank import Verdict, find_rank_drop_witness, rank_profile
 from symrank.spectral import (Grid, GridField, apply_A, apply_Dk, apply_PA, forward_transform,
@@ -227,10 +227,15 @@ def test_witness_family_rejects_degenerate_frequency():
         witness_family(op, [(4, 0)], grid)
 
 
-def probe(mat: np.ndarray) -> np.ndarray:
-    """u_{r-1} of A(xi), r its rank, times the power of two bringing sigma_max into [0.5, 1)."""
-    u, sigma, _ = np.linalg.svd(mat)
-    return u[:, np.linalg.matrix_rank(mat) - 1] * 2.0 ** -math.frexp(sigma[0])[1]
+def probe(op: Operator, xi) -> np.ndarray:
+    """u_{r-1} of M(xi), r its rank, times the power of two bringing sigma_max into [0.5, 1).
+
+    M is the real factor of A = i^k M, decomposed by the package's SVD route,
+    so u_{r-1} is the left singular vector of A(xi) the witness uses.
+    """
+    real = _real_stack(op, [xi])[0]
+    u, sigma, _ = pinv._svd(real, want_u=True)
+    return u[:, np.linalg.matrix_rank(real) - 1] * 2.0 ** -math.frexp(sigma[0])[1]
 
 
 @pytest.mark.parametrize("name, xi", [("divergence", (1, 2, 3)), ("curl", (2, 1, -1)),
@@ -248,7 +253,7 @@ def test_exact_witness_is_the_closed_form_single_mode(name, xi, rescaled):
         mat = symbol(op, np.array(xi, dtype=float))
         phi = witness_family(op, [xi], grid)[0]
         np.testing.assert_array_equal(single_mode_column(grid, phi, xi),
-                                      mat.conj().T @ probe(mat) * TWO_PI ** (op.n / 2.0))
+                                      mat.conj().T @ probe(op, xi) * TWO_PI ** (op.n / 2.0))
         for p in (1.0, 2.0, 3.0, math.inf):
             assert math.isclose(estimate_ratio(op, phi, p), symbol_bound(op, xi), rel_tol=1e-12)
 
@@ -269,7 +274,7 @@ def test_windowed_witness_obeys_the_shift_theorem(name, xi):
     eta = np.stack(np.meshgrid(*([np.fft.fftfreq(grid.size, 1.0 / grid.size)] * grid.n),
                                indexing="ij")).reshape(grid.n, -1)
     mats = symbol_stack(op, eta.T.astype(float))
-    expected = np.einsum("sij,i,s->js", mats.conj(), probe(symbol(op, np.array(xi, float))),
+    expected = np.einsum("sij,i,s->js", mats.conj(), probe(op, xi),
                          wave_hat.ravel())
     phi = witness_family(op, [xi], grid, window=0.5)[0]
     got = phi.coeffs.reshape(op.dim_v, -1)

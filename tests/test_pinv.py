@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from symrank import pinv
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
-from symrank.operators import Operator, _real_factor, symbol, symbol_stack
+from symrank.operators import Operator, _real_stack, symbol, symbol_stack
 from symrank.rank import rank_profile, sphere_samples
 from symrank.spectral import Grid, _kernel_projector_table
 from symrank.zoo import zoo_get, zoo_list
@@ -297,15 +297,17 @@ def test_closed_form_matches_lapack_at_every_scale(kind, c):
 
 @pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
 def test_real_factor_route_equals_complex_route_on_zoo_symbols(entry):
+    # the real factor M of A = i^k M is the package's symbol format
     op = entry.build()
-    mats = symbol_stack(op, np.vstack([np.zeros(op.n), sphere_samples(op.n, 64)]))
-    real = _real_factor(op, mats)
-    assert real.dtype == float and np.shares_memory(real, mats)
-    # A = i^(k mod 2) R exactly, so the two routes see the same matrices
-    np.testing.assert_array_equal(1j ** (op.k % 2) * real, mats)
+    xis = np.vstack([np.zeros(op.n), sphere_samples(op.n, 64)])
+    real = _real_stack(op, xis)
+    mats = symbol_stack(op, xis)
+    assert real.dtype == np.float64
+    # A = i^k M bitwise, so the two routes see the same matrices
+    assert (1j ** op.k * real).tobytes() == mats.tobytes()
     assert numerical_rank(real).tolist() == numerical_rank(mats).tolist()
     np.testing.assert_allclose(kernel_projector(real), kernel_projector(mats), rtol=0, atol=1e-14)
-    assert_close_per_matrix(1j ** -(op.k % 2) * pinv_svd(real), pinv_svd(mats), 1e-14)
+    assert_close_per_matrix(1j ** -op.k * pinv_svd(real), pinv_svd(mats), 1e-14)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -362,8 +364,8 @@ def test_jacobi_kernel_matches_lapack(rows, cols, specs, seed):
     rng = np.random.default_rng(seed)
     mats = np.stack([kernel_input(rows, cols, kind, rank, scale, rng)
                      for kind, rank, scale in specs])
-    u, sigma, vh = pinv._svd(mats)
-    np.testing.assert_array_equal(pinv._svd(mats, compute_uv=False), sigma)
+    u, sigma, vh = pinv._svd(mats, want_u=True, want_vh=True)
+    assert pinv._svd(mats)[1].tobytes() == sigma.tobytes()
     want = np.linalg.svd(mats, compute_uv=False)
     for mat, u1, s1, vh1, w1 in zip(mats, u, sigma, vh, want):
         top = w1[0]
@@ -392,13 +394,30 @@ def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape):
     mats[3::11] *= 1e-200
     mats[4::13] *= 1e200
     mats[6::3] = [kernel_input(*shape, "skew", 0, 1.0, rng) for _ in mats[6::3]]
-    stacked = pinv._svd(mats)
-    stacked_sigma = pinv._svd(mats, compute_uv=False)
+    stacked = pinv._svd(mats, want_u=True, want_vh=True)
     for i in [*range(30), *range(pinv._BLOCK - 5, len(mats))]:
-        alone = pinv._svd(mats[i])
+        alone = pinv._svd(mats[i], want_u=True, want_vh=True)
         for got, want in zip(alone, stacked):
             assert got.tobytes() == want[i].tobytes(), i
-        assert pinv._svd(mats[i], compute_uv=False).tobytes() == stacked_sigma[i].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 2), (2, 3), (1, 3), (3, 1)])
+@pytest.mark.parametrize("want_u, want_vh", [(False, False), (True, False), (False, True)])
+def test_jacobi_kernel_fills_only_the_factors_asked_for(shape, want_u, want_vh):
+    # a factor asked for alone has the bits it has next to the other one; one
+    # not asked for is never allocated
+    rng = np.random.default_rng(4)
+    mats = rng.standard_normal((50,) + shape)
+    mats[::6] = 0.0
+    mats[1::4] = [kernel_input(*shape, "deficient", 1, 1.0, rng) for _ in mats[1::4]]
+    both = pinv._svd(mats, want_u=True, want_vh=True)
+    u, sigma, vh = pinv._svd(mats, want_u=want_u, want_vh=want_vh)
+    assert sigma.tobytes() == both[1].tobytes()
+    assert (u is None) != want_u and (vh is None) != want_vh
+    if want_u:
+        assert u.tobytes() == both[0].tobytes()
+    if want_vh:
+        assert vh.tobytes() == both[2].tobytes()
 
 
 # -------------------------------------------------------------- homogeneity

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symrank import spectral
 from symrank.operators import Operator, symbol
 from symrank.pinv import pinv_svd
 from symrank.rank import (ANGULAR_RESOLUTION, DegenerateWitnessError, NoRankDropError,
@@ -83,11 +85,30 @@ def test_sphere_samples_lead_with_axes_then_sign_vectors(n):
     signs = (1.0 - 2.0 * bits) / np.sqrt(n)
     np.testing.assert_array_equal(structured, np.vstack([axes, signs]))
     assert len(np.unique(structured, axis=0)) == len(structured)
+    # byte for byte the directions of one array per itertools.product sign vector
+    reference = [np.array(v) / np.sqrt(n) for v in itertools.product((1.0, -1.0), repeat=n)]
+    assert structured.tobytes() == np.vstack([axes] + reference).tobytes()
 
 
 def test_sphere_samples_validation():
     with pytest.raises(ValueError, match="num_random"):
         sphere_samples(3, 2)
+
+
+def test_sweep_beyond_physical_memory_is_refused(monkeypatch):
+    # 2^40 sign vectors are refused before a direction is drawn
+    op = Operator("x40", 40, 1, 1, 1, (((1,) + (0,) * 39, ((1.0,),)),))
+    with pytest.raises(MemoryError, match="sphere sweep of 1099511628880 directions"):
+        rank_profile(op)
+    # the estimate is the directions and the real symbol stack, 8 (n + dimW dimV)
+    # bytes per direction
+    curl = zoo_get("curl")
+    needed = 8 * (6 + 8 + 64) * (3 + 9)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
+    assert rank_profile(curl, num_samples=64).verdict is Verdict.CONSTANT_RANK
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(MemoryError, match="sphere sweep of 78 directions"):
+        rank_profile(curl, num_samples=64)
 
 
 # ------------------------------------------------------------------ profiles

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank import spectral
-from symrank.operators import Operator, _real_factor, multi_indices, parse_operator, symbol
+from symrank.operators import Operator, _real_stack, multi_indices, parse_operator, symbol
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_Dk, apply_PA,
                               apply_multiplier, forward_transform,
@@ -21,6 +21,11 @@ from symrank.zoo import zoo_get, zoo_list
 from decell import pinv_decell
 
 TWO_PI = 2.0 * math.pi
+# operators of order 3 and 4, so the phases i^k and i^-k of apply_A and
+# apply_multiplier are tested at all four values of k mod 4
+LINE = Operator(name="line", n=1, k=3, dim_v=2, dim_w=2, terms=(((3,), ((1.0, 2.0), (0.0, 0.0))),))
+BILAPLACIAN = Operator(name="bilaplacian", n=2, k=4, dim_v=1, dim_w=1,
+                       terms=(((4, 0), ((1.0,),)), ((2, 2), ((2.0,),)), ((0, 4), ((1.0,),))))
 
 
 def grid_inner(a: GridField, b: GridField) -> complex:
@@ -164,8 +169,8 @@ def test_fiber_weights_enter_pointwise_norm():
 # ------------------------------------------------------------------ operators
 
 def test_apply_A_on_single_mode_is_symbol_action():
-    for name in ("divergence", "curl", "laplacian", "symmetric_gradient", "wave"):
-        op = zoo_get(name)
+    names = ("divergence", "curl", "laplacian", "symmetric_gradient", "wave")
+    for op in [zoo_get(name) for name in names] + [LINE, BILAPLACIAN]:
         grid = Grid(op.n, 8)
         xi = tuple(2 if i == 0 else 1 for i in range(op.n))
         v = np.arange(1, op.dim_v + 1).astype(complex)
@@ -206,22 +211,39 @@ def test_tables_are_read_only_stacks_with_matrix_axes_last(entry):
     projectors = _kernel_projector_table(op, grid, DEFAULT_TOL)
     assert not symbols.flags.writeable and not projectors.flags.writeable
     assert not spectral._pseudoinverse_table(op, grid, DEFAULT_TOL).flags.writeable
+    # the symbol table holds the real factor M of A = i^k M
+    assert symbols.dtype == np.float64
     for xi in itertools.product(range(-2, 2), repeat=op.n):
         idx = tuple(x % grid.size for x in xi)
         mat = symbol(op, np.array(xi, dtype=float))
-        np.testing.assert_array_equal(symbols[idx], mat)
-        # the table is the projector of the real factor M of A = i^k M, and P_A = P_M
-        np.testing.assert_array_equal(projectors[idx], kernel_projector(_real_factor(op, mat)))
+        assert (1j ** op.k * symbols[idx]).tobytes() == mat.tobytes()
+        # the projector table is that of M, built per frequency, and P_A = P_M
+        real = _real_stack(op, [xi])[0]
+        np.testing.assert_array_equal(projectors[idx], kernel_projector(real))
         np.testing.assert_allclose(projectors[idx], kernel_projector(mat), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["gradient3", "divergence", "symmetric_gradient"])
+def test_matvec_multiplies_every_frequency_by_its_table_entry(name):
+    # real tables of both shapes, dimW x dimV and dimV x dimW, with dimW != dimV
+    op = zoo_get(name)
+    grid = Grid(op.n, 8)
+    rng = np.random.default_rng(5)
+    for table in (_symbol_tensor(op, grid), spectral._pseudoinverse_table(op, grid, DEFAULT_TOL)):
+        rows, cols = table.shape[-2:]
+        coeffs = (rng.standard_normal((cols,) + grid.shape)
+                  + 1j * rng.standard_normal((cols,) + grid.shape))
+        out = spectral._matvec(table, FrequencyField(grid, coeffs)).coeffs
+        assert out.shape == (rows,) + grid.shape and out.flags.c_contiguous
+        for idx in np.ndindex(grid.shape):
+            want = sum(table[idx][:, j] * coeffs[(j,) + idx] for j in range(cols))
+            np.testing.assert_array_equal(out[(slice(None),) + idx], want)
 
 
 # every zoo operator, a vector-valued drop and a 1-D operator of odd order,
 # whose pseudoinverse table is odd in xi
 MIRRORED = [entry.build() for entry in zoo_list()] + [
-    parse_operator((Path(__file__).parent / "lap_plus_d1d2.json").read_text()),
-    Operator(name="line", n=1, k=3, dim_v=2, dim_w=2,
-             terms=(((3,), ((1.0, 2.0), (0.0, 0.0))),)),
-]
+    parse_operator((Path(__file__).parent / "lap_plus_d1d2.json").read_text()), LINE]
 
 
 @pytest.mark.parametrize("size", [4, 8, 16])
@@ -234,7 +256,7 @@ def test_half_spectrum_tables_match_per_frequency_builds(op, size):
     want_daggers = np.empty(grid.shape + (op.dim_v, op.dim_w))
     for xi in itertools.product(range(-size // 2, size // 2), repeat=op.n):
         idx = tuple(x % size for x in xi)
-        real = _real_factor(op, symbol(op, np.array(xi, dtype=float)))
+        real = _real_stack(op, [xi])[0]
         want_projectors[idx] = kernel_projector(real)
         want_daggers[idx] = pinv_svd(real)
     np.testing.assert_allclose(_kernel_projector_table(op, grid, DEFAULT_TOL), want_projectors,
@@ -453,10 +475,10 @@ def test_multiplier_zero_mode_convention():
     assert np.abs(out.data).max() < 1e-13
 
 
-@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
-def test_multiplier_matches_decell_route_at_every_frequency(entry):
+@pytest.mark.parametrize("op", [entry.build() for entry in zoo_list()] + [LINE, BILAPLACIAN],
+                         ids=lambda op: op.name)
+def test_multiplier_matches_decell_route_at_every_frequency(op):
     # d1d2 and wave have rank-drop frequencies on this grid (axes, diagonals)
-    op = entry.build()
     grid = Grid(op.n, 8)
     rng = np.random.default_rng(17)
     coeffs = (rng.standard_normal((op.dim_w,) + grid.shape)

@@ -14,10 +14,14 @@ small singular values at least as accurately as QR-based SVD (Demmel &
 Veselic, 1992).  Complex input comes only from public-API callers and
 goes to LAPACK (numpy.linalg.svd).  _norm is the package's one
 overflow-free norm for the other values that carry the operator's scale.
+_refuse_beyond_memory is the one physical-memory check behind the
+refusals of oversized symbol tables (spectral) and sphere sweeps (rank),
+which size their peaks with _svd_entries.
 """
 
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -178,12 +182,29 @@ def _svd_entries(rows: int, cols: int, count: int, want_u: bool, want_vh: bool) 
     return factors + working * min(1.0, _BLOCK / count)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _refuse_beyond_memory(needed: float, subject: str, purpose: str) -> None:
+    """Raise MemoryError, naming subject and purpose, when needed bytes exceed physical memory."""
+    available = _physical_memory()
+    if available is not None and needed > available:
+        raise MemoryError(f"{subject} needs about {needed / 1e9:.3g} GB {purpose}; "
+                          f"physical memory is {available / 1e9:.3g} GB")
+
+
 def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
     """numpy.linalg.svd(mats, full_matrices=False) of a stack from _as_matrices.
 
     Returns (u, sigma, vh) in the dtype of mats, with u and vh None unless
     asked for, so a caller pays only for the factors it reads.  Complex
-    stacks go to LAPACK.  Real stacks take the Jacobi kernel (_jacobi_block)
+    stacks go to LAPACK, which computes values only when no factor is
+    asked for.  Real stacks take the Jacobi kernel (_jacobi_block)
     on blocks of _BLOCK matrices, rotating the min(m, n) columns of A, or of
     A^T when A is wide, so a row or column needs no rotation: sigma = |a|.
     The normalized columns give u (vh for a wide A) and the accumulated
@@ -195,6 +216,8 @@ def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
     Raises LinAlgError (a ValueError) if a block does not converge.
     """
     if np.iscomplexobj(mats):
+        if not (want_u or want_vh):
+            return None, np.linalg.svd(mats, compute_uv=False), None
         u, sigma, vh = np.linalg.svd(mats, full_matrices=False)
         return (u if want_u else None), sigma, (vh if want_vh else None)
     rows, cols = mats.shape[-2:]

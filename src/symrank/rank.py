@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import Operator, _real_stack
-from .pinv import DEFAULT_TOL, _svd, kernel_projector, numerical_rank, pinv_svd
-from .spectral import _refuse_beyond_memory
+from .pinv import (DEFAULT_TOL, _refuse_beyond_memory, _svd, _svd_entries, kernel_projector,
+                   numerical_rank, pinv_svd)
 
 # refinement target for drop directions, radians
 ANGULAR_RESOLUTION = 1e-3
@@ -98,14 +98,30 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
 def _refuse_oversized_sweep(op: Operator, num_samples: int) -> None:
     """Raise MemoryError when a rank_profile sweep cannot fit in physical memory.
 
-    The sweep holds its directions (sphere_samples: 2n axes, 2^n sign
-    vectors for n >= 2 and num_samples random ones) and the real symbol
-    stack at all of them, n + dimW * dimV doubles per direction.  The check
-    runs before either is allocated, so a sweep too large for the machine
-    is refused instead of being killed part way.
+    The sweep runs over sphere_samples' directions: 2n axes, 2^n sign
+    vectors for n >= 2 and num_samples random ones, n doubles each.
+    Drawing them adds, per random direction, the gaussian draw, its
+    squares, its norm and a flag, 2n + 2 doubles.  Then the sweep holds,
+    per direction, the most of three phases: building the real symbol M
+    (_monomials' T monomials, one per-axis power column for each exponent
+    above 1, and the dimW * dimV entries of M); ranking M (M, _svd's
+    singular values and Jacobi working set from pinv._svd_entries, the
+    cutoff product, the rank mask and the ranks); and pairing low-rank
+    samples with full-rank ones (the copy of the full-rank directions, the
+    ranks, two sample masks and two score arrays).  A flag counts as a
+    whole double.  The check runs before anything is allocated, so a sweep
+    too large for the machine is refused instead of being killed part way.
     """
     count = 2 * op.n + (2 ** op.n if op.n >= 2 else 0) + num_samples
-    _refuse_beyond_memory(8 * count * (op.n + op.dim_w * op.dim_v),
+    rank = min(op.dim_w, op.dim_v)
+    entries = op.dim_w * op.dim_v
+    powers = len(op.alpha_array) + int(np.maximum(op.alpha_array.max(axis=0) - 1, 0).sum())
+    build = powers + entries
+    ranking = entries + _svd_entries(op.dim_w, op.dim_v, count, False, False) + rank + 2
+    pairing = op.n + 5
+    sampling = count * op.n + num_samples * (2 * op.n + 2)
+    sweep = count * (op.n + max(build, ranking, pairing))
+    _refuse_beyond_memory(8 * max(sampling, sweep),
                           f"{op.name}: a sphere sweep of {count} directions in {op.n} dimensions",
                           "for the directions and their symbols")
 

@@ -33,14 +33,14 @@ directly.
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
 import numpy as np
 
 from .operators import Operator, _monomials, _real_stack, multi_indices, multinomial_weight
-from .pinv import DEFAULT_TOL, _norm, _svd_entries, kernel_projector, pinv_svd
+from .pinv import (DEFAULT_TOL, _norm, _refuse_beyond_memory, _svd_entries, kernel_projector,
+                   pinv_svd)
 
 TWO_PI = 2.0 * math.pi
 # frequencies per pass of _matvec: a chunk of a 3 x 3 table with its input, output
@@ -203,22 +203,6 @@ def _coefficient_norm(freq: FrequencyField, k: int = 0) -> float:
     """
     weights = _derivative_weights(freq.grid, k) if k else None
     return float(_norm(freq.coeffs.reshape(freq.fiber_dim, -1), weights=weights))
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _refuse_beyond_memory(needed: float, subject: str, purpose: str) -> None:
-    """Raise MemoryError, naming subject and purpose, when needed bytes exceed physical memory."""
-    available = _physical_memory()
-    if available is not None and needed > available:
-        raise MemoryError(f"{subject} needs about {needed / 1e9:.3g} GB {purpose}; "
-                          f"physical memory is {available / 1e9:.3g} GB")
 
 
 def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: float) -> None:

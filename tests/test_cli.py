@@ -305,7 +305,7 @@ def test_svd_without_convergence_is_an_input_error(capsys, monkeypatch):
 
 
 def test_grid_beyond_physical_memory_is_refused(capsys, monkeypatch):
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 5)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 5)
     spectral._symbol_tensor.cache_clear()
     spectral._kernel_projector_table.cache_clear()
     code, out, err = run(capsys, "verify", "zoo:curl", "--N", "8", "--trials", "1")
@@ -329,7 +329,7 @@ def test_sphere_sweep_beyond_physical_memory_is_refused(capsys, tmp_path, comman
 
 def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch):
     # an oversized grid is refused before the first random draw or witness family
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 5)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 5)
     allocations = []
 
     def counted(module, name):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,11 +383,13 @@ def test_jacobi_kernel_matches_lapack(rows, cols, specs, seed):
         assert orthonormal_columns(exact, np.ones(len(s1), dtype=bool)) <= 1e-14
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (3, 2), (2, 3), (1, 3), (4, 4)])
+@pytest.mark.parametrize("shape", [(3, 3), (3, 2), (2, 3), (1, 3), (4, 4), (3, 1)])
 def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape):
-    # report bytes must not depend on how many frequencies share a block, so a
-    # matrix decomposes to the same bits alone and anywhere in a stack longer
-    # than one block, signed zeros included
+    # report bytes must not depend on how many frequencies share a block or on
+    # which factors a caller reads, so for every choice of factors a matrix
+    # decomposes to the same bits alone and anywhere in a stack longer than
+    # one block, signed zeros included, and to the bits it has next to both
+    # factors; a factor not asked for is never allocated
     rng = np.random.default_rng(3)
     mats = rng.standard_normal((pinv._BLOCK + 40,) + shape)
     mats[::7] = 0.0
@@ -394,30 +398,30 @@ def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape):
     mats[3::11] *= 1e-200
     mats[4::13] *= 1e200
     mats[6::3] = [kernel_input(*shape, "skew", 0, 1.0, rng) for _ in mats[6::3]]
-    stacked = pinv._svd(mats, want_u=True, want_vh=True)
-    for i in [*range(30), *range(pinv._BLOCK - 5, len(mats))]:
-        alone = pinv._svd(mats[i], want_u=True, want_vh=True)
-        for got, want in zip(alone, stacked):
-            assert got.tobytes() == want[i].tobytes(), i
-
-
-@pytest.mark.parametrize("shape", [(3, 3), (3, 2), (2, 3), (1, 3), (3, 1)])
-@pytest.mark.parametrize("want_u, want_vh", [(False, False), (True, False), (False, True)])
-def test_jacobi_kernel_fills_only_the_factors_asked_for(shape, want_u, want_vh):
-    # a factor asked for alone has the bits it has next to the other one; one
-    # not asked for is never allocated
-    rng = np.random.default_rng(4)
-    mats = rng.standard_normal((50,) + shape)
-    mats[::6] = 0.0
-    mats[1::4] = [kernel_input(*shape, "deficient", 1, 1.0, rng) for _ in mats[1::4]]
+    mats[8::10] = [kernel_input(*shape, "deficient", 1, 1.0, rng) for _ in mats[8::10]]
     both = pinv._svd(mats, want_u=True, want_vh=True)
-    u, sigma, vh = pinv._svd(mats, want_u=want_u, want_vh=want_vh)
-    assert sigma.tobytes() == both[1].tobytes()
-    assert (u is None) != want_u and (vh is None) != want_vh
-    if want_u:
-        assert u.tobytes() == both[0].tobytes()
-    if want_vh:
-        assert vh.tobytes() == both[2].tobytes()
+    for want_u, want_vh in itertools.product((False, True), repeat=2):
+        stacked = pinv._svd(mats, want_u=want_u, want_vh=want_vh)
+        wanted = (want_u, True, want_vh)
+        for got, full, want in zip(stacked, both, wanted):
+            assert (got is not None) == want
+            if want:
+                assert got.tobytes() == full.tobytes()
+        for i in [*range(30), *range(pinv._BLOCK - 5, len(mats))]:
+            alone = pinv._svd(mats[i], want_u=want_u, want_vh=want_vh)
+            for got, full, want in zip(alone, both, wanted):
+                assert (got is not None) == want
+                if want:
+                    assert got.tobytes() == full[i].tobytes(), (i, want_u, want_vh)
+
+
+def test_complex_sigma_alone_is_lapacks_values_only_call():
+    # complex public input ranks as numpy.linalg.svd(compute_uv=False) ranks it
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((20, 3, 2)) + 1j * rng.standard_normal((20, 3, 2))
+    mats[::4, :, 1] = 2.0 * mats[::4, :, 0]
+    assert pinv._svd(mats)[1].tobytes() == np.linalg.svd(mats, compute_uv=False).tobytes()
+    assert numerical_rank(mats).tolist() == [1, 2, 2, 2] * 5
 
 
 # -------------------------------------------------------------- homogeneity

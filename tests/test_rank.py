@@ -1,14 +1,15 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrank import spectral
-from symrank.operators import Operator, symbol
+from symrank import pinv, rank
+from symrank.operators import Operator, multi_indices, symbol
 from symrank.pinv import pinv_svd
 from symrank.rank import (ANGULAR_RESOLUTION, DegenerateWitnessError, NoRankDropError,
                           RankDropWitness, Verdict, angular_distance, daggerbound_check,
@@ -95,20 +96,52 @@ def test_sphere_samples_validation():
         sphere_samples(3, 2)
 
 
+def sweep_estimate(monkeypatch, op, num_samples):
+    """The bytes _refuse_oversized_sweep asks physical memory for."""
+    estimates = []
+    with monkeypatch.context() as patch:
+        patch.setattr(rank, "_refuse_beyond_memory", lambda needed, *_: estimates.append(needed))
+        rank._refuse_oversized_sweep(op, num_samples)
+    return estimates[0]
+
+
 def test_sweep_beyond_physical_memory_is_refused(monkeypatch):
     # 2^40 sign vectors are refused before a direction is drawn
     op = Operator("x40", 40, 1, 1, 1, (((1,) + (0,) * 39, ((1.0,),)),))
     with pytest.raises(MemoryError, match="sphere sweep of 1099511628880 directions"):
         rank_profile(op)
-    # the estimate is the directions and the real symbol stack, 8 (n + dimW dimV)
-    # bytes per direction
+    # a machine with exactly the estimate runs the sweep; one byte less refuses it
     curl = zoo_get("curl")
-    needed = 8 * (6 + 8 + 64) * (3 + 9)
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
+    needed = sweep_estimate(monkeypatch, curl, 64)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: needed)
     assert rank_profile(curl, num_samples=64).verdict is Verdict.CONSTANT_RANK
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: needed - 1)
     with pytest.raises(MemoryError, match="sphere sweep of 78 directions"):
         rank_profile(curl, num_samples=64)
+
+
+# many terms with high powers, where building the symbols is the peak, and
+# many variables, where drawing the directions is
+HEXIC = Operator("hexic", 2, 6, 1, 1, tuple((alpha, ((1.0,),)) for alpha in multi_indices(2, 6)))
+SQUARES = Operator("squares", 8, 2, 1, 1,
+                   tuple((tuple(2 * (i == j) for i in range(8)), ((1.0,),)) for j in range(8)))
+
+
+@pytest.mark.parametrize("op", [entry.build() for entry in zoo_list()] + [HEXIC, SQUARES],
+                         ids=lambda op: op.name)
+def test_sweep_memory_estimate_covers_its_peak(monkeypatch, op):
+    # on 60000 random directions, the fixed costs the estimate leaves out (Python
+    # objects, numpy's iteration buffers) stay under 64 KiB, less than a byte
+    # per direction, so a double the estimate misses per direction shows
+    num_samples = 60000
+    rank_profile(op, num_samples=num_samples)
+    tracemalloc.start()
+    try:
+        rank_profile(op, num_samples=num_samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sweep_estimate(monkeypatch, op, num_samples) + 2 ** 16
 
 
 # ------------------------------------------------------------------ profiles

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrank import spectral
+from symrank import pinv, spectral
 from symrank.operators import Operator, _real_stack, multi_indices, parse_operator, symbol
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_Dk, apply_PA,
@@ -283,14 +283,14 @@ def test_memory_estimate_of_a_large_grid(monkeypatch):
     # the estimate alone: _refuse_oversized allocates nothing
     curl = zoo_get("curl")
     symbol_entries = curl.dim_w * curl.dim_v
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: 8 * 10 ** 9)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 8 * 10 ** 9)
     spectral._refuse_oversized(curl, Grid(3, 128), symbol_entries)
     spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: 4 * 10 ** 9)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 4 * 10 ** 9)
     # 2.4 GB of symbol table and 2.4 GB for the nine derivative components
     with pytest.raises(MemoryError, match=r"curl on a 256\^3 grid needs about 4.83 GB"):
         spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: None)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: None)
     spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
 
 
@@ -354,7 +354,7 @@ def test_pseudoinverse_memory_estimate_covers_its_build_growth(monkeypatch, entr
 
 def test_tables_refuse_to_build_beyond_physical_memory(monkeypatch):
     # a 1e5-byte machine refuses even an 8^3 curl table (about 0.15 MB)
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: 10 ** 5)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 5)
     _symbol_tensor.cache_clear()
     _kernel_projector_table.cache_clear()
     spectral._pseudoinverse_table.cache_clear()

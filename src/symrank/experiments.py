@@ -9,19 +9,23 @@ constant rank on the sphere, and is driven to infinity along witness
 families concentrated near rank-drop directions otherwise.  Every piece of
 it is a Fourier multiplier, so the ratio and the minimality check work on
 coefficients; only a p != 2 norm needs grid values, and at p = 2 both
-sides are coefficient sums (Parseval).
+sides are coefficient sums (Parseval).  A real band-limited field, as
+every field ratio_sweep draws, reaches its p != 2 grid values from the
+first-axis planes 0..N/2 of its coefficients by real inverse FFTs.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .operators import Operator, _real_stack
-from .pinv import DEFAULT_TOL, _kept, _svd, numerical_rank
+from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
                        inverse_transform, lp_norm, periodic_bump, _check_field,
-                       _coefficient_norm, _derivatives, _kernel_projector_table, _matvec,
+                       _coefficient_norm, _derivatives, _grid_norm, _inverse_real,
+                       _is_real_band_limited, _kernel_projector_table, _matvec,
                        _random_coefficients, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
@@ -51,9 +55,14 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
     phi is a GridField, transformed once, or its FrequencyField.  A phi and
     phi - P_A phi are formed on coefficients.  At p = 2 the ratio is a
     quotient of coefficient l2 norms (Parseval), the derivative side weighted
-    by |xi|^2k, and needs no transform; at any other p D^k(phi - P_A phi),
-    then A phi, go back to the grid for lp_norm, one at a time.  Raises
-    ValueError unless p >= 1 and KernelInputError when
+    by |xi|^2k, and needs no transform.  At any other p D^k(phi - P_A phi),
+    then A phi, go back to the grid for the L^p norm, one at a time: when
+    phi is a real field without Nyquist content (_is_real_band_limited, as
+    every field ratio_sweep draws), both are formed on the first-axis planes
+    0..N/2 only and each goes back by one real inverse FFT (_real_ratio);
+    any other field takes complex coefficients on the whole mesh through
+    inverse_transform.  Raises ValueError unless p >= 1, or when an
+    intermediate field is not finite, and KernelInputError when
     ||phi - P_A phi||_2 <= tol * ||phi||_2 (P_A uses pinv's relative cutoff,
     so A -> cA scales the ratio by 1/c and rejects the same fields).
     Invariant under rescaling of phi; for p = 2 this is the sharp constant
@@ -63,16 +72,57 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
         raise ValueError("p must be at least 1")
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
-    projector = _kernel_projector_table(op, freq.grid, float(tol))
-    resolved = FrequencyField(freq.grid, freq.coeffs - _matvec(projector, freq).coeffs)
+    if p != 2.0 and _is_real_band_limited(freq):
+        return _real_ratio(op, freq, p, tol)
+    grid = freq.grid
+    projector = _kernel_projector_table(op, grid, float(tol))
+    resolved = FrequencyField(grid, freq.coeffs - _matvec(projector, freq.coeffs))
     if _coefficient_norm(resolved) <= tol * _coefficient_norm(freq):
         raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
     # M phi has the norms of A phi = i^k M phi
-    symbols = _symbol_tensor(op, freq.grid)
+    symbols = _symbol_tensor(op, grid)
     if p == 2.0:
-        return _coefficient_norm(resolved, op.k) / _coefficient_norm(_matvec(symbols, freq))
-    derivative_norm = lp_norm(inverse_transform(_derivatives(op.k, resolved)), p)
-    return derivative_norm / lp_norm(inverse_transform(_matvec(symbols, freq)), p)
+        numerator = _coefficient_norm(resolved, op.k)
+        return numerator / _coefficient_norm(FrequencyField(grid, _matvec(symbols, freq.coeffs)))
+    derivative_norm = lp_norm(inverse_transform(
+        FrequencyField(grid, *_derivatives(op.k, resolved.coeffs, grid))), p)
+    image = FrequencyField(grid, _matvec(symbols, freq.coeffs))
+    return derivative_norm / lp_norm(inverse_transform(image), p)
+
+
+def _real_ratio(op: Operator, freq: FrequencyField, p: float, tol: float) -> float:
+    """estimate_ratio at p != 2 of a field that passes _is_real_band_limited.
+
+    The field is real, and so are D^k(phi - P_A phi) and A phi = i^k M phi
+    (for odd k, M phi alone is not: its phase i^k is applied on
+    coefficients, which is exact).  Their coefficients are formed on the
+    first-axis planes 0..N/2, where the tables' planes are contiguous views,
+    and each goes to float64 grid values by one real inverse FFT
+    (_inverse_real).  The kernel test counts the planes 1..N/2-1 twice for
+    their mirrors, so it is estimate_ratio's l2 test.  Nothing on the way
+    is checked for finiteness: a non-finite intermediate makes a norm
+    non-finite, which raises ValueError.
+    """
+    grid = freq.grid
+    planes = grid.size // 2 + 1
+    half = freq.coeffs[:, :planes]
+    projector = _kernel_projector_table(op, grid, float(tol))[:planes]
+    plane_weights = np.full((planes,) + (1,) * (grid.n - 1), 2.0)
+    plane_weights[0] = plane_weights[-1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        resolved = half - _matvec(projector, half)
+        if _norm(resolved, weights=plane_weights) <= tol * _norm(half, weights=plane_weights):
+            raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
+        derivatives, weights = _derivatives(op.k, resolved, grid)
+        del resolved
+        derivative_norm = _grid_norm(_inverse_real(derivatives, grid), weights, grid, p)
+        del derivatives
+        image = _matvec(_symbol_tensor(op, grid)[:planes], half)
+        image *= 1j ** op.k
+        image_norm = _grid_norm(_inverse_real(image, grid), None, grid, p)
+    if not math.isfinite(derivative_norm) or not math.isfinite(image_norm):
+        raise ValueError("field has non-finite values")
+    return derivative_norm / image_norm
 
 
 def _adjoint_probe(op: Operator, xi, tol: float) -> np.ndarray:
@@ -103,10 +153,11 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     field coefficient A*(eta) u * envelope_hat(eta - xi_m) at eta: the
     envelope's coefficients rolled by xi_m times A*(eta) u = (-i)^k M(eta)^T
     u, the real symbol table contracted with u times the phase, so no rung
-    is transformed.  For window = None the envelope is 1,
-    one coefficient (2pi)^(n/2) at frequency zero, and the rung is the exact
-    single mode A*(xi_m) u at xi_m: P_A phi_m = 0 and estimate_ratio at any
-    p equals |xi_m|^k / sigma_r(A(xi_m)).  A window in (0, 1] is the width
+    is transformed.  For window = None the envelope is 1, one coefficient
+    (2pi)^(n/2) at frequency zero, and the rung is the exact single mode
+    A*(xi_m) u at xi_m: its one coefficient (-i)^k M(xi_m)^T u (2pi)^(n/2)
+    is written directly, and P_A phi_m = 0 and estimate_ratio at any p
+    equals |xi_m|^k / sigma_r(A(xi_m)).  A window in (0, 1] is the width
     of periodic_bump (a fraction of the torus), forward-transformed once per
     family; the windowed ratio approaches the single-mode value as the
     window widens.  Raises ValueError for no frequencies, a zero frequency,
@@ -122,10 +173,7 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
         raise ValueError("window width must lie in (0, 1]")
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
-    if window is None:
-        envelope = np.zeros(grid.shape, dtype=complex)
-        envelope[(0,) * grid.n] = TWO_PI ** (grid.n / 2.0)
-    else:
+    if window is not None:
         bump = GridField(grid, periodic_bump(grid, window)[None])
         envelope = forward_transform(bump).coeffs[0]
     symbols = _symbol_tensor(op, grid)
@@ -135,8 +183,14 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
             raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
                              f"(|xi|_inf must be <= {grid.size // 4})")
         probe = _adjoint_probe(op, freq, tol)
-        coeffs = (-1j) ** op.k * np.einsum("...ij,i->j...", symbols, probe, order="C")
-        coeffs *= np.roll(envelope, freq, axis=tuple(range(grid.n)))
+        if window is None:
+            column = (slice(None),) + tuple(x % grid.size for x in freq)
+            coeffs = np.zeros((op.dim_v,) + grid.shape, dtype=complex)
+            coeffs[column] = (-1j) ** op.k * np.einsum("ij,i->j", symbols[column[1:]], probe)
+            coeffs[column] *= TWO_PI ** (grid.n / 2.0)
+        else:
+            coeffs = (-1j) ** op.k * np.einsum("...ij,i->j...", symbols, probe, order="C")
+            coeffs *= np.roll(envelope, freq, axis=tuple(range(grid.n)))
         fields.append(FrequencyField(grid, coeffs))
     return fields
 
@@ -196,15 +250,17 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
     grid = phi.grid
     projector = _kernel_projector_table(op, grid, float(tol))
 
-    def distance(kernel_field: FrequencyField) -> float:
-        return _coefficient_norm(FrequencyField(grid, freq.coeffs - kernel_field.coeffs), op.k)
+    def distance(kernel_coeffs: np.ndarray) -> float:
+        # the difference overwrites the kernel coefficients, which nothing reads again
+        np.subtract(freq.coeffs, kernel_coeffs, out=kernel_coeffs)
+        return _coefficient_norm(FrequencyField(grid, kernel_coeffs), op.k)
 
-    base = distance(_matvec(projector, freq))
+    base = distance(_matvec(projector, freq.coeffs))
     for trial in range(kernel_trials):
         # trailing 1 keeps this seed stream disjoint from any [seed, trial]
         # stream a caller used for phi (SeedSequence drops trailing zeros)
         raw = _random_coefficients(grid, op.dim_v, grid.size // 4, seed=[seed, trial, 1])
-        if base > distance(_matvec(projector, raw)) + slack:
+        if base > distance(_matvec(projector, raw.coeffs)) + slack:
             return False
     return True
 
@@ -303,7 +359,9 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
     from (seed, grid size, trial index).  The fields are drawn as
     coefficients (those of random_band_limited) and passed to
     estimate_ratio as FrequencyFields, so a p = 2 sweep makes no transform
-    and any other p two inverse transforms per trial.  A grid too large for
+    and any other p two real inverse FFTs per trial: the fields are real
+    without Nyquist content and take estimate_ratio's half-spectrum route.
+    A grid too large for
     its tables is refused before its first field is drawn.  Kernel inputs
     are excluded and counted rather than reported as ratios.
     """

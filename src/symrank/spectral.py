@@ -10,8 +10,10 @@ c * (2pi)^(n/2).
 
 Differentiation, operator application, and kernel projection are all
 frequency multipliers here, hence exact on resolved modes.  Each is one
-private coefficient-level step (_matvec with a symbol table, _derivatives);
-the public apply_* functions wrap a step between forward_transform and
+private coefficient-level step (_matvec with a symbol table, _derivatives)
+on a coefficient array; the step reads its frequencies from the array, so
+it runs on the whole mesh or on the first-axis planes 0..N/2 alike.  The
+public apply_* functions wrap a step between forward_transform and
 inverse_transform.  The symbol table holds the real M of A = i^k M
 (operators._real_stack), so the symbol and pseudoinverse tables are real
 like the projector table (P_A = P_M, A+ = i^-k M+), and only apply_A and
@@ -19,9 +21,13 @@ apply_multiplier multiply by a phase, i^k and i^-k.  Code that chains
 several steps, such as the estimate ratio, stays on FrequencyField
 coefficients and transforms back only the fields whose grid values an L^p
 norm with p != 2 needs: at p = 2 the grid norm is a coefficient sum
-(_coefficient_norm).  Band-limited random fields
-keep |xi|_inf <= N/4 so products of symbols and fields stay well inside the
-grid.
+(_coefficient_norm).  A real field without Nyquist content
+(_is_real_band_limited, a test on its coefficients) is fixed by its
+first-axis planes 0..N/2, so such a chain can run on those planes and go
+back to float64 grid values by one real inverse FFT (_inverse_real); the
+grid norm of either kind of grid values is _grid_norm, lp_norm's own.
+Band-limited random fields keep |xi|_inf <= N/4 so products of symbols and
+fields stay well inside the grid, and their coefficients pass that test.
 
 The two SVD tables, the kernel projector and the pseudoinverse, have a
 parity in xi (M(-xi) = (-1)^k M(xi) for an operator of order k), so
@@ -131,10 +137,14 @@ class GridField:
 
     def pointwise_norm(self) -> np.ndarray:
         """sqrt(sum_c w_c |f_c(x)|^2) at every grid point x, by pinv._norm (scaled per point)."""
-        weights = self.fiber_weights
-        if weights is not None:
-            weights = weights.reshape((-1,) + (1,) * self.grid.n)
-        return _norm(self.data, axis=0, weights=weights)
+        return _pointwise_norm(self.data, self.fiber_weights)
+
+
+def _pointwise_norm(data: np.ndarray, fiber_weights: np.ndarray | None) -> np.ndarray:
+    """GridField.pointwise_norm of grid values data, real or complex, fiber axis first."""
+    if fiber_weights is not None:
+        fiber_weights = fiber_weights.reshape((-1,) + (1,) * (data.ndim - 1))
+    return _norm(data, axis=0, weights=fiber_weights)
 
 
 @dataclass(frozen=True)
@@ -177,11 +187,47 @@ def inverse_transform(freq: FrequencyField) -> GridField:
     return GridField(freq.grid, data, freq.fiber_weights)
 
 
+def _is_real_band_limited(freq: FrequencyField) -> bool:
+    """True when freq is the transform of a real field without Nyquist content.
+
+    That is, every Nyquist plane (index N/2 on any axis) is zero and
+    c(-xi) == conj(c(xi)) holds exactly at every frequency, so the field is
+    determined by its first-axis planes 0..N/2 and _inverse_real returns
+    its grid values.
+    """
+    half = freq.grid.size // 2
+    axes = _spatial_axes(freq.grid)
+    if any(freq.coeffs[(slice(None),) * axis + (half,)].any() for axis in axes):
+        return False
+    # along one axis, index (size - j) % size holds the negated frequency of index j
+    negated = np.roll(np.flip(freq.coeffs, axes), 1, axes)
+    return np.array_equal(np.conjugate(negated, out=negated), freq.coeffs)
+
+
+def _inverse_real(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real grid values of a Hermitian field from its first-axis planes 0..N/2.
+
+    half is a (fiber, N/2 + 1, N, ..., N) coefficient array; the result
+    is inverse_transform's real part, by one real inverse FFT, with the
+    halved first axis transformed last.
+    """
+    axes = tuple(range(2, grid.n + 1)) + (1,)
+    data = np.fft.irfftn(half, s=grid.shape, axes=axes, norm="ortho")
+    data /= (TWO_PI / grid.size) ** (grid.n / 2.0)
+    return data
+
+
 def lp_norm(field: GridField, p: float) -> float:
     """Grid L^p norm: Riemann sum of the pointwise fiber norm; p = inf gives the max."""
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
-    return float(_norm(field.pointwise_norm(), p) * field.grid.cell_volume ** (1.0 / p))
+    return _grid_norm(field.data, field.fiber_weights, field.grid, p)
+
+
+def _grid_norm(data: np.ndarray, fiber_weights: np.ndarray | None, grid: Grid,
+               p: float) -> float:
+    """lp_norm of the grid values data (real or complex) with these fiber weights."""
+    return float(_norm(_pointwise_norm(data, fiber_weights), p) * grid.cell_volume ** (1.0 / p))
 
 
 @lru_cache(maxsize=64)
@@ -238,34 +284,37 @@ def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     return stack
 
 
-def _matvec(table: np.ndarray, freq: FrequencyField) -> FrequencyField:
-    """table[xi] @ freq(xi) at every frequency xi: the one symbol-multiplier step.
+def _matvec(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """table[xi] @ coeffs[:, xi] at every frequency xi: the one symbol-multiplier step.
 
-    table is a real (size, ..., size, m, n) stack in _symbol_tensor's
-    layout and freq complex.  Row i of the output is sum_j table[..., i, j]
-    * freq[j], m x n broadcast multiply-adds in order j = 0, 1, ..., run on
-    _MATVEC_CHUNK frequencies at a time so that the strided table entries
-    are read from cache; the field axes of the output are contiguous for
-    the FFTs.
+    table is a real (..., m, n) stack in _symbol_tensor's layout, or its
+    first-axis planes 0..N/2 (table[:N/2 + 1], a contiguous view), and
+    coeffs a complex (n, ...) coefficient array on the same frequencies.
+    Row i of the output is sum_j table[..., i, j] * coeffs[j], m x n
+    broadcast multiply-adds in order j = 0, 1, ..., run on _MATVEC_CHUNK
+    frequencies at a time so that the strided table entries are read from
+    cache; the frequency axes of the (m, ...) output are contiguous for the
+    FFTs.
     """
     rows, cols = table.shape[-2:]
-    size = freq.grid.size ** freq.grid.n
+    shape = coeffs.shape[1:]
+    size = math.prod(shape)
     flat_table = table.reshape(size, rows, cols)
-    flat_in = freq.coeffs.reshape(cols, size)
-    out = np.empty((rows,) + freq.grid.shape, dtype=complex)
+    flat_in = coeffs.reshape(cols, size)
+    out = np.empty((rows,) + shape, dtype=complex)
     flat_out = out.reshape(rows, size)
     term = np.empty(min(size, _MATVEC_CHUNK), dtype=complex)
     for start in range(0, size, _MATVEC_CHUNK):
         chunk = slice(start, start + _MATVEC_CHUNK)
-        entries, coeffs = flat_table[chunk], flat_in[:, chunk]
+        entries, chunk_in = flat_table[chunk], flat_in[:, chunk]
         part = term[:len(entries)]
         for i in range(rows):
             row = flat_out[i, chunk]
-            np.multiply(entries[:, i, 0], coeffs[0], out=row)
+            np.multiply(entries[:, i, 0], chunk_in[0], out=row)
             for j in range(1, cols):
-                np.multiply(entries[:, i, j], coeffs[j], out=part)
+                np.multiply(entries[:, i, j], chunk_in[j], out=part)
                 row += part
-    return FrequencyField(freq.grid, out)
+    return out
 
 
 def _check_field(op: Operator, field: GridField | FrequencyField, fiber_dim: int, role: str):
@@ -280,9 +329,9 @@ def _check_field(op: Operator, field: GridField | FrequencyField, fiber_dim: int
 def apply_A(op: Operator, field: GridField) -> GridField:
     """Apply the operator spectrally: multiply coefficients by A(xi) = i^k M(xi)."""
     _check_field(op, field, op.dim_v, "input")
-    out = _matvec(_symbol_tensor(op, field.grid), forward_transform(field))
-    np.multiply(out.coeffs, 1j ** op.k, out=out.coeffs)
-    return inverse_transform(out)
+    out = _matvec(_symbol_tensor(op, field.grid), forward_transform(field).coeffs)
+    out *= 1j ** op.k
+    return inverse_transform(FrequencyField(field.grid, out))
 
 
 def _half_spectrum(op: Operator, grid: Grid, build, parity: int) -> np.ndarray:
@@ -382,21 +431,24 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     """Project every coefficient onto ker A(xi) (the canonical kernel part of the field)."""
     _check_field(op, field, op.dim_v, "input")
     table = _kernel_projector_table(op, field.grid, float(tol))
-    return inverse_transform(_matvec(table, forward_transform(field)))
+    coeffs = _matvec(table, forward_transform(field).coeffs)
+    return inverse_transform(FrequencyField(field.grid, coeffs))
 
 
-def _derivatives(k: int, freq: FrequencyField) -> FrequencyField:
-    """Coefficients of all order-k derivatives of freq.
+def _derivatives(k: int, coeffs: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of all order-k derivatives of coeffs, with their fiber weights.
 
-    Fiber layout and weights are those documented on apply_Dk.
+    coeffs is a (fiber, ...) coefficient array on grid's whole frequency
+    mesh or on its first-axis planes 0..N/2; the output covers the same
+    frequencies.  Fiber layout and weights are those documented on apply_Dk.
     """
-    grid = freq.grid
     alphas = multi_indices(grid.n, k)
-    powers = (1j ** k) * _monomials(integer_frequencies(grid).reshape(grid.n, -1).T, alphas)
-    out = np.einsum("st,vs->vts", powers, freq.coeffs.reshape(freq.fiber_dim, -1), order="C")
-    out = out.reshape((freq.fiber_dim * len(alphas),) + grid.shape)
+    xis = integer_frequencies(grid)[:, :coeffs.shape[1]].reshape(grid.n, -1).T
+    powers = (1j ** k) * _monomials(xis, alphas)
+    out = np.einsum("st,vs->vts", powers, coeffs.reshape(len(coeffs), -1), order="C")
+    out = out.reshape((len(coeffs) * len(alphas),) + coeffs.shape[1:])
     weights = np.array([multinomial_weight(a) for a in alphas], dtype=float)
-    return FrequencyField(grid, out, np.tile(weights, freq.fiber_dim))
+    return out, np.tile(weights, len(coeffs))
 
 
 def apply_Dk(k: int, field: GridField) -> GridField:
@@ -411,7 +463,8 @@ def apply_Dk(k: int, field: GridField) -> GridField:
         raise ValueError("k must be a positive integer")
     if field.fiber_weights is not None:
         raise ValueError("input field must not carry fiber weights")
-    return inverse_transform(_derivatives(k, forward_transform(field)))
+    freq = forward_transform(field)
+    return inverse_transform(FrequencyField(field.grid, *_derivatives(k, freq.coeffs, field.grid)))
 
 
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -431,9 +484,9 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     """
     _check_field(op, field, op.dim_w, "input")
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
-    out = _matvec(dagger, forward_transform(field))
-    np.multiply(out.coeffs, (-1j) ** op.k, out=out.coeffs)
-    return inverse_transform(_derivatives(op.k, out))
+    out = _matvec(dagger, forward_transform(field).coeffs)
+    out *= (-1j) ** op.k
+    return inverse_transform(FrequencyField(field.grid, *_derivatives(op.k, out, field.grid)))
 
 
 def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> FrequencyField:

@@ -126,25 +126,92 @@ def test_estimate_ratio_coefficient_route_matches_grid_composition(name, p):
 
 
 def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
-    calls = {"forward_transform": 0, "inverse_transform": 0}
+    # _inverse_real is the inverse transform of the real route, which every field
+    # ratio_sweep draws takes; any other field goes back through inverse_transform
+    op = zoo_get("curl")
+    witness = witness_family(op, [(1, 2, -1)], Grid(3, 8))[0]
+    calls = {"forward_transform": 0, "inverse_transform": 0, "_inverse_real": 0}
 
     def counted(name):
         original = getattr(spectral, name)
 
-        def wrapper(field):
+        def wrapper(*args):
             calls[name] += 1
-            return original(field)
+            return original(*args)
         return wrapper
 
     for name in calls:
         wrapper = counted(name)
         for module in (spectral, experiments):
             monkeypatch.setattr(module, name, wrapper, raising=False)
-    op = zoo_get("curl")
     ratio_sweep(op, p=2.0, trials=3, grid_sizes=[8])
-    assert calls == {"forward_transform": 0, "inverse_transform": 0}
+    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse_real": 0}
     ratio_sweep(op, p=3.0, trials=3, grid_sizes=[8])
-    assert calls == {"forward_transform": 0, "inverse_transform": 2 * 3}
+    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse_real": 2 * 3}
+    estimate_ratio(op, witness, 3.0)
+    assert calls == {"forward_transform": 0, "inverse_transform": 2, "_inverse_real": 2 * 3}
+
+
+# ------------------------------------------------------------------ real route
+# At p != 2 a real field without Nyquist content takes the real route of
+# estimate_ratio (first-axis planes 0..N/2, one real inverse FFT per grid field);
+# every other field keeps the complex route on the whole mesh.
+
+@pytest.mark.parametrize("name", [entry.name for entry in zoo_list()])
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_real_route_matches_public_function_oracle(name, N, p):
+    op = zoo_get(name)
+    grid = Grid(op.n, N)
+    freq = spectral._random_coefficients(grid, op.dim_v, N // 4, seed=[N, 7])
+    assert spectral._is_real_band_limited(freq)
+    expected = grid_composition_ratio(op, spectral.inverse_transform(freq), p)
+    assert math.isclose(estimate_ratio(op, freq, p), expected, rel_tol=1e-13)
+
+
+def fields_off_the_real_route(op: Operator, grid: Grid) -> dict:
+    """A random field with one Nyquist coefficient, one with a broken Hermitian pair, witnesses."""
+    coeffs = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, seed=[3, 1]).coeffs
+    nyquist = coeffs.copy()
+    # a real coefficient at (0, ..., 0, N/2) keeps the pair condition and the field real
+    nyquist[(0,) * grid.n + (grid.size // 2,)] = 0.5
+    broken = coeffs.copy()
+    broken[(0,) + (1,) * grid.n] += 1e-3
+    xi = (1, 2, -1)[:op.n]
+    return {"nyquist": spectral.FrequencyField(grid, nyquist),
+            "broken_pair": spectral.FrequencyField(grid, broken),
+            "exact_witness": witness_family(op, [xi], grid)[0],
+            "windowed_witness": witness_family(op, [xi], grid, window=0.5)[0]}
+
+
+@pytest.mark.parametrize("name", ["curl", "d1d2", "wave"])
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_fields_off_the_real_route_keep_the_complex_route(monkeypatch, name, p):
+    op = zoo_get(name)
+    grid = Grid(op.n, 16)
+    for kind, freq in fields_off_the_real_route(op, grid).items():
+        assert not spectral._is_real_band_limited(freq), kind
+        ratio = estimate_ratio(op, freq, p)
+        with monkeypatch.context() as patched:
+            patched.setattr(experiments, "_is_real_band_limited", lambda freq: False)
+            assert ratio.hex() == estimate_ratio(op, freq, p).hex(), kind
+        expected = grid_composition_ratio(op, spectral.inverse_transform(freq), p)
+        assert math.isclose(ratio, expected, rel_tol=1e-13), kind
+
+
+@pytest.mark.parametrize("nyquist", [False, True])
+def test_non_finite_intermediate_raises_on_either_route(nyquist):
+    # D^2 of coefficients near 1e307 overflows on the way to the grid
+    op = zoo_get("laplacian")
+    grid = Grid(2, 16)
+    coeffs = 1e307 * spectral._random_coefficients(grid, 1, 4, seed=5).coeffs
+    if nyquist:
+        coeffs[0, 0, grid.size // 2] = 1.0
+    freq = spectral.FrequencyField(grid, coeffs)
+    assert spectral._is_real_band_limited(freq) is not nyquist
+    with pytest.raises(ValueError, match="non-finite") as raised:
+        estimate_ratio(op, freq, 3.0)
+    assert not isinstance(raised.value, KernelInputError)
 
 
 # ------------------------------------------------------------------ symbol bound
@@ -254,6 +321,15 @@ def test_exact_witness_is_the_closed_form_single_mode(name, xi, rescaled):
         phi = witness_family(op, [xi], grid)[0]
         np.testing.assert_array_equal(single_mode_column(grid, phi, xi),
                                       mat.conj().T @ probe(op, xi) * TWO_PI ** (op.n / 2.0))
+        # written directly, the coefficient has the bytes of the whole symbol table
+        # contracted with the probe times the unit envelope rolled to xi
+        envelope = np.zeros(grid.shape, dtype=complex)
+        envelope[(0,) * grid.n] = TWO_PI ** (grid.n / 2.0)
+        contracted = (-1j) ** op.k * np.einsum("...ij,i->j...", spectral._symbol_tensor(op, grid),
+                                               probe(op, xi), order="C")
+        contracted *= np.roll(envelope, xi, axis=tuple(range(grid.n)))
+        assert (single_mode_column(grid, phi, xi).tobytes()
+                == single_mode_column(grid, spectral.FrequencyField(grid, contracted), xi).tobytes())
         for p in (1.0, 2.0, 3.0, math.inf):
             assert math.isclose(estimate_ratio(op, phi, p), symbol_bound(op, xi), rel_tol=1e-12)
 

@@ -233,11 +233,28 @@ def test_matvec_multiplies_every_frequency_by_its_table_entry(name):
         rows, cols = table.shape[-2:]
         coeffs = (rng.standard_normal((cols,) + grid.shape)
                   + 1j * rng.standard_normal((cols,) + grid.shape))
-        out = spectral._matvec(table, FrequencyField(grid, coeffs)).coeffs
+        out = spectral._matvec(table, coeffs)
         assert out.shape == (rows,) + grid.shape and out.flags.c_contiguous
         for idx in np.ndindex(grid.shape):
             want = sum(table[idx][:, j] * coeffs[(j,) + idx] for j in range(cols))
             np.testing.assert_array_equal(out[(slice(None),) + idx], want)
+        # the first-axis planes 0..N/2 alone, as the real route of estimate_ratio runs it
+        planes = grid.size // 2 + 1
+        half = spectral._matvec(table[:planes], coeffs[:, :planes])
+        assert half.tobytes() == np.ascontiguousarray(out[:, :planes]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inverse_real_is_the_real_part_of_inverse_transform(n):
+    grid = Grid(n, 8)
+    freq = spectral._random_coefficients(grid, 2, 2, seed=[n, 4])
+    assert spectral._is_real_band_limited(freq)
+    data = spectral._inverse_real(freq.coeffs[:, :grid.size // 2 + 1], grid)
+    full = inverse_transform(freq).data
+    assert data.dtype == np.float64 and data.shape == full.shape
+    scale = np.abs(full).max()
+    assert np.abs(full.imag).max() <= 1e-15 * scale
+    np.testing.assert_allclose(data, full.real, rtol=0, atol=1e-15 * scale)
 
 
 # every zoo operator, a vector-valued drop and a 1-D operator of odd order,

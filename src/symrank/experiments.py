@@ -9,9 +9,11 @@ constant rank on the sphere, and is driven to infinity along witness
 families concentrated near rank-drop directions otherwise.  Every piece of
 it is a Fourier multiplier, so the ratio and the minimality check work on
 coefficients; only a p != 2 norm needs grid values, and at p = 2 both
-sides are coefficient sums (Parseval).  A real band-limited field, as
-every field ratio_sweep draws, reaches its p != 2 grid values from the
-first-axis planes 0..N/2 of its coefficients by real inverse FFTs.
+sides are coefficient sums (Parseval).  One private pipeline each, _ratio
+and _minimality, runs on whichever spectrum its caller hands it: the
+whole mesh, as the public functions pass, or the first-axis planes 0..N/2
+of a real field without Nyquist content, as ratio_sweep and the
+minimality command pass for the fields they draw.
 """
 
 import math
@@ -23,10 +25,9 @@ from .operators import Operator, _real_stack
 from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
-                       inverse_transform, lp_norm, periodic_bump, _check_field,
-                       _coefficient_norm, _derivatives, _grid_norm, _inverse_real,
-                       _is_real_band_limited, _kernel_projector_table, _matvec,
-                       _random_coefficients, _symbol_tensor)
+                       periodic_bump, _check_field, _derivatives, _grid_norm, _inverse,
+                       _kernel_projector_table, _matvec, _random_coefficients,
+                       _spectrum_weights, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -52,77 +53,62 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
                    tol: float = DEFAULT_TOL) -> float:
     """||D^k(phi - P_A phi)||_p / ||A phi||_p on phi's grid.
 
-    phi is a GridField, transformed once, or its FrequencyField.  A phi and
-    phi - P_A phi are formed on coefficients.  At p = 2 the ratio is a
-    quotient of coefficient l2 norms (Parseval), the derivative side weighted
-    by |xi|^2k, and needs no transform.  At any other p D^k(phi - P_A phi),
-    then A phi, go back to the grid for the L^p norm, one at a time: when
-    phi is a real field without Nyquist content (_is_real_band_limited, as
-    every field ratio_sweep draws), both are formed on the first-axis planes
-    0..N/2 only and each goes back by one real inverse FFT (_real_ratio);
-    any other field takes complex coefficients on the whole mesh through
-    inverse_transform.  Raises ValueError unless p >= 1, or when an
-    intermediate field is not finite, and KernelInputError when
-    ||phi - P_A phi||_2 <= tol * ||phi||_2 (P_A uses pinv's relative cutoff,
-    so A -> cA scales the ratio by 1/c and rejects the same fields).
-    Invariant under rescaling of phi; for p = 2 this is the sharp constant
-    of the derivative recovery estimate on the given field.
+    phi is a GridField, transformed once, or its FrequencyField, and the
+    ratio is taken by _ratio on the whole mesh of coefficients: at p = 2 as
+    a quotient of coefficient l2 norms (Parseval), with no transform; at
+    any other p with two inverse transforms.  Raises ValueError unless
+    p >= 1, or when an intermediate field is not finite, and
+    KernelInputError when ||phi - P_A phi||_2 <= tol * ||phi||_2 (P_A uses
+    pinv's relative cutoff, so A -> cA scales the ratio by 1/c and rejects
+    the same fields).  Invariant under rescaling of phi; for p = 2 this is
+    the sharp constant of the derivative recovery estimate on the given
+    field.
+    """
+    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
+    _check_field(op, freq, op.dim_v, "input")
+    return _ratio(op, freq.grid, freq.coeffs, p, tol)
+
+
+def _ratio(op: Operator, grid: Grid, coeffs: np.ndarray, p: float, tol: float) -> float:
+    """estimate_ratio of the field with these coefficients, on the spectrum they cover.
+
+    coeffs is the (dimV, N, ..., N) whole mesh, or the first-axis planes
+    0..N/2 of a real field without Nyquist content (coeffs.shape[1] =
+    N/2 + 1, a view is enough), where the tables' planes are contiguous
+    views.  phi - P_A phi is formed, then tested against phi under pinv's
+    cutoff.  At p = 2 both sides are weighted coefficient norms
+    (_spectrum_weights, which count the half's mirrors).  At any other p
+    D^k(phi - P_A phi), then A phi = i^k M phi, go to grid values by
+    _inverse (the phase i^k is applied on coefficients, which is exact),
+    one at a time, for _grid_norm.  Nothing on the way is checked for
+    finiteness: a non-finite intermediate makes a norm non-finite, which
+    raises ValueError.
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
-    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
-    _check_field(op, freq, op.dim_v, "input")
-    if p != 2.0 and _is_real_band_limited(freq):
-        return _real_ratio(op, freq, p, tol)
-    grid = freq.grid
-    projector = _kernel_projector_table(op, grid, float(tol))
-    resolved = FrequencyField(grid, freq.coeffs - _matvec(projector, freq.coeffs))
-    if _coefficient_norm(resolved) <= tol * _coefficient_norm(freq):
-        raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
-    # M phi has the norms of A phi = i^k M phi
-    symbols = _symbol_tensor(op, grid)
-    if p == 2.0:
-        numerator = _coefficient_norm(resolved, op.k)
-        return numerator / _coefficient_norm(FrequencyField(grid, _matvec(symbols, freq.coeffs)))
-    derivative_norm = lp_norm(inverse_transform(
-        FrequencyField(grid, *_derivatives(op.k, resolved.coeffs, grid))), p)
-    image = FrequencyField(grid, _matvec(symbols, freq.coeffs))
-    return derivative_norm / lp_norm(inverse_transform(image), p)
-
-
-def _real_ratio(op: Operator, freq: FrequencyField, p: float, tol: float) -> float:
-    """estimate_ratio at p != 2 of a field that passes _is_real_band_limited.
-
-    The field is real, and so are D^k(phi - P_A phi) and A phi = i^k M phi
-    (for odd k, M phi alone is not: its phase i^k is applied on
-    coefficients, which is exact).  Their coefficients are formed on the
-    first-axis planes 0..N/2, where the tables' planes are contiguous views,
-    and each goes to float64 grid values by one real inverse FFT
-    (_inverse_real).  The kernel test counts the planes 1..N/2-1 twice for
-    their mirrors, so it is estimate_ratio's l2 test.  Nothing on the way
-    is checked for finiteness: a non-finite intermediate makes a norm
-    non-finite, which raises ValueError.
-    """
-    grid = freq.grid
-    planes = grid.size // 2 + 1
-    half = freq.coeffs[:, :planes]
+    planes = coeffs.shape[1]
     projector = _kernel_projector_table(op, grid, float(tol))[:planes]
-    plane_weights = np.full((planes,) + (1,) * (grid.n - 1), 2.0)
-    plane_weights[0] = plane_weights[-1] = 1.0
+    # M phi has the norms of A phi = i^k M phi
+    symbols = _symbol_tensor(op, grid)[:planes]
+    weights = _spectrum_weights(grid, planes, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        resolved = half - _matvec(projector, half)
-        if _norm(resolved, weights=plane_weights) <= tol * _norm(half, weights=plane_weights):
+        resolved = coeffs - _matvec(projector, coeffs)
+        if _norm(resolved, weights=weights) <= tol * _norm(coeffs, weights=weights):
             raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
-        derivatives, weights = _derivatives(op.k, resolved, grid)
-        del resolved
-        derivative_norm = _grid_norm(_inverse_real(derivatives, grid), weights, grid, p)
-        del derivatives
-        image = _matvec(_symbol_tensor(op, grid)[:planes], half)
-        image *= 1j ** op.k
-        image_norm = _grid_norm(_inverse_real(image, grid), None, grid, p)
-    if not math.isfinite(derivative_norm) or not math.isfinite(image_norm):
+        if p == 2.0:
+            numerator = float(_norm(resolved, weights=_spectrum_weights(grid, planes, op.k)))
+            denominator = float(_norm(_matvec(symbols, coeffs), weights=weights))
+        else:
+            derivatives, fiber_weights = _derivatives(op.k, resolved, grid)
+            del resolved
+            numerator = _grid_norm(_inverse(derivatives, grid), fiber_weights, grid, p)
+            del derivatives
+            image = _matvec(symbols, coeffs)
+            image *= 1j ** op.k
+            denominator = _grid_norm(_inverse(image, grid), None, grid, p)
+    if not math.isfinite(numerator) or not math.isfinite(denominator):
         raise ValueError("field has non-finite values")
-    return derivative_norm / image_norm
+    return numerator / denominator
 
 
 def _adjoint_probe(op: Operator, xi, tol: float) -> np.ndarray:
@@ -239,28 +225,41 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
     fields.  Returns True when no competitor beats the canonical
     projection by more than slack.  Raises ValueError for fewer than one
     competitor, which would pass without comparing anything.  Every norm
-    here is L2, so the check runs on coefficients: phi is a GridField,
-    transformed once, or its FrequencyField, and competitors are drawn as
-    coefficients and projected with the cached projector table.
+    here is L2, so the check runs on coefficients (_minimality on the whole
+    mesh): phi is a GridField, transformed once, or its FrequencyField, and
+    competitors are drawn as coefficients and projected with the cached
+    projector table.
+    """
+    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
+    _check_field(op, freq, op.dim_v, "input")
+    return _minimality(op, freq.grid, freq.coeffs, kernel_trials, seed, tol, slack)
+
+
+def _minimality(op: Operator, grid: Grid, coeffs: np.ndarray, kernel_trials: int, seed: int,
+                tol: float, slack: float) -> bool:
+    """l2_minimality_check of the field with these coefficients, on the spectrum they cover.
+
+    coeffs is the whole mesh, or the first-axis planes 0..N/2 of a real
+    field without Nyquist content, as for _ratio; each competitor is cut
+    to the same planes, and _spectrum_weights counts the half's mirrors.
     """
     if kernel_trials < 1:
         raise ValueError("kernel_trials must be at least 1")
-    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
-    _check_field(op, freq, op.dim_v, "input")
-    grid = phi.grid
-    projector = _kernel_projector_table(op, grid, float(tol))
+    planes = coeffs.shape[1]
+    projector = _kernel_projector_table(op, grid, float(tol))[:planes]
+    weights = _spectrum_weights(grid, planes, op.k)
 
     def distance(kernel_coeffs: np.ndarray) -> float:
         # the difference overwrites the kernel coefficients, which nothing reads again
-        np.subtract(freq.coeffs, kernel_coeffs, out=kernel_coeffs)
-        return _coefficient_norm(FrequencyField(grid, kernel_coeffs), op.k)
+        np.subtract(coeffs, kernel_coeffs, out=kernel_coeffs)
+        return float(_norm(kernel_coeffs, weights=weights))
 
-    base = distance(_matvec(projector, freq.coeffs))
+    base = distance(_matvec(projector, coeffs))
     for trial in range(kernel_trials):
         # trailing 1 keeps this seed stream disjoint from any [seed, trial]
         # stream a caller used for phi (SeedSequence drops trailing zeros)
         raw = _random_coefficients(grid, op.dim_v, grid.size // 4, seed=[seed, trial, 1])
-        if base > distance(_matvec(projector, raw.coeffs)) + slack:
+        if base > distance(_matvec(projector, raw.coeffs[:, :planes])) + slack:
             return False
     return True
 
@@ -357,12 +356,11 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
 
     Runs `trials` fields per grid size; each trial derives its randomness
     from (seed, grid size, trial index).  The fields are drawn as
-    coefficients (those of random_band_limited) and passed to
-    estimate_ratio as FrequencyFields, so a p = 2 sweep makes no transform
-    and any other p two real inverse FFTs per trial: the fields are real
-    without Nyquist content and take estimate_ratio's half-spectrum route.
-    A grid too large for
-    its tables is refused before its first field is drawn.  Kernel inputs
+    coefficients (those of random_band_limited), which are real without
+    Nyquist content by construction, so each ratio is taken by _ratio on
+    their first-axis planes 0..N/2: a p = 2 sweep makes no transform and
+    any other p two real inverse FFTs per trial.  A grid too large for its
+    tables is refused before its first field is drawn.  Kernel inputs
     are excluded and counted rather than reported as ratios.
     """
     if trials < 1:
@@ -380,7 +378,7 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
         for trial in range(trials):
             phi = _random_coefficients(grid, op.dim_v, band, seed=[seed, size, trial])
             try:
-                ratio = estimate_ratio(op, phi, p, tol)
+                ratio = _ratio(op, grid, phi.coeffs[:, :grid.size // 2 + 1], p, tol)
             except KernelInputError:
                 excluded += 1
                 continue

@@ -86,7 +86,7 @@ class Operator:
                 raise OperatorSpecError(f"terms[{i}]: expected an (alpha, matrix) pair") from None
             try:
                 alpha = tuple(int(a) for a in alpha_raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise OperatorSpecError(f"terms[{i}].alpha: expected integer exponents") from None
             if len(alpha) != self.n or any(a < 0 for a in alpha):
                 raise OperatorSpecError(
@@ -101,6 +101,8 @@ class Operator:
                 matrix = tuple(tuple(float(x) for x in row) for row in matrix_raw)
             except (TypeError, ValueError):
                 raise OperatorSpecError(f"terms[{i}].matrix: expected a numeric matrix") from None
+            except OverflowError:
+                raise OperatorSpecError(f"terms[{i}].matrix: entry beyond the float range") from None
             if len(matrix) != self.dim_w or any(len(row) != self.dim_v for row in matrix):
                 raise OperatorSpecError(
                     f"terms[{i}].matrix: expected {self.dim_w} rows of {self.dim_v} entries")
@@ -196,6 +198,11 @@ def parse_operator(text: str) -> Operator:
     except json.JSONDecodeError as exc:
         raise OperatorSpecError(
             f"document: invalid JSON ({exc.msg} at line {exc.lineno})") from None
+    except OperatorSpecError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # an integer beyond Python's digit limit, or nesting beyond the recursion limit
+        raise OperatorSpecError(f"document: invalid JSON ({exc})") from None
     return operator_from_document(doc)
 
 
@@ -240,7 +247,7 @@ def operator_from_document(doc) -> Operator:
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, (int, float)):
                     raise OperatorSpecError(f"terms[{i}].matrix: non-numeric entry {x!r}")
-        terms.append((tuple(alpha), tuple(tuple(float(x) for x in row) for row in matrix)))
+        terms.append((tuple(alpha), tuple(tuple(row) for row in matrix)))
     return Operator(
         name=name,
         n=_expect_int(doc, "n"),

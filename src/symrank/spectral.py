@@ -18,16 +18,18 @@ inverse_transform.  The symbol table holds the real M of A = i^k M
 (operators._real_stack), so the symbol and pseudoinverse tables are real
 like the projector table (P_A = P_M, A+ = i^-k M+), and only apply_A and
 apply_multiplier multiply by a phase, i^k and i^-k.  Code that chains
-several steps, such as the estimate ratio, stays on FrequencyField
-coefficients and transforms back only the fields whose grid values an L^p
-norm with p != 2 needs: at p = 2 the grid norm is a coefficient sum
-(_coefficient_norm).  A real field without Nyquist content
-(_is_real_band_limited, a test on its coefficients) is fixed by its
-first-axis planes 0..N/2, so such a chain can run on those planes and go
-back to float64 grid values by one real inverse FFT (_inverse_real); the
-grid norm of either kind of grid values is _grid_norm, lp_norm's own.
-Band-limited random fields keep |xi|_inf <= N/4 so products of symbols and
-fields stay well inside the grid, and their coefficients pass that test.
+several steps, such as the estimate ratio, stays on coefficients and
+transforms back only the fields whose grid values an L^p norm with p != 2
+needs: at p = 2 the grid norm is a coefficient sum (pinv._norm with
+_spectrum_weights).  A real field without Nyquist content is fixed by its
+first-axis planes 0..N/2, so a caller that knows its field is one can
+hand the chain those planes instead of the whole mesh.  The chain reads
+which spectrum it has from the array: _spectrum_weights counts the
+mirrors of the half, and _inverse takes the whole mesh back by a complex
+inverse FFT and the half by one real inverse FFT to float64 grid values;
+the grid norm of either kind is _grid_norm, lp_norm's own.  Band-limited
+random fields keep |xi|_inf <= N/4 so products of symbols and fields stay
+well inside the grid, and are real fields without Nyquist content.
 
 The two SVD tables, the kernel projector and the pseudoinverse, have a
 parity in xi (M(-xi) = (-1)^k M(xi) for an operator of order k), so
@@ -182,37 +184,22 @@ def forward_transform(field: GridField) -> FrequencyField:
 
 def inverse_transform(freq: FrequencyField) -> GridField:
     """Coefficients back to grid values; exact inverse of forward_transform."""
-    data = np.fft.ifftn(freq.coeffs, axes=_spatial_axes(freq.grid), norm="ortho")
-    data /= (TWO_PI / freq.grid.size) ** (freq.grid.n / 2.0)
-    return GridField(freq.grid, data, freq.fiber_weights)
+    return GridField(freq.grid, _inverse(freq.coeffs, freq.grid), freq.fiber_weights)
 
 
-def _is_real_band_limited(freq: FrequencyField) -> bool:
-    """True when freq is the transform of a real field without Nyquist content.
+def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid values of a (fiber, ...) coefficient array on the whole mesh or on half of it.
 
-    That is, every Nyquist plane (index N/2 on any axis) is zero and
-    c(-xi) == conj(c(xi)) holds exactly at every frequency, so the field is
-    determined by its first-axis planes 0..N/2 and _inverse_real returns
-    its grid values.
+    On the whole mesh this is inverse_transform's complex data, by ifftn.
+    First-axis planes 0..N/2 (coeffs.shape[1] = N/2 + 1) are those of a
+    real field, whose float64 grid values come from one real inverse FFT
+    with the halved first axis transformed last.
     """
-    half = freq.grid.size // 2
-    axes = _spatial_axes(freq.grid)
-    if any(freq.coeffs[(slice(None),) * axis + (half,)].any() for axis in axes):
-        return False
-    # along one axis, index (size - j) % size holds the negated frequency of index j
-    negated = np.roll(np.flip(freq.coeffs, axes), 1, axes)
-    return np.array_equal(np.conjugate(negated, out=negated), freq.coeffs)
-
-
-def _inverse_real(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real grid values of a Hermitian field from its first-axis planes 0..N/2.
-
-    half is a (fiber, N/2 + 1, N, ..., N) coefficient array; the result
-    is inverse_transform's real part, by one real inverse FFT, with the
-    halved first axis transformed last.
-    """
-    axes = tuple(range(2, grid.n + 1)) + (1,)
-    data = np.fft.irfftn(half, s=grid.shape, axes=axes, norm="ortho")
+    axes = _spatial_axes(grid)
+    if coeffs.shape[1] == grid.size:
+        data = np.fft.ifftn(coeffs, axes=axes, norm="ortho")
+    else:
+        data = np.fft.irfftn(coeffs, s=grid.shape, axes=axes[1:] + axes[:1], norm="ortho")
     data /= (TWO_PI / grid.size) ** (grid.n / 2.0)
     return data
 
@@ -231,24 +218,27 @@ def _grid_norm(data: np.ndarray, fiber_weights: np.ndarray | None, grid: Grid,
 
 
 @lru_cache(maxsize=64)
-def _derivative_weights(grid: Grid, k: int) -> np.ndarray:
-    """|xi|^2k over the flattened frequency mesh, fft layout; read-only."""
-    mesh = integer_frequencies(grid).reshape(grid.n, -1)
-    weights = np.einsum("ij,ij->j", mesh, mesh) ** k
-    weights.setflags(write=False)
-    return weights
+def _spectrum_weights(grid: Grid, planes: int, k: int) -> np.ndarray | None:
+    """l2 weights of coefficients on the first-axis planes 0..planes-1; read-only.
 
-
-def _coefficient_norm(freq: FrequencyField, k: int = 0) -> float:
-    """sqrt(sum_xi |xi|^2k |freq(xi)|^2) for a field without fiber weights.
-
-    By Parseval, k = 0 gives lp_norm(inverse_transform(freq), 2) and k >= 1
-    gives lp_norm(inverse_transform(_derivatives(k, freq)), 2), without the
-    transform or the dimV * T derivative array: the weights k!/alpha! of
-    apply_Dk sum |xi^alpha|^2 to |xi|^2k (multinomial theorem).
+    With them, pinv._norm of a (fiber, planes, N, ..., N) coefficient array
+    is sqrt(sum_xi |xi|^2k |c(xi)|^2) over the whole mesh: for planes = N
+    the weights are |xi|^2k (None for k = 0), and for the planes 0..N/2 of
+    a real field they count the planes 1..N/2-1 twice for their mirrors.
+    For k >= 1 that is the L2 norm of all order-k derivatives (the weights
+    k!/alpha! of apply_Dk sum |xi^alpha|^2 to |xi|^2k, multinomial theorem).
     """
-    weights = _derivative_weights(freq.grid, k) if k else None
-    return float(_norm(freq.coeffs.reshape(freq.fiber_dim, -1), weights=weights))
+    weights = None
+    if k:
+        mesh = integer_frequencies(grid)[:, :planes].reshape(grid.n, -1)
+        weights = (np.einsum("ij,ij->j", mesh, mesh) ** k).reshape((planes,) + grid.shape[1:])
+    if planes < grid.size:
+        doubled = np.full((planes,) + (1,) * (grid.n - 1), 2.0)
+        doubled[0] = doubled[-1] = 1.0
+        weights = doubled if weights is None else weights * doubled
+    if weights is not None:
+        weights.setflags(write=False)
+    return weights
 
 
 def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: float) -> None:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symrank import cli, experiments, pinv, spectral
 from symrank.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_NO_RANK_DROP,
@@ -103,6 +107,15 @@ def test_unwritable_output_path_is_a_one_line_error(tmp_path, capsys, argv):
     code, _, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
     assert code == EXIT_INPUT_ERROR
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_integer_beyond_float_range_exits_one(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"name": "big", "n": 2, "k": 1, "dimV": 1, "dimW": 1, "terms": '
+                    '[{"alpha": [1, 0], "matrix": [[1' + "0" * 400 + ']]}]}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == "error: terms[0].matrix: entry beyond the float range\n"
 
 
 def test_invalid_p_is_an_argparse_error(capsys):
@@ -356,14 +369,14 @@ def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch)
 
 def test_minimality_makes_no_transforms(capsys, monkeypatch):
     calls = []
-    for name in ("forward_transform", "inverse_transform"):
+    for name in ("forward_transform", "inverse_transform", "_inverse"):
         original = getattr(spectral, name)
 
-        def wrapper(field, name=name, original=original):
+        def wrapper(*args, name=name, original=original):
             calls.append(name)
-            return original(field)
+            return original(*args)
         for module in (spectral, experiments):
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper, raising=False)
     code, doc, _ = run_json(capsys, "minimality", "zoo:curl", "--N", "8", "--trials", "3",
                             "--kernel-trials", "2")
     assert code == EXIT_OK and doc["all_pass"] is True
@@ -379,14 +392,14 @@ def test_counterexample_transforms_only_the_window(capsys, monkeypatch, window, 
     # transform, and a windowed one transforms its bump once per family (the
     # exact ladder grows 3.92 over three rungs, short of the default factor 4)
     calls = []
-    for name in ("forward_transform", "inverse_transform"):
+    for name in ("forward_transform", "inverse_transform", "_inverse"):
         original = getattr(spectral, name)
 
-        def wrapper(field, name=name, original=original):
+        def wrapper(*args, name=name, original=original):
             calls.append(name)
-            return original(field)
+            return original(*args)
         for module in (spectral, experiments):
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper, raising=False)
     code, _, _ = run_json(capsys, "counterexample", "zoo:wave", "--N", "32", "--rungs", "3",
                           *window)
     assert code == exit_code
@@ -440,3 +453,73 @@ def test_zoo_lists_all_operators(capsys):
     verdicts = {row["name"]: row["expected_verdict"] for row in doc["operators"]}
     assert verdicts["curl"] == "ConstantRank"
     assert verdicts["wave"] == "NonConstantRank"
+
+
+# ------------------------------------------------------------------ argv, generated
+# Every command with generated option values, valid and invalid, and stray
+# tokens: main returns a documented exit code or argparse exits with 2, never
+# anything else.  Sizes stay small (N <= 16, trials <= 3, rungs <= 4, samples
+# <= 256 or >= 2^62, which the sweep's memory check refuses up front), so no
+# example starts a long run; size options are always given, since the
+# defaults are larger.
+
+TESTS = Path(__file__).parent
+SOURCES = ["zoo:curl", "zoo:d1d2", "zoo:gradient", "zoo:wave", "zoo:laplacian", "zoo:nope",
+           "zoo:", str(TESTS / "lap_plus_d1d2.json"), str(TESTS / "missing.json"), str(TESTS)]
+SIZES = {
+    "--N": ["4", "8", "16", "0", "-8", "6", "abc", "1e1"],
+    "--trials": ["1", "3", "0", "-1", "x"],
+    "--kernel-trials": ["1", "3", "0", "-2"],
+    "--rungs": ["1", "2", "4", "0", "-1"],
+    "--samples": ["0", "1", "64", "256", str(2 ** 62), str(2 ** 63), "-5", "1.5"],
+}
+VALUES = {
+    "--p": ["1", "2", "3", "inf", "1e400", "0.5", "nan", "-inf", "p"],
+    "--max-freq": ["1", "2", "4", "0", "-1", "99"],
+    "--factor": ["0", "1", "2", "inf", "nan", "-1", "1e-300"],
+    "--window": ["0.5", "1", "0", "1.5", "nan", "-0.5", "1e-300"],
+    "--seed": ["0", "7", "-1", str(2 ** 70), "s"],
+    "--tol": ["1e-10", "0.5", "0", "1", "-1", "nan", "inf", "1e-300"],
+}
+OPTIONS = {
+    "analyze": ["--samples", "--seed", "--tol"],
+    "verify": ["--N", "--trials", "--p", "--max-freq", "--seed", "--tol"],
+    "counterexample": ["--N", "--rungs", "--p", "--factor", "--window", "--seed", "--tol"],
+    "minimality": ["--N", "--trials", "--kernel-trials", "--seed", "--tol"],
+}
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_INPUT_ERROR, EXIT_NON_CONSTANT_RANK, EXIT_NO_RANK_DROP,
+                    EXIT_CHECK_FAILED}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS) + ["zoo", "nope"]))
+    argv = [command]
+    if command in OPTIONS:
+        if draw(st.integers(0, 9)):
+            argv.append(draw(st.sampled_from(SOURCES)))
+        for option in OPTIONS[command]:
+            if option in SIZES:
+                argv += [option, draw(st.sampled_from(SIZES[option]))]
+            elif draw(st.booleans()):
+                argv += [option, draw(st.sampled_from(VALUES[option]))]
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(["--bogus", "extra", "--N", "-h"])))
+    return argv
+
+
+@given(command_lines())
+@settings(max_examples=150, deadline=None)
+def test_generated_command_lines_exit_with_documented_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse: a usage error, or -h printing the help
+            assert exc.code in (0, 2), argv
+            return
+    assert code in DOCUMENTED_EXITS, argv
+    if code == EXIT_INPUT_ERROR:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

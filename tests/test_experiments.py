@@ -126,11 +126,12 @@ def test_estimate_ratio_coefficient_route_matches_grid_composition(name, p):
 
 
 def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
-    # _inverse_real is the inverse transform of the real route, which every field
-    # ratio_sweep draws takes; any other field goes back through inverse_transform
+    # _inverse is the one inverse transform of the ratio pipeline, on the half
+    # spectrum of every field ratio_sweep draws and on the whole mesh of a
+    # public estimate_ratio input
     op = zoo_get("curl")
     witness = witness_family(op, [(1, 2, -1)], Grid(3, 8))[0]
-    calls = {"forward_transform": 0, "inverse_transform": 0, "_inverse_real": 0}
+    calls = {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0}
 
     def counted(name):
         original = getattr(spectral, name)
@@ -145,28 +146,44 @@ def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
         for module in (spectral, experiments):
             monkeypatch.setattr(module, name, wrapper, raising=False)
     ratio_sweep(op, p=2.0, trials=3, grid_sizes=[8])
-    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse_real": 0}
+    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0}
     ratio_sweep(op, p=3.0, trials=3, grid_sizes=[8])
-    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse_real": 2 * 3}
+    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 2 * 3}
     estimate_ratio(op, witness, 3.0)
-    assert calls == {"forward_transform": 0, "inverse_transform": 2, "_inverse_real": 2 * 3}
+    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 2 * 3 + 2}
 
 
-# ------------------------------------------------------------------ real route
-# At p != 2 a real field without Nyquist content takes the real route of
-# estimate_ratio (first-axis planes 0..N/2, one real inverse FFT per grid field);
-# every other field keeps the complex route on the whole mesh.
+# ------------------------------------------------------------------ spectra
+# The ratio pipeline runs on the whole mesh or, for a real field without
+# Nyquist content, on its first-axis planes 0..N/2 (one real inverse FFT per
+# grid field at p != 2, mirrored planes counted twice at p = 2).
+
+def half(freq):
+    """The first-axis planes 0..N/2 of freq's coefficients, a view."""
+    return freq.coeffs[:, :freq.grid.size // 2 + 1]
+
+
+def is_real_band_limited(freq) -> bool:
+    """Oracle: every Nyquist plane is zero and c(-xi) == conj(c(xi)) holds exactly."""
+    size = freq.grid.size
+    axes = tuple(range(1, freq.grid.n + 1))
+    if any(freq.coeffs[(slice(None),) * axis + (size // 2,)].any() for axis in axes):
+        return False
+    negated = np.roll(np.flip(freq.coeffs, axes), 1, axes)
+    return np.array_equal(negated.conj(), freq.coeffs)
+
 
 @pytest.mark.parametrize("name", [entry.name for entry in zoo_list()])
 @pytest.mark.parametrize("N", [8, 16])
-@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 def test_real_route_matches_public_function_oracle(name, N, p):
     op = zoo_get(name)
     grid = Grid(op.n, N)
     freq = spectral._random_coefficients(grid, op.dim_v, N // 4, seed=[N, 7])
-    assert spectral._is_real_band_limited(freq)
+    assert is_real_band_limited(freq)
     expected = grid_composition_ratio(op, spectral.inverse_transform(freq), p)
-    assert math.isclose(estimate_ratio(op, freq, p), expected, rel_tol=1e-13)
+    assert math.isclose(experiments._ratio(op, grid, half(freq), p, pinv.DEFAULT_TOL), expected,
+                        rel_tol=1e-13)
 
 
 def fields_off_the_real_route(op: Operator, grid: Grid) -> dict:
@@ -186,31 +203,30 @@ def fields_off_the_real_route(op: Operator, grid: Grid) -> dict:
 
 @pytest.mark.parametrize("name", ["curl", "d1d2", "wave"])
 @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
-def test_fields_off_the_real_route_keep_the_complex_route(monkeypatch, name, p):
+def test_fields_off_the_real_route_keep_the_complex_route(name, p):
+    # the public function hands the pipeline the whole mesh, which is exact for
+    # fields that the planes 0..N/2 do not fix
     op = zoo_get(name)
     grid = Grid(op.n, 16)
     for kind, freq in fields_off_the_real_route(op, grid).items():
-        assert not spectral._is_real_band_limited(freq), kind
+        assert not is_real_band_limited(freq), kind
         ratio = estimate_ratio(op, freq, p)
-        with monkeypatch.context() as patched:
-            patched.setattr(experiments, "_is_real_band_limited", lambda freq: False)
-            assert ratio.hex() == estimate_ratio(op, freq, p).hex(), kind
+        whole = experiments._ratio(op, grid, freq.coeffs, p, pinv.DEFAULT_TOL)
+        assert ratio.hex() == whole.hex(), kind
         expected = grid_composition_ratio(op, spectral.inverse_transform(freq), p)
         assert math.isclose(ratio, expected, rel_tol=1e-13), kind
 
 
-@pytest.mark.parametrize("nyquist", [False, True])
-def test_non_finite_intermediate_raises_on_either_route(nyquist):
+@pytest.mark.parametrize("whole", [False, True])
+def test_non_finite_intermediate_raises_on_either_route(whole):
     # D^2 of coefficients near 1e307 overflows on the way to the grid
     op = zoo_get("laplacian")
     grid = Grid(2, 16)
-    coeffs = 1e307 * spectral._random_coefficients(grid, 1, 4, seed=5).coeffs
-    if nyquist:
-        coeffs[0, 0, grid.size // 2] = 1.0
-    freq = spectral.FrequencyField(grid, coeffs)
-    assert spectral._is_real_band_limited(freq) is not nyquist
+    freq = spectral._random_coefficients(grid, 1, 4, seed=5)
+    coeffs = 1e307 * (freq.coeffs if whole else half(freq))
+    assert coeffs.shape[1] == (16 if whole else 9)
     with pytest.raises(ValueError, match="non-finite") as raised:
-        estimate_ratio(op, freq, 3.0)
+        experiments._ratio(op, grid, coeffs, 3.0, pinv.DEFAULT_TOL)
     assert not isinstance(raised.value, KernelInputError)
 
 
@@ -473,6 +489,25 @@ def test_l2_minimality_coefficient_route_matches_grid_composition(name, slack):
         phi = random_band_limited(grid, op.dim_v, grid.size // 4, seed=phi_seed)
         expected = grid_composition_minimality(op, phi, 3, 3, slack)
         assert l2_minimality_check(op, phi, kernel_trials=3, seed=3, slack=slack) is expected
+
+
+@pytest.mark.parametrize("name", CONSTANT_RANK)
+@pytest.mark.parametrize("slack", [1e-10, -1e-6])
+def test_minimality_on_the_half_spectrum_matches_the_whole_mesh(name, slack):
+    # the fields the minimality command draws are real without Nyquist content,
+    # so their planes 0..N/2 give l2_minimality_check's verdicts on the whole mesh
+    op = zoo_get(name)
+    grid = Grid(op.n, 8)
+    verdicts = []
+    # a generic field, and one that competitor 0 reproduces (an exact tie)
+    for phi_seed in ([22, 0], [3, 0, 1]):
+        freq = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, seed=phi_seed)
+        expected = l2_minimality_check(op, freq, kernel_trials=3, seed=3, slack=slack)
+        assert experiments._minimality(op, grid, half(freq), 3, 3, pinv.DEFAULT_TOL,
+                                       slack) is expected
+        verdicts.append(expected)
+    # the tie passes under the default slack and fails under the negative one
+    assert verdicts[1] is (slack > 0)
 
 
 # ------------------------------------------------------------------ reports

@@ -63,6 +63,9 @@ def test_terms_are_canonicalized():
     ((), "empty term list"),
     ((((1, 1), ((0.0,),)),), "all coefficient matrices are zero"),
     ((((1, -1, 2), ((1.0,),)),), "nonnegative"),
+    # float() and int() raise OverflowError here, not TypeError or ValueError
+    ((((1, 1), ((10 ** 400,),)),), r"matrix: entry beyond the float range"),
+    ((((math.inf, 2), ((1.0,),)),), "integer exponents"),
 ])
 def test_invalid_terms_rejected(terms, message):
     n = len(terms[0][0]) if terms else 2
@@ -200,6 +203,14 @@ def test_parse_rejects_bad_documents():
                        .replace("null", "NaN"))
     with pytest.raises(OperatorSpecError, match="expected a JSON object"):
         parse_operator("[1, 2]")
+    # a JSON integer decodes exactly, however large; as a float it overflows
+    with pytest.raises(OperatorSpecError, match=r"terms\[0\]\.matrix: entry beyond the float range"):
+        parse_operator(broken(terms=[{"alpha": [1, 1], "matrix": [[10 ** 400]]}]))
+    # json.loads raises plain ValueError past int's digit limit, RecursionError past nesting
+    with pytest.raises(OperatorSpecError, match="invalid JSON .*digits"):
+        parse_operator(broken(terms=[]).replace("[]", "[[[1" + "0" * 5000 + "]]]"))
+    with pytest.raises(OperatorSpecError, match="invalid JSON .*recursion"):
+        parse_operator("[" * 100000 + "]" * 100000)
 
 
 def test_document_example_from_module_docstring():
@@ -210,3 +221,70 @@ def test_document_example_from_module_docstring():
                {"alpha": [0, 0, 1], "matrix": [[0, 0, 1]]}]}
     """
     assert parse_operator(text) == zoo_get("divergence")
+
+
+# ------------------------------------------------------------------ documents, generated
+# Any decoded JSON value as a document, one shaped like an operator document,
+# or a zoo operator's document with an entry or field replaced, every drawn
+# value an int (huge ones too), float (non-finite too), bool, string, null or
+# nested list: parse_operator either returns an Operator or raises
+# OperatorSpecError.  (Ints past Python's digit limit cannot be encoded here;
+# test_parse_rejects_bad_documents writes one by hand.)
+
+HUGE_INTS = st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 1024, 10 ** 400, -10 ** 400])
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), HUGE_INTS,
+                   st.floats(), st.text(max_size=3))
+JSON_VALUES = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+SMALL = st.one_of(st.integers(1, 3), LEAVES)
+SHAPED = st.fixed_dictionaries(
+    {"name": st.one_of(st.text(max_size=4), LEAVES), "n": SMALL, "k": SMALL, "dimV": SMALL,
+     "dimW": SMALL, "terms": st.one_of(st.lists(st.fixed_dictionaries(
+         {"alpha": st.lists(st.one_of(st.integers(0, 2), LEAVES), max_size=3),
+          "matrix": st.lists(st.lists(LEAVES, max_size=3), max_size=3)}), max_size=3),
+         JSON_VALUES)},
+    optional={"extra": JSON_VALUES})
+FIELDS = ["name", "n", "k", "dimV", "dimW", "terms", "extra"]
+
+
+@st.composite
+def edited_documents(draw):
+    """A zoo operator's document with a matrix entry or another part replaced, maybe a field too."""
+    doc = json.loads(serialize_operator(draw(st.sampled_from(zoo_list())).build()))
+    term = draw(st.sampled_from(doc["terms"]))
+    row = draw(st.sampled_from(term["matrix"]))
+    if draw(st.booleans()):
+        row[draw(st.integers(0, len(row) - 1))] = draw(LEAVES)
+    else:
+        target, key = draw(st.sampled_from([
+            (term, "alpha"), (term, "matrix"), (term, "extra"),
+            (term["alpha"], draw(st.integers(0, len(term["alpha"]) - 1))),
+            (term["matrix"], draw(st.integers(0, len(term["matrix"]) - 1)))]))
+        target[key] = draw(JSON_VALUES)
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(FIELDS))] = draw(JSON_VALUES)
+    if draw(st.booleans()):
+        doc.pop(draw(st.sampled_from(FIELDS)), None)
+    return doc
+
+
+@given(st.one_of(edited_documents(), SHAPED, JSON_VALUES))
+@settings(max_examples=200, deadline=None)
+def test_generated_documents_parse_or_raise_spec_errors(doc):
+    # json.dumps writes non-finite floats as NaN and Infinity, which the parser rejects
+    try:
+        op = parse_operator(json.dumps(doc))
+    except OperatorSpecError:
+        return
+    assert isinstance(op, Operator)
+    assert parse_operator(serialize_operator(op)) == op
+
+
+@given(st.text(max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_generated_text_parses_or_raises_spec_errors(text):
+    try:
+        parse_operator(text)
+    except OperatorSpecError:
+        pass

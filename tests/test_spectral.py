@@ -238,7 +238,7 @@ def test_matvec_multiplies_every_frequency_by_its_table_entry(name):
         for idx in np.ndindex(grid.shape):
             want = sum(table[idx][:, j] * coeffs[(j,) + idx] for j in range(cols))
             np.testing.assert_array_equal(out[(slice(None),) + idx], want)
-        # the first-axis planes 0..N/2 alone, as the real route of estimate_ratio runs it
+        # the first-axis planes 0..N/2 alone, as the ratio pipeline runs it on a real field
         planes = grid.size // 2 + 1
         half = spectral._matvec(table[:planes], coeffs[:, :planes])
         assert half.tobytes() == np.ascontiguousarray(out[:, :planes]).tobytes()
@@ -246,15 +246,34 @@ def test_matvec_multiplies_every_frequency_by_its_table_entry(name):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_inverse_real_is_the_real_part_of_inverse_transform(n):
+    # _inverse of a real field's first-axis planes 0..N/2 is one real inverse
+    # FFT; of the whole mesh, inverse_transform's complex data
     grid = Grid(n, 8)
     freq = spectral._random_coefficients(grid, 2, 2, seed=[n, 4])
-    assert spectral._is_real_band_limited(freq)
-    data = spectral._inverse_real(freq.coeffs[:, :grid.size // 2 + 1], grid)
+    data = spectral._inverse(freq.coeffs[:, :grid.size // 2 + 1], grid)
     full = inverse_transform(freq).data
+    assert spectral._inverse(freq.coeffs, grid).tobytes() == full.tobytes()
     assert data.dtype == np.float64 and data.shape == full.shape
     scale = np.abs(full).max()
     assert np.abs(full.imag).max() <= 1e-15 * scale
     np.testing.assert_allclose(data, full.real, rtol=0, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_spectrum_weights_give_the_whole_mesh_norm_from_either_spectrum(n, k):
+    # sqrt(sum |xi|^2k |c(xi)|^2) over the whole mesh, from the whole mesh or
+    # from the planes 0..N/2 of a real field with its mirrors counted twice
+    grid = Grid(n, 8)
+    coeffs = spectral._random_coefficients(grid, 2, 2, seed=[n, k]).coeffs
+    xi2 = (spectral.integer_frequencies(grid) ** 2).sum(axis=0)
+    expected = math.sqrt(float((xi2 ** k * np.abs(coeffs) ** 2).sum()))
+    planes = grid.size // 2 + 1
+    for part in (coeffs, coeffs[:, :planes]):
+        weights = spectral._spectrum_weights(grid, part.shape[1], k)
+        assert (weights is None) is (k == 0 and part is coeffs)
+        assert weights is None or not weights.flags.writeable
+        assert math.isclose(float(pinv._norm(part, weights=weights)), expected, rel_tol=1e-14)
 
 
 # every zoo operator, a vector-valued drop and a 1-D operator of odd order,

@@ -15,7 +15,7 @@ byte-identical output.
 
 Exit codes: 0 success, 1 input error, bad path or out of memory, 2 usage
 error (an unknown command or option, or an option value argparse rejects,
-such as --p 0.5 or --N abc), 3 analyze found NonConstantRank, 4
+such as --p 0.5, --N abc or --seed -1), 3 analyze found NonConstantRank, 4
 counterexample requested for an operator without rank drops, 5 the
 configured check failed (blow-up factor not reached, or a minimality
 comparison lost).
@@ -69,6 +69,12 @@ def _parse_p(text: str) -> float:
     if not value >= 1.0:
         raise argparse.ArgumentTypeError("p must satisfy p >= 1 (use 'inf' for the sup norm)")
     return value
+
+
+def _parse_seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("seed must be a non-negative integer")
+    return int(text)
 
 
 def _emit(doc: dict, args) -> None:
@@ -219,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if source:
             cmd.add_argument("source",
                              help="zoo:<name> or path to a JSON operator document")
-            cmd.add_argument("--seed", type=int, default=0, help="base random seed")
+            cmd.add_argument("--seed", type=_parse_seed, default=0, help="base random seed")
             cmd.add_argument("--tol", type=float, default=DEFAULT_TOL,
                              help="relative singular value cutoff")
         cmd.add_argument("--out", metavar="PATH",

@@ -99,13 +99,13 @@ def _ratio(op: Operator, grid: Grid, coeffs: np.ndarray, p: float, tol: float) -
             numerator = float(_norm(resolved, weights=_spectrum_weights(grid, planes, op.k)))
             denominator = float(_norm(_matvec(symbols, coeffs), weights=weights))
         else:
-            derivatives, fiber_weights = _derivatives(op.k, resolved, grid)
+            derivatives = _derivatives(op.k, resolved, grid)
             del resolved
-            numerator = _grid_norm(_inverse(derivatives, grid), fiber_weights, grid, p)
+            numerator = _grid_norm(_inverse(derivatives, grid), grid, p)
             del derivatives
             image = _matvec(symbols, coeffs)
             image *= 1j ** op.k
-            denominator = _grid_norm(_inverse(image, grid), None, grid, p)
+            denominator = _grid_norm(_inverse(image, grid), grid, p)
     if not math.isfinite(numerator) or not math.isfinite(denominator):
         raise ValueError("field has non-finite values")
     return numerator / denominator

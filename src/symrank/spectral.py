@@ -92,27 +92,17 @@ def integer_frequencies(grid: Grid) -> np.ndarray:
     return mesh
 
 
-def _check_weights(weights, fiber_dim: int):
-    if weights is None:
-        return None
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (fiber_dim,) or (weights <= 0).any():
-        raise ValueError("fiber_weights must be positive with one entry per fiber component")
-    return weights
-
-
 @dataclass(frozen=True)
 class GridField:
     """Complex field sampled on a Grid; data has shape (fiber_dim, size, ..., size).
 
-    fiber_weights, when present, weight the squared fiber components in
-    every pointwise norm (used for derivative arrays).  Treat instances as
-    immutable values.
+    The pointwise norm is the Euclidean norm of the fiber vector; apply_Dk
+    stores derivative arrays in coordinates where that is the right norm.
+    Treat instances as immutable values.
     """
 
     grid: Grid
     data: np.ndarray
-    fiber_weights: np.ndarray | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex)
@@ -121,7 +111,6 @@ class GridField:
         if not np.isfinite(data).all():
             raise ValueError("field has non-finite values")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "fiber_weights", _check_weights(self.fiber_weights, data.shape[0]))
 
     @property
     def fiber_dim(self) -> int:
@@ -130,23 +119,13 @@ class GridField:
     def __sub__(self, other: "GridField") -> "GridField":
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
-        a, b = self.fiber_weights, other.fiber_weights
-        if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
-            raise ValueError("fields have incompatible fiber weights")
         if self.data.shape != other.data.shape:
             raise ValueError("fields have different fiber dimensions")
-        return GridField(self.grid, self.data - other.data, a)
+        return GridField(self.grid, self.data - other.data)
 
     def pointwise_norm(self) -> np.ndarray:
-        """sqrt(sum_c w_c |f_c(x)|^2) at every grid point x, by pinv._norm (scaled per point)."""
-        return _pointwise_norm(self.data, self.fiber_weights)
-
-
-def _pointwise_norm(data: np.ndarray, fiber_weights: np.ndarray | None) -> np.ndarray:
-    """GridField.pointwise_norm of grid values data, real or complex, fiber axis first."""
-    if fiber_weights is not None:
-        fiber_weights = fiber_weights.reshape((-1,) + (1,) * (data.ndim - 1))
-    return _norm(data, axis=0, weights=fiber_weights)
+        """sqrt(sum_c |f_c(x)|^2) at every grid point x, by pinv._norm (scaled per point)."""
+        return _norm(self.data, axis=0)
 
 
 @dataclass(frozen=True)
@@ -155,7 +134,6 @@ class FrequencyField:
 
     grid: Grid
     coeffs: np.ndarray
-    fiber_weights: np.ndarray | None = None
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -164,7 +142,6 @@ class FrequencyField:
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficients have non-finite values")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "fiber_weights", _check_weights(self.fiber_weights, coeffs.shape[0]))
 
     @property
     def fiber_dim(self) -> int:
@@ -179,12 +156,12 @@ def forward_transform(field: GridField) -> FrequencyField:
     """Grid values to coefficients; unitary between grid L2 and coefficient l2."""
     coeffs = np.fft.fftn(field.data, axes=_spatial_axes(field.grid), norm="ortho")
     coeffs *= (TWO_PI / field.grid.size) ** (field.grid.n / 2.0)
-    return FrequencyField(field.grid, coeffs, field.fiber_weights)
+    return FrequencyField(field.grid, coeffs)
 
 
 def inverse_transform(freq: FrequencyField) -> GridField:
     """Coefficients back to grid values; exact inverse of forward_transform."""
-    return GridField(freq.grid, _inverse(freq.coeffs, freq.grid), freq.fiber_weights)
+    return GridField(freq.grid, _inverse(freq.coeffs, freq.grid))
 
 
 def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -208,13 +185,12 @@ def lp_norm(field: GridField, p: float) -> float:
     """Grid L^p norm: Riemann sum of the pointwise fiber norm; p = inf gives the max."""
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
-    return _grid_norm(field.data, field.fiber_weights, field.grid, p)
+    return _grid_norm(field.data, field.grid, p)
 
 
-def _grid_norm(data: np.ndarray, fiber_weights: np.ndarray | None, grid: Grid,
-               p: float) -> float:
-    """lp_norm of the grid values data (real or complex) with these fiber weights."""
-    return float(_norm(_pointwise_norm(data, fiber_weights), p) * grid.cell_volume ** (1.0 / p))
+def _grid_norm(data: np.ndarray, grid: Grid, p: float) -> float:
+    """lp_norm of the grid values data (real or complex), fiber axis first."""
+    return float(_norm(_norm(data, axis=0), p) * grid.cell_volume ** (1.0 / p))
 
 
 @lru_cache(maxsize=64)
@@ -225,8 +201,10 @@ def _spectrum_weights(grid: Grid, planes: int, k: int) -> np.ndarray | None:
     is sqrt(sum_xi |xi|^2k |c(xi)|^2) over the whole mesh: for planes = N
     the weights are |xi|^2k (None for k = 0), and for the planes 0..N/2 of
     a real field they count the planes 1..N/2-1 twice for their mirrors.
-    For k >= 1 that is the L2 norm of all order-k derivatives (the weights
-    k!/alpha! of apply_Dk sum |xi^alpha|^2 to |xi|^2k, multinomial theorem).
+    For k >= 1 that is the L2 norm of apply_Dk's derivative array, whose
+    fiber norm at xi is |xi|^k times the coefficient's (its entries
+    sqrt(k!/alpha!) xi^alpha have squares summing to |xi|^2k, multinomial
+    theorem).
     """
     weights = None
     if k:
@@ -312,8 +290,6 @@ def _check_field(op: Operator, field: GridField | FrequencyField, fiber_dim: int
         raise ValueError(f"field has {field.grid.n} axes, operator acts on {op.n}")
     if field.fiber_dim != fiber_dim:
         raise ValueError(f"{role} field must have fiber dimension {fiber_dim}")
-    if field.fiber_weights is not None:
-        raise ValueError(f"{role} field must not carry fiber weights")
 
 
 def apply_A(op: Operator, field: GridField) -> GridField:
@@ -425,36 +401,38 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     return inverse_transform(FrequencyField(field.grid, coeffs))
 
 
-def _derivatives(k: int, coeffs: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of all order-k derivatives of coeffs, with their fiber weights.
+def _derivatives(k: int, coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Coefficients of all order-k derivatives of coeffs, in apply_Dk's coordinates.
 
     coeffs is a (fiber, ...) coefficient array on grid's whole frequency
     mesh or on its first-axis planes 0..N/2; the output covers the same
-    frequencies.  Fiber layout and weights are those documented on apply_Dk.
+    frequencies.  The scales sqrt(k!/alpha!) of apply_Dk's layout sit in
+    the per-frequency monomial table, so they cost no pass over the field.
     """
     alphas = multi_indices(grid.n, k)
     xis = integer_frequencies(grid)[:, :coeffs.shape[1]].reshape(grid.n, -1).T
-    powers = (1j ** k) * _monomials(xis, alphas)
+    scales = np.sqrt([multinomial_weight(a) for a in alphas])
+    powers = _monomials(xis, alphas) * ((1j ** k) * scales)
     out = np.einsum("st,vs->vts", powers, coeffs.reshape(len(coeffs), -1), order="C")
-    out = out.reshape((len(coeffs) * len(alphas),) + coeffs.shape[1:])
-    weights = np.array([multinomial_weight(a) for a in alphas], dtype=float)
-    return out, np.tile(weights, len(coeffs))
+    return out.reshape((len(coeffs) * len(alphas),) + coeffs.shape[1:])
 
 
 def apply_Dk(k: int, field: GridField) -> GridField:
-    """All order-k derivatives as one field.
+    """All order-k derivatives as one field, in orthonormal coordinates.
 
     Output fiber index is j * T + t for input component j and the t-th
     multi-index of degree k in lexicographic order; entry (j, t) holds
-    (i xi)^alpha_t phi_j.  The attached fiber weights k!/alpha! make the
-    pointwise norm satisfy |D^k phi-hat(xi)| = |xi|^k |phi-hat(xi)|.
+    sqrt(k!/alpha_t!) (i xi)^alpha_t phi_j, which is (i xi)^alpha_t phi_j
+    for k = 1.  These are the coordinates of the symmetric k-tensor D^k phi
+    in an orthonormal basis, so the plain fiber norm is the tensor's
+    Frobenius norm: |D^k phi-hat(xi)| = |xi|^k |phi-hat(xi)| (multinomial
+    theorem).  Any field is accepted, so apply_Dk(1, apply_Dk(j, phi)) has
+    the norms of apply_Dk(j + 1, phi).
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    if field.fiber_weights is not None:
-        raise ValueError("input field must not carry fiber weights")
     freq = forward_transform(field)
-    return inverse_transform(FrequencyField(field.grid, *_derivatives(k, freq.coeffs, field.grid)))
+    return inverse_transform(FrequencyField(field.grid, _derivatives(k, freq.coeffs, field.grid)))
 
 
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -468,7 +446,9 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     entries with another axis at index N/2, which have no mirror on the grid
     (see _half_spectrum).  Input is a codomain-valued field (fiber dimW,
     typically apply_A(phi)); output is a derivative array (fiber dimV * T)
-    equal to apply_Dk(k, phi - apply_PA(phi)) when the input is
+    in apply_Dk's orthonormal coordinates, so entry (j, t) is
+    sqrt(k!/alpha_t!) (i xi)^alpha_t (A+ psi)_j for input psi, and it
+    equals apply_Dk(k, phi - apply_PA(phi)) when the input is
     apply_A(phi).  The multiplier vanishes at frequency zero, where the
     symbol is zero.
     """
@@ -476,7 +456,7 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
     out = _matvec(dagger, forward_transform(field).coeffs)
     out *= (-1j) ** op.k
-    return inverse_transform(FrequencyField(field.grid, *_derivatives(op.k, out, field.grid)))
+    return inverse_transform(FrequencyField(field.grid, _derivatives(op.k, out, field.grid)))
 
 
 def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> FrequencyField:

@@ -124,6 +124,15 @@ def test_invalid_p_is_an_argparse_error(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify", "counterexample", "minimality"])
+def test_negative_seed_is_an_argparse_error(capsys, command):
+    # numpy would refuse it later with a message that names no option
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "zoo:curl", "--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert "argument --seed: seed must be a non-negative integer" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_divergence_defaults(capsys):
@@ -140,6 +149,17 @@ def test_verify_gradient_ratio_is_trivially_one(capsys):
     code, doc, _ = run_json(capsys, "verify", "zoo:gradient", "--N", "16", "--trials", "5")
     assert code == EXIT_OK
     assert abs(doc["max_ratio"] - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("p", ["1", "3", "inf"])
+def test_verify_hessian_ratio_is_one_at_every_p(capsys, p):
+    # rows d11, sqrt(2) d12, d22: |A phi| is the pointwise Frobenius norm of D^2 phi,
+    # which is the fiber norm of apply_Dk's derivative array, so the ratio is 1
+    source = Path(__file__).parent / "hessian2.json"
+    code, doc, _ = run_json(capsys, "verify", str(source), "--N", "16", "--trials", "2",
+                            "--p", p)
+    assert code == EXIT_OK
+    assert all(abs(record["ratio"] - 1.0) <= 1e-12 for record in doc["records"])
 
 
 def test_verify_inf_p_and_csv(tmp_path, capsys):

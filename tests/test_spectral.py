@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank import pinv, spectral
-from symrank.operators import Operator, _real_stack, multi_indices, parse_operator, symbol
+from symrank.operators import (Operator, _real_stack, multi_indices, multinomial_weight,
+                               parse_operator, symbol)
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_Dk, apply_PA,
                               apply_multiplier, forward_transform,
@@ -71,8 +72,6 @@ def test_gridfield_validation():
         GridField(grid, np.zeros((4, 4)))  # missing fiber axis
     with pytest.raises(ValueError, match="non-finite"):
         GridField(grid, np.full((1, 4, 4), np.nan))
-    with pytest.raises(ValueError, match="fiber_weights"):
-        GridField(grid, np.zeros((2, 4, 4)), np.array([1.0]))
     a = GridField(grid, np.ones((1, 4, 4)))
     b = GridField(Grid(2, 8), np.ones((1, 8, 8)))
     with pytest.raises(ValueError, match="different grids"):
@@ -157,13 +156,6 @@ def test_pointwise_norm_scales_each_point_by_its_own_max():
     values = [1.0, 1e-200, 3e-170, 0.0]
     norm = GridField(Grid(1, 4), [values]).pointwise_norm()
     assert np.allclose(norm, values, rtol=1e-15, atol=0.0)
-
-
-def test_fiber_weights_enter_pointwise_norm():
-    grid = Grid(1, 4)
-    data = np.ones((2, 4), dtype=complex)
-    weighted = GridField(grid, data, np.array([4.0, 9.0]))
-    assert np.allclose(weighted.pointwise_norm(), math.sqrt(13.0))
 
 
 # ------------------------------------------------------------------ operators
@@ -455,10 +447,18 @@ def test_apply_Dk_single_mode_layout():
     assert multi_indices(2, 1) == ((0, 1), (1, 0))
     assert np.abs(out.data[0] - 1j * xi[1] * phi.data[0]).max() < 1e-11
     assert np.abs(out.data[1] - 1j * xi[0] * phi.data[0]).max() < 1e-11
+    # k = 2 on a two-component mode: entry (j, t) is sqrt(2!/alpha_t!) (i xi)^alpha_t phi_j
+    amplitude = np.array([1.0, -0.5j])
+    two = apply_Dk(2, plane_wave(grid, xi, amplitude))
+    assert multi_indices(2, 2) == ((0, 2), (1, 1), (2, 0))
+    scaled = (-xi[1] ** 2, -math.sqrt(2.0) * xi[0] * xi[1], -xi[0] ** 2)
+    for j, t in itertools.product(range(2), range(3)):
+        want = scaled[t] * amplitude[j] * phi.data[0]
+        assert np.abs(two.data[3 * j + t] - want).max() < 1e-10
 
 
 def test_apply_Dk_norm_is_xi_power():
-    # weighted fiber norm of D^k at a single mode is |xi|^k pointwise
+    # fiber norm of D^k at a single mode is |xi|^k pointwise
     grid = Grid(2, 16)
     for k in (1, 2, 3):
         for xi in ((1, -2), (3, 4)):
@@ -485,9 +485,14 @@ def test_apply_Dk_validation():
     phi = GridField(grid, np.ones((1, 4, 4), dtype=complex))
     with pytest.raises(ValueError, match="positive integer"):
         apply_Dk(0, phi)
-    weighted = apply_Dk(1, phi)
-    with pytest.raises(ValueError, match="weights"):
-        apply_Dk(1, weighted)
+
+
+@pytest.mark.parametrize("n, j, p", itertools.product((2, 3), (1, 2), (1.0, 2.0, 3.0, math.inf)))
+def test_apply_Dk_composes(n, j, p):
+    # orthonormal coordinates: D^1 of the array D^j has the norms of D^(j+1), pointwise
+    phi = random_band_limited(Grid(n, 8), 2, 2, seed=[41, n, j])
+    assert math.isclose(lp_norm(apply_Dk(1, apply_Dk(j, phi)), p),
+                        lp_norm(apply_Dk(j + 1, phi), p), rel_tol=1e-13)
 
 
 # ------------------------------------------------------------------ multiplier
@@ -531,7 +536,8 @@ def test_multiplier_matches_decell_route_at_every_frequency(op):
             continue
         mat = symbol(op, xi)
         dagger = pinv_decell(mat, numerical_rank(mat))
-        powers = np.array([math.prod((1j * x) ** a for x, a in zip(xi, alpha))
+        powers = np.array([math.sqrt(multinomial_weight(alpha))
+                           * math.prod((1j * x) ** a for x, a in zip(xi, alpha))
                            for alpha in alphas])
         want[:, idx] = np.kron(dagger, powers[:, None]) @ flat[:, idx]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -34,7 +34,7 @@ from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
 from .rank import (DegenerateWitnessError, Verdict, daggerbound_check,
                    find_rank_drop_witness, rank_profile)
-from .spectral import Grid, _kernel_projector_table, _random_coefficients
+from .spectral import Grid, _band_spectrum, _kernel_projector_table
 from .zoo import UnknownOperatorError, zoo_get, zoo_list
 
 EXIT_OK = 0
@@ -177,18 +177,22 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_minimality(args) -> int:
+    """The minimality spot check on random fields, drawn, projected and measured on the band.
+
+    The test fields and their competitors are random band-limited fields
+    with band N/4, so the check runs on that band's primaries
+    (_band_spectrum): neither the N^n projector table nor a grid field is
+    built.  An oversized route is refused before any field is drawn.
+    """
     op = _load_operator(args.source)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     grid = Grid(op.n, args.N)
-    # the table lookup refuses an oversized grid before any field is drawn
-    _kernel_projector_table(op, grid, float(args.tol))
+    spectrum = _band_spectrum(op, grid, grid.size // 4, args.tol, 2.0)
     results = []
     for trial in range(args.trials):
-        # the drawn fields are real without Nyquist content: the planes 0..N/2 fix them
-        phi = _random_coefficients(grid, op.dim_v, grid.size // 4, seed=[args.seed, trial])
-        ok = _minimality(op, grid, phi.coeffs[:, :grid.size // 2 + 1], args.kernel_trials,
-                         args.seed, args.tol, slack=1e-10)
+        phi = spectrum.draw(op.dim_v, [args.seed, trial])
+        ok = _minimality(op, spectrum, phi, args.kernel_trials, args.seed, slack=1e-10)
         results.append({"trial": trial, "pass": ok})
     all_pass = all(r["pass"] for r in results)
     _emit({"operator": op.name, "context": "Minimality", "grid_size": args.N,

@@ -10,10 +10,10 @@ families concentrated near rank-drop directions otherwise.  Every piece of
 it is a Fourier multiplier, so the ratio and the minimality check work on
 coefficients; only a p != 2 norm needs grid values, and at p = 2 both
 sides are coefficient sums (Parseval).  One private pipeline each, _ratio
-and _minimality, runs on whichever spectrum its caller hands it: the
-whole mesh, as the public functions pass, or the first-axis planes 0..N/2
-of a real field without Nyquist content, as ratio_sweep and the
-minimality command pass for the fields they draw.
+and _minimality, runs on whichever spectrum (spectral._Spectrum) its
+caller hands it: the whole mesh, as the public functions pass, or the
+primaries of a band, as ratio_sweep and the minimality command pass for
+the random fields they draw, which never touch the N^n tables.
 """
 
 import math
@@ -25,9 +25,8 @@ from .operators import Operator, _real_stack
 from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
-                       periodic_bump, _check_field, _derivatives, _grid_norm, _inverse,
-                       _kernel_projector_table, _matvec, _random_coefficients,
-                       _spectrum_weights, _symbol_tensor)
+                       periodic_bump, _Spectrum, _band_spectrum, _check_field, _derivatives,
+                       _grid_norm, _matvec, _mesh_spectrum, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -66,46 +65,41 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
     """
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
-    return _ratio(op, freq.grid, freq.coeffs, p, tol)
+    return _ratio(op, _mesh_spectrum(op, freq.grid, tol), freq.coeffs, p, tol)
 
 
-def _ratio(op: Operator, grid: Grid, coeffs: np.ndarray, p: float, tol: float) -> float:
-    """estimate_ratio of the field with these coefficients, on the spectrum they cover.
+def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol: float) -> float:
+    """estimate_ratio of the field with these coefficients on spectrum.
 
-    coeffs is the (dimV, N, ..., N) whole mesh, or the first-axis planes
-    0..N/2 of a real field without Nyquist content (coeffs.shape[1] =
-    N/2 + 1, a view is enough), where the tables' planes are contiguous
-    views.  phi - P_A phi is formed, then tested against phi under pinv's
-    cutoff.  At p = 2 both sides are weighted coefficient norms
-    (_spectrum_weights, which count the half's mirrors).  At any other p
-    D^k(phi - P_A phi), then A phi = i^k M phi, go to grid values by
-    _inverse (the phase i^k is applied on coefficients, which is exact),
-    one at a time, for _grid_norm.  Nothing on the way is checked for
-    finiteness: a non-finite intermediate makes a norm non-finite, which
-    raises ValueError.
+    spectrum is the whole mesh (_mesh_spectrum) or the primaries of a band
+    (_band_spectrum), and coeffs the (dimV, ...) coefficients there.  phi -
+    P_A phi is formed, then tested against phi under pinv's cutoff.  At p =
+    2 both sides are weighted coefficient norms (the spectrum's weights
+    count a primary's mirror).  At any other p D^k(phi - P_A phi), then A
+    phi = i^k M phi, go to grid values by spectrum.grid_values (the phase
+    i^k is applied on coefficients, which is exact), one at a time, for
+    _grid_norm.  Nothing on the way is checked for finiteness: a non-finite
+    intermediate makes a norm non-finite, which raises ValueError.
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
-    planes = coeffs.shape[1]
-    projector = _kernel_projector_table(op, grid, float(tol))[:planes]
-    # M phi has the norms of A phi = i^k M phi
-    symbols = _symbol_tensor(op, grid)[:planes]
-    weights = _spectrum_weights(grid, planes, 0)
+    weights = spectrum.norm_weights
     with np.errstate(over="ignore", invalid="ignore"):
-        resolved = coeffs - _matvec(projector, coeffs)
+        resolved = coeffs - _matvec(spectrum.projector, coeffs)
         if _norm(resolved, weights=weights) <= tol * _norm(coeffs, weights=weights):
             raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
+        # M phi has the norms of A phi = i^k M phi
         if p == 2.0:
-            numerator = float(_norm(resolved, weights=_spectrum_weights(grid, planes, op.k)))
-            denominator = float(_norm(_matvec(symbols, coeffs), weights=weights))
+            numerator = float(_norm(resolved, weights=spectrum.derivative_weights))
+            denominator = float(_norm(_matvec(spectrum.symbols, coeffs), weights=weights))
         else:
-            derivatives = _derivatives(op.k, resolved, grid)
+            derivatives = _derivatives(op.k, resolved, spectrum.xis)
             del resolved
-            numerator = _grid_norm(_inverse(derivatives, grid), grid, p)
+            numerator = _grid_norm(spectrum.grid_values(derivatives), spectrum.grid, p)
             del derivatives
-            image = _matvec(symbols, coeffs)
+            image = _matvec(spectrum.symbols, coeffs)
             image *= 1j ** op.k
-            denominator = _grid_norm(_inverse(image, grid), grid, p)
+            denominator = _grid_norm(spectrum.grid_values(image), spectrum.grid, p)
     if not math.isfinite(numerator) or not math.isfinite(denominator):
         raise ValueError("field has non-finite values")
     return numerator / denominator
@@ -232,22 +226,20 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
     """
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
-    return _minimality(op, freq.grid, freq.coeffs, kernel_trials, seed, tol, slack)
+    return _minimality(op, _mesh_spectrum(op, freq.grid, tol), freq.coeffs, kernel_trials, seed,
+                       slack)
 
 
-def _minimality(op: Operator, grid: Grid, coeffs: np.ndarray, kernel_trials: int, seed: int,
-                tol: float, slack: float) -> bool:
-    """l2_minimality_check of the field with these coefficients, on the spectrum they cover.
+def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_trials: int,
+                seed: int, slack: float) -> bool:
+    """l2_minimality_check of the field with these coefficients on spectrum, as for _ratio.
 
-    coeffs is the whole mesh, or the first-axis planes 0..N/2 of a real
-    field without Nyquist content, as for _ratio; each competitor is cut
-    to the same planes, and _spectrum_weights counts the half's mirrors.
+    Each competitor is drawn on the same spectrum (spectrum.draw), and the
+    spectrum's weights give whole-mesh norms, which slack is measured in.
     """
     if kernel_trials < 1:
         raise ValueError("kernel_trials must be at least 1")
-    planes = coeffs.shape[1]
-    projector = _kernel_projector_table(op, grid, float(tol))[:planes]
-    weights = _spectrum_weights(grid, planes, op.k)
+    projector, weights = spectrum.projector, spectrum.derivative_weights
 
     def distance(kernel_coeffs: np.ndarray) -> float:
         # the difference overwrites the kernel coefficients, which nothing reads again
@@ -258,8 +250,8 @@ def _minimality(op: Operator, grid: Grid, coeffs: np.ndarray, kernel_trials: int
     for trial in range(kernel_trials):
         # trailing 1 keeps this seed stream disjoint from any [seed, trial]
         # stream a caller used for phi (SeedSequence drops trailing zeros)
-        raw = _random_coefficients(grid, op.dim_v, grid.size // 4, seed=[seed, trial, 1])
-        if base > distance(_matvec(projector, raw.coeffs[:, :planes])) + slack:
+        raw = spectrum.draw(op.dim_v, [seed, trial, 1])
+        if base > distance(_matvec(projector, raw)) + slack:
             return False
     return True
 
@@ -355,13 +347,16 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
     """Measure estimate_ratio on seeded random band-limited fields.
 
     Runs `trials` fields per grid size; each trial derives its randomness
-    from (seed, grid size, trial index).  The fields are drawn as
-    coefficients (those of random_band_limited), which are real without
-    Nyquist content by construction, so each ratio is taken by _ratio on
-    their first-axis planes 0..N/2: a p = 2 sweep makes no transform and
-    any other p two real inverse FFTs per trial.  A grid too large for its
-    tables is refused before its first field is drawn.  Kernel inputs
-    are excluded and counted rather than reported as ratios.
+    from (seed, grid size, trial index).  The fields are those of
+    random_band_limited with band max_freq (default N/4), drawn as their
+    values at the band's primaries, one of each +-xi pair, and every ratio
+    is taken by _ratio on those primaries (_band_spectrum): a p = 2 sweep
+    never leaves the band, and any other p scatters each of its two grid
+    fields into the half spectrum for one real inverse FFT.  Neither the
+    N^n symbol table nor the projector table is built.  A band outside
+    [1, N/4] or a route too large for memory is refused before its first
+    field is drawn.  Kernel inputs are excluded and counted rather than
+    reported as ratios.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -374,11 +369,11 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
     for size in grid_sizes:
         grid = Grid(op.n, size)
         band = max_freq if max_freq is not None else grid.size // 4
-        _kernel_projector_table(op, grid, float(tol))
+        spectrum = _band_spectrum(op, grid, band, tol, p)
         for trial in range(trials):
-            phi = _random_coefficients(grid, op.dim_v, band, seed=[seed, size, trial])
+            phi = spectrum.draw(op.dim_v, [seed, size, trial])
             try:
-                ratio = _ratio(op, grid, phi.coeffs[:, :grid.size // 2 + 1], p, tol)
+                ratio = _ratio(op, spectrum, phi, p, tol)
             except KernelInputError:
                 excluded += 1
                 continue

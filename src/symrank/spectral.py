@@ -10,26 +10,34 @@ c * (2pi)^(n/2).
 
 Differentiation, operator application, and kernel projection are all
 frequency multipliers here, hence exact on resolved modes.  Each is one
-private coefficient-level step (_matvec with a symbol table, _derivatives)
-on a coefficient array; the step reads its frequencies from the array, so
-it runs on the whole mesh or on the first-axis planes 0..N/2 alike.  The
-public apply_* functions wrap a step between forward_transform and
-inverse_transform.  The symbol table holds the real M of A = i^k M
-(operators._real_stack), so the symbol and pseudoinverse tables are real
-like the projector table (P_A = P_M, A+ = i^-k M+), and only apply_A and
-apply_multiplier multiply by a phase, i^k and i^-k.  Code that chains
-several steps, such as the estimate ratio, stays on coefficients and
-transforms back only the fields whose grid values an L^p norm with p != 2
-needs: at p = 2 the grid norm is a coefficient sum (pinv._norm with
-_spectrum_weights).  A real field without Nyquist content is fixed by its
-first-axis planes 0..N/2, so a caller that knows its field is one can
-hand the chain those planes instead of the whole mesh.  The chain reads
-which spectrum it has from the array: _spectrum_weights counts the
-mirrors of the half, and _inverse takes the whole mesh back by a complex
-inverse FFT and the half by one real inverse FFT to float64 grid values;
-the grid norm of either kind is _grid_norm, lp_norm's own.  Band-limited
-random fields keep |xi|_inf <= N/4 so products of symbols and fields stay
-well inside the grid, and are real fields without Nyquist content.
+private coefficient-level step (_matvec with a symbol table, _derivatives
+with the frequencies) on a coefficient array; the step runs on whatever
+frequencies its table and array cover.  The public apply_* functions wrap
+a step between forward_transform and inverse_transform.  The symbol table
+holds the real M of A = i^k M (operators._real_stack), so the symbol and
+pseudoinverse tables are real like the projector table (P_A = P_M, A+ =
+i^-k M+), and only apply_A and apply_multiplier multiply by a phase, i^k
+and i^-k.  Code that chains several steps, such as the estimate ratio,
+stays on coefficients and transforms back only the fields whose grid
+values an L^p norm with p != 2 needs: at p = 2 the grid norm is a
+weighted coefficient sum (pinv._norm), and otherwise _grid_norm, lp_norm's
+own, of the grid values.
+
+A _Spectrum names the frequencies such a chain runs on, with the tables,
+weights, inverse transform and random draw there.  The whole mesh
+(_mesh_spectrum) has the N^n tables and goes back by a complex inverse
+FFT.  Band-limited random fields keep 0 < |xi|_inf <= B <= N/4, so
+products of symbols and fields stay well inside the grid, and are real:
+c(-xi) = conj(c(xi)).  Such a field is its values at the band's
+primaries, one of each pair {xi, -xi}, (2B+1)^n / 2 frequencies whatever
+N is, drawn by one generator call (_band_draw); random_band_limited
+scatters them onto the whole mesh.  The band spectrum (_band_spectrum)
+holds M and P_A at the primaries only, cached per (operator, B, tol)
+(_band_tables), and weights that count each primary twice, for its
+mirror.  Its grid values scatter the primaries, and in plane 0 their
+conjugate mirrors, into the first-axis planes 0..N/2 of the half
+spectrum, a target allocated once per spectrum, and take them back by one
+real inverse FFT to float64 grid values (_inverse).
 
 The two SVD tables, the kernel projector and the pseudoinverse, have a
 parity in xi (M(-xi) = (-1)^k M(xi) for an operator of order k), so
@@ -41,6 +49,7 @@ directly.
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
@@ -169,8 +178,9 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
     On the whole mesh this is inverse_transform's complex data, by ifftn.
     First-axis planes 0..N/2 (coeffs.shape[1] = N/2 + 1) are those of a
-    real field, whose float64 grid values come from one real inverse FFT
-    with the halved first axis transformed last.
+    real field (the band's scatter target, _band_grid_values), whose
+    float64 grid values come from one real inverse FFT with the halved
+    first axis transformed last.
     """
     axes = _spatial_axes(grid)
     if coeffs.shape[1] == grid.size:
@@ -194,28 +204,20 @@ def _grid_norm(data: np.ndarray, grid: Grid, p: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _spectrum_weights(grid: Grid, planes: int, k: int) -> np.ndarray | None:
-    """l2 weights of coefficients on the first-axis planes 0..planes-1; read-only.
+def _spectrum_weights(grid: Grid, k: int) -> np.ndarray | None:
+    """|xi|^2k over the whole frequency mesh, read-only; None for k = 0.
 
-    With them, pinv._norm of a (fiber, planes, N, ..., N) coefficient array
-    is sqrt(sum_xi |xi|^2k |c(xi)|^2) over the whole mesh: for planes = N
-    the weights are |xi|^2k (None for k = 0), and for the planes 0..N/2 of
-    a real field they count the planes 1..N/2-1 twice for their mirrors.
-    For k >= 1 that is the L2 norm of apply_Dk's derivative array, whose
-    fiber norm at xi is |xi|^k times the coefficient's (its entries
-    sqrt(k!/alpha!) xi^alpha have squares summing to |xi|^2k, multinomial
-    theorem).
+    With them, pinv._norm of a (fiber, N, ..., N) coefficient array is
+    sqrt(sum_xi |xi|^2k |c(xi)|^2).  For k >= 1 that is the L2 norm of
+    apply_Dk's derivative array, whose fiber norm at xi is |xi|^k times the
+    coefficient's (its entries sqrt(k!/alpha!) xi^alpha have squares
+    summing to |xi|^2k, multinomial theorem).
     """
-    weights = None
-    if k:
-        mesh = integer_frequencies(grid)[:, :planes].reshape(grid.n, -1)
-        weights = (np.einsum("ij,ij->j", mesh, mesh) ** k).reshape((planes,) + grid.shape[1:])
-    if planes < grid.size:
-        doubled = np.full((planes,) + (1,) * (grid.n - 1), 2.0)
-        doubled[0] = doubled[-1] = 1.0
-        weights = doubled if weights is None else weights * doubled
-    if weights is not None:
-        weights.setflags(write=False)
+    if not k:
+        return None
+    mesh = integer_frequencies(grid).reshape(grid.n, -1)
+    weights = (np.einsum("ij,ij->j", mesh, mesh) ** k).reshape(grid.shape)
+    weights.setflags(write=False)
     return weights
 
 
@@ -255,9 +257,9 @@ def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
 def _matvec(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """table[xi] @ coeffs[:, xi] at every frequency xi: the one symbol-multiplier step.
 
-    table is a real (..., m, n) stack in _symbol_tensor's layout, or its
-    first-axis planes 0..N/2 (table[:N/2 + 1], a contiguous view), and
-    coeffs a complex (n, ...) coefficient array on the same frequencies.
+    table is a real (..., m, n) stack in _symbol_tensor's layout, or a flat
+    (P, m, n) stack at the primaries of a band (_band_tables), and coeffs a
+    complex (n, ...) coefficient array on the same frequencies.
     Row i of the output is sum_j table[..., i, j] * coeffs[j], m x n
     broadcast multiply-adds in order j = 0, 1, ..., run on _MATVEC_CHUNK
     frequencies at a time so that the strided table entries are read from
@@ -401,18 +403,18 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     return inverse_transform(FrequencyField(field.grid, coeffs))
 
 
-def _derivatives(k: int, coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+def _derivatives(k: int, coeffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
     """Coefficients of all order-k derivatives of coeffs, in apply_Dk's coordinates.
 
-    coeffs is a (fiber, ...) coefficient array on grid's whole frequency
-    mesh or on its first-axis planes 0..N/2; the output covers the same
-    frequencies.  The scales sqrt(k!/alpha!) of apply_Dk's layout sit in
-    the per-frequency monomial table, so they cost no pass over the field.
+    coeffs is a (fiber, ...) coefficient array at the integer frequencies
+    xis (n, ...), the whole mesh or the primaries of a band; the output
+    covers the same frequencies.  The scales sqrt(k!/alpha!) of apply_Dk's
+    layout sit in the per-frequency monomial table, so they cost no pass
+    over the field.
     """
-    alphas = multi_indices(grid.n, k)
-    xis = integer_frequencies(grid)[:, :coeffs.shape[1]].reshape(grid.n, -1).T
+    alphas = multi_indices(len(xis), k)
     scales = np.sqrt([multinomial_weight(a) for a in alphas])
-    powers = _monomials(xis, alphas) * ((1j ** k) * scales)
+    powers = _monomials(xis.reshape(len(xis), -1).T, alphas) * ((1j ** k) * scales)
     out = np.einsum("st,vs->vts", powers, coeffs.reshape(len(coeffs), -1), order="C")
     return out.reshape((len(coeffs) * len(alphas),) + coeffs.shape[1:])
 
@@ -432,7 +434,8 @@ def apply_Dk(k: int, field: GridField) -> GridField:
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     freq = forward_transform(field)
-    return inverse_transform(FrequencyField(field.grid, _derivatives(k, freq.coeffs, field.grid)))
+    xis = integer_frequencies(field.grid)
+    return inverse_transform(FrequencyField(field.grid, _derivatives(k, freq.coeffs, xis)))
 
 
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -456,24 +459,53 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
     out = _matvec(dagger, forward_transform(field).coeffs)
     out *= (-1j) ** op.k
-    return inverse_transform(FrequencyField(field.grid, _derivatives(op.k, out, field.grid)))
+    xis = integer_frequencies(field.grid)
+    return inverse_transform(FrequencyField(field.grid, _derivatives(op.k, out, xis)))
+
+
+def _check_band(grid: Grid, max_freq: int) -> None:
+    if not 1 <= max_freq <= grid.size // 4:
+        raise ValueError(f"max_freq must lie in [1, {grid.size // 4}] on this grid")
+
+
+@lru_cache(maxsize=64)
+def _primaries(n: int, max_freq: int) -> np.ndarray:
+    """One frequency of each pair {xi, -xi} with 0 < |xi|_inf <= max_freq, shape (n, P); read-only.
+
+    The xi whose first nonzero component is positive (xi > -xi as tuples),
+    in the lexicographic order of the band, P = ((2 max_freq + 1)^n - 1) / 2.
+    Their first components lie in 0..max_freq.
+    """
+    axis = np.arange(-max_freq, max_freq + 1)
+    band = np.stack(np.meshgrid(*([axis] * n), indexing="ij")).reshape(n, -1)
+    first_nonzero = band[(band != 0).argmax(axis=0), np.arange(band.shape[1])]
+    primaries = band[:, first_nonzero > 0]
+    primaries.setflags(write=False)
+    return primaries
+
+
+def _band_draw(fiber_dim: int, count: int, seed) -> np.ndarray:
+    """The random coefficients at count primaries: (fiber_dim, count) complex gaussians.
+
+    Unit variance, real and imaginary parts from one standard_normal call of
+    the seeded generator; random_band_limited's field has them at the
+    primaries and their conjugates at the mirrors.
+    """
+    draws = np.random.default_rng(seed).standard_normal((fiber_dim, count, 2))
+    return (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
 
 
 def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> FrequencyField:
-    """Coefficients of random_band_limited(grid, fiber_dim, max_freq, seed)."""
+    """Coefficients of random_band_limited(grid, fiber_dim, max_freq, seed).
+
+    The band draw (_band_draw at _primaries) scattered onto the whole mesh,
+    each primary's conjugate at its mirror.
+    """
     if fiber_dim < 1:
         raise ValueError("fiber_dim must be positive")
-    if not 1 <= max_freq <= grid.size // 4:
-        raise ValueError(f"max_freq must lie in [1, {grid.size // 4}] on this grid")
-    axis = np.arange(-max_freq, max_freq + 1)
-    band = np.stack(np.meshgrid(*([axis] * grid.n), indexing="ij")).reshape(grid.n, -1)
-    # one of each pair {v, -v}: the v whose first nonzero component is positive
-    # (v > -v as tuples), which also drops v = 0
-    first_nonzero = band[(band != 0).argmax(axis=0), np.arange(band.shape[1])]
-    primaries = band[:, first_nonzero > 0]
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((fiber_dim, primaries.shape[1], 2))
-    values = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+    _check_band(grid, max_freq)
+    primaries = _primaries(grid.n, max_freq)
+    values = _band_draw(fiber_dim, primaries.shape[1], seed)
     coeffs = np.zeros((fiber_dim,) + grid.shape, dtype=complex)
     coeffs[(slice(None), *(primaries % grid.size))] = values
     coeffs[(slice(None), *(-primaries % grid.size))] = values.conj()
@@ -489,6 +521,143 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
     Deterministic for a given seed (an int or sequence of ints).
     """
     return inverse_transform(_random_coefficients(grid, fiber_dim, max_freq, seed))
+
+
+@dataclass(frozen=True)
+class _Spectrum:
+    """The frequencies a coefficient array covers, and what the ratio and minimality read there.
+
+    Either the whole mesh (_mesh_spectrum) or the primaries of a band
+    (_band_spectrum).  xis (n, ...) are the integer frequencies in the
+    frequency layout of the coefficient arrays (fiber, ...) on this
+    spectrum; symbols (..., dimW, dimV) and projector (..., dimV, dimV) are
+    the real tables of M and P_A at xis.  With norm_weights and
+    derivative_weights, pinv._norm of a coefficient array is the whole-mesh
+    L2 norm of its field and of its order-k derivative array.
+    grid_values(coeffs) gives the field's grid values for _grid_norm, and
+    draw(fiber_dim, seed) the coefficients of random_band_limited on this
+    spectrum (band N/4 on the whole mesh).
+    """
+
+    grid: Grid
+    xis: np.ndarray
+    symbols: np.ndarray
+    projector: np.ndarray
+    norm_weights: float | None
+    derivative_weights: np.ndarray
+    grid_values: Callable[[np.ndarray], np.ndarray]
+    draw: Callable[[int, object], np.ndarray]
+
+
+def _mesh_spectrum(op: Operator, grid: Grid, tol: float) -> _Spectrum:
+    """The whole frequency mesh: N^n tables (_symbol_tensor, _kernel_projector_table)."""
+    projector = _kernel_projector_table(op, grid, float(tol))
+    return _Spectrum(
+        grid, integer_frequencies(grid), _symbol_tensor(op, grid), projector, None,
+        _spectrum_weights(grid, op.k),
+        lambda coeffs: _inverse(coeffs, grid),
+        lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
+
+
+@lru_cache(maxsize=32)
+def _band_tables(op: Operator, max_freq: int, tol: float) -> tuple[np.ndarray, ...]:
+    """M, P_A and 2 |xi|^2k at the primaries of the band max_freq; read-only.
+
+    M is operators._real_stack and P_A pinv.kernel_projector of it, the
+    entries of _symbol_tensor and _kernel_projector_table at the primaries,
+    which the N^n tables build directly (first-axis planes 0..N/2).  They do
+    not depend on N.  A primary stands for itself and its mirror, so the
+    weights count it twice.
+    """
+    primaries = _primaries(op.n, max_freq)
+    symbols = _real_stack(op, primaries.T)
+    projector = kernel_projector(symbols, tol)
+    weights = 2.0 * np.einsum("ij,ij->j", primaries, primaries).astype(float) ** op.k
+    for table in (symbols, projector, weights):
+        table.setflags(write=False)
+    return symbols, projector, weights
+
+
+def _band_fibers(op: Operator) -> int:
+    """Fibers of the largest field the band route takes to the grid: D^k phi or A phi."""
+    return max(op.dim_v * math.comb(op.n + op.k - 1, op.k), op.dim_w)
+
+
+def _refuse_oversized_band(op: Operator, grid: Grid, max_freq: int, p: float) -> None:
+    """Raise MemoryError when the band route at p on this grid cannot fit in memory.
+
+    Counted in complex entries (16 bytes; a real one is half), per primary:
+    the band tables with the primaries and their scatter positions (dimW
+    dimV + dimV^2 + n + 3 reals), and the larger of their
+    build (pinv._svd_entries on the P matrices, then kernel_projector's
+    sigma, vh, masked vh and output) and a trial (six band arrays of
+    max(dimV, dimW) fibers: the draw, phi, phi - P_A phi, a _matvec output
+    and _norm's magnitudes; and D^k phi).  At p != 2 the grid values add,
+    per fiber of the largest grid field (_band_fibers), three arrays the
+    size of the half spectrum: the scatter target, and the two complex
+    arrays irfftn holds, or its real output and _grid_norm's magnitudes of
+    it; plus _grid_norm's fiber norms and their magnitudes, N^n reals each.
+    """
+    count = ((2 * max_freq + 1) ** op.n - 1) // 2
+    rank = min(op.dim_w, op.dim_v)
+    svd = _svd_entries(op.dim_w, op.dim_v, count, want_u=False, want_vh=True)
+    build = max(svd, rank + 2 * rank * op.dim_v + op.dim_v ** 2) / 2
+    trial = 6 * max(op.dim_v, op.dim_w) + _band_fibers(op)
+    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
+    entries = count * (tables / 2 + max(build, trial))
+    if p != 2.0:
+        half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1)
+        entries += 3 * _band_fibers(op) * half + grid.size ** grid.n
+    _refuse_beyond_memory(16 * entries, f"{op.name} on a {grid.size}^{grid.n} grid",
+                          "for its band tables and fields")
+
+
+def _band_grid_values(grid: Grid, primaries: np.ndarray, fibers: int):
+    """grid_values of the band: scatter into the half spectrum, then one real inverse FFT.
+
+    The scatter target holds the first-axis planes 0..N/2 of up to fibers
+    fields.  It is allocated and zeroed at the first call, and every call
+    overwrites the same entries: the primaries and, in plane 0, their
+    mirrors, which take the conjugates so that the plane is Hermitian as
+    irfftn reads it.  The grid values are _inverse of the target's first
+    len(coeffs) fibers.
+    """
+    shape = (grid.size // 2 + 1,) + grid.shape[1:]
+    at = np.ravel_multi_index(tuple(primaries % grid.size), shape)
+    on_plane0 = np.flatnonzero(primaries[0] == 0)
+    mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0] % grid.size), shape)
+    target = None
+
+    def grid_values(coeffs: np.ndarray) -> np.ndarray:
+        nonlocal target
+        if target is None:
+            target = np.zeros((fibers,) + shape, dtype=complex)
+        part = target[:len(coeffs)]
+        flat = part.reshape(len(coeffs), -1)
+        flat[:, at] = coeffs
+        flat[:, mirrors] = coeffs[:, on_plane0].conj()
+        return _inverse(part, grid)
+    return grid_values
+
+
+def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float) -> _Spectrum:
+    """The primaries of the band max_freq on grid, for the route at exponent p.
+
+    Raises ValueError unless 1 <= max_freq <= N/4 and MemoryError when the
+    route does not fit (_refuse_oversized_band), both before any table is
+    built or field drawn.  A field here is its (fiber, P) values at the
+    primaries (_band_draw), the field of random_band_limited with the same
+    seed.
+    """
+    _check_band(grid, max_freq)
+    _refuse_oversized_band(op, grid, max_freq, p)
+    primaries = _primaries(op.n, max_freq)
+    symbols, projector, weights = _band_tables(op, max_freq, float(tol))
+    count = primaries.shape[1]
+    return _Spectrum(
+        grid, primaries, symbols, projector, 2.0, weights,
+        _band_grid_values(grid, primaries, _band_fibers(op)),
+        lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 
 
 def periodic_bump(grid: Grid, width: float) -> np.ndarray:

@@ -338,9 +338,9 @@ def test_svd_without_convergence_is_an_input_error(capsys, monkeypatch):
 
 
 def test_grid_beyond_physical_memory_is_refused(capsys, monkeypatch):
-    monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 5)
-    spectral._symbol_tensor.cache_clear()
-    spectral._kernel_projector_table.cache_clear()
+    # the band route of verify at p = 2 needs about 36 kB for curl on 8^3
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 4)
+    spectral._band_tables.cache_clear()
     code, out, err = run(capsys, "verify", "zoo:curl", "--N", "8", "--trials", "1")
     assert code == EXIT_INPUT_ERROR
     assert out == ""
@@ -362,7 +362,7 @@ def test_sphere_sweep_beyond_physical_memory_is_refused(capsys, tmp_path, comman
 
 def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch):
     # an oversized grid is refused before the first random draw or witness family
-    monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 5)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 4)
     allocations = []
 
     def counted(module, name):
@@ -373,18 +373,64 @@ def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch)
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((experiments, "_random_coefficients"), (cli, "_random_coefficients"),
+    for module, name in ((spectral, "_band_draw"), (spectral, "_random_coefficients"),
                          (cli, "witness_family")):
         counted(module, name)
     for argv in (("verify", "zoo:curl", "--N", "8", "--trials", "1"),
+                 ("verify", "zoo:curl", "--N", "8", "--trials", "1", "--p", "3"),
                  ("minimality", "zoo:curl", "--N", "8", "--trials", "1"),
                  ("counterexample", "zoo:d1d2")):
+        spectral._band_tables.cache_clear()
         spectral._symbol_tensor.cache_clear()
         spectral._kernel_projector_table.cache_clear()
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INPUT_ERROR and out == ""
         assert err.startswith("error: out of memory:")
         assert allocations == [], argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "zoo:curl", "--N", "16", "--trials", "2"),
+    ("verify", "zoo:curl", "--N", "16", "--trials", "2", "--p", "3"),
+    ("verify", "zoo:symmetric_gradient", "--N", "32", "--trials", "2", "--p", "inf"),
+    ("minimality", "zoo:curl", "--N", "8", "--trials", "2", "--kernel-trials", "2")])
+def test_verify_and_minimality_build_no_mesh_table(capsys, monkeypatch, argv):
+    # random fields are drawn, projected and measured on the band: neither the
+    # N^n symbol table nor the N^n projector table is built or looked up
+    calls = []
+    for name in ("_symbol_tensor", "_kernel_projector_table"):
+        original = getattr(spectral, name)
+
+        def wrapper(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+        for module in (spectral, experiments, cli):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    code, _, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert calls == []
+
+
+def test_verify_band_below_n_over_4_gives_ratio_one(capsys):
+    # the band tables are keyed by the band, not the grid: a band of 2 on a
+    # 32^3 grid measures curl's p = 2 ratio of exactly 1
+    code, doc, _ = run_json(capsys, "verify", "zoo:curl", "--N", "32", "--max-freq", "2",
+                            "--trials", "4")
+    assert code == EXIT_OK and doc["parameters"]["max_freq"] == 2
+    assert len(doc["records"]) == 4
+    assert all(abs(r["ratio"] - 1.0) <= 1e-9 for r in doc["records"])
+
+
+@pytest.mark.parametrize("max_freq", ["5", "0", "-1"])
+def test_verify_band_outside_one_to_n_over_4_exits_one_before_any_draw(capsys, monkeypatch,
+                                                                         max_freq):
+    draws = []
+    original = spectral._band_draw
+    monkeypatch.setattr(spectral, "_band_draw", lambda *args: draws.append(args) or original(*args))
+    code, out, err = run(capsys, "verify", "zoo:curl", "--N", "16", "--max-freq", max_freq)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == "error: max_freq must lie in [1, 4] on this grid\n"
+    assert draws == []
 
 
 def test_minimality_makes_no_transforms(capsys, monkeypatch):

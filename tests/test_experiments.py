@@ -127,8 +127,8 @@ def test_estimate_ratio_coefficient_route_matches_grid_composition(name, p):
 
 def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
     # _inverse is the one inverse transform of the ratio pipeline, on the half
-    # spectrum of every field ratio_sweep draws and on the whole mesh of a
-    # public estimate_ratio input
+    # spectrum that every field ratio_sweep draws is scattered into and on the
+    # whole mesh of a public estimate_ratio input
     op = zoo_get("curl")
     witness = witness_family(op, [(1, 2, -1)], Grid(3, 8))[0]
     calls = {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0}
@@ -154,13 +154,15 @@ def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
 
 
 # ------------------------------------------------------------------ spectra
-# The ratio pipeline runs on the whole mesh or, for a real field without
-# Nyquist content, on its first-axis planes 0..N/2 (one real inverse FFT per
-# grid field at p != 2, mirrored planes counted twice at p = 2).
+# The ratio pipeline runs on the whole mesh or, for the random fields that
+# ratio_sweep and the minimality command draw, on the primaries of their band
+# (one real inverse FFT of the half spectrum per grid field at p != 2).
 
-def half(freq):
-    """The first-axis planes 0..N/2 of freq's coefficients, a view."""
-    return freq.coeffs[:, :freq.grid.size // 2 + 1]
+def band_field(op: Operator, grid: Grid, seed, p=2.0):
+    """The band spectrum with band N/4, a field drawn on it, and that field on the whole mesh."""
+    spectrum = spectral._band_spectrum(op, grid, grid.size // 4, pinv.DEFAULT_TOL, p)
+    values = spectrum.draw(op.dim_v, seed)
+    return spectrum, values, spectral._random_coefficients(grid, op.dim_v, grid.size // 4, seed)
 
 
 def is_real_band_limited(freq) -> bool:
@@ -179,10 +181,10 @@ def is_real_band_limited(freq) -> bool:
 def test_real_route_matches_public_function_oracle(name, N, p):
     op = zoo_get(name)
     grid = Grid(op.n, N)
-    freq = spectral._random_coefficients(grid, op.dim_v, N // 4, seed=[N, 7])
+    spectrum, values, freq = band_field(op, grid, [N, 7], p)
     assert is_real_band_limited(freq)
     expected = grid_composition_ratio(op, spectral.inverse_transform(freq), p)
-    assert math.isclose(experiments._ratio(op, grid, half(freq), p, pinv.DEFAULT_TOL), expected,
+    assert math.isclose(experiments._ratio(op, spectrum, values, p, pinv.DEFAULT_TOL), expected,
                         rel_tol=1e-13)
 
 
@@ -211,7 +213,8 @@ def test_fields_off_the_real_route_keep_the_complex_route(name, p):
     for kind, freq in fields_off_the_real_route(op, grid).items():
         assert not is_real_band_limited(freq), kind
         ratio = estimate_ratio(op, freq, p)
-        whole = experiments._ratio(op, grid, freq.coeffs, p, pinv.DEFAULT_TOL)
+        whole = experiments._ratio(op, spectral._mesh_spectrum(op, grid, pinv.DEFAULT_TOL),
+                                   freq.coeffs, p, pinv.DEFAULT_TOL)
         assert ratio.hex() == whole.hex(), kind
         expected = grid_composition_ratio(op, spectral.inverse_transform(freq), p)
         assert math.isclose(ratio, expected, rel_tol=1e-13), kind
@@ -222,11 +225,12 @@ def test_non_finite_intermediate_raises_on_either_route(whole):
     # D^2 of coefficients near 1e307 overflows on the way to the grid
     op = zoo_get("laplacian")
     grid = Grid(2, 16)
-    freq = spectral._random_coefficients(grid, 1, 4, seed=5)
-    coeffs = 1e307 * (freq.coeffs if whole else half(freq))
-    assert coeffs.shape[1] == (16 if whole else 9)
+    spectrum, values, freq = band_field(op, grid, 5, 3.0)
+    if whole:
+        spectrum, values = spectral._mesh_spectrum(op, grid, pinv.DEFAULT_TOL), freq.coeffs
+    assert values.shape[1:] == ((16, 16) if whole else (40,))
     with pytest.raises(ValueError, match="non-finite") as raised:
-        experiments._ratio(op, grid, coeffs, 3.0, pinv.DEFAULT_TOL)
+        experiments._ratio(op, spectrum, 1e307 * values, 3.0, pinv.DEFAULT_TOL)
     assert not isinstance(raised.value, KernelInputError)
 
 
@@ -494,17 +498,17 @@ def test_l2_minimality_coefficient_route_matches_grid_composition(name, slack):
 @pytest.mark.parametrize("name", CONSTANT_RANK)
 @pytest.mark.parametrize("slack", [1e-10, -1e-6])
 def test_minimality_on_the_half_spectrum_matches_the_whole_mesh(name, slack):
-    # the fields the minimality command draws are real without Nyquist content,
-    # so their planes 0..N/2 give l2_minimality_check's verdicts on the whole mesh
+    # the fields the minimality command draws, and their competitors, are
+    # random band-limited fields with band N/4, so the band's primaries give
+    # l2_minimality_check's verdicts on the whole mesh
     op = zoo_get(name)
     grid = Grid(op.n, 8)
     verdicts = []
     # a generic field, and one that competitor 0 reproduces (an exact tie)
     for phi_seed in ([22, 0], [3, 0, 1]):
-        freq = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, seed=phi_seed)
+        spectrum, values, freq = band_field(op, grid, phi_seed)
         expected = l2_minimality_check(op, freq, kernel_trials=3, seed=3, slack=slack)
-        assert experiments._minimality(op, grid, half(freq), 3, 3, pinv.DEFAULT_TOL,
-                                       slack) is expected
+        assert experiments._minimality(op, spectrum, values, 3, 3, slack) is expected
         verdicts.append(expected)
     # the tie passes under the default slack and fails under the negative one
     assert verdicts[1] is (slack > 0)

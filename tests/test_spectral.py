@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrank import pinv, spectral
+from symrank import experiments, pinv, spectral
 from symrank.operators import (Operator, _real_stack, multi_indices, multinomial_weight,
                                parse_operator, symbol)
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
@@ -230,10 +230,11 @@ def test_matvec_multiplies_every_frequency_by_its_table_entry(name):
         for idx in np.ndindex(grid.shape):
             want = sum(table[idx][:, j] * coeffs[(j,) + idx] for j in range(cols))
             np.testing.assert_array_equal(out[(slice(None),) + idx], want)
-        # the first-axis planes 0..N/2 alone, as the ratio pipeline runs it on a real field
-        planes = grid.size // 2 + 1
-        half = spectral._matvec(table[:planes], coeffs[:, :planes])
-        assert half.tobytes() == np.ascontiguousarray(out[:, :planes]).tobytes()
+        # a flat stack of the entries at the band's primaries, as the ratio
+        # pipeline runs it on the band
+        at = tuple(spectral._primaries(op.n, 2) % grid.size)
+        band = spectral._matvec(np.ascontiguousarray(table[at]), coeffs[(slice(None),) + at])
+        assert band.tobytes() == np.ascontiguousarray(out[(slice(None),) + at]).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -255,17 +256,57 @@ def test_inverse_real_is_the_real_part_of_inverse_transform(n):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_spectrum_weights_give_the_whole_mesh_norm_from_either_spectrum(n, k):
     # sqrt(sum |xi|^2k |c(xi)|^2) over the whole mesh, from the whole mesh or
-    # from the planes 0..N/2 of a real field with its mirrors counted twice
+    # from the primaries of a real band-limited field, each counted twice
     grid = Grid(n, 8)
+    op = Operator(name="power", n=n, k=max(k, 1), dim_v=1, dim_w=1,
+                  terms=(((max(k, 1),) + (0,) * (n - 1), ((1.0,),)),))
+    band = spectral._band_spectrum(op, grid, 2, DEFAULT_TOL, 2.0)
+    values = band.draw(2, [n, k])
     coeffs = spectral._random_coefficients(grid, 2, 2, seed=[n, k]).coeffs
     xi2 = (spectral.integer_frequencies(grid) ** 2).sum(axis=0)
     expected = math.sqrt(float((xi2 ** k * np.abs(coeffs) ** 2).sum()))
-    planes = grid.size // 2 + 1
-    for part in (coeffs, coeffs[:, :planes]):
-        weights = spectral._spectrum_weights(grid, part.shape[1], k)
-        assert (weights is None) is (k == 0 and part is coeffs)
-        assert weights is None or not weights.flags.writeable
+    mesh_weights = spectral._spectrum_weights(grid, k)
+    band_weights = band.derivative_weights if k else band.norm_weights
+    assert (mesh_weights is None) is (k == 0)
+    for weights in (mesh_weights, band_weights):
+        assert weights is None or np.isscalar(weights) or not weights.flags.writeable
+    for part, weights in ((coeffs, mesh_weights), (values, band_weights)):
         assert math.isclose(float(pinv._norm(part, weights=weights)), expected, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("n, size, max_freq", [(1, 8, 2), (2, 16, 3), (3, 8, 2)])
+def test_random_coefficients_scatter_the_band_draw(n, size, max_freq):
+    # one draw: the whole-mesh coefficients hold the band draw at the
+    # primaries, its conjugates at their mirrors and zero elsewhere
+    grid = Grid(n, size)
+    primaries = spectral._primaries(n, max_freq)
+    assert primaries.shape == (n, ((2 * max_freq + 1) ** n - 1) // 2)
+    assert not primaries.flags.writeable
+    values = spectral._band_draw(2, primaries.shape[1], [n, 9])
+    coeffs = spectral._random_coefficients(grid, 2, max_freq, [n, 9]).coeffs
+    at = (slice(None),) + tuple(primaries % size)
+    mirrors = (slice(None),) + tuple(-primaries % size)
+    assert coeffs[at].tobytes() == values.tobytes()
+    assert coeffs[mirrors].tobytes() == values.conj().tobytes()
+    rest = np.ones(grid.shape, dtype=bool)
+    rest[at[1:]] = rest[mirrors[1:]] = False
+    assert not coeffs[:, rest].any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_band_grid_values_are_those_of_the_whole_mesh(n):
+    # the scatter into the half spectrum, with conjugate mirrors in plane 0,
+    # then one real inverse FFT gives the real part of inverse_transform;
+    # a second call overwrites the same entries of the target
+    grid = Grid(n, 8)
+    op = {1: LINE, 2: zoo_get("symmetric_gradient"), 3: zoo_get("curl")}[n]
+    band = spectral._band_spectrum(op, grid, 2, DEFAULT_TOL, 3.0)
+    for seed in ([n, 1], [n, 2]):
+        values = band.draw(op.dim_v, seed)
+        full = inverse_transform(spectral._random_coefficients(grid, op.dim_v, 2, seed)).data
+        data = band.grid_values(values)
+        assert data.dtype == np.float64 and data.shape == full.shape
+        np.testing.assert_allclose(data, full.real, rtol=0, atol=1e-15 * np.abs(full).max())
 
 
 # every zoo operator, a vector-valued drop and a 1-D operator of odd order,
@@ -378,6 +419,32 @@ def test_pseudoinverse_memory_estimate_covers_its_build_growth(monkeypatch, entr
     growth = build(16) - build(8)
     derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
     assert growth <= 16 * (max(entries) + derivative_fibers) * (16 ** op.n - 8 ** op.n)
+
+
+@pytest.mark.parametrize("p", [3.0, 2.0])
+@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
+def test_band_memory_estimate_bounds_a_sweep(monkeypatch, entry, p):
+    # one sweep from empty band caches, on grids large enough that numpy's
+    # iteration buffers and Python objects, which the estimate leaves out, are
+    # small beside the fields: its traced peak stays within the estimate
+    op = entry.build()
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed))
+    size = {2: 256, 3: 32}[op.n]
+
+    def sweep():
+        spectral._band_tables.cache_clear()
+        spectral._primaries.cache_clear()
+        tracemalloc.start()
+        try:
+            experiments.ratio_sweep(op, p, 1, [size])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sweep()  # imports and first-call caches, which the estimate does not count
+    assert sweep() <= estimates[-1]
 
 
 def test_tables_refuse_to_build_beyond_physical_memory(monkeypatch):

@@ -16,12 +16,14 @@ goes to LAPACK (numpy.linalg.svd).  _norm is the package's one
 overflow-free norm for the other values that carry the operator's scale.
 _refuse_beyond_memory is the one physical-memory check behind the
 refusals of oversized symbol tables (spectral) and sphere sweeps (rank),
-which size their peaks with _svd_entries.
+which size their peaks with _svd_entries; it evaluates their estimates,
+so one too large for a float is refused too.
 """
 
 import itertools
 import math
 import os
+from collections.abc import Callable
 
 import numpy as np
 
@@ -172,12 +174,17 @@ def _svd_entries(rows: int, cols: int, count: int, want_u: bool, want_vh: bool) 
     block spread over the stack: per matrix of the block, at most the
     columns and, when they are normalized, their sorted copy, the rotations
     before and after sorting when they are accumulated, two column
-    temporaries of a rotation and a few scalars.
+    temporaries of a rotation and a few scalars; and while sorting, the
+    sorted sigma, the order and numpy's index buffers of take_along_axis,
+    which tracemalloc shows at three times the larger sorted array on
+    blocks of up to 8192 entries.
     """
     rank, length = min(rows, cols), max(rows, cols)
     wide = rows < cols
     normalize, accumulate = (want_vh, want_u) if wide else (want_u, want_vh)
-    working = rank * length * (1 + normalize) + 2 * rank * rank * accumulate + 2 * length + 8
+    sorted_entries = max(rank * length * normalize, rank * rank * accumulate)
+    working = (rank * length * (1 + normalize) + 2 * rank * rank * accumulate + 2 * length + 8
+               + 2 * rank + 3 * sorted_entries)
     factors = rank * (1 + rows * want_u + cols * want_vh)
     return factors + working * min(1.0, _BLOCK / count)
 
@@ -190,11 +197,23 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _refuse_beyond_memory(needed: float, subject: str, purpose: str) -> None:
-    """Raise MemoryError, naming subject and purpose, when needed bytes exceed physical memory."""
+def _refuse_beyond_memory(needed: Callable[[], float], subject: str, purpose: str) -> None:
+    """Raise MemoryError, naming subject and purpose, when needed() bytes exceed physical memory.
+
+    needed is evaluated here, so an estimate too large for a float counts as
+    too large for the machine.
+    """
     available = _physical_memory()
-    if available is not None and needed > available:
-        raise MemoryError(f"{subject} needs about {needed / 1e9:.3g} GB {purpose}; "
+    if available is None:
+        return
+    try:
+        size = float(needed())
+    except OverflowError:
+        size = math.inf
+    if size > available:
+        amount = (f"about {size / 1e9:.3g} GB" if size < math.inf
+                  else "more bytes than a float holds")
+        raise MemoryError(f"{subject} needs {amount} {purpose}; "
                           f"physical memory is {available / 1e9:.3g} GB")
 
 

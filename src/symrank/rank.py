@@ -120,8 +120,7 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int) -> None:
     ranking = entries + _svd_entries(op.dim_w, op.dim_v, count, False, False) + rank + 2
     pairing = op.n + 5
     sampling = count * op.n + num_samples * (2 * op.n + 2)
-    sweep = count * (op.n + max(build, ranking, pairing))
-    _refuse_beyond_memory(8 * max(sampling, sweep),
+    _refuse_beyond_memory(lambda: 8 * max(sampling, count * (op.n + max(build, ranking, pairing))),
                           f"{op.name}: a sphere sweep of {count} directions in {op.n} dimensions",
                           "for the directions and their symbols")
 

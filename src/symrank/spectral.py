@@ -39,25 +39,23 @@ conjugate mirrors, into the first-axis planes 0..N/2 of the half
 spectrum, a target allocated once per spectrum, and take them back by one
 real inverse FFT to float64 grid values (_inverse).
 
-The two SVD tables, the kernel projector and the pseudoinverse, have a
-parity in xi (M(-xi) = (-1)^k M(xi) for an operator of order k), so
-_half_spectrum runs the SVD on the first-axis planes 0..N/2 only and fills
-the others by mirroring xi -> -xi.  The exception is an entry with another
-axis at index N/2: its mirror +N/2 is not a grid frequency, so it is built
-directly.
+The two SVD tables of the whole mesh, the kernel projector and the
+pseudoinverse, run their pinv routine on the whole symbol table, one block
+of frequencies at a time (_mesh_table), so each entry has the bits of the
+build at its frequency alone, and the band tables are the mesh tables at
+the primaries.
 """
 
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .operators import Operator, _monomials, _real_stack, multi_indices, multinomial_weight
-from .pinv import (DEFAULT_TOL, _norm, _refuse_beyond_memory, _svd_entries, kernel_projector,
-                   pinv_svd)
+from .pinv import (DEFAULT_TOL, _BLOCK, _norm, _refuse_beyond_memory, _svd_entries,
+                   kernel_projector, pinv_svd)
 
 TWO_PI = 2.0 * math.pi
 # frequencies per pass of _matvec: a chunk of a 3 x 3 table with its input, output
@@ -232,8 +230,8 @@ def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: float) -> None:
     part way.
     """
     derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
-    needed = 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers)
-    _refuse_beyond_memory(needed, f"{op.name} on a {grid.size}^{grid.n} grid",
+    _refuse_beyond_memory(lambda: 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers),
+                          f"{op.name} on a {grid.size}^{grid.n} grid",
                           "for its tables and largest field")
 
 
@@ -302,52 +300,31 @@ def apply_A(op: Operator, field: GridField) -> GridField:
     return inverse_transform(FrequencyField(field.grid, out))
 
 
-def _half_spectrum(op: Operator, grid: Grid, build, parity: int) -> np.ndarray:
-    """build(M) over the whole frequency mesh, with build run on about half of it.
+def _mesh_table(op: Operator, grid: Grid, build, cols: int, want_u: bool,
+                build_peak: int) -> np.ndarray:
+    """build(M) over the whole frequency mesh, shape (size, ..., size, dimV, cols); read-only.
 
-    M is the real symbol table (_symbol_tensor) and build a stack routine
-    of pinv (kernel_projector, pinv_svd) whose table obeys T(-xi) = parity *
-    T(xi), as M(-xi) = (-1)^k M(xi) makes the projector even and the
-    pseudoinverse of parity (-1)^k.  build runs on the first-axis planes
-    0..N/2 (frequencies 0..N/2-1 and -N/2).  Plane N - a (frequency -a) is
-    parity times plane a with every other axis index negated, j -> -j mod
-    N, written straight into the output.  -(-N/2) is not a grid frequency,
-    so the mirrored entries with another axis at index N/2 are built
-    directly.  A mirrored entry equals build at -xi to rounding, not bitwise.
+    M is the real symbol table (_symbol_tensor) and build a stack routine of
+    pinv (kernel_projector, pinv_svd), run on pinv._BLOCK frequencies at a
+    time and written into one preallocated table.  _svd decomposes a matrix
+    to the same bits anywhere in a stack, so every entry is build of that
+    frequency's M alone, bitwise.  Raises MemoryError before building when
+    the grid is too large (_refuse_oversized), counting the symbol table,
+    the output table and one block's build: _svd's peak (pinv._svd_entries,
+    with u when want_u) or, after it, the routine's build_peak real entries
+    per matrix, whichever is larger.
     """
-    symbols = _symbol_tensor(op, grid)
-    half = grid.size // 2
-    built = build(symbols[:half + 1])
-    table = np.empty((grid.size,) + built.shape[1:], dtype=built.dtype)
-    table[:half + 1] = built
-    del built
-    # along one axis, index j holds the negated frequency of index (size - j) % size:
-    # index 0 maps to itself, indices 1..size-1 to size-1..1
-    negate = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-    sources = table[half - 1:0:-1]
-    for pieces in itertools.product(negate, repeat=grid.n - 1):
-        target = (slice(half + 1, None),) + tuple(to for to, _ in pieces)
-        source = (slice(None),) + tuple(frm for _, frm in pieces)
-        np.multiply(sources[source], parity, out=table[target])
-    for axis in range(1, grid.n):
-        nyquist = (slice(half + 1, None),) + (slice(None),) * (axis - 1) + (half,)
-        table[nyquist] = build(symbols[nyquist])
+    count = grid.size ** grid.n
+    svd = _svd_entries(op.dim_w, op.dim_v, min(count, _BLOCK), want_u=want_u, want_vh=True)
+    build_entries = max(svd, build_peak) * min(1.0, _BLOCK / count)
+    _refuse_oversized(op, grid, (op.dim_w * op.dim_v + op.dim_v * cols + build_entries) / 2)
+    symbols = _symbol_tensor(op, grid).reshape(count, op.dim_w, op.dim_v)
+    table = np.empty((count, op.dim_v, cols))
+    for start in range(0, count, _BLOCK):
+        table[start:start + _BLOCK] = build(symbols[start:start + _BLOCK])
+    table = table.reshape(grid.shape + (op.dim_v, cols))
+    table.setflags(write=False)
     return table
-
-
-def _refuse_oversized_table(op: Operator, grid: Grid, svd: float, output_peak: int,
-                            table_entries: int):
-    """_refuse_oversized for a _half_spectrum table of a pinv stack routine.
-
-    While _svd runs, the real symbol table and _svd's own peak of svd real
-    entries per frequency (pinv._svd_entries, counted on the whole mesh, an
-    upper bound for the half mesh it runs on) are alive.  Then the routine
-    holds output_peak real entries per frequency, and copying its half-mesh
-    output into the full table holds both, under 2 table_entries.  Real
-    entries count as half a complex one.
-    """
-    peak = max(svd, output_peak, 2 * table_entries)
-    _refuse_oversized(op, grid, (op.dim_w * op.dim_v + peak) / 2)
 
 
 @lru_cache(maxsize=32)
@@ -355,44 +332,30 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """Projector onto ker A(xi) per frequency, shape (size, ..., size, dimV, dimV).
 
     Same layout as _symbol_tensor and real like it: P_A = P_M, so the table
-    is kernel_projector of the real symbol table.  The projector is even in
-    xi, so kernel_projector runs on the first-axis planes 0..N/2 and the
-    others are mirrored, except their entries with another axis at index
-    N/2, which have no mirror on the grid (see _half_spectrum).  Frequency
-    zero (and any exact rank-0 frequency) gets the identity: everything
-    there is kernel, so the projection keeps constants intact.  Raises
-    MemoryError before building when the grid is too large (see
-    _refuse_oversized).
+    is kernel_projector of the real symbol table, built block by block
+    (_mesh_table).  Frequency zero (and any exact rank-0 frequency) gets the
+    identity: everything there is kernel, so the projection keeps constants
+    intact.
     """
-    # _svd returns sigma and vh only; after it kernel_projector holds them,
-    # the masked copy of vh and the dimV x dimV output
+    # after _svd, kernel_projector holds sigma, vh, the masked copy of vh and
+    # the dimV x dimV output
     rank = min(op.dim_w, op.dim_v)
-    svd = _svd_entries(op.dim_w, op.dim_v, grid.size ** grid.n, want_u=False, want_vh=True)
-    _refuse_oversized_table(op, grid, svd, rank + 2 * rank * op.dim_v + op.dim_v ** 2,
-                            op.dim_v ** 2)
-    table = _half_spectrum(op, grid, partial(kernel_projector, tol=tol), 1)
-    table.setflags(write=False)
-    return table
+    return _mesh_table(op, grid, lambda mats: kernel_projector(mats, tol), op.dim_v, False,
+                       rank + 2 * rank * op.dim_v + op.dim_v ** 2)
 
 
 @lru_cache(maxsize=32)
 def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """M+ per frequency for the real symbol table M, shape (size, ..., size, dimV, dimW).
 
-    A+ = i^-k M+.  M+ has parity (-1)^k in xi, so pinv_svd runs on half the
-    mesh (_half_spectrum).  Read-only and cached like
-    _kernel_projector_table, with the same memory refusal.
+    A+ = i^-k M+.  pinv_svd of the real symbol table, built block by block
+    (_mesh_table) and cached like _kernel_projector_table.
     """
     # pinv_svd holds u, sigma and vh, the inverted sigma, the scaled u^T and
     # the dimV x dimW output
     rank = min(op.dim_w, op.dim_v)
-    entries = op.dim_v * op.dim_w
-    svd = _svd_entries(op.dim_w, op.dim_v, grid.size ** grid.n, want_u=True, want_vh=True)
-    _refuse_oversized_table(op, grid, svd,
-                            (op.dim_w + op.dim_v + 2) * rank + op.dim_w * rank + entries, entries)
-    table = _half_spectrum(op, grid, partial(pinv_svd, tol=tol), (-1) ** op.k)
-    table.setflags(write=False)
-    return table
+    return _mesh_table(op, grid, lambda mats: pinv_svd(mats, tol), op.dim_w, True,
+                       (op.dim_w + op.dim_v + 2) * rank + op.dim_w * rank + op.dim_v * op.dim_w)
 
 
 def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -444,10 +407,7 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     One batched pinv_svd table of the real symbol table M
     (_pseudoinverse_table, cached like the projector table), the phase
     i^-k on its output (A = i^k M gives A+ = i^-k M+), then the derivative
-    step of apply_Dk.  M+ has parity (-1)^k in xi, so pinv_svd runs on the
-    first-axis planes 0..N/2 and the others are mirrored, except their
-    entries with another axis at index N/2, which have no mirror on the grid
-    (see _half_spectrum).  Input is a codomain-valued field (fiber dimW,
+    step of apply_Dk.  Input is a codomain-valued field (fiber dimW,
     typically apply_A(phi)); output is a derivative array (fiber dimV * T)
     in apply_Dk's orthonormal coordinates, so entry (j, t) is
     sqrt(k!/alpha_t!) (i xi)^alpha_t (A+ psi)_j for input psi, and it
@@ -563,11 +523,10 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float) -> _Spectrum:
 def _band_tables(op: Operator, max_freq: int, tol: float) -> tuple[np.ndarray, ...]:
     """M, P_A and 2 |xi|^2k at the primaries of the band max_freq; read-only.
 
-    M is operators._real_stack and P_A pinv.kernel_projector of it, the
-    entries of _symbol_tensor and _kernel_projector_table at the primaries,
-    which the N^n tables build directly (first-axis planes 0..N/2).  They do
-    not depend on N.  A primary stands for itself and its mirror, so the
-    weights count it twice.
+    M is operators._real_stack and P_A pinv.kernel_projector of it, bitwise
+    the entries of _symbol_tensor and _kernel_projector_table at the
+    primaries, so they do not depend on N.  A primary stands for itself and
+    its mirror, so the weights count it twice.
     """
     primaries = _primaries(op.n, max_freq)
     symbols = _real_stack(op, primaries.T)
@@ -604,11 +563,12 @@ def _refuse_oversized_band(op: Operator, grid: Grid, max_freq: int, p: float) ->
     build = max(svd, rank + 2 * rank * op.dim_v + op.dim_v ** 2) / 2
     trial = 6 * max(op.dim_v, op.dim_w) + _band_fibers(op)
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
-    entries = count * (tables / 2 + max(build, trial))
+    grid_entries = 0
     if p != 2.0:
         half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1)
-        entries += 3 * _band_fibers(op) * half + grid.size ** grid.n
-    _refuse_beyond_memory(16 * entries, f"{op.name} on a {grid.size}^{grid.n} grid",
+        grid_entries = 3 * _band_fibers(op) * half + grid.size ** grid.n
+    _refuse_beyond_memory(lambda: 16 * (count * (tables / 2 + max(build, trial)) + grid_entries),
+                          f"{op.name} on a {grid.size}^{grid.n} grid",
                           "for its band tables and fields")
 
 

@@ -360,6 +360,18 @@ def test_sphere_sweep_beyond_physical_memory_is_refused(capsys, tmp_path, comman
     assert err.startswith("error: out of memory: x40: a sphere sweep of") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "zoo:curl", "--N", str(2 ** 400), "--trials", "1"),
+    ("minimality", "zoo:curl", "--N", str(2 ** 400), "--trials", "1"),
+    ("counterexample", "zoo:d1d2", "--N", str(2 ** 600)),
+    ("analyze", "zoo:curl", "--samples", str(2 ** 1100))], ids=lambda argv: argv[0])
+def test_estimate_beyond_a_float_is_refused(capsys, argv):
+    # sizes argparse accepts whose byte counts overflow a float are too large, not a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error: out of memory:") and err.count("\n") == 1
+
+
 def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch):
     # an oversized grid is refused before the first random draw or witness family
     monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 4)
@@ -525,19 +537,21 @@ def test_zoo_lists_all_operators(capsys):
 # Every command with generated option values, valid and invalid, and stray
 # tokens: main returns a documented exit code or argparse exits with 2, never
 # anything else.  Sizes stay small (N <= 16, trials <= 3, rungs <= 4, samples
-# <= 256 or >= 2^62, which the sweep's memory check refuses up front), so no
-# example starts a long run; size options are always given, since the
-# defaults are larger.
+# <= 256) or are refused up front by the memory checks (N = 2^600, samples >=
+# 2^62, up to 2^1100, whose byte counts overflow a float), so no example
+# starts a long run; size options are always given, since the defaults are
+# larger.
 
 TESTS = Path(__file__).parent
 SOURCES = ["zoo:curl", "zoo:d1d2", "zoo:gradient", "zoo:wave", "zoo:laplacian", "zoo:nope",
            "zoo:", str(TESTS / "lap_plus_d1d2.json"), str(TESTS / "missing.json"), str(TESTS)]
 SIZES = {
-    "--N": ["4", "8", "16", "0", "-8", "6", "abc", "1e1"],
+    "--N": ["4", "8", "16", "0", "-8", "6", "abc", "1e1", str(2 ** 600)],
     "--trials": ["1", "3", "0", "-1", "x"],
     "--kernel-trials": ["1", "3", "0", "-2"],
     "--rungs": ["1", "2", "4", "0", "-1"],
-    "--samples": ["0", "1", "64", "256", str(2 ** 62), str(2 ** 63), "-5", "1.5"],
+    "--samples": ["0", "1", "64", "256", str(2 ** 62), str(2 ** 63), "-5", "1.5",
+                  str(2 ** 1100)],
 }
 VALUES = {
     "--p": ["1", "2", "3", "inf", "1e400", "0.5", "nan", "-inf", "p"],

@@ -100,7 +100,7 @@ def sweep_estimate(monkeypatch, op, num_samples):
     """The bytes _refuse_oversized_sweep asks physical memory for."""
     estimates = []
     with monkeypatch.context() as patch:
-        patch.setattr(rank, "_refuse_beyond_memory", lambda needed, *_: estimates.append(needed))
+        patch.setattr(rank, "_refuse_beyond_memory", lambda needed, *_: estimates.append(needed()))
         rank._refuse_oversized_sweep(op, num_samples)
     return estimates[0]
 

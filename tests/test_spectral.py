@@ -318,8 +318,9 @@ MIRRORED = [entry.build() for entry in zoo_list()] + [
 @pytest.mark.parametrize("size", [4, 8, 16])
 @pytest.mark.parametrize("op", MIRRORED, ids=lambda op: op.name)
 def test_half_spectrum_tables_match_per_frequency_builds(op, size):
-    # the tables build the first-axis planes 0..N/2 and mirror the others, all
-    # but the entries with another axis at N/2, whose mirror is off the grid
+    # the whole-mesh tables, built block by block, hold at every frequency the
+    # bits of the build on that frequency's symbol alone, the Nyquist planes
+    # and the negative first-axis frequencies included
     grid = Grid(op.n, size)
     want_projectors = np.empty(grid.shape + (op.dim_v, op.dim_v))
     want_daggers = np.empty(grid.shape + (op.dim_v, op.dim_w))
@@ -328,10 +329,35 @@ def test_half_spectrum_tables_match_per_frequency_builds(op, size):
         real = _real_stack(op, [xi])[0]
         want_projectors[idx] = kernel_projector(real)
         want_daggers[idx] = pinv_svd(real)
-    np.testing.assert_allclose(_kernel_projector_table(op, grid, DEFAULT_TOL), want_projectors,
-                               rtol=0, atol=1e-15)
-    np.testing.assert_allclose(spectral._pseudoinverse_table(op, grid, DEFAULT_TOL), want_daggers,
-                               rtol=0, atol=1e-15)
+    projectors = _kernel_projector_table(op, grid, DEFAULT_TOL)
+    daggers = spectral._pseudoinverse_table(op, grid, DEFAULT_TOL)
+    assert projectors.tobytes() == want_projectors.tobytes()
+    assert daggers.tobytes() == want_daggers.tobytes()
+
+
+@pytest.mark.parametrize("name, size", [("curl", 32), ("symmetric_gradient", 128), ("wave", 128)])
+def test_tables_of_several_blocks_are_one_stack_build(name, size):
+    # a mesh beyond pinv._BLOCK frequencies is built block by block, with the
+    # bits of one call on the whole symbol stack
+    op = zoo_get(name)
+    grid = Grid(op.n, size)
+    assert size ** op.n > pinv._BLOCK
+    symbols = _symbol_tensor(op, grid)
+    for table, build in ((_kernel_projector_table, kernel_projector),
+                         (spectral._pseudoinverse_table, pinv_svd)):
+        assert table(op, grid, DEFAULT_TOL).tobytes() == build(symbols).tobytes()
+
+
+@pytest.mark.parametrize("max_freq, size", [(2, 8), (4, 16)])
+@pytest.mark.parametrize("op", MIRRORED, ids=lambda op: op.name)
+def test_band_tables_are_the_mesh_tables_at_the_primaries(op, max_freq, size):
+    # the band route and the whole mesh project with the same bits
+    grid = Grid(op.n, size)
+    symbols, projector, _ = spectral._band_tables(op, max_freq, DEFAULT_TOL)
+    at = tuple(spectral._primaries(op.n, max_freq) % size)
+    assert symbols.tobytes() == np.ascontiguousarray(_symbol_tensor(op, grid)[at]).tobytes()
+    mesh_projector = _kernel_projector_table(op, grid, DEFAULT_TOL)[at]
+    assert projector.tobytes() == np.ascontiguousarray(mesh_projector).tobytes()
 
 
 @pytest.mark.parametrize("size", [4, 8])
@@ -430,7 +456,7 @@ def test_band_memory_estimate_bounds_a_sweep(monkeypatch, entry, p):
     op = entry.build()
     estimates = []
     monkeypatch.setattr(spectral, "_refuse_beyond_memory",
-                        lambda needed, subject, purpose: estimates.append(needed))
+                        lambda needed, subject, purpose: estimates.append(needed()))
     size = {2: 256, 3: 32}[op.n]
 
     def sweep():

@@ -26,7 +26,7 @@ from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
                        periodic_bump, _Spectrum, _band_spectrum, _check_field, _derivatives,
-                       _grid_norm, _matvec, _mesh_spectrum, _symbol_tensor)
+                       _matvec, _mesh_spectrum, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -76,9 +76,9 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol:
     P_A phi is formed, then tested against phi under pinv's cutoff.  At p =
     2 both sides are weighted coefficient norms (the spectrum's weights
     count a primary's mirror).  At any other p D^k(phi - P_A phi), then A
-    phi = i^k M phi, go to grid values by spectrum.grid_values (the phase
-    i^k is applied on coefficients, which is exact), one at a time, for
-    _grid_norm.  Nothing on the way is checked for finiteness: a non-finite
+    phi = i^k M phi, are measured by spectrum.grid_norm, _grid_norm of their
+    grid values (the phase i^k is applied on coefficients, which is exact),
+    one at a time.  Nothing on the way is checked for finiteness: a non-finite
     intermediate makes a norm non-finite, which raises ValueError.
     """
     if not p >= 1.0:
@@ -95,11 +95,11 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol:
         else:
             derivatives = _derivatives(op.k, resolved, spectrum.xis)
             del resolved
-            numerator = _grid_norm(spectrum.grid_values(derivatives), spectrum.grid, p)
+            numerator = spectrum.grid_norm(derivatives, p)
             del derivatives
             image = _matvec(spectrum.symbols, coeffs)
             image *= 1j ** op.k
-            denominator = _grid_norm(spectrum.grid_values(image), spectrum.grid, p)
+            denominator = spectrum.grid_norm(image, p)
     if not math.isfinite(numerator) or not math.isfinite(denominator):
         raise ValueError("field has non-finite values")
     return numerator / denominator

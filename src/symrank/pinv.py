@@ -44,14 +44,17 @@ def _as_matrices(mat) -> np.ndarray:
     return mat
 
 
-def _norm(values, p: float = 2.0, axis: int | None = None, weights=None) -> np.ndarray:
+def _norm(values, p: float = 2.0, axis: int | None = None, weights=None,
+          overwrite: bool = False) -> np.ndarray:
     """(sum weights * |values|^p)^(1/p) along axis (None: all), or max |values| at p = inf.
 
     |values| is first divided by its largest entry in each reduced slice, so
     the largest term is exactly 1 at every finite scale and p >= 1; an
-    all-zero slice has norm 0.  weights broadcast against values.
+    all-zero slice has norm 0.  weights broadcast against values.  With
+    overwrite, values is a float64 array that is not read again and takes
+    its own magnitudes, so only the reduced slices are allocated.
     """
-    mags = np.abs(values, order="C")
+    mags = np.abs(values, out=values if overwrite else None, order="C")
     top = mags.max(axis=axis, keepdims=True)
     if math.isinf(p):
         return np.squeeze(top, axis)

@@ -24,7 +24,7 @@ weighted coefficient sum (pinv._norm), and otherwise _grid_norm, lp_norm's
 own, of the grid values.
 
 A _Spectrum names the frequencies such a chain runs on, with the tables,
-weights, inverse transform and random draw there.  The whole mesh
+weights, grid norm and random draw there.  The whole mesh
 (_mesh_spectrum) has the N^n tables and goes back by a complex inverse
 FFT.  Band-limited random fields keep 0 < |xi|_inf <= B <= N/4, so
 products of symbols and fields stay well inside the grid, and are real:
@@ -36,8 +36,11 @@ holds M and P_A at the primaries only, cached per (operator, B, tol)
 (_band_tables), and weights that count each primary twice, for its
 mirror.  Its grid values scatter the primaries, and in plane 0 their
 conjugate mirrors, into the first-axis planes 0..N/2 of the half
-spectrum, a target allocated once per spectrum, and take them back by one
-real inverse FFT to float64 grid values (_inverse).
+spectrum and take them back to float64 grid values by numpy's irfftn
+steps, one fiber at a time (_inverse), and _grid_norm measures them in
+place.  The target, the output and the work arrays of these steps are
+allocated once per spectrum (_band_grid), so after its first trial a
+sweep allocates no array the size of the grid.
 
 The two SVD tables of the whole mesh, the kernel projector and the
 pseudoinverse, run their pinv routine on the whole symbol table, one block
@@ -171,20 +174,29 @@ def inverse_transform(freq: FrequencyField) -> GridField:
     return GridField(freq.grid, _inverse(freq.coeffs, freq.grid))
 
 
-def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+def _inverse(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
     """Grid values of a (fiber, ...) coefficient array on the whole mesh or on half of it.
 
     On the whole mesh this is inverse_transform's complex data, by ifftn.
     First-axis planes 0..N/2 (coeffs.shape[1] = N/2 + 1) are those of a
-    real field (the band's scatter target, _band_grid_values), whose
-    float64 grid values come from one real inverse FFT with the halved
-    first axis transformed last.
+    real field (the band's scatter target, _band_grid), whose float64 grid
+    values come from numpy's irfftn steps taken one fiber at a time: ifft
+    on each full axis, then irfft on the halved first axis, so every value
+    has irfftn's bits.  The steps write into out, a real (fiber, N, ..., N)
+    array, through work, two one-fiber complex arrays of the half
+    spectrum; either is allocated here when not given.
     """
-    axes = _spatial_axes(grid)
     if coeffs.shape[1] == grid.size:
-        data = np.fft.ifftn(coeffs, axes=axes, norm="ortho")
+        data = np.fft.ifftn(coeffs, axes=_spatial_axes(grid), norm="ortho")
     else:
-        data = np.fft.irfftn(coeffs, s=grid.shape, axes=axes[1:] + axes[:1], norm="ortho")
+        data = np.empty((len(coeffs),) + grid.shape) if out is None else out
+        if work is None:
+            work = np.empty((2,) + coeffs.shape[1:], dtype=complex)
+        for values, fiber in zip(coeffs, data):
+            for axis in range(1, grid.n):
+                values = np.fft.ifft(values, axis=axis, norm="ortho", out=work[axis % 2])
+            np.fft.irfft(values, grid.size, axis=0, norm="ortho", out=fiber)
     data /= (TWO_PI / grid.size) ** (grid.n / 2.0)
     return data
 
@@ -196,9 +208,26 @@ def lp_norm(field: GridField, p: float) -> float:
     return _grid_norm(field.data, field.grid, p)
 
 
-def _grid_norm(data: np.ndarray, grid: Grid, p: float) -> float:
-    """lp_norm of the grid values data (real or complex), fiber axis first."""
-    return float(_norm(_norm(data, axis=0), p) * grid.cell_volume ** (1.0 / p))
+def _grid_norm(data: np.ndarray, grid: Grid, p: float, maxima: np.ndarray | None = None) -> float:
+    """lp_norm of the grid values data (real or complex), fiber axis first.
+
+    pinv._norm over the fibers, then over the points, by its steps: per-point
+    max, divide, square, sum over axis 0 (into row 0, row by row, which is
+    numpy's order for that sum), sqrt, multiply.  Given maxima, a float64
+    buffer of grid.shape for the per-point max, data is real and is not
+    read again (the band's output buffer, _band_grid) and takes its own
+    magnitudes, so nothing the size of the grid is allocated.
+    """
+    mags = np.abs(data, out=None if maxima is None else data)
+    top = mags.max(axis=0, out=maxima)
+    mags /= np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
+    np.square(mags, out=mags)
+    fiber_norms = mags[0]
+    for row in mags[1:]:
+        fiber_norms += row
+    np.sqrt(fiber_norms, out=fiber_norms)
+    fiber_norms *= top
+    return float(_norm(fiber_norms, p, overwrite=True) * grid.cell_volume ** (1.0 / p))
 
 
 @lru_cache(maxsize=64)
@@ -494,7 +523,7 @@ class _Spectrum:
     the real tables of M and P_A at xis.  With norm_weights and
     derivative_weights, pinv._norm of a coefficient array is the whole-mesh
     L2 norm of its field and of its order-k derivative array.
-    grid_values(coeffs) gives the field's grid values for _grid_norm, and
+    grid_norm(coeffs, p) gives _grid_norm of the field's grid values, and
     draw(fiber_dim, seed) the coefficients of random_band_limited on this
     spectrum (band N/4 on the whole mesh).
     """
@@ -505,7 +534,7 @@ class _Spectrum:
     projector: np.ndarray
     norm_weights: float | None
     derivative_weights: np.ndarray
-    grid_values: Callable[[np.ndarray], np.ndarray]
+    grid_norm: Callable[[np.ndarray, float], float]
     draw: Callable[[int, object], np.ndarray]
 
 
@@ -515,7 +544,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float) -> _Spectrum:
     return _Spectrum(
         grid, integer_frequencies(grid), _symbol_tensor(op, grid), projector, None,
         _spectrum_weights(grid, op.k),
-        lambda coeffs: _inverse(coeffs, grid),
+        lambda coeffs, p: _grid_norm(_inverse(coeffs, grid), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
 
@@ -551,11 +580,13 @@ def _refuse_oversized_band(op: Operator, grid: Grid, max_freq: int, p: float) ->
     build (pinv._svd_entries on the P matrices, then kernel_projector's
     sigma, vh, masked vh and output) and a trial (six band arrays of
     max(dimV, dimW) fibers: the draw, phi, phi - P_A phi, a _matvec output
-    and _norm's magnitudes; and D^k phi).  At p != 2 the grid values add,
-    per fiber of the largest grid field (_band_fibers), three arrays the
-    size of the half spectrum: the scatter target, and the two complex
-    arrays irfftn holds, or its real output and _grid_norm's magnitudes of
-    it; plus _grid_norm's fiber norms and their magnitudes, N^n reals each.
+    and _norm's magnitudes; and D^k phi).  At p != 2 the grid route
+    (_band_grid) adds its buffers: per fiber of the largest grid field
+    (_band_fibers), the scatter target, the size of the half spectrum, and
+    the real output, N^n reals, where _grid_norm also forms the magnitudes
+    and fiber norms; plus the two one-fiber complex work arrays of the
+    inverse FFT and the N^n reals of the per-point maxima (the fiber-norm
+    buffer).
     """
     count = ((2 * max_freq + 1) ** op.n - 1) // 2
     rank = min(op.dim_w, op.dim_v)
@@ -566,38 +597,48 @@ def _refuse_oversized_band(op: Operator, grid: Grid, max_freq: int, p: float) ->
     grid_entries = 0
     if p != 2.0:
         half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1)
-        grid_entries = 3 * _band_fibers(op) * half + grid.size ** grid.n
+        points = grid.size ** grid.n
+        grid_entries = _band_fibers(op) * (half + points / 2) + 2 * half + points / 2
     _refuse_beyond_memory(lambda: 16 * (count * (tables / 2 + max(build, trial)) + grid_entries),
                           f"{op.name} on a {grid.size}^{grid.n} grid",
                           "for its band tables and fields")
 
 
-def _band_grid_values(grid: Grid, primaries: np.ndarray, fibers: int):
-    """grid_values of the band: scatter into the half spectrum, then one real inverse FFT.
+def _band_grid(grid: Grid, primaries: np.ndarray, fibers: int):
+    """grid_values and grid_norm of the band, on buffers allocated at the first call.
 
-    The scatter target holds the first-axis planes 0..N/2 of up to fibers
-    fields.  It is allocated and zeroed at the first call, and every call
-    overwrites the same entries: the primaries and, in plane 0, their
-    mirrors, which take the conjugates so that the plane is Hermitian as
-    irfftn reads it.  The grid values are _inverse of the target's first
-    len(coeffs) fibers.
+    grid_values scatters a field's coefficients into the half spectrum and
+    takes them back by _inverse, one fiber at a time.  The scatter target
+    holds the first-axis planes 0..N/2 of up to fibers fields; it is zeroed
+    once, and every call overwrites the same entries: the primaries and, in
+    plane 0, their mirrors, which take the conjugates so that the plane is
+    Hermitian as irfft reads it.  _inverse writes the grid values into a
+    real (fibers, N, ..., N) output through two one-fiber complex work
+    arrays and they are its first len(coeffs) fibers; grid_norm measures
+    them in place (_grid_norm) with an N^n buffer for the per-point maxima.
+    After the first call, neither allocates an array the size of the grid.
     """
     shape = (grid.size // 2 + 1,) + grid.shape[1:]
     at = np.ravel_multi_index(tuple(primaries % grid.size), shape)
     on_plane0 = np.flatnonzero(primaries[0] == 0)
     mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0] % grid.size), shape)
-    target = None
+    buffers = {}
 
     def grid_values(coeffs: np.ndarray) -> np.ndarray:
-        nonlocal target
-        if target is None:
-            target = np.zeros((fibers,) + shape, dtype=complex)
-        part = target[:len(coeffs)]
+        if not buffers:
+            buffers.update(target=np.zeros((fibers,) + shape, dtype=complex),
+                           out=np.empty((fibers,) + grid.shape),
+                           work=np.empty((2,) + shape, dtype=complex),
+                           maxima=np.empty(grid.shape))
+        part = buffers["target"][:len(coeffs)]
         flat = part.reshape(len(coeffs), -1)
         flat[:, at] = coeffs
         flat[:, mirrors] = coeffs[:, on_plane0].conj()
-        return _inverse(part, grid)
-    return grid_values
+        return _inverse(part, grid, buffers["out"][:len(coeffs)], buffers["work"])
+
+    def grid_norm(coeffs: np.ndarray, p: float) -> float:
+        return _grid_norm(grid_values(coeffs), grid, p, buffers["maxima"])
+    return grid_values, grid_norm
 
 
 def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float) -> _Spectrum:
@@ -616,7 +657,7 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     count = primaries.shape[1]
     return _Spectrum(
         grid, primaries, symbols, projector, 2.0, weights,
-        _band_grid_values(grid, primaries, _band_fibers(op)),
+        _band_grid(grid, primaries, _band_fibers(op))[1],
         lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 
 

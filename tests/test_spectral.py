@@ -296,17 +296,52 @@ def test_random_coefficients_scatter_the_band_draw(n, size, max_freq):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_band_grid_values_are_those_of_the_whole_mesh(n):
     # the scatter into the half spectrum, with conjugate mirrors in plane 0,
-    # then one real inverse FFT gives the real part of inverse_transform;
-    # a second call overwrites the same entries of the target
+    # then the real inverse FFT of each fiber gives the real part of
+    # inverse_transform; a second call overwrites the same entries of the target
     grid = Grid(n, 8)
     op = {1: LINE, 2: zoo_get("symmetric_gradient"), 3: zoo_get("curl")}[n]
     band = spectral._band_spectrum(op, grid, 2, DEFAULT_TOL, 3.0)
+    grid_values, _ = spectral._band_grid(grid, band.xis, spectral._band_fibers(op))
     for seed in ([n, 1], [n, 2]):
         values = band.draw(op.dim_v, seed)
         full = inverse_transform(spectral._random_coefficients(grid, op.dim_v, 2, seed)).data
-        data = band.grid_values(values)
+        data = grid_values(values)
         assert data.dtype == np.float64 and data.shape == full.shape
         np.testing.assert_allclose(data, full.real, rtol=0, atol=1e-15 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("n, size, max_freq", [(1, 16384, 8), (2, 128, 4), (3, 32, 4)])
+def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
+    # the fiber-by-fiber steps have numpy irfftn's bits, and grid_norm those of
+    # pinv._norm on its values; after the first call, no call allocates a fiber
+    # (one fiber is larger than numpy's 8192-entry iteration buffer on these grids)
+    grid = Grid(n, size)
+    primaries = spectral._primaries(n, max_freq)
+    grid_values, grid_norm = spectral._band_grid(grid, primaries, 9)
+    axes = tuple(range(1, n + 1))
+    scale = (TWO_PI / size) ** (n / 2.0)
+    fiber_bytes = 8 * size ** n
+    for fibers in range(1, 10):
+        seed = [n, fibers]
+        values = spectral._band_draw(fibers, primaries.shape[1], seed)
+        target = spectral._random_coefficients(grid, fibers, max_freq, seed).coeffs
+        target = target[:, :size // 2 + 1]
+        expected = np.fft.irfftn(target, grid.shape, axes[1:] + axes[:1], norm="ortho") / scale
+        grid_norm(values, 3.0)
+        tracemalloc.start()
+        try:
+            data = grid_values(values)
+            assert tracemalloc.get_traced_memory()[1] < fiber_bytes
+            assert data.shape == expected.shape and data.tobytes() == expected.tobytes()
+            tracemalloc.reset_peak()
+            norm = grid_norm(values, 3.0)
+            assert tracemalloc.get_traced_memory()[1] < fiber_bytes
+        finally:
+            tracemalloc.stop()
+        for p, value in ((3.0, norm), (math.inf, grid_norm(values, math.inf))):
+            # pinv._norm over the fibers and then the points, the real and complex routes
+            reference = pinv._norm(pinv._norm(expected, axis=0), p) * grid.cell_volume ** (1 / p)
+            assert value == float(reference) == lp_norm(GridField(grid, expected), p)
 
 
 # every zoo operator, a vector-valued drop and a 1-D operator of odd order,
@@ -363,7 +398,8 @@ def test_band_tables_are_the_mesh_tables_at_the_primaries(op, max_freq, size):
 @pytest.mark.parametrize("size", [4, 8])
 @pytest.mark.parametrize("first", [1, -1])
 def test_projection_of_a_mode_at_the_nyquist_index(first, size):
-    # (-1, -N/2, 0) lies in a mirrored plane, but (1, N/2, 0) is not on the grid
+    # (first, -N/2, 0) has the Nyquist index on its second axis, and its mirror
+    # (-first, N/2, 0) is not on the grid
     op = zoo_get("curl")
     grid = Grid(3, size)
     xi = (first, -size // 2, 0)

@@ -28,8 +28,9 @@ import math
 import sys
 from pathlib import Path
 
-from .experiments import (CONTEXT_WITNESS_FAMILY, TrialRecord, _minimality, assemble_report,
-                          build_frequency_ladder, estimate_ratio, ratio_sweep, witness_family)
+from .experiments import (CONTEXT_WITNESS_FAMILY, TrialRecord, _minimality, _rung_ratio,
+                          assemble_report, build_frequency_ladder, estimate_ratio, ratio_sweep,
+                          witness_family)
 from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
 from .rank import (DegenerateWitnessError, Verdict, daggerbound_check,
@@ -136,6 +137,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    """The ratio ladder along a rank-drop direction, one rung per frequency.
+
+    An exact rung (no --window) is a single mode, one coefficient at its
+    frequency, and its ratio is taken there alone (_rung_ratio): at p = 2
+    nothing of size N^n is built, and any other p scatters the coefficient
+    into the whole mesh for one inverse FFT per grid field, refused up front
+    when that does not fit in memory.  A windowed rung spreads over the whole
+    mesh, so its witness field and the N^n tables are built, and an
+    oversized grid is refused before the first witness.
+    """
     if not (math.isfinite(args.factor) and args.factor > 0):
         raise ValueError("--factor must be a finite number greater than 0")
     op = _load_operator(args.source)
@@ -147,14 +158,17 @@ def cmd_counterexample(args) -> int:
     witness = find_rank_drop_witness(op, profile, args.tol)
     ladder = build_frequency_ladder(op, witness, rungs=args.rungs, tol=args.tol)
     grid = Grid(op.n, args.N)
-    # the table lookup refuses an oversized grid before any witness is built
-    _kernel_projector_table(op, grid, float(args.tol))
-    fields = witness_family(op, ladder, grid, args.window, args.tol)
+    if args.window is None:
+        ratios = [_rung_ratio(op, grid, freq, args.p, args.tol) for freq in ladder]
+    else:
+        # the table lookup refuses an oversized grid before any witness is built
+        _kernel_projector_table(op, grid, float(args.tol))
+        fields = witness_family(op, ladder, grid, args.window, args.tol)
+        ratios = [estimate_ratio(op, phi, args.p, args.tol) for phi in fields]
     records = []
-    for index, (freq, phi) in enumerate(zip(ladder, fields)):
+    for index, (freq, ratio) in enumerate(zip(ladder, ratios)):
         label = "xi=[" + " ".join(str(x) for x in freq) + "]"
-        records.append(TrialRecord(index=index, grid_size=args.N, detail=label,
-                                   ratio=estimate_ratio(op, phi, args.p, args.tol)))
+        records.append(TrialRecord(index=index, grid_size=args.N, detail=label, ratio=ratio))
     growth = records[-1].ratio / records[0].ratio
     report = assemble_report(
         operator=op.name, context=CONTEXT_WITNESS_FAMILY, p=args.p,

@@ -13,7 +13,10 @@ sides are coefficient sums (Parseval).  One private pipeline each, _ratio
 and _minimality, runs on whichever spectrum (spectral._Spectrum) its
 caller hands it: the whole mesh, as the public functions pass, or the
 primaries of a band, as ratio_sweep and the minimality command pass for
-the random fields they draw, which never touch the N^n tables.
+the random fields they draw, which never touch the N^n tables.  An exact
+witness rung is one coefficient at one frequency (_rung), and the
+counterexample command takes its ratio there (_rung_ratio), with no
+witness field and no N^n table.
 """
 
 import math
@@ -26,7 +29,7 @@ from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
                        periodic_bump, _Spectrum, _band_spectrum, _check_field, _derivatives,
-                       _matvec, _mesh_spectrum, _symbol_tensor)
+                       _matvec, _mesh_spectrum, _rung_spectrum, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -71,15 +74,16 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
 def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol: float) -> float:
     """estimate_ratio of the field with these coefficients on spectrum.
 
-    spectrum is the whole mesh (_mesh_spectrum) or the primaries of a band
-    (_band_spectrum), and coeffs the (dimV, ...) coefficients there.  phi -
-    P_A phi is formed, then tested against phi under pinv's cutoff.  At p =
-    2 both sides are weighted coefficient norms (the spectrum's weights
-    count a primary's mirror).  At any other p D^k(phi - P_A phi), then A
-    phi = i^k M phi, are measured by spectrum.grid_norm, _grid_norm of their
-    grid values (the phase i^k is applied on coefficients, which is exact),
-    one at a time.  Nothing on the way is checked for finiteness: a non-finite
-    intermediate makes a norm non-finite, which raises ValueError.
+    spectrum is the whole mesh (_mesh_spectrum), the primaries of a band
+    (_band_spectrum) or an exact rung (_rung_spectrum), and coeffs the
+    (dimV, ...) coefficients there.  phi - P_A phi is formed, then tested
+    against phi under pinv's cutoff.  At p = 2 both sides are weighted
+    coefficient norms (the spectrum's weights count a primary's mirror).  At
+    any other p D^k(phi - P_A phi), then A phi = i^k M phi, are measured by
+    spectrum.grid_norm, _grid_norm of their grid values (the phase i^k is
+    applied on coefficients, which is exact), one at a time.  Nothing on the
+    way is checked for finiteness: a non-finite intermediate makes a norm
+    non-finite, which raises ValueError.
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
@@ -105,50 +109,74 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol:
     return numerator / denominator
 
 
-def _adjoint_probe(op: Operator, xi, tol: float) -> np.ndarray:
-    """u_{r-1}, the left singular vector of M(xi)'s smallest kept singular value.
+def _rung(op: Operator, freq: tuple[int, ...], grid: Grid,
+          tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The probe of a witness rung at freq and the one coefficient of its exact single mode.
 
-    M is the real factor of A = i^k M, so u_{r-1} is real and a left
-    singular vector of A(xi) as well.  r is the rank under pinv's one cutoff
-    (_kept), so |A*(xi) u_{r-1}| = sigma_r(A(xi)) is the singular value that
-    vanishes at a rank drop, and an exact rung's ratio is |xi|^k /
+    The probe is u_{r-1}, the left singular vector of M(xi)'s smallest kept
+    singular value, with M(xi) read by _real_stack (bitwise the symbol
+    table's entry).  M is the real factor of A = i^k M, so u_{r-1} is real
+    and a left singular vector of A(xi) as well.  r is the rank under pinv's
+    one cutoff (_kept), so |A*(xi) u_{r-1}| = sigma_r(A(xi)) is the singular
+    value that vanishes at a rank drop, and an exact rung's ratio is |xi|^k /
     sigma_r(A(xi)).  The probe comes back scaled exactly by the power of two
     that brings sigma_max(A(xi)) into [0.5, 1), so no field built from it
-    overflows under A.  Raises DegenerateProbeError where the symbol
-    vanishes (r = 0).
+    overflows under A.  The coefficient is A*(xi) u (2pi)^(n/2) = (-i)^k
+    M(xi)^T u (2pi)^(n/2).  Raises ValueError for a zero frequency or
+    |xi|_inf > N/4, and DegenerateProbeError where the symbol vanishes (r =
+    0).
     """
-    u, sigma, _ = _svd(_real_stack(op, [xi])[0], want_u=True)
+    if not any(freq):
+        raise ValueError("frequencies must be nonzero integer vectors")
+    if max(abs(x) for x in freq) > grid.size // 4:
+        raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
+                         f"(|xi|_inf must be <= {grid.size // 4})")
+    symbol = _real_stack(op, [freq])[0]
+    u, sigma, _ = _svd(symbol, want_u=True)
     rank = np.count_nonzero(_kept(sigma, tol))
     if not rank:
-        raise DegenerateProbeError(f"{op.name}: the symbol vanishes at {tuple(xi)}")
-    return u[:, rank - 1] * np.ldexp(1.0, -np.frexp(sigma[0])[1])
+        raise DegenerateProbeError(f"{op.name}: the symbol vanishes at {freq}")
+    probe = u[:, rank - 1] * np.ldexp(1.0, -np.frexp(sigma[0])[1])
+    coefficient = (-1j) ** op.k * np.einsum("ij,i->j", symbol, probe)
+    coefficient *= TWO_PI ** (grid.n / 2.0)
+    return probe, coefficient
+
+
+def _rung_ratio(op: Operator, grid: Grid, freq: tuple[int, ...], p: float, tol: float) -> float:
+    """estimate_ratio of witness_family's exact rung at freq, taken on that one frequency.
+
+    _ratio of the rung's one coefficient on _rung_spectrum, bitwise the
+    whole-mesh ratio of the witness field.  Raises as _rung does, before
+    anything is built.
+    """
+    coefficient = _rung(op, freq, grid, tol)[1]
+    return _ratio(op, _rung_spectrum(op, grid, freq, tol), coefficient[:, None], p, tol)
 
 
 def witness_family(op: Operator, frequencies, grid: Grid, window: float | None = None,
                    tol: float = DEFAULT_TOL) -> list[FrequencyField]:
     """One field per integer frequency xi_m, as coefficients: A* applied to a probe wave.
 
-    The probe u is _adjoint_probe's real u_{r-1} at xi_m.  The wave
-    envelope(x) exp(i x.xi_m) u has, by the discrete shift theorem, the
-    field coefficient A*(eta) u * envelope_hat(eta - xi_m) at eta: the
-    envelope's coefficients rolled by xi_m times A*(eta) u = (-i)^k M(eta)^T
-    u, the real symbol table contracted with u times the phase, so no rung
-    is transformed.  For window = None the envelope is 1, one coefficient
+    The probe u is _rung's real u_{r-1} at xi_m.  The wave envelope(x)
+    exp(i x.xi_m) u has, by the discrete shift theorem, the field
+    coefficient A*(eta) u * envelope_hat(eta - xi_m) at eta: the envelope's
+    coefficients rolled by xi_m times A*(eta) u = (-i)^k M(eta)^T u, the
+    real symbol table contracted with u times the phase, so no rung is
+    transformed.  For window = None the envelope is 1, one coefficient
     (2pi)^(n/2) at frequency zero, and the rung is the exact single mode
-    A*(xi_m) u at xi_m: its one coefficient (-i)^k M(xi_m)^T u (2pi)^(n/2)
-    is written directly, and P_A phi_m = 0 and estimate_ratio at any p
-    equals |xi_m|^k / sigma_r(A(xi_m)).  A window in (0, 1] is the width
-    of periodic_bump (a fraction of the torus), forward-transformed once per
-    family; the windowed ratio approaches the single-mode value as the
-    window widens.  Raises ValueError for no frequencies, a zero frequency,
-    a window outside (0, 1] or |xi_m|_inf > N/4, and DegenerateProbeError
-    where the symbol vanishes.
+    A*(xi_m) u at xi_m: its one coefficient, _rung's, is written directly
+    and no N^n table is read, and P_A phi_m = 0 and estimate_ratio at any p
+    equals |xi_m|^k / sigma_r(A(xi_m)).  A window in (0, 1] is the width of
+    periodic_bump (a fraction of the torus), forward-transformed once per
+    family, and the N^n symbol table is contracted with the probe; the
+    windowed ratio approaches the single-mode value as the window widens.
+    Raises ValueError for no frequencies, a window outside (0, 1], a zero
+    frequency or |xi_m|_inf > N/4, and DegenerateProbeError where the symbol
+    vanishes.
     """
     frequencies = [tuple(int(x) for x in freq) for freq in frequencies]
     if not frequencies:
         raise ValueError("frequencies must be nonempty")
-    if any(not any(freq) for freq in frequencies):
-        raise ValueError("frequencies must be nonzero integer vectors")
     if window is not None and not 0.0 < window <= 1.0:
         raise ValueError("window width must lie in (0, 1]")
     if grid.n != op.n:
@@ -156,18 +184,13 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     if window is not None:
         bump = GridField(grid, periodic_bump(grid, window)[None])
         envelope = forward_transform(bump).coeffs[0]
-    symbols = _symbol_tensor(op, grid)
+        symbols = _symbol_tensor(op, grid)
     fields = []
     for freq in frequencies:
-        if max(abs(x) for x in freq) > grid.size // 4:
-            raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
-                             f"(|xi|_inf must be <= {grid.size // 4})")
-        probe = _adjoint_probe(op, freq, tol)
+        probe, coefficient = _rung(op, freq, grid, tol)
         if window is None:
-            column = (slice(None),) + tuple(x % grid.size for x in freq)
             coeffs = np.zeros((op.dim_v,) + grid.shape, dtype=complex)
-            coeffs[column] = (-1j) ** op.k * np.einsum("ij,i->j", symbols[column[1:]], probe)
-            coeffs[column] *= TWO_PI ** (grid.n / 2.0)
+            coeffs[(slice(None),) + tuple(x % grid.size for x in freq)] = coefficient
         else:
             coeffs = (-1j) ** op.k * np.einsum("...ij,i->j...", symbols, probe, order="C")
             coeffs *= np.roll(envelope, freq, axis=tuple(range(grid.n)))
@@ -181,9 +204,9 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
 
     Rung j targets 2^(j+1) * u rounded to integers, u = xi_low / |xi_low|.
     A rung is usable iff numerical_rank of the real symbol M there, at tol
-    (the cutoff _adjoint_probe counts the probe's rank with), is the generic
+    (the cutoff _rung counts the probe's rank with), is the generic
     rank witness.rank_high.  On the drop set the rank is lower, so
-    _adjoint_probe would probe a singular value that does not vanish there
+    _rung would probe a singular value that does not vanish there
     and the ratios would not grow.  When the rounded frequency is not usable
     (for example exactly on the degenerate axis), the first axis offset
     +-e_i that is usable is taken.  For the mixed second derivative with

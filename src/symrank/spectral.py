@@ -40,7 +40,10 @@ spectrum and take them back to float64 grid values by numpy's irfftn
 steps, one fiber at a time (_inverse), and _grid_norm measures them in
 place.  The target, the output and the work arrays of these steps are
 allocated once per spectrum (_band_grid), so after its first trial a
-sweep allocates no array the size of the grid.
+sweep allocates no array the size of the grid.  An exact witness rung is
+one coefficient at one frequency, and its spectrum (_rung_spectrum) holds
+M and P_A there alone: a p = 2 ratio on it needs nothing of size N^n, and
+any other p scatters the coefficient into the whole mesh for ifftn.
 
 The two SVD tables of the whole mesh, the kernel projector and the
 pseudoinverse, run their pinv routine on the whole symbol table, one block
@@ -516,16 +519,17 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
 class _Spectrum:
     """The frequencies a coefficient array covers, and what the ratio and minimality read there.
 
-    Either the whole mesh (_mesh_spectrum) or the primaries of a band
-    (_band_spectrum).  xis (n, ...) are the integer frequencies in the
-    frequency layout of the coefficient arrays (fiber, ...) on this
-    spectrum; symbols (..., dimW, dimV) and projector (..., dimV, dimV) are
-    the real tables of M and P_A at xis.  With norm_weights and
-    derivative_weights, pinv._norm of a coefficient array is the whole-mesh
-    L2 norm of its field and of its order-k derivative array.
-    grid_norm(coeffs, p) gives _grid_norm of the field's grid values, and
-    draw(fiber_dim, seed) the coefficients of random_band_limited on this
-    spectrum (band N/4 on the whole mesh).
+    The whole mesh (_mesh_spectrum), the primaries of a band
+    (_band_spectrum) or one exact witness rung (_rung_spectrum).  xis (n,
+    ...) are the integer frequencies in the frequency layout of the
+    coefficient arrays (fiber, ...) on this spectrum; symbols (..., dimW,
+    dimV) and projector (..., dimV, dimV) are the real tables of M and P_A
+    at xis.  With norm_weights and derivative_weights, pinv._norm of a
+    coefficient array is the whole-mesh L2 norm of its field and of its
+    order-k derivative array.  grid_norm(coeffs, p) gives _grid_norm of the
+    field's grid values, and draw(fiber_dim, seed) the coefficients of
+    random_band_limited on this spectrum (band N/4 on the whole mesh; a rung
+    has no draw).
     """
 
     grid: Grid
@@ -535,7 +539,7 @@ class _Spectrum:
     norm_weights: float | None
     derivative_weights: np.ndarray
     grid_norm: Callable[[np.ndarray, float], float]
-    draw: Callable[[int, object], np.ndarray]
+    draw: Callable[[int, object], np.ndarray] | None
 
 
 def _mesh_spectrum(op: Operator, grid: Grid, tol: float) -> _Spectrum:
@@ -659,6 +663,37 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
         grid, primaries, symbols, projector, 2.0, weights,
         _band_grid(grid, primaries, _band_fibers(op))[1],
         lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
+
+
+def _rung_spectrum(op: Operator, grid: Grid, freq, tol: float) -> _Spectrum:
+    """The one frequency of an exact witness rung, a single mode at freq (n integers).
+
+    M and P_A are _real_stack and kernel_projector at the rung, bitwise the
+    entries of the mesh tables there, and the weights |xi|^2k, so a p = 2
+    ratio of the rung's one coefficient reads nothing the size of the grid.
+    A single mode is not a real field, so at any other p grid_norm scatters
+    the coefficient into the whole mesh and takes it back by the complex
+    inverse FFT, the route of _mesh_spectrum.  Before that scatter it
+    refuses a grid whose fields do not fit in memory: per grid point and
+    fiber of the largest field (_band_fibers), three complex numbers, the
+    scatter target and ifftn's output and per-axis intermediate; _grid_norm's
+    magnitudes and per-point maxima then take less than the intermediate
+    did.  Nothing is drawn on a rung (draw is None).
+    """
+    xis = np.array(freq, dtype=float).reshape(op.n, 1)
+    symbols = _real_stack(op, xis.T)
+    at = (slice(None),) + tuple(int(x) % grid.size for x in freq)
+    fibers = _band_fibers(op)
+
+    def grid_norm(coeffs: np.ndarray, p: float) -> float:
+        _refuse_beyond_memory(lambda: 48 * fibers * grid.size ** grid.n,
+                              f"{op.name} on a {grid.size}^{grid.n} grid",
+                              "for its single-mode fields")
+        target = np.zeros((len(coeffs),) + grid.shape, dtype=complex)
+        target[at] = coeffs[:, 0]
+        return _grid_norm(_inverse(target, grid), grid, p)
+    return _Spectrum(grid, xis, symbols, kernel_projector(symbols, tol), None,
+                     np.einsum("ij,ij->j", xis, xis) ** op.k, grid_norm, None)
 
 
 def periodic_bump(grid: Grid, width: float) -> np.ndarray:

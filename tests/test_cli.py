@@ -363,13 +363,30 @@ def test_sphere_sweep_beyond_physical_memory_is_refused(capsys, tmp_path, comman
 @pytest.mark.parametrize("argv", [
     ("verify", "zoo:curl", "--N", str(2 ** 400), "--trials", "1"),
     ("minimality", "zoo:curl", "--N", str(2 ** 400), "--trials", "1"),
-    ("counterexample", "zoo:d1d2", "--N", str(2 ** 600)),
+    # an exact rung at p = 2 needs nothing of size N^n; at p = 3 its grid fields do
+    ("counterexample", "zoo:d1d2", "--N", str(2 ** 600), "--p", "3"),
     ("analyze", "zoo:curl", "--samples", str(2 ** 1100))], ids=lambda argv: argv[0])
 def test_estimate_beyond_a_float_is_refused(capsys, argv):
     # sizes argparse accepts whose byte counts overflow a float are too large, not a traceback
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR and out == ""
     assert err.startswith("error: out of memory:") and err.count("\n") == 1
+
+
+def test_exact_counterexample_at_p2_runs_on_a_grid_beyond_a_float(capsys):
+    # each exact rung is one coefficient at one frequency, so at p = 2 the grid
+    # size only labels the records
+    ladder = ("counterexample", "zoo:d1d2", "--rungs", "3", "--factor", "3")
+    code, huge, _ = run_json(capsys, *ladder, "--N", str(2 ** 600))
+    assert code == EXIT_OK
+    _, small, _ = run_json(capsys, *ladder, "--N", "256")
+    assert huge["grid_sizes"] == [2 ** 600] and small["grid_sizes"] == [256]
+    assert all(r["grid_size"] == 2 ** 600 for r in huge["records"])
+    for doc in (huge, small):
+        del doc["grid_sizes"]
+        for record in doc["records"]:
+            del record["grid_size"]
+    assert huge == small
 
 
 def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch):
@@ -405,10 +422,13 @@ def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch)
     ("verify", "zoo:curl", "--N", "16", "--trials", "2"),
     ("verify", "zoo:curl", "--N", "16", "--trials", "2", "--p", "3"),
     ("verify", "zoo:symmetric_gradient", "--N", "32", "--trials", "2", "--p", "inf"),
-    ("minimality", "zoo:curl", "--N", "8", "--trials", "2", "--kernel-trials", "2")])
+    ("minimality", "zoo:curl", "--N", "8", "--trials", "2", "--kernel-trials", "2"),
+    ("counterexample", "zoo:d1d2", "--N", "64"),
+    ("counterexample", "zoo:wave", "--N", "64", "--p", "3")])
 def test_verify_and_minimality_build_no_mesh_table(capsys, monkeypatch, argv):
-    # random fields are drawn, projected and measured on the band: neither the
-    # N^n symbol table nor the N^n projector table is built or looked up
+    # random fields are drawn, projected and measured on the band, and an exact
+    # witness rung on its one frequency: neither the N^n symbol table nor the
+    # N^n projector table is built or looked up
     calls = []
     for name in ("_symbol_tensor", "_kernel_projector_table"):
         original = getattr(spectral, name)

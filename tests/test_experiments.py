@@ -452,6 +452,21 @@ def test_d1d2_ladder_ratios_closed_form():
         assert ratios[-1] / ratios[0] >= 4.0
 
 
+@pytest.mark.parametrize("size", [64, 256])
+@pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+@pytest.mark.parametrize("name, rungs", [("d1d2", [(2, 1), (16, 1)]),
+                                         ("wave", [(4, 3), (12, 11)]),
+                                         ("lap_plus_d1d2", [(1, 4), (16, 1)])])
+def test_rung_ratio_is_the_whole_mesh_ratio_bitwise(name, rungs, p, size):
+    # an exact rung measured on its one frequency equals the whole-mesh ratio
+    # of its witness field bit for bit, at p = 2 and on the p != 2 grid route
+    op = operator(name)
+    grid = Grid(op.n, size)
+    for xi, phi in zip(rungs, witness_family(op, rungs, grid)):
+        ratio = experiments._rung_ratio(op, grid, xi, p, pinv.DEFAULT_TOL)
+        assert ratio == estimate_ratio(op, phi, p)
+
+
 # ------------------------------------------------------------------ minimality
 
 def test_l2_minimality_holds_on_zoo_samples():

@@ -96,6 +96,17 @@ def test_sphere_samples_validation():
         sphere_samples(3, 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), extra=st.integers(0, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_sphere_samples_divide_the_draw_by_its_numpy_norms(n, extra, seed):
+    # the norms are summed one column at a time, which for rows shorter than 8
+    # is numpy's own order, so every direction keeps np.linalg.norm's bits
+    num_random = n + 1 + extra
+    draw = np.random.default_rng(seed).standard_normal((num_random, n))
+    expected = draw / np.linalg.norm(draw, axis=1)[:, None]
+    assert sphere_samples(n, num_random, seed)[-num_random:].tobytes() == expected.tobytes()
+
+
 def sweep_estimate(monkeypatch, op, num_samples):
     """The bytes _refuse_oversized_sweep asks physical memory for."""
     estimates = []

@@ -509,6 +509,32 @@ def test_band_memory_estimate_bounds_a_sweep(monkeypatch, entry, p):
     assert sweep() <= estimates[-1]
 
 
+@pytest.mark.parametrize("p", [3.0, math.inf])
+@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
+def test_rung_memory_estimate_bounds_a_rung(monkeypatch, entry, p):
+    # the p != 2 route of an exact rung scatters its one coefficient into the
+    # whole mesh; its traced peak stays within the estimate it refuses by, up
+    # to the fixed costs the estimate leaves out (Python objects, the
+    # one-frequency tables), under 64 KiB where a missed grid array is MBs
+    op = entry.build()
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed()))
+    grid = Grid(op.n, {2: 256, 3: 32}[op.n])
+    xi = (3, 1, 2)[:op.n]
+
+    def rung():
+        tracemalloc.start()
+        try:
+            experiments._rung_ratio(op, grid, xi, p, DEFAULT_TOL)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rung()  # first-call caches, which the estimate does not count
+    assert rung() <= estimates[-1] + 2 ** 16
+
+
 def test_tables_refuse_to_build_beyond_physical_memory(monkeypatch):
     # a 1e5-byte machine refuses even an 8^3 curl table (about 0.15 MB)
     monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 5)

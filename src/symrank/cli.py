@@ -29,8 +29,8 @@ import sys
 from pathlib import Path
 
 from .experiments import (CONTEXT_WITNESS_FAMILY, TrialRecord, _minimality, _rung_ratio,
-                          assemble_report, build_frequency_ladder, estimate_ratio, ratio_sweep,
-                          witness_family)
+                          _witness_fields, assemble_report, build_frequency_ladder,
+                          estimate_ratio, ratio_sweep)
 from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
 from .rank import (DegenerateWitnessError, Verdict, daggerbound_check,
@@ -145,7 +145,10 @@ def cmd_counterexample(args) -> int:
     into the whole mesh for one inverse FFT per grid field, refused up front
     when that does not fit in memory.  A windowed rung spreads over the whole
     mesh, so its witness field and the N^n tables are built, and an
-    oversized grid is refused before the first witness.
+    oversized grid is refused before the first witness.  Each windowed
+    field is measured before the next one is built (_witness_fields), so
+    the ladder holds one N^n witness field at a time, and its ratios are
+    bitwise those of estimate_ratio on witness_family's list.
     """
     if not (math.isfinite(args.factor) and args.factor > 0):
         raise ValueError("--factor must be a finite number greater than 0")
@@ -163,8 +166,8 @@ def cmd_counterexample(args) -> int:
     else:
         # the table lookup refuses an oversized grid before any witness is built
         _kernel_projector_table(op, grid, float(args.tol))
-        fields = witness_family(op, ladder, grid, args.window, args.tol)
-        ratios = [estimate_ratio(op, phi, args.p, args.tol) for phi in fields]
+        ratios = [estimate_ratio(op, phi, args.p, args.tol)
+                  for phi in _witness_fields(op, ladder, grid, args.window, args.tol)]
     records = []
     for index, (freq, ratio) in enumerate(zip(ladder, ratios)):
         label = "xi=[" + " ".join(str(x) for x in freq) + "]"

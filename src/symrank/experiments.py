@@ -174,6 +174,17 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     frequency or |xi_m|_inf > N/4, and DegenerateProbeError where the symbol
     vanishes.
     """
+    return list(_witness_fields(op, frequencies, grid, window, tol))
+
+
+def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None, tol: float):
+    """witness_family's fields one rung at a time, a generator.
+
+    The arguments are checked, and the envelope and the symbol table formed,
+    at the first field; a rung's field is dropped here before the next one
+    is built, so a caller that measures each field before asking for the
+    next holds one N^n field, not the whole family.
+    """
     frequencies = [tuple(int(x) for x in freq) for freq in frequencies]
     if not frequencies:
         raise ValueError("frequencies must be nonempty")
@@ -182,10 +193,8 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
     if window is not None:
-        bump = GridField(grid, periodic_bump(grid, window)[None])
-        envelope = forward_transform(bump).coeffs[0]
+        envelope = forward_transform(GridField(grid, periodic_bump(grid, window)[None])).coeffs[0]
         symbols = _symbol_tensor(op, grid)
-    fields = []
     for freq in frequencies:
         probe, coefficient = _rung(op, freq, grid, tol)
         if window is None:
@@ -194,8 +203,8 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
         else:
             coeffs = (-1j) ** op.k * np.einsum("...ij,i->j...", symbols, probe, order="C")
             coeffs *= np.roll(envelope, freq, axis=tuple(range(grid.n)))
-        fields.append(FrequencyField(grid, coeffs))
-    return fields
+        yield FrequencyField(grid, coeffs)
+        del coeffs
 
 
 def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 4,

@@ -50,22 +50,33 @@ def _norm(values, p: float = 2.0, axis: int | None = None, weights=None,
 
     |values| is first divided by its largest entry in each reduced slice, so
     the largest term is exactly 1 at every finite scale and p >= 1; an
-    all-zero slice has norm 0.  weights broadcast against values.  With
-    overwrite, values is a float64 array that is not read again and takes
-    its own magnitudes, so only the reduced slices are allocated.
+    all-zero slice has norm 0.  weights broadcast against one row values[i]
+    (values itself when it is 1-d).  With overwrite, values is a float64
+    array that is not read again and takes its own magnitudes, so only the
+    reduced slices are allocated.
     """
     mags = np.abs(values, out=values if overwrite else None, order="C")
     top = mags.max(axis=axis, keepdims=True)
     if math.isinf(p):
         return np.squeeze(top, axis)
     # an all-zero slice is divided by the smallest subnormal instead and stays zero
-    mags /= np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
+    np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
+    # an operand that varies along a row goes in one row of the first axis at a
+    # time: over several short rows at once numpy allocates a 64 KB iteration
+    # buffer for it (top is one value when axis is None)
+    rows = np.atleast_2d(mags)
+    if axis is None:
+        mags /= top
+    else:
+        for row, scale in zip(rows, np.broadcast_to(top, rows.shape)):
+            row /= scale
     if p == 2.0:
         np.square(mags, out=mags)
     else:
         mags **= p
     if weights is not None:
-        mags *= weights
+        for row in rows:
+            row *= weights
     total = mags.sum(axis=axis, keepdims=True)
     root = np.sqrt(total, out=total) if p == 2.0 else np.power(total, 1.0 / p, out=total)
     root *= top

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import Operator, _real_stack
-from .pinv import (DEFAULT_TOL, _refuse_beyond_memory, _svd, _svd_entries, kernel_projector,
-                   numerical_rank, pinv_svd)
+from .pinv import (_BLOCK, DEFAULT_TOL, _refuse_beyond_memory, _svd, _svd_entries,
+                   kernel_projector, numerical_rank, pinv_svd)
 
 # refinement target for drop directions, radians
 ANGULAR_RESOLUTION = 1e-3
@@ -84,14 +84,20 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
         for j in range(n):
             signs[:, j] = 1.0 - 2.0 * ((rows >> (n - 1 - j)) & 1)
         signs /= np.sqrt(n)
+    # the gaussians are drawn straight into the output, then normalised there in
+    # blocks, so only the norms are held beside the directions
+    randoms = out[structured:]
     rng = np.random.default_rng(seed)
-    randoms = rng.standard_normal((num_random, n))
-    norms = _row_norms(randoms)
-    while (norms < 1e-8).any():  # essentially never; keeps normalization safe
-        bad = norms < 1e-8
-        randoms[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = _row_norms(randoms)
-    np.divide(randoms, norms[:, None], out=out[structured:])
+    rng.standard_normal(out=randoms)
+    norms = np.empty(num_random)
+    for start in range(0, num_random, _BLOCK):
+        norms[start:start + _BLOCK] = _row_norms(randoms[start:start + _BLOCK])
+    while norms.min() < 1e-8:  # essentially never; keeps normalization safe
+        bad = np.flatnonzero(norms < 1e-8)
+        randoms[bad] = rng.standard_normal((len(bad), n))
+        norms[bad] = _row_norms(randoms[bad])
+    for start in range(0, num_random, _BLOCK):
+        randoms[start:start + _BLOCK] /= norms[start:start + _BLOCK, None]
     return out
 
 
@@ -112,30 +118,36 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int) -> None:
     """Raise MemoryError when a rank_profile sweep cannot fit in physical memory.
 
     The sweep runs over sphere_samples' directions: 2n axes, 2^n sign
-    vectors for n >= 2 and num_samples random ones, n doubles each.
-    Drawing them adds, per random direction, the gaussian draw, its norm,
-    one column of squares and a flag, n + 3 doubles.  Then the sweep holds,
-    per direction, the most of three phases: building the real symbol M
-    (_monomials' T monomials, one per-axis power column for each exponent
-    above 1, and the dimW * dimV entries of M); ranking M (M, _svd's
-    singular values and Jacobi working set from pinv._svd_entries, the
-    cutoff product, the rank mask and the ranks); and pairing low-rank
-    samples with full-rank ones (the copy of the full-rank directions, the
-    ranks, two sample masks and two score arrays).  A flag counts as a
-    whole double.  The check runs before anything is allocated, so a sweep
-    too large for the machine is refused instead of being killed part way.
+    vectors for n >= 2 and num_samples random ones, n doubles each.  While
+    they are drawn it holds a norm per random direction and, one block of
+    pinv._BLOCK rows at a time, two columns of squares; before that, three
+    columns of 2^n sign bits.  Then it holds a rank per direction, and for a
+    moment a flag per direction, so n + 2 doubles per direction in all, a
+    flag counted as a whole double.  The rest is one block's working set,
+    the most of three phases: building the real symbol M (_monomials' T
+    monomials, one per-axis power column for each exponent above 1, and the
+    dimW * dimV entries of M); ranking M (M, _svd's singular values and
+    Jacobi working set from pinv._svd_entries, the cutoff product, the rank
+    mask and the ranks); and pairing a low-rank sample with its nearest
+    full-rank one (the scores, their clipped copy and a mask).  The check
+    runs before anything is allocated, so a sweep too large for the machine
+    is refused instead of being killed part way.
     """
-    count = 2 * op.n + (2 ** op.n if op.n >= 2 else 0) + num_samples
+    signs = 2 ** op.n if op.n >= 2 else 0
+    count = 2 * op.n + signs + num_samples
+    block = min(count, _BLOCK)
     rank = min(op.dim_w, op.dim_v)
     entries = op.dim_w * op.dim_v
     powers = len(op.alpha_array) + int(np.maximum(op.alpha_array.max(axis=0) - 1, 0).sum())
     build = powers + entries
-    ranking = entries + _svd_entries(op.dim_w, op.dim_v, count, False, False) + rank + 2
-    pairing = op.n + 5
-    sampling = count * op.n + num_samples * (op.n + 3)
-    _refuse_beyond_memory(lambda: 8 * max(sampling, count * (op.n + max(build, ranking, pairing))),
-                          f"{op.name}: a sphere sweep of {count} directions in {op.n} dimensions",
-                          "for the directions and their symbols")
+    ranking = entries + _svd_entries(op.dim_w, op.dim_v, block, False, False) + rank + 2
+    pairing = 3
+    sampling = max(3 * signs, num_samples + 2 * min(num_samples, _BLOCK))
+    _refuse_beyond_memory(
+        lambda: 8 * (count * op.n + max(sampling, 2 * count,
+                                        count + block * max(build, ranking, pairing))),
+        f"{op.name}: a sphere sweep of {count} directions in {op.n} dimensions",
+        "for the directions and their symbols")
 
 
 @dataclass(frozen=True)
@@ -176,15 +188,23 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     verdict for equal ranks is sampling-based, not a certificate; the
     NonConstantRank verdict is certified by the returned drop directions.
     Ranks are taken of the real M of A = i^k M, which has the rank of A.
-    Raises MemoryError before sampling when the directions and their symbol
-    stack would exceed physical memory (2^n sign vectors make that so for
-    large n).
+    The sweep runs in blocks of pinv._BLOCK directions: M is built and
+    ranked one block at a time into one ranks array, and a low-rank sample
+    finds its nearest full-rank sample block by block (_nearest_full_rank),
+    so besides one block's working set only the directions, the ranks and a
+    flag per direction are held; every output is bitwise that of one block
+    spanning the whole sweep.  Raises MemoryError before sampling when that
+    would exceed physical memory (2^n sign vectors make that so for large
+    n).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     _refuse_oversized_sweep(op, num_samples)
     directions = sphere_samples(op.n, num_samples, seed)
-    ranks = numerical_rank(_real_stack(op, directions), tol)
+    ranks = np.empty(len(directions), dtype=np.intp)
+    for start in range(0, len(directions), _BLOCK):
+        block = directions[start:start + _BLOCK]
+        ranks[start:start + len(block)] = numerical_rank(_real_stack(op, block), tol)
     min_rank = int(ranks.min())
     max_rank = int(ranks.max())
     drops: list[np.ndarray] = []
@@ -193,12 +213,9 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
         verdict = Verdict.ELLIPTIC if max_rank == op.dim_v else Verdict.CONSTANT_RANK
     else:
         verdict = Verdict.NON_CONSTANT_RANK
-        # np.compress gathers the rows several times faster than a boolean index
-        high_dirs = np.compress(ranks == max_rank, directions, axis=0)
         for i in np.flatnonzero(ranks < max_rank):
-            low = directions[i]
-            # nearest = largest dot product; one rounded past 1 ties at 1
-            lo, hi = low, high_dirs[int(np.argmax(np.minimum(high_dirs @ low, 1.0)))]
+            lo = directions[i]
+            hi = _nearest_full_rank(directions, ranks, max_rank, lo)
             seen_high = [hi]
             for _ in range(_MAX_BISECTIONS):
                 if angular_distance(lo, hi) <= ANGULAR_RESOLUTION:
@@ -225,6 +242,23 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
         drop_directions=tuple(drops[i] for i in order),
         drop_neighbors=tuple(neighbors[i] for i in order),
     )
+
+
+def _nearest_full_rank(directions: np.ndarray, ranks: np.ndarray, max_rank: int,
+                       low: np.ndarray) -> np.ndarray:
+    """The direction of rank max_rank with the largest dot product with low, the first of ties.
+
+    A dot product rounded past 1 ties at 1.  The directions are scored one
+    block at a time, so no copy of the full-rank directions is made.
+    """
+    best, best_score = 0, -np.inf
+    for start in range(0, len(directions), _BLOCK):
+        scores = np.minimum(directions[start:start + _BLOCK] @ low, 1.0)
+        scores[ranks[start:start + _BLOCK] < max_rank] = -np.inf
+        index = int(np.argmax(scores))
+        if scores[index] > best_score:
+            best, best_score = start + index, scores[index]
+    return directions[best]
 
 
 @dataclass(frozen=True)

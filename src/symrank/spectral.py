@@ -215,15 +215,19 @@ def _grid_norm(data: np.ndarray, grid: Grid, p: float, maxima: np.ndarray | None
     """lp_norm of the grid values data (real or complex), fiber axis first.
 
     pinv._norm over the fibers, then over the points, by its steps: per-point
-    max, divide, square, sum over axis 0 (into row 0, row by row, which is
-    numpy's order for that sum), sqrt, multiply.  Given maxima, a float64
-    buffer of grid.shape for the per-point max, data is real and is not
-    read again (the band's output buffer, _band_grid) and takes its own
-    magnitudes, so nothing the size of the grid is allocated.
+    max, divide (row by row), square, sum over axis 0 (into row 0, row by
+    row, which is numpy's order for that sum), sqrt, multiply.  Given
+    maxima, a float64 buffer of grid.shape for the per-point max, data is
+    real and is not read again (the band's output buffer, _band_grid) and
+    takes its own magnitudes, so nothing the size of the grid is allocated.
     """
     mags = np.abs(data, out=None if maxima is None else data)
     top = mags.max(axis=0, out=maxima)
-    mags /= np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
+    np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
+    # row by row: a broadcast division over several rows at once makes numpy
+    # allocate a 64 KB iteration buffer
+    for row in mags:
+        row /= top
     np.square(mags, out=mags)
     fiber_norms = mags[0]
     for row in mags[1:]:
@@ -598,13 +602,17 @@ def _refuse_oversized_band(op: Operator, grid: Grid, max_freq: int, p: float) ->
     build = max(svd, rank + 2 * rank * op.dim_v + op.dim_v ** 2) / 2
     trial = 6 * max(op.dim_v, op.dim_w) + _band_fibers(op)
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
-    grid_entries = 0
-    if p != 2.0:
-        half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1)
-        points = grid.size ** grid.n
-        grid_entries = _band_fibers(op) * (half + points / 2) + 2 * half + points / 2
-    _refuse_beyond_memory(lambda: 16 * (count * (tables / 2 + max(build, trial)) + grid_entries),
-                          f"{op.name} on a {grid.size}^{grid.n} grid",
+
+    def needed() -> float:
+        # evaluated by _refuse_beyond_memory, which refuses a count too large for a float
+        grid_entries = 0
+        if p != 2.0:
+            half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1)
+            points = grid.size ** grid.n
+            grid_entries = _band_fibers(op) * (half + points / 2) + 2 * half + points / 2
+        return 16 * (count * (tables / 2 + max(build, trial)) + grid_entries)
+
+    _refuse_beyond_memory(needed, f"{op.name} on a {grid.size}^{grid.n} grid",
                           "for its band tables and fields")
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,40 @@ def test_counterexample_windowed_reports_smaller_growth(capsys):
     assert doc["parameters"]["window"] == 0.9
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_windowed_counterexample_ratios_are_those_of_the_witness_family(capsys, p):
+    # the command builds and measures one rung at a time; the ratios are bitwise
+    # those of witness_family's whole list
+    code, doc, _ = run_json(capsys, "counterexample", "zoo:wave", "--N", "32", "--rungs", "3",
+                            "--window", "0.5", "--factor", "1.25", "--p", p)
+    assert code == EXIT_OK
+    op = zoo_get("wave")
+    ladder = [tuple(freq) for freq in doc["ladder"]]
+    fields = experiments.witness_family(op, ladder, spectral.Grid(2, 32), 0.5)
+    expected = [experiments.estimate_ratio(op, phi, float(p)) for phi in fields]
+    assert [record["ratio"] for record in doc["records"]] == expected
+
+
+def windowed_ladder_peak(capsys, rungs):
+    argv = ("counterexample", "zoo:d1d2", "--N", "256", "--rungs", str(rungs), "--window", "0.5",
+            "--factor", "0.5")
+    assert main(list(argv)) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert main(list(argv)) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        capsys.readouterr()
+
+
+def test_windowed_ladder_holds_one_witness_field(capsys):
+    # each rung's field is measured before the next is built, so six rungs peak
+    # within one field of one rung (d1d2 has one complex fiber)
+    field_bytes = 16 * 256 ** 2
+    assert windowed_ladder_peak(capsys, 6) <= windowed_ladder_peak(capsys, 1) + field_bytes
+
+
 def test_counterexample_unresolvable_rungs_exit_one(capsys):
     # 4 rungs reach frequency 16, which needs N >= 64
     code, _, err = run(capsys, "counterexample", "zoo:d1d2", "--N", "16")
@@ -373,6 +408,15 @@ def test_estimate_beyond_a_float_is_refused(capsys, argv):
     assert err.startswith("error: out of memory:") and err.count("\n") == 1
 
 
+def test_grid_route_beyond_a_float_is_refused(capsys):
+    # at p != 2 the band route's grid buffers join the estimate, whose count of
+    # N^n points then overflows a float
+    code, out, err = run(capsys, "verify", "zoo:curl", "--N", str(2 ** 400), "--trials", "1",
+                         "--p", "3")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error: out of memory:") and err.count("\n") == 1
+
+
 def test_exact_counterexample_at_p2_runs_on_a_grid_beyond_a_float(capsys):
     # each exact rung is one coefficient at one frequency, so at p = 2 the grid
     # size only labels the records
@@ -403,7 +447,7 @@ def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch)
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((spectral, "_band_draw"), (spectral, "_random_coefficients"),
-                         (cli, "witness_family")):
+                         (cli, "_witness_fields")):
         counted(module, name)
     for argv in (("verify", "zoo:curl", "--N", "8", "--trials", "1"),
                  ("verify", "zoo:curl", "--N", "8", "--trials", "1", "--p", "3"),

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank import pinv, rank
-from symrank.operators import Operator, multi_indices, symbol
-from symrank.pinv import pinv_svd
+from symrank.operators import Operator, _real_stack, multi_indices, parse_operator, symbol
+from symrank.pinv import numerical_rank, pinv_svd
 from symrank.rank import (ANGULAR_RESOLUTION, DegenerateWitnessError, NoRankDropError,
                           RankDropWitness, Verdict, angular_distance, daggerbound_check,
                           find_rank_drop_witness, rank_profile, slerp, sphere_samples)
@@ -153,6 +154,68 @@ def test_sweep_memory_estimate_covers_its_peak(monkeypatch, op):
     finally:
         tracemalloc.stop()
     assert peak <= sweep_estimate(monkeypatch, op, num_samples) + 2 ** 16
+
+
+BENCH_OPERATORS = Path(__file__).resolve().parent.parent / "bench" / "operators"
+
+
+def named_operator(name):
+    """A zoo operator, or the operator document of that name in bench/operators."""
+    path = BENCH_OPERATORS / f"{name}.json"
+    return parse_operator(path.read_text()) if path.exists() else zoo_get(name)
+
+
+def sweep_peak(op, num_samples):
+    rank_profile(op, num_samples=num_samples)
+    tracemalloc.start()
+    try:
+        rank_profile(op, num_samples=num_samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["curl", "d1d2", "wave", "laplacian3"])
+def test_sweep_holds_a_few_doubles_per_direction(name):
+    # the sweep keeps the directions, their norms or ranks, and a flag; symbols,
+    # singular values and pairing scores live one block at a time
+    op = named_operator(name)
+    growth = sweep_peak(op, 120000) - sweep_peak(op, 60000)
+    assert growth <= 60000 * 8 * (op.n + 3)
+
+
+def one_shot_profile(op, num_samples, seed):
+    """rank_profile with every phase over the whole sweep at once, as one block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rank, "_BLOCK", 2 ** 62)
+        return rank_profile(op, num_samples=num_samples, seed=seed)
+
+
+@pytest.mark.parametrize("name", ["curl", "d1d2", "wave", "rot2"])
+@pytest.mark.parametrize("count", [pinv._BLOCK - 1, pinv._BLOCK, 3 * pinv._BLOCK + 5],
+                         ids=["block-1", "block", "3block+5"])
+def test_sweep_in_blocks_matches_the_one_shot_sweep(name, count):
+    op = named_operator(name)
+    num_samples = count - 2 * op.n - 2 ** op.n
+    blocks, whole = rank_profile(op, num_samples, seed=5), one_shot_profile(op, num_samples, 5)
+    assert blocks.directions.tobytes() == whole.directions.tobytes()
+    assert len(blocks.directions) == count
+    # the ranks of the whole stack, ranked in one call
+    for profile in (blocks, whole):
+        ranks = numerical_rank(_real_stack(op, profile.directions))
+        assert profile.ranks.dtype == ranks.dtype and profile.ranks.tobytes() == ranks.tobytes()
+    assert [d.tobytes() for d in blocks.drop_directions] == \
+        [d.tobytes() for d in whole.drop_directions]
+    assert [[h.tobytes() for h in hs] for hs in blocks.drop_neighbors] == \
+        [[h.tobytes() for h in hs] for hs in whole.drop_neighbors]
+    # the full-rank direction a low-rank sample is bisected toward: the nearest of
+    # a gathered copy of the full-rank directions, the first of ties
+    full = np.compress(blocks.ranks == blocks.max_rank, blocks.directions, axis=0)
+    for i in np.flatnonzero(blocks.ranks < blocks.max_rank):
+        nearest = full[int(np.argmax(np.minimum(full @ blocks.directions[i], 1.0)))]
+        paired = rank._nearest_full_rank(blocks.directions, blocks.ranks, blocks.max_rank,
+                                         blocks.directions[i])
+        assert paired.tobytes() == nearest.tobytes()
 
 
 # ------------------------------------------------------------------ profiles

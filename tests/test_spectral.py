@@ -127,15 +127,17 @@ def test_single_mode_coefficient_placement():
 # ------------------------------------------------------------------ norms
 
 def test_lp_norm_constant_field():
-    grid = Grid(2, 4)
-    phi = GridField(grid, np.full((1, 4, 4), 3.0, dtype=complex))
-    for p in (1.0, 2.0, 3.5):
-        assert math.isclose(lp_norm(phi, p), 3.0 * TWO_PI ** (2 / p), rel_tol=1e-12)
-    assert math.isclose(lp_norm(phi, math.inf), 3.0, rel_tol=1e-12)
-    # |f|^p overflows or underflows at these scales and exponents unless it is normalised first
-    for p, scale in itertools.product((400.0, 1e4), (1e-10, 1.0, 1e10)):
-        assert math.isclose(lp_norm(GridField(grid, scale * phi.data), p),
-                            scale * 3.0 * TWO_PI ** (2 / p), rel_tol=1e-12)
+    # a 1-D grid's points form one row, which the norm over the points must still scale
+    for n in (1, 2):
+        grid = Grid(n, 4)
+        phi = GridField(grid, np.full((1,) + grid.shape, 3.0, dtype=complex))
+        for p in (1.0, 2.0, 3.5):
+            assert math.isclose(lp_norm(phi, p), 3.0 * TWO_PI ** (n / p), rel_tol=1e-12)
+        assert math.isclose(lp_norm(phi, math.inf), 3.0, rel_tol=1e-12)
+        # |f|^p overflows or underflows at these scales and exponents unless it is normalised first
+        for p, scale in itertools.product((400.0, 1e4), (1e-10, 1.0, 1e10)):
+            assert math.isclose(lp_norm(GridField(grid, scale * phi.data), p),
+                                scale * 3.0 * TWO_PI ** (n / p), rel_tol=1e-12)
     for p in (0.5, math.nan):
         with pytest.raises(ValueError, match="at least 1"):
             lp_norm(phi, p)

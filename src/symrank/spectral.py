@@ -34,14 +34,17 @@ N is, drawn by one generator call (_band_draw); random_band_limited
 scatters them onto the whole mesh.  The band spectrum (_band_spectrum)
 holds M and P_A at the primaries only, cached per (operator, B, tol)
 (_band_tables), and weights that count each primary twice, for its
-mirror.  Its grid values scatter the primaries, and in plane 0 their
-conjugate mirrors, into the first-axis planes 0..N/2 of the half
-spectrum and take them back to float64 grid values by numpy's irfftn
-steps, one fiber at a time (_inverse), and _grid_norm measures them in
-place.  The target, the output and the work arrays of these steps are
-allocated once per spectrum (_band_grid), so after its first trial a
-sweep allocates no array the size of the grid.  An exact witness rung is
-one coefficient at one frequency, and its spectrum (_rung_spectrum) holds
+mirror, so at p = 2 it holds nothing of the grid.  At any other p its grid
+values come from numpy's irfftn steps, one fiber at a time (_inverse):
+the fiber's primaries, and in plane 0 their conjugate mirrors, are
+scattered into first-axis planes 0..B of the half spectrum, the only
+nonzero ones, the complex passes run on those planes alone, and the real
+pass reads them beside planes B+1..N/2 that stay zero, so every value
+keeps irfftn's bits; _grid_norm measures them in place.  The one-fiber
+target, the output and the work arrays of these steps are allocated once
+per spectrum (_band_grid), so after its first trial a sweep allocates no
+array the size of the grid.  An exact witness rung is one coefficient at
+one frequency, and its spectrum (_rung_spectrum) holds
 M and P_A there alone: a p = 2 ratio on it needs nothing of size N^n, and
 any other p scatters the coefficient into the whole mesh for ifftn.
 
@@ -53,7 +56,7 @@ the primaries.
 """
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -177,31 +180,52 @@ def inverse_transform(freq: FrequencyField) -> GridField:
     return GridField(freq.grid, _inverse(freq.coeffs, freq.grid))
 
 
-def _inverse(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None,
-             work: np.ndarray | None = None) -> np.ndarray:
-    """Grid values of a (fiber, ...) coefficient array on the whole mesh or on half of it.
+def _inverse(coeffs: np.ndarray | Iterable[np.ndarray], grid: Grid, out: np.ndarray | None = None,
+             work: list[np.ndarray] | None = None) -> np.ndarray:
+    """Grid values of a (fiber, ...) coefficient array on the whole mesh or of a real field.
 
-    On the whole mesh this is inverse_transform's complex data, by ifftn.
-    First-axis planes 0..N/2 (coeffs.shape[1] = N/2 + 1) are those of a
-    real field (the band's scatter target, _band_grid), whose float64 grid
-    values come from numpy's irfftn steps taken one fiber at a time: ifft
-    on each full axis, then irfft on the halved first axis, so every value
-    has irfftn's bits.  The steps write into out, a real (fiber, N, ..., N)
-    array, through work, two one-fiber complex arrays of the half
-    spectrum; either is allocated here when not given.
+    On the whole mesh (an array with coeffs.shape[1] = N) this is
+    inverse_transform's complex data, by ifftn.  Otherwise coeffs yields
+    the fibers of a real field, each its first-axis planes 0..B (B <= N/2)
+    of the half spectrum, or a generator that fills one such fiber just
+    before it is read (the band's scatter target, _band_grid).  Their
+    float64 grid values come from numpy's irfftn steps taken one fiber at a
+    time: ifft along axes 1..n-1 on planes 0..B only, the last pass into
+    planes 0..B of the half spectrum, whose planes B+1..N/2 stay zero, then
+    irfft along the first axis.  Every line transform is independent and
+    every skipped line is zero, so each value has irfftn's bits.  The steps
+    write into out, a real (fiber, N, ..., N) array, through work, the
+    complex arrays the passes write (_inverse_work).  Either is allocated
+    here when not given (out only for an array).
     """
-    if coeffs.shape[1] == grid.size:
+    if isinstance(coeffs, np.ndarray) and coeffs.shape[1] == grid.size:
         data = np.fft.ifftn(coeffs, axes=_spatial_axes(grid), norm="ortho")
     else:
         data = np.empty((len(coeffs),) + grid.shape) if out is None else out
-        if work is None:
-            work = np.empty((2,) + coeffs.shape[1:], dtype=complex)
         for values, fiber in zip(coeffs, data):
+            planes = len(values)
+            if work is None:
+                work = _inverse_work(grid, values.shape)
             for axis in range(1, grid.n):
-                values = np.fft.ifft(values, axis=axis, norm="ortho", out=work[axis % 2])
-            np.fft.irfft(values, grid.size, axis=0, norm="ortho", out=fiber)
+                values = np.fft.ifft(values, axis=axis, norm="ortho",
+                                     out=work[(grid.n - 1 - axis) % 2][:planes])
+            # in 1-D there is no pass: irfft pads the planes beyond B with zeros
+            # itself, to the same bits (slower over many lines, but here there is one)
+            np.fft.irfft(work[0] if work else values, grid.size, axis=0, norm="ortho", out=fiber)
     data /= (TWO_PI / grid.size) ** (grid.n / 2.0)
     return data
+
+
+def _inverse_work(grid: Grid, shape: tuple[int, ...]) -> list[np.ndarray]:
+    """The arrays _inverse's passes write for fibers of shape (B + 1, N, ..., N), last pass first.
+
+    For n >= 2 the half spectrum, zeroed here and written only in planes
+    0..B, and for n >= 3 one array of the fibers' shape.
+    """
+    work = [np.zeros((grid.size // 2 + 1,) + shape[1:], dtype=complex)] if grid.n > 1 else []
+    if grid.n > 2:
+        work.append(np.empty(shape, dtype=complex))
+    return work
 
 
 def lp_norm(field: GridField, p: float) -> float:
@@ -531,7 +555,8 @@ class _Spectrum:
     at xis.  With norm_weights and derivative_weights, pinv._norm of a
     coefficient array is the whole-mesh L2 norm of its field and of its
     order-k derivative array.  grid_norm(coeffs, p) gives _grid_norm of the
-    field's grid values, and draw(fiber_dim, seed) the coefficients of
+    field's grid values (None on a band built for p = 2, whose norms read
+    no grid value), and draw(fiber_dim, seed) the coefficients of
     random_band_limited on this spectrum (band N/4 on the whole mesh; a rung
     has no draw).
     """
@@ -542,7 +567,7 @@ class _Spectrum:
     projector: np.ndarray
     norm_weights: float | None
     derivative_weights: np.ndarray
-    grid_norm: Callable[[np.ndarray, float], float]
+    grid_norm: Callable[[np.ndarray, float], float] | None
     draw: Callable[[int, object], np.ndarray] | None
 
 
@@ -589,12 +614,13 @@ def _refuse_oversized_band(op: Operator, grid: Grid, max_freq: int, p: float) ->
     sigma, vh, masked vh and output) and a trial (six band arrays of
     max(dimV, dimW) fibers: the draw, phi, phi - P_A phi, a _matvec output
     and _norm's magnitudes; and D^k phi).  At p != 2 the grid route
-    (_band_grid) adds its buffers: per fiber of the largest grid field
-    (_band_fibers), the scatter target, the size of the half spectrum, and
-    the real output, N^n reals, where _grid_norm also forms the magnitudes
-    and fiber norms; plus the two one-fiber complex work arrays of the
-    inverse FFT and the N^n reals of the per-point maxima (the fiber-norm
-    buffer).
+    (_band_grid) adds its buffers: the one-fiber scatter target, first-axis
+    planes 0..B, the work arrays the inverse FFT passes write (for n >= 2
+    one fiber's half spectrum, planes 0..N/2, and for n >= 3 one more array
+    of the target's size); per fiber of the largest grid field
+    (_band_fibers), the real output, N^n reals, where _grid_norm also forms
+    the magnitudes and fiber norms; and the N^n reals of the per-point
+    maxima (the fiber-norm buffer).  At p = 2 nothing of the grid is held.
     """
     count = ((2 * max_freq + 1) ** op.n - 1) // 2
     rank = min(op.dim_w, op.dim_v)
@@ -607,9 +633,11 @@ def _refuse_oversized_band(op: Operator, grid: Grid, max_freq: int, p: float) ->
         # evaluated by _refuse_beyond_memory, which refuses a count too large for a float
         grid_entries = 0
         if p != 2.0:
-            half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1)
+            planes = (max_freq + 1) * grid.size ** (grid.n - 1)
+            half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1) if grid.n > 1 else 0
             points = grid.size ** grid.n
-            grid_entries = _band_fibers(op) * (half + points / 2) + 2 * half + points / 2
+            grid_entries = ((1 + (grid.n > 2)) * planes + half
+                            + (_band_fibers(op) + 1) * points / 2)
         return 16 * (count * (tables / 2 + max(build, trial)) + grid_entries)
 
     _refuse_beyond_memory(needed, f"{op.name} on a {grid.size}^{grid.n} grid",
@@ -619,34 +647,42 @@ def _refuse_oversized_band(op: Operator, grid: Grid, max_freq: int, p: float) ->
 def _band_grid(grid: Grid, primaries: np.ndarray, fibers: int):
     """grid_values and grid_norm of the band, on buffers allocated at the first call.
 
-    grid_values scatters a field's coefficients into the half spectrum and
-    takes them back by _inverse, one fiber at a time.  The scatter target
-    holds the first-axis planes 0..N/2 of up to fibers fields; it is zeroed
-    once, and every call overwrites the same entries: the primaries and, in
-    plane 0, their mirrors, which take the conjugates so that the plane is
-    Hermitian as irfft reads it.  _inverse writes the grid values into a
-    real (fibers, N, ..., N) output through two one-fiber complex work
-    arrays and they are its first len(coeffs) fibers; grid_norm measures
-    them in place (_grid_norm) with an N^n buffer for the per-point maxima.
-    After the first call, neither allocates an array the size of the grid.
+    A band field's first components lie in 0..B (_primaries), so its half
+    spectrum is zero beyond first-axis plane B.  grid_values hands _inverse
+    a generator that scatters one fiber of a field's coefficients into the
+    scatter target, planes 0..B of one fiber, just before _inverse reads
+    it.  The target is zeroed once, and every fiber overwrites the same
+    entries: the primaries and, in plane 0, their mirrors, which take the
+    conjugates so that the plane is Hermitian as irfft reads it.  _inverse
+    writes the grid values into the first len(coeffs) fibers of a real
+    (fibers, N, ..., N) output through its work arrays (_inverse_work): for
+    n >= 2 one fiber's half spectrum, zeroed once and written only in
+    planes 0..B, and for n >= 3 one more array of the target's size.
+    grid_norm measures the values in place (_grid_norm) with an N^n buffer
+    for the per-point maxima.  After the first call, neither allocates an
+    array the size of the grid.
     """
-    shape = (grid.size // 2 + 1,) + grid.shape[1:]
+    shape = (int(primaries[0].max()) + 1,) + grid.shape[1:]
     at = np.ravel_multi_index(tuple(primaries % grid.size), shape)
     on_plane0 = np.flatnonzero(primaries[0] == 0)
     mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0] % grid.size), shape)
     buffers = {}
 
+    def scattered(coeffs: np.ndarray):
+        target = buffers["target"]
+        flat = target.reshape(-1)
+        for values in coeffs:
+            flat[at] = values
+            flat[mirrors] = values[on_plane0].conj()
+            yield target
+
     def grid_values(coeffs: np.ndarray) -> np.ndarray:
         if not buffers:
-            buffers.update(target=np.zeros((fibers,) + shape, dtype=complex),
+            buffers.update(target=np.zeros(shape, dtype=complex),
                            out=np.empty((fibers,) + grid.shape),
-                           work=np.empty((2,) + shape, dtype=complex),
+                           work=_inverse_work(grid, shape),
                            maxima=np.empty(grid.shape))
-        part = buffers["target"][:len(coeffs)]
-        flat = part.reshape(len(coeffs), -1)
-        flat[:, at] = coeffs
-        flat[:, mirrors] = coeffs[:, on_plane0].conj()
-        return _inverse(part, grid, buffers["out"][:len(coeffs)], buffers["work"])
+        return _inverse(scattered(coeffs), grid, buffers["out"][:len(coeffs)], buffers["work"])
 
     def grid_norm(coeffs: np.ndarray, p: float) -> float:
         return _grid_norm(grid_values(coeffs), grid, p, buffers["maxima"])
@@ -660,17 +696,17 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     route does not fit (_refuse_oversized_band), both before any table is
     built or field drawn.  A field here is its (fiber, P) values at the
     primaries (_band_draw), the field of random_band_limited with the same
-    seed.
+    seed.  Only p != 2 builds the grid route (_band_grid): a p = 2 norm reads
+    no grid value, so there N only names the grid.
     """
     _check_band(grid, max_freq)
     _refuse_oversized_band(op, grid, max_freq, p)
     primaries = _primaries(op.n, max_freq)
     symbols, projector, weights = _band_tables(op, max_freq, float(tol))
     count = primaries.shape[1]
-    return _Spectrum(
-        grid, primaries, symbols, projector, 2.0, weights,
-        _band_grid(grid, primaries, _band_fibers(op))[1],
-        lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
+    grid_norm = _band_grid(grid, primaries, _band_fibers(op))[1] if p != 2.0 else None
+    return _Spectrum(grid, primaries, symbols, projector, 2.0, weights, grid_norm,
+                     lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 
 
 def _rung_spectrum(op: Operator, grid: Grid, freq, tol: float) -> _Spectrum:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symrank import cli, experiments, pinv, spectral
@@ -433,6 +433,23 @@ def test_exact_counterexample_at_p2_runs_on_a_grid_beyond_a_float(capsys):
     assert huge == small
 
 
+@pytest.mark.parametrize("size", [2 ** 600, 2 ** 40])
+def test_verify_at_p2_runs_on_a_grid_beyond_memory(capsys, size):
+    # a p = 2 ratio reads only the band's primaries, so a band of one on a grid
+    # that could not be held, or whose index count overflows a C long, still runs:
+    # curl recovers |xi| |phi - P_A phi| exactly, so every ratio is 1
+    code, doc, err = run_json(capsys, "verify", "zoo:curl", "--N", str(size), "--trials", "2",
+                              "--max-freq", "1")
+    assert code == EXIT_OK and err == ""
+    assert doc["grid_sizes"] == [size] and len(doc["records"]) == 2
+    assert all(abs(record["ratio"] - 1) <= 1e-9 for record in doc["records"])
+    # at p = 3 the same band needs the grid's values, and the grid is refused
+    code, out, err = run(capsys, "verify", "zoo:curl", "--N", str(size), "--trials", "1",
+                         "--max-freq", "1", "--p", "3")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error: out of memory:") and err.count("\n") == 1
+
+
 def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch):
     # an oversized grid is refused before the first random draw or witness family
     monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 4)
@@ -601,10 +618,12 @@ def test_zoo_lists_all_operators(capsys):
 # Every command with generated option values, valid and invalid, and stray
 # tokens: main returns a documented exit code or argparse exits with 2, never
 # anything else.  Sizes stay small (N <= 16, trials <= 3, rungs <= 4, samples
-# <= 256) or are refused up front by the memory checks (N = 2^600, samples >=
-# 2^62, up to 2^1100, whose byte counts overflow a float), so no example
-# starts a long run; size options are always given, since the defaults are
-# larger.
+# <= 256) or are refused up front by the memory checks (samples >= 2^62, up to
+# 2^1100, whose byte counts overflow a float), so no example starts a long run;
+# size options are always given, since the defaults are larger.  N = 2^600 is
+# refused wherever the grid must be held: at p != 2, and by minimality and by
+# verify at its default band N/4.  A p = 2 verify with --max-freq, and an exact
+# p = 2 counterexample, read no grid value, so there N only names the grid.
 
 TESTS = Path(__file__).parent
 SOURCES = ["zoo:curl", "zoo:d1d2", "zoo:gradient", "zoo:wave", "zoo:laplacian", "zoo:nope",
@@ -654,6 +673,8 @@ def command_lines(draw):
 
 
 @given(command_lines())
+# a draw that once ended in a traceback: the p = 2 band route built grid indices
+@example(["verify", "zoo:curl", "--N", str(2 ** 600), "--trials", "1", "--max-freq", "1"])
 @settings(max_examples=150, deadline=None)
 def test_generated_command_lines_exit_with_documented_codes(argv):
     out, err = io.StringIO(), io.StringIO()

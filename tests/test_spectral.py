@@ -312,11 +312,14 @@ def test_band_grid_values_are_those_of_the_whole_mesh(n):
         np.testing.assert_allclose(data, full.real, rtol=0, atol=1e-15 * np.abs(full).max())
 
 
-@pytest.mark.parametrize("n, size, max_freq", [(1, 16384, 8), (2, 128, 4), (3, 32, 4)])
+@pytest.mark.parametrize("n, size, max_freq", [(1, 16384, 8), (2, 128, 4), (3, 32, 4),
+                                                (2, 256, 64), (3, 32, 8)])
 def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
-    # the fiber-by-fiber steps have numpy irfftn's bits, and grid_norm those of
-    # pinv._norm on its values; after the first call, no call allocates a fiber
-    # (one fiber is larger than numpy's 8192-entry iteration buffer on these grids)
+    # the fiber-by-fiber steps on planes 0..B have numpy irfftn's bits on the
+    # whole half spectrum, below and at the full band B = N/4, and grid_norm
+    # those of pinv._norm on its values; after the first call, no call allocates
+    # a fiber (one fiber is larger than numpy's 8192-entry iteration buffer on
+    # these grids)
     grid = Grid(n, size)
     primaries = spectral._primaries(n, max_freq)
     grid_values, grid_norm = spectral._band_grid(grid, primaries, 9)

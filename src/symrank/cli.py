@@ -28,14 +28,14 @@ import math
 import sys
 from pathlib import Path
 
-from .experiments import (CONTEXT_WITNESS_FAMILY, TrialRecord, _minimality, _rung_ratio,
-                          _witness_fields, assemble_report, build_frequency_ladder,
-                          estimate_ratio, ratio_sweep)
+from .experiments import (CONTEXT_WITNESS_FAMILY, TrialRecord, _minimality, _ratio,
+                          _rung_ratio, _witness_fields, assemble_report, build_frequency_ladder,
+                          ratio_sweep)
 from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
 from .rank import (DegenerateWitnessError, Verdict, daggerbound_check,
                    find_rank_drop_witness, rank_profile)
-from .spectral import Grid, _band_spectrum, _kernel_projector_table
+from .spectral import Grid, _band_spectrum, _mesh_spectrum
 from .zoo import UnknownOperatorError, zoo_get, zoo_list
 
 EXIT_OK = 0
@@ -144,11 +144,14 @@ def cmd_counterexample(args) -> int:
     nothing of size N^n is built, and any other p scatters the coefficient
     into the whole mesh for one inverse FFT per grid field, refused up front
     when that does not fit in memory.  A windowed rung spreads over the whole
-    mesh, so its witness field and the N^n tables are built, and an
-    oversized grid is refused before the first witness.  Each windowed
-    field is measured before the next one is built (_witness_fields), so
-    the ladder holds one N^n witness field at a time, and its ratios are
-    bitwise those of estimate_ratio on witness_family's list.
+    mesh, so its witness field and the N^n tables are built: the whole-mesh
+    spectrum (_mesh_spectrum) is built once, before the first witness, and
+    refuses an oversized grid by an estimate that counts the tables, a
+    ratio's trial, the envelope and one witness field.  Each windowed field
+    is measured on it by _ratio before the next one is built
+    (_witness_fields), so the ladder holds one N^n witness field at a time,
+    and its ratios are bitwise those of estimate_ratio on witness_family's
+    list.
     """
     if not (math.isfinite(args.factor) and args.factor > 0):
         raise ValueError("--factor must be a finite number greater than 0")
@@ -164,9 +167,10 @@ def cmd_counterexample(args) -> int:
     if args.window is None:
         ratios = [_rung_ratio(op, grid, freq, args.p, args.tol) for freq in ladder]
     else:
-        # the table lookup refuses an oversized grid before any witness is built
-        _kernel_projector_table(op, grid, float(args.tol))
-        ratios = [estimate_ratio(op, phi, args.p, args.tol)
+        # the spectrum refuses an oversized grid before any witness is built, counting
+        # the envelope and a witness field beside a ratio's trial
+        spectrum = _mesh_spectrum(op, grid, args.tol, args.p, held=1 + op.dim_v)
+        ratios = [_ratio(op, spectrum, phi.coeffs, args.p, args.tol)
                   for phi in _witness_fields(op, ladder, grid, args.window, args.tol)]
     records = []
     for index, (freq, ratio) in enumerate(zip(ladder, ratios)):

@@ -62,13 +62,14 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
     p >= 1, or when an intermediate field is not finite, and
     KernelInputError when ||phi - P_A phi||_2 <= tol * ||phi||_2 (P_A uses
     pinv's relative cutoff, so A -> cA scales the ratio by 1/c and rejects
-    the same fields).  Invariant under rescaling of phi; for p = 2 this is
-    the sharp constant of the derivative recovery estimate on the given
-    field.
+    the same fields), and MemoryError before any table is built when the
+    whole-mesh route does not fit (_mesh_spectrum).  Invariant under
+    rescaling of phi; for p = 2 this is the sharp constant of the
+    derivative recovery estimate on the given field.
     """
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
-    return _ratio(op, _mesh_spectrum(op, freq.grid, tol), freq.coeffs, p, tol)
+    return _ratio(op, _mesh_spectrum(op, freq.grid, tol, p), freq.coeffs, p, tol)
 
 
 def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol: float) -> float:
@@ -258,8 +259,8 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
     """
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
-    return _minimality(op, _mesh_spectrum(op, freq.grid, tol), freq.coeffs, kernel_trials, seed,
-                       slack)
+    return _minimality(op, _mesh_spectrum(op, freq.grid, tol, 2.0), freq.coeffs, kernel_trials,
+                       seed, slack)
 
 
 def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_trials: int,

@@ -48,11 +48,14 @@ one frequency, and its spectrum (_rung_spectrum) holds
 M and P_A there alone: a p = 2 ratio on it needs nothing of size N^n, and
 any other p scatters the coefficient into the whole mesh for ifftn.
 
-The two SVD tables of the whole mesh, the kernel projector and the
-pseudoinverse, run their pinv routine on the whole symbol table, one block
-of frequencies at a time (_mesh_table), so each entry has the bits of the
-build at its frequency alone, and the band tables are the mesh tables at
-the primaries.
+Every SVD table, the whole mesh's kernel projector and pseudoinverse and
+the projector of a band or a rung, comes from one builder (_svd_table),
+which runs its pinv routine on one block of frequencies at a time, so each
+entry has the bits of the build at its frequency alone and the band and
+rung tables are the mesh tables at their frequencies.  One estimate
+(_refuse_oversized) sizes every route before anything is allocated: its
+tables with their build (_build_entries), a trial's fields and, at p != 2,
+its grid buffers; an estimate too large for a float is refused too.
 """
 
 import math
@@ -261,9 +264,14 @@ def _grid_norm(data: np.ndarray, grid: Grid, p: float, maxima: np.ndarray | None
     return float(_norm(fiber_norms, p, overwrite=True) * grid.cell_volume ** (1.0 / p))
 
 
+def _xi_weights(xis: np.ndarray, k: int) -> np.ndarray:
+    """|xi|^2k at the integer frequencies xis (n, ...), exact, so every spectrum's weights agree."""
+    return np.einsum("i...,i...->...", xis, xis, dtype=float) ** k
+
+
 @lru_cache(maxsize=64)
 def _spectrum_weights(grid: Grid, k: int) -> np.ndarray | None:
-    """|xi|^2k over the whole frequency mesh, read-only; None for k = 0.
+    """|xi|^2k over the whole frequency mesh (_xi_weights), read-only; None for k = 0.
 
     With them, pinv._norm of a (fiber, N, ..., N) coefficient array is
     sqrt(sum_xi |xi|^2k |c(xi)|^2).  For k >= 1 that is the L2 norm of
@@ -273,26 +281,46 @@ def _spectrum_weights(grid: Grid, k: int) -> np.ndarray | None:
     """
     if not k:
         return None
-    mesh = integer_frequencies(grid).reshape(grid.n, -1)
-    weights = (np.einsum("ij,ij->j", mesh, mesh) ** k).reshape(grid.shape)
+    weights = _xi_weights(integer_frequencies(grid), k)
     weights.setflags(write=False)
     return weights
 
 
-def _refuse_oversized(op: Operator, grid: Grid, matrix_entries: float) -> None:
-    """Raise MemoryError when a table build on this grid cannot fit in memory.
+def _derivative_fibers(op: Operator) -> int:
+    """Fibers of D^k phi (apply_Dk): dimV C(n + k - 1, k), one per component and multi-index."""
+    return op.dim_v * math.comb(op.n + op.k - 1, op.k)
 
-    The estimate counts matrix_entries complex numbers per frequency (a
-    real number counts as half of one) for what the table build holds at
-    its peak, plus the largest field the calculus makes: all order-k
-    derivatives, dimV * T fiber components.  It runs before anything is
-    allocated, so an oversized grid is refused instead of being killed
-    part way.
+
+def _refuse_oversized(op: Operator, grid: Grid, count: int, per_frequency: float,
+                      grid_entries: int = 0) -> None:
+    """Raise MemoryError, before anything is allocated, when a route on this grid cannot fit.
+
+    spectral's one estimate, in float64 entries (a complex number is two):
+    per_frequency at each of count frequencies (the mesh, a band's primaries
+    or a rung's grid points), plus grid_entries.  count and grid_entries are
+    exact integers, multiplied inside the estimate _refuse_beyond_memory
+    evaluates, so one too large for a float is refused too.
     """
-    derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
-    _refuse_beyond_memory(lambda: 16 * grid.size ** grid.n * (matrix_entries + derivative_fibers),
-                          f"{op.name} on a {grid.size}^{grid.n} grid",
-                          "for its tables and largest field")
+    _refuse_beyond_memory(lambda: 8 * (count * per_frequency + grid_entries),
+                          f"{op.name} on a {grid.size}^{grid.n} grid", "for its tables and fields")
+
+
+def _build_entries(op: Operator, count: int, pseudoinverse: bool = False) -> float:
+    """Real entries per matrix that _svd_table holds beside its table on count symbols.
+
+    One block's _svd (pinv._svd_entries) or, after it, the routine's arrays,
+    whichever is larger, spread over the stack: kernel_projector's sigma,
+    vh, masked vh and output, or pinv_svd's u, sigma, vh, inverted sigma,
+    scaled u^T and output.
+    """
+    rank = min(op.dim_w, op.dim_v)
+    block = min(count, _BLOCK)
+    svd = _svd_entries(op.dim_w, op.dim_v, block, want_u=pseudoinverse, want_vh=True)
+    if pseudoinverse:
+        routine = (op.dim_w + op.dim_v + 2) * rank + op.dim_w * rank + op.dim_v * op.dim_w
+    else:
+        routine = rank + 2 * rank * op.dim_v + op.dim_v ** 2
+    return max(svd, routine) * (block / count)
 
 
 @lru_cache(maxsize=32)
@@ -303,9 +331,11 @@ def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     entry is symbol(op, xi) exactly.  Frequency axes in fft layout come
     first and the matrix axes last: the (..., m, n) stack layout of the
     pinv routines.  Raises MemoryError before building when the grid is too
-    large (see _refuse_oversized).
+    large (_refuse_oversized), counting the table and the largest field
+    the calculus makes, all order-k derivatives.
     """
-    _refuse_oversized(op, grid, op.dim_w * op.dim_v / 2)
+    count = grid.size ** grid.n
+    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + 2 * _derivative_fibers(op))
     xis = integer_frequencies(grid).reshape(grid.n, -1).T
     stack = _real_stack(op, xis).reshape(grid.shape + (op.dim_w, op.dim_v))
     stack.setflags(write=False)
@@ -360,31 +390,39 @@ def apply_A(op: Operator, field: GridField) -> GridField:
     return inverse_transform(FrequencyField(field.grid, out))
 
 
-def _mesh_table(op: Operator, grid: Grid, build, cols: int, want_u: bool,
-                build_peak: int) -> np.ndarray:
-    """build(M) over the whole frequency mesh, shape (size, ..., size, dimV, cols); read-only.
+def _svd_table(symbols: np.ndarray, tol: float, pseudoinverse: bool = False) -> np.ndarray:
+    """kernel_projector, or pinv_svd when pseudoinverse, of a flat (F, dimW, dimV) real stack.
 
-    M is the real symbol table (_symbol_tensor) and build a stack routine of
-    pinv (kernel_projector, pinv_svd), run on pinv._BLOCK frequencies at a
-    time and written into one preallocated table.  _svd decomposes a matrix
-    to the same bits anywhere in a stack, so every entry is build of that
-    frequency's M alone, bitwise.  Raises MemoryError before building when
-    the grid is too large (_refuse_oversized), counting the symbol table,
-    the output table and one block's build: _svd's peak (pinv._svd_entries,
-    with u when want_u) or, after it, the routine's build_peak real entries
-    per matrix, whichever is larger.
+    spectral's one SVD table builder: the pinv routine runs on pinv._BLOCK
+    matrices at a time and writes into one preallocated, read-only (F, dimV,
+    dimV or dimW) table, so beside it the build holds one block's arrays
+    (_build_entries).  _svd decomposes a matrix to the same bits anywhere in
+    a stack, so every entry is the build of that frequency's M alone,
+    bitwise, and the band and rung tables are the mesh tables at their
+    frequencies.
     """
-    count = grid.size ** grid.n
-    svd = _svd_entries(op.dim_w, op.dim_v, min(count, _BLOCK), want_u=want_u, want_vh=True)
-    build_entries = max(svd, build_peak) * min(1.0, _BLOCK / count)
-    _refuse_oversized(op, grid, (op.dim_w * op.dim_v + op.dim_v * cols + build_entries) / 2)
-    symbols = _symbol_tensor(op, grid).reshape(count, op.dim_w, op.dim_v)
-    table = np.empty((count, op.dim_v, cols))
+    count, rows, cols = symbols.shape
+    table = np.empty((count, cols, rows if pseudoinverse else cols))
     for start in range(0, count, _BLOCK):
-        table[start:start + _BLOCK] = build(symbols[start:start + _BLOCK])
-    table = table.reshape(grid.shape + (op.dim_v, cols))
+        block = symbols[start:start + _BLOCK]
+        table[start:start + _BLOCK] = (pinv_svd(block, tol) if pseudoinverse
+                                       else kernel_projector(block, tol))
     table.setflags(write=False)
     return table
+
+
+def _mesh_table(op: Operator, grid: Grid, tol: float, pseudoinverse: bool) -> np.ndarray:
+    """_svd_table of the symbol table (_symbol_tensor) in its layout, (size, ..., size, dimV, cols).
+
+    Refused when too large (_refuse_oversized), counting per frequency both
+    tables, the build and the largest field, all order-k derivatives.
+    """
+    count = grid.size ** grid.n
+    cols = op.dim_w if pseudoinverse else op.dim_v
+    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + op.dim_v * cols
+                      + _build_entries(op, count, pseudoinverse) + 2 * _derivative_fibers(op))
+    symbols = _symbol_tensor(op, grid).reshape(count, op.dim_w, op.dim_v)
+    return _svd_table(symbols, tol, pseudoinverse).reshape(grid.shape + (op.dim_v, cols))
 
 
 @lru_cache(maxsize=32)
@@ -397,11 +435,7 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     identity: everything there is kernel, so the projection keeps constants
     intact.
     """
-    # after _svd, kernel_projector holds sigma, vh, the masked copy of vh and
-    # the dimV x dimV output
-    rank = min(op.dim_w, op.dim_v)
-    return _mesh_table(op, grid, lambda mats: kernel_projector(mats, tol), op.dim_v, False,
-                       rank + 2 * rank * op.dim_v + op.dim_v ** 2)
+    return _mesh_table(op, grid, tol, pseudoinverse=False)
 
 
 @lru_cache(maxsize=32)
@@ -411,11 +445,7 @@ def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     A+ = i^-k M+.  pinv_svd of the real symbol table, built block by block
     (_mesh_table) and cached like _kernel_projector_table.
     """
-    # pinv_svd holds u, sigma and vh, the inverted sigma, the scaled u^T and
-    # the dimV x dimW output
-    rank = min(op.dim_w, op.dim_v)
-    return _mesh_table(op, grid, lambda mats: pinv_svd(mats, tol), op.dim_w, True,
-                       (op.dim_w + op.dim_v + 2) * rank + op.dim_w * rank + op.dim_v * op.dim_w)
+    return _mesh_table(op, grid, tol, pseudoinverse=True)
 
 
 def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -571,8 +601,34 @@ class _Spectrum:
     draw: Callable[[int, object], np.ndarray] | None
 
 
-def _mesh_spectrum(op: Operator, grid: Grid, tol: float) -> _Spectrum:
-    """The whole frequency mesh: N^n tables (_symbol_tensor, _kernel_projector_table)."""
+def _band_fibers(op: Operator) -> int:
+    """Fibers of the largest field a ratio takes to the grid: D^k phi or A phi."""
+    return max(_derivative_fibers(op), op.dim_w)
+
+
+def _trial_entries(op: Operator) -> int:
+    """Real entries per frequency of a ratio or minimality trial on a spectrum's coefficients.
+
+    Complex: six arrays of max(dimV, dimW) fibers (phi, phi - P_A phi, a
+    _matvec output, _norm's magnitudes, temporaries) and D^k phi or A phi.
+    """
+    return 2 * (6 * max(op.dim_v, op.dim_w) + _band_fibers(op))
+
+
+def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0) -> _Spectrum:
+    """The whole frequency mesh at exponent p: N^n tables (_symbol_tensor, _kernel_projector_table).
+
+    Raises MemoryError before a table is looked up when the route does not
+    fit (_refuse_oversized), counting per frequency the tables (M, P_A, the
+    mesh, the weights) and the larger of the projector build and a trial,
+    with held complex fibers the caller keeps beside it (a windowed ladder's
+    envelope and witness field) and, at p != 2, ifftn's output and per-axis
+    intermediate per fiber of the largest grid field (_band_fibers).
+    """
+    count = grid.size ** grid.n
+    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 1
+    trial = _trial_entries(op) + 2 * held + (4 * _band_fibers(op) if p != 2.0 else 0)
+    _refuse_oversized(op, grid, count, tables + max(_build_entries(op, count), trial))
     projector = _kernel_projector_table(op, grid, float(tol))
     return _Spectrum(
         grid, integer_frequencies(grid), _symbol_tensor(op, grid), projector, None,
@@ -585,63 +641,17 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float) -> _Spectrum:
 def _band_tables(op: Operator, max_freq: int, tol: float) -> tuple[np.ndarray, ...]:
     """M, P_A and 2 |xi|^2k at the primaries of the band max_freq; read-only.
 
-    M is operators._real_stack and P_A pinv.kernel_projector of it, bitwise
-    the entries of _symbol_tensor and _kernel_projector_table at the
-    primaries, so they do not depend on N.  A primary stands for itself and
-    its mirror, so the weights count it twice.
+    M is operators._real_stack and P_A its _svd_table, bitwise the entries
+    of _symbol_tensor and _kernel_projector_table at the primaries, so they
+    do not depend on N.  A primary stands for itself and its mirror, so the
+    weights count it twice.
     """
     primaries = _primaries(op.n, max_freq)
     symbols = _real_stack(op, primaries.T)
-    projector = kernel_projector(symbols, tol)
-    weights = 2.0 * np.einsum("ij,ij->j", primaries, primaries).astype(float) ** op.k
-    for table in (symbols, projector, weights):
+    weights = 2.0 * _xi_weights(primaries, op.k)
+    for table in (symbols, weights):
         table.setflags(write=False)
-    return symbols, projector, weights
-
-
-def _band_fibers(op: Operator) -> int:
-    """Fibers of the largest field the band route takes to the grid: D^k phi or A phi."""
-    return max(op.dim_v * math.comb(op.n + op.k - 1, op.k), op.dim_w)
-
-
-def _refuse_oversized_band(op: Operator, grid: Grid, max_freq: int, p: float) -> None:
-    """Raise MemoryError when the band route at p on this grid cannot fit in memory.
-
-    Counted in complex entries (16 bytes; a real one is half), per primary:
-    the band tables with the primaries and their scatter positions (dimW
-    dimV + dimV^2 + n + 3 reals), and the larger of their
-    build (pinv._svd_entries on the P matrices, then kernel_projector's
-    sigma, vh, masked vh and output) and a trial (six band arrays of
-    max(dimV, dimW) fibers: the draw, phi, phi - P_A phi, a _matvec output
-    and _norm's magnitudes; and D^k phi).  At p != 2 the grid route
-    (_band_grid) adds its buffers: the one-fiber scatter target, first-axis
-    planes 0..B, the work arrays the inverse FFT passes write (for n >= 2
-    one fiber's half spectrum, planes 0..N/2, and for n >= 3 one more array
-    of the target's size); per fiber of the largest grid field
-    (_band_fibers), the real output, N^n reals, where _grid_norm also forms
-    the magnitudes and fiber norms; and the N^n reals of the per-point
-    maxima (the fiber-norm buffer).  At p = 2 nothing of the grid is held.
-    """
-    count = ((2 * max_freq + 1) ** op.n - 1) // 2
-    rank = min(op.dim_w, op.dim_v)
-    svd = _svd_entries(op.dim_w, op.dim_v, count, want_u=False, want_vh=True)
-    build = max(svd, rank + 2 * rank * op.dim_v + op.dim_v ** 2) / 2
-    trial = 6 * max(op.dim_v, op.dim_w) + _band_fibers(op)
-    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
-
-    def needed() -> float:
-        # evaluated by _refuse_beyond_memory, which refuses a count too large for a float
-        grid_entries = 0
-        if p != 2.0:
-            planes = (max_freq + 1) * grid.size ** (grid.n - 1)
-            half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1) if grid.n > 1 else 0
-            points = grid.size ** grid.n
-            grid_entries = ((1 + (grid.n > 2)) * planes + half
-                            + (_band_fibers(op) + 1) * points / 2)
-        return 16 * (count * (tables / 2 + max(build, trial)) + grid_entries)
-
-    _refuse_beyond_memory(needed, f"{op.name} on a {grid.size}^{grid.n} grid",
-                          "for its band tables and fields")
+    return symbols, _svd_table(symbols, tol), weights
 
 
 def _band_grid(grid: Grid, primaries: np.ndarray, fibers: int):
@@ -693,18 +703,33 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     """The primaries of the band max_freq on grid, for the route at exponent p.
 
     Raises ValueError unless 1 <= max_freq <= N/4 and MemoryError when the
-    route does not fit (_refuse_oversized_band), both before any table is
-    built or field drawn.  A field here is its (fiber, P) values at the
-    primaries (_band_draw), the field of random_band_limited with the same
-    seed.  Only p != 2 builds the grid route (_band_grid): a p = 2 norm reads
-    no grid value, so there N only names the grid.
+    route does not fit (_refuse_oversized), both before any table is built
+    or field drawn.  The estimate counts per primary the band tables with
+    the primaries and their scatter positions (dimW dimV + dimV^2 + n + 3
+    reals) and the larger of their build and a trial.  At p != 2 the grid
+    route (_band_grid) adds the one-fiber scatter target (planes 0..B), the
+    inverse FFT's work arrays (one fiber's half spectrum for n >= 2, one
+    more target-sized array for n >= 3), a real N^n output per fiber of the
+    largest grid field (_band_fibers) and the N^n per-point maxima.  A field
+    here is its (fiber, P) values at the primaries (_band_draw), the field
+    of random_band_limited with the same seed.  Only p != 2 builds the grid
+    route: a p = 2 norm reads no grid value, so there N only names the grid.
     """
     _check_band(grid, max_freq)
-    _refuse_oversized_band(op, grid, max_freq, p)
+    count = ((2 * max_freq + 1) ** op.n - 1) // 2
+    fibers = _band_fibers(op)
+    grid_entries = 0
+    if p != 2.0:
+        planes = (max_freq + 1) * grid.size ** (grid.n - 1)
+        half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1) if grid.n > 1 else 0
+        grid_entries = (2 * ((1 + (grid.n > 2)) * planes + half)
+                        + (fibers + 1) * grid.size ** grid.n)
+    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
+    _refuse_oversized(op, grid, count, tables + max(_build_entries(op, count), _trial_entries(op)),
+                      grid_entries)
     primaries = _primaries(op.n, max_freq)
     symbols, projector, weights = _band_tables(op, max_freq, float(tol))
-    count = primaries.shape[1]
-    grid_norm = _band_grid(grid, primaries, _band_fibers(op))[1] if p != 2.0 else None
+    grid_norm = _band_grid(grid, primaries, fibers)[1] if p != 2.0 else None
     return _Spectrum(grid, primaries, symbols, projector, 2.0, weights, grid_norm,
                      lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 
@@ -712,17 +737,18 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
 def _rung_spectrum(op: Operator, grid: Grid, freq, tol: float) -> _Spectrum:
     """The one frequency of an exact witness rung, a single mode at freq (n integers).
 
-    M and P_A are _real_stack and kernel_projector at the rung, bitwise the
+    M and P_A are _real_stack and its _svd_table at the rung, bitwise the
     entries of the mesh tables there, and the weights |xi|^2k, so a p = 2
     ratio of the rung's one coefficient reads nothing the size of the grid.
     A single mode is not a real field, so at any other p grid_norm scatters
     the coefficient into the whole mesh and takes it back by the complex
     inverse FFT, the route of _mesh_spectrum.  Before that scatter it
-    refuses a grid whose fields do not fit in memory: per grid point and
-    fiber of the largest field (_band_fibers), three complex numbers, the
-    scatter target and ifftn's output and per-axis intermediate; _grid_norm's
-    magnitudes and per-point maxima then take less than the intermediate
-    did.  Nothing is drawn on a rung (draw is None).
+    refuses a grid whose fields do not fit in memory (_refuse_oversized):
+    per grid point and fiber of the largest field (_band_fibers), three
+    complex numbers, the scatter target and ifftn's output and per-axis
+    intermediate; _grid_norm's magnitudes and per-point maxima then take
+    less than the intermediate did.  Nothing is drawn on a rung (draw is
+    None).
     """
     xis = np.array(freq, dtype=float).reshape(op.n, 1)
     symbols = _real_stack(op, xis.T)
@@ -730,14 +756,12 @@ def _rung_spectrum(op: Operator, grid: Grid, freq, tol: float) -> _Spectrum:
     fibers = _band_fibers(op)
 
     def grid_norm(coeffs: np.ndarray, p: float) -> float:
-        _refuse_beyond_memory(lambda: 48 * fibers * grid.size ** grid.n,
-                              f"{op.name} on a {grid.size}^{grid.n} grid",
-                              "for its single-mode fields")
+        _refuse_oversized(op, grid, grid.size ** grid.n, 6 * fibers)
         target = np.zeros((len(coeffs),) + grid.shape, dtype=complex)
         target[at] = coeffs[:, 0]
         return _grid_norm(_inverse(target, grid), grid, p)
-    return _Spectrum(grid, xis, symbols, kernel_projector(symbols, tol), None,
-                     np.einsum("ij,ij->j", xis, xis) ** op.k, grid_norm, None)
+    return _Spectrum(grid, xis, symbols, _svd_table(symbols, tol), None, _xi_weights(xis, op.k),
+                     grid_norm, None)
 
 
 def periodic_bump(grid: Grid, width: float) -> np.ndarray:

@@ -314,6 +314,34 @@ def test_windowed_ladder_holds_one_witness_field(capsys):
     assert windowed_ladder_peak(capsys, 6) <= windowed_ladder_peak(capsys, 1) + field_bytes
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+@pytest.mark.parametrize("name", ["d1d2", "wave"])
+def test_windowed_ladder_memory_estimate_bounds_its_peak(capsys, monkeypatch, name, p):
+    # a windowed ladder from empty mesh-table caches, on a grid large enough that
+    # numpy's iteration buffers and Python objects, which the estimate leaves out,
+    # are small beside the fields: its traced peak stays within the estimate its
+    # whole-mesh spectrum refuses by
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed()))
+    argv = ["counterexample", f"zoo:{name}", "--N", "256", "--rungs", "4", "--window", "0.5",
+            "--factor", "0.5", "--p", p]
+
+    def ladder():
+        spectral._symbol_tensor.cache_clear()
+        spectral._kernel_projector_table.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    ladder()  # imports and first-call caches, which the estimate does not count
+    assert ladder() <= max(estimates)
+
+
 def test_counterexample_unresolvable_rungs_exit_one(capsys):
     # 4 rungs reach frequency 16, which needs N >= 64
     code, _, err = run(capsys, "counterexample", "zoo:d1d2", "--N", "16")
@@ -638,7 +666,8 @@ SIZES = {
 }
 VALUES = {
     "--p": ["1", "2", "3", "inf", "1e400", "0.5", "nan", "-inf", "p"],
-    "--max-freq": ["1", "2", "4", "0", "-1", "99"],
+    # 5 lies beyond N/4 on every small N drawn, and is a band of 665 primaries in 3-D
+    "--max-freq": ["1", "2", "4", "0", "-1", "5"],
     "--factor": ["0", "1", "2", "inf", "nan", "-1", "1e-300"],
     "--window": ["0.5", "1", "0", "1.5", "nan", "-0.5", "1e-300"],
     "--seed": ["0", "7", "-1", str(2 ** 70), "s"],

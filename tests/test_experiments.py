@@ -213,7 +213,7 @@ def test_fields_off_the_real_route_keep_the_complex_route(name, p):
     for kind, freq in fields_off_the_real_route(op, grid).items():
         assert not is_real_band_limited(freq), kind
         ratio = estimate_ratio(op, freq, p)
-        whole = experiments._ratio(op, spectral._mesh_spectrum(op, grid, pinv.DEFAULT_TOL),
+        whole = experiments._ratio(op, spectral._mesh_spectrum(op, grid, pinv.DEFAULT_TOL, p),
                                    freq.coeffs, p, pinv.DEFAULT_TOL)
         assert ratio.hex() == whole.hex(), kind
         expected = grid_composition_ratio(op, spectral.inverse_transform(freq), p)
@@ -227,7 +227,7 @@ def test_non_finite_intermediate_raises_on_either_route(whole):
     grid = Grid(2, 16)
     spectrum, values, freq = band_field(op, grid, 5, 3.0)
     if whole:
-        spectrum, values = spectral._mesh_spectrum(op, grid, pinv.DEFAULT_TOL), freq.coeffs
+        spectrum, values = spectral._mesh_spectrum(op, grid, pinv.DEFAULT_TOL, 3.0), freq.coeffs
     assert values.shape[1:] == ((16, 16) if whole else (40,))
     with pytest.raises(ValueError, match="non-finite") as raised:
         experiments._ratio(op, spectrum, 1e307 * values, 3.0, pinv.DEFAULT_TOL)

@@ -388,11 +388,18 @@ def test_tables_of_several_blocks_are_one_stack_build(name, size):
         assert table(op, grid, DEFAULT_TOL).tobytes() == build(symbols).tobytes()
 
 
-@pytest.mark.parametrize("max_freq, size", [(2, 8), (4, 16)])
-@pytest.mark.parametrize("op", MIRRORED, ids=lambda op: op.name)
+# every operator on two small bands, and each 2-D one on the band 64 of a 256^2
+# grid: 8320 primaries, whose table is built in two blocks of pinv._BLOCK
+BAND_CASES = [pytest.param(op, max_freq, size, id=f"{op.name}-{max_freq}-{size}")
+              for op in MIRRORED for max_freq, size in ((2, 8), (4, 16))]
+BAND_CASES += [pytest.param(op, 64, 256, id=f"{op.name}-64-256") for op in MIRRORED if op.n == 2]
+
+
+@pytest.mark.parametrize("op, max_freq, size", BAND_CASES)
 def test_band_tables_are_the_mesh_tables_at_the_primaries(op, max_freq, size):
     # the band route and the whole mesh project with the same bits
     grid = Grid(op.n, size)
+    assert max_freq < 64 or spectral._primaries(op.n, max_freq).shape[1] > pinv._BLOCK
     symbols, projector, _ = spectral._band_tables(op, max_freq, DEFAULT_TOL)
     at = tuple(spectral._primaries(op.n, max_freq) % size)
     assert symbols.tobytes() == np.ascontiguousarray(_symbol_tensor(op, grid)[at]).tobytes()
@@ -416,18 +423,40 @@ def test_projection_of_a_mode_at_the_nyquist_index(first, size):
 
 
 def test_memory_estimate_of_a_large_grid(monkeypatch):
-    # the estimate alone: _refuse_oversized allocates nothing
+    # the estimate alone: _refuse_oversized allocates nothing.  Per frequency,
+    # curl's nine symbol entries and nine derivative components, as complex
+    # numbers of two reals each
     curl = zoo_get("curl")
-    symbol_entries = curl.dim_w * curl.dim_v
+    per_frequency = 2 * (curl.dim_w * curl.dim_v + spectral._derivative_fibers(curl))
     monkeypatch.setattr(pinv, "_physical_memory", lambda: 8 * 10 ** 9)
-    spectral._refuse_oversized(curl, Grid(3, 128), symbol_entries)
-    spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
+    spectral._refuse_oversized(curl, Grid(3, 128), 128 ** 3, per_frequency)
+    spectral._refuse_oversized(curl, Grid(3, 256), 256 ** 3, per_frequency)
     monkeypatch.setattr(pinv, "_physical_memory", lambda: 4 * 10 ** 9)
     # 2.4 GB of symbol table and 2.4 GB for the nine derivative components
     with pytest.raises(MemoryError, match=r"curl on a 256\^3 grid needs about 4.83 GB"):
-        spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
+        spectral._refuse_oversized(curl, Grid(3, 256), 256 ** 3, per_frequency)
+    # a count too large for a float is refused, not an OverflowError
+    with pytest.raises(MemoryError, match="more bytes than a float holds"):
+        spectral._refuse_oversized(curl, Grid(3, 2 ** 600), 2 ** 1800, per_frequency)
+    with pytest.raises(MemoryError, match="more bytes than a float holds"):
+        spectral._refuse_oversized(curl, Grid(3, 2 ** 600), 1, per_frequency, 2 ** 1800)
     monkeypatch.setattr(pinv, "_physical_memory", lambda: None)
-    spectral._refuse_oversized(curl, Grid(3, 256), symbol_entries)
+    spectral._refuse_oversized(curl, Grid(3, 256), 256 ** 3, per_frequency)
+
+
+def table_build_peak(monkeypatch, table, op, size):
+    """The traced peak of a cold whole-mesh table build, and the largest estimate it refused by."""
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed()))
+    _symbol_tensor.cache_clear()
+    table.cache_clear()
+    tracemalloc.start()
+    try:
+        built = table(op, Grid(op.n, size), DEFAULT_TOL)
+        return built, tracemalloc.get_traced_memory()[1], max(estimates)
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
@@ -436,29 +465,14 @@ def test_projector_memory_estimate_covers_its_build_growth(monkeypatch, entry):
     # leaves out, so the traced build peaks on 8^n and 16^n grids are compared
     # with the estimate through their difference, the part that grows
     op = entry.build()
-    entries = []
-    refuse = spectral._refuse_oversized
-    monkeypatch.setattr(spectral, "_refuse_oversized",
-                        lambda op, grid, count: entries.append(count) or refuse(op, grid, count))
-
-    def build(size):
-        _symbol_tensor.cache_clear()
-        _kernel_projector_table.cache_clear()
-        tracemalloc.start()
-        try:
-            table = _kernel_projector_table(op, Grid(op.n, size), DEFAULT_TOL)
-            return table, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     for size in (8, 16):
-        build(size)  # fills the frequency mesh cache, which the estimate does not count
-    table, peak16 = build(16)
-    _, peak8 = build(8)
+        # fills the frequency mesh cache, which the estimate does not count
+        table_build_peak(monkeypatch, _kernel_projector_table, op, size)
+    table, peak16, estimate = table_build_peak(monkeypatch, _kernel_projector_table, op, 16)
+    peak8 = table_build_peak(monkeypatch, _kernel_projector_table, op, 8)[1]
     np.testing.assert_array_equal(table, np.swapaxes(table, -1, -2).conj())
-    # the projector's entry count is the largest estimate made; the symbol table's is smaller
-    derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
-    per_frequency = 16 * (max(entries) + derivative_fibers)
+    # the projector's estimate is the largest made; the symbol table's is smaller
+    per_frequency = estimate / 16 ** op.n
     assert peak16 - peak8 <= per_frequency * (16 ** op.n - 8 ** op.n)
 
 
@@ -466,26 +480,11 @@ def test_projector_memory_estimate_covers_its_build_growth(monkeypatch, entry):
 def test_pseudoinverse_memory_estimate_covers_its_build_growth(monkeypatch, entry):
     # the projector test's measure, for the other table with an SVD build
     op = entry.build()
-    entries = []
-    refuse = spectral._refuse_oversized
-    monkeypatch.setattr(spectral, "_refuse_oversized",
-                        lambda op, grid, count: entries.append(count) or refuse(op, grid, count))
-
-    def build(size):
-        _symbol_tensor.cache_clear()
-        spectral._pseudoinverse_table.cache_clear()
-        tracemalloc.start()
-        try:
-            spectral._pseudoinverse_table(op, Grid(op.n, size), DEFAULT_TOL)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     for size in (8, 16):
-        build(size)
-    growth = build(16) - build(8)
-    derivative_fibers = op.dim_v * math.comb(op.n + op.k - 1, op.k)
-    assert growth <= 16 * (max(entries) + derivative_fibers) * (16 ** op.n - 8 ** op.n)
+        table_build_peak(monkeypatch, spectral._pseudoinverse_table, op, size)
+    _, peak16, estimate = table_build_peak(monkeypatch, spectral._pseudoinverse_table, op, 16)
+    growth = peak16 - table_build_peak(monkeypatch, spectral._pseudoinverse_table, op, 8)[1]
+    assert growth <= estimate / 16 ** op.n * (16 ** op.n - 8 ** op.n)
 
 
 @pytest.mark.parametrize("p", [3.0, 2.0])

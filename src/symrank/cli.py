@@ -139,22 +139,26 @@ def cmd_verify(args) -> int:
 def cmd_counterexample(args) -> int:
     """The ratio ladder along a rank-drop direction, one rung per frequency.
 
-    An exact rung (no --window) is a single mode, one coefficient at its
-    frequency, and its ratio is taken there alone (_rung_ratio): at p = 2
-    nothing of size N^n is built, and any other p scatters the coefficient
-    into the whole mesh for one inverse FFT per grid field, refused up front
-    when that does not fit in memory.  A windowed rung spreads over the whole
-    mesh, so its witness field and the N^n tables are built: the whole-mesh
-    spectrum (_mesh_spectrum) is built once, before the first witness, and
-    refuses an oversized grid by an estimate that counts the tables, a
-    ratio's trial, the envelope and one witness field.  Each windowed field
-    is measured on it by _ratio before the next one is built
-    (_witness_fields), so the ladder holds one N^n witness field at a time,
-    and its ratios are bitwise those of estimate_ratio on witness_family's
-    list.
+    --factor, --rungs and --window are checked before the sphere sweep, so
+    an invalid one exits 1 whatever the operator.  An exact rung (no
+    --window) is a single mode, one coefficient at its frequency, whose
+    ratio is the same at every p; it is taken there alone at p = 2
+    (_rung_ratio), and nothing of size N^n is built.  A windowed rung
+    spreads over the whole mesh, so its witness field and the N^n tables
+    are built: the whole-mesh spectrum (_mesh_spectrum) is built once,
+    before the first witness, and refuses an oversized grid by an estimate
+    that counts the tables, a ratio's trial, the envelope and one witness
+    field.  Each windowed field is measured on it by _ratio before the next
+    one is built (_witness_fields), so the ladder holds one N^n witness
+    field at a time, and its ratios are bitwise those of estimate_ratio on
+    witness_family's list.
     """
     if not (math.isfinite(args.factor) and args.factor > 0):
         raise ValueError("--factor must be a finite number greater than 0")
+    if args.rungs < 1:
+        raise ValueError("--rungs must be at least 1")
+    if args.window is not None and not 0.0 < args.window <= 1.0:
+        raise ValueError("--window must lie in (0, 1]")
     op = _load_operator(args.source)
     profile = rank_profile(op, tol=args.tol, seed=args.seed)
     if profile.verdict is not Verdict.NON_CONSTANT_RANK:
@@ -165,7 +169,7 @@ def cmd_counterexample(args) -> int:
     ladder = build_frequency_ladder(op, witness, rungs=args.rungs, tol=args.tol)
     grid = Grid(op.n, args.N)
     if args.window is None:
-        ratios = [_rung_ratio(op, grid, freq, args.p, args.tol) for freq in ladder]
+        ratios = [_rung_ratio(op, grid, freq, args.tol) for freq in ladder]
     else:
         # the spectrum refuses an oversized grid before any witness is built, counting
         # the envelope and a witness field beside a ratio's trial

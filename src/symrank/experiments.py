@@ -16,7 +16,8 @@ primaries of a band, as ratio_sweep and the minimality command pass for
 the random fields they draw, which never touch the N^n tables.  An exact
 witness rung is one coefficient at one frequency (_rung), and the
 counterexample command takes its ratio there (_rung_ratio), with no
-witness field and no N^n table.
+witness field and no N^n table: a single mode's ratio is the same at
+every p, so it is taken at p = 2.
 """
 
 import math
@@ -76,15 +77,15 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol:
     """estimate_ratio of the field with these coefficients on spectrum.
 
     spectrum is the whole mesh (_mesh_spectrum), the primaries of a band
-    (_band_spectrum) or an exact rung (_rung_spectrum), and coeffs the
-    (dimV, ...) coefficients there.  phi - P_A phi is formed, then tested
-    against phi under pinv's cutoff.  At p = 2 both sides are weighted
-    coefficient norms (the spectrum's weights count a primary's mirror).  At
-    any other p D^k(phi - P_A phi), then A phi = i^k M phi, are measured by
-    spectrum.grid_norm, _grid_norm of their grid values (the phase i^k is
-    applied on coefficients, which is exact), one at a time.  Nothing on the
-    way is checked for finiteness: a non-finite intermediate makes a norm
-    non-finite, which raises ValueError.
+    (_band_spectrum) or, at p = 2, an exact rung (_rung_spectrum), and
+    coeffs the (dimV, ...) coefficients there.  phi - P_A phi is formed,
+    then tested against phi under pinv's cutoff.  At p = 2 both sides are
+    weighted coefficient norms (the spectrum's weights count a primary's
+    mirror).  At any other p D^k(phi - P_A phi), then A phi = i^k M phi, are
+    measured by spectrum.grid_norm, _grid_norm of their grid values (the
+    phase i^k is applied on coefficients, which is exact), one at a time.
+    Nothing on the way is checked for finiteness: a non-finite intermediate
+    makes a norm non-finite, which raises ValueError.
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
@@ -143,15 +144,20 @@ def _rung(op: Operator, freq: tuple[int, ...], grid: Grid,
     return probe, coefficient
 
 
-def _rung_ratio(op: Operator, grid: Grid, freq: tuple[int, ...], p: float, tol: float) -> float:
-    """estimate_ratio of witness_family's exact rung at freq, taken on that one frequency.
+def _rung_ratio(op: Operator, grid: Grid, freq: tuple[int, ...], tol: float) -> float:
+    """estimate_ratio of witness_family's exact rung at freq, at every p, on that one frequency.
 
-    _ratio of the rung's one coefficient on _rung_spectrum, bitwise the
-    whole-mesh ratio of the witness field.  Raises as _rung does, before
-    anything is built.
+    The rung is a single mode c exp(i x.xi), with the same modulus at every
+    grid point, so its Riemann sums and its grid maximum are exact and each
+    of its L^p norms is its L2 norm times (2pi)^(n/p - n/2).  D^k(phi - P_A
+    phi) and A phi are single modes at the same xi, so that factor cancels
+    and the ratio is the same at every p >= 1 and at inf.  It is _ratio at
+    p = 2 of the rung's one coefficient on _rung_spectrum, bitwise the
+    whole-mesh p = 2 ratio of the witness field; grid gives n and the
+    |xi|_inf <= N/4 bound.  Raises as _rung does, before anything is built.
     """
     coefficient = _rung(op, freq, grid, tol)[1]
-    return _ratio(op, _rung_spectrum(op, grid, freq, tol), coefficient[:, None], p, tol)
+    return _ratio(op, _rung_spectrum(op, freq, tol), coefficient[:, None], 2.0, tol)
 
 
 def witness_family(op: Operator, frequencies, grid: Grid, window: float | None = None,

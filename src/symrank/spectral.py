@@ -44,18 +44,20 @@ keeps irfftn's bits; _grid_norm measures them in place.  The one-fiber
 target, the output and the work arrays of these steps are allocated once
 per spectrum (_band_grid), so after its first trial a sweep allocates no
 array the size of the grid.  An exact witness rung is one coefficient at
-one frequency, and its spectrum (_rung_spectrum) holds
-M and P_A there alone: a p = 2 ratio on it needs nothing of size N^n, and
-any other p scatters the coefficient into the whole mesh for ifftn.
+one frequency, and its spectrum (_rung_spectrum) holds M and P_A there
+alone and no grid route: a single mode has the same modulus at every grid
+point, so its ratio is the same at every p, taken at p = 2, and nothing of
+size N^n is built.
 
 Every SVD table, the whole mesh's kernel projector and pseudoinverse and
 the projector of a band or a rung, comes from one builder (_svd_table),
 which runs its pinv routine on one block of frequencies at a time, so each
 entry has the bits of the build at its frequency alone and the band and
 rung tables are the mesh tables at their frequencies.  One estimate
-(_refuse_oversized) sizes every route before anything is allocated: its
-tables with their build (_build_entries), a trial's fields and, at p != 2,
-its grid buffers; an estimate too large for a float is refused too.
+(_refuse_oversized) sizes the mesh and band routes before anything is
+allocated: their tables with their build (_build_entries), a trial's
+fields and, at p != 2, the grid buffers; an estimate too large for a float
+is refused too.
 """
 
 import math
@@ -296,9 +298,9 @@ def _refuse_oversized(op: Operator, grid: Grid, count: int, per_frequency: float
     """Raise MemoryError, before anything is allocated, when a route on this grid cannot fit.
 
     spectral's one estimate, in float64 entries (a complex number is two):
-    per_frequency at each of count frequencies (the mesh, a band's primaries
-    or a rung's grid points), plus grid_entries.  count and grid_entries are
-    exact integers, multiplied inside the estimate _refuse_beyond_memory
+    per_frequency at each of count frequencies (the mesh or a band's
+    primaries), plus grid_entries.  count and grid_entries are exact
+    integers, multiplied inside the estimate _refuse_beyond_memory
     evaluates, so one too large for a float is refused too.
     """
     _refuse_beyond_memory(lambda: 8 * (count * per_frequency + grid_entries),
@@ -585,13 +587,12 @@ class _Spectrum:
     at xis.  With norm_weights and derivative_weights, pinv._norm of a
     coefficient array is the whole-mesh L2 norm of its field and of its
     order-k derivative array.  grid_norm(coeffs, p) gives _grid_norm of the
-    field's grid values (None on a band built for p = 2, whose norms read
-    no grid value), and draw(fiber_dim, seed) the coefficients of
+    field's grid values (None on a band built for p = 2 and on a rung, whose
+    norms read no grid value), and draw(fiber_dim, seed) the coefficients of
     random_band_limited on this spectrum (band N/4 on the whole mesh; a rung
     has no draw).
     """
 
-    grid: Grid
     xis: np.ndarray
     symbols: np.ndarray
     projector: np.ndarray
@@ -631,7 +632,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     _refuse_oversized(op, grid, count, tables + max(_build_entries(op, count), trial))
     projector = _kernel_projector_table(op, grid, float(tol))
     return _Spectrum(
-        grid, integer_frequencies(grid), _symbol_tensor(op, grid), projector, None,
+        integer_frequencies(grid), _symbol_tensor(op, grid), projector, None,
         _spectrum_weights(grid, op.k),
         lambda coeffs, p: _grid_norm(_inverse(coeffs, grid), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
@@ -730,38 +731,24 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     primaries = _primaries(op.n, max_freq)
     symbols, projector, weights = _band_tables(op, max_freq, float(tol))
     grid_norm = _band_grid(grid, primaries, fibers)[1] if p != 2.0 else None
-    return _Spectrum(grid, primaries, symbols, projector, 2.0, weights, grid_norm,
+    return _Spectrum(primaries, symbols, projector, 2.0, weights, grid_norm,
                      lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 
 
-def _rung_spectrum(op: Operator, grid: Grid, freq, tol: float) -> _Spectrum:
+def _rung_spectrum(op: Operator, freq, tol: float) -> _Spectrum:
     """The one frequency of an exact witness rung, a single mode at freq (n integers).
 
     M and P_A are _real_stack and its _svd_table at the rung, bitwise the
-    entries of the mesh tables there, and the weights |xi|^2k, so a p = 2
-    ratio of the rung's one coefficient reads nothing the size of the grid.
-    A single mode is not a real field, so at any other p grid_norm scatters
-    the coefficient into the whole mesh and takes it back by the complex
-    inverse FFT, the route of _mesh_spectrum.  Before that scatter it
-    refuses a grid whose fields do not fit in memory (_refuse_oversized):
-    per grid point and fiber of the largest field (_band_fibers), three
-    complex numbers, the scatter target and ifftn's output and per-axis
-    intermediate; _grid_norm's magnitudes and per-point maxima then take
-    less than the intermediate did.  Nothing is drawn on a rung (draw is
-    None).
+    entries of the mesh tables there, and the weights |xi|^2k, so a ratio of
+    the rung's one coefficient reads nothing the size of the grid.  Its
+    norms are coefficient norms, taken at p = 2 for every p
+    (experiments._rung_ratio), so there is no grid norm, and nothing is
+    drawn on a rung (draw is None).
     """
     xis = np.array(freq, dtype=float).reshape(op.n, 1)
     symbols = _real_stack(op, xis.T)
-    at = (slice(None),) + tuple(int(x) % grid.size for x in freq)
-    fibers = _band_fibers(op)
-
-    def grid_norm(coeffs: np.ndarray, p: float) -> float:
-        _refuse_oversized(op, grid, grid.size ** grid.n, 6 * fibers)
-        target = np.zeros((len(coeffs),) + grid.shape, dtype=complex)
-        target[at] = coeffs[:, 0]
-        return _grid_norm(_inverse(target, grid), grid, p)
-    return _Spectrum(grid, xis, symbols, _svd_table(symbols, tol), None, _xi_weights(xis, op.k),
-                     grid_norm, None)
+    return _Spectrum(xis, symbols, _svd_table(symbols, tol), None, _xi_weights(xis, op.k),
+                     None, None)
 
 
 def periodic_bump(grid: Grid, width: float) -> np.ndarray:

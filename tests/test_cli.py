@@ -271,6 +271,24 @@ def test_counterexample_rejects_unusable_factor(capsys, factor):
     assert err.startswith("error: --factor") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option, value", [("--window", "2"), ("--window", "0"),
+                                           ("--window", "nan"), ("--rungs", "0")])
+@pytest.mark.parametrize("source", [f"zoo:{entry.name}" for entry in zoo_list()]
+                         + ["lap_plus_d1d2.json"])
+def test_counterexample_rejects_unusable_ladder_options_before_the_sweep(capsys, monkeypatch,
+                                                                         source, option, value):
+    # the options are checked before the sphere sweep, so every operator, with or
+    # without rank drops, exits 1 with the option's own message
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sphere sweep ran")
+    monkeypatch.setattr(cli, "rank_profile", no_sweep)
+    if not source.startswith("zoo:"):
+        source = str(Path(__file__).parent / source)
+    code, out, err = run(capsys, "counterexample", source, option, value)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith(f"error: {option}") and err.count("\n") == 1
+
+
 def test_counterexample_windowed_reports_smaller_growth(capsys):
     # localized witnesses measure below the single-mode closed form at this
     # width, so the default factor is not reached
@@ -426,8 +444,8 @@ def test_sphere_sweep_beyond_physical_memory_is_refused(capsys, tmp_path, comman
 @pytest.mark.parametrize("argv", [
     ("verify", "zoo:curl", "--N", str(2 ** 400), "--trials", "1"),
     ("minimality", "zoo:curl", "--N", str(2 ** 400), "--trials", "1"),
-    # an exact rung at p = 2 needs nothing of size N^n; at p = 3 its grid fields do
-    ("counterexample", "zoo:d1d2", "--N", str(2 ** 600), "--p", "3"),
+    # an exact rung needs nothing of size N^n at any p; a windowed one needs the mesh
+    ("counterexample", "zoo:d1d2", "--N", str(2 ** 600), "--rungs", "3", "--window", "0.5"),
     ("analyze", "zoo:curl", "--samples", str(2 ** 1100))], ids=lambda argv: argv[0])
 def test_estimate_beyond_a_float_is_refused(capsys, argv):
     # sizes argparse accepts whose byte counts overflow a float are too large, not a traceback
@@ -445,17 +463,19 @@ def test_grid_route_beyond_a_float_is_refused(capsys):
     assert err.startswith("error: out of memory:") and err.count("\n") == 1
 
 
-def test_exact_counterexample_at_p2_runs_on_a_grid_beyond_a_float(capsys):
-    # each exact rung is one coefficient at one frequency, so at p = 2 the grid
-    # size only labels the records
+@pytest.mark.parametrize("p", ["2", "3", "inf"])
+def test_exact_counterexample_runs_on_a_grid_beyond_a_float(capsys, p):
+    # each exact rung is one coefficient at one frequency, whose ratio is the
+    # same at every p, so the grid size and p only label the records
     ladder = ("counterexample", "zoo:d1d2", "--rungs", "3", "--factor", "3")
-    code, huge, _ = run_json(capsys, *ladder, "--N", str(2 ** 600))
+    code, huge, _ = run_json(capsys, *ladder, "--N", str(2 ** 600), "--p", p)
     assert code == EXIT_OK
     _, small, _ = run_json(capsys, *ladder, "--N", "256")
     assert huge["grid_sizes"] == [2 ** 600] and small["grid_sizes"] == [256]
     assert all(r["grid_size"] == 2 ** 600 for r in huge["records"])
+    assert huge["p"] == (float(p) if p != "inf" else "inf") and small["p"] == 2.0
     for doc in (huge, small):
-        del doc["grid_sizes"]
+        del doc["grid_sizes"], doc["p"], doc["notes"]
         for record in doc["records"]:
             del record["grid_size"]
     assert huge == small
@@ -572,12 +592,13 @@ def test_minimality_makes_no_transforms(capsys, monkeypatch):
 
 @pytest.mark.parametrize("window, exit_code, expected", [
     ((), EXIT_CHECK_FAILED, []),
-    (("--window", "0.5", "--factor", "1.25"), EXIT_OK, ["forward_transform"])])
+    (("--window", "0.5", "--factor", "1.25"), EXIT_OK, ["forward_transform"]),
+    (("--p", "3"), EXIT_CHECK_FAILED, [])])
 def test_counterexample_transforms_only_the_window(capsys, monkeypatch, window, exit_code,
                                                    expected):
-    # witnesses are built as coefficients: an exact p = 2 ladder makes no
-    # transform, and a windowed one transforms its bump once per family (the
-    # exact ladder grows 3.92 over three rungs, short of the default factor 4)
+    # witnesses are built as coefficients: an exact ladder makes no transform at
+    # any p, and a windowed one transforms its bump once per family (the exact
+    # ladder grows 3.92 over three rungs, short of the default factor 4)
     calls = []
     for name in ("forward_transform", "inverse_transform", "_inverse"):
         original = getattr(spectral, name)
@@ -649,9 +670,10 @@ def test_zoo_lists_all_operators(capsys):
 # <= 256) or are refused up front by the memory checks (samples >= 2^62, up to
 # 2^1100, whose byte counts overflow a float), so no example starts a long run;
 # size options are always given, since the defaults are larger.  N = 2^600 is
-# refused wherever the grid must be held: at p != 2, and by minimality and by
-# verify at its default band N/4.  A p = 2 verify with --max-freq, and an exact
-# p = 2 counterexample, read no grid value, so there N only names the grid.
+# refused wherever the grid must be held: by a windowed counterexample, by a
+# p != 2 verify, and by minimality and by verify at its default band N/4.  A
+# p = 2 verify with --max-freq, and an exact counterexample at any p, read no
+# grid value, so there N only names the grid.
 
 TESTS = Path(__file__).parent
 SOURCES = ["zoo:curl", "zoo:d1d2", "zoo:gradient", "zoo:wave", "zoo:laplacian", "zoo:nope",

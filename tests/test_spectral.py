@@ -516,10 +516,9 @@ def test_band_memory_estimate_bounds_a_sweep(monkeypatch, entry, p):
 @pytest.mark.parametrize("p", [3.0, math.inf])
 @pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
 def test_rung_memory_estimate_bounds_a_rung(monkeypatch, entry, p):
-    # the p != 2 route of an exact rung scatters its one coefficient into the
-    # whole mesh; its traced peak stays within the estimate it refuses by, up
-    # to the fixed costs the estimate leaves out (Python objects, the
-    # one-frequency tables), under 64 KiB where a missed grid array is MBs
+    # an exact rung's ratio at every p is taken on its one frequency, so it asks
+    # for no memory estimate and its traced peak stays under 64 KiB, where one
+    # field on the grid would take MBs; it is the whole-mesh ratio at p
     op = entry.build()
     estimates = []
     monkeypatch.setattr(spectral, "_refuse_beyond_memory",
@@ -530,13 +529,17 @@ def test_rung_memory_estimate_bounds_a_rung(monkeypatch, entry, p):
     def rung():
         tracemalloc.start()
         try:
-            experiments._rung_ratio(op, grid, xi, p, DEFAULT_TOL)
+            experiments._rung_ratio(op, grid, xi, DEFAULT_TOL)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    rung()  # first-call caches, which the estimate does not count
-    assert rung() <= estimates[-1] + 2 ** 16
+    rung()  # first-call caches
+    assert rung() <= 2 ** 16 < 16 * grid.size ** grid.n
+    assert estimates == []
+    phi = experiments.witness_family(op, [xi], grid)[0]
+    assert math.isclose(experiments._rung_ratio(op, grid, xi, DEFAULT_TOL),
+                        experiments.estimate_ratio(op, phi, p), rel_tol=1e-14)
 
 
 def test_tables_refuse_to_build_beyond_physical_memory(monkeypatch):

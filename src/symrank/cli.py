@@ -174,8 +174,11 @@ def cmd_counterexample(args) -> int:
         # the spectrum refuses an oversized grid before any witness is built, counting
         # the envelope and a witness field beside a ratio's trial
         spectrum = _mesh_spectrum(op, grid, args.tol, args.p, held=1 + op.dim_v)
-        ratios = [_ratio(op, spectrum, phi.coeffs, args.p, args.tol)
-                  for phi in _witness_fields(op, ladder, grid, args.window, args.tol)]
+        ratios = []
+        for phi in _witness_fields(op, ladder, grid, args.window, args.tol):
+            ratios.append(_ratio(op, spectrum, phi.coeffs, args.p, args.tol))
+            # the loop variable would hold this field while the next one is built
+            del phi
     records = []
     for index, (freq, ratio) in enumerate(zip(ladder, ratios)):
         label = "xi=[" + " ".join(str(x) for x in freq) + "]"

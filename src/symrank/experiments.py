@@ -91,12 +91,14 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol:
         raise ValueError("p must be at least 1")
     weights = spectrum.norm_weights
     with np.errstate(over="ignore", invalid="ignore"):
-        resolved = coeffs - _matvec(spectrum.projector, coeffs)
+        resolved = _matvec(spectrum.projector, coeffs)
+        np.subtract(coeffs, resolved, out=resolved)
         if _norm(resolved, weights=weights) <= tol * _norm(coeffs, weights=weights):
             raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
         # M phi has the norms of A phi = i^k M phi
         if p == 2.0:
             numerator = float(_norm(resolved, weights=spectrum.derivative_weights))
+            del resolved
             denominator = float(_norm(_matvec(spectrum.symbols, coeffs), weights=weights))
         else:
             derivatives = _derivatives(op.k, resolved, spectrum.xis)

@@ -103,6 +103,31 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _rotation(x: np.ndarray, y: np.ndarray, tol: float, floor: np.ndarray):
+    """(c, s) of the Jacobi rotation that orthogonalizes the column pair (x, y), or None.
+
+    One (c, s) per matrix of the block; a matrix whose pair is already
+    orthogonal to tol of its norms, or has a column whose squared norm is at
+    or below floor, gets (1, 0).  None when no matrix needs a rotation.  The pair's inner
+    products and tangent are freed on return, before the columns rotate.
+    """
+    alpha, beta, gamma = _dot(x, x), _dot(y, y), _dot(x, y)
+    rotate = np.abs(gamma) > tol * np.sqrt(alpha * beta)
+    rotate &= np.minimum(alpha, beta) > floor
+    if not rotate.any():
+        return None
+    # t = tan of the rotation angle, the smaller root of t^2 + 2 zeta t - 1 with
+    # zeta = (beta - alpha) / 2 gamma, multiplied through by |2 gamma| so that
+    # nothing overflows; prescaled entries keep the sqrt argument in range
+    diff = beta - alpha
+    gamma *= 2.0
+    t = np.divide(np.copysign(1.0, diff) * gamma,
+                  np.abs(diff) + np.sqrt(diff * diff + gamma * gamma),
+                  out=np.zeros(x.shape[-1]), where=rotate)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return c, c * t
+
+
 def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
     """(x, y) <- (c x - s y, s x + c y) in place, one (c, s) per matrix of the block."""
     new_x = c * x
@@ -110,6 +135,13 @@ def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
     y *= c
     y += s * x
     x[...] = new_x
+
+
+def _swap(x: np.ndarray, y: np.ndarray, swap: np.ndarray) -> None:
+    """Exchange x and y in place where swap holds, one flag per matrix of the block."""
+    held = np.where(swap, y, x)
+    np.copyto(y, x, where=swap)
+    x[...] = held
 
 
 def _jacobi_block(work: np.ndarray, normalize: bool, accumulate: bool):
@@ -120,7 +152,11 @@ def _jacobi_block(work: np.ndarray, normalize: bool, accumulate: bool):
     Column pairs are rotated until every pair is orthogonal to rows * eps of
     its norms; a column whose squared norm is below (rows eps)^2 ||A||_F^2 is
     numerical zero and never rotated, which keeps rank-deficient matrices
-    from cycling at rounding level.  Returns (sigma, unit, v) with sigma (r,
+    from cycling at rounding level.  sigma is then sorted in place by
+    adjacent compare-and-swap (_swap), the normalized columns and the
+    rotations moving with it; a swap needs a strictly larger sigma, so ties
+    keep their column order, the permutation of a stable argsort(-sigma),
+    and no index array is made.  Returns (sigma, unit, v) with sigma (r,
     B) descending per matrix, unit the columns divided by sigma (a zero
     column stays zero), or None without normalize, and v (r, r, B) the
     accumulated rotations, v[c] column c of V, or None without accumulate.
@@ -142,37 +178,27 @@ def _jacobi_block(work: np.ndarray, normalize: bool, accumulate: bool):
         rotated = False
         for i, j in pairs:
             x, y = work[i], work[j]
-            alpha, beta, gamma = _dot(x, x), _dot(y, y), _dot(x, y)
-            rotate = np.abs(gamma) > tol * np.sqrt(alpha * beta)
-            rotate &= np.minimum(alpha, beta) > floor
-            if not rotate.any():
+            rotation = _rotation(x, y, tol, floor)
+            if rotation is None:
                 continue
             rotated = True
-            # t = tan of the rotation angle, the smaller root of t^2 + 2 zeta t - 1 with
-            # zeta = (beta - alpha) / 2 gamma, multiplied through by |2 gamma| so that
-            # nothing overflows; prescaled entries keep the sqrt argument in range
-            diff = beta - alpha
-            gamma *= 2.0
-            t = np.divide(np.copysign(1.0, diff) * gamma,
-                          np.abs(diff) + np.sqrt(diff * diff + gamma * gamma),
-                          out=np.zeros(size), where=rotate)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            _rotate(x, y, c, s)
+            _rotate(x, y, *rotation)
             if accumulate:
-                _rotate(v[i], v[j], c, s)
+                _rotate(v[i], v[j], *rotation)
         if not rotated:
             break
     else:
         raise np.linalg.LinAlgError(f"Jacobi SVD did not converge in {_MAX_SWEEPS} sweeps")
     sigma = np.sqrt([_dot(col, col) for col in work])
-    if rank > 1:
-        order = np.argsort(-sigma, axis=0, kind="stable")
-        sigma = np.take_along_axis(sigma, order, axis=0)
-        if normalize:
-            work = np.take_along_axis(work, order[:, None], axis=0)
-        if accumulate:
-            v = np.take_along_axis(v, order[:, None], axis=0)
+    # bubble sort: a strict > leaves ties in column order
+    for end in range(rank - 1, 0, -1):
+        for c in range(end):
+            swap = sigma[c + 1] > sigma[c]
+            _swap(sigma[c], sigma[c + 1], swap)
+            if normalize:
+                _swap(work[c], work[c + 1], swap)
+            if accumulate:
+                _swap(v[c], v[c + 1], swap)
     if normalize:
         work /= np.where(sigma > 0.0, sigma, 1.0)[:, None]
         work += 0.0
@@ -185,20 +211,20 @@ def _svd_entries(rows: int, cols: int, count: int, want_u: bool, want_vh: bool) 
     """Real entries per matrix that _svd holds at its peak on a real stack of count matrices.
 
     sigma and the factors asked for, plus the Jacobi working set of one
-    block spread over the stack: per matrix of the block, at most the
-    columns and, when they are normalized, their sorted copy, the rotations
-    before and after sorting when they are accumulated, two column
-    temporaries of a rotation and a few scalars; and while sorting, the
-    sorted sigma, the order and numpy's index buffers of take_along_axis,
-    which tracemalloc shows at three times the larger sorted array on
-    blocks of up to 8192 entries.
+    block spread over the stack: per matrix of the block, the columns, the
+    rotations when they are accumulated, the rank cutoff's floor and the
+    prescaling exponent, and beside them the largest of |A| while
+    prescaling; a rotation's inner products, tangent and their temporaries
+    (_rotation), or its two column temporaries (_rotate); and sigma while it
+    is built, sorted, with one swapped column's temporary (_swap), and
+    divided out.
     """
     rank, length = min(rows, cols), max(rows, cols)
     wide = rows < cols
     normalize, accumulate = (want_vh, want_u) if wide else (want_u, want_vh)
-    sorted_entries = max(rank * length * normalize, rank * rank * accumulate)
-    working = (rank * length * (1 + normalize) + 2 * rank * rank * accumulate + 2 * length + 8
-               + 2 * rank + 3 * sorted_entries)
+    swapped = max(length * normalize, rank * accumulate, 1)
+    working = (rank * length + rank * rank * accumulate + 2
+               + max(rank * length + 2, 12, 2 * length + 2, 3 * rank + swapped))
     factors = rank * (1 + rows * want_u + cols * want_vh)
     return factors + working * min(1.0, _BLOCK / count)
 

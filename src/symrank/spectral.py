@@ -13,7 +13,11 @@ frequency multipliers here, hence exact on resolved modes.  Each is one
 private coefficient-level step (_matvec with a symbol table, _derivatives
 with the frequencies) on a coefficient array; the step runs on whatever
 frequencies its table and array cover.  The public apply_* functions wrap
-a step between forward_transform and inverse_transform.  The symbol table
+a step between the forward and the inverse transform.  A whole-mesh FFT
+writes every axis pass into one output (out=): forward_transform into a
+fresh array, and code that made its coefficients itself (the apply_*
+functions, random_band_limited, the mesh spectrum's grid norm) into those
+coefficients, so the inverse allocates nothing.  The symbol table
 holds the real M of A = i^k M (operators._real_stack), so the symbol and
 pseudoinverse tables are real like the projector table (P_A = P_M, A+ =
 i^-k M+), and only apply_A and apply_multiplier multiply by a phase, i^k
@@ -174,8 +178,13 @@ def _spatial_axes(grid: Grid) -> tuple[int, ...]:
 
 
 def forward_transform(field: GridField) -> FrequencyField:
-    """Grid values to coefficients; unitary between grid L2 and coefficient l2."""
-    coeffs = np.fft.fftn(field.data, axes=_spatial_axes(field.grid), norm="ortho")
+    """Grid values to coefficients; unitary between grid L2 and coefficient l2.
+
+    fftn writes every axis pass into one fresh complex array (out=), so the
+    transform allocates nothing beside its output.
+    """
+    coeffs = np.fft.fftn(field.data, axes=_spatial_axes(field.grid), norm="ortho",
+                         out=np.empty(field.data.shape, dtype=complex))
     coeffs *= (TWO_PI / field.grid.size) ** (field.grid.n / 2.0)
     return FrequencyField(field.grid, coeffs)
 
@@ -190,7 +199,9 @@ def _inverse(coeffs: np.ndarray | Iterable[np.ndarray], grid: Grid, out: np.ndar
     """Grid values of a (fiber, ...) coefficient array on the whole mesh or of a real field.
 
     On the whole mesh (an array with coeffs.shape[1] = N) this is
-    inverse_transform's complex data, by ifftn.  Otherwise coeffs yields
+    inverse_transform's complex data, by ifftn, whose axis passes all write
+    into out, a complex array of coeffs' shape (coeffs itself transforms
+    in place, to the same bits), or one fresh array.  Otherwise coeffs yields
     the fibers of a real field, each its first-axis planes 0..B (B <= N/2)
     of the half spectrum, or a generator that fills one such fiber just
     before it is read (the band's scatter target, _band_grid).  Their
@@ -204,7 +215,8 @@ def _inverse(coeffs: np.ndarray | Iterable[np.ndarray], grid: Grid, out: np.ndar
     here when not given (out only for an array).
     """
     if isinstance(coeffs, np.ndarray) and coeffs.shape[1] == grid.size:
-        data = np.fft.ifftn(coeffs, axes=_spatial_axes(grid), norm="ortho")
+        data = np.fft.ifftn(coeffs, axes=_spatial_axes(grid), norm="ortho",
+                            out=np.empty(coeffs.shape, dtype=complex) if out is None else out)
     else:
         data = np.empty((len(coeffs),) + grid.shape) if out is None else out
         for values, fiber in zip(coeffs, data):
@@ -389,7 +401,7 @@ def apply_A(op: Operator, field: GridField) -> GridField:
     _check_field(op, field, op.dim_v, "input")
     out = _matvec(_symbol_tensor(op, field.grid), forward_transform(field).coeffs)
     out *= 1j ** op.k
-    return inverse_transform(FrequencyField(field.grid, out))
+    return GridField(field.grid, _inverse(out, field.grid, out))
 
 
 def _svd_table(symbols: np.ndarray, tol: float, pseudoinverse: bool = False) -> np.ndarray:
@@ -455,7 +467,7 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     _check_field(op, field, op.dim_v, "input")
     table = _kernel_projector_table(op, field.grid, float(tol))
     coeffs = _matvec(table, forward_transform(field).coeffs)
-    return inverse_transform(FrequencyField(field.grid, coeffs))
+    return GridField(field.grid, _inverse(coeffs, field.grid, coeffs))
 
 
 def _derivatives(k: int, coeffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -488,9 +500,8 @@ def apply_Dk(k: int, field: GridField) -> GridField:
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    freq = forward_transform(field)
-    xis = integer_frequencies(field.grid)
-    return inverse_transform(FrequencyField(field.grid, _derivatives(k, freq.coeffs, xis)))
+    coeffs = _derivatives(k, forward_transform(field).coeffs, integer_frequencies(field.grid))
+    return GridField(field.grid, _inverse(coeffs, field.grid, coeffs))
 
 
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -511,8 +522,8 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
     out = _matvec(dagger, forward_transform(field).coeffs)
     out *= (-1j) ** op.k
-    xis = integer_frequencies(field.grid)
-    return inverse_transform(FrequencyField(field.grid, _derivatives(op.k, out, xis)))
+    coeffs = _derivatives(op.k, out, integer_frequencies(field.grid))
+    return GridField(field.grid, _inverse(coeffs, field.grid, coeffs))
 
 
 def _check_band(grid: Grid, max_freq: int) -> None:
@@ -572,7 +583,8 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
     field is real up to rounding; the mean (frequency zero) is exactly zero.
     Deterministic for a given seed (an int or sequence of ints).
     """
-    return inverse_transform(_random_coefficients(grid, fiber_dim, max_freq, seed))
+    coeffs = _random_coefficients(grid, fiber_dim, max_freq, seed).coeffs
+    return GridField(grid, _inverse(coeffs, grid, coeffs))
 
 
 @dataclass(frozen=True)
@@ -588,7 +600,9 @@ class _Spectrum:
     coefficient array is the whole-mesh L2 norm of its field and of its
     order-k derivative array.  grid_norm(coeffs, p) gives _grid_norm of the
     field's grid values (None on a band built for p = 2 and on a rung, whose
-    norms read no grid value), and draw(fiber_dim, seed) the coefficients of
+    norms read no grid value); on the whole mesh it overwrites coeffs with
+    them, so a caller hands it coefficients it does not read again.
+    draw(fiber_dim, seed) gives the coefficients of
     random_band_limited on this spectrum (band N/4 on the whole mesh; a rung
     has no draw).
     """
@@ -623,18 +637,20 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     fit (_refuse_oversized), counting per frequency the tables (M, P_A, the
     mesh, the weights) and the larger of the projector build and a trial,
     with held complex fibers the caller keeps beside it (a windowed ladder's
-    envelope and witness field) and, at p != 2, ifftn's output and per-axis
-    intermediate per fiber of the largest grid field (_band_fibers).
+    envelope and witness field) and, at p != 2, _grid_norm's magnitudes,
+    one real per fiber of the largest grid field (_band_fibers), and its
+    per-point maxima.  The grid norm transforms the coefficients it is given
+    in place, so a field's grid values take no array of their own.
     """
     count = grid.size ** grid.n
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 1
-    trial = _trial_entries(op) + 2 * held + (4 * _band_fibers(op) if p != 2.0 else 0)
+    trial = _trial_entries(op) + 2 * held + (_band_fibers(op) + 2 if p != 2.0 else 0)
     _refuse_oversized(op, grid, count, tables + max(_build_entries(op, count), trial))
     projector = _kernel_projector_table(op, grid, float(tol))
     return _Spectrum(
         integer_frequencies(grid), _symbol_tensor(op, grid), projector, None,
         _spectrum_weights(grid, op.k),
-        lambda coeffs, p: _grid_norm(_inverse(coeffs, grid), grid, p),
+        lambda coeffs, p: _grid_norm(_inverse(coeffs, grid, coeffs), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,88 @@ def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape):
                 assert (got is not None) == want
                 if want:
                     assert got.tobytes() == full[i].tobytes(), (i, want_u, want_vh)
+
+
+HADAMARD = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                     [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]) / 2.0
+
+
+def tied_stack(rows, cols, rng):
+    """Matrices with exactly tied singular values, among random ones: zero
+    matrices, duplicated columns and rows, and scaled signed permutations and
+    Hadamard blocks, whose columns or rows are orthogonal with equal norms."""
+    size = max(rows, cols)
+    line = rng.standard_normal(size)
+    mats = [np.zeros((rows, cols)), np.repeat(line[:rows, None], cols, axis=1),
+            np.repeat(line[None, :cols], rows, axis=0)]
+    for scale in (1.0, 3.0, 0.1, 1e-200, 1e200):
+        signs = rng.choice([-1.0, 1.0], size)
+        mats.append(scale * (np.eye(size)[rng.permutation(size)] * signs)[:rows, :cols])
+        if size == 4:
+            mats.append(scale * HADAMARD[:rows, :cols])
+    mats += list(rng.standard_normal((6, rows, cols)))
+    stack = np.stack(mats)
+    return stack[rng.permutation(len(stack))]
+
+
+def argsort_reference(mats, want_u, want_vh):
+    """_svd with its Jacobi sort replaced by a stable argsort and take_along_axis.
+
+    The kernel runs with its swaps turned off, so sigma and the factors come
+    back in column order, and are then sorted as numpy sorts them.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pinv, "_swap", lambda x, y, swap: None)
+        u, sigma, vh = pinv._svd(mats, want_u=want_u, want_vh=want_vh)
+    order = np.argsort(-sigma, axis=-1, kind="stable")
+    if want_u:
+        u = np.take_along_axis(u, order[:, None, :], axis=-1)
+    if want_vh:
+        vh = np.take_along_axis(vh, order[:, :, None], axis=-2)
+    return u, np.take_along_axis(sigma, order, axis=-1), vh, order
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3, 3), (4, 4), (4, 2), (2, 4), (1, 3),
+                                   (3, 1)])
+def test_jacobi_sort_keeps_the_stable_argsort_order_on_ties(shape):
+    # adjacent swaps on a strict > move exactly what a stable argsort moves,
+    # tied singular values included, for every choice of factors
+    mats = tied_stack(*shape, np.random.default_rng(7))
+    for want_u, want_vh in itertools.product((False, True), repeat=2):
+        *want, order = argsort_reference(mats, want_u, want_vh)
+        got = pinv._svd(mats, want_u=want_u, want_vh=want_vh)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (want_u, want_vh)
+    if min(shape) > 1:
+        # the stack has exact ties and needs the sort
+        assert (np.diff(want[1], axis=-1) == 0.0).any()
+        assert (order != np.arange(min(shape))).any()
+
+
+def svd_peak(mats, want_u, want_vh):
+    """Traced peak of _svd on mats beyond the arrays it returns, in bytes."""
+    pinv._svd(mats[:16], want_u=want_u, want_vh=want_vh)  # first-call allocations
+    tracemalloc.start()
+    try:
+        out = pinv._svd(mats, want_u=want_u, want_vh=want_vh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, peak - sum(a.nbytes for a in out if a is not None)
+
+
+@pytest.mark.parametrize("want_u, want_vh", list(itertools.product((False, True), repeat=2)))
+def test_jacobi_working_set_grows_by_under_25_doubles_per_matrix(want_u, want_vh):
+    # the sort moves sigma, columns and rotations by swaps, with no index arrays,
+    # and a rotation's scalars are freed before its columns rotate; from 512 to
+    # 1024 matrices of one block, what _svd holds beyond its outputs grows by
+    # fewer than 25 doubles per matrix, and the whole peak by at most the
+    # estimate (_svd_entries)
+    mats = np.random.default_rng(2).standard_normal((1024, 3, 2))
+    (peak, beyond), (half_peak, half_beyond) = (svd_peak(m, want_u, want_vh)
+                                                for m in (mats, mats[:512]))
+    assert beyond - half_beyond < 25 * 8 * 512
+    assert peak - half_peak <= 8 * 512 * pinv._svd_entries(3, 2, 1024, want_u, want_vh)
 
 
 def test_complex_sigma_alone_is_lapacks_values_only_call():

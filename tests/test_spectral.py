@@ -103,6 +103,52 @@ def test_forward_transform_matches_raw_numpy():
     assert np.allclose(forward_transform(phi).coeffs, raw_coeffs(grid, phi.data), atol=1e-14)
 
 
+def traced_peak(call):
+    """call()'s result and traced peak, after one untraced call for first-call caches."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_mesh_transforms_allocate_only_their_output():
+    # fftn and ifftn write every axis pass into one output, where numpy would
+    # allocate a fresh array per pass, and keep numpy's bits; on a 9-fiber 16^3
+    # field (576 KiB) the rest, finiteness masks and Python objects, stays under
+    # 64 KiB
+    grid = Grid(3, 16)
+    rng = np.random.default_rng(4)
+    field = GridField(grid, rng.standard_normal((9,) + grid.shape)
+                      + 1j * rng.standard_normal((9,) + grid.shape))
+    axes = (1, 2, 3)
+    scale = (TWO_PI / grid.size) ** (grid.n / 2.0)
+    freq, peak = traced_peak(lambda: forward_transform(field))
+    assert peak < freq.coeffs.nbytes + 2 ** 16
+    expected = np.fft.fftn(field.data, axes=axes, norm="ortho") * scale
+    assert freq.coeffs.tobytes() == expected.tobytes()
+    kept = freq.coeffs.copy()
+    back, peak = traced_peak(lambda: inverse_transform(freq))
+    assert peak < back.data.nbytes + 2 ** 16
+    assert back.data.tobytes() == (np.fft.ifftn(kept, axes=axes, norm="ortho") / scale).tobytes()
+    # the public inverse leaves its coefficients untouched
+    assert freq.coeffs.tobytes() == kept.tobytes()
+    # apply_Dk transforms its own derivative coefficients in place: the 9-fiber
+    # derivative array of a 3-fiber field goes to the grid within 64 KiB of the
+    # peak of the coefficient step before it
+    phi = GridField(grid, field.data[:3])
+    xis = integer_frequencies(grid)
+    derivatives, step = traced_peak(
+        lambda: spectral._derivatives(1, forward_transform(phi).coeffs, xis))
+    grad, peak = traced_peak(lambda: apply_Dk(1, phi))
+    assert grad.data.shape == derivatives.shape == (9,) + grid.shape
+    assert peak < step + 2 ** 16
+    expected = np.fft.ifftn(derivatives, axes=axes, norm="ortho") / scale
+    assert grad.data.tobytes() == expected.tobytes()
+
+
 def test_single_mode_values_and_norm():
     # the lone coefficient (2pi)^(n/2) at xi's fft index is the mode exp(i x.xi)
     grid = Grid(2, 8)
@@ -511,6 +557,33 @@ def test_band_memory_estimate_bounds_a_sweep(monkeypatch, entry, p):
 
     sweep()  # imports and first-call caches, which the estimate does not count
     assert sweep() <= estimates[-1]
+
+
+@pytest.mark.parametrize("name", ["curl", "symmetric_gradient"])
+def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name):
+    # the public estimate_ratio at p = 3 on the whole mesh, from empty mesh-table
+    # caches, on grids large enough that numpy's iteration buffers and Python
+    # objects, which the estimate leaves out, are small beside the fields: its
+    # traced peak stays within the largest estimate it refuses by
+    op = zoo_get(name)
+    grid = Grid(op.n, {2: 256, 3: 32}[op.n])
+    phi = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, [0, 1])
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed()))
+
+    def ratio():
+        _symbol_tensor.cache_clear()
+        _kernel_projector_table.cache_clear()
+        tracemalloc.start()
+        try:
+            experiments.estimate_ratio(op, phi, 3.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ratio()  # imports and first-call caches, which the estimate does not count
+    assert ratio() <= max(estimates)
 
 
 @pytest.mark.parametrize("p", [3.0, math.inf])

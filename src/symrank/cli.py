@@ -28,7 +28,7 @@ import math
 import sys
 from pathlib import Path
 
-from .experiments import (CONTEXT_WITNESS_FAMILY, TrialRecord, _minimality, _ratio,
+from .experiments import (_MAX_RUNGS, CONTEXT_WITNESS_FAMILY, TrialRecord, _minimality, _ratio,
                           _rung_ratio, _witness_fields, assemble_report, build_frequency_ladder,
                           ratio_sweep)
 from .operators import Operator, parse_operator
@@ -140,7 +140,8 @@ def cmd_counterexample(args) -> int:
     """The ratio ladder along a rank-drop direction, one rung per frequency.
 
     --factor, --rungs and --window are checked before the sphere sweep, so
-    an invalid one exits 1 whatever the operator.  An exact rung (no
+    an invalid one exits 1 whatever the operator (past 52 rungs a rung has
+    no exact float64 frequency).  An exact rung (no
     --window) is a single mode, one coefficient at its frequency, whose
     ratio is the same at every p; it is taken there alone at p = 2
     (_rung_ratio), and nothing of size N^n is built.  A windowed rung
@@ -155,8 +156,8 @@ def cmd_counterexample(args) -> int:
     """
     if not (math.isfinite(args.factor) and args.factor > 0):
         raise ValueError("--factor must be a finite number greater than 0")
-    if args.rungs < 1:
-        raise ValueError("--rungs must be at least 1")
+    if not 1 <= args.rungs <= _MAX_RUNGS:
+        raise ValueError(f"--rungs must lie in [1, {_MAX_RUNGS}]")
     if args.window is not None and not 0.0 < args.window <= 1.0:
         raise ValueError("--window must lie in (0, 1]")
     op = _load_operator(args.source)

@@ -34,6 +34,8 @@ from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transfor
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
+# rung j of a ladder targets 2^(j+1) u, and beyond 2^53 a float64 frequency is not exact
+_MAX_RUNGS = 52
 
 
 class KernelInputError(ValueError):
@@ -229,10 +231,11 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     (for example exactly on the degenerate axis), the first axis offset
     +-e_i that is usable is taken.  For the mixed second derivative with
     u = e1 this yields the family (m, 1), m = 2^(j+1).  Raises
-    DegenerateProbeError when no candidate of a rung is usable.
+    DegenerateProbeError when no candidate of a rung is usable, and
+    ValueError unless 1 <= rungs <= _MAX_RUNGS.
     """
-    if rungs < 1:
-        raise ValueError("rungs must be positive")
+    if not 1 <= rungs <= _MAX_RUNGS:
+        raise ValueError(f"rungs must lie in [1, {_MAX_RUNGS}]")
     u = np.asarray(witness.xi_low, dtype=float)
     u = u / np.linalg.norm(u)
     axes = np.eye(op.n, dtype=int)

@@ -1,23 +1,22 @@
 """Moore-Penrose calculus on symbol matrices.
 
 Numerical rank, the pseudoinverse (pinv_svd) and the kernel projector
-I - A+ A all come from one SVD helper (_svd) with one rank cutoff (_kept),
-on single matrices or stacks.  Real input stays real and complex input
-stays complex.
-
-Every symbol matrix the package decomposes is the real M of A = i^k M
-(see operators._real_stack), single matrices and whole tables alike.
-Real input takes a one-sided (Hestenes) Jacobi kernel, vectorized over
-blocks of the stack, so the Python loop runs over column pairs and sweeps
-where LAPACK's gesdd costs one call per matrix; one-sided Jacobi computes
-small singular values at least as accurately as QR-based SVD (Demmel &
-Veselic, 1992).  Complex input comes only from public-API callers and
-goes to LAPACK (numpy.linalg.svd).  _norm is the package's one
-overflow-free norm for the other values that carry the operator's scale.
-_refuse_beyond_memory is the one physical-memory check behind the
-refusals of oversized symbol tables (spectral) and sphere sweeps (rank),
-which size their peaks with _svd_entries; it evaluates their estimates,
-so one too large for a float is refused too.
+I - A+ A all come from one SVD helper (_svd) with one rank cutoff (_kept,
+its tol bounded by _check_tol), on single matrices or stacks, real input
+staying real and complex complex.  Each routine takes any stack _BLOCK
+matrices at a time into one output (_blockwise), and _held_entries says
+what it holds beside it.  Every symbol matrix the package decomposes is
+the real M of A = i^k M (see operators._real_stack).  Real input takes a
+one-sided (Hestenes) Jacobi kernel, vectorized over blocks of the stack,
+so the Python loop runs over column pairs and sweeps where LAPACK's gesdd
+costs one call per matrix; one-sided Jacobi computes small singular
+values at least as accurately as QR-based SVD (Demmel & Veselic, 1992).
+Complex input comes only from public-API callers and goes to LAPACK
+(numpy.linalg.svd).  _norm and _fiber_norm are the overflow-free norms of
+values that carry the operator's scale.  _refuse_beyond_memory is the one
+physical-memory check behind the refusals of oversized tables (spectral)
+and sphere sweeps (rank); it evaluates their estimates, so one too large
+for a float is refused too.
 """
 
 import itertools
@@ -28,59 +27,67 @@ from collections.abc import Callable
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+_TOL_FLOOR = 64 * np.finfo(float).eps
 
 
 def _as_matrices(mat) -> np.ndarray:
-    """A nonempty, finite matrix or stack of matrices, shape (..., m, n).
-
-    Float when the input is real, complex when it is complex.
-    """
+    """A nonempty (..., m, n) float or complex stack; _blockwise checks finiteness per block."""
     mat = np.asarray(mat)
     mat = mat.astype(complex if np.iscomplexobj(mat) else float, copy=False)
     if mat.ndim < 2 or mat.size == 0:
         raise ValueError(f"expected a 2d matrix or a stack of them, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
     return mat
 
 
-def _norm(values, p: float = 2.0, axis: int | None = None, weights=None,
-          overwrite: bool = False) -> np.ndarray:
-    """(sum weights * |values|^p)^(1/p) along axis (None: all), or max |values| at p = inf.
+def _norm(values, p: float = 2.0, weights=None, overwrite: bool = False) -> np.float64:
+    """(sum weights * |values|^p)^(1/p) over all entries, or max |values| at p = inf.
 
-    |values| is first divided by its largest entry in each reduced slice, so
-    the largest term is exactly 1 at every finite scale and p >= 1; an
-    all-zero slice has norm 0.  weights broadcast against one row values[i]
-    (values itself when it is 1-d).  With overwrite, values is a float64
-    array that is not read again and takes its own magnitudes, so only the
-    reduced slices are allocated.
+    |values| is first divided by its largest entry, so the largest term is
+    exactly 1 at every finite scale and p >= 1; an all-zero array has norm
+    0.  weights broadcast against one row values[i] (values itself when it
+    is 1-d).  With overwrite, values is a float64 array that is not read
+    again and takes its own magnitudes, so nothing its size is allocated.
     """
     mags = np.abs(values, out=values if overwrite else None, order="C")
-    top = mags.max(axis=axis, keepdims=True)
+    top = mags.max()
     if math.isinf(p):
-        return np.squeeze(top, axis)
-    # an all-zero slice is divided by the smallest subnormal instead and stays zero
-    np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
-    # an operand that varies along a row goes in one row of the first axis at a
-    # time: over several short rows at once numpy allocates a 64 KB iteration
-    # buffer for it (top is one value when axis is None)
-    rows = np.atleast_2d(mags)
-    if axis is None:
-        mags /= top
-    else:
-        for row, scale in zip(rows, np.broadcast_to(top, rows.shape)):
-            row /= scale
+        return top
+    # an all-zero array is divided by the smallest subnormal instead and stays zero
+    top = np.maximum(top, np.finfo(float).smallest_subnormal)
+    mags /= top
     if p == 2.0:
         np.square(mags, out=mags)
     else:
         mags **= p
     if weights is not None:
-        for row in rows:
+        # one row at a time: over several short rows numpy allocates a 64 KB buffer
+        for row in np.atleast_2d(mags):
             row *= weights
-    total = mags.sum(axis=axis, keepdims=True)
-    root = np.sqrt(total, out=total) if p == 2.0 else np.power(total, 1.0 / p, out=total)
-    root *= top
-    return np.squeeze(root, axis)
+    total = mags.sum()
+    return (np.sqrt(total) if p == 2.0 else np.power(total, 1.0 / p)) * top
+
+
+def _fiber_norm(values: np.ndarray, maxima: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(sum_c |values[c]|^2) at every point, fiber axis c first; a view of the magnitudes.
+
+    Scaled per point by its largest |values[c]|, as _norm scales.  Given
+    maxima, a float64 buffer of values.shape[1:] for those, values is
+    float64, is not read again and takes its own magnitudes, so nothing of
+    its size is allocated.
+    """
+    mags = np.abs(values, out=None if maxima is None else values)
+    top = mags.max(axis=0, out=maxima)
+    np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
+    # row by row, numpy's order for a sum over axis 0, with no 64 KB iteration buffer
+    for row in mags:
+        row /= top
+    np.square(mags, out=mags)
+    norms = mags[0]
+    for row in mags[1:]:
+        norms += row
+    np.sqrt(norms, out=norms)
+    norms *= top
+    return norms
 
 
 # matrices per block of the Jacobi kernel: the working set is bounded for any
@@ -311,15 +318,59 @@ def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
     return u, sigma.reshape(lead + (rank,)), vh
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless 64 eps <= tol < 1: below that a cutoff reads the SVD's rounding."""
+    if not _TOL_FLOOR <= tol < 1.0:
+        raise ValueError(f"tol must lie in [{_TOL_FLOOR:.3g}, 1)")
+
+
 def _kept(sigma: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the singular values that count: sigma > tol * sigma_max.
 
     sigma is (..., r) in numpy.linalg.svd order.  The comparison is strict,
-    so a zero matrix keeps none and has rank 0.
+    so a zero matrix keeps none and has rank 0.  tol is checked (_check_tol).
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
+    _check_tol(tol)
     return sigma > tol * sigma[..., :1]
+
+
+def _blockwise(mat: np.ndarray, shape: tuple[int, ...], step: Callable, dtype=None,
+               want_u: bool = False, want_vh: bool = False) -> np.ndarray:
+    """A routine's (..., *shape) output on mat (from _as_matrices), in mat's dtype or dtype.
+
+    Allocated once and filled a block of _BLOCK matrices at a time: each is
+    checked for finiteness and decomposed by _svd, and step(out, u, sigma,
+    vh) writes its part of the output from the factors.  So a routine holds
+    one block's working set beside its output (_held_entries), and no bit
+    depends on the blocks.
+    """
+    stack = mat.reshape((-1,) + mat.shape[-2:])
+    out = np.empty((len(stack),) + shape, dtype=dtype or mat.dtype)
+    for start in range(0, len(stack), _BLOCK):
+        block = stack[start:start + _BLOCK]
+        if not np.isfinite(block).all():
+            raise ValueError("matrix has non-finite entries")
+        step(out[start:start + len(block)], *_svd(block, want_u, want_vh))
+    return out.reshape(mat.shape[:-2] + shape)
+
+
+def _held_entries(routine: Callable, rows: int, cols: int, count: int) -> float:
+    """Real entries per matrix that routine holds beside its output on a real stack of count.
+
+    routine is numerical_rank, kernel_projector or pinv_svd, on (rows,
+    cols) matrices.  One block's (_blockwise) finiteness flags, or _svd's
+    peak (_svd_entries), or after it the factors read, the cutoff mask and
+    product, and the count of kept values, or the masked vh and inverted
+    mask, or the inverted sigma and scaled u^T, whichever is largest, a
+    flag counted as a whole entry, spread over the stack.
+    """
+    rank, block = min(rows, cols), min(count, _BLOCK)
+    want_u, want_vh, after = {
+        "numerical_rank": (False, False, 2 * rank + 2),
+        "kernel_projector": (False, True, 3 * rank + 2 * rank * cols + 1),
+        "pinv_svd": (True, True, rank * (2 * rows + cols + 3) + 1)}[routine.__name__]
+    held = max(rows * cols, _svd_entries(rows, cols, block, want_u, want_vh), after)
+    return held * (block / count)  # a ratio first: count may be too large for a float
 
 
 def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int | np.ndarray:
@@ -327,10 +378,12 @@ def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int | np.ndarray:
 
     An int for one matrix (m, n); an int array of shape (...) for a stack
     (..., m, n), each matrix measured against its own sigma_max.  Real
-    input is decomposed in real arithmetic by the Jacobi kernel (see _svd).
+    input is decomposed in real arithmetic by the Jacobi kernel (see _svd),
+    a block at a time (_blockwise).
     """
-    sigma = _svd(_as_matrices(mat))[1]
-    ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
+    def count(out, u, sigma, vh):
+        out[...] = np.count_nonzero(_kept(sigma, tol), axis=-1)
+    ranks = _blockwise(_as_matrices(mat), (), count, np.intp)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -343,11 +396,12 @@ def pinv_svd(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     Real input gives a real pseudoinverse (see _svd); a nonzero row or
     column a gives a* / |a|^2.
     """
-    u, sigma, vh = _svd(_as_matrices(mat), want_u=True, want_vh=True)
-    keep = _kept(sigma, tol)
-    inv = np.zeros_like(sigma)
-    inv[keep] = 1.0 / sigma[keep]
-    return np.swapaxes(vh.conj(), -1, -2) @ (inv[..., :, None] * np.swapaxes(u.conj(), -1, -2))
+    def invert(out, u, sigma, vh):
+        inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=_kept(sigma, tol))
+        np.matmul(np.swapaxes(vh.conj(), -1, -2),
+                  inv[..., :, None] * np.swapaxes(u.conj(), -1, -2), out=out)
+    mat = _as_matrices(mat)
+    return _blockwise(mat, mat.shape[:-3:-1], invert, want_u=True, want_vh=True)
 
 
 def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -359,12 +413,11 @@ def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     Real input gives a real, exactly symmetric projector (see _svd).  A
     nonzero row a gives I - a* a / |a|^2, a nonzero column the 1 x 1 zero.
     """
+    def project(out, u, sigma, vh):
+        kept_rows = np.conjugate(vh)
+        np.copyto(kept_rows, 0.0, where=~_kept(sigma, tol)[..., None])
+        np.einsum("miv,miw->mvw", kept_rows, vh, out=out)
+        np.subtract(np.eye(dim_v, dtype=out.dtype), out, out=out)
     mat = _as_matrices(mat)
     dim_v = mat.shape[-1]
-    mats = mat.reshape((-1,) + mat.shape[-2:])
-    sigma, vh = _svd(mats, want_vh=True)[1:]
-    kept_rows = np.conjugate(vh)
-    kept_rows[~_kept(sigma, tol)] = 0.0
-    proj = np.einsum("miv,miw->mvw", kept_rows, vh)
-    np.subtract(np.eye(dim_v, dtype=proj.dtype), proj, out=proj)
-    return proj.reshape(mat.shape[:-2] + (dim_v, dim_v))
+    return _blockwise(mat, (dim_v, dim_v), project, want_vh=True)

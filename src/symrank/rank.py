@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import Operator, _real_stack
-from .pinv import (_BLOCK, DEFAULT_TOL, _refuse_beyond_memory, _svd, _svd_entries,
+from .pinv import (_BLOCK, DEFAULT_TOL, _check_tol, _held_entries, _refuse_beyond_memory, _svd,
                    kernel_projector, numerical_rank, pinv_svd)
 
 # refinement target for drop directions, radians
@@ -125,22 +125,20 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int) -> None:
     moment a flag per direction, so n + 2 doubles per direction in all, a
     flag counted as a whole double.  The rest is one block's working set,
     the most of three phases: building the real symbol M (_monomials' T
-    monomials, one per-axis power column for each exponent above 1, and the
-    dimW * dimV entries of M); ranking M (M, _svd's singular values and
-    Jacobi working set from pinv._svd_entries, the cutoff product, the rank
-    mask and the ranks); and pairing a low-rank sample with its nearest
-    full-rank one (the scores, their clipped copy and a mask).  The check
-    runs before anything is allocated, so a sweep too large for the machine
-    is refused instead of being killed part way.
+    monomials, a power column per exponent above 1, and M); ranking M (M,
+    the ranks and what numerical_rank holds beside them, as pinv says); and
+    pairing a low-rank sample with its nearest full-rank one (the scores,
+    their clipped copy and a mask).  The check runs before anything is
+    allocated, so a sweep too large for the machine is refused instead of
+    being killed part way.
     """
     signs = 2 ** op.n if op.n >= 2 else 0
     count = 2 * op.n + signs + num_samples
     block = min(count, _BLOCK)
-    rank = min(op.dim_w, op.dim_v)
     entries = op.dim_w * op.dim_v
     powers = len(op.alpha_array) + int(np.maximum(op.alpha_array.max(axis=0) - 1, 0).sum())
     build = powers + entries
-    ranking = entries + _svd_entries(op.dim_w, op.dim_v, block, False, False) + rank + 2
+    ranking = entries + 1 + _held_entries(numerical_rank, op.dim_w, op.dim_v, block)
     pairing = 3
     sampling = max(3 * signs, num_samples + 2 * min(num_samples, _BLOCK))
     _refuse_beyond_memory(
@@ -197,8 +195,7 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     would exceed physical memory (2^n sign vectors make that so for large
     n).
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
+    _check_tol(tol)
     _refuse_oversized_sweep(op, num_samples)
     directions = sphere_samples(op.n, num_samples, seed)
     ranks = np.empty(len(directions), dtype=np.intp)

@@ -38,30 +38,24 @@ N is, drawn by one generator call (_band_draw); random_band_limited
 scatters them onto the whole mesh.  The band spectrum (_band_spectrum)
 holds M and P_A at the primaries only, cached per (operator, B, tol)
 (_band_tables), and weights that count each primary twice, for its
-mirror, so at p = 2 it holds nothing of the grid.  At any other p its grid
-values come from numpy's irfftn steps, one fiber at a time (_inverse):
-the fiber's primaries, and in plane 0 their conjugate mirrors, are
-scattered into first-axis planes 0..B of the half spectrum, the only
-nonzero ones, the complex passes run on those planes alone, and the real
-pass reads them beside planes B+1..N/2 that stay zero, so every value
-keeps irfftn's bits; _grid_norm measures them in place.  The one-fiber
-target, the output and the work arrays of these steps are allocated once
-per spectrum (_band_grid), so after its first trial a sweep allocates no
-array the size of the grid.  An exact witness rung is one coefficient at
-one frequency, and its spectrum (_rung_spectrum) holds M and P_A there
-alone and no grid route: a single mode has the same modulus at every grid
-point, so its ratio is the same at every p, taken at p = 2, and nothing of
-size N^n is built.
+mirror, so at p = 2 it holds nothing of the grid.  At any other p its
+grid values come from numpy's irfftn steps, one fiber at a time, on the
+half spectrum's first-axis planes 0..B only, the nonzero ones (_inverse),
+with irfftn's bits, into buffers allocated once per spectrum
+(_band_grid), so after its first trial a sweep allocates no array the
+size of the grid.  An exact witness rung is one coefficient at one
+frequency, and its spectrum (_rung_spectrum) holds M and P_A there alone
+and no grid route: a single mode has the same modulus at every grid
+point, so its ratio is the same at every p, taken at p = 2, and nothing
+of size N^n is built.
 
-Every SVD table, the whole mesh's kernel projector and pseudoinverse and
-the projector of a band or a rung, comes from one builder (_svd_table),
-which runs its pinv routine on one block of frequencies at a time, so each
-entry has the bits of the build at its frequency alone and the band and
+Every SVD table is one call of a pinv routine, which owns the blocking
+and gives a matrix the same bits anywhere in a stack, so the band and
 rung tables are the mesh tables at their frequencies.  One estimate
 (_refuse_oversized) sizes the mesh and band routes before anything is
-allocated: their tables with their build (_build_entries), a trial's
-fields and, at p != 2, the grid buffers; an estimate too large for a float
-is refused too.
+allocated: their tables with what pinv holds while it builds one
+(pinv._held_entries), a trial's fields and, at p != 2, the grid buffers;
+an estimate too large for a float is refused too.
 """
 
 import math
@@ -72,7 +66,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .operators import Operator, _monomials, _real_stack, multi_indices, multinomial_weight
-from .pinv import (DEFAULT_TOL, _BLOCK, _norm, _refuse_beyond_memory, _svd_entries,
+from .pinv import (DEFAULT_TOL, _fiber_norm, _held_entries, _norm, _refuse_beyond_memory,
                    kernel_projector, pinv_svd)
 
 TWO_PI = 2.0 * math.pi
@@ -149,8 +143,8 @@ class GridField:
         return GridField(self.grid, self.data - other.data)
 
     def pointwise_norm(self) -> np.ndarray:
-        """sqrt(sum_c |f_c(x)|^2) at every grid point x, by pinv._norm (scaled per point)."""
-        return _norm(self.data, axis=0)
+        """sqrt(sum_c |f_c(x)|^2) at every grid point x, by pinv._fiber_norm (scaled per point)."""
+        return _fiber_norm(self.data).copy()
 
 
 @dataclass(frozen=True)
@@ -253,28 +247,12 @@ def lp_norm(field: GridField, p: float) -> float:
 
 
 def _grid_norm(data: np.ndarray, grid: Grid, p: float, maxima: np.ndarray | None = None) -> float:
-    """lp_norm of the grid values data (real or complex), fiber axis first.
+    """lp_norm of the grid values data (real or complex, fiber axis first): pinv's two norms.
 
-    pinv._norm over the fibers, then over the points, by its steps: per-point
-    max, divide (row by row), square, sum over axis 0 (into row 0, row by
-    row, which is numpy's order for that sum), sqrt, multiply.  Given
-    maxima, a float64 buffer of grid.shape for the per-point max, data is
-    real and is not read again (the band's output buffer, _band_grid) and
-    takes its own magnitudes, so nothing the size of the grid is allocated.
+    Given maxima (pinv._fiber_norm), data is the band's real output buffer
+    (_band_grid), so nothing the size of the grid is allocated.
     """
-    mags = np.abs(data, out=None if maxima is None else data)
-    top = mags.max(axis=0, out=maxima)
-    np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
-    # row by row: a broadcast division over several rows at once makes numpy
-    # allocate a 64 KB iteration buffer
-    for row in mags:
-        row /= top
-    np.square(mags, out=mags)
-    fiber_norms = mags[0]
-    for row in mags[1:]:
-        fiber_norms += row
-    np.sqrt(fiber_norms, out=fiber_norms)
-    fiber_norms *= top
+    fiber_norms = _fiber_norm(data, maxima)
     return float(_norm(fiber_norms, p, overwrite=True) * grid.cell_volume ** (1.0 / p))
 
 
@@ -317,24 +295,6 @@ def _refuse_oversized(op: Operator, grid: Grid, count: int, per_frequency: float
     """
     _refuse_beyond_memory(lambda: 8 * (count * per_frequency + grid_entries),
                           f"{op.name} on a {grid.size}^{grid.n} grid", "for its tables and fields")
-
-
-def _build_entries(op: Operator, count: int, pseudoinverse: bool = False) -> float:
-    """Real entries per matrix that _svd_table holds beside its table on count symbols.
-
-    One block's _svd (pinv._svd_entries) or, after it, the routine's arrays,
-    whichever is larger, spread over the stack: kernel_projector's sigma,
-    vh, masked vh and output, or pinv_svd's u, sigma, vh, inverted sigma,
-    scaled u^T and output.
-    """
-    rank = min(op.dim_w, op.dim_v)
-    block = min(count, _BLOCK)
-    svd = _svd_entries(op.dim_w, op.dim_v, block, want_u=pseudoinverse, want_vh=True)
-    if pseudoinverse:
-        routine = (op.dim_w + op.dim_v + 2) * rank + op.dim_w * rank + op.dim_v * op.dim_w
-    else:
-        routine = rank + 2 * rank * op.dim_v + op.dim_v ** 2
-    return max(svd, routine) * (block / count)
 
 
 @lru_cache(maxsize=32)
@@ -404,39 +364,22 @@ def apply_A(op: Operator, field: GridField) -> GridField:
     return GridField(field.grid, _inverse(out, field.grid, out))
 
 
-def _svd_table(symbols: np.ndarray, tol: float, pseudoinverse: bool = False) -> np.ndarray:
-    """kernel_projector, or pinv_svd when pseudoinverse, of a flat (F, dimW, dimV) real stack.
-
-    spectral's one SVD table builder: the pinv routine runs on pinv._BLOCK
-    matrices at a time and writes into one preallocated, read-only (F, dimV,
-    dimV or dimW) table, so beside it the build holds one block's arrays
-    (_build_entries).  _svd decomposes a matrix to the same bits anywhere in
-    a stack, so every entry is the build of that frequency's M alone,
-    bitwise, and the band and rung tables are the mesh tables at their
-    frequencies.
-    """
-    count, rows, cols = symbols.shape
-    table = np.empty((count, cols, rows if pseudoinverse else cols))
-    for start in range(0, count, _BLOCK):
-        block = symbols[start:start + _BLOCK]
-        table[start:start + _BLOCK] = (pinv_svd(block, tol) if pseudoinverse
-                                       else kernel_projector(block, tol))
-    table.setflags(write=False)
-    return table
-
-
 def _mesh_table(op: Operator, grid: Grid, tol: float, pseudoinverse: bool) -> np.ndarray:
-    """_svd_table of the symbol table (_symbol_tensor) in its layout, (size, ..., size, dimV, cols).
+    """kernel_projector, or pinv_svd, of the symbol table (_symbol_tensor) in its layout; read-only.
 
     Refused when too large (_refuse_oversized), counting per frequency both
-    tables, the build and the largest field, all order-k derivatives.
+    tables, what the pinv routine holds beside its output
+    (pinv._held_entries) and the largest field, all order-k derivatives.
     """
     count = grid.size ** grid.n
+    routine = pinv_svd if pseudoinverse else kernel_projector
     cols = op.dim_w if pseudoinverse else op.dim_v
     _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + op.dim_v * cols
-                      + _build_entries(op, count, pseudoinverse) + 2 * _derivative_fibers(op))
-    symbols = _symbol_tensor(op, grid).reshape(count, op.dim_w, op.dim_v)
-    return _svd_table(symbols, tol, pseudoinverse).reshape(grid.shape + (op.dim_v, cols))
+                      + _held_entries(routine, op.dim_w, op.dim_v, count)
+                      + 2 * _derivative_fibers(op))
+    table = routine(_symbol_tensor(op, grid), tol)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=32)
@@ -444,10 +387,9 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """Projector onto ker A(xi) per frequency, shape (size, ..., size, dimV, dimV).
 
     Same layout as _symbol_tensor and real like it: P_A = P_M, so the table
-    is kernel_projector of the real symbol table, built block by block
-    (_mesh_table).  Frequency zero (and any exact rank-0 frequency) gets the
-    identity: everything there is kernel, so the projection keeps constants
-    intact.
+    is kernel_projector of the real symbol table (_mesh_table).  Frequency
+    zero (and any exact rank-0 frequency) gets the identity: everything
+    there is kernel, so the projection keeps constants intact.
     """
     return _mesh_table(op, grid, tol, pseudoinverse=False)
 
@@ -456,8 +398,8 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
 def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """M+ per frequency for the real symbol table M, shape (size, ..., size, dimV, dimW).
 
-    A+ = i^-k M+.  pinv_svd of the real symbol table, built block by block
-    (_mesh_table) and cached like _kernel_projector_table.
+    A+ = i^-k M+.  pinv_svd of the real symbol table (_mesh_table), cached
+    like _kernel_projector_table.
     """
     return _mesh_table(op, grid, tol, pseudoinverse=True)
 
@@ -645,7 +587,8 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     count = grid.size ** grid.n
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 1
     trial = _trial_entries(op) + 2 * held + (_band_fibers(op) + 2 if p != 2.0 else 0)
-    _refuse_oversized(op, grid, count, tables + max(_build_entries(op, count), trial))
+    build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
+    _refuse_oversized(op, grid, count, tables + max(build, trial))
     projector = _kernel_projector_table(op, grid, float(tol))
     return _Spectrum(
         integer_frequencies(grid), _symbol_tensor(op, grid), projector, None,
@@ -658,7 +601,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
 def _band_tables(op: Operator, max_freq: int, tol: float) -> tuple[np.ndarray, ...]:
     """M, P_A and 2 |xi|^2k at the primaries of the band max_freq; read-only.
 
-    M is operators._real_stack and P_A its _svd_table, bitwise the entries
+    M is operators._real_stack and P_A its kernel_projector, bitwise the entries
     of _symbol_tensor and _kernel_projector_table at the primaries, so they
     do not depend on N.  A primary stands for itself and its mirror, so the
     weights count it twice.
@@ -666,9 +609,10 @@ def _band_tables(op: Operator, max_freq: int, tol: float) -> tuple[np.ndarray, .
     primaries = _primaries(op.n, max_freq)
     symbols = _real_stack(op, primaries.T)
     weights = 2.0 * _xi_weights(primaries, op.k)
-    for table in (symbols, weights):
+    projector = kernel_projector(symbols, tol)
+    for table in (symbols, projector, weights):
         table.setflags(write=False)
-    return symbols, _svd_table(symbols, tol), weights
+    return symbols, projector, weights
 
 
 def _band_grid(grid: Grid, primaries: np.ndarray, fibers: int):
@@ -742,8 +686,8 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
         grid_entries = (2 * ((1 + (grid.n > 2)) * planes + half)
                         + (fibers + 1) * grid.size ** grid.n)
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
-    _refuse_oversized(op, grid, count, tables + max(_build_entries(op, count), _trial_entries(op)),
-                      grid_entries)
+    build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
+    _refuse_oversized(op, grid, count, tables + max(build, _trial_entries(op)), grid_entries)
     primaries = _primaries(op.n, max_freq)
     symbols, projector, weights = _band_tables(op, max_freq, float(tol))
     grid_norm = _band_grid(grid, primaries, fibers)[1] if p != 2.0 else None
@@ -754,7 +698,7 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
 def _rung_spectrum(op: Operator, freq, tol: float) -> _Spectrum:
     """The one frequency of an exact witness rung, a single mode at freq (n integers).
 
-    M and P_A are _real_stack and its _svd_table at the rung, bitwise the
+    M and P_A are _real_stack and its kernel_projector at the rung, bitwise the
     entries of the mesh tables there, and the weights |xi|^2k, so a ratio of
     the rung's one coefficient reads nothing the size of the grid.  Its
     norms are coefficient norms, taken at p = 2 for every p
@@ -763,8 +707,9 @@ def _rung_spectrum(op: Operator, freq, tol: float) -> _Spectrum:
     """
     xis = np.array(freq, dtype=float).reshape(op.n, 1)
     symbols = _real_stack(op, xis.T)
-    return _Spectrum(xis, symbols, _svd_table(symbols, tol), None, _xi_weights(xis, op.k),
-                     None, None)
+    projector = kernel_projector(symbols, tol)
+    projector.setflags(write=False)
+    return _Spectrum(xis, symbols, projector, None, _xi_weights(xis, op.k), None, None)
 
 
 def periodic_bump(grid: Grid, width: float) -> np.ndarray:

@@ -272,7 +272,8 @@ def test_counterexample_rejects_unusable_factor(capsys, factor):
 
 
 @pytest.mark.parametrize("option, value", [("--window", "2"), ("--window", "0"),
-                                           ("--window", "nan"), ("--rungs", "0")])
+                                           ("--window", "nan"), ("--rungs", "0"),
+                                           ("--rungs", "53"), ("--rungs", "1100")])
 @pytest.mark.parametrize("source", [f"zoo:{entry.name}" for entry in zoo_list()]
                          + ["lap_plus_d1d2.json"])
 def test_counterexample_rejects_unusable_ladder_options_before_the_sweep(capsys, monkeypatch,
@@ -287,6 +288,27 @@ def test_counterexample_rejects_unusable_ladder_options_before_the_sweep(capsys,
     code, out, err = run(capsys, "counterexample", source, option, value)
     assert code == EXIT_INPUT_ERROR and out == ""
     assert err.startswith(f"error: {option}") and err.count("\n") == 1
+
+
+def test_counterexample_ladder_stops_where_float64_frequencies_do(capsys):
+    # rung j targets 2^(j+1) u: rung 52 is the last with an exact float64
+    # frequency, and 64 rungs once came back as [1, -2^63] repeated, exit 0
+    huge = str(2 ** 600)
+    code, doc, _ = run_json(capsys, "counterexample", "zoo:d1d2", "--N", huge, "--rungs", "52")
+    assert code == EXIT_OK
+    assert [abs(x) for x in doc["ladder"][-1]] == [1, 2 ** 52]
+    assert doc["records"][-1]["ratio"] == 2.0 ** 52
+    code, out, err = run(capsys, "counterexample", "zoo:d1d2", "--N", huge, "--rungs", "64")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == "error: --rungs must lie in [1, 52]\n"
+
+
+def test_analyze_refuses_a_cutoff_below_the_svd_rounding(capsys):
+    # at 3e-16 curl was reported NonConstantRank, exit 3, with a witness whose
+    # pseudoinverse bound "held"
+    code, out, err = run(capsys, "analyze", "zoo:curl", "--tol", "3e-16", "--samples", "20000")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == "error: tol must lie in [1.42e-14, 1)\n"
 
 
 def test_counterexample_windowed_reports_smaller_growth(capsys):
@@ -682,7 +704,7 @@ SIZES = {
     "--N": ["4", "8", "16", "0", "-8", "6", "abc", "1e1", str(2 ** 600)],
     "--trials": ["1", "3", "0", "-1", "x"],
     "--kernel-trials": ["1", "3", "0", "-2"],
-    "--rungs": ["1", "2", "4", "0", "-1"],
+    "--rungs": ["1", "2", "4", "0", "-1", "1100"],
     "--samples": ["0", "1", "64", "256", str(2 ** 62), str(2 ** 63), "-5", "1.5",
                   str(2 ** 1100)],
 }
@@ -726,6 +748,8 @@ def command_lines(draw):
 @given(command_lines())
 # a draw that once ended in a traceback: the p = 2 band route built grid indices
 @example(["verify", "zoo:curl", "--N", str(2 ** 600), "--trials", "1", "--max-freq", "1"])
+# and one whose ladder overflowed int64 on the way to float frequencies
+@example(["counterexample", "zoo:d1d2", "--rungs", "1100"])
 @settings(max_examples=150, deadline=None)
 def test_generated_command_lines_exit_with_documented_codes(argv):
     out, err = io.StringIO(), io.StringIO()

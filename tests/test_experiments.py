@@ -434,8 +434,9 @@ def test_ladder_generic_direction_needs_no_offset():
 
 def test_ladder_validation():
     op = zoo_get("d1d2")
-    with pytest.raises(ValueError, match="rungs"):
-        build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=0)
+    for rungs in (0, 53, 1100):
+        with pytest.raises(ValueError, match=r"rungs must lie in \[1, 52\]"):
+            build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=rungs)
 
 
 def test_d1d2_ladder_ratios_closed_form():

@@ -74,6 +74,25 @@ def test_rank_input_validation():
         numerical_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("tol", [3e-16, 0.99 * pinv._TOL_FLOOR, float("nan")])
+def test_cutoffs_below_the_floor_or_nan_are_refused(tol):
+    # below 64 eps of sigma_max a singular value is the SVD's rounding, so a
+    # cutoff there decides nothing; every routine refuses it with the one
+    # validator's message
+    mats = np.eye(3)[None].repeat(2, axis=0)
+    for route in (numerical_rank, kernel_projector, pinv_svd):
+        with pytest.raises(ValueError, match=r"tol must lie in \[1.42e-14, 1\)"):
+            route(mats, tol)
+    with pytest.raises(ValueError, match=r"tol must lie in \[1.42e-14, 1\)"):
+        pinv._kept(np.ones((2, 3)), tol)
+
+
+def test_the_cutoff_floor_is_64_eps_and_is_accepted():
+    assert pinv._TOL_FLOOR == 64 * np.finfo(float).eps
+    assert numerical_rank(np.diag([1.0, 1e-13]), pinv._TOL_FLOOR) == 2
+    assert numerical_rank(np.diag([1.0, 1e-14]), pinv._TOL_FLOOR) == 1
+
+
 # -------------------------------------------------------------- char poly
 
 def test_char_poly_frozen_examples():
@@ -496,6 +515,30 @@ def test_jacobi_working_set_grows_by_under_25_doubles_per_matrix(want_u, want_vh
                                                 for m in (mats, mats[:512]))
     assert beyond - half_beyond < 25 * 8 * 512
     assert peak - half_peak <= 8 * 512 * pinv._svd_entries(3, 2, 1024, want_u, want_vh)
+
+
+@pytest.mark.parametrize("count", [1, pinv._BLOCK + 1, 3 * pinv._BLOCK + 1],
+                         ids=["1", "block+1", "3block+1"])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (3, 1), (1, 3), (12, 5)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("routine", [numerical_rank, kernel_projector, pinv_svd],
+                         ids=lambda routine: routine.__name__)
+def test_routines_hold_at_most_their_estimate_beside_the_output(routine, shape, count):
+    # each routine takes its stack a block at a time into one preallocated output,
+    # so beside the output it holds one block's working set, which pinv's estimate
+    # bounds; Python objects and numpy's iteration buffers, which the estimate
+    # leaves out, stay under 64 KiB
+    mats = np.random.default_rng(4).standard_normal((count,) + shape)
+    mats[::3, :, 0] = 0.0
+    routine(mats[:2])  # first-call allocations
+    tracemalloc.start()
+    try:
+        out = routine(mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak - out.nbytes
+    assert held <= 8 * count * pinv._held_entries(routine, *shape, count) + 2 ** 16
 
 
 def test_complex_sigma_alone_is_lapacks_values_only_call():

@@ -220,6 +220,30 @@ def test_sweep_in_blocks_matches_the_one_shot_sweep(name, count):
 
 # ------------------------------------------------------------------ profiles
 
+@pytest.mark.parametrize("tol", [3e-16, 0.99 * pinv._TOL_FLOOR, 1.0])
+def test_sweep_refuses_a_cutoff_below_the_floor_before_sampling(monkeypatch, tol):
+    # at 3e-16 the rounding of curl's SVD crossed the cutoff, and curl was
+    # reported NonConstantRank with a certified witness
+    monkeypatch.setattr(rank, "sphere_samples", None)
+    with pytest.raises(ValueError, match=r"tol must lie in \[1.42e-14, 1\)"):
+        rank_profile(zoo_get("curl"), num_samples=20000, tol=tol)
+
+
+FLOOR_OPERATORS = [entry.build() for entry in zoo_list()] + [
+    named_operator(path.stem) for path in sorted(BENCH_OPERATORS.glob("*.json"))] + [
+    parse_operator(path.read_text()) for path in sorted(Path(__file__).parent.glob("*.json"))]
+
+
+@pytest.mark.parametrize("op", FLOOR_OPERATORS, ids=lambda op: op.name)
+def test_every_operator_keeps_its_verdict_and_ranks_at_the_cutoff_floor(op):
+    # the smallest cutoff accepted, 64 eps, stays above every operator's rounding
+    # on 20000 directions, where 3e-16 turned curl NonConstantRank
+    floor = rank_profile(op, num_samples=20000, tol=pinv._TOL_FLOOR)
+    default = rank_profile(op, num_samples=20000)
+    assert (floor.verdict, floor.min_rank, floor.max_rank) == \
+        (default.verdict, default.min_rank, default.max_rank)
+
+
 @pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
 def test_zoo_verdicts_and_ranks(entry):
     op = entry.build()

@@ -363,7 +363,7 @@ def test_band_grid_values_are_those_of_the_whole_mesh(n):
 def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
     # the fiber-by-fiber steps on planes 0..B have numpy irfftn's bits on the
     # whole half spectrum, below and at the full band B = N/4, and grid_norm
-    # those of pinv._norm on its values; after the first call, no call allocates
+    # those of pinv's norms on its values; after the first call, no call allocates
     # a fiber (one fiber is larger than numpy's 8192-entry iteration buffer on
     # these grids)
     grid = Grid(n, size)
@@ -390,8 +390,8 @@ def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
         finally:
             tracemalloc.stop()
         for p, value in ((3.0, norm), (math.inf, grid_norm(values, math.inf))):
-            # pinv._norm over the fibers and then the points, the real and complex routes
-            reference = pinv._norm(pinv._norm(expected, axis=0), p) * grid.cell_volume ** (1 / p)
+            # pinv._fiber_norm, then pinv._norm over the points, the real and complex routes
+            reference = pinv._norm(pinv._fiber_norm(expected), p) * grid.cell_volume ** (1 / p)
             assert value == float(reference) == lp_norm(GridField(grid, expected), p)
 
 

@@ -15,13 +15,13 @@ with the frequencies) on a coefficient array; the step runs on whatever
 frequencies its table and array cover.  The public apply_* functions wrap
 a step between the forward and the inverse transform.  A whole-mesh FFT
 writes every axis pass into one output (out=): forward_transform into a
-fresh array, and code that made its coefficients itself (the apply_*
-functions, random_band_limited, the mesh spectrum's grid norm) into those
-coefficients, so the inverse allocates nothing.  The symbol table
-holds the real M of A = i^k M (operators._real_stack), so the symbol and
-pseudoinverse tables are real like the projector table (P_A = P_M, A+ =
-i^-k M+), and only apply_A and apply_multiplier multiply by a phase, i^k
-and i^-k.  Code that chains several steps, such as the estimate ratio,
+fresh array, and the whole-mesh inverse (_inverse) into the coefficients
+it is given, those that the apply_* functions, random_band_limited and the
+mesh spectrum's grid norm made themselves, or inverse_transform's copy.
+The symbol table holds the real M of A = i^k M (operators._real_stack),
+so the symbol and pseudoinverse tables are real like the projector table
+(P_A = P_M, A+ = i^-k M+), and only apply_A and apply_multiplier multiply
+by a phase, i^k and i^-k.  Code that chains several steps, such as the estimate ratio,
 stays on coefficients and transforms back only the fields whose grid
 values an L^p norm with p != 2 needs: at p = 2 the grid norm is a
 weighted coefficient sum (pinv._norm), and otherwise _grid_norm, lp_norm's
@@ -38,16 +38,16 @@ N is, drawn by one generator call (_band_draw); random_band_limited
 scatters them onto the whole mesh.  The band spectrum (_band_spectrum)
 holds M and P_A at the primaries only, cached per (operator, B, tol)
 (_band_tables), and weights that count each primary twice, for its
-mirror, so at p = 2 it holds nothing of the grid.  At any other p its
-grid values come from numpy's irfftn steps, one fiber at a time, on the
-half spectrum's first-axis planes 0..B only, the nonzero ones (_inverse),
-with irfftn's bits, into buffers allocated once per spectrum
-(_band_grid), so after its first trial a sweep allocates no array the
-size of the grid.  An exact witness rung is one coefficient at one
-frequency, and its spectrum (_rung_spectrum) holds M and P_A there alone
-and no grid route: a single mode has the same modulus at every grid
-point, so its ratio is the same at every p, taken at p = 2, and nothing
-of size N^n is built.
+mirror, so at p = 2 it holds nothing of the grid.  At any other p the
+band's own real inverse FFT (_band_grid) forms its grid values: numpy's
+irfftn steps, one fiber at a time, on the half spectrum's first-axis
+planes 0..B only, the nonzero ones, with irfftn's bits, into buffers
+listed once (_band_buffers) and allocated once per spectrum, so after its
+first trial a sweep allocates no array the size of the grid.  An exact
+witness rung is one coefficient at one frequency, and its spectrum
+(_rung_spectrum) holds M and P_A there alone and no grid route: a single
+mode has the same modulus at every grid point, so its ratio is the same
+at every p, taken at p = 2, and nothing of size N^n is built.
 
 Every SVD table is one call of a pinv routine, which owns the blocking
 and gives a matrix the same bits anywhere in a stack, so the band and
@@ -59,7 +59,7 @@ an estimate too large for a float is refused too.
 """
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -185,58 +185,19 @@ def forward_transform(field: GridField) -> FrequencyField:
 
 def inverse_transform(freq: FrequencyField) -> GridField:
     """Coefficients back to grid values; exact inverse of forward_transform."""
-    return GridField(freq.grid, _inverse(freq.coeffs, freq.grid))
+    return GridField(freq.grid, _inverse(freq.coeffs.copy(), freq.grid))
 
 
-def _inverse(coeffs: np.ndarray | Iterable[np.ndarray], grid: Grid, out: np.ndarray | None = None,
-             work: list[np.ndarray] | None = None) -> np.ndarray:
-    """Grid values of a (fiber, ...) coefficient array on the whole mesh or of a real field.
+def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid values of a (fiber, N, ..., N) coefficient array on the whole mesh, in place.
 
-    On the whole mesh (an array with coeffs.shape[1] = N) this is
     inverse_transform's complex data, by ifftn, whose axis passes all write
-    into out, a complex array of coeffs' shape (coeffs itself transforms
-    in place, to the same bits), or one fresh array.  Otherwise coeffs yields
-    the fibers of a real field, each its first-axis planes 0..B (B <= N/2)
-    of the half spectrum, or a generator that fills one such fiber just
-    before it is read (the band's scatter target, _band_grid).  Their
-    float64 grid values come from numpy's irfftn steps taken one fiber at a
-    time: ifft along axes 1..n-1 on planes 0..B only, the last pass into
-    planes 0..B of the half spectrum, whose planes B+1..N/2 stay zero, then
-    irfft along the first axis.  Every line transform is independent and
-    every skipped line is zero, so each value has irfftn's bits.  The steps
-    write into out, a real (fiber, N, ..., N) array, through work, the
-    complex arrays the passes write (_inverse_work).  Either is allocated
-    here when not given (out only for an array).
+    into coeffs, to the bits of a fresh output, so a caller that reads its
+    coefficients again hands over a copy.
     """
-    if isinstance(coeffs, np.ndarray) and coeffs.shape[1] == grid.size:
-        data = np.fft.ifftn(coeffs, axes=_spatial_axes(grid), norm="ortho",
-                            out=np.empty(coeffs.shape, dtype=complex) if out is None else out)
-    else:
-        data = np.empty((len(coeffs),) + grid.shape) if out is None else out
-        for values, fiber in zip(coeffs, data):
-            planes = len(values)
-            if work is None:
-                work = _inverse_work(grid, values.shape)
-            for axis in range(1, grid.n):
-                values = np.fft.ifft(values, axis=axis, norm="ortho",
-                                     out=work[(grid.n - 1 - axis) % 2][:planes])
-            # in 1-D there is no pass: irfft pads the planes beyond B with zeros
-            # itself, to the same bits (slower over many lines, but here there is one)
-            np.fft.irfft(work[0] if work else values, grid.size, axis=0, norm="ortho", out=fiber)
+    data = np.fft.ifftn(coeffs, axes=_spatial_axes(grid), norm="ortho", out=coeffs)
     data /= (TWO_PI / grid.size) ** (grid.n / 2.0)
     return data
-
-
-def _inverse_work(grid: Grid, shape: tuple[int, ...]) -> list[np.ndarray]:
-    """The arrays _inverse's passes write for fibers of shape (B + 1, N, ..., N), last pass first.
-
-    For n >= 2 the half spectrum, zeroed here and written only in planes
-    0..B, and for n >= 3 one array of the fibers' shape.
-    """
-    work = [np.zeros((grid.size // 2 + 1,) + shape[1:], dtype=complex)] if grid.n > 1 else []
-    if grid.n > 2:
-        work.append(np.empty(shape, dtype=complex))
-    return work
 
 
 def lp_norm(field: GridField, p: float) -> float:
@@ -361,7 +322,7 @@ def apply_A(op: Operator, field: GridField) -> GridField:
     _check_field(op, field, op.dim_v, "input")
     out = _matvec(_symbol_tensor(op, field.grid), forward_transform(field).coeffs)
     out *= 1j ** op.k
-    return GridField(field.grid, _inverse(out, field.grid, out))
+    return GridField(field.grid, _inverse(out, field.grid))
 
 
 def _mesh_table(op: Operator, grid: Grid, tol: float, pseudoinverse: bool) -> np.ndarray:
@@ -409,7 +370,7 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     _check_field(op, field, op.dim_v, "input")
     table = _kernel_projector_table(op, field.grid, float(tol))
     coeffs = _matvec(table, forward_transform(field).coeffs)
-    return GridField(field.grid, _inverse(coeffs, field.grid, coeffs))
+    return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
 def _derivatives(k: int, coeffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -417,14 +378,20 @@ def _derivatives(k: int, coeffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
 
     coeffs is a (fiber, ...) coefficient array at the integer frequencies
     xis (n, ...), the whole mesh or the primaries of a band; the output
-    covers the same frequencies.  The scales sqrt(k!/alpha!) of apply_Dk's
-    layout sit in the per-frequency monomial table, so they cost no pass
-    over the field.
+    covers the same frequencies.  The monomial table is real, with the
+    scales sqrt(k!/alpha!) of apply_Dk's layout in it, so they cost no pass
+    over the field; it is multiplied into the output per fiber and
+    multi-index, and the exact phase i^k is applied to the output.
     """
     alphas = multi_indices(len(xis), k)
-    scales = np.sqrt([multinomial_weight(a) for a in alphas])
-    powers = _monomials(xis.reshape(len(xis), -1).T, alphas) * ((1j ** k) * scales)
-    out = np.einsum("st,vs->vts", powers, coeffs.reshape(len(coeffs), -1), order="C")
+    powers = _monomials(xis.reshape(len(xis), -1).T, alphas)
+    powers *= np.sqrt([multinomial_weight(a) for a in alphas])
+    fibers = coeffs.reshape(len(coeffs), -1)
+    out = np.empty((len(coeffs), len(alphas), fibers.shape[1]), dtype=complex)
+    for values, rows in zip(fibers, out):
+        for monomial, row in zip(powers.T, rows):
+            np.multiply(monomial, values, out=row)
+    out *= 1j ** k
     return out.reshape((len(coeffs) * len(alphas),) + coeffs.shape[1:])
 
 
@@ -443,7 +410,7 @@ def apply_Dk(k: int, field: GridField) -> GridField:
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     coeffs = _derivatives(k, forward_transform(field).coeffs, integer_frequencies(field.grid))
-    return GridField(field.grid, _inverse(coeffs, field.grid, coeffs))
+    return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
@@ -465,7 +432,7 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     out = _matvec(dagger, forward_transform(field).coeffs)
     out *= (-1j) ** op.k
     coeffs = _derivatives(op.k, out, integer_frequencies(field.grid))
-    return GridField(field.grid, _inverse(coeffs, field.grid, coeffs))
+    return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
 def _check_band(grid: Grid, max_freq: int) -> None:
@@ -526,7 +493,7 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
     Deterministic for a given seed (an int or sequence of ints).
     """
     coeffs = _random_coefficients(grid, fiber_dim, max_freq, seed).coeffs
-    return GridField(grid, _inverse(coeffs, grid, coeffs))
+    return GridField(grid, _inverse(coeffs, grid))
 
 
 @dataclass(frozen=True)
@@ -542,9 +509,10 @@ class _Spectrum:
     coefficient array is the whole-mesh L2 norm of its field and of its
     order-k derivative array.  grid_norm(coeffs, p) gives _grid_norm of the
     field's grid values (None on a band built for p = 2 and on a rung, whose
-    norms read no grid value); on the whole mesh it overwrites coeffs with
-    them, so a caller hands it coefficients it does not read again.
-    draw(fiber_dim, seed) gives the coefficients of
+    norms read no grid value).  On the whole mesh it overwrites coeffs with
+    them (_inverse), so a caller hands it coefficients it does not read
+    again; on a band the band's own real inverse FFT writes them into its
+    buffers (_band_grid).  draw(fiber_dim, seed) gives the coefficients of
     random_band_limited on this spectrum (band N/4 on the whole mesh; a rung
     has no draw).
     """
@@ -593,7 +561,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     return _Spectrum(
         integer_frequencies(grid), _symbol_tensor(op, grid), projector, None,
         _spectrum_weights(grid, op.k),
-        lambda coeffs, p: _grid_norm(_inverse(coeffs, grid, coeffs), grid, p),
+        lambda coeffs, p: _grid_norm(_inverse(coeffs, grid), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
 
@@ -615,45 +583,71 @@ def _band_tables(op: Operator, max_freq: int, tol: float) -> tuple[np.ndarray, .
     return symbols, projector, weights
 
 
+def _band_buffers(grid: Grid, max_freq: int, fibers: int) -> dict[str, tuple[tuple, type]]:
+    """The arrays of the band's grid route (_band_grid) as (shape, dtype), in exact integers.
+
+    target: the scatter target, first-axis planes 0..B of one fiber's half
+    spectrum.  half (n >= 2): one fiber's half spectrum, which the last ifft
+    pass writes in planes 0..B.  middle (n >= 3): the other passes' output,
+    the target's shape.  out: a real N^n grid per fiber of the largest grid
+    field.  maxima: the N^n per-point maxima of _grid_norm.
+    """
+    planes = (max_freq + 1,) + grid.shape[1:]
+    buffers = {"target": (planes, complex)}
+    if grid.n > 1:
+        buffers["half"] = ((grid.size // 2 + 1,) + grid.shape[1:], complex)
+    if grid.n > 2:
+        buffers["middle"] = (planes, complex)
+    buffers["out"] = ((fibers,) + grid.shape, float)
+    buffers["maxima"] = (grid.shape, float)
+    return buffers
+
+
 def _band_grid(grid: Grid, primaries: np.ndarray, fibers: int):
-    """grid_values and grid_norm of the band, on buffers allocated at the first call.
+    """grid_values and grid_norm of the band, by numpy's irfftn steps on buffers allocated once.
 
     A band field's first components lie in 0..B (_primaries), so its half
-    spectrum is zero beyond first-axis plane B.  grid_values hands _inverse
-    a generator that scatters one fiber of a field's coefficients into the
-    scatter target, planes 0..B of one fiber, just before _inverse reads
-    it.  The target is zeroed once, and every fiber overwrites the same
-    entries: the primaries and, in plane 0, their mirrors, which take the
-    conjugates so that the plane is Hermitian as irfft reads it.  _inverse
-    writes the grid values into the first len(coeffs) fibers of a real
-    (fibers, N, ..., N) output through its work arrays (_inverse_work): for
-    n >= 2 one fiber's half spectrum, zeroed once and written only in
-    planes 0..B, and for n >= 3 one more array of the target's size.
-    grid_norm measures the values in place (_grid_norm) with an N^n buffer
-    for the per-point maxima.  After the first call, neither allocates an
-    array the size of the grid.
+    spectrum is zero beyond first-axis plane B.  grid_values takes a field's
+    coefficients one fiber at a time.  It scatters the fiber into the target
+    (_band_buffers), overwriting the same entries for every fiber: the
+    primaries and, in plane 0, their mirrors, which take the conjugates so
+    that the plane is Hermitian as irfft reads it.  Then ifft runs along
+    axes 1..n-1 on planes 0..B only, the last pass into the half spectrum,
+    whose planes B+1..N/2 stay zero, and irfft along the first axis writes
+    the fiber's row of out; in 1-D there is no pass, and irfft pads the
+    target's planes itself.  Every line transform is independent and every
+    skipped line is zero, so each value has irfftn's bits.  grid_norm
+    measures the values in place (_grid_norm) with the maxima buffer.  The
+    buffers are allocated at the first call, and only the target and the
+    half spectrum are zeroed; after it, neither function allocates an array
+    the size of the grid.
     """
-    shape = (int(primaries[0].max()) + 1,) + grid.shape[1:]
-    at = np.ravel_multi_index(tuple(primaries % grid.size), shape)
+    max_freq = int(primaries[0].max())
+    shapes = _band_buffers(grid, max_freq, fibers)
+    planes = shapes["target"][0]
+    at = np.ravel_multi_index(tuple(primaries % grid.size), planes)
     on_plane0 = np.flatnonzero(primaries[0] == 0)
-    mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0] % grid.size), shape)
+    mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0] % grid.size), planes)
     buffers = {}
-
-    def scattered(coeffs: np.ndarray):
-        target = buffers["target"]
-        flat = target.reshape(-1)
-        for values in coeffs:
-            flat[at] = values
-            flat[mirrors] = values[on_plane0].conj()
-            yield target
 
     def grid_values(coeffs: np.ndarray) -> np.ndarray:
         if not buffers:
-            buffers.update(target=np.zeros(shape, dtype=complex),
-                           out=np.empty((fibers,) + grid.shape),
-                           work=_inverse_work(grid, shape),
-                           maxima=np.empty(grid.shape))
-        return _inverse(scattered(coeffs), grid, buffers["out"][:len(coeffs)], buffers["work"])
+            for name, (shape, dtype) in shapes.items():
+                buffers[name] = (np.zeros if name in ("target", "half") else np.empty)(shape, dtype)
+        target = buffers["target"]
+        flat = target.reshape(-1)
+        passes = [buffers[name][:max_freq + 1] for name in ("half", "middle") if name in buffers]
+        data = buffers["out"][:len(coeffs)]
+        for values, fiber in zip(coeffs, data):
+            flat[at] = values
+            flat[mirrors] = values[on_plane0].conj()
+            lines = target
+            for axis in range(1, grid.n):
+                lines = np.fft.ifft(lines, axis=axis, norm="ortho",
+                                    out=passes[(grid.n - 1 - axis) % 2])
+            np.fft.irfft(buffers.get("half", target), grid.size, axis=0, norm="ortho", out=fiber)
+        data /= (TWO_PI / grid.size) ** (grid.n / 2.0)
+        return data
 
     def grid_norm(coeffs: np.ndarray, p: float) -> float:
         return _grid_norm(grid_values(coeffs), grid, p, buffers["maxima"])
@@ -667,24 +661,20 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     route does not fit (_refuse_oversized), both before any table is built
     or field drawn.  The estimate counts per primary the band tables with
     the primaries and their scatter positions (dimW dimV + dimV^2 + n + 3
-    reals) and the larger of their build and a trial.  At p != 2 the grid
-    route (_band_grid) adds the one-fiber scatter target (planes 0..B), the
-    inverse FFT's work arrays (one fiber's half spectrum for n >= 2, one
-    more target-sized array for n >= 3), a real N^n output per fiber of the
-    largest grid field (_band_fibers) and the N^n per-point maxima.  A field
-    here is its (fiber, P) values at the primaries (_band_draw), the field
-    of random_band_limited with the same seed.  Only p != 2 builds the grid
-    route: a p = 2 norm reads no grid value, so there N only names the grid.
+    reals) and the larger of their build and a trial.  At p != 2 it adds
+    the grid route's buffers (_band_buffers), with the largest grid field's
+    fibers (_band_fibers).  A field here is its (fiber, P) values at the
+    primaries (_band_draw), the field of random_band_limited with the same
+    seed.  Only p != 2 builds the grid route (_band_grid): a p = 2 norm
+    reads no grid value, so there N only names the grid.
     """
     _check_band(grid, max_freq)
     count = ((2 * max_freq + 1) ** op.n - 1) // 2
     fibers = _band_fibers(op)
     grid_entries = 0
     if p != 2.0:
-        planes = (max_freq + 1) * grid.size ** (grid.n - 1)
-        half = (grid.size // 2 + 1) * grid.size ** (grid.n - 1) if grid.n > 1 else 0
-        grid_entries = (2 * ((1 + (grid.n > 2)) * planes + half)
-                        + (fibers + 1) * grid.size ** grid.n)
+        grid_entries = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
+                           for shape, dtype in _band_buffers(grid, max_freq, fibers).values())
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
     _refuse_oversized(op, grid, count, tables + max(build, _trial_entries(op)), grid_entries)

@@ -20,6 +20,8 @@ from symrank.spectral import (Grid, GridField, apply_A, apply_Dk, apply_PA, forw
                               lp_norm, periodic_bump, random_band_limited)
 from symrank.zoo import zoo_get, zoo_list
 
+from test_spectral import LINE
+
 TWO_PI = 2.0 * math.pi
 CONSTANT_RANK = [entry.name for entry in zoo_list()
                  if entry.expected_verdict is not Verdict.NON_CONSTANT_RANK]
@@ -126,12 +128,12 @@ def test_estimate_ratio_coefficient_route_matches_grid_composition(name, p):
 
 
 def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
-    # _inverse is the one inverse transform of the ratio pipeline, on the half
-    # spectrum that every field ratio_sweep draws is scattered into and on the
-    # whole mesh of a public estimate_ratio input
+    # a ratio_sweep field goes to the grid only for a grid norm at p != 2, by
+    # the band's own real inverse FFT; _inverse is the whole-mesh inverse of
+    # a public estimate_ratio input
     op = zoo_get("curl")
     witness = witness_family(op, [(1, 2, -1)], Grid(3, 8))[0]
-    calls = {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0}
+    calls = {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0, "_grid_norm": 0}
 
     def counted(name):
         original = getattr(spectral, name)
@@ -146,11 +148,14 @@ def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
         for module in (spectral, experiments):
             monkeypatch.setattr(module, name, wrapper, raising=False)
     ratio_sweep(op, p=2.0, trials=3, grid_sizes=[8])
-    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0}
+    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0,
+                     "_grid_norm": 0}
     ratio_sweep(op, p=3.0, trials=3, grid_sizes=[8])
-    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 2 * 3}
+    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0,
+                     "_grid_norm": 2 * 3}
     estimate_ratio(op, witness, 3.0)
-    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 2 * 3 + 2}
+    assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 2,
+                     "_grid_norm": 2 * 3 + 2}
 
 
 # ------------------------------------------------------------------ spectra
@@ -175,11 +180,12 @@ def is_real_band_limited(freq) -> bool:
     return np.array_equal(negated.conj(), freq.coeffs)
 
 
-@pytest.mark.parametrize("name", [entry.name for entry in zoo_list()])
+# every zoo operator and a 1-D one, whose band route has no ifft pass
+@pytest.mark.parametrize("name", [entry.name for entry in zoo_list()] + [LINE.name])
 @pytest.mark.parametrize("N", [8, 16])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
 def test_real_route_matches_public_function_oracle(name, N, p):
-    op = zoo_get(name)
+    op = LINE if name == LINE.name else zoo_get(name)
     grid = Grid(op.n, N)
     spectrum, values, freq = band_field(op, grid, [N, 7], p)
     assert is_real_band_limited(freq)

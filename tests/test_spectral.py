@@ -287,17 +287,17 @@ def test_matvec_multiplies_every_frequency_by_its_table_entry(name):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_inverse_real_is_the_real_part_of_inverse_transform(n):
-    # _inverse of a real field's first-axis planes 0..N/2 is one real inverse
-    # FFT; of the whole mesh, inverse_transform's complex data
+    # _inverse is inverse_transform's complex data, written over the whole-mesh
+    # coefficients it is given, and of a real field its imaginary part is
+    # rounding; the band's real values are irfftn's bits
+    # (test_band_grid_route_is_irfftn_on_buffers_allocated_once)
     grid = Grid(n, 8)
     freq = spectral._random_coefficients(grid, 2, 2, seed=[n, 4])
-    data = spectral._inverse(freq.coeffs[:, :grid.size // 2 + 1], grid)
     full = inverse_transform(freq).data
-    assert spectral._inverse(freq.coeffs, grid).tobytes() == full.tobytes()
-    assert data.dtype == np.float64 and data.shape == full.shape
-    scale = np.abs(full).max()
-    assert np.abs(full.imag).max() <= 1e-15 * scale
-    np.testing.assert_allclose(data, full.real, rtol=0, atol=1e-15 * scale)
+    coeffs = freq.coeffs.copy()
+    data = spectral._inverse(coeffs, grid)
+    assert data is coeffs and data.tobytes() == full.tobytes()
+    assert np.abs(full.imag).max() <= 1e-15 * np.abs(full).max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -584,6 +584,36 @@ def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name):
 
     ratio()  # imports and first-call caches, which the estimate does not count
     assert ratio() <= max(estimates)
+
+
+@pytest.mark.parametrize("op, size, p", [
+    (zoo_get("laplacian"), 64, 3.0), (zoo_get("laplacian"), 128, 3.0), (BILAPLACIAN, 64, 3.0),
+    (zoo_get("curl"), 32, 2.0), (zoo_get("curl"), 32, 3.0), (zoo_get("curl"), 32, math.inf),
+    (zoo_get("symmetric_gradient"), 256, 3.0)],
+    ids=lambda value: getattr(value, "name", str(value)))
+def test_band_memory_estimate_bounds_three_trials(monkeypatch, op, size, p):
+    # the band route from empty band tables, then three ratio trials, on fields
+    # drawn before tracing: the first draw imports numpy.random, and one untraced
+    # trial fills first-call caches, neither of which the estimate counts
+    grid = Grid(op.n, size)
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed()))
+    spectrum = spectral._band_spectrum(op, grid, size // 4, DEFAULT_TOL, p)
+    fields = [spectrum.draw(op.dim_v, [size, trial]) for trial in range(3)]
+    experiments._ratio(op, spectrum, fields[0], p, DEFAULT_TOL)
+    del spectrum
+    spectral._band_tables.cache_clear()
+    spectral._primaries.cache_clear()
+    tracemalloc.start()
+    try:
+        spectrum = spectral._band_spectrum(op, grid, size // 4, DEFAULT_TOL, p)
+        for values in fields:
+            experiments._ratio(op, spectrum, values, p, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimates[-1]
 
 
 @pytest.mark.parametrize("p", [3.0, math.inf])

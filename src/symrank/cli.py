@@ -211,11 +211,15 @@ def cmd_minimality(args) -> int:
     The test fields and their competitors are random band-limited fields
     with band N/4, so the check runs on that band's primaries
     (_band_spectrum): neither the N^n projector table nor a grid field is
-    built.  An oversized route is refused before any field is drawn.
+    built.  --trials and --kernel-trials are checked before the operator is
+    loaded, so an empty count exits 1 with its own message on any grid; an
+    oversized route is refused before any field is drawn.
     """
-    op = _load_operator(args.source)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.kernel_trials < 1:
+        raise ValueError("--kernel-trials must be at least 1")
+    op = _load_operator(args.source)
     grid = Grid(op.n, args.N)
     spectrum = _band_spectrum(op, grid, grid.size // 4, args.tol, 2.0)
     results = []

@@ -36,18 +36,19 @@ c(-xi) = conj(c(xi)).  Such a field is its values at the band's
 primaries, one of each pair {xi, -xi}, (2B+1)^n / 2 frequencies whatever
 N is, drawn by one generator call (_band_draw); random_band_limited
 scatters them onto the whole mesh.  The band spectrum (_band_spectrum)
-holds M and P_A at the primaries only, cached per (operator, B, tol)
-(_band_tables), and weights that count each primary twice, for its
+holds M and P_A at the primaries only (_tables, built per spectrum and
+freed with it), and weights that count each primary twice, for its
 mirror, so at p = 2 it holds nothing of the grid.  At any other p the
 band's own real inverse FFT (_band_grid) forms its grid values: numpy's
-irfftn steps, one fiber at a time, on the half spectrum's first-axis
-planes 0..B only, the nonzero ones, with irfftn's bits, into buffers
-listed once (_band_buffers) and allocated once per spectrum, so after its
-first trial a sweep allocates no array the size of the grid.  An exact
-witness rung is one coefficient at one frequency, and its spectrum
-(_rung_spectrum) holds M and P_A there alone and no grid route: a single
-mode has the same modulus at every grid point, so its ratio is the same
-at every p, taken at p = 2, and nothing of size N^n is built.
+irfftn steps, one fiber at a time, one ifftn on the half spectrum's
+first-axis planes 0..B only, the nonzero ones, then irfft, with irfftn's
+bits, into buffers listed once (_band_buffers) and allocated when the
+spectrum is built, so a trial allocates no array the size of the grid.
+An exact witness rung is one coefficient at one frequency, and its
+spectrum (_rung_spectrum) holds M and P_A there alone (_tables) and no
+grid route: a single mode has the same modulus at every grid point, so
+its ratio is the same at every p, taken at p = 2, and nothing of size
+N^n is built.
 
 Every SVD table is one call of a pinv routine, which owns the blocking
 and gives a matrix the same bits anywhere in a stack, so the band and
@@ -111,6 +112,16 @@ def integer_frequencies(grid: Grid) -> np.ndarray:
     return mesh
 
 
+def _checked(grid: Grid, values, name: str, holder: str) -> np.ndarray:
+    """values as a complex array, which must have shape (fiber, N, ..., N) on grid and be finite."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != grid.n + 1 or values.shape[1:] != grid.shape:
+        raise ValueError(f"{name} must have shape (fiber, {', '.join(map(str, grid.shape))})")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{holder} non-finite values")
+    return values
+
+
 @dataclass(frozen=True)
 class GridField:
     """Complex field sampled on a Grid; data has shape (fiber_dim, size, ..., size).
@@ -124,12 +135,7 @@ class GridField:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        if data.ndim != self.grid.n + 1 or data.shape[1:] != self.grid.shape:
-            raise ValueError(f"data must have shape (fiber, {', '.join(map(str, self.grid.shape))})")
-        if not np.isfinite(data).all():
-            raise ValueError("field has non-finite values")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _checked(self.grid, self.data, "data", "field has"))
 
     @property
     def fiber_dim(self) -> int:
@@ -155,12 +161,8 @@ class FrequencyField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if coeffs.ndim != self.grid.n + 1 or coeffs.shape[1:] != self.grid.shape:
-            raise ValueError(f"coeffs must have shape (fiber, {', '.join(map(str, self.grid.shape))})")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("coefficients have non-finite values")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs",
+                           _checked(self.grid, self.coeffs, "coeffs", "coefficients have"))
 
     @property
     def fiber_dim(self) -> int:
@@ -218,25 +220,13 @@ def _grid_norm(data: np.ndarray, grid: Grid, p: float, maxima: np.ndarray | None
 
 
 def _xi_weights(xis: np.ndarray, k: int) -> np.ndarray:
-    """|xi|^2k at the integer frequencies xis (n, ...), exact, so every spectrum's weights agree."""
-    return np.einsum("i...,i...->...", xis, xis, dtype=float) ** k
+    """|xi|^2k at the integer frequencies xis (n, ...), exact, so every spectrum's weights agree.
 
-
-@lru_cache(maxsize=64)
-def _spectrum_weights(grid: Grid, k: int) -> np.ndarray | None:
-    """|xi|^2k over the whole frequency mesh (_xi_weights), read-only; None for k = 0.
-
-    With them, pinv._norm of a (fiber, N, ..., N) coefficient array is
-    sqrt(sum_xi |xi|^2k |c(xi)|^2).  For k >= 1 that is the L2 norm of
-    apply_Dk's derivative array, whose fiber norm at xi is |xi|^k times the
-    coefficient's (its entries sqrt(k!/alpha!) xi^alpha have squares
-    summing to |xi|^2k, multinomial theorem).
+    With them, pinv._norm of a coefficient array is the L2 norm of its
+    order-k derivative array (apply_Dk), whose fiber norm at xi is |xi|^k
+    times the coefficient's (multinomial theorem).
     """
-    if not k:
-        return None
-    weights = _xi_weights(integer_frequencies(grid), k)
-    weights.setflags(write=False)
-    return weights
+    return np.einsum("i...,i...->...", xis, xis, dtype=float) ** k
 
 
 def _derivative_fibers(op: Operator) -> int:
@@ -281,8 +271,8 @@ def _matvec(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """table[xi] @ coeffs[:, xi] at every frequency xi: the one symbol-multiplier step.
 
     table is a real (..., m, n) stack in _symbol_tensor's layout, or a flat
-    (P, m, n) stack at the primaries of a band (_band_tables), and coeffs a
-    complex (n, ...) coefficient array on the same frequencies.
+    (P, m, n) stack at the primaries of a band or at a rung (_tables), and
+    coeffs a complex (n, ...) coefficient array on the same frequencies.
     Row i of the output is sum_j table[..., i, j] * coeffs[j], m x n
     broadcast multiply-adds in order j = 0, 1, ..., run on _MATVEC_CHUNK
     frequencies at a time so that the strided table entries are read from
@@ -558,46 +548,40 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
     _refuse_oversized(op, grid, count, tables + max(build, trial))
     projector = _kernel_projector_table(op, grid, float(tol))
+    weights = _xi_weights(integer_frequencies(grid), op.k)
+    weights.setflags(write=False)
     return _Spectrum(
-        integer_frequencies(grid), _symbol_tensor(op, grid), projector, None,
-        _spectrum_weights(grid, op.k),
+        integer_frequencies(grid), _symbol_tensor(op, grid), projector, None, weights,
         lambda coeffs, p: _grid_norm(_inverse(coeffs, grid), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
 
-@lru_cache(maxsize=32)
-def _band_tables(op: Operator, max_freq: int, tol: float) -> tuple[np.ndarray, ...]:
-    """M, P_A and 2 |xi|^2k at the primaries of the band max_freq; read-only.
+def _tables(op: Operator, xis: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """M (P, dimW, dimV) and P_A (P, dimV, dimV) at the integer frequencies xis (n, P); read-only.
 
-    M is operators._real_stack and P_A its kernel_projector, bitwise the entries
-    of _symbol_tensor and _kernel_projector_table at the primaries, so they
-    do not depend on N.  A primary stands for itself and its mirror, so the
-    weights count it twice.
+    M is operators._real_stack and P_A its kernel_projector, bitwise the
+    entries of _symbol_tensor and _kernel_projector_table at xis, so a
+    band's or a rung's tables do not depend on N.  Built per spectrum, not
+    cached: they are freed with the route that reads them.
     """
-    primaries = _primaries(op.n, max_freq)
-    symbols = _real_stack(op, primaries.T)
-    weights = 2.0 * _xi_weights(primaries, op.k)
+    symbols = _real_stack(op, xis.T)
     projector = kernel_projector(symbols, tol)
-    for table in (symbols, projector, weights):
+    for table in (symbols, projector):
         table.setflags(write=False)
-    return symbols, projector, weights
+    return symbols, projector
 
 
 def _band_buffers(grid: Grid, max_freq: int, fibers: int) -> dict[str, tuple[tuple, type]]:
     """The arrays of the band's grid route (_band_grid) as (shape, dtype), in exact integers.
 
     target: the scatter target, first-axis planes 0..B of one fiber's half
-    spectrum.  half (n >= 2): one fiber's half spectrum, which the last ifft
-    pass writes in planes 0..B.  middle (n >= 3): the other passes' output,
-    the target's shape.  out: a real N^n grid per fiber of the largest grid
-    field.  maxima: the N^n per-point maxima of _grid_norm.
+    spectrum.  half (n >= 2): one fiber's half spectrum, which every ifft
+    pass writes in planes 0..B.  out: a real N^n grid per fiber of the
+    largest grid field.  maxima: the N^n per-point maxima of _grid_norm.
     """
-    planes = (max_freq + 1,) + grid.shape[1:]
-    buffers = {"target": (planes, complex)}
+    buffers = {"target": ((max_freq + 1,) + grid.shape[1:], complex)}
     if grid.n > 1:
         buffers["half"] = ((grid.size // 2 + 1,) + grid.shape[1:], complex)
-    if grid.n > 2:
-        buffers["middle"] = (planes, complex)
     buffers["out"] = ((fibers,) + grid.shape, float)
     buffers["maxima"] = (grid.shape, float)
     return buffers
@@ -611,41 +595,37 @@ def _band_grid(grid: Grid, primaries: np.ndarray, fibers: int):
     coefficients one fiber at a time.  It scatters the fiber into the target
     (_band_buffers), overwriting the same entries for every fiber: the
     primaries and, in plane 0, their mirrors, which take the conjugates so
-    that the plane is Hermitian as irfft reads it.  Then ifft runs along
-    axes 1..n-1 on planes 0..B only, the last pass into the half spectrum,
-    whose planes B+1..N/2 stay zero, and irfft along the first axis writes
-    the fiber's row of out; in 1-D there is no pass, and irfft pads the
-    target's planes itself.  Every line transform is independent and every
-    skipped line is zero, so each value has irfftn's bits.  grid_norm
-    measures the values in place (_grid_norm) with the maxima buffer.  The
-    buffers are allocated at the first call, and only the target and the
-    half spectrum are zeroed; after it, neither function allocates an array
-    the size of the grid.
+    that the plane is Hermitian as irfft reads it.  Then one ifftn runs on
+    planes 0..B only, every pass writing into the half spectrum (out=),
+    whose planes B+1..N/2 stay zero: numpy passes over the listed axes
+    last to first, so listed n-1..1 they run 1..n-1, as in irfftn.  irfft
+    along the first axis writes the fiber's row of out; in 1-D there is no
+    pass, and irfft pads the target's planes itself.  Every line transform
+    is independent and every skipped line is zero, so each value has
+    irfftn's bits.  grid_norm measures the values in place (_grid_norm)
+    with the maxima buffer.  The buffers are allocated here, once per
+    route, and only the target and the half spectrum are zeroed; neither
+    function allocates an array the size of the grid.
     """
     max_freq = int(primaries[0].max())
-    shapes = _band_buffers(grid, max_freq, fibers)
-    planes = shapes["target"][0]
-    at = np.ravel_multi_index(tuple(primaries % grid.size), planes)
+    buffers = {name: (np.zeros if name in ("target", "half") else np.empty)(shape, dtype)
+               for name, (shape, dtype) in _band_buffers(grid, max_freq, fibers).items()}
+    target = buffers["target"]
+    flat = target.reshape(-1)
+    at = np.ravel_multi_index(tuple(primaries % grid.size), target.shape)
     on_plane0 = np.flatnonzero(primaries[0] == 0)
-    mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0] % grid.size), planes)
-    buffers = {}
+    mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0] % grid.size), target.shape)
+    half = buffers.get("half", target)
 
     def grid_values(coeffs: np.ndarray) -> np.ndarray:
-        if not buffers:
-            for name, (shape, dtype) in shapes.items():
-                buffers[name] = (np.zeros if name in ("target", "half") else np.empty)(shape, dtype)
-        target = buffers["target"]
-        flat = target.reshape(-1)
-        passes = [buffers[name][:max_freq + 1] for name in ("half", "middle") if name in buffers]
         data = buffers["out"][:len(coeffs)]
         for values, fiber in zip(coeffs, data):
             flat[at] = values
             flat[mirrors] = values[on_plane0].conj()
-            lines = target
-            for axis in range(1, grid.n):
-                lines = np.fft.ifft(lines, axis=axis, norm="ortho",
-                                    out=passes[(grid.n - 1 - axis) % 2])
-            np.fft.irfft(buffers.get("half", target), grid.size, axis=0, norm="ortho", out=fiber)
+            if grid.n > 1:
+                np.fft.ifftn(target, axes=range(grid.n - 1, 0, -1), norm="ortho",
+                             out=half[:max_freq + 1])
+            np.fft.irfft(half, grid.size, axis=0, norm="ortho", out=fiber)
         data /= (TWO_PI / grid.size) ** (grid.n / 2.0)
         return data
 
@@ -659,14 +639,15 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
 
     Raises ValueError unless 1 <= max_freq <= N/4 and MemoryError when the
     route does not fit (_refuse_oversized), both before any table is built
-    or field drawn.  The estimate counts per primary the band tables with
-    the primaries and their scatter positions (dimW dimV + dimV^2 + n + 3
-    reals) and the larger of their build and a trial.  At p != 2 it adds
-    the grid route's buffers (_band_buffers), with the largest grid field's
-    fibers (_band_fibers).  A field here is its (fiber, P) values at the
-    primaries (_band_draw), the field of random_band_limited with the same
-    seed.  Only p != 2 builds the grid route (_band_grid): a p = 2 norm
-    reads no grid value, so there N only names the grid.
+    or field drawn.  The estimate counts per primary the band's tables
+    (_tables, 2 |xi|^2k formed here) with the primaries and their scatter
+    positions (dimW dimV + dimV^2 + n + 3 reals) and the larger of their
+    build and a trial.  At p != 2 it adds the grid route's buffers
+    (_band_buffers), with the largest grid field's fibers (_band_fibers).
+    A field here is its (fiber, P) values at the primaries (_band_draw),
+    the field of random_band_limited with the same seed.  Only p != 2
+    builds the grid route (_band_grid): a p = 2 norm reads no grid value,
+    so there N only names the grid.
     """
     _check_band(grid, max_freq)
     count = ((2 * max_freq + 1) ** op.n - 1) // 2
@@ -679,7 +660,9 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
     _refuse_oversized(op, grid, count, tables + max(build, _trial_entries(op)), grid_entries)
     primaries = _primaries(op.n, max_freq)
-    symbols, projector, weights = _band_tables(op, max_freq, float(tol))
+    symbols, projector = _tables(op, primaries, float(tol))
+    weights = 2.0 * _xi_weights(primaries, op.k)
+    weights.setflags(write=False)
     grid_norm = _band_grid(grid, primaries, fibers)[1] if p != 2.0 else None
     return _Spectrum(primaries, symbols, projector, 2.0, weights, grid_norm,
                      lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
@@ -688,18 +671,14 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
 def _rung_spectrum(op: Operator, freq, tol: float) -> _Spectrum:
     """The one frequency of an exact witness rung, a single mode at freq (n integers).
 
-    M and P_A are _real_stack and its kernel_projector at the rung, bitwise the
-    entries of the mesh tables there, and the weights |xi|^2k, so a ratio of
-    the rung's one coefficient reads nothing the size of the grid.  Its
-    norms are coefficient norms, taken at p = 2 for every p
-    (experiments._rung_ratio), so there is no grid norm, and nothing is
-    drawn on a rung (draw is None).
+    M and P_A at the rung (_tables), bitwise the entries of the mesh tables
+    there, and the weights |xi|^2k, so a ratio of the rung's one coefficient
+    reads nothing the size of the grid.  Its norms are coefficient norms,
+    taken at p = 2 for every p (experiments._rung_ratio), so there is no
+    grid norm, and nothing is drawn on a rung (draw is None).
     """
     xis = np.array(freq, dtype=float).reshape(op.n, 1)
-    symbols = _real_stack(op, xis.T)
-    projector = kernel_projector(symbols, tol)
-    projector.setflags(write=False)
-    return _Spectrum(xis, symbols, projector, None, _xi_weights(xis, op.k), None, None)
+    return _Spectrum(xis, *_tables(op, xis, tol), None, _xi_weights(xis, op.k), None, None)
 
 
 def periodic_bump(grid: Grid, width: float) -> np.ndarray:

@@ -412,12 +412,15 @@ def test_minimality_gradient_trivial_kernel(capsys):
     assert doc["all_pass"] is True
 
 
-@pytest.mark.parametrize("counts", [("--trials", "0"), ("--trials", "1", "--kernel-trials", "0")])
+@pytest.mark.parametrize("counts", [("--trials", "0"), ("--trials", "1", "--kernel-trials", "0"),
+                                    # the counts are checked before the band route is sized
+                                    ("--N", str(2 ** 600), "--kernel-trials", "0")])
 def test_minimality_rejects_empty_work(capsys, counts):
     code, out, err = run(capsys, "minimality", "zoo:divergence", "--N", "8", *counts)
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert err.startswith("error:") and "trials" in err
+    assert err == f"error: {counts[-2]} must be at least 1\n"
 
 
 def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
@@ -443,7 +446,6 @@ def test_svd_without_convergence_is_an_input_error(capsys, monkeypatch):
 def test_grid_beyond_physical_memory_is_refused(capsys, monkeypatch):
     # the band route of verify at p = 2 needs about 36 kB for curl on 8^3
     monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 4)
-    spectral._band_tables.cache_clear()
     code, out, err = run(capsys, "verify", "zoo:curl", "--N", "8", "--trials", "1")
     assert code == EXIT_INPUT_ERROR
     assert out == ""
@@ -540,7 +542,6 @@ def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch)
                  ("verify", "zoo:curl", "--N", "8", "--trials", "1", "--p", "3"),
                  ("minimality", "zoo:curl", "--N", "8", "--trials", "1"),
                  ("counterexample", "zoo:d1d2")):
-        spectral._band_tables.cache_clear()
         spectral._symbol_tensor.cache_clear()
         spectral._kernel_projector_table.cache_clear()
         code, out, err = run(capsys, *argv)
@@ -575,7 +576,7 @@ def test_verify_and_minimality_build_no_mesh_table(capsys, monkeypatch, argv):
 
 
 def test_verify_band_below_n_over_4_gives_ratio_one(capsys):
-    # the band tables are keyed by the band, not the grid: a band of 2 on a
+    # the band's tables do not depend on the grid: a band of 2 on a
     # 32^3 grid measures curl's p = 2 ratio of exactly 1
     code, doc, _ = run_json(capsys, "verify", "zoo:curl", "--N", "32", "--max-freq", "2",
                             "--trials", "4")

@@ -313,7 +313,8 @@ def test_spectrum_weights_give_the_whole_mesh_norm_from_either_spectrum(n, k):
     coeffs = spectral._random_coefficients(grid, 2, 2, seed=[n, k]).coeffs
     xi2 = (spectral.integer_frequencies(grid) ** 2).sum(axis=0)
     expected = math.sqrt(float((xi2 ** k * np.abs(coeffs) ** 2).sum()))
-    mesh_weights = spectral._spectrum_weights(grid, k)
+    mesh = spectral._mesh_spectrum(op, grid, DEFAULT_TOL, 2.0)
+    mesh_weights = mesh.derivative_weights if k else None
     band_weights = band.derivative_weights if k else band.norm_weights
     assert (mesh_weights is None) is (k == 0)
     for weights in (mesh_weights, band_weights):
@@ -359,7 +360,7 @@ def test_band_grid_values_are_those_of_the_whole_mesh(n):
 
 
 @pytest.mark.parametrize("n, size, max_freq", [(1, 16384, 8), (2, 128, 4), (3, 32, 4),
-                                                (2, 256, 64), (3, 32, 8)])
+                                                (2, 256, 64), (3, 32, 8), (4, 16, 4)])
 def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
     # the fiber-by-fiber steps on planes 0..B have numpy irfftn's bits on the
     # whole half spectrum, below and at the full band B = N/4, and grid_norm
@@ -446,7 +447,7 @@ def test_band_tables_are_the_mesh_tables_at_the_primaries(op, max_freq, size):
     # the band route and the whole mesh project with the same bits
     grid = Grid(op.n, size)
     assert max_freq < 64 or spectral._primaries(op.n, max_freq).shape[1] > pinv._BLOCK
-    symbols, projector, _ = spectral._band_tables(op, max_freq, DEFAULT_TOL)
+    symbols, projector = spectral._tables(op, spectral._primaries(op.n, max_freq), DEFAULT_TOL)
     at = tuple(spectral._primaries(op.n, max_freq) % size)
     assert symbols.tobytes() == np.ascontiguousarray(_symbol_tensor(op, grid)[at]).tobytes()
     mesh_projector = _kernel_projector_table(op, grid, DEFAULT_TOL)[at]
@@ -536,7 +537,7 @@ def test_pseudoinverse_memory_estimate_covers_its_build_growth(monkeypatch, entr
 @pytest.mark.parametrize("p", [3.0, 2.0])
 @pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
 def test_band_memory_estimate_bounds_a_sweep(monkeypatch, entry, p):
-    # one sweep from empty band caches, on grids large enough that numpy's
+    # one sweep from an empty primaries cache, on grids large enough that numpy's
     # iteration buffers and Python objects, which the estimate leaves out, are
     # small beside the fields: its traced peak stays within the estimate
     op = entry.build()
@@ -546,7 +547,6 @@ def test_band_memory_estimate_bounds_a_sweep(monkeypatch, entry, p):
     size = {2: 256, 3: 32}[op.n]
 
     def sweep():
-        spectral._band_tables.cache_clear()
         spectral._primaries.cache_clear()
         tracemalloc.start()
         try:
@@ -557,6 +557,25 @@ def test_band_memory_estimate_bounds_a_sweep(monkeypatch, entry, p):
 
     sweep()  # imports and first-call caches, which the estimate does not count
     assert sweep() <= estimates[-1]
+
+
+def test_a_finished_sweep_holds_no_band_tables():
+    # the band's M and P_A are built per route and freed with it: after a curl
+    # 32^3 sweep returns, less than those two tables is still held, the band's
+    # primaries (rebuilt into their cache) and the report included
+    op = zoo_get("curl")
+    experiments.ratio_sweep(op, 2.0, 1, [16])  # imports and first-call caches
+    count = spectral._primaries(op.n, 8).shape[1]
+    tables = 8 * count * (op.dim_w * op.dim_v + op.dim_v ** 2)
+    spectral._primaries.cache_clear()
+    tracemalloc.start()
+    try:
+        report = experiments.ratio_sweep(op, 2.0, 1, [32])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == 1
+    assert held < tables
 
 
 @pytest.mark.parametrize("name", ["curl", "symmetric_gradient"])
@@ -592,7 +611,7 @@ def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name):
     (zoo_get("symmetric_gradient"), 256, 3.0)],
     ids=lambda value: getattr(value, "name", str(value)))
 def test_band_memory_estimate_bounds_three_trials(monkeypatch, op, size, p):
-    # the band route from empty band tables, then three ratio trials, on fields
+    # the band route, its tables built afresh, then three ratio trials, on fields
     # drawn before tracing: the first draw imports numpy.random, and one untraced
     # trial fills first-call caches, neither of which the estimate counts
     grid = Grid(op.n, size)
@@ -603,7 +622,6 @@ def test_band_memory_estimate_bounds_three_trials(monkeypatch, op, size, p):
     fields = [spectrum.draw(op.dim_v, [size, trial]) for trial in range(3)]
     experiments._ratio(op, spectrum, fields[0], p, DEFAULT_TOL)
     del spectrum
-    spectral._band_tables.cache_clear()
     spectral._primaries.cache_clear()
     tracemalloc.start()
     try:

@@ -13,7 +13,10 @@ costs one call per matrix; one-sided Jacobi computes small singular
 values at least as accurately as QR-based SVD (Demmel & Veselic, 1992).
 Complex input comes only from public-API callers and goes to LAPACK
 (numpy.linalg.svd).  _norm and _fiber_norm are the overflow-free norms of
-values that carry the operator's scale.  _refuse_beyond_memory is the one
+values that carry the operator's scale: _norm scales by the largest
+magnitude, _fiber_norm each point by its own (GridField.pointwise_norm),
+while an L^p grid norm (spectral._grid_norm) scales a whole field by one
+power of two and takes _norm of its fiber norms.  _refuse_beyond_memory is the one
 physical-memory check behind the refusals of oversized tables (spectral)
 and sphere sweeps (rank); it evaluates their estimates, so one too large
 for a float is refused too.
@@ -67,16 +70,14 @@ def _norm(values, p: float = 2.0, weights=None, overwrite: bool = False) -> np.f
     return (np.sqrt(total) if p == 2.0 else np.power(total, 1.0 / p)) * top
 
 
-def _fiber_norm(values: np.ndarray, maxima: np.ndarray | None = None) -> np.ndarray:
+def _fiber_norm(values: np.ndarray) -> np.ndarray:
     """sqrt(sum_c |values[c]|^2) at every point, fiber axis c first; a view of the magnitudes.
 
-    Scaled per point by its largest |values[c]|, as _norm scales.  Given
-    maxima, a float64 buffer of values.shape[1:] for those, values is
-    float64, is not read again and takes its own magnitudes, so nothing of
-    its size is allocated.
+    Scaled per point by its largest |values[c]|, as _norm scales, so a
+    point's norm keeps its bits whatever the other points hold.
     """
-    mags = np.abs(values, out=None if maxima is None else values)
-    top = mags.max(axis=0, out=maxima)
+    mags = np.abs(values)
+    top = mags.max(axis=0)
     np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
     # row by row, numpy's order for a sum over axis 0, with no 64 KB iteration buffer
     for row in mags:

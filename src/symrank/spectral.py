@@ -25,7 +25,11 @@ by a phase, i^k and i^-k.  Code that chains several steps, such as the estimate 
 stays on coefficients and transforms back only the fields whose grid
 values an L^p norm with p != 2 needs: at p = 2 the grid norm is a
 weighted coefficient sum (pinv._norm), and otherwise _grid_norm, lp_norm's
-own, of the grid values.
+own, of the grid values.  _grid_norm streams a field one fiber at a time:
+the whole field is scaled by one power of two, each fiber's squares are
+added into one N^n accumulator, and pinv._norm is taken of their square
+roots; only GridField.pointwise_norm scales each point by its own
+maximum (pinv._fiber_norm).
 
 A _Spectrum names the frequencies such a chain runs on, with the tables,
 weights, grid norm and random draw there.  The whole mesh
@@ -42,8 +46,11 @@ mirror, so at p = 2 it holds nothing of the grid.  At any other p the
 band's own real inverse FFT (_band_grid) forms its grid values: numpy's
 irfftn steps, one fiber at a time, one ifftn on the half spectrum's
 first-axis planes 0..B only, the nonzero ones, then irfft, with irfftn's
-bits, into buffers listed once (_band_buffers) and allocated when the
-spectrum is built, so a trial allocates no array the size of the grid.
+bits, into one fiber's buffer just before _grid_norm squares it.  The
+buffers are listed once (_band_buffers), one fiber and the accumulator
+beside the half spectrum whatever the field's fiber count, and allocated
+when the spectrum is built, so a trial allocates no array the size of
+the grid.
 An exact witness rung is one coefficient at one frequency, and its
 spectrum (_rung_spectrum) holds M and P_A there alone (_tables) and no
 grid route: a single mode has the same modulus at every grid point, so
@@ -55,12 +62,12 @@ and gives a matrix the same bits anywhere in a stack, so the band and
 rung tables are the mesh tables at their frequencies.  One estimate
 (_refuse_oversized) sizes the mesh and band routes before anything is
 allocated: their tables with what pinv holds while it builds one
-(pinv._held_entries), a trial's fields and, at p != 2, the grid buffers;
-an estimate too large for a float is refused too.
+(pinv._held_entries), a trial's fields and, at p != 2, the grid buffers
+of one fiber; an estimate too large for a float is refused too.
 """
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -203,20 +210,62 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def lp_norm(field: GridField, p: float) -> float:
-    """Grid L^p norm: Riemann sum of the pointwise fiber norm; p = inf gives the max."""
+    """Grid L^p norm: Riemann sum of the pointwise fiber norm; p = inf gives the max.
+
+    _grid_norm of one fiber's magnitudes at a time (_mesh_norm): the field
+    is scaled by one power of two, where pointwise_norm scales each point
+    by its own maximum.  field.data is not written.
+    """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
-    return _grid_norm(field.data, field.grid, p)
+    return _mesh_norm(field.data, field.grid, p)
 
 
-def _grid_norm(data: np.ndarray, grid: Grid, p: float, maxima: np.ndarray | None = None) -> float:
-    """lp_norm of the grid values data (real or complex, fiber axis first): pinv's two norms.
+def _exponent(bound) -> int:
+    """e with bound * 2^-e in [0.5, 1), within [-1021, 1021] so that 2^-e and 2^e are floats.
 
-    Given maxima (pinv._fiber_norm), data is the band's real output buffer
-    (_band_grid), so nothing the size of the grid is allocated.
+    0 for a zero or non-finite bound: a non-finite one comes from non-finite
+    values, whose norm is then non-finite too.
     """
-    fiber_norms = _fiber_norm(data, maxima)
-    return float(_norm(fiber_norms, p, overwrite=True) * grid.cell_volume ** (1.0 / p))
+    return int(np.clip(np.frexp(bound)[1], -1021, 1021))
+
+
+def _grid_norm(fibers: Iterable[np.ndarray], grid: Grid, p: float, exponent: int,
+               total: np.ndarray) -> float:
+    """lp_norm of a field streamed fiber by fiber, as real values or magnitudes times 2^-exponent.
+
+    Each fiber is a float64 array of grid.shape that is not read again.
+    2^exponent bounds the field's |values|, so the squares, added one fiber
+    at a time into the one accumulator total, do not overflow, and a square
+    loses bits only for a value 2^-511 below the bound.  That loses nothing:
+    the whole mesh's bound is max |data| (_mesh_norm), and the band's, from
+    its coefficients (_band_grid), is at most sqrt(2P) times the maximum,
+    since by Parseval a trigonometric polynomial of P terms reaches
+    sum |c| / sqrt(P); such a value lies hundreds of binary orders below
+    the field's maximum, far below rounding.  pinv._norm of the square
+    roots, scaled back by 2^exponent, is the norm, with the same bits for
+    every exponent at which nothing underflows.
+    """
+    total[...] = 0.0
+    for values in fibers:
+        np.square(values, out=values)
+        total += values
+    np.sqrt(total, out=total)
+    norm = np.ldexp(_norm(total, p, overwrite=True), exponent)
+    return float(norm * grid.cell_volume ** (1.0 / p))
+
+
+def _mesh_norm(data: np.ndarray, grid: Grid, p: float) -> float:
+    """_grid_norm of whole-mesh grid values data (complex, fiber axis first); data is not written.
+
+    The exponent is that of max |data|; each fiber's magnitudes, scaled by
+    it, are written into one real N^n buffer just before they are squared.
+    """
+    magnitudes = np.empty(grid.shape)
+    exponent = _exponent(max(np.abs(fiber, out=magnitudes).max() for fiber in data))
+    scale = math.ldexp(1.0, -exponent)
+    fibers = (np.multiply(np.abs(fiber, out=magnitudes), scale, out=magnitudes) for fiber in data)
+    return _grid_norm(fibers, grid, p, exponent, np.empty(grid.shape))
 
 
 def _xi_weights(xis: np.ndarray, k: int) -> np.ndarray:
@@ -500,9 +549,10 @@ class _Spectrum:
     order-k derivative array.  grid_norm(coeffs, p) gives _grid_norm of the
     field's grid values (None on a band built for p = 2 and on a rung, whose
     norms read no grid value).  On the whole mesh it overwrites coeffs with
-    them (_inverse), so a caller hands it coefficients it does not read
-    again; on a band the band's own real inverse FFT writes them into its
-    buffers (_band_grid).  draw(fiber_dim, seed) gives the coefficients of
+    them (_inverse) and takes one fiber's magnitudes at a time (_mesh_norm),
+    so a caller hands it coefficients it does not read again; on a band the
+    band's own real inverse FFT writes one fiber at a time into its buffer
+    (_band_grid).  draw(fiber_dim, seed) gives the coefficients of
     random_band_limited on this spectrum (band N/4 on the whole mesh; a rung
     has no draw).
     """
@@ -537,14 +587,14 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     fit (_refuse_oversized), counting per frequency the tables (M, P_A, the
     mesh, the weights) and the larger of the projector build and a trial,
     with held complex fibers the caller keeps beside it (a windowed ladder's
-    envelope and witness field) and, at p != 2, _grid_norm's magnitudes,
-    one real per fiber of the largest grid field (_band_fibers), and its
-    per-point maxima.  The grid norm transforms the coefficients it is given
-    in place, so a field's grid values take no array of their own.
+    envelope and witness field) and, at p != 2, one fiber's magnitudes and
+    the accumulator of _grid_norm (_mesh_norm), one real each.  The grid
+    norm transforms the coefficients it is given in place, so a field's
+    grid values take no array of their own.
     """
     count = grid.size ** grid.n
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 1
-    trial = _trial_entries(op) + 2 * held + (_band_fibers(op) + 2 if p != 2.0 else 0)
+    trial = _trial_entries(op) + 2 * held + (2 if p != 2.0 else 0)
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
     _refuse_oversized(op, grid, count, tables + max(build, trial))
     projector = _kernel_projector_table(op, grid, float(tol))
@@ -552,7 +602,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     weights.setflags(write=False)
     return _Spectrum(
         integer_frequencies(grid), _symbol_tensor(op, grid), projector, None, weights,
-        lambda coeffs, p: _grid_norm(_inverse(coeffs, grid), grid, p),
+        lambda coeffs, p: _mesh_norm(_inverse(coeffs, grid), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
 
@@ -571,66 +621,70 @@ def _tables(op: Operator, xis: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
     return symbols, projector
 
 
-def _band_buffers(grid: Grid, max_freq: int, fibers: int) -> dict[str, tuple[tuple, type]]:
+def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
     """The arrays of the band's grid route (_band_grid) as (shape, dtype), in exact integers.
 
-    target: the scatter target, first-axis planes 0..B of one fiber's half
-    spectrum.  half (n >= 2): one fiber's half spectrum, which every ifft
-    pass writes in planes 0..B.  out: a real N^n grid per fiber of the
-    largest grid field.  maxima: the N^n per-point maxima of _grid_norm.
+    half: one fiber's half spectrum, whose first-axis planes 0..B are the
+    scatter target that every ifftn pass writes (n >= 2), or those planes
+    alone, which irfft pads itself (n = 1).  out: one fiber's real N^n grid
+    values.  total: the N^n accumulator of _grid_norm.
     """
-    buffers = {"target": ((max_freq + 1,) + grid.shape[1:], complex)}
-    if grid.n > 1:
-        buffers["half"] = ((grid.size // 2 + 1,) + grid.shape[1:], complex)
-    buffers["out"] = ((fibers,) + grid.shape, float)
-    buffers["maxima"] = (grid.shape, float)
-    return buffers
+    first = grid.size // 2 + 1 if grid.n > 1 else max_freq + 1
+    return {"half": ((first,) + grid.shape[1:], complex),
+            "out": (grid.shape, float), "total": (grid.shape, float)}
 
 
-def _band_grid(grid: Grid, primaries: np.ndarray, fibers: int):
+def _band_grid(grid: Grid, primaries: np.ndarray):
     """grid_values and grid_norm of the band, by numpy's irfftn steps on buffers allocated once.
 
     A band field's first components lie in 0..B (_primaries), so its half
-    spectrum is zero beyond first-axis plane B.  grid_values takes a field's
-    coefficients one fiber at a time.  It scatters the fiber into the target
-    (_band_buffers), overwriting the same entries for every fiber: the
-    primaries and, in plane 0, their mirrors, which take the conjugates so
-    that the plane is Hermitian as irfft reads it.  Then one ifftn runs on
-    planes 0..B only, every pass writing into the half spectrum (out=),
-    whose planes B+1..N/2 stay zero: numpy passes over the listed axes
-    last to first, so listed n-1..1 they run 1..n-1, as in irfftn.  irfft
-    along the first axis writes the fiber's row of out; in 1-D there is no
-    pass, and irfft pads the target's planes itself.  Every line transform
-    is independent and every skipped line is zero, so each value has
-    irfftn's bits.  grid_norm measures the values in place (_grid_norm)
-    with the maxima buffer.  The buffers are allocated here, once per
-    route, and only the target and the half spectrum are zeroed; neither
-    function allocates an array the size of the grid.
+    spectrum is zero beyond first-axis plane B.  grid_values(coeffs,
+    exponent) yields a field's fibers one at a time, each fiber's real grid
+    values times 2^-exponent in the one out buffer (_band_buffers).  It
+    scatters the fiber into planes 0..B of the half spectrum: the primaries
+    and, in plane 0, their mirrors, which take the conjugates so that the
+    plane is Hermitian as irfft reads it.  Then one ifftn runs on those
+    planes in place (out=): numpy passes over the listed axes last to
+    first, so listed n-1..1 they run 1..n-1, as in irfftn, and planes
+    B+1..N/2 stay zero; in 1-D there is no pass, and irfft pads the planes
+    itself.  The passes fill the planes, so they are zeroed before each
+    scatter.  irfft along the first axis writes out, which is divided by
+    irfftn's scale times 2^exponent.  Every line transform is independent,
+    every skipped line is zero and 2^exponent is exact, so each value has
+    irfftn's bits times 2^-exponent.  grid_norm takes the exponent of an
+    upper bound of |values| from the coefficients, 2 sum |c| / (2pi)^(n/2)
+    over a fiber's primaries, and streams the fibers through _grid_norm
+    into the total buffer.  The buffers are allocated here, once per route;
+    neither function allocates an array the size of the grid.
     """
     max_freq = int(primaries[0].max())
-    buffers = {name: (np.zeros if name in ("target", "half") else np.empty)(shape, dtype)
-               for name, (shape, dtype) in _band_buffers(grid, max_freq, fibers).items()}
-    target = buffers["target"]
+    buffers = {name: np.zeros(shape, dtype) for name, (shape, dtype)
+               in _band_buffers(grid, max_freq).items()}
+    half = buffers["half"]
+    target = half[:max_freq + 1]
     flat = target.reshape(-1)
-    at = np.ravel_multi_index(tuple(primaries % grid.size), target.shape)
+    # mode="wrap" takes the other axes' indices modulo N; first components lie in 0..B
+    at = np.ravel_multi_index(tuple(primaries), target.shape, mode="wrap")
     on_plane0 = np.flatnonzero(primaries[0] == 0)
-    mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0] % grid.size), target.shape)
-    half = buffers.get("half", target)
+    mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0]), target.shape, mode="wrap")
+    scale = (TWO_PI / grid.size) ** (grid.n / 2.0)
 
-    def grid_values(coeffs: np.ndarray) -> np.ndarray:
-        data = buffers["out"][:len(coeffs)]
-        for values, fiber in zip(coeffs, data):
+    def grid_values(coeffs: np.ndarray, exponent: int):
+        out, divisor = buffers["out"], math.ldexp(scale, exponent)
+        for values in coeffs:
+            target.fill(0.0)
             flat[at] = values
             flat[mirrors] = values[on_plane0].conj()
             if grid.n > 1:
-                np.fft.ifftn(target, axes=range(grid.n - 1, 0, -1), norm="ortho",
-                             out=half[:max_freq + 1])
-            np.fft.irfft(half, grid.size, axis=0, norm="ortho", out=fiber)
-        data /= (TWO_PI / grid.size) ** (grid.n / 2.0)
-        return data
+                np.fft.ifftn(target, axes=range(grid.n - 1, 0, -1), norm="ortho", out=target)
+            np.fft.irfft(half, grid.size, axis=0, norm="ortho", out=out)
+            out /= divisor
+            yield out
 
     def grid_norm(coeffs: np.ndarray, p: float) -> float:
-        return _grid_norm(grid_values(coeffs), grid, p, buffers["maxima"])
+        bound = 2.0 * max(np.abs(values).sum() for values in coeffs) / TWO_PI ** (grid.n / 2.0)
+        exponent = _exponent(bound)
+        return _grid_norm(grid_values(coeffs, exponent), grid, p, exponent, buffers["total"])
     return grid_values, grid_norm
 
 
@@ -643,7 +697,8 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     (_tables, 2 |xi|^2k formed here) with the primaries and their scatter
     positions (dimW dimV + dimV^2 + n + 3 reals) and the larger of their
     build and a trial.  At p != 2 it adds the grid route's buffers
-    (_band_buffers), with the largest grid field's fibers (_band_fibers).
+    (_band_buffers), one fiber and the accumulator beside the half
+    spectrum, whatever the fiber count of the field.
     A field here is its (fiber, P) values at the primaries (_band_draw),
     the field of random_band_limited with the same seed.  Only p != 2
     builds the grid route (_band_grid): a p = 2 norm reads no grid value,
@@ -651,11 +706,10 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     """
     _check_band(grid, max_freq)
     count = ((2 * max_freq + 1) ** op.n - 1) // 2
-    fibers = _band_fibers(op)
     grid_entries = 0
     if p != 2.0:
         grid_entries = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
-                           for shape, dtype in _band_buffers(grid, max_freq, fibers).values())
+                           for shape, dtype in _band_buffers(grid, max_freq).values())
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
     _refuse_oversized(op, grid, count, tables + max(build, _trial_entries(op)), grid_entries)
@@ -663,7 +717,7 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     symbols, projector = _tables(op, primaries, float(tol))
     weights = 2.0 * _xi_weights(primaries, op.k)
     weights.setflags(write=False)
-    grid_norm = _band_grid(grid, primaries, fibers)[1] if p != 2.0 else None
+    grid_norm = _band_grid(grid, primaries)[1] if p != 2.0 else None
     return _Spectrum(primaries, symbols, projector, 2.0, weights, grid_norm,
                      lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 

@@ -346,15 +346,16 @@ def test_random_coefficients_scatter_the_band_draw(n, size, max_freq):
 def test_band_grid_values_are_those_of_the_whole_mesh(n):
     # the scatter into the half spectrum, with conjugate mirrors in plane 0,
     # then the real inverse FFT of each fiber gives the real part of
-    # inverse_transform; a second call overwrites the same entries of the target
+    # inverse_transform; a second call scatters into the same planes, and each
+    # fiber is copied out of the one buffer that every fiber is yielded in
     grid = Grid(n, 8)
     op = {1: LINE, 2: zoo_get("symmetric_gradient"), 3: zoo_get("curl")}[n]
     band = spectral._band_spectrum(op, grid, 2, DEFAULT_TOL, 3.0)
-    grid_values, _ = spectral._band_grid(grid, band.xis, spectral._band_fibers(op))
+    grid_values, _ = spectral._band_grid(grid, band.xis)
     for seed in ([n, 1], [n, 2]):
         values = band.draw(op.dim_v, seed)
         full = inverse_transform(spectral._random_coefficients(grid, op.dim_v, 2, seed)).data
-        data = grid_values(values)
+        data = np.stack([fiber.copy() for fiber in grid_values(values, 0)])
         assert data.dtype == np.float64 and data.shape == full.shape
         np.testing.assert_allclose(data, full.real, rtol=0, atol=1e-15 * np.abs(full).max())
 
@@ -364,12 +365,14 @@ def test_band_grid_values_are_those_of_the_whole_mesh(n):
 def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
     # the fiber-by-fiber steps on planes 0..B have numpy irfftn's bits on the
     # whole half spectrum, below and at the full band B = N/4, and grid_norm
-    # those of pinv's norms on its values; after the first call, no call allocates
-    # a fiber (one fiber is larger than numpy's 8192-entry iteration buffer on
-    # these grids)
+    # those of the streamed rule on its values: each fiber's squares added in
+    # order, their square roots, pinv._norm over the points (a power-of-two
+    # scale moves no bit), the real and complex routes alike; after the first
+    # call, no call allocates a fiber (one fiber is larger than numpy's
+    # 8192-entry iteration buffer on these grids)
     grid = Grid(n, size)
     primaries = spectral._primaries(n, max_freq)
-    grid_values, grid_norm = spectral._band_grid(grid, primaries, 9)
+    grid_values, grid_norm = spectral._band_grid(grid, primaries)
     axes = tuple(range(1, n + 1))
     scale = (TWO_PI / size) ** (n / 2.0)
     fiber_bytes = 8 * size ** n
@@ -382,18 +385,69 @@ def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
         grid_norm(values, 3.0)
         tracemalloc.start()
         try:
-            data = grid_values(values)
-            assert tracemalloc.get_traced_memory()[1] < fiber_bytes
-            assert data.shape == expected.shape and data.tobytes() == expected.tobytes()
+            # the peak is read before each fiber's bits are compared, and reset after
+            for data, want in zip(grid_values(values, 0), expected, strict=True):
+                assert tracemalloc.get_traced_memory()[1] < fiber_bytes
+                assert data.shape == want.shape and data.tobytes() == want.tobytes()
+                tracemalloc.reset_peak()
             tracemalloc.reset_peak()
             norm = grid_norm(values, 3.0)
             assert tracemalloc.get_traced_memory()[1] < fiber_bytes
         finally:
             tracemalloc.stop()
         for p, value in ((3.0, norm), (math.inf, grid_norm(values, math.inf))):
-            # pinv._fiber_norm, then pinv._norm over the points, the real and complex routes
-            reference = pinv._norm(pinv._fiber_norm(expected), p) * grid.cell_volume ** (1 / p)
+            roots = np.sqrt(np.square(expected).sum(axis=0))
+            reference = pinv._norm(roots, p) * grid.cell_volume ** (1 / p)
             assert value == float(reference) == lp_norm(GridField(grid, expected), p)
+
+
+@pytest.mark.parametrize("n, size, max_freq", [(1, 2 ** 16, 8), (3, 32, 8)])
+def test_band_grid_norm_holds_one_fiber_whatever_the_fiber_count(n, size, max_freq):
+    # building the band's grid route and one grid_norm call allocate less
+    # than three grid fibers beside the half spectrum (in 1-D only its planes
+    # 0..B), for a field of 1 fiber as of 9: one fiber's values, the
+    # accumulator and index arrays, where holding every fiber took ten
+    grid = Grid(n, size)
+    primaries = spectral._primaries(n, max_freq)
+    half = spectral._band_buffers(grid, max_freq)["half"][0]
+    limit = 8 * 3 * size ** n + 16 * math.prod(half)
+    for fibers in (1, 9):
+        values = spectral._band_draw(fibers, primaries.shape[1], [n, fibers])
+        spectral._band_grid(grid, primaries)[1](values, 3.0)  # first-call caches
+        tracemalloc.start()
+        try:
+            spectral._band_grid(grid, primaries)[1](values, 3.0)
+            assert tracemalloc.get_traced_memory()[1] < limit
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_grid_norm_scales_a_field_by_one_power_of_two(p):
+    # coefficients times 2^+-600 give exactly 2^+-600 times the norm, on the
+    # band and on the whole mesh, where unscaled squares overflow or
+    # underflow; fibers at 1e150 and 1e-150 give the large fiber's norm, the
+    # small one's squares lying far below its rounding
+    grid = Grid(3, 16)
+    primaries = spectral._primaries(3, 4)
+    grid_norm = spectral._band_grid(grid, primaries)[1]
+    values = spectral._band_draw(2, primaries.shape[1], 11)
+    coeffs = spectral._random_coefficients(grid, 2, 4, 11).coeffs
+
+    def mesh_norm(coeffs):
+        return lp_norm(inverse_transform(FrequencyField(grid, coeffs)), p)
+
+    band, mesh = grid_norm(values, p), mesh_norm(coeffs)
+    for power in (600, -600):
+        factor = 2.0 ** power
+        assert grid_norm(values * factor, p) == factor * band
+        assert mesh_norm(coeffs * factor) == factor * mesh
+    apart = np.array([1e150, 1e-150])[:, None]
+    values *= apart
+    coeffs *= apart[..., None, None]
+    for norm, large in ((grid_norm(values, p), grid_norm(values[:1], p)),
+                        (mesh_norm(coeffs), mesh_norm(coeffs[:1]))):
+        assert math.isfinite(norm) and math.isclose(norm, large, rel_tol=1e-15)
 
 
 # every zoo operator, a vector-valued drop and a 1-D operator of odd order,
@@ -608,7 +662,7 @@ def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name):
 @pytest.mark.parametrize("op, size, p", [
     (zoo_get("laplacian"), 64, 3.0), (zoo_get("laplacian"), 128, 3.0), (BILAPLACIAN, 64, 3.0),
     (zoo_get("curl"), 32, 2.0), (zoo_get("curl"), 32, 3.0), (zoo_get("curl"), 32, math.inf),
-    (zoo_get("symmetric_gradient"), 256, 3.0)],
+    (zoo_get("curl"), 64, 3.0), (zoo_get("symmetric_gradient"), 256, 3.0)],
     ids=lambda value: getattr(value, "name", str(value)))
 def test_band_memory_estimate_bounds_three_trials(monkeypatch, op, size, p):
     # the band route, its tables built afresh, then three ratio trials, on fields

@@ -148,11 +148,12 @@ def cmd_counterexample(args) -> int:
     spreads over the whole mesh, so its witness field and the N^n tables
     are built: the whole-mesh spectrum (_mesh_spectrum) is built once,
     before the first witness, and refuses an oversized grid by an estimate
-    that counts the tables, a ratio's trial, the envelope and one witness
-    field.  Each windowed field is measured on it by _ratio before the next
-    one is built (_witness_fields), so the ladder holds one N^n witness
-    field at a time, and its ratios are bitwise those of estimate_ratio on
-    witness_family's list.
+    that counts the tables, a ratio's trial and one witness field; the
+    envelope is one factor of N entries per axis.  Each windowed field is
+    measured on it by _ratio before the next one is built
+    (_witness_fields), so the ladder holds one N^n witness field at a time,
+    and its ratios are bitwise those of estimate_ratio on witness_family's
+    list.
     """
     if not (math.isfinite(args.factor) and args.factor > 0):
         raise ValueError("--factor must be a finite number greater than 0")
@@ -173,8 +174,8 @@ def cmd_counterexample(args) -> int:
         ratios = [_rung_ratio(op, grid, freq, args.tol) for freq in ladder]
     else:
         # the spectrum refuses an oversized grid before any witness is built, counting
-        # the envelope and a witness field beside a ratio's trial
-        spectrum = _mesh_spectrum(op, grid, args.tol, args.p, held=1 + op.dim_v)
+        # a witness field beside a ratio's trial
+        spectrum = _mesh_spectrum(op, grid, args.tol, args.p, held=op.dim_v)
         ratios = []
         for phi in _witness_fields(op, ladder, grid, args.window, args.tol):
             ratios.append(_ratio(op, spectrum, phi.coeffs, args.p, args.tol))

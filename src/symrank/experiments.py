@@ -28,8 +28,8 @@ import numpy as np
 from .operators import Operator, _real_stack
 from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
-from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform,
-                       periodic_bump, _Spectrum, _band_spectrum, _check_field, _derivatives,
+from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Spectrum,
+                       _band_spectrum, _bump_coefficients, _check_field, _derivatives, _envelope,
                        _matvec, _mesh_spectrum, _rung_spectrum, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
@@ -178,9 +178,11 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     A*(xi_m) u at xi_m: its one coefficient, _rung's, is written directly
     and no N^n table is read, and P_A phi_m = 0 and estimate_ratio at any p
     equals |xi_m|^k / sigma_r(A(xi_m)).  A window in (0, 1] is the width of
-    periodic_bump (a fraction of the torus), forward-transformed once per
-    family, and the N^n symbol table is contracted with the probe; the
-    windowed ratio approaches the single-mode value as the window widens.
+    periodic_bump (a fraction of the torus), whose coefficients are the
+    product over the axes of its one-axis profile's, transformed once per
+    family (_bump_coefficients), and the N^n symbol table is contracted
+    with the probe; the windowed ratio approaches the single-mode value as
+    the window widens.
     Raises ValueError for no frequencies, a window outside (0, 1], a zero
     frequency or |xi_m|_inf > N/4, and DegenerateProbeError where the symbol
     vanishes.
@@ -191,10 +193,13 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
 def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None, tol: float):
     """witness_family's fields one rung at a time, a generator.
 
-    The arguments are checked, and the envelope and the symbol table formed,
-    at the first field; a rung's field is dropped here before the next one
-    is built, so a caller that measures each field before asking for the
-    next holds one N^n field, not the whole family.
+    The arguments are checked, and the envelope's one-axis factor and the
+    symbol table formed, at the first field.  A windowed rung multiplies
+    its contracted symbol table in place by the factor rolled to the rung,
+    one axis at a time (spectral._envelope), so no bump, envelope or rolled
+    copy the size of the grid is made.  A rung's field is dropped here
+    before the next one is built, so a caller that measures each field
+    before asking for the next holds one N^n field, not the whole family.
     """
     frequencies = [tuple(int(x) for x in freq) for freq in frequencies]
     if not frequencies:
@@ -204,7 +209,7 @@ def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None,
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
     if window is not None:
-        envelope = forward_transform(GridField(grid, periodic_bump(grid, window)[None])).coeffs[0]
+        factor = _bump_coefficients(grid, window)
         symbols = _symbol_tensor(op, grid)
     for freq in frequencies:
         probe, coefficient = _rung(op, freq, grid, tol)
@@ -213,7 +218,7 @@ def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None,
             coeffs[(slice(None),) + tuple(x % grid.size for x in freq)] = coefficient
         else:
             coeffs = (-1j) ** op.k * np.einsum("...ij,i->j...", symbols, probe, order="C")
-            coeffs *= np.roll(envelope, freq, axis=tuple(range(grid.n)))
+            _envelope(coeffs, factor, freq)
         yield FrequencyField(grid, coeffs)
         del coeffs
 

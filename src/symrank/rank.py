@@ -26,6 +26,8 @@ ANGULAR_RESOLUTION = 1e-3
 # a witness pairs a drop direction with a full-rank direction this close
 WITNESS_MAX_ANGLE = 0.1
 _MAX_BISECTIONS = 64
+# a random row shorter than this is drawn again before it is normalised
+_MIN_NORM = 1e-8
 
 
 class Verdict(str, Enum):
@@ -64,41 +66,58 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
     Contains the +-coordinate axes and every normalized +-1 sign vector
     first (axis-aligned and diagonal degeneracies live there), then
     num_random seeded gaussian directions.  For n = 1 the sign vectors are
-    the two axes again, so they are left out.
+    the two axes again, so they are left out.  The rows are those of the
+    stream rank_profile sweeps (_sample_blocks), concatenated.
+    """
+    return np.concatenate(list(_sample_blocks(n, num_random, seed)))
+
+
+def _sample_blocks(n: int, num_random: int, seed: int):
+    """sphere_samples' rows as a stream: the structured rows, then pinv._BLOCK random rows at a time.
+
+    Every block is a fresh array, drawn from one generator seeded with seed
+    (so the blocks are the stream of one draw of all the rows), divided by
+    its row norms and yielded before the next is drawn.  A row of norm below
+    _MIN_NORM, which essentially never occurs, is redrawn within its block,
+    right after the block's draw, in index order, so only a sweep with such
+    a row differs from one draw of every row.  Raises ValueError for n < 1
+    or num_random < n + 1 at the first row.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if num_random < n + 1:
         raise ValueError("need num_random >= n + 1")
-    structured = 2 * n + (2 ** n if n >= 2 else 0)
-    out = np.zeros((structured + num_random, n))
+    structured = np.zeros((2 * n + (2 ** n if n >= 2 else 0), n))
     index = np.arange(n)
-    out[2 * index, index] = 1.0
-    out[2 * index + 1, index] = -1.0
+    structured[2 * index, index] = 1.0
+    structured[2 * index + 1, index] = -1.0
     if n >= 2:
         # sign vector t has -1 where t, written in n binary digits, has a 1: the order
-        # of itertools.product((1.0, -1.0), repeat=n), filled a column at a time into
-        # the output so that no temporary grows with n 2^n
-        signs = out[2 * n:structured]
+        # of itertools.product((1.0, -1.0), repeat=n), filled a column at a time so
+        # that no temporary grows with n 2^n
+        signs = structured[2 * n:]
         rows = np.arange(2 ** n)
         for j in range(n):
             signs[:, j] = 1.0 - 2.0 * ((rows >> (n - 1 - j)) & 1)
         signs /= np.sqrt(n)
-    # the gaussians are drawn straight into the output, then normalised there in
-    # blocks, so only the norms are held beside the directions
-    randoms = out[structured:]
+    yield structured
     rng = np.random.default_rng(seed)
-    rng.standard_normal(out=randoms)
-    norms = np.empty(num_random)
     for start in range(0, num_random, _BLOCK):
-        norms[start:start + _BLOCK] = _row_norms(randoms[start:start + _BLOCK])
-    while norms.min() < 1e-8:  # essentially never; keeps normalization safe
-        bad = np.flatnonzero(norms < 1e-8)
-        randoms[bad] = rng.standard_normal((len(bad), n))
-        norms[bad] = _row_norms(randoms[bad])
-    for start in range(0, num_random, _BLOCK):
-        randoms[start:start + _BLOCK] /= norms[start:start + _BLOCK, None]
-    return out
+        block = rng.standard_normal((min(_BLOCK, num_random - start), n))
+        norms = _row_norms(block)
+        while norms.min() < _MIN_NORM:  # essentially never; keeps normalization safe
+            bad = np.flatnonzero(norms < _MIN_NORM)
+            block[bad] = rng.standard_normal((len(bad), n))
+            norms[bad] = _row_norms(block[bad])
+        block /= norms[:, None]
+        yield block
+
+
+def _offsets(stream, start: int = 0):
+    """(start, rows) for every array of rows in stream, start the index of its first row."""
+    for rows in stream:
+        yield start, rows
+        start += len(rows)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -114,46 +133,67 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
-def _refuse_oversized_sweep(op: Operator, num_samples: int) -> None:
+def _rank_dtype(op: Operator) -> np.dtype:
+    """The smallest unsigned integer type that holds every rank of op's symbol."""
+    return np.min_scalar_type(min(op.dim_v, op.dim_w))
+
+
+def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = None) -> None:
     """Raise MemoryError when a rank_profile sweep cannot fit in physical memory.
 
-    The sweep runs over sphere_samples' directions: 2n axes, 2^n sign
-    vectors for n >= 2 and num_samples random ones, n doubles each.  While
-    they are drawn it holds a norm per random direction and, one block of
-    pinv._BLOCK rows at a time, two columns of squares; before that, three
-    columns of 2^n sign bits.  Then it holds a rank per direction, and for a
-    moment a flag per direction, so n + 2 doubles per direction in all, a
-    flag counted as a whole double.  The rest is one block's working set,
-    the most of three phases: building the real symbol M (_monomials' T
-    monomials, a power column per exponent above 1, and M); ranking M (M,
-    the ranks and what numerical_rank holds beside them, as pinv says); and
-    pairing a low-rank sample with its nearest full-rank one (the scores,
-    their clipped copy and a mask).  The check runs before anything is
-    allocated, so a sweep too large for the machine is refused instead of
-    being killed part way.
+    The sweep streams sphere_samples' rows (_sample_blocks): 2n axes and
+    2^n sign vectors for n >= 2, held throughout, then num_samples random
+    ones, one block of pinv._BLOCK rows at a time.  It holds a rank per
+    direction, one byte for every symbol with at most 255 columns or rows
+    (_rank_dtype), and lows low-rank rows, each with its nearest full-rank
+    row and score, 2n + 1 doubles (the structured rows when lows is None,
+    which is what a sweep that is not replayed pairs).  The rest is the
+    most of two phases.  The stream holds one block's rows and the most of
+    four steps per row: drawing (the block before, the norms and a column
+    of squares); building the real symbol M (_monomials' T monomials, a
+    power column per exponent above 1, and M); ranking M (M, the ranks and
+    what numerical_rank holds beside them, as pinv says); and pairing (the
+    scores, their clipped copy and the masks).  Bisection steps up to
+    pinv._BLOCK low-rank rows together: each row's two ends and midpoint,
+    and the larger of building and ranking the midpoints.  Before the
+    stream, three columns of 2^n sign bits are held.  The check runs before
+    anything is allocated, so a sweep too large for the machine is refused
+    instead of being killed part way; a replayed sweep (rank_profile) runs
+    it again with its count of low-rank rows before it gathers them.
     """
     signs = 2 ** op.n if op.n >= 2 else 0
-    count = 2 * op.n + signs + num_samples
-    block = min(count, _BLOCK)
+    structured = 2 * op.n + signs
+    count = structured + num_samples
+    lows = structured if lows is None else lows
     entries = op.dim_w * op.dim_v
     powers = len(op.alpha_array) + int(np.maximum(op.alpha_array.max(axis=0) - 1, 0).sum())
     build = powers + entries
-    ranking = entries + 1 + _held_entries(numerical_rank, op.dim_w, op.dim_v, block)
-    pairing = 3
-    sampling = max(3 * signs, num_samples + 2 * min(num_samples, _BLOCK))
+
+    def ranking(rows):
+        return entries + 1 + _held_entries(numerical_rank, op.dim_w, op.dim_v, rows)
+
+    # the structured rows are ranked in blocks too
+    block, steps = min(max(structured, num_samples), _BLOCK), min(lows, _BLOCK)
+    stream = block * (op.n + max(op.n + 2, build, ranking(block), 3))
+    bisection = steps * (3 * op.n + max(build, ranking(steps))) if steps else 0
     _refuse_beyond_memory(
-        lambda: 8 * (count * op.n + max(sampling, 2 * count,
-                                        count + block * max(build, ranking, pairing))),
+        lambda: _rank_dtype(op).itemsize * count + 8 * (
+            structured * op.n + lows * (2 * op.n + 1) + max(3 * signs, stream, bisection)),
         f"{op.name}: a sphere sweep of {count} directions in {op.n} dimensions",
         "for the directions and their symbols")
 
 
 @dataclass(frozen=True)
 class RankProfile:
-    """Sampled rank landscape of a symbol on the unit sphere."""
+    """Sampled rank landscape of a symbol on the unit sphere.
+
+    ranks holds the rank at every row of sphere_samples(n, num_samples,
+    seed), in the smallest unsigned type that holds them (one byte for every
+    symbol with at most 255 rows or columns); the rows themselves are not
+    kept, since sphere_samples gives them again.
+    """
 
     operator: str
-    directions: np.ndarray
     ranks: np.ndarray
     tolerance: float
     min_rank: int
@@ -186,22 +226,39 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     verdict for equal ranks is sampling-based, not a certificate; the
     NonConstantRank verdict is certified by the returned drop directions.
     Ranks are taken of the real M of A = i^k M, which has the rank of A.
-    The sweep runs in blocks of pinv._BLOCK directions: M is built and
-    ranked one block at a time into one ranks array, and a low-rank sample
-    finds its nearest full-rank sample block by block (_nearest_full_rank),
-    so besides one block's working set only the directions, the ranks and a
-    flag per direction are held; every output is bitwise that of one block
-    spanning the whole sweep.  Raises MemoryError before sampling when that
-    would exceed physical memory (2^n sign vectors make that so for large
-    n).
+    The sweep streams sphere_samples' rows (_sample_blocks): the structured
+    rows are ranked first, then each block of pinv._BLOCK random rows is
+    drawn, ranked into one byte-sized ranks array and dropped, so besides
+    one block's working set only the ranks and the structured rows are
+    held.  The structured rows below their own maximum rank are paired with
+    their nearest full-rank rows as the blocks stream past (_Nearest).
+    When a random row ranks below the maximum, or the maximum is first
+    reached by a random row, the pairs are taken on a replay of the draw
+    from the seed (_replayed_pairs), which gives the same rows.  All
+    bisections advance in lockstep (_bisect).  Every output is bitwise that
+    of one block spanning the whole sweep and of one bisection at a time.
+    Raises MemoryError before sampling when that would exceed physical
+    memory (2^n sign vectors make that so for large n), and again before a
+    replay when its low-rank rows would (_refuse_oversized_sweep).
     """
     _check_tol(tol)
     _refuse_oversized_sweep(op, num_samples)
-    directions = sphere_samples(op.n, num_samples, seed)
-    ranks = np.empty(len(directions), dtype=np.intp)
-    for start in range(0, len(directions), _BLOCK):
-        block = directions[start:start + _BLOCK]
-        ranks[start:start + len(block)] = numerical_rank(_real_stack(op, block), tol)
+    stream = _sample_blocks(op.n, num_samples, seed)
+    structured = next(stream)
+    head = len(structured)
+    ranks = np.empty(head + num_samples, dtype=_rank_dtype(op))
+    _rank_into(op, structured, tol, ranks[:head])
+    top = ranks[:head].max()
+    low = ranks[:head] < top
+    nearest = _Nearest(structured[low])
+    nearest.score(structured, low)
+    streamed = True
+    for start, block in _offsets(stream, head):
+        block_ranks = ranks[start:start + len(block)]
+        _rank_into(op, block, tol, block_ranks)
+        streamed = streamed and bool((block_ranks == top).all())
+        if streamed:
+            nearest.score(block, block_ranks < top)
     min_rank = int(ranks.min())
     max_rank = int(ranks.max())
     drops: list[np.ndarray] = []
@@ -210,27 +267,12 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
         verdict = Verdict.ELLIPTIC if max_rank == op.dim_v else Verdict.CONSTANT_RANK
     else:
         verdict = Verdict.NON_CONSTANT_RANK
-        for i in np.flatnonzero(ranks < max_rank):
-            lo = directions[i]
-            hi = _nearest_full_rank(directions, ranks, max_rank, lo)
-            seen_high = [hi]
-            for _ in range(_MAX_BISECTIONS):
-                if angular_distance(lo, hi) <= ANGULAR_RESOLUTION:
-                    break
-                mid = slerp(lo, hi, 0.5)
-                if numerical_rank(_real_stack(op, [mid])[0], tol) < max_rank:
-                    lo = mid
-                else:
-                    hi = mid
-                    seen_high.append(hi)
-            if any(angular_distance(lo, d) <= ANGULAR_RESOLUTION for d in drops):
-                continue
-            drops.append(lo)
-            neighbors.append(tuple(seen_high))
+        if not streamed:
+            nearest = _replayed_pairs(op, num_samples, seed, ranks, max_rank)
+        drops, neighbors = _bisect(op, nearest, max_rank, tol)
     order = sorted(range(len(drops)), key=lambda i: tuple(drops[i]))
     return RankProfile(
         operator=op.name,
-        directions=directions,
         ranks=ranks,
         tolerance=tol,
         min_rank=min_rank,
@@ -241,21 +283,91 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     )
 
 
-def _nearest_full_rank(directions: np.ndarray, ranks: np.ndarray, max_rank: int,
-                       low: np.ndarray) -> np.ndarray:
-    """The direction of rank max_rank with the largest dot product with low, the first of ties.
+def _rank_into(op: Operator, rows: np.ndarray, tol: float, out: np.ndarray) -> None:
+    """numerical_rank of M at every row of rows, written into out, pinv._BLOCK rows at a time."""
+    for start in range(0, len(rows), _BLOCK):
+        out[start:start + _BLOCK] = numerical_rank(_real_stack(op, rows[start:start + _BLOCK]), tol)
 
-    A dot product rounded past 1 ties at 1.  The directions are scored one
-    block at a time, so no copy of the full-rank directions is made.
+
+class _Nearest:
+    """Low-rank rows, each with its nearest full-rank row among the rows scored so far.
+
+    score takes the rows of the sweep in their order, a mask of those that
+    are not full-rank beside them.  Each low-rank row's dot products with
+    one block of them at a time (a score array of at most pinv._BLOCK
+    entries) are clipped at 1, so a product rounded past 1 ties at 1; the
+    largest is kept, the first of ties.
     """
-    best, best_score = 0, -np.inf
-    for start in range(0, len(directions), _BLOCK):
-        scores = np.minimum(directions[start:start + _BLOCK] @ low, 1.0)
-        scores[ranks[start:start + _BLOCK] < max_rank] = -np.inf
-        index = int(np.argmax(scores))
-        if scores[index] > best_score:
-            best, best_score = start + index, scores[index]
-    return directions[best]
+
+    def __init__(self, lows: np.ndarray):
+        self.lows = lows
+        self.highs = np.empty_like(lows)
+        self.scores = np.full(len(lows), -np.inf)
+
+    def score(self, rows: np.ndarray, rest: np.ndarray) -> None:
+        for start in range(0, len(rows), _BLOCK):
+            block, masked = rows[start:start + _BLOCK], rest[start:start + _BLOCK]
+            for i, low in enumerate(self.lows):
+                dots = np.minimum(block @ low, 1.0)
+                dots[masked] = -np.inf
+                index = int(np.argmax(dots))
+                if dots[index] > self.scores[i]:
+                    self.scores[i], self.highs[i] = dots[index], block[index]
+
+
+def _replayed_pairs(op: Operator, num_samples: int, seed: int, ranks: np.ndarray,
+                    max_rank: int) -> _Nearest:
+    """Every row of rank below max_rank, paired with its nearest row of rank max_rank.
+
+    The rows are drawn again from the seed (_sample_blocks), the same bits
+    as the sweep's: once to gather the low-rank rows, after
+    _refuse_oversized_sweep has counted them, and once to score them.
+    """
+    low = ranks < max_rank
+    _refuse_oversized_sweep(op, num_samples, int(np.count_nonzero(low)))
+    nearest = _Nearest(np.concatenate([
+        rows[low[start:start + len(rows)]]
+        for start, rows in _offsets(_sample_blocks(op.n, num_samples, seed))]))
+    for start, rows in _offsets(_sample_blocks(op.n, num_samples, seed)):
+        nearest.score(rows, low[start:start + len(rows)])
+    return nearest
+
+
+def _bisect(op: Operator, nearest: _Nearest, max_rank: int,
+            tol: float) -> tuple[list[np.ndarray], list[tuple[np.ndarray, ...]]]:
+    """Each low-rank row bisected toward its nearest full-rank row; the distinct drops and neighbours.
+
+    Up to pinv._BLOCK bisections advance together: every step ranks the
+    midpoints of the pairs still further apart than ANGULAR_RESOLUTION in
+    one numerical_rank stack (a matrix ranks the same anywhere in a stack),
+    for at most _MAX_BISECTIONS steps.  The low end becomes a drop unless
+    it lies within ANGULAR_RESOLUTION of a drop found before it, in the
+    order of the rows; its neighbours are the full-rank ends it took.
+    """
+    drops: list[np.ndarray] = []
+    neighbors: list[tuple[np.ndarray, ...]] = []
+    for start in range(0, len(nearest.lows), _BLOCK):
+        lows = list(nearest.lows[start:start + _BLOCK])
+        highs = list(nearest.highs[start:start + _BLOCK])
+        seen = [[high] for high in highs]
+        active = range(len(lows))
+        for _ in range(_MAX_BISECTIONS):
+            active = [i for i in active if angular_distance(lows[i], highs[i]) > ANGULAR_RESOLUTION]
+            if not active:
+                break
+            mids = [slerp(lows[i], highs[i], 0.5) for i in active]
+            for i, mid, rank in zip(active, mids, numerical_rank(_real_stack(op, mids), tol)):
+                if rank < max_rank:
+                    lows[i] = mid
+                else:
+                    highs[i] = mid
+                    seen[i].append(mid)
+        for low, highs_seen in zip(lows, seen):
+            if any(angular_distance(low, d) <= ANGULAR_RESOLUTION for d in drops):
+                continue
+            drops.append(low)
+            neighbors.append(tuple(highs_seen))
+    return drops, neighbors
 
 
 @dataclass(frozen=True)

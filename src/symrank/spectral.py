@@ -110,13 +110,15 @@ class Grid:
         return TWO_PI / self.size
 
 
-@lru_cache(maxsize=64)
 def integer_frequencies(grid: Grid) -> np.ndarray:
-    """Integer frequency mesh, shape (n, size, ..., size), fft layout."""
+    """Integer frequency mesh, shape (n, size, ..., size), fft layout.
+
+    Built on every call, not cached (43 us at 16^2, about 1.5 ms at 256^2):
+    a caller that reads it more than once holds it, as the whole-mesh
+    spectrum does at p != 2 (_mesh_spectrum).
+    """
     axis = np.fft.fftfreq(grid.size, d=1.0 / grid.size)
-    mesh = np.stack(np.meshgrid(*([axis] * grid.n), indexing="ij"))
-    mesh.setflags(write=False)
-    return mesh
+    return np.stack(np.meshgrid(*([axis] * grid.n), indexing="ij"))
 
 
 def _checked(grid: Grid, values, name: str, holder: str) -> np.ndarray:
@@ -542,9 +544,10 @@ class _Spectrum:
     The whole mesh (_mesh_spectrum), the primaries of a band
     (_band_spectrum) or one exact witness rung (_rung_spectrum).  xis (n,
     ...) are the integer frequencies in the frequency layout of the
-    coefficient arrays (fiber, ...) on this spectrum; symbols (..., dimW,
-    dimV) and projector (..., dimV, dimV) are the real tables of M and P_A
-    at xis.  With norm_weights and derivative_weights, pinv._norm of a
+    coefficient arrays (fiber, ...) on this spectrum (None on the whole
+    mesh at p = 2, where no ratio reads them); symbols (..., dimW, dimV)
+    and projector (..., dimV, dimV) are the real tables of M and P_A at
+    them.  With norm_weights and derivative_weights, pinv._norm of a
     coefficient array is the whole-mesh L2 norm of its field and of its
     order-k derivative array.  grid_norm(coeffs, p) gives _grid_norm of the
     field's grid values (None on a band built for p = 2 and on a rung, whose
@@ -557,7 +560,7 @@ class _Spectrum:
     has no draw).
     """
 
-    xis: np.ndarray
+    xis: np.ndarray | None
     symbols: np.ndarray
     projector: np.ndarray
     norm_weights: float | None
@@ -585,23 +588,27 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
 
     Raises MemoryError before a table is looked up when the route does not
     fit (_refuse_oversized), counting per frequency the tables (M, P_A, the
-    mesh, the weights) and the larger of the projector build and a trial,
-    with held complex fibers the caller keeps beside it (a windowed ladder's
-    envelope and witness field) and, at p != 2, one fiber's magnitudes and
-    the accumulator of _grid_norm (_mesh_norm), one real each.  The grid
-    norm transforms the coefficients it is given in place, so a field's
-    grid values take no array of their own.
+    weights and, at p != 2, the n-real frequency mesh) and the larger of the
+    projector build and a trial, with held complex fibers the caller keeps
+    beside it (a windowed ladder's witness field) and, at p != 2, one
+    fiber's magnitudes and the accumulator of _grid_norm (_mesh_norm), one
+    real each.  The frequency mesh is held (xis) only at p != 2, where
+    _derivatives reads it; at p = 2 the ratio reads coefficient norms
+    alone.  The grid norm transforms the coefficients it is given in place,
+    so a field's grid values take no array of their own.
     """
     count = grid.size ** grid.n
-    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 1
+    mesh = op.n if p != 2.0 else 0
+    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + mesh + 1
     trial = _trial_entries(op) + 2 * held + (2 if p != 2.0 else 0)
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
     _refuse_oversized(op, grid, count, tables + max(build, trial))
     projector = _kernel_projector_table(op, grid, float(tol))
-    weights = _xi_weights(integer_frequencies(grid), op.k)
+    xis = integer_frequencies(grid)
+    weights = _xi_weights(xis, op.k)
     weights.setflags(write=False)
     return _Spectrum(
-        integer_frequencies(grid), _symbol_tensor(op, grid), projector, None, weights,
+        xis if mesh else None, _symbol_tensor(op, grid), projector, None, weights,
         lambda coeffs, p: _mesh_norm(_inverse(coeffs, grid), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
@@ -740,8 +747,15 @@ def periodic_bump(grid: Grid, width: float) -> np.ndarray:
 
     width in (0, 1] is the support diameter as a fraction of the torus:
     per axis the profile is 1 for |x - pi| <= width*pi/2, 0 for
-    |x - pi| >= width*pi, with a smooth exponential step between.
+    |x - pi| >= width*pi, with a smooth exponential step between.  The
+    window is separable: the outer product of one profile per axis
+    (_bump_profile).
     """
+    return reduce(np.multiply.outer, [_bump_profile(grid, width)] * grid.n)
+
+
+def _bump_profile(grid: Grid, width: float) -> np.ndarray:
+    """periodic_bump's profile along one axis, shape (size,); ValueError unless 0 < width <= 1."""
     if not 0.0 < width <= 1.0:
         raise ValueError("width must lie in (0, 1]")
     t = np.abs(TWO_PI * np.arange(grid.size) / grid.size - math.pi) / (width * math.pi)
@@ -751,6 +765,26 @@ def periodic_bump(grid: Grid, width: float) -> np.ndarray:
     a = np.exp(-1.0 / np.where(inner, s, 1.0))
     b = np.exp(-1.0 / np.where(inner, 1.0 - s, 1.0))
     profile[inner] = (a / (a + b))[inner]
-    # the window is separable: the outer product of one profile per axis
-    return reduce(np.multiply.outer, [profile] * grid.n)
+    return profile
 
+
+def _bump_coefficients(grid: Grid, width: float) -> np.ndarray:
+    """The coefficients of periodic_bump's one-axis profile, shape (size,), complex.
+
+    The bump is an outer product of this profile, so forward_transform of
+    the bump is the product over the axes of the profile's 1-D unitary FFT
+    times (2pi/N)^(1/2) (_envelope multiplies by it): to rounding for n >= 2,
+    and bitwise for n = 1.
+    """
+    return np.fft.fft(_bump_profile(grid, width), norm="ortho") * (TWO_PI / grid.size) ** 0.5
+
+
+def _envelope(coeffs: np.ndarray, factor: np.ndarray, shift) -> None:
+    """Multiply coeffs (fiber, N, ..., N) in place by the separable envelope rolled by shift.
+
+    At eta the envelope is the product over axes j of factor[eta_j -
+    shift_j] (the 1-D factor rolled by shift_j); coeffs is multiplied by
+    one rolled factor per axis, so no array the size of the grid is made.
+    """
+    for axis, step in enumerate(shift):
+        coeffs *= np.roll(factor, step).reshape((-1,) + (1,) * (coeffs.ndim - 2 - axis))

@@ -615,15 +615,16 @@ def test_minimality_makes_no_transforms(capsys, monkeypatch):
 
 @pytest.mark.parametrize("window, exit_code, expected", [
     ((), EXIT_CHECK_FAILED, []),
-    (("--window", "0.5", "--factor", "1.25"), EXIT_OK, ["forward_transform"]),
+    (("--window", "0.5", "--factor", "1.25"), EXIT_OK, ["_bump_coefficients"]),
     (("--p", "3"), EXIT_CHECK_FAILED, [])])
 def test_counterexample_transforms_only_the_window(capsys, monkeypatch, window, exit_code,
                                                    expected):
     # witnesses are built as coefficients: an exact ladder makes no transform at
-    # any p, and a windowed one transforms its bump once per family (the exact
-    # ladder grows 3.92 over three rungs, short of the default factor 4)
+    # any p, and a windowed one transforms its bump's one-axis profile once per
+    # family and no field of the grid (the exact ladder grows 3.92 over three
+    # rungs, short of the default factor 4)
     calls = []
-    for name in ("forward_transform", "inverse_transform", "_inverse"):
+    for name in ("forward_transform", "inverse_transform", "_inverse", "_bump_coefficients"):
         original = getattr(spectral, name)
 
         def wrapper(*args, name=name, original=original):

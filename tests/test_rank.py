@@ -108,6 +108,47 @@ def test_sphere_samples_divide_the_draw_by_its_numpy_norms(n, extra, seed):
     assert sphere_samples(n, num_random, seed)[-num_random:].tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("count", [pinv._BLOCK - 1, pinv._BLOCK, 3 * pinv._BLOCK + 5],
+                         ids=["block-1", "block", "3block+5"])
+def test_sphere_samples_are_the_stream_of_one_draw(n, count):
+    # the sweep's stream, a block of random rows at a time, concatenates to
+    # sphere_samples, whose random rows are one draw divided by its numpy norms
+    blocks = list(rank._sample_blocks(n, count, 7))
+    assert [len(b) for b in blocks[1:]] == [min(pinv._BLOCK, count - start)
+                                            for start in range(0, count, pinv._BLOCK)]
+    samples = sphere_samples(n, count, 7)
+    assert np.concatenate(blocks).tobytes() == samples.tobytes()
+    draw = np.random.default_rng(7).standard_normal((count, n))
+    expected = draw / np.linalg.norm(draw, axis=1)[:, None]
+    assert samples[len(blocks[0]):].tobytes() == expected.tobytes()
+
+
+def test_a_short_row_is_redrawn_within_its_block(monkeypatch):
+    # with the threshold raised to 1, about 4 in 10 gaussian rows in 2-D are too
+    # short; each is drawn again right after its block, in index order, so
+    # the next block's draw starts after the redraws
+    monkeypatch.setattr(rank, "_MIN_NORM", 1.0)
+    n, sizes, seed = 2, (pinv._BLOCK, pinv._BLOCK, 5), 11
+    rng = np.random.default_rng(seed)
+    expected = []
+    for size in sizes:
+        rows = rng.standard_normal((size, n))
+        while (np.linalg.norm(rows, axis=1) < 1.0).any():
+            bad = np.flatnonzero(np.linalg.norm(rows, axis=1) < 1.0)
+            rows[bad] = rng.standard_normal((len(bad), n))
+        expected.append(rows / np.linalg.norm(rows, axis=1)[:, None])
+    samples = sphere_samples(n, sum(sizes), seed)[2 * n + 2 ** n:]
+    assert samples.tobytes() == np.concatenate(expected).tobytes()
+    assert np.linalg.norm(samples, axis=1).min() > 1.0 - 1e-12
+    monkeypatch.undo()
+    # the first block's rows that were long enough keep their bits
+    unpatched = sphere_samples(n, sum(sizes), seed)[2 * n + 2 ** n:]
+    kept = np.linalg.norm(np.random.default_rng(seed).standard_normal((sizes[0], n)), axis=1) >= 1
+    assert unpatched[:sizes[0]][kept].tobytes() == samples[:sizes[0]][kept].tobytes()
+    assert not np.array_equal(unpatched, samples)
+
+
 def sweep_estimate(monkeypatch, op, num_samples):
     """The bytes _refuse_oversized_sweep asks physical memory for."""
     estimates = []
@@ -176,12 +217,18 @@ def sweep_peak(op, num_samples):
 
 
 @pytest.mark.parametrize("name", ["curl", "d1d2", "wave", "laplacian3"])
-def test_sweep_holds_a_few_doubles_per_direction(name):
-    # the sweep keeps the directions, their norms or ranks, and a flag; symbols,
-    # singular values and pairing scores live one block at a time
+def test_sweep_holds_one_byte_per_direction(name):
+    # the sweep keeps a one-byte rank per direction; the directions, their
+    # symbols, singular values and pairing scores live one block at a time
     op = named_operator(name)
     growth = sweep_peak(op, 120000) - sweep_peak(op, 60000)
-    assert growth <= 60000 * 8 * (op.n + 3)
+    assert growth <= 60000 * 1 + 2 ** 14
+
+
+@pytest.mark.parametrize("name", ["d1d2", "laplacian3"])
+def test_sweep_memory_estimate_covers_its_peak_at_the_bench_size(monkeypatch, name):
+    op = named_operator(name)
+    assert sweep_peak(op, 250000) <= sweep_estimate(monkeypatch, op, 250000)
 
 
 def one_shot_profile(op, num_samples, seed):
@@ -198,24 +245,85 @@ def test_sweep_in_blocks_matches_the_one_shot_sweep(name, count):
     op = named_operator(name)
     num_samples = count - 2 * op.n - 2 ** op.n
     blocks, whole = rank_profile(op, num_samples, seed=5), one_shot_profile(op, num_samples, 5)
-    assert blocks.directions.tobytes() == whole.directions.tobytes()
-    assert len(blocks.directions) == count
-    # the ranks of the whole stack, ranked in one call
+    directions = sphere_samples(op.n, num_samples, 5)
+    assert len(directions) == count
+    # the ranks of the whole stack, ranked in one call, in one byte each
+    ranks = numerical_rank(_real_stack(op, directions))
     for profile in (blocks, whole):
-        ranks = numerical_rank(_real_stack(op, profile.directions))
-        assert profile.ranks.dtype == ranks.dtype and profile.ranks.tobytes() == ranks.tobytes()
+        assert profile.ranks.dtype == np.uint8 and np.array_equal(profile.ranks, ranks)
     assert [d.tobytes() for d in blocks.drop_directions] == \
         [d.tobytes() for d in whole.drop_directions]
     assert [[h.tobytes() for h in hs] for hs in blocks.drop_neighbors] == \
         [[h.tobytes() for h in hs] for hs in whole.drop_neighbors]
     # the full-rank direction a low-rank sample is bisected toward: the nearest of
     # a gathered copy of the full-rank directions, the first of ties
-    full = np.compress(blocks.ranks == blocks.max_rank, blocks.directions, axis=0)
-    for i in np.flatnonzero(blocks.ranks < blocks.max_rank):
-        nearest = full[int(np.argmax(np.minimum(full @ blocks.directions[i], 1.0)))]
-        paired = rank._nearest_full_rank(blocks.directions, blocks.ranks, blocks.max_rank,
-                                         blocks.directions[i])
-        assert paired.tobytes() == nearest.tobytes()
+    full = np.compress(ranks == blocks.max_rank, directions, axis=0)
+    low = np.flatnonzero(ranks < blocks.max_rank)
+    if len(low):
+        pairs = rank._replayed_pairs(op, num_samples, 5, blocks.ranks, blocks.max_rank)
+        assert pairs.lows.tobytes() == directions[low].tobytes()
+        for i, paired in zip(low, pairs.highs):
+            nearest = full[int(np.argmax(np.minimum(full @ directions[i], 1.0)))]
+            assert paired.tobytes() == nearest.tobytes()
+
+
+def one_at_a_time(op, num_samples, tol):
+    """Drops and neighbours of the loop that bisects one low-rank sample at a time.
+
+    Each low-rank sample, in index order, is paired with the nearest of a
+    gathered copy of the full-rank samples (the first of ties) and bisected
+    with one single-matrix rank per step; a drop within ANGULAR_RESOLUTION
+    of one found before it is dropped.
+    """
+    directions = sphere_samples(op.n, num_samples, 0)
+    ranks = numerical_rank(_real_stack(op, directions), tol)
+    top = ranks.max()
+    full = np.compress(ranks == top, directions, axis=0)
+    drops, neighbors = [], []
+    for i in np.flatnonzero(ranks < top):
+        lo = directions[i]
+        hi = full[int(np.argmax(np.minimum(full @ lo, 1.0)))]
+        seen = [hi]
+        for _ in range(rank._MAX_BISECTIONS):
+            if angular_distance(lo, hi) <= ANGULAR_RESOLUTION:
+                break
+            mid = slerp(lo, hi, 0.5)
+            if numerical_rank(_real_stack(op, [mid])[0], tol) < top:
+                lo = mid
+            else:
+                hi = mid
+                seen.append(hi)
+        if any(angular_distance(lo, d) <= ANGULAR_RESOLUTION for d in drops):
+            continue
+        drops.append(lo)
+        neighbors.append(seen)
+    order = sorted(range(len(drops)), key=lambda i: tuple(drops[i]))
+    return [drops[i] for i in order], [neighbors[i] for i in order]
+
+
+# d1^3 d2 - d1 d2^3 vanishes on the axes and the diagonals, so every structured
+# direction ranks below the maximum, which a random one reaches first
+CROSS = Operator("cross", 2, 4, 1, 1, (((3, 1), ((1.0,),)), ((1, 3), ((-1.0,),))))
+
+
+LAP_PLUS_D1D2 = parse_operator((Path(__file__).parent / "lap_plus_d1d2.json").read_text())
+
+
+@pytest.mark.parametrize("op, num_samples, tol", [
+    (LAP_PLUS_D1D2, 2000, 0.3), (LAP_PLUS_D1D2, 2000, 0.05),
+    (zoo_get("d1d2"), 3 * pinv._BLOCK + 5, pinv.DEFAULT_TOL),
+    (zoo_get("wave"), 3 * pinv._BLOCK + 5, pinv.DEFAULT_TOL), (CROSS, 2000, pinv.DEFAULT_TOL)],
+    ids=["lap_plus_d1d2-0.3", "lap_plus_d1d2-0.05", "d1d2", "wave", "cross"])
+def test_lockstep_bisection_matches_one_bisection_at_a_time(op, num_samples, tol):
+    # lap_plus_d1d2 has low-rank random samples and cross a maximum first reached
+    # by a random sample, so both pair on a replay of the draw; d1d2 and wave
+    # pair their structured drops as the blocks stream past
+    profile = rank_profile(op, num_samples, tol=tol)
+    drops, neighbors = one_at_a_time(op, num_samples, tol)
+    assert profile.verdict is Verdict.NON_CONSTANT_RANK and drops
+    assert [d.tobytes() for d in profile.drop_directions] == [d.tobytes() for d in drops]
+    assert [[h.tobytes() for h in hs] for hs in profile.drop_neighbors] == \
+        [[h.tobytes() for h in hs] for hs in neighbors]
 
 
 # ------------------------------------------------------------------ profiles
@@ -224,7 +332,7 @@ def test_sweep_in_blocks_matches_the_one_shot_sweep(name, count):
 def test_sweep_refuses_a_cutoff_below_the_floor_before_sampling(monkeypatch, tol):
     # at 3e-16 the rounding of curl's SVD crossed the cutoff, and curl was
     # reported NonConstantRank with a certified witness
-    monkeypatch.setattr(rank, "sphere_samples", None)
+    monkeypatch.setattr(rank, "_sample_blocks", None)
     with pytest.raises(ValueError, match=r"tol must lie in \[1.42e-14, 1\)"):
         rank_profile(zoo_get("curl"), num_samples=20000, tol=tol)
 
@@ -259,7 +367,7 @@ def test_profile_is_deterministic():
     op = zoo_get("wave")
     a = rank_profile(op, num_samples=128, seed=3)
     b = rank_profile(op, num_samples=128, seed=3)
-    assert np.array_equal(a.directions, b.directions)
+    assert a.ranks.tobytes() == b.ranks.tobytes()
     assert [tuple(d) for d in a.drop_directions] == [tuple(d) for d in b.drop_directions]
 
 
@@ -324,7 +432,8 @@ def test_elliptic_symbols_are_coercive_on_samples():
         profile = rank_profile(op, num_samples=256)
         sigma_min = min(
             np.linalg.svd(symbol(op, d), compute_uv=False)[-1]
-            for d in profile.directions)
+            for d in sphere_samples(op.n, 256))
+        assert profile.verdict is Verdict.ELLIPTIC
         assert sigma_min > 0.4  # symmetric_gradient attains exactly 0.5 on the axes
 
 
@@ -334,8 +443,9 @@ def test_constant_rank_pinv_norm_stable_under_sample_doubling():
         sups = []
         for num in (256, 512):
             profile = rank_profile(op, num_samples=num)
+            assert profile.verdict is Verdict.CONSTANT_RANK
             sups.append(max(operator_norm(pinv_svd(symbol(op, d)))
-                            for d in profile.directions))
+                            for d in sphere_samples(op.n, num)))
         assert abs(sups[1] - sups[0]) <= 0.1 * sups[0]
 
 

@@ -137,11 +137,10 @@ def test_whole_mesh_transforms_allocate_only_their_output():
     assert freq.coeffs.tobytes() == kept.tobytes()
     # apply_Dk transforms its own derivative coefficients in place: the 9-fiber
     # derivative array of a 3-fiber field goes to the grid within 64 KiB of the
-    # peak of the coefficient step before it
+    # peak of the coefficient step before it, which builds its frequency mesh
     phi = GridField(grid, field.data[:3])
-    xis = integer_frequencies(grid)
-    derivatives, step = traced_peak(
-        lambda: spectral._derivatives(1, forward_transform(phi).coeffs, xis))
+    derivatives, step = traced_peak(lambda: spectral._derivatives(
+        1, forward_transform(phi).coeffs, integer_frequencies(grid)))
     grad, peak = traced_peak(lambda: apply_Dk(1, phi))
     assert grad.data.shape == derivatives.shape == (9,) + grid.shape
     assert peak < step + 2 ** 16
@@ -960,3 +959,25 @@ def test_periodic_bump_full_width_covers_torus():
     with pytest.raises(ValueError, match="width"):
         periodic_bump(grid, 0.0)
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("width", [0.25, 0.5, 1.0])
+def test_bump_coefficients_are_the_product_of_one_axis_transform(n, width):
+    # the bump is an outer product of one profile per axis, so its coefficients
+    # are the product of that profile's 1-D coefficients, formed one axis at a
+    # time in place; in 1-D they are the transform itself, bit for bit
+    grid = Grid(n, 32 if n < 3 else 16)
+    expected = forward_transform(GridField(grid, periodic_bump(grid, width)[None])).coeffs
+    factor = spectral._bump_coefficients(grid, width)
+    if n == 1:
+        assert factor.tobytes() == expected[0].tobytes()
+    envelope = np.ones((1,) + grid.shape, dtype=complex)
+    spectral._envelope(envelope, factor, (0,) * n)
+    assert np.abs(envelope - expected).max() <= 1e-15 * np.abs(expected).max()
+    # rolled by a shift, the envelope is the transform rolled by it
+    shift = (3, -5, 2)[:n]
+    shifted = np.ones((2,) + grid.shape, dtype=complex)
+    spectral._envelope(shifted, factor, shift)
+    rolled = np.roll(expected, shift, axis=tuple(range(1, n + 1)))
+    assert np.abs(shifted - rolled).max() <= 1e-15 * np.abs(expected).max()

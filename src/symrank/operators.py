@@ -140,22 +140,31 @@ def symbol(op: Operator, xi) -> np.ndarray:
 
 
 def _monomials(xis: np.ndarray, alphas) -> np.ndarray:
-    """xi^alpha for every row xi of xis (m, n) and every multi-index alpha; shape (m, T).
+    """xi^alpha for every row xi of xis (m, n) and every multi-index alpha; shape (m, T)."""
+    return _column_monomials(xis.T, alphas)
 
-    Products of per-axis powers x_j, x_j * x_j, ... built by repeated
-    multiplication: exact on integer frequencies.
+
+def _column_monomials(columns, alphas) -> np.ndarray:
+    """xi^alpha for every multi-index alpha at the frequencies whose coordinates are columns.
+
+    columns are n arrays that broadcast together, coordinate j of every
+    frequency in columns[j]: the columns of an (m, n) array of rows
+    (_monomials), or a sparse mesh of one 1-D axis per coordinate; the
+    output has their broadcast shape and a last axis of T.  Products of
+    per-axis powers x_j, x_j * x_j, ... built by repeated multiplication:
+    exact on integer frequencies.
     """
     axis_powers = []
-    for j, top in enumerate(np.max(alphas, axis=0)):
-        columns = [xis[:, j]]
+    for column, top in zip(columns, np.max(alphas, axis=0)):
+        axis_powers.append([column])
         for _ in range(1, top):
-            columns.append(columns[-1] * xis[:, j])
-        axis_powers.append(columns)
-    powers = np.ones((len(xis), len(alphas)))
+            axis_powers[-1].append(axis_powers[-1][-1] * column)
+    powers = np.ones(np.broadcast_shapes(*(np.shape(column) for column in columns))
+                     + (len(alphas),))
     for t, alpha in enumerate(alphas):
         for j, exponent in enumerate(alpha):
             if exponent:
-                powers[:, t] *= axis_powers[j][exponent - 1]
+                powers[..., t] *= axis_powers[j][exponent - 1]
     return powers
 
 

@@ -67,13 +67,20 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
     first (axis-aligned and diagonal degeneracies live there), then
     num_random seeded gaussian directions.  For n = 1 the sign vectors are
     the two axes again, so they are left out.  The rows are those of the
-    stream rank_profile sweeps (_sample_blocks), concatenated.
+    stream rank_profile sweeps (_sample_blocks), each block copied into the
+    output as it is drawn, so only the output and one block are held.
     """
-    return np.concatenate(list(_sample_blocks(n, num_random, seed)))
+    stream = _sample_blocks(n, num_random, seed)
+    structured = next(stream)
+    out = np.empty((len(structured) + num_random, n))
+    out[:len(structured)] = structured
+    for start, block in _offsets(stream, len(structured)):
+        out[start:start + len(block)] = block
+    return out
 
 
 def _sample_blocks(n: int, num_random: int, seed: int):
-    """sphere_samples' rows as a stream: the structured rows, then pinv._BLOCK random rows at a time.
+    """sphere_samples' rows as a stream: the structured rows, then blocks of pinv._BLOCK random rows.
 
     Every block is a fresh array, drawn from one generator seeded with seed
     (so the blocks are the stream of one draw of all the rows), divided by
@@ -155,6 +162,7 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     what numerical_rank holds beside them, as pinv says); and pairing (the
     scores, their clipped copy and the masks).  Bisection steps up to
     pinv._BLOCK low-rank rows together: each row's two ends and midpoint,
+    a byte per step (_MAX_BISECTIONS / 8 doubles), its index and a flag,
     and the larger of building and ranking the midpoints.  Before the
     stream, three columns of 2^n sign bits are held.  The check runs before
     anything is allocated, so a sweep too large for the machine is refused
@@ -175,7 +183,8 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     # the structured rows are ranked in blocks too
     block, steps = min(max(structured, num_samples), _BLOCK), min(lows, _BLOCK)
     stream = block * (op.n + max(op.n + 2, build, ranking(block), 3))
-    bisection = steps * (3 * op.n + max(build, ranking(steps))) if steps else 0
+    bisection = steps * (3 * op.n + _MAX_BISECTIONS // 8 + 2 + max(build, ranking(steps))) \
+        if steps else 0
     _refuse_beyond_memory(
         lambda: _rank_dtype(op).itemsize * count + 8 * (
             structured * op.n + lows * (2 * op.n + 1) + max(3 * signs, stream, bisection)),
@@ -324,10 +333,14 @@ def _replayed_pairs(op: Operator, num_samples: int, seed: int, ranks: np.ndarray
     _refuse_oversized_sweep has counted them, and once to score them.
     """
     low = ranks < max_rank
-    _refuse_oversized_sweep(op, num_samples, int(np.count_nonzero(low)))
-    nearest = _Nearest(np.concatenate([
-        rows[low[start:start + len(rows)]]
-        for start, rows in _offsets(_sample_blocks(op.n, num_samples, seed))]))
+    lows = np.empty((int(np.count_nonzero(low)), op.n))
+    _refuse_oversized_sweep(op, num_samples, len(lows))
+    filled = 0
+    for start, rows in _offsets(_sample_blocks(op.n, num_samples, seed)):
+        picked = rows[low[start:start + len(rows)]]
+        lows[filled:filled + len(picked)] = picked
+        filled += len(picked)
+    nearest = _Nearest(lows)
     for start, rows in _offsets(_sample_blocks(op.n, num_samples, seed)):
         nearest.score(rows, low[start:start + len(rows)])
     return nearest
@@ -335,39 +348,68 @@ def _replayed_pairs(op: Operator, num_samples: int, seed: int, ranks: np.ndarray
 
 def _bisect(op: Operator, nearest: _Nearest, max_rank: int,
             tol: float) -> tuple[list[np.ndarray], list[tuple[np.ndarray, ...]]]:
-    """Each low-rank row bisected toward its nearest full-rank row; the distinct drops and neighbours.
+    """Every low-rank row bisected toward its nearest full-rank row: the distinct drops, neighbours.
 
-    Up to pinv._BLOCK bisections advance together: every step ranks the
-    midpoints of the pairs still further apart than ANGULAR_RESOLUTION in
-    one numerical_rank stack (a matrix ranks the same anywhere in a stack),
-    for at most _MAX_BISECTIONS steps.  The low end becomes a drop unless
+    Up to pinv._BLOCK bisections advance together, their ends and
+    midpoints in three (rows, n) arrays: every step ranks the midpoints of
+    the pairs still further apart than ANGULAR_RESOLUTION in one
+    numerical_rank stack (a matrix ranks the same anywhere in a stack), for
+    at most _MAX_BISECTIONS steps, and records which end each midpoint
+    replaced, one byte per row and step.  The low end becomes a drop unless
     it lies within ANGULAR_RESOLUTION of a drop found before it, in the
-    order of the rows; its neighbours are the full-rank ends it took.
+    order of the rows; its neighbours, the full-rank ends it took, are
+    formed again from its recorded steps (_highs_taken).
     """
     drops: list[np.ndarray] = []
     neighbors: list[tuple[np.ndarray, ...]] = []
     for start in range(0, len(nearest.lows), _BLOCK):
-        lows = list(nearest.lows[start:start + _BLOCK])
-        highs = list(nearest.highs[start:start + _BLOCK])
-        seen = [[high] for high in highs]
-        active = range(len(lows))
-        for _ in range(_MAX_BISECTIONS):
-            active = [i for i in active if angular_distance(lows[i], highs[i]) > ANGULAR_RESOLUTION]
-            if not active:
+        lows = nearest.lows[start:start + _BLOCK].copy()
+        highs = nearest.highs[start:start + _BLOCK].copy()
+        mids = np.empty_like(lows)
+        took_high = np.zeros((len(lows), _MAX_BISECTIONS), dtype=bool)
+        active = np.arange(len(lows))
+        for step in range(_MAX_BISECTIONS):
+            active = active[np.fromiter(
+                (angular_distance(lows[i], highs[i]) > ANGULAR_RESOLUTION for i in active),
+                dtype=bool, count=len(active))]
+            if not len(active):
                 break
-            mids = [slerp(lows[i], highs[i], 0.5) for i in active]
-            for i, mid, rank in zip(active, mids, numerical_rank(_real_stack(op, mids), tol)):
+            for mid, i in zip(mids, active):
+                mid[...] = slerp(lows[i], highs[i], 0.5)
+            ranks = numerical_rank(_real_stack(op, mids[:len(active)]), tol)
+            for mid, i, rank in zip(mids, active, ranks):
                 if rank < max_rank:
                     lows[i] = mid
                 else:
                     highs[i] = mid
-                    seen[i].append(mid)
-        for low, highs_seen in zip(lows, seen):
+                    took_high[i, step] = True
+        for i, low in enumerate(lows):
             if any(angular_distance(low, d) <= ANGULAR_RESOLUTION for d in drops):
                 continue
-            drops.append(low)
-            neighbors.append(tuple(highs_seen))
+            drops.append(low.copy())
+            neighbors.append(_highs_taken(nearest.lows[start + i], nearest.highs[start + i],
+                                          took_high[i]))
     return drops, neighbors
+
+
+def _highs_taken(low: np.ndarray, high: np.ndarray,
+                 took_high: np.ndarray) -> tuple[np.ndarray, ...]:
+    """high, then the midpoints a bisection from low toward high took as its high end.
+
+    The bisection is stepped again, the same slerp midpoints, each replacing
+    the end that took_high (one flag per step) records.
+    """
+    taken = [high]
+    for took in took_high:
+        if angular_distance(low, high) <= ANGULAR_RESOLUTION:
+            break
+        mid = slerp(low, high, 0.5)
+        if took:
+            high = mid
+            taken.append(mid)
+        else:
+            low = mid
+    return tuple(taken)
 
 
 @dataclass(frozen=True)

@@ -67,13 +67,14 @@ of one fiber; an estimate too large for a float is refused too.
 """
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .operators import Operator, _monomials, _real_stack, multi_indices, multinomial_weight
+from .operators import (Operator, _column_monomials, _real_stack, multi_indices,
+                        multinomial_weight)
 from .pinv import (DEFAULT_TOL, _fiber_norm, _held_entries, _norm, _refuse_beyond_memory,
                    kernel_projector, pinv_svd)
 
@@ -111,14 +112,22 @@ class Grid:
 
 
 def integer_frequencies(grid: Grid) -> np.ndarray:
-    """Integer frequency mesh, shape (n, size, ..., size), fft layout.
+    """Integer frequency mesh, shape (n, size, ..., size), fft layout; built on every call.
 
-    Built on every call, not cached (43 us at 16^2, about 1.5 ms at 256^2):
-    a caller that reads it more than once holds it, as the whole-mesh
-    spectrum does at p != 2 (_mesh_spectrum).
+    Only the symbol table reads every frequency as a row (_symbol_tensor);
+    the derivatives and weights take the sparse mesh (_frequency_axes).
+    """
+    return np.stack(np.broadcast_arrays(*_frequency_axes(grid)))
+
+
+def _frequency_axes(grid: Grid) -> list[np.ndarray]:
+    """The integer frequency mesh as n sparse axes: axis j has shape (1, ..., size, ..., 1).
+
+    They broadcast to integer_frequencies' n coordinates, so the monomials
+    and weights of the whole mesh read n * size numbers, not n * size^n.
     """
     axis = np.fft.fftfreq(grid.size, d=1.0 / grid.size)
-    return np.stack(np.meshgrid(*([axis] * grid.n), indexing="ij"))
+    return np.meshgrid(*([axis] * grid.n), indexing="ij", sparse=True)
 
 
 def _checked(grid: Grid, values, name: str, holder: str) -> np.ndarray:
@@ -270,14 +279,15 @@ def _mesh_norm(data: np.ndarray, grid: Grid, p: float) -> float:
     return _grid_norm(fibers, grid, p, exponent, np.empty(grid.shape))
 
 
-def _xi_weights(xis: np.ndarray, k: int) -> np.ndarray:
-    """|xi|^2k at the integer frequencies xis (n, ...), exact, so every spectrum's weights agree.
+def _xi_weights(xis: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """|xi|^2k at the integer frequencies xis, exact, so every spectrum's weights agree.
 
-    With them, pinv._norm of a coefficient array is the L2 norm of its
-    order-k derivative array (apply_Dk), whose fiber norm at xi is |xi|^k
-    times the coefficient's (multinomial theorem).
+    xis are n coordinate arrays that broadcast together (_derivatives).
+    With the weights, pinv._norm of a coefficient array is the L2 norm of
+    its order-k derivative array (apply_Dk), whose fiber norm at xi is
+    |xi|^k times the coefficient's (multinomial theorem).
     """
-    return np.einsum("i...,i...->...", xis, xis, dtype=float) ** k
+    return sum(np.multiply(x, x, dtype=float) for x in xis) ** k
 
 
 def _derivative_fibers(op: Operator) -> int:
@@ -414,18 +424,20 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
-def _derivatives(k: int, coeffs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+def _derivatives(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray]) -> np.ndarray:
     """Coefficients of all order-k derivatives of coeffs, in apply_Dk's coordinates.
 
     coeffs is a (fiber, ...) coefficient array at the integer frequencies
-    xis (n, ...), the whole mesh or the primaries of a band; the output
-    covers the same frequencies.  The monomial table is real, with the
-    scales sqrt(k!/alpha!) of apply_Dk's layout in it, so they cost no pass
-    over the field; it is multiplied into the output per fiber and
-    multi-index, and the exact phase i^k is applied to the output.
+    xis, n coordinate arrays that broadcast to its frequency shape: the
+    sparse whole mesh (_frequency_axes), or the rows of an (n, P) array of
+    a band's primaries or a rung; the output covers the same frequencies.
+    The monomial table is real, with the scales sqrt(k!/alpha!) of
+    apply_Dk's layout in it, so they cost no pass over the field; it is
+    multiplied into the output per fiber and multi-index, and the exact
+    phase i^k is applied to the output.
     """
     alphas = multi_indices(len(xis), k)
-    powers = _monomials(xis.reshape(len(xis), -1).T, alphas)
+    powers = _column_monomials(xis, alphas).reshape(-1, len(alphas))
     powers *= np.sqrt([multinomial_weight(a) for a in alphas])
     fibers = coeffs.reshape(len(coeffs), -1)
     out = np.empty((len(coeffs), len(alphas), fibers.shape[1]), dtype=complex)
@@ -450,7 +462,7 @@ def apply_Dk(k: int, field: GridField) -> GridField:
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    coeffs = _derivatives(k, forward_transform(field).coeffs, integer_frequencies(field.grid))
+    coeffs = _derivatives(k, forward_transform(field).coeffs, _frequency_axes(field.grid))
     return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
@@ -472,7 +484,7 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
     out = _matvec(dagger, forward_transform(field).coeffs)
     out *= (-1j) ** op.k
-    coeffs = _derivatives(op.k, out, integer_frequencies(field.grid))
+    coeffs = _derivatives(op.k, out, _frequency_axes(field.grid))
     return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
@@ -542,13 +554,13 @@ class _Spectrum:
     """The frequencies a coefficient array covers, and what the ratio and minimality read there.
 
     The whole mesh (_mesh_spectrum), the primaries of a band
-    (_band_spectrum) or one exact witness rung (_rung_spectrum).  xis (n,
-    ...) are the integer frequencies in the frequency layout of the
-    coefficient arrays (fiber, ...) on this spectrum (None on the whole
-    mesh at p = 2, where no ratio reads them); symbols (..., dimW, dimV)
-    and projector (..., dimV, dimV) are the real tables of M and P_A at
-    them.  With norm_weights and derivative_weights, pinv._norm of a
-    coefficient array is the whole-mesh L2 norm of its field and of its
+    (_band_spectrum) or one exact witness rung (_rung_spectrum).  xis are
+    the integer frequencies of the coefficient arrays (fiber, ...) on this
+    spectrum, n coordinate arrays that broadcast to their frequency layout
+    (on the whole mesh the sparse mesh of _frequency_axes); symbols (...,
+    dimW, dimV) and projector (..., dimV, dimV) are the real tables of M
+    and P_A there.  With norm_weights and derivative_weights, pinv._norm of
+    a coefficient array is the whole-mesh L2 norm of its field and of its
     order-k derivative array.  grid_norm(coeffs, p) gives _grid_norm of the
     field's grid values (None on a band built for p = 2 and on a rung, whose
     norms read no grid value).  On the whole mesh it overwrites coeffs with
@@ -560,7 +572,7 @@ class _Spectrum:
     has no draw).
     """
 
-    xis: np.ndarray | None
+    xis: Sequence[np.ndarray]
     symbols: np.ndarray
     projector: np.ndarray
     norm_weights: float | None
@@ -588,27 +600,25 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
 
     Raises MemoryError before a table is looked up when the route does not
     fit (_refuse_oversized), counting per frequency the tables (M, P_A, the
-    weights and, at p != 2, the n-real frequency mesh) and the larger of the
-    projector build and a trial, with held complex fibers the caller keeps
-    beside it (a windowed ladder's witness field) and, at p != 2, one
-    fiber's magnitudes and the accumulator of _grid_norm (_mesh_norm), one
-    real each.  The frequency mesh is held (xis) only at p != 2, where
-    _derivatives reads it; at p = 2 the ratio reads coefficient norms
-    alone.  The grid norm transforms the coefficients it is given in place,
-    so a field's grid values take no array of their own.
+    weights) and the larger of the projector build and a trial, with held
+    complex fibers the caller keeps beside it (a windowed ladder's witness
+    field) and, at p != 2, one fiber's magnitudes and the accumulator of
+    _grid_norm (_mesh_norm), one real each.  The frequencies are the sparse
+    mesh (_frequency_axes), n * N numbers.  The grid norm transforms the
+    coefficients it is given in place, so a field's grid values take no
+    array of their own.
     """
     count = grid.size ** grid.n
-    mesh = op.n if p != 2.0 else 0
-    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + mesh + 1
+    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + 1
     trial = _trial_entries(op) + 2 * held + (2 if p != 2.0 else 0)
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
     _refuse_oversized(op, grid, count, tables + max(build, trial))
     projector = _kernel_projector_table(op, grid, float(tol))
-    xis = integer_frequencies(grid)
+    xis = _frequency_axes(grid)
     weights = _xi_weights(xis, op.k)
     weights.setflags(write=False)
     return _Spectrum(
-        xis if mesh else None, _symbol_tensor(op, grid), projector, None, weights,
+        xis, _symbol_tensor(op, grid), projector, None, weights,
         lambda coeffs, p: _mesh_norm(_inverse(coeffs, grid), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 

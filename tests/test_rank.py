@@ -149,12 +149,12 @@ def test_a_short_row_is_redrawn_within_its_block(monkeypatch):
     assert not np.array_equal(unpatched, samples)
 
 
-def sweep_estimate(monkeypatch, op, num_samples):
+def sweep_estimate(monkeypatch, op, num_samples, lows=None):
     """The bytes _refuse_oversized_sweep asks physical memory for."""
     estimates = []
     with monkeypatch.context() as patch:
         patch.setattr(rank, "_refuse_beyond_memory", lambda needed, *_: estimates.append(needed()))
-        rank._refuse_oversized_sweep(op, num_samples)
+        rank._refuse_oversized_sweep(op, num_samples, lows)
     return estimates[0]
 
 
@@ -324,6 +324,26 @@ def test_lockstep_bisection_matches_one_bisection_at_a_time(op, num_samples, tol
     assert [d.tobytes() for d in profile.drop_directions] == [d.tobytes() for d in drops]
     assert [[h.tobytes() for h in hs] for hs in profile.drop_neighbors] == \
         [[h.tobytes() for h in hs] for hs in neighbors]
+
+
+@pytest.mark.parametrize("op, tol", [(LAP_PLUS_D1D2, 0.3), (CROSS, pinv.DEFAULT_TOL)],
+                         ids=["lap_plus_d1d2-0.3", "cross"])
+def test_replayed_sweep_memory_estimate_covers_its_peak(monkeypatch, op, tol):
+    # both pair on a replay of the draw: lap_plus_d1d2 at tol 0.3 bisects 791
+    # low-rank rows in one lockstep chunk, and cross its 8 structured rows, all
+    # low; the replay's estimate, which counts them, covers the peak within the
+    # 64 KiB of fixed costs
+    num_samples = 2000
+    profile = rank_profile(op, num_samples, tol=tol)
+    tracemalloc.start()
+    try:
+        rank_profile(op, num_samples, tol=tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lows = int(np.count_nonzero(profile.ranks < profile.max_rank))
+    assert peak <= max(sweep_estimate(monkeypatch, op, num_samples),
+                       sweep_estimate(monkeypatch, op, num_samples, lows)) + 2 ** 16
 
 
 # ------------------------------------------------------------------ profiles

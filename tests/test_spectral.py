@@ -137,10 +137,11 @@ def test_whole_mesh_transforms_allocate_only_their_output():
     assert freq.coeffs.tobytes() == kept.tobytes()
     # apply_Dk transforms its own derivative coefficients in place: the 9-fiber
     # derivative array of a 3-fiber field goes to the grid within 64 KiB of the
-    # peak of the coefficient step before it, which builds its frequency mesh
+    # peak of the coefficient step before it
     phi = GridField(grid, field.data[:3])
-    derivatives, step = traced_peak(lambda: spectral._derivatives(
-        1, forward_transform(phi).coeffs, integer_frequencies(grid)))
+    xis = integer_frequencies(grid)
+    derivatives, step = traced_peak(
+        lambda: spectral._derivatives(1, forward_transform(phi).coeffs, xis))
     grad, peak = traced_peak(lambda: apply_Dk(1, phi))
     assert grad.data.shape == derivatives.shape == (9,) + grid.shape
     assert peak < step + 2 ** 16
@@ -958,7 +959,6 @@ def test_periodic_bump_full_width_covers_torus():
     assert bump[0] == 0.0  # seam of the torus
     with pytest.raises(ValueError, match="width"):
         periodic_bump(grid, 0.0)
-
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

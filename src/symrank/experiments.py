@@ -194,12 +194,14 @@ def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None,
     """witness_family's fields one rung at a time, a generator.
 
     The arguments are checked, and the envelope's one-axis factor and the
-    symbol table formed, at the first field.  A windowed rung multiplies
-    its contracted symbol table in place by the factor rolled to the rung,
-    one axis at a time (spectral._envelope), so no bump, envelope or rolled
-    copy the size of the grid is made.  A rung's field is dropped here
-    before the next one is built, so a caller that measures each field
-    before asking for the next holds one N^n field, not the whole family.
+    symbol table formed, at the first field.  A windowed rung contracts the
+    symbol table with its probe into the real parts of its complex field,
+    then multiplies that in place by (-i)^k and by the factor rolled to
+    the rung, one axis at a time (spectral._envelope), so no real copy,
+    bump, envelope or rolled copy the size of the grid is made.  A rung's
+    field is dropped here before the next one is built, so a caller that
+    measures each field before asking for the next holds one N^n field,
+    not the whole family.
     """
     frequencies = [tuple(int(x) for x in freq) for freq in frequencies]
     if not frequencies:
@@ -213,11 +215,12 @@ def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None,
         symbols = _symbol_tensor(op, grid)
     for freq in frequencies:
         probe, coefficient = _rung(op, freq, grid, tol)
+        coeffs = np.zeros((op.dim_v,) + grid.shape, dtype=complex)
         if window is None:
-            coeffs = np.zeros((op.dim_v,) + grid.shape, dtype=complex)
             coeffs[(slice(None),) + tuple(x % grid.size for x in freq)] = coefficient
         else:
-            coeffs = (-1j) ** op.k * np.einsum("...ij,i->j...", symbols, probe, order="C")
+            np.einsum("...ij,i->j...", symbols, probe, out=coeffs.real)
+            coeffs *= (-1j) ** op.k
             _envelope(coeffs, factor, freq)
         yield FrequencyField(grid, coeffs)
         del coeffs

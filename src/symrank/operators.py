@@ -7,7 +7,7 @@ R^dimW.  Its symbol at a real frequency xi is the complex dimW x dimV matrix
     A(xi) = sum_{|alpha|=k} (i xi)^alpha A_alpha = i^k M(xi),  M(xi) = sum_alpha xi^alpha A_alpha,
 
 homogeneous of degree k.  The coefficients are real, so M is real, and it
-is the package's one symbol format (_real_stack): A has the rank, kernel
+is the package's one symbol format (_column_stack): A has the rank, kernel
 and kernel projector of M, and A+ = i^-k M+.  symbol and symbol_stack
 return i^k M for callers that want A itself.  Operators are immutable, hashable values.  The
 JSON document format accepted by parse_operator is the interchange format
@@ -139,28 +139,23 @@ def symbol(op: Operator, xi) -> np.ndarray:
     return symbol_stack(op, xi[None, :])[0]
 
 
-def _monomials(xis: np.ndarray, alphas) -> np.ndarray:
-    """xi^alpha for every row xi of xis (m, n) and every multi-index alpha; shape (m, T)."""
-    return _column_monomials(xis.T, alphas)
-
-
 def _column_monomials(columns, alphas) -> np.ndarray:
     """xi^alpha for every multi-index alpha at the frequencies whose coordinates are columns.
 
     columns are n arrays that broadcast together, coordinate j of every
-    frequency in columns[j]: the columns of an (m, n) array of rows
-    (_monomials), or a sparse mesh of one 1-D axis per coordinate; the
-    output has their broadcast shape and a last axis of T.  Products of
-    per-axis powers x_j, x_j * x_j, ... built by repeated multiplication:
-    exact on integer frequencies.
+    frequency in columns[j]: the n rows of an (n, m) array, or a sparse
+    mesh of one 1-D axis per coordinate; the output has their broadcast
+    shape and a last axis of T.  They are cast to float64 once, so integer
+    coordinates cannot wrap: products of per-axis powers x_j, x_j * x_j, ...
+    by repeated multiplication, exact on integers while below 2^53.
     """
+    columns = [np.asarray(column, dtype=float) for column in columns]
     axis_powers = []
     for column, top in zip(columns, np.max(alphas, axis=0)):
         axis_powers.append([column])
         for _ in range(1, top):
             axis_powers[-1].append(axis_powers[-1][-1] * column)
-    powers = np.ones(np.broadcast_shapes(*(np.shape(column) for column in columns))
-                     + (len(alphas),))
+    powers = np.ones(np.broadcast_shapes(*(column.shape for column in columns)) + (len(alphas),))
     for t, alpha in enumerate(alphas):
         for j, exponent in enumerate(alpha):
             if exponent:
@@ -168,20 +163,25 @@ def _column_monomials(columns, alphas) -> np.ndarray:
     return powers
 
 
+def _column_stack(op: Operator, columns) -> np.ndarray:
+    """M(xi) = sum_alpha xi^alpha A_alpha at columns as in _column_monomials; (..., dimW, dimV)."""
+    powers = _column_monomials(columns, op.alpha_array)
+    return np.einsum("...t,twv->...wv", powers, op.matrix_array)
+
+
 def _real_stack(op: Operator, xis) -> np.ndarray:
     """M(xi) = sum_alpha xi^alpha A_alpha at every row of xis, shape (len(xis), dimW, dimV).
 
     The real factor of the symbol A = i^k M, in float64: every rank, kernel
     projector, pseudoinverse and symbol table of the package is taken of M.
-    The monomials xi^alpha come from _monomials.
+    The rows are checked, then evaluated as n columns (_column_stack).
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != op.n:
         raise ValueError(f"expected an array of shape (m, {op.n})")
     if not np.isfinite(xis).all():
         raise ValueError("frequencies have non-finite entries")
-    powers = _monomials(xis, op.alpha_array)
-    return np.einsum("st,twv->swv", powers, op.matrix_array)
+    return _column_stack(op, xis.T)
 
 
 def symbol_stack(op: Operator, xis) -> np.ndarray:

@@ -157,10 +157,10 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     which is what a sweep that is not replayed pairs).  The rest is the
     most of two phases.  The stream holds one block's rows and the most of
     four steps per row: drawing (the block before, the norms and a column
-    of squares); building the real symbol M (_monomials' T monomials, a
-    power column per exponent above 1, and M); ranking M (M, the ranks and
-    what numerical_rank holds beside them, as pinv says); and pairing (the
-    scores, their clipped copy and the masks).  Bisection steps up to
+    of squares); building the real symbol M (_column_monomials' T
+    monomials, a power column per exponent above 1, and M); ranking M (M,
+    the ranks and what numerical_rank holds beside them, as pinv says); and
+    pairing (the scores, their clipped copy and the masks).  Bisection steps up to
     pinv._BLOCK low-rank rows together: each row's two ends and midpoint,
     a byte per step (_MAX_BISECTIONS / 8 doubles), its index and a flag,
     and the larger of building and ranking the midpoints.  Before the
@@ -333,8 +333,9 @@ def _replayed_pairs(op: Operator, num_samples: int, seed: int, ranks: np.ndarray
     _refuse_oversized_sweep has counted them, and once to score them.
     """
     low = ranks < max_rank
-    lows = np.empty((int(np.count_nonzero(low)), op.n))
-    _refuse_oversized_sweep(op, num_samples, len(lows))
+    count = int(np.count_nonzero(low))
+    _refuse_oversized_sweep(op, num_samples, count)
+    lows = np.empty((count, op.n))
     filled = 0
     for start, rows in _offsets(_sample_blocks(op.n, num_samples, seed)):
         picked = rows[low[start:start + len(rows)]]

@@ -18,18 +18,19 @@ writes every axis pass into one output (out=): forward_transform into a
 fresh array, and the whole-mesh inverse (_inverse) into the coefficients
 it is given, those that the apply_* functions, random_band_limited and the
 mesh spectrum's grid norm made themselves, or inverse_transform's copy.
-The symbol table holds the real M of A = i^k M (operators._real_stack),
-so the symbol and pseudoinverse tables are real like the projector table
-(P_A = P_M, A+ = i^-k M+), and only apply_A and apply_multiplier multiply
-by a phase, i^k and i^-k.  Code that chains several steps, such as the estimate ratio,
-stays on coefficients and transforms back only the fields whose grid
-values an L^p norm with p != 2 needs: at p = 2 the grid norm is a
-weighted coefficient sum (pinv._norm), and otherwise _grid_norm, lp_norm's
-own, of the grid values.  _grid_norm streams a field one fiber at a time:
-the whole field is scaled by one power of two, each fiber's squares are
-added into one N^n accumulator, and pinv._norm is taken of their square
-roots; only GridField.pointwise_norm scales each point by its own
-maximum (pinv._fiber_norm).
+The symbol table holds the real M of A = i^k M (operators._column_stack
+of the mesh's n 1-D axes), so the symbol and pseudoinverse tables are
+real like the projector table (P_A = P_M, A+ = i^-k M+), and only apply_A
+and apply_multiplier multiply by a phase, i^k and i^-k.  Code that chains
+several steps, such as the estimate ratio, stays on coefficients and
+transforms back only the fields whose grid values an L^p norm with
+p != 2 needs: at p = 2 the grid norm is a weighted coefficient sum
+(pinv._norm), and otherwise _grid_norm, lp_norm's own, of the grid values.
+_grid_norm streams a field one fiber at a time: the whole field is scaled
+by one power of two, each fiber's squares are added into one N^n
+accumulator, and pinv._norm is taken of their square roots; only
+GridField.pointwise_norm scales each point by its own maximum
+(pinv._fiber_norm).
 
 A _Spectrum names the frequencies such a chain runs on, with the tables,
 weights, grid norm and random draw there.  The whole mesh
@@ -73,7 +74,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .operators import (Operator, _column_monomials, _real_stack, multi_indices,
+from .operators import (Operator, _column_monomials, _column_stack, multi_indices,
                         multinomial_weight)
 from .pinv import (DEFAULT_TOL, _fiber_norm, _held_entries, _norm, _refuse_beyond_memory,
                    kernel_projector, pinv_svd)
@@ -111,20 +112,11 @@ class Grid:
         return TWO_PI / self.size
 
 
-def integer_frequencies(grid: Grid) -> np.ndarray:
-    """Integer frequency mesh, shape (n, size, ..., size), fft layout; built on every call.
-
-    Only the symbol table reads every frequency as a row (_symbol_tensor);
-    the derivatives and weights take the sparse mesh (_frequency_axes).
-    """
-    return np.stack(np.broadcast_arrays(*_frequency_axes(grid)))
-
-
 def _frequency_axes(grid: Grid) -> list[np.ndarray]:
-    """The integer frequency mesh as n sparse axes: axis j has shape (1, ..., size, ..., 1).
+    """The integer frequency mesh as n float64 axes, fft layout: axis j has shape (1, .., N, .., 1).
 
-    They broadcast to integer_frequencies' n coordinates, so the monomials
-    and weights of the whole mesh read n * size numbers, not n * size^n.
+    They broadcast to the mesh's n coordinates, so its symbol table,
+    derivatives and weights read n * size numbers, not n * size^n.
     """
     axis = np.fft.fftfreq(grid.size, d=1.0 / grid.size)
     return np.meshgrid(*([axis] * grid.n), indexing="ij", sparse=True)
@@ -313,17 +305,17 @@ def _refuse_oversized(op: Operator, grid: Grid, count: int, per_frequency: float
 def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     """M(xi) over the whole frequency mesh, shape (size, ..., size, dimW, dimV), float64.
 
-    The real factor of A = i^k M (operators._real_stack): i^k times an
-    entry is symbol(op, xi) exactly.  Frequency axes in fft layout come
-    first and the matrix axes last: the (..., m, n) stack layout of the
+    The real factor of A = i^k M, operators._column_stack of the n axes of
+    _frequency_axes, which holds T monomials per frequency and no mesh: i^k
+    times an entry is symbol(op, xi) exactly.  Frequency axes in fft layout
+    come first and the matrix axes last: the (..., m, n) stack layout of the
     pinv routines.  Raises MemoryError before building when the grid is too
     large (_refuse_oversized), counting the table and the largest field
     the calculus makes, all order-k derivatives.
     """
     count = grid.size ** grid.n
     _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + 2 * _derivative_fibers(op))
-    xis = integer_frequencies(grid).reshape(grid.n, -1).T
-    stack = _real_stack(op, xis).reshape(grid.shape + (op.dim_w, op.dim_v))
+    stack = _column_stack(op, _frequency_axes(grid))
     stack.setflags(write=False)
     return stack
 
@@ -430,11 +422,12 @@ def _derivatives(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray]) -> np.nd
     coeffs is a (fiber, ...) coefficient array at the integer frequencies
     xis, n coordinate arrays that broadcast to its frequency shape: the
     sparse whole mesh (_frequency_axes), or the rows of an (n, P) array of
-    a band's primaries or a rung; the output covers the same frequencies.
-    The monomial table is real, with the scales sqrt(k!/alpha!) of
-    apply_Dk's layout in it, so they cost no pass over the field; it is
-    multiplied into the output per fiber and multi-index, and the exact
-    phase i^k is applied to the output.
+    a band's int64 primaries or a rung, which operators._column_monomials
+    casts to float64; the output covers the same frequencies.  The
+    monomial table is real, with the scales sqrt(k!/alpha!) of apply_Dk's
+    layout in it, so they cost no pass over the field; it is multiplied
+    into the output per fiber and multi-index, and the exact phase i^k is
+    applied to the output.
     """
     alphas = multi_indices(len(xis), k)
     powers = _column_monomials(xis, alphas).reshape(-1, len(alphas))
@@ -626,12 +619,13 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
 def _tables(op: Operator, xis: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """M (P, dimW, dimV) and P_A (P, dimV, dimV) at the integer frequencies xis (n, P); read-only.
 
-    M is operators._real_stack and P_A its kernel_projector, bitwise the
-    entries of _symbol_tensor and _kernel_projector_table at xis, so a
-    band's or a rung's tables do not depend on N.  Built per spectrum, not
-    cached: they are freed with the route that reads them.
+    M is operators._column_stack of the n rows of xis, which it casts to
+    float64, and P_A its kernel_projector, bitwise the entries of
+    _symbol_tensor and _kernel_projector_table at xis, so a band's or a
+    rung's tables do not depend on N.  Built per spectrum, not cached: they
+    are freed with the route that reads them.
     """
-    symbols = _real_stack(op, xis.T)
+    symbols = _column_stack(op, xis)
     projector = kernel_projector(symbols, tol)
     for table in (symbols, projector):
         table.setflags(write=False)

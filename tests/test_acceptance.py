@@ -12,7 +12,7 @@ from numpy.random import default_rng
 
 from symrank.experiments import (build_frequency_ladder, estimate_ratio, l2_minimality_check,
                                  ratio_sweep, witness_family)
-from symrank.operators import _monomials, multi_indices, symbol
+from symrank.operators import _column_monomials, multi_indices, symbol
 from symrank.pinv import numerical_rank, pinv_svd
 from symrank.rank import (angular_distance, daggerbound_check,
                           find_rank_drop_witness, rank_profile, slerp)
@@ -213,7 +213,7 @@ def test_criterion_09_homogeneity(capsys):
     def multiplier(op, xi):
         # the recovery multiplier: A+(xi) tensor (i xi)^alpha, row j * T + t for component j
         # and the t-th multi-index of degree k
-        powers = (1j ** op.k) * _monomials(xi[None, :], multi_indices(op.n, op.k))[0]
+        powers = (1j ** op.k) * _column_monomials(xi, multi_indices(op.n, op.k))
         return np.kron(pinv_svd(symbol(op, xi)), powers[:, None])
 
     for index, entry in enumerate(zoo_list()):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,26 @@ def test_windowed_witness_obeys_the_shift_theorem(name, xi):
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def test_windowed_witness_is_built_in_its_complex_field():
+    # curl's 32^3 rung (1.5 MiB) is contracted into the real parts of its own
+    # complex field, then multiplied there by the phase and the envelope, where a
+    # real contraction and its complex copy held 1.5 times the field; each of the
+    # envelope's broadcast multiplies takes one numpy ufunc buffer of complex entries
+    op, grid = zoo_get("curl"), Grid(3, 32)
+
+    def build():
+        return next(experiments._witness_fields(op, [(3, 1, 1)], grid, 0.5, pinv.DEFAULT_TOL))
+
+    build()  # the symbol table and first-call caches
+    tracemalloc.start()
+    try:
+        phi = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= phi.coeffs.nbytes + 16 * np.getbufsize() + 2 ** 16
+
+
 def test_witness_config_validation():
     op = zoo_get("d1d2")
     grid = Grid(2, 16)
@@ -588,6 +609,15 @@ def test_ratio_sweep_divergence_exactness():
     assert report.excluded == 0
     assert all(math.isclose(r, 1.0, rel_tol=1e-8) for r in report.ratios)
     assert report.records[0].detail == "seed=0 N=16 trial=0"
+
+
+def test_ratio_sweep_of_order_6_does_not_wrap():
+    # the band N/4 of N = 8192 reaches |xi|^6 = 2^66: the band's derivatives are
+    # formed from float64 frequencies, where int64 ones wrapped to a ratio of 0.173
+    op = Operator(name="d6", n=1, k=6, dim_v=1, dim_w=1, terms=(((6,), ((1.0,),)),))
+    report = ratio_sweep(op, p=3.0, trials=2, grid_sizes=[8192])
+    assert len(report.ratios) == 2
+    assert all(abs(ratio - 1.0) <= 1e-12 for ratio in report.ratios)
 
 
 def test_ratio_sweep_multiple_grid_sizes():

@@ -346,6 +346,31 @@ def test_replayed_sweep_memory_estimate_covers_its_peak(monkeypatch, op, tol):
                        sweep_estimate(monkeypatch, op, num_samples, lows)) + 2 ** 16
 
 
+def test_replay_is_refused_before_it_gathers_its_low_rank_rows(monkeypatch):
+    # lap_plus_d1d2 at tol 0.3 ranks 791 rows low, so it pairs them on a replay;
+    # a machine with exactly the sweep's first estimate runs the stream, and the
+    # replay's estimate, which counts those rows, refuses it before their
+    # (791, 2) array is allocated
+    num_samples = 2000
+    needed = sweep_estimate(monkeypatch, LAP_PLUS_D1D2, num_samples)
+    assert sweep_estimate(monkeypatch, LAP_PLUS_D1D2, num_samples, 791) > needed
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: needed)
+    replay, peaks = rank._replayed_pairs, []
+
+    def traced_replay(*args):
+        tracemalloc.start()
+        try:
+            return replay(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(rank, "_replayed_pairs", traced_replay)
+    with pytest.raises(MemoryError, match="sphere sweep of 2008 directions"):
+        rank_profile(LAP_PLUS_D1D2, num_samples, tol=0.3)
+    assert len(peaks) == 1 and peaks[0] < 791 * 2 * 8
+
+
 # ------------------------------------------------------------------ profiles
 
 @pytest.mark.parametrize("tol", [3e-16, 0.99 * pinv._TOL_FLOOR, 1.0])

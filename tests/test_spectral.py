@@ -14,7 +14,7 @@ from symrank.operators import (Operator, _real_stack, multi_indices, multinomial
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
 from symrank.spectral import (Grid, GridField, FrequencyField, apply_A, apply_Dk, apply_PA,
                               apply_multiplier, forward_transform,
-                              inverse_transform, integer_frequencies, lp_norm,
+                              inverse_transform, lp_norm,
                               periodic_bump, random_band_limited,
                               _kernel_projector_table, _symbol_tensor)
 from symrank.zoo import zoo_get, zoo_list
@@ -41,6 +41,11 @@ def plane_wave(grid: Grid, xi, amplitude) -> GridField:
     return GridField(grid, np.multiply.outer(np.atleast_1d(amplitude), np.exp(1j * phase)))
 
 
+def frequency_mesh(grid: Grid) -> np.ndarray:
+    """The dense integer frequency mesh, shape (n, N, ..., N), broadcast from _frequency_axes."""
+    return np.stack(np.broadcast_arrays(*spectral._frequency_axes(grid)))
+
+
 def raw_coeffs(grid: Grid, data: np.ndarray) -> np.ndarray:
     """Independent transform: plain numpy fft with the package's normalization."""
     axes = tuple(range(1, grid.n + 1))
@@ -61,9 +66,16 @@ def test_grid_validation():
         Grid(0, 8)
 
 
-def test_integer_frequencies_layout():
-    grid = Grid(1, 8)
-    assert list(integer_frequencies(grid)[0]) == [0, 1, 2, 3, -4, -3, -2, -1]
+def test_frequency_axes_layout():
+    # one float64 axis per coordinate in fft layout, each along its own grid axis
+    (axis,) = spectral._frequency_axes(Grid(1, 8))
+    assert axis.dtype == np.float64
+    assert list(axis) == [0, 1, 2, 3, -4, -3, -2, -1]
+    axes = spectral._frequency_axes(Grid(3, 4))
+    assert [a.shape for a in axes] == [(4, 1, 1), (1, 4, 1), (1, 1, 4)]
+    for a in axes:
+        assert list(a.reshape(-1)) == [0, 1, -2, -1]
+    assert frequency_mesh(Grid(3, 4))[:, 3, 2, 1].tolist() == [-1, -2, 1]
 
 
 def test_gridfield_validation():
@@ -139,7 +151,7 @@ def test_whole_mesh_transforms_allocate_only_their_output():
     # derivative array of a 3-fiber field goes to the grid within 64 KiB of the
     # peak of the coefficient step before it
     phi = GridField(grid, field.data[:3])
-    xis = integer_frequencies(grid)
+    xis = spectral._frequency_axes(grid)
     derivatives, step = traced_peak(
         lambda: spectral._derivatives(1, forward_transform(phi).coeffs, xis))
     grad, peak = traced_peak(lambda: apply_Dk(1, phi))
@@ -311,7 +323,7 @@ def test_spectrum_weights_give_the_whole_mesh_norm_from_either_spectrum(n, k):
     band = spectral._band_spectrum(op, grid, 2, DEFAULT_TOL, 2.0)
     values = band.draw(2, [n, k])
     coeffs = spectral._random_coefficients(grid, 2, 2, seed=[n, k]).coeffs
-    xi2 = (spectral.integer_frequencies(grid) ** 2).sum(axis=0)
+    xi2 = (frequency_mesh(grid) ** 2).sum(axis=0)
     expected = math.sqrt(float((xi2 ** k * np.abs(coeffs) ** 2).sum()))
     mesh = spectral._mesh_spectrum(op, grid, DEFAULT_TOL, 2.0)
     mesh_weights = mesh.derivative_weights if k else None
@@ -448,6 +460,40 @@ def test_grid_norm_scales_a_field_by_one_power_of_two(p):
     for norm, large in ((grid_norm(values, p), grid_norm(values[:1], p)),
                         (mesh_norm(coeffs), mesh_norm(coeffs[:1]))):
         assert math.isfinite(norm) and math.isclose(norm, large, rel_tol=1e-15)
+
+
+# every zoo operator and every operator document of the tests and the benchmark
+TESTS = Path(__file__).resolve().parent
+DOCUMENTED = [entry.build() for entry in zoo_list()] + [
+    parse_operator(path.read_text()) for folder in (TESTS, TESTS.parent / "bench" / "operators")
+    for path in sorted(folder.glob("*.json"))]
+
+
+@pytest.mark.parametrize("size", [4, 8, 16, 32])
+@pytest.mark.parametrize("op", DOCUMENTED, ids=lambda op: op.name)
+def test_symbol_tensor_is_the_real_stack_of_the_row_mesh(op, size):
+    # the table is formed on the n 1-D frequency axes, with the bits of the
+    # real stack of the dense mesh's frequencies read as rows
+    grid = Grid(op.n, size)
+    rows = frequency_mesh(grid).reshape(op.n, -1).T
+    want = _real_stack(op, rows).reshape(grid.shape + (op.dim_w, op.dim_v))
+    assert _symbol_tensor(op, grid).tobytes() == want.tobytes()
+
+
+def test_symbol_tensor_holds_the_table_and_its_monomials_only():
+    # curl's 32^3 table (2.25 MiB) is formed from the three 1-D axes: beside it
+    # the build holds its T = 3 monomials per frequency, and no n x N^n mesh
+    op, grid = zoo_get("curl"), Grid(3, 32)
+    _symbol_tensor(op, Grid(3, 4))  # first-call caches
+    _symbol_tensor.cache_clear()
+    tracemalloc.start()
+    try:
+        table = _symbol_tensor(op, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monomials = 8 * len(op.terms) * grid.size ** grid.n
+    assert peak <= table.nbytes + monomials + 2 ** 16
 
 
 # every zoo operator, a vector-valued drop and a 1-D operator of odd order,
@@ -866,7 +912,7 @@ def test_multiplier_matches_decell_route_at_every_frequency(op):
     got = forward_transform(out).coeffs.reshape(op.dim_v * len(alphas), -1)
     want = np.zeros_like(got)
     flat = coeffs.reshape(op.dim_w, -1)
-    mesh = integer_frequencies(grid).reshape(op.n, -1)
+    mesh = frequency_mesh(grid).reshape(op.n, -1)
     for idx in range(mesh.shape[1]):
         xi = mesh[:, idx]
         if not xi.any():
@@ -912,7 +958,7 @@ def test_random_band_limited_is_real_and_mean_free():
     assert np.abs(phi.data.imag).max() < 1e-12
     assert abs(phi.data.mean()) < 1e-13
     coeffs = forward_transform(phi).coeffs
-    freqs = integer_frequencies(grid)
+    freqs = frequency_mesh(grid)
     outside = (np.abs(freqs[0]) > 4) | (np.abs(freqs[1]) > 4)
     assert np.abs(coeffs[:, outside]).max() < 1e-13
     inside = ~outside

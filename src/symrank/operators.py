@@ -9,9 +9,9 @@ R^dimW.  Its symbol at a real frequency xi is the complex dimW x dimV matrix
 homogeneous of degree k.  The coefficients are real, so M is real, and it
 is the package's one symbol format (_column_stack): A has the rank, kernel
 and kernel projector of M, and A+ = i^-k M+.  symbol and symbol_stack
-return i^k M for callers that want A itself.  Operators are immutable, hashable values.  The
-JSON document format accepted by parse_operator is the interchange format
-used by the command line tools:
+return i^k M for callers that want A itself.  Operators are immutable,
+hashable values, checked by Operator.  parse_operator reads the command
+line tools' JSON documents, which hold these fields and terms, each once:
 
     {"name": "divergence", "n": 3, "k": 1, "dimV": 3, "dimW": 1,
      "terms": [{"alpha": [1, 0, 0], "matrix": [[1, 0, 0]]}, ...]}
@@ -19,6 +19,7 @@ used by the command line tools:
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,7 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 _DOCUMENT_FIELDS = ("name", "n", "k", "dimV", "dimW", "terms")
+_DOCUMENT_SPELLING = {"dim_v": "dimV", "dim_w": "dimW"}
 
 
 class OperatorSpecError(ValueError):
@@ -53,14 +55,26 @@ def multinomial_weight(alpha: MultiIndex) -> int:
     return w
 
 
+def _items(value) -> tuple | None:
+    """The items of value as a tuple, or None when value is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class Operator:
     """A homogeneous constant-coefficient differential operator.
 
-    terms holds (alpha, matrix) pairs sorted by multi-index, where each
-    matrix is a real dimW x dimV coefficient stored as nested tuples.
-    Construction validates homogeneity, shapes, and finiteness; invalid
-    input raises OperatorSpecError naming the offending field.
+    terms holds (alpha, matrix) pairs sorted by multi-index, where each matrix
+    is a real dimW x dimV coefficient stored as nested tuples.  This is the
+    one check of an operator's fields, and nothing is rounded: n, k, dim_v and
+    dim_w are positive ints; each term's alpha holds n nonnegative integers
+    (Python or numpy, not bool or float) that int64 holds, summing to k, none
+    repeated; each matrix holds dimW rows (any iterable, so np.eye(2) is one)
+    of dimV finite reals (not bool or string), not all zero.  Invalid input
+    raises OperatorSpecError naming the offending field.
     """
 
     name: str
@@ -76,31 +90,39 @@ class Operator:
         for field_name in ("n", "k", "dim_v", "dim_w"):
             value = getattr(self, field_name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise OperatorSpecError(f"{field_name}: must be a positive integer")
-        canonical = []
-        seen = set()
-        for i, item in enumerate(self.terms):
-            try:
-                alpha_raw, matrix_raw = item
-            except (TypeError, ValueError):
-                raise OperatorSpecError(f"terms[{i}]: expected an (alpha, matrix) pair") from None
-            try:
-                alpha = tuple(int(a) for a in alpha_raw)
-            except (TypeError, ValueError, OverflowError):
-                raise OperatorSpecError(f"terms[{i}].alpha: expected integer exponents") from None
+                raise OperatorSpecError(f"{field_name}: must be an integer of at least 1")
+        items = _items(self.terms)
+        if items is None:
+            raise OperatorSpecError("terms: expected an iterable of (alpha, matrix) pairs")
+        canonical = {}
+        for i, pair in enumerate(items):
+            pair = _items(pair)
+            if pair is None or len(pair) != 2:
+                raise OperatorSpecError(f"terms[{i}]: expected an (alpha, matrix) pair")
+            alpha, rows = map(_items, pair)
+            if alpha is None or not all(
+                    isinstance(a, numbers.Integral) and not isinstance(a, bool) for a in alpha):
+                raise OperatorSpecError(
+                    f"terms[{i}].alpha: expected a list of integers (integer exponents)")
+            alpha = tuple(int(a) for a in alpha)
+            if any(abs(a) >= 2 ** 63 for a in alpha):
+                raise OperatorSpecError(f"terms[{i}].alpha: exponent beyond the int64 range")
             if len(alpha) != self.n or any(a < 0 for a in alpha):
                 raise OperatorSpecError(
                     f"terms[{i}].alpha: expected {self.n} nonnegative exponents, got {alpha}")
             if sum(alpha) != self.k:
                 raise OperatorSpecError(
                     f"terms[{i}].alpha: inhomogeneous term (degree {sum(alpha)}, operator order {self.k})")
-            if alpha in seen:
+            if alpha in canonical:
                 raise OperatorSpecError(f"terms[{i}].alpha: duplicate multi-index {alpha}")
-            seen.add(alpha)
+            rows = None if rows is None else [_items(row) for row in rows]
+            if rows is None or None in rows:
+                raise OperatorSpecError(f"terms[{i}].matrix: expected a list of rows")
+            for x in (x for row in rows for x in row):
+                if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                    raise OperatorSpecError(f"terms[{i}].matrix: non-numeric entry {x!r}")
             try:
-                matrix = tuple(tuple(float(x) for x in row) for row in matrix_raw)
-            except (TypeError, ValueError):
-                raise OperatorSpecError(f"terms[{i}].matrix: expected a numeric matrix") from None
+                matrix = tuple(tuple(float(x) for x in row) for row in rows)
             except OverflowError:
                 raise OperatorSpecError(f"terms[{i}].matrix: entry beyond the float range") from None
             if len(matrix) != self.dim_w or any(len(row) != self.dim_v for row in matrix):
@@ -108,13 +130,12 @@ class Operator:
                     f"terms[{i}].matrix: expected {self.dim_w} rows of {self.dim_v} entries")
             if not all(math.isfinite(x) for row in matrix for x in row):
                 raise OperatorSpecError(f"terms[{i}].matrix: non-finite entry")
-            canonical.append((alpha, matrix))
+            canonical[alpha] = matrix
         if not canonical:
             raise OperatorSpecError("terms: empty term list")
-        if all(x == 0.0 for _, matrix in canonical for row in matrix for x in row):
+        if all(x == 0.0 for matrix in canonical.values() for row in matrix for x in row):
             raise OperatorSpecError("terms: all coefficient matrices are zero")
-        canonical.sort(key=lambda term: term[0])
-        object.__setattr__(self, "terms", tuple(canonical))
+        object.__setattr__(self, "terms", tuple(sorted(canonical.items())))
 
     @cached_property
     def alpha_array(self) -> np.ndarray:
@@ -185,10 +206,7 @@ def _real_stack(op: Operator, xis) -> np.ndarray:
 
 
 def symbol_stack(op: Operator, xis) -> np.ndarray:
-    """Evaluate the symbol at every row of xis; returns shape (len(xis), dimW, dimV).
-
-    Exactly i^k times the real stack of M (_real_stack).
-    """
+    """The symbol at every row of xis, shape (len(xis), dimW, dimV): exactly i^k _real_stack."""
     return (1j ** op.k) * _real_stack(op, xis)
 
 
@@ -196,14 +214,24 @@ def _reject_nonfinite(token):
     raise OperatorSpecError(f"document: non-finite number {token!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A decoded JSON object; json.loads would keep only the last of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise OperatorSpecError(f"document: duplicate field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_operator(text: str) -> Operator:
-    """Parse an operator document (JSON, see module docstring).
+    """Parse an operator document (JSON, see module docstring); no object may repeat a key.
 
     Every validation failure raises OperatorSpecError whose message starts
-    with the path of the offending field.
+    with the path of the offending field as the document spells it.
     """
     try:
-        doc = json.loads(text, parse_constant=_reject_nonfinite)
+        doc = json.loads(text, parse_constant=_reject_nonfinite, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise OperatorSpecError(
             f"document: invalid JSON ({exc.msg} at line {exc.lineno})") from None
@@ -215,56 +243,34 @@ def parse_operator(text: str) -> Operator:
     return operator_from_document(doc)
 
 
-def _expect_int(doc: dict, key: str) -> int:
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise OperatorSpecError(f"{key}: must be an integer")
-    return value
+def _fields(obj, path: str, keys) -> list:
+    """obj's values at keys, in order, when obj is a dict with exactly those keys."""
+    if not isinstance(obj, dict):
+        raise OperatorSpecError(f"{path}: expected a JSON object")
+    wrong = [f"missing field {key!r}" for key in keys if key not in obj]
+    wrong += [f"unknown field {key!r}" for key in obj if key not in keys]
+    if wrong:
+        raise OperatorSpecError(f"{path}: {wrong[0]}")
+    return [obj[key] for key in keys]
 
 
 def operator_from_document(doc) -> Operator:
-    """Build an Operator from an already-decoded document object."""
-    if not isinstance(doc, dict):
-        raise OperatorSpecError("document: expected a JSON object")
-    for key in _DOCUMENT_FIELDS:
-        if key not in doc:
-            raise OperatorSpecError(f"document: missing field {key!r}")
-    unknown = sorted(set(doc) - set(_DOCUMENT_FIELDS))
-    if unknown:
-        raise OperatorSpecError(f"document: unknown field {unknown[0]!r}")
-    name = doc["name"]
-    if not isinstance(name, str):
-        raise OperatorSpecError("name: must be a string")
-    terms_raw = doc["terms"]
-    if not isinstance(terms_raw, list):
+    """Build an Operator from an already-decoded document object.
+
+    Only the document is checked here: an object of the six fields, whose
+    terms is a list of objects of alpha and matrix.  Operator gets their
+    values as they are and checks them; its messages' dim_v and dim_w are
+    spelled dimV and dimW.
+    """
+    name, n, k, dim_v, dim_w, terms = _fields(doc, "document", _DOCUMENT_FIELDS)
+    if not isinstance(terms, list):
         raise OperatorSpecError("terms: must be a list")
-    terms = []
-    for i, item in enumerate(terms_raw):
-        if not isinstance(item, dict):
-            raise OperatorSpecError(f"terms[{i}]: expected an object")
-        for key in ("alpha", "matrix"):
-            if key not in item:
-                raise OperatorSpecError(f"terms[{i}]: missing field {key!r}")
-        alpha = item["alpha"]
-        if not isinstance(alpha, list) or not all(
-                isinstance(a, int) and not isinstance(a, bool) for a in alpha):
-            raise OperatorSpecError(f"terms[{i}].alpha: expected a list of integers")
-        matrix = item["matrix"]
-        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-            raise OperatorSpecError(f"terms[{i}].matrix: expected a list of rows")
-        for row in matrix:
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise OperatorSpecError(f"terms[{i}].matrix: non-numeric entry {x!r}")
-        terms.append((tuple(alpha), tuple(tuple(row) for row in matrix)))
-    return Operator(
-        name=name,
-        n=_expect_int(doc, "n"),
-        k=_expect_int(doc, "k"),
-        dim_v=_expect_int(doc, "dimV"),
-        dim_w=_expect_int(doc, "dimW"),
-        terms=tuple(terms),
-    )
+    pairs = [_fields(term, f"terms[{i}]", ("alpha", "matrix")) for i, term in enumerate(terms)]
+    try:
+        return Operator(name, n, k, dim_v, dim_w, pairs)
+    except OperatorSpecError as exc:
+        field, colon, rest = str(exc).partition(":")
+        raise OperatorSpecError(_DOCUMENT_SPELLING.get(field, field) + colon + rest) from None
 
 
 def serialize_operator(op: Operator) -> str:
@@ -273,15 +279,7 @@ def serialize_operator(op: Operator) -> str:
     The output is byte-deterministic and reparses to an equal Operator;
     serializing that reparse reproduces the same bytes.
     """
-    doc = {
-        "name": op.name,
-        "n": op.n,
-        "k": op.k,
-        "dimV": op.dim_v,
-        "dimW": op.dim_w,
-        "terms": [
-            {"alpha": list(alpha), "matrix": [list(row) for row in matrix]}
-            for alpha, matrix in op.terms
-        ],
-    }
+    terms = [{"alpha": list(alpha), "matrix": [list(row) for row in matrix]}
+             for alpha, matrix in op.terms]
+    doc = dict(zip(_DOCUMENT_FIELDS, (op.name, op.n, op.k, op.dim_v, op.dim_w, terms)))
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

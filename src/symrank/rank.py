@@ -174,7 +174,8 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     count = structured + num_samples
     lows = structured if lows is None else lows
     entries = op.dim_w * op.dim_v
-    powers = len(op.alpha_array) + int(np.maximum(op.alpha_array.max(axis=0) - 1, 0).sum())
+    # counted in Python ints: int64 sums of per-axis powers near 2^62 wrap negative
+    powers = len(op.terms) + sum(max(int(top) - 1, 0) for top in op.alpha_array.max(axis=0))
     build = powers + entries
 
     def ranking(rows):

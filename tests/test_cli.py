@@ -119,6 +119,30 @@ def test_integer_beyond_float_range_exits_one(tmp_path, capsys):
     assert err == "error: terms[0].matrix: entry beyond the float range\n"
 
 
+def one_term_document(alpha, **term) -> str:
+    return json.dumps({"name": "x", "n": len(alpha), "k": sum(alpha), "dimV": 1, "dimW": 1,
+                       "terms": [{"alpha": alpha, "matrix": [[1.0]], **term}]})
+
+
+@pytest.mark.parametrize("text, message", [
+    # json.loads kept the last "terms", so this Laplacian read as d1d2 with exit 3
+    ('{"name": "x", "n": 2, "k": 2, "dimV": 1, "dimW": 1, "terms": '
+     '[{"alpha": [2, 0], "matrix": [[1.0]]}, {"alpha": [0, 2], "matrix": [[1.0]]}], '
+     '"terms": [{"alpha": [1, 1], "matrix": [[1.0]]}]}', "document: duplicate field 'terms'"),
+    (one_term_document([1, 1], scale=2), "terms[0]: unknown field 'scale'"),
+    # exponents int64 cannot hold ended in an OverflowError traceback
+    (one_term_document([2 ** 63, 0]), "terms[0].alpha: exponent beyond the int64 range"),
+    (one_term_document([10 ** 400, 0]), "terms[0].alpha: exponent beyond the int64 range"),
+], ids=["repeated-key", "unknown-term-key", "2^63", "10^400"])
+@pytest.mark.parametrize("command", ["analyze", "counterexample"])
+def test_refused_documents_exit_one(tmp_path, capsys, text, message, command):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_invalid_p_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "zoo:divergence", "--p", "0.5"])

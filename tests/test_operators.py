@@ -66,11 +66,26 @@ def test_terms_are_canonicalized():
     # float() and int() raise OverflowError here, not TypeError or ValueError
     ((((1, 1), ((10 ** 400,),)),), r"matrix: entry beyond the float range"),
     ((((math.inf, 2), ((1.0,),)),), "integer exponents"),
+    # nothing is rounded: int() made (0.5, 2.9) the exponents (0, 2), and
+    # float() made "2" and True coefficients
+    ((((0.5, 2.9), ((1.0,),)),), "integer exponents"),
+    ((((1.0, 1.0), ((1.0,),)),), "integer exponents"),
+    ((((True, True), ((1.0,),)),), "integer exponents"),
+    ((((1, 1), (("2",),)),), "non-numeric entry '2'"),
+    ((((1, 1), ((True,),)),), "non-numeric entry True"),
+    ((((2 ** 63, 0), ((1.0,),)),), r"terms\[0\]\.alpha: exponent beyond the int64 range"),
+    (5, "terms: expected an iterable"),
 ])
 def test_invalid_terms_rejected(terms, message):
-    n = len(terms[0][0]) if terms else 2
+    n = len(terms[0][0]) if isinstance(terms, tuple) and terms else 2
     with pytest.raises(OperatorSpecError, match=message):
         Operator("bad", n, 2, 1, 1, terms)
+
+
+def test_numpy_integers_and_rows_are_accepted_as_they_are():
+    plain = Operator("m", 2, 2, 2, 2, (((1, 1), ((1.0, 0.0), (0.0, 1.0))),))
+    assert Operator("m", 2, 2, 2, 2, ((np.array([1, 1]), np.eye(2)),)) == plain
+    assert Operator("m", 2, 2, 2, 2, [[(np.int8(1), np.uint64(1)), [[1, 0], [0, 1]]]]) == plain
 
 
 def test_invalid_dimensions_rejected():
@@ -213,6 +228,29 @@ def test_parse_rejects_bad_documents():
         parse_operator("[" * 100000 + "]" * 100000)
 
 
+def test_parse_rejects_repeated_and_unknown_keys():
+    # json.loads keeps the last of a repeated key: this document read as d1d2
+    text = ('{"name": "x", "n": 2, "k": 2, "dimV": 1, "dimW": 1, "terms": '
+            '[{"alpha": [2, 0], "matrix": [[1.0]]}, {"alpha": [0, 2], "matrix": [[1.0]]}], '
+            '"terms": [{"alpha": [1, 1], "matrix": [[1.0]]}]}')
+    with pytest.raises(OperatorSpecError, match="^document: duplicate field 'terms'$"):
+        parse_operator(text)
+    with pytest.raises(OperatorSpecError, match="^document: duplicate field 'alpha'$"):
+        parse_operator(text.replace('"alpha": [1, 1]', '"alpha": [1, 1], "alpha": [1, 1]'))
+    doc = json.loads(serialize_operator(zoo_get("d1d2")))
+    doc["terms"][0]["scale"] = 2
+    with pytest.raises(OperatorSpecError, match=r"^terms\[0\]: unknown field 'scale'$"):
+        parse_operator(json.dumps(doc))
+
+
+def test_document_messages_spell_fields_as_the_document_does():
+    # Operator names the field dim_v; the document's message names it dimV
+    doc = json.loads(serialize_operator(zoo_get("d1d2")))
+    doc["dimV"] = 0
+    with pytest.raises(OperatorSpecError, match="^dimV: must be an integer"):
+        parse_operator(json.dumps(doc))
+
+
 def test_document_example_from_module_docstring():
     text = """
     {"name": "divergence", "n": 3, "k": 1, "dimV": 3, "dimW": 1,
@@ -279,6 +317,32 @@ def test_generated_documents_parse_or_raise_spec_errors(doc):
         return
     assert isinstance(op, Operator)
     assert parse_operator(serialize_operator(op)) == op
+
+
+def value_or_none(build):
+    """build(), or None when it raises OperatorSpecError."""
+    try:
+        return build()
+    except OperatorSpecError:
+        return None
+
+
+@given(st.one_of(edited_documents(), SHAPED))
+@settings(max_examples=200, deadline=None)
+def test_documents_and_the_constructor_agree(doc):
+    # the parser checks only the document's shape and hands its values to Operator as
+    # they are: a well-shaped document parses exactly when Operator takes its values,
+    # to the same operator, and any other is refused
+    parsed = value_or_none(lambda: parse_operator(json.dumps(doc)))
+    terms = doc.get("terms")
+    if set(doc) != set(FIELDS[:6]) or not isinstance(terms, list) or not all(
+            isinstance(term, dict) and set(term) == {"alpha", "matrix"} for term in terms):
+        assert parsed is None
+        return
+    built = value_or_none(lambda: Operator(
+        doc["name"], doc["n"], doc["k"], doc["dimV"], doc["dimW"],
+        tuple((term["alpha"], term["matrix"]) for term in terms)))
+    assert parsed == built
 
 
 @given(st.text(max_size=40))

@@ -173,6 +173,15 @@ def test_sweep_beyond_physical_memory_is_refused(monkeypatch):
         rank_profile(curl, num_samples=64)
 
 
+def test_sweep_estimate_counts_powers_beyond_int64_sums(monkeypatch):
+    # two axes of powers up to 2^62 + 5 sum past int64: that sum wrapped negative, the
+    # sweep was not refused, and _column_monomials began a loop of about 2^62 steps
+    k = 2 ** 62 + 5
+    op = Operator("huge", 3, k, 1, 1, (((k, 0, 0), ((1.0,),)), ((0, k, 0), ((1.0,),))))
+    # at least a power column per exponent above 1, on each axis, for one block of rows
+    assert sweep_estimate(monkeypatch, op, 1024) >= 8 * 1024 * 2 * (k - 1)
+
+
 # many terms with high powers, where building the symbols is the peak, and
 # many variables, where drawing the directions is
 HEXIC = Operator("hexic", 2, 6, 1, 1, tuple((alpha, ((1.0,),)) for alpha in multi_indices(2, 6)))

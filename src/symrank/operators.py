@@ -184,6 +184,17 @@ def _column_monomials(columns, alphas) -> np.ndarray:
     return powers
 
 
+def _column_count(alphas) -> int:
+    """Reals per frequency, at most, that _column_monomials holds for the (T, n) alphas.
+
+    Its T monomials and a power column per exponent above 1 of each axis's
+    largest exponent (one axis of a sparse mesh holds its powers along that
+    axis only), counted in Python ints: an int64 sum of exponents near 2^62
+    wraps negative.
+    """
+    return len(alphas) + sum(max(int(top) - 1, 0) for top in np.max(alphas, axis=0))
+
+
 def _column_stack(op: Operator, columns) -> np.ndarray:
     """M(xi) = sum_alpha xi^alpha A_alpha at columns as in _column_monomials; (..., dimW, dimV)."""
     powers = _column_monomials(columns, op.alpha_array)

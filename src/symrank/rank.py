@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import Operator, _real_stack
+from .operators import Operator, _column_count, _real_stack
 from .pinv import (_BLOCK, DEFAULT_TOL, _check_tol, _held_entries, _refuse_beyond_memory, _svd,
                    kernel_projector, numerical_rank, pinv_svd)
 
@@ -157,13 +157,13 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     which is what a sweep that is not replayed pairs).  The rest is the
     most of two phases.  The stream holds one block's rows and the most of
     four steps per row: drawing (the block before, the norms and a column
-    of squares); building the real symbol M (_column_monomials' T
-    monomials, a power column per exponent above 1, and M); ranking M (M,
+    of squares); building the real symbol M (its monomials,
+    operators._column_count, and M); ranking M (M,
     the ranks and what numerical_rank holds beside them, as pinv says); and
     pairing (the scores, their clipped copy and the masks).  Bisection steps up to
-    pinv._BLOCK low-rank rows together: each row's two ends and midpoint,
-    a byte per step (_MAX_BISECTIONS / 8 doubles), its index and a flag,
-    and the larger of building and ranking the midpoints.  Before the
+    pinv._BLOCK low-rank rows together, their ends shrunk in place: each
+    row's midpoint, the drop and neighbour it may leave, its index and a
+    flag, and the larger of building and ranking the midpoints.  Before the
     stream, three columns of 2^n sign bits are held.  The check runs before
     anything is allocated, so a sweep too large for the machine is refused
     instead of being killed part way; a replayed sweep (rank_profile) runs
@@ -174,9 +174,7 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     count = structured + num_samples
     lows = structured if lows is None else lows
     entries = op.dim_w * op.dim_v
-    # counted in Python ints: int64 sums of per-axis powers near 2^62 wrap negative
-    powers = len(op.terms) + sum(max(int(top) - 1, 0) for top in op.alpha_array.max(axis=0))
-    build = powers + entries
+    build = _column_count(op.alpha_array) + entries
 
     def ranking(rows):
         return entries + 1 + _held_entries(numerical_rank, op.dim_w, op.dim_v, rows)
@@ -184,8 +182,7 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     # the structured rows are ranked in blocks too
     block, steps = min(max(structured, num_samples), _BLOCK), min(lows, _BLOCK)
     stream = block * (op.n + max(op.n + 2, build, ranking(block), 3))
-    bisection = steps * (3 * op.n + _MAX_BISECTIONS // 8 + 2 + max(build, ranking(steps))) \
-        if steps else 0
+    bisection = steps * (3 * op.n + 2 + max(build, ranking(steps))) if steps else 0
     _refuse_beyond_memory(
         lambda: _rank_dtype(op).itemsize * count + 8 * (
             structured * op.n + lows * (2 * op.n + 1) + max(3 * signs, stream, bisection)),
@@ -200,7 +197,9 @@ class RankProfile:
     ranks holds the rank at every row of sphere_samples(n, num_samples,
     seed), in the smallest unsigned type that holds them (one byte for every
     symbol with at most 255 rows or columns); the rows themselves are not
-    kept, since sphere_samples gives them again.
+    kept, since sphere_samples gives them again.  drop_neighbors holds, for
+    each drop direction, the full-rank end of that drop's final bisection
+    bracket.
     """
 
     operator: str
@@ -210,8 +209,7 @@ class RankProfile:
     max_rank: int
     verdict: Verdict
     drop_directions: tuple[np.ndarray, ...]
-    # per drop direction: nearby full-rank directions seen during bisection
-    drop_neighbors: tuple[tuple[np.ndarray, ...], ...]
+    drop_neighbors: tuple[np.ndarray, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -272,7 +270,7 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     min_rank = int(ranks.min())
     max_rank = int(ranks.max())
     drops: list[np.ndarray] = []
-    neighbors: list[tuple[np.ndarray, ...]] = []
+    neighbors: list[np.ndarray] = []
     if min_rank == max_rank:
         verdict = Verdict.ELLIPTIC if max_rank == op.dim_v else Verdict.CONSTANT_RANK
     else:
@@ -349,28 +347,27 @@ def _replayed_pairs(op: Operator, num_samples: int, seed: int, ranks: np.ndarray
 
 
 def _bisect(op: Operator, nearest: _Nearest, max_rank: int,
-            tol: float) -> tuple[list[np.ndarray], list[tuple[np.ndarray, ...]]]:
+            tol: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Every low-rank row bisected toward its nearest full-rank row: the distinct drops, neighbours.
 
-    Up to pinv._BLOCK bisections advance together, their ends and
-    midpoints in three (rows, n) arrays: every step ranks the midpoints of
-    the pairs still further apart than ANGULAR_RESOLUTION in one
-    numerical_rank stack (a matrix ranks the same anywhere in a stack), for
-    at most _MAX_BISECTIONS steps, and records which end each midpoint
-    replaced, one byte per row and step.  The low end becomes a drop unless
-    it lies within ANGULAR_RESOLUTION of a drop found before it, in the
-    order of the rows; its neighbours, the full-rank ends it took, are
-    formed again from its recorded steps (_highs_taken).
+    Up to pinv._BLOCK bisections advance together, shrinking nearest's
+    pairs in place, their midpoints in one (rows, n) array: every step
+    ranks the midpoints of the pairs still further apart than
+    ANGULAR_RESOLUTION in one numerical_rank stack (a matrix ranks the same
+    anywhere in a stack), for at most _MAX_BISECTIONS steps, and each
+    midpoint replaces the end whose side of max_rank it ranks on.  The low
+    end becomes a drop unless it lies within ANGULAR_RESOLUTION of a drop
+    found before it, in the order of the rows; its neighbour is the
+    full-rank end of its final bracket.
     """
     drops: list[np.ndarray] = []
-    neighbors: list[tuple[np.ndarray, ...]] = []
+    neighbors: list[np.ndarray] = []
+    mids = np.empty((min(len(nearest.lows), _BLOCK), op.n))
     for start in range(0, len(nearest.lows), _BLOCK):
-        lows = nearest.lows[start:start + _BLOCK].copy()
-        highs = nearest.highs[start:start + _BLOCK].copy()
-        mids = np.empty_like(lows)
-        took_high = np.zeros((len(lows), _MAX_BISECTIONS), dtype=bool)
+        lows = nearest.lows[start:start + _BLOCK]
+        highs = nearest.highs[start:start + _BLOCK]
         active = np.arange(len(lows))
-        for step in range(_MAX_BISECTIONS):
+        for _ in range(_MAX_BISECTIONS):
             active = active[np.fromiter(
                 (angular_distance(lows[i], highs[i]) > ANGULAR_RESOLUTION for i in active),
                 dtype=bool, count=len(active))]
@@ -384,34 +381,12 @@ def _bisect(op: Operator, nearest: _Nearest, max_rank: int,
                     lows[i] = mid
                 else:
                     highs[i] = mid
-                    took_high[i, step] = True
-        for i, low in enumerate(lows):
+        for low, high in zip(lows, highs):
             if any(angular_distance(low, d) <= ANGULAR_RESOLUTION for d in drops):
                 continue
             drops.append(low.copy())
-            neighbors.append(_highs_taken(nearest.lows[start + i], nearest.highs[start + i],
-                                          took_high[i]))
+            neighbors.append(high.copy())
     return drops, neighbors
-
-
-def _highs_taken(low: np.ndarray, high: np.ndarray,
-                 took_high: np.ndarray) -> tuple[np.ndarray, ...]:
-    """high, then the midpoints a bisection from low toward high took as its high end.
-
-    The bisection is stepped again, the same slerp midpoints, each replacing
-    the end that took_high (one flag per step) records.
-    """
-    taken = [high]
-    for took in took_high:
-        if angular_distance(low, high) <= ANGULAR_RESOLUTION:
-            break
-        mid = slerp(low, high, 0.5)
-        if took:
-            high = mid
-            taken.append(mid)
-        else:
-            low = mid
-    return tuple(taken)
 
 
 @dataclass(frozen=True)
@@ -448,11 +423,12 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
                            tol: float = DEFAULT_TOL) -> RankDropWitness:
     """Extract a rank-drop certificate from a NonConstantRank profile.
 
-    xi_low is a refined drop direction; xi_high is the nearby full-rank
-    direction (within WITNESS_MAX_ANGLE) minimizing |A(xi_high) - A(xi_low)|
-    among the refinement samples, ties broken by angular distance and then
-    lexicographic order; the gaps of all candidate pairs are the largest
-    singular values of one stack of real differences M(xi_high) - M(xi_low).
+    Each drop direction is paired with the full-rank end of its bracket
+    (drop_neighbors) when that lies within WITNESS_MAX_ANGLE of it; xi_low
+    and xi_high are the pair minimizing |A(xi_high) - A(xi_low)|, ties
+    broken by angular distance and then lexicographic order.  The gaps of
+    all pairs are the largest singular values of one stack of real
+    differences M(xi_high) - M(xi_low).
     The columns of the kernel projector of M(xi_low) span its kernel; v is
     the column with the largest part off ker A(xi_high), that part
     normalized.
@@ -461,8 +437,8 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
         raise ValueError(f"profile was built for {profile.operator!r}, not {op.name!r}")
     if profile.verdict is not Verdict.NON_CONSTANT_RANK:
         raise NoRankDropError(f"{op.name}: verdict is {profile.verdict.value}, no rank drop")
-    pairs = [(low, high) for low, highs in zip(profile.drop_directions, profile.drop_neighbors)
-             for high in highs if angular_distance(low, high) <= WITNESS_MAX_ANGLE]
+    pairs = [(low, high) for low, high in zip(profile.drop_directions, profile.drop_neighbors)
+             if angular_distance(low, high) <= WITNESS_MAX_ANGLE]
     if not pairs:
         raise DegenerateWitnessError(f"{op.name}: no full-rank direction near any drop direction")
     lows, highs = (np.array(side) for side in zip(*pairs))

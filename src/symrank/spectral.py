@@ -74,7 +74,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .operators import (Operator, _column_monomials, _column_stack, multi_indices,
+from .operators import (Operator, _column_count, _column_monomials, _column_stack, multi_indices,
                         multinomial_weight)
 from .pinv import (DEFAULT_TOL, _fiber_norm, _held_entries, _norm, _refuse_beyond_memory,
                    kernel_projector, pinv_svd)
@@ -287,6 +287,16 @@ def _derivative_fibers(op: Operator) -> int:
     return op.dim_v * math.comb(op.n + op.k - 1, op.k)
 
 
+def _derivative_columns(op: Operator) -> int:
+    """Reals per frequency of the monomials _derivatives forms D^k phi from.
+
+    operators._column_count of the C(n + k - 1, k) multi-indices of order
+    k, whose largest exponent on every axis is k: n (k - 1) power columns
+    beside them, in Python ints.
+    """
+    return math.comb(op.n + op.k - 1, op.k) + op.n * max(op.k - 1, 0)
+
+
 def _refuse_oversized(op: Operator, grid: Grid, count: int, per_frequency: float,
                       grid_entries: int = 0) -> None:
     """Raise MemoryError, before anything is allocated, when a route on this grid cannot fit.
@@ -310,11 +320,14 @@ def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     times an entry is symbol(op, xi) exactly.  Frequency axes in fft layout
     come first and the matrix axes last: the (..., m, n) stack layout of the
     pinv routines.  Raises MemoryError before building when the grid is too
-    large (_refuse_oversized), counting the table and the largest field
-    the calculus makes, all order-k derivatives.
+    large (_refuse_oversized), counting the table, the monomials it is
+    formed from (operators._column_count) and the largest field the
+    calculus makes, all order-k derivatives, with their monomials
+    (_derivative_columns).
     """
     count = grid.size ** grid.n
-    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + 2 * _derivative_fibers(op))
+    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + _column_count(op.alpha_array)
+                      + 2 * _derivative_fibers(op) + _derivative_columns(op))
     stack = _column_stack(op, _frequency_axes(grid))
     stack.setflags(write=False)
     return stack
@@ -373,14 +386,17 @@ def _mesh_table(op: Operator, grid: Grid, tol: float, pseudoinverse: bool) -> np
 
     Refused when too large (_refuse_oversized), counting per frequency both
     tables, what the pinv routine holds beside its output
-    (pinv._held_entries) and the largest field, all order-k derivatives.
+    (pinv._held_entries), the symbol's monomials (operators._column_count)
+    and the largest field, all order-k derivatives, with their monomials
+    (_derivative_columns).
     """
     count = grid.size ** grid.n
     routine = pinv_svd if pseudoinverse else kernel_projector
     cols = op.dim_w if pseudoinverse else op.dim_v
     _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + op.dim_v * cols
                       + _held_entries(routine, op.dim_w, op.dim_v, count)
-                      + 2 * _derivative_fibers(op))
+                      + _column_count(op.alpha_array) + 2 * _derivative_fibers(op)
+                      + _derivative_columns(op))
     table = routine(_symbol_tensor(op, grid), tol)
     table.setflags(write=False)
     return table
@@ -583,9 +599,10 @@ def _trial_entries(op: Operator) -> int:
     """Real entries per frequency of a ratio or minimality trial on a spectrum's coefficients.
 
     Complex: six arrays of max(dimV, dimW) fibers (phi, phi - P_A phi, a
-    _matvec output, _norm's magnitudes, temporaries) and D^k phi or A phi.
+    _matvec output, _norm's magnitudes, temporaries) and D^k phi or A phi;
+    real: the monomials D^k phi is formed from (_derivative_columns).
     """
-    return 2 * (6 * max(op.dim_v, op.dim_w) + _band_fibers(op))
+    return 2 * (6 * max(op.dim_v, op.dim_w) + _band_fibers(op)) + _derivative_columns(op)
 
 
 def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0) -> _Spectrum:
@@ -593,7 +610,8 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
 
     Raises MemoryError before a table is looked up when the route does not
     fit (_refuse_oversized), counting per frequency the tables (M, P_A, the
-    weights) and the larger of the projector build and a trial, with held
+    weights) and the largest of the symbol's monomials
+    (operators._column_count), the projector build and a trial, with held
     complex fibers the caller keeps beside it (a windowed ladder's witness
     field) and, at p != 2, one fiber's magnitudes and the accumulator of
     _grid_norm (_mesh_norm), one real each.  The frequencies are the sparse
@@ -605,7 +623,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + 1
     trial = _trial_entries(op) + 2 * held + (2 if p != 2.0 else 0)
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
-    _refuse_oversized(op, grid, count, tables + max(build, trial))
+    _refuse_oversized(op, grid, count, tables + max(_column_count(op.alpha_array), build, trial))
     projector = _kernel_projector_table(op, grid, float(tol))
     xis = _frequency_axes(grid)
     weights = _xi_weights(xis, op.k)
@@ -706,8 +724,9 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     route does not fit (_refuse_oversized), both before any table is built
     or field drawn.  The estimate counts per primary the band's tables
     (_tables, 2 |xi|^2k formed here) with the primaries and their scatter
-    positions (dimW dimV + dimV^2 + n + 3 reals) and the larger of their
-    build and a trial.  At p != 2 it adds the grid route's buffers
+    positions (dimW dimV + dimV^2 + n + 3 reals) and the largest of the
+    symbol's monomials (operators._column_count), the projector build and
+    a trial.  At p != 2 it adds the grid route's buffers
     (_band_buffers), one fiber and the accumulator beside the half
     spectrum, whatever the fiber count of the field.
     A field here is its (fiber, P) values at the primaries (_band_draw),
@@ -723,7 +742,9 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
                            for shape, dtype in _band_buffers(grid, max_freq).values())
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
-    _refuse_oversized(op, grid, count, tables + max(build, _trial_entries(op)), grid_entries)
+    _refuse_oversized(op, grid, count,
+                      tables + max(_column_count(op.alpha_array), build, _trial_entries(op)),
+                      grid_entries)
     primaries = _primaries(op.n, max_freq)
     symbols, projector = _tables(op, primaries, float(tol))
     weights = 2.0 * _xi_weights(primaries, op.k)

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import symrank
 from symrank import cli, experiments, pinv, spectral
 from symrank.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_NO_RANK_DROP,
                          EXIT_NON_CONSTANT_RANK, EXIT_OK, main)
@@ -500,6 +504,19 @@ def test_estimate_beyond_a_float_is_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT_ERROR and out == ""
     assert err.startswith("error: out of memory:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "minimality"])
+def test_huge_order_in_one_dimension_is_refused(tmp_path, command):
+    # d^(2^62 + 5) has one derivative fiber, but forming its monomials took a loop of
+    # about 2^62 powers: run in a child, so that a hang fails the test at its timeout
+    path = tmp_path / "huge.json"
+    path.write_text(one_term_document([2 ** 62 + 5]))
+    env = dict(os.environ, PYTHONPATH=str(Path(symrank.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "symrank", command, str(path), "--N", "8"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == EXIT_INPUT_ERROR and done.stdout == ""
+    assert done.stderr.startswith("error: out of memory:") and done.stderr.count("\n") == 1
 
 
 def test_grid_route_beyond_a_float_is_refused(capsys):

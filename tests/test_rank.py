@@ -262,8 +262,8 @@ def test_sweep_in_blocks_matches_the_one_shot_sweep(name, count):
         assert profile.ranks.dtype == np.uint8 and np.array_equal(profile.ranks, ranks)
     assert [d.tobytes() for d in blocks.drop_directions] == \
         [d.tobytes() for d in whole.drop_directions]
-    assert [[h.tobytes() for h in hs] for hs in blocks.drop_neighbors] == \
-        [[h.tobytes() for h in hs] for hs in whole.drop_neighbors]
+    assert [h.tobytes() for h in blocks.drop_neighbors] == \
+        [h.tobytes() for h in whole.drop_neighbors]
     # the full-rank direction a low-rank sample is bisected toward: the nearest of
     # a gathered copy of the full-rank directions, the first of ties
     full = np.compress(ranks == blocks.max_rank, directions, axis=0)
@@ -282,7 +282,8 @@ def one_at_a_time(op, num_samples, tol):
     Each low-rank sample, in index order, is paired with the nearest of a
     gathered copy of the full-rank samples (the first of ties) and bisected
     with one single-matrix rank per step; a drop within ANGULAR_RESOLUTION
-    of one found before it is dropped.
+    of one found before it is dropped, and a kept one's neighbour is the
+    full-rank end of its final bracket.
     """
     directions = sphere_samples(op.n, num_samples, 0)
     ranks = numerical_rank(_real_stack(op, directions), tol)
@@ -292,7 +293,6 @@ def one_at_a_time(op, num_samples, tol):
     for i in np.flatnonzero(ranks < top):
         lo = directions[i]
         hi = full[int(np.argmax(np.minimum(full @ lo, 1.0)))]
-        seen = [hi]
         for _ in range(rank._MAX_BISECTIONS):
             if angular_distance(lo, hi) <= ANGULAR_RESOLUTION:
                 break
@@ -301,11 +301,10 @@ def one_at_a_time(op, num_samples, tol):
                 lo = mid
             else:
                 hi = mid
-                seen.append(hi)
         if any(angular_distance(lo, d) <= ANGULAR_RESOLUTION for d in drops):
             continue
         drops.append(lo)
-        neighbors.append(seen)
+        neighbors.append(hi)
     order = sorted(range(len(drops)), key=lambda i: tuple(drops[i]))
     return [drops[i] for i in order], [neighbors[i] for i in order]
 
@@ -331,8 +330,7 @@ def test_lockstep_bisection_matches_one_bisection_at_a_time(op, num_samples, tol
     drops, neighbors = one_at_a_time(op, num_samples, tol)
     assert profile.verdict is Verdict.NON_CONSTANT_RANK and drops
     assert [d.tobytes() for d in profile.drop_directions] == [d.tobytes() for d in drops]
-    assert [[h.tobytes() for h in hs] for hs in profile.drop_neighbors] == \
-        [[h.tobytes() for h in hs] for hs in neighbors]
+    assert [h.tobytes() for h in profile.drop_neighbors] == [h.tobytes() for h in neighbors]
 
 
 @pytest.mark.parametrize("op, tol", [(LAP_PLUS_D1D2, 0.3), (CROSS, pinv.DEFAULT_TOL)],
@@ -463,12 +461,30 @@ def test_wave_drop_directions_are_diagonals():
 def test_drop_neighbors_are_close_and_full_rank():
     profile = rank_profile(zoo_get("d1d2"), num_samples=128)
     op = zoo_get("d1d2")
-    for low, highs in zip(profile.drop_directions, profile.drop_neighbors):
-        assert len(highs) >= 1
-        nearest = min(angular_distance(low, h) for h in highs)
-        assert nearest <= ANGULAR_RESOLUTION
-        for h in highs:
-            assert abs(symbol(op, h)[0, 0]) > 0.0
+    assert len(profile.drop_neighbors) == len(profile.drop_directions)
+    for low, high in zip(profile.drop_directions, profile.drop_neighbors):
+        assert angular_distance(low, high) <= ANGULAR_RESOLUTION
+        assert abs(symbol(op, high)[0, 0]) > 0.0
+
+
+@given(st.sampled_from([(a, b) for a in range(1, 4) for b in range(1, 4) if a + b <= 4]),
+       st.integers(3, 400), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_each_drop_keeps_the_full_rank_end_of_its_bracket(powers, num_samples, seed):
+    # d1^a d2^b vanishes on the axes: every drop's neighbour is the full-rank end of
+    # its final bracket, and the witness is one of those pairs
+    op = Operator("d1^a d2^b", 2, sum(powers), 1, 1, ((powers, ((1.0,),)),))
+    profile = rank_profile(op, num_samples=num_samples, seed=seed)
+    assert profile.verdict is Verdict.NON_CONSTANT_RANK
+    assert len(profile.drop_neighbors) == len(profile.drop_directions)
+    for low, high in zip(profile.drop_directions, profile.drop_neighbors):
+        assert high.shape == (2,)
+        assert angular_distance(low, high) <= ANGULAR_RESOLUTION
+    ranks = numerical_rank(_real_stack(op, np.array(profile.drop_neighbors)))
+    assert (ranks == profile.max_rank).all()
+    witness = find_rank_drop_witness(op, profile)
+    assert any(np.array_equal(witness.xi_low, low) and np.array_equal(witness.xi_high, high)
+               for low, high in zip(profile.drop_directions, profile.drop_neighbors))
 
 
 def test_profile_to_dict_serializes():
@@ -514,6 +530,25 @@ def test_witness_requires_rank_drop():
 def test_witness_profile_name_guard():
     with pytest.raises(ValueError, match="profile was built for"):
         find_rank_drop_witness(zoo_get("wave"), rank_profile(zoo_get("d1d2"), num_samples=64))
+
+
+def hand_built_profile(op, low, high):
+    return rank.RankProfile(operator=op.name, ranks=np.array([0, 1], dtype=np.uint8),
+                            tolerance=pinv.DEFAULT_TOL, min_rank=0, max_rank=1,
+                            verdict=Verdict.NON_CONSTANT_RANK,
+                            drop_directions=(low,), drop_neighbors=(high,))
+
+
+def test_witness_refuses_a_neighbour_beyond_its_angle():
+    # a profile built by hand need not hold its neighbours within reach of its drops
+    op, low = zoo_get("d1d2"), np.array([1.0, 0.0])
+    for angle in (rank.WITNESS_MAX_ANGLE * 1.01, 1.0):
+        high = np.array([math.cos(angle), math.sin(angle)])
+        with pytest.raises(DegenerateWitnessError, match="no full-rank direction near"):
+            find_rank_drop_witness(op, hand_built_profile(op, low, high))
+    high = np.array([math.cos(0.05), math.sin(0.05)])
+    witness = find_rank_drop_witness(op, hand_built_profile(op, low, high))
+    assert np.array_equal(witness.xi_low, low) and np.array_equal(witness.xi_high, high)
 
 
 @pytest.mark.parametrize("name", ["d1d2", "wave"])

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (_MAX_RUNGS, CONTEXT_WITNESS_FAMILY, TrialRecord, _minimality, _ratio,
-                          _rung_ratio, _witness_fields, assemble_report, build_frequency_ladder,
+                          _rung_ratios, _witness_fields, assemble_report, build_frequency_ladder,
                           ratio_sweep)
 from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
@@ -141,18 +141,21 @@ def cmd_counterexample(args) -> int:
 
     --factor, --rungs and --window are checked before the sphere sweep, so
     an invalid one exits 1 whatever the operator (past 52 rungs a rung has
-    no exact float64 frequency).  An exact rung (no
-    --window) is a single mode, one coefficient at its frequency, whose
-    ratio is the same at every p; it is taken there alone at p = 2
-    (_rung_ratio), and nothing of size N^n is built.  A windowed rung
-    spreads over the whole mesh, so its witness field and the N^n tables
-    are built: the whole-mesh spectrum (_mesh_spectrum) is built once,
-    before the first witness, and refuses an oversized grid by an estimate
-    that counts the tables, a ratio's trial and one witness field; the
-    envelope is one factor of N entries per axis.  Each windowed field is
-    measured on it by _ratio before the next one is built
-    (_witness_fields), so the ladder holds one N^n witness field at a time,
-    and its ratios are bitwise those of estimate_ratio on witness_family's
+    no exact float64 frequency).  An exact rung (no --window) is a single
+    mode, one coefficient at its frequency, whose ratio is the same at
+    every p; it is taken there alone at p = 2 (_rung_ratios, with every
+    rung's probe and tables in one stack each), and nothing of size N^n is
+    built.  A windowed rung spreads over the whole mesh, so the N^n symbol
+    and projector tables are built: the whole-mesh spectrum
+    (_mesh_spectrum) is built once, before the first witness, and refuses
+    an oversized grid up front; the envelope is one factor of N entries per
+    axis.  At p = 2 each rung's witness is built one slab of first-axis
+    planes at a time by its builder (_witness_fields) and measured there,
+    so the ladder holds the two tables and one slab, and the estimate
+    counts just that.  At any other p the norms need grid values, so each
+    rung's whole field is built and measured before the next one, and the
+    estimate counts one N^n witness field beside a ratio's trial.  Either
+    way the ratios are bitwise those of estimate_ratio on witness_family's
     list.
     """
     if not (math.isfinite(args.factor) and args.factor > 0):
@@ -171,16 +174,14 @@ def cmd_counterexample(args) -> int:
     ladder = build_frequency_ladder(op, witness, rungs=args.rungs, tol=args.tol)
     grid = Grid(op.n, args.N)
     if args.window is None:
-        ratios = [_rung_ratio(op, grid, freq, args.tol) for freq in ladder]
+        ratios = _rung_ratios(op, grid, ladder, args.tol)
     else:
-        # the spectrum refuses an oversized grid before any witness is built, counting
-        # a witness field beside a ratio's trial
-        spectrum = _mesh_spectrum(op, grid, args.tol, args.p, held=op.dim_v)
-        ratios = []
-        for phi in _witness_fields(op, ladder, grid, args.window, args.tol):
-            ratios.append(_ratio(op, spectrum, phi.coeffs, args.p, args.tol))
-            # the loop variable would hold this field while the next one is built
-            del phi
+        # the spectrum refuses an oversized grid before any witness is built; at p != 2
+        # it counts a whole witness field beside a ratio's trial, at p = 2 one slab
+        spectrum = _mesh_spectrum(op, grid, args.tol, args.p,
+                                  held=0 if args.p == 2.0 else op.dim_v)
+        ratios = [_ratio(op, spectrum, build, args.p, args.tol)
+                  for build in _witness_fields(op, ladder, grid, args.window, args.tol)]
     records = []
     for index, (freq, ratio) in enumerate(zip(ladder, ratios)):
         label = "xi=[" + " ".join(str(x) for x in freq) + "]"

@@ -9,19 +9,23 @@ constant rank on the sphere, and is driven to infinity along witness
 families concentrated near rank-drop directions otherwise.  Every piece of
 it is a Fourier multiplier, so the ratio and the minimality check work on
 coefficients; only a p != 2 norm needs grid values, and at p = 2 both
-sides are coefficient sums (Parseval).  One private pipeline each, _ratio
-and _minimality, runs on whichever spectrum (spectral._Spectrum) its
-caller hands it: the whole mesh, as the public functions pass, or the
-primaries of a band, as ratio_sweep and the minimality command pass for
-the random fields they draw, which never touch the N^n tables.  An exact
-witness rung is one coefficient at one frequency (_rung), and the
-counterexample command takes its ratio there (_rung_ratio), with no
-witness field and no N^n table: a single mode's ratio is the same at
-every p, so it is taken at p = 2.
+sides are coefficient sums (Parseval), taken one slab of the spectrum at
+a time.  One private pipeline each, _ratio and _minimality, runs on
+whichever spectrum (spectral._Spectrum) its caller hands it: the whole
+mesh, as the public functions pass, or the primaries of a band, as
+ratio_sweep and the minimality command pass for the random fields they
+draw, which never touch the N^n tables.  An exact witness rung is one
+coefficient at one frequency (_rungs), and the counterexample command
+takes its ratio there (_rung_ratios), with no witness field and no N^n
+table: a single mode's ratio is the same at every p, so it is taken at
+p = 2.  A windowed rung's builder (_witness_fields) gives its
+coefficients on any run of first-axis planes, so a p = 2 ladder builds
+and measures it one slab at a time.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Spectrum,
                        _band_spectrum, _bump_coefficients, _check_field, _derivatives, _envelope,
-                       _matvec, _mesh_spectrum, _rung_spectrum, _symbol_tensor)
+                       _matvec, _mesh_spectrum, _rung_spectra, _slab_total, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -60,53 +64,61 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
 
     phi is a GridField, transformed once, or its FrequencyField, and the
     ratio is taken by _ratio on the whole mesh of coefficients: at p = 2 as
-    a quotient of coefficient l2 norms (Parseval), with no transform; at
-    any other p with two inverse transforms.  Raises ValueError unless
-    p >= 1, or when an intermediate field is not finite, and
-    KernelInputError when ||phi - P_A phi||_2 <= tol * ||phi||_2 (P_A uses
-    pinv's relative cutoff, so A -> cA scales the ratio by 1/c and rejects
-    the same fields), and MemoryError before any table is built when the
-    whole-mesh route does not fit (_mesh_spectrum).  Invariant under
-    rescaling of phi; for p = 2 this is the sharp constant of the
+    a quotient of coefficient l2 norms (Parseval), one slab at a time, with
+    no transform; at any other p with two inverse transforms.  Raises
+    ValueError unless p >= 1, or when an intermediate field is not finite,
+    and KernelInputError when ||phi - P_A phi||_2 <= tol * ||phi||_2 (P_A
+    uses pinv's relative cutoff, so A -> cA scales the ratio by 1/c and
+    rejects the same fields), and MemoryError before any table is built
+    when the whole-mesh route does not fit (_mesh_spectrum).  Invariant
+    under rescaling of phi; for p = 2 this is the sharp constant of the
     derivative recovery estimate on the given field.
     """
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
-    return _ratio(op, _mesh_spectrum(op, freq.grid, tol, p), freq.coeffs, p, tol)
+    # at p = 2 a trial holds one slab, and phi is held whole beside it
+    spectrum = _mesh_spectrum(op, freq.grid, tol, p, held=op.dim_v if p == 2.0 else 0)
+    return _ratio(op, spectrum, freq.coeffs, p, tol)
 
 
-def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol: float) -> float:
+def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> float:
     """estimate_ratio of the field with these coefficients on spectrum.
 
     spectrum is the whole mesh (_mesh_spectrum), the primaries of a band
-    (_band_spectrum) or, at p = 2, an exact rung (_rung_spectrum), and
-    coeffs the (dimV, ...) coefficients there.  phi - P_A phi is formed,
-    then tested against phi under pinv's cutoff.  At p = 2 both sides are
-    weighted coefficient norms (the spectrum's weights count a primary's
-    mirror).  At any other p D^k(phi - P_A phi), then A phi = i^k M phi, are
-    measured by spectrum.grid_norm, _grid_norm of their grid values (the
-    phase i^k is applied on coefficients, which is exact), one at a time.
-    Nothing on the way is checked for finiteness: a non-finite intermediate
-    makes a norm non-finite, which raises ValueError.
+    (_band_spectrum) or, at p = 2, an exact rung (_rung_spectra), and
+    coeffs the (dimV, ...) coefficients there, or a function of a slab's
+    planes that gives them on those planes alone (_witness_fields), called
+    with slice(None) for the whole field.  At p = 2 both sides are weighted
+    coefficient norms (the spectrum's weights count a primary's mirror),
+    taken one slab at a time (_l2_norms).  At any other p phi - P_A phi is
+    formed on the whole spectrum, then D^k(phi - P_A phi) and A phi = i^k M
+    phi are measured by spectrum.grid_norm, _grid_norm of their grid values
+    (the phase i^k is applied on coefficients, which is exact), one at a
+    time.  Either way phi - P_A phi is tested against phi under pinv's
+    cutoff first.  Nothing on the way is checked for finiteness: a
+    non-finite intermediate makes a norm non-finite, which raises
+    ValueError.
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
-    weights = spectrum.norm_weights
+    field = coeffs if callable(coeffs) else (lambda planes: coeffs[:, planes])
     with np.errstate(over="ignore", invalid="ignore"):
-        resolved = _matvec(spectrum.projector, coeffs)
-        np.subtract(coeffs, resolved, out=resolved)
-        if _norm(resolved, weights=weights) <= tol * _norm(coeffs, weights=weights):
-            raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
-        # M phi has the norms of A phi = i^k M phi
         if p == 2.0:
-            numerator = float(_norm(resolved, weights=spectrum.derivative_weights))
-            del resolved
-            denominator = float(_norm(_matvec(spectrum.symbols, coeffs), weights=weights))
+            kernel, whole, numerator, denominator = _l2_norms(spectrum, field)
         else:
+            coeffs = field(slice(None))
+            weights = spectrum.norm_weights
+            resolved = _matvec(spectrum.projector, coeffs)
+            np.subtract(coeffs, resolved, out=resolved)
+            kernel, whole = _norm(resolved, weights=weights), _norm(coeffs, weights=weights)
+        if kernel <= tol * whole:
+            raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
+        if p != 2.0:
             derivatives = _derivatives(op.k, resolved, spectrum.xis)
             del resolved
             numerator = spectrum.grid_norm(derivatives, p)
             del derivatives
+            # M phi has the norms of A phi = i^k M phi
             image = _matvec(spectrum.symbols, coeffs)
             image *= 1j ** op.k
             denominator = spectrum.grid_norm(image, p)
@@ -115,93 +127,132 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, p: float, tol:
     return numerator / denominator
 
 
-def _rung(op: Operator, freq: tuple[int, ...], grid: Grid,
-          tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The probe of a witness rung at freq and the one coefficient of its exact single mode.
+def _l2_norms(spectrum: _Spectrum, field) -> tuple[float, float, float, float]:
+    """||phi - P_A phi||, ||phi||, ||D^k(phi - P_A phi)|| and ||A phi|| in L2, a slab at a time.
 
-    The probe is u_{r-1}, the left singular vector of M(xi)'s smallest kept
-    singular value, with M(xi) read by _real_stack (bitwise the symbol
-    table's entry).  M is the real factor of A = i^k M, so u_{r-1} is real
-    and a left singular vector of A(xi) as well.  r is the rank under pinv's
-    one cutoff (_kept), so |A*(xi) u_{r-1}| = sigma_r(A(xi)) is the singular
-    value that vanishes at a rank drop, and an exact rung's ratio is |xi|^k /
-    sigma_r(A(xi)).  The probe comes back scaled exactly by the power of two
-    that brings sigma_max(A(xi)) into [0.5, 1), so no field built from it
-    overflows under A.  The coefficient is A*(xi) u (2pi)^(n/2) = (-i)^k
-    M(xi)^T u (2pi)^(n/2).  Raises ValueError for a zero frequency or
-    |xi|_inf > N/4, and DegenerateProbeError where the symbol vanishes (r =
-    0).
+    field(planes) gives phi's coefficients on a slab's planes
+    (spectrum.slabs()); M phi has the norms of A phi = i^k M phi.  Each slab
+    holds its projection and image only while its four norms are taken, and
+    each norm is _slab_total of the slabs' norms.
     """
-    if not any(freq):
-        raise ValueError("frequencies must be nonzero integer vectors")
-    if max(abs(x) for x in freq) > grid.size // 4:
-        raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
-                         f"(|xi|_inf must be <= {grid.size // 4})")
-    symbol = _real_stack(op, [freq])[0]
-    u, sigma, _ = _svd(symbol, want_u=True)
-    rank = np.count_nonzero(_kept(sigma, tol))
-    if not rank:
-        raise DegenerateProbeError(f"{op.name}: the symbol vanishes at {freq}")
-    probe = u[:, rank - 1] * np.ldexp(1.0, -np.frexp(sigma[0])[1])
-    coefficient = (-1j) ** op.k * np.einsum("ij,i->j", symbol, probe)
-    coefficient *= TWO_PI ** (grid.n / 2.0)
-    return probe, coefficient
+    weights = spectrum.norm_weights
+    parts = []
+    for slab in spectrum.slabs():
+        phi = field(slab.planes)
+        resolved = _matvec(slab.projector, phi)
+        np.subtract(phi, resolved, out=resolved)
+        parts.append((_norm(resolved, weights=weights), _norm(phi, weights=weights),
+                      _norm(resolved, weights=slab.derivative_weights),
+                      _norm(_matvec(slab.symbols, phi), weights=weights)))
+    return tuple(_slab_total(norms) for norms in zip(*parts))
 
 
-def _rung_ratio(op: Operator, grid: Grid, freq: tuple[int, ...], tol: float) -> float:
-    """estimate_ratio of witness_family's exact rung at freq, at every p, on that one frequency.
+def _rungs(op: Operator, frequencies: list[tuple[int, ...]], grid: Grid,
+           tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The probes of witness rungs at frequencies and the one coefficient of each exact single mode.
 
-    The rung is a single mode c exp(i x.xi), with the same modulus at every
+    A rung's probe is u_{r-1}, the left singular vector of M(xi)'s smallest
+    kept singular value, with M read by _real_stack (bitwise the symbol
+    table's entry) and every rung decomposed in one _svd stack.  M is the
+    real factor of A = i^k M, so u_{r-1} is real and a left singular vector
+    of A(xi) as well.  r is the rank under pinv's one cutoff (_kept), so
+    |A*(xi) u_{r-1}| = sigma_r(A(xi)) is the singular value that vanishes at
+    a rank drop, and an exact rung's ratio is |xi|^k / sigma_r(A(xi)).  A
+    probe comes back scaled exactly by the power of two that brings
+    sigma_max(A(xi)) into [0.5, 1), so no field built from it overflows
+    under A.  The coefficient is A*(xi) u (2pi)^(n/2) = (-i)^k M(xi)^T u
+    (2pi)^(n/2).  Raises ValueError for a zero frequency or |xi|_inf > N/4,
+    at the first such rung, before anything is decomposed, and then
+    DegenerateProbeError at the first rung where the symbol vanishes (r =
+    0).  probes is (rungs, dimW).
+    """
+    for freq in frequencies:
+        if not any(freq):
+            raise ValueError("frequencies must be nonzero integer vectors")
+        if max(abs(x) for x in freq) > grid.size // 4:
+            raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
+                             f"(|xi|_inf must be <= {grid.size // 4})")
+    symbols = _real_stack(op, frequencies)
+    u, sigma, _ = _svd(symbols, want_u=True)
+    ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
+    for freq, rank in zip(frequencies, ranks):
+        if not rank:
+            raise DegenerateProbeError(f"{op.name}: the symbol vanishes at {freq}")
+    scales = np.ldexp(1.0, -np.frexp(sigma[:, 0])[1])
+    probes = u[np.arange(len(ranks)), :, ranks - 1] * scales[:, None]
+    coefficients = []
+    for symbol, probe in zip(symbols, probes):
+        coefficient = (-1j) ** op.k * np.einsum("ij,i->j", symbol, probe)
+        coefficient *= TWO_PI ** (grid.n / 2.0)
+        coefficients.append(coefficient)
+    return probes, coefficients
+
+
+def _rung_ratios(op: Operator, grid: Grid, frequencies, tol: float) -> list[float]:
+    """estimate_ratio of witness_family's exact rungs at frequencies, at every p, each on its own.
+
+    A rung is a single mode c exp(i x.xi), with the same modulus at every
     grid point, so its Riemann sums and its grid maximum are exact and each
     of its L^p norms is its L2 norm times (2pi)^(n/p - n/2).  D^k(phi - P_A
     phi) and A phi are single modes at the same xi, so that factor cancels
     and the ratio is the same at every p >= 1 and at inf.  It is _ratio at
-    p = 2 of the rung's one coefficient on _rung_spectrum, bitwise the
-    whole-mesh p = 2 ratio of the witness field; grid gives n and the
-    |xi|_inf <= N/4 bound.  Raises as _rung does, before anything is built.
+    p = 2 of the rung's one coefficient on its spectrum (_rung_spectra),
+    bitwise the whole-mesh p = 2 ratio of the witness field; grid gives n
+    and the |xi|_inf <= N/4 bound.  The probes are one _svd stack and the
+    tables one kernel_projector stack (_rungs, _rung_spectra), so a ladder
+    of any length makes two pinv calls.  Raises as _rungs does, before
+    anything is built.
     """
-    coefficient = _rung(op, freq, grid, tol)[1]
-    return _ratio(op, _rung_spectrum(op, freq, tol), coefficient[:, None], 2.0, tol)
+    coefficients = _rungs(op, frequencies, grid, tol)[1]
+    spectra = _rung_spectra(op, frequencies, tol)
+    return [_ratio(op, spectrum, coefficient[:, None], 2.0, tol)
+            for spectrum, coefficient in zip(spectra, coefficients)]
+
+
+def _rung_ratio(op: Operator, grid: Grid, freq: tuple[int, ...], tol: float) -> float:
+    """_rung_ratios of the one rung at freq."""
+    return _rung_ratios(op, grid, [freq], tol)[0]
 
 
 def witness_family(op: Operator, frequencies, grid: Grid, window: float | None = None,
                    tol: float = DEFAULT_TOL) -> list[FrequencyField]:
     """One field per integer frequency xi_m, as coefficients: A* applied to a probe wave.
 
-    The probe u is _rung's real u_{r-1} at xi_m.  The wave envelope(x)
+    The probe u is _rungs' real u_{r-1} at xi_m.  The wave envelope(x)
     exp(i x.xi_m) u has, by the discrete shift theorem, the field
     coefficient A*(eta) u * envelope_hat(eta - xi_m) at eta: the envelope's
     coefficients rolled by xi_m times A*(eta) u = (-i)^k M(eta)^T u, the
     real symbol table contracted with u times the phase, so no rung is
     transformed.  For window = None the envelope is 1, one coefficient
     (2pi)^(n/2) at frequency zero, and the rung is the exact single mode
-    A*(xi_m) u at xi_m: its one coefficient, _rung's, is written directly
+    A*(xi_m) u at xi_m: its one coefficient, _rungs', is written directly
     and no N^n table is read, and P_A phi_m = 0 and estimate_ratio at any p
     equals |xi_m|^k / sigma_r(A(xi_m)).  A window in (0, 1] is the width of
     periodic_bump (a fraction of the torus), whose coefficients are the
     product over the axes of its one-axis profile's, transformed once per
     family (_bump_coefficients), and the N^n symbol table is contracted
     with the probe; the windowed ratio approaches the single-mode value as
-    the window widens.
+    the window widens.  Each field is built whole by _witness_fields'
+    builder, the one a windowed counterexample ladder builds slab by slab.
     Raises ValueError for no frequencies, a window outside (0, 1], a zero
     frequency or |xi_m|_inf > N/4, and DegenerateProbeError where the symbol
     vanishes.
     """
-    return list(_witness_fields(op, frequencies, grid, window, tol))
+    return [FrequencyField(grid, build()) for build in _witness_fields(op, frequencies, grid,
+                                                                        window, tol)]
 
 
 def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None, tol: float):
-    """witness_family's fields one rung at a time, a generator.
+    """witness_family's fields one rung at a time, a generator of builders.
 
-    The arguments are checked, and the envelope's one-axis factor and the
-    symbol table formed, at the first field.  A windowed rung contracts the
-    symbol table with its probe into the real parts of its complex field,
-    then multiplies that in place by (-i)^k and by the factor rolled to
-    the rung, one axis at a time (spectral._envelope), so no real copy,
-    bump, envelope or rolled copy the size of the grid is made.  A rung's
-    field is dropped here before the next one is built, so a caller that
-    measures each field before asking for the next holds one N^n field,
-    not the whole family.
+    The arguments are checked, every rung's probe and coefficient formed
+    (_rungs, one _svd stack), and the envelope's one-axis factor and the
+    symbol table looked up, at the first builder.  A rung's builder,
+    called with a slice of first-axis planes (all of them by default),
+    returns its (dimV, rows, N, ..., N) coefficients on those planes alone
+    (_witness), so a caller can take a p = 2 norm slab by slab and hold no
+    N^n field, or build the whole field, as witness_family does; either
+    way every entry has the same bits.
     """
     frequencies = [tuple(int(x) for x in freq) for freq in frequencies]
     if not frequencies:
@@ -210,20 +261,38 @@ def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None,
         raise ValueError("window width must lie in (0, 1]")
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
+    probes, coefficients = _rungs(op, frequencies, grid, tol)
+    symbols = factor = None
     if window is not None:
         factor = _bump_coefficients(grid, window)
         symbols = _symbol_tensor(op, grid)
-    for freq in frequencies:
-        probe, coefficient = _rung(op, freq, grid, tol)
-        coeffs = np.zeros((op.dim_v,) + grid.shape, dtype=complex)
-        if window is None:
-            coeffs[(slice(None),) + tuple(x % grid.size for x in freq)] = coefficient
-        else:
-            np.einsum("...ij,i->j...", symbols, probe, out=coeffs.real)
-            coeffs *= (-1j) ** op.k
-            _envelope(coeffs, factor, freq)
-        yield FrequencyField(grid, coeffs)
-        del coeffs
+    for freq, probe, coefficient in zip(frequencies, probes, coefficients):
+        yield partial(_witness, op, grid, freq, probe, coefficient, symbols, factor)
+
+
+def _witness(op: Operator, grid: Grid, freq: tuple[int, ...], probe: np.ndarray,
+             coefficient: np.ndarray, symbols: np.ndarray | None, factor: np.ndarray | None,
+             planes: slice = slice(None)) -> np.ndarray:
+    """The witness rung at freq on the first-axis planes planes of the mesh: the one builder.
+
+    An exact rung (factor None) writes its one coefficient if its frequency
+    lies on those planes.  A windowed rung contracts the symbol table there
+    with its probe into the real parts of its complex coefficients, then
+    multiplies them in place by (-i)^k and by the factor rolled to the
+    rung, one axis at a time (spectral._envelope), so no real copy, bump,
+    envelope or rolled copy the size of the grid is made.
+    """
+    rows = range(grid.size)[planes]
+    coeffs = np.zeros((op.dim_v, len(rows)) + grid.shape[1:], dtype=complex)
+    if factor is None:
+        at = tuple(x % grid.size for x in freq)
+        if at[0] in rows:
+            coeffs[(slice(None), at[0] - rows.start) + at[1:]] = coefficient
+    else:
+        np.einsum("...ij,i->j...", symbols[planes], probe, out=coeffs.real)
+        coeffs *= (-1j) ** op.k
+        _envelope(coeffs, factor, freq, planes)
+    return coeffs
 
 
 def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 4,
@@ -240,7 +309,8 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     +-e_i that is usable is taken.  For the mixed second derivative with
     u = e1 this yields the family (m, 1), m = 2^(j+1).  Raises
     DegenerateProbeError when no candidate of a rung is usable, and
-    ValueError unless 1 <= rungs <= _MAX_RUNGS.
+    ValueError unless 1 <= rungs <= _MAX_RUNGS.  Every rung's 2n + 1
+    candidates are ranked in one numerical_rank stack.
     """
     if not 1 <= rungs <= _MAX_RUNGS:
         raise ValueError(f"rungs must lie in [1, {_MAX_RUNGS}]")
@@ -248,17 +318,18 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     u = u / np.linalg.norm(u)
     axes = np.eye(op.n, dtype=int)
     offsets = np.vstack([0 * axes[0]] + [s * e for e in axes for s in (1, -1)])
+    scales = [2 ** (j + 1) for j in range(rungs)]
+    cands = np.stack([np.rint(scale * u).astype(int) + offsets for scale in scales])
+    # every rung's candidates in one rank stack, one row of candidates per rung
+    ranks = numerical_rank(_real_stack(op, cands.reshape(-1, op.n)), tol).reshape(rungs, -1)
     ladder = []
-    for j in range(rungs):
-        scale = 2 ** (j + 1)
-        cands = np.rint(scale * u).astype(int) + offsets
-        ranks = numerical_rank(_real_stack(op, cands), tol)
-        usable = np.flatnonzero(ranks == witness.rank_high)
+    for scale, rung, rung_ranks in zip(scales, cands, ranks):
+        usable = np.flatnonzero(rung_ranks == witness.rank_high)
         if not usable.size:
             raise DegenerateProbeError(
                 f"{op.name}: no frequency of rank {witness.rank_high} near rung {scale} "
                 f"of direction {tuple(u)}")
-        ladder.append(tuple(int(x) for x in cands[usable[0]]))
+        ladder.append(tuple(int(x) for x in rung[usable[0]]))
     return ladder
 
 
@@ -274,36 +345,41 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
     here is L2, so the check runs on coefficients (_minimality on the whole
     mesh): phi is a GridField, transformed once, or its FrequencyField, and
     competitors are drawn as coefficients and projected with the cached
-    projector table.
+    projector table, one slab at a time.
     """
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
-    return _minimality(op, _mesh_spectrum(op, freq.grid, tol, 2.0), freq.coeffs, kernel_trials,
-                       seed, slack)
+    # phi and a competitor's draw are held whole beside one slab
+    spectrum = _mesh_spectrum(op, freq.grid, tol, 2.0, held=2 * op.dim_v)
+    return _minimality(op, spectrum, freq.coeffs, kernel_trials, seed, slack)
 
 
 def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_trials: int,
                 seed: int, slack: float) -> bool:
     """l2_minimality_check of the field with these coefficients on spectrum, as for _ratio.
 
-    Each competitor is drawn on the same spectrum (spectrum.draw), and the
-    spectrum's weights give whole-mesh norms, which slack is measured in.
+    Each competitor is drawn on the same spectrum (spectrum.draw), and its
+    projection and distance are taken one slab at a time; the slabs'
+    weights give whole-mesh norms, which slack is measured in.
     """
     if kernel_trials < 1:
         raise ValueError("kernel_trials must be at least 1")
-    projector, weights = spectrum.projector, spectrum.derivative_weights
 
-    def distance(kernel_coeffs: np.ndarray) -> float:
-        # the difference overwrites the kernel coefficients, which nothing reads again
-        np.subtract(coeffs, kernel_coeffs, out=kernel_coeffs)
-        return float(_norm(kernel_coeffs, weights=weights))
+    def distance(field: np.ndarray) -> float:
+        norms = []
+        for slab in spectrum.slabs():
+            # phi minus the slab's projection of field, written over the projection
+            kernel = _matvec(slab.projector, field[:, slab.planes])
+            np.subtract(coeffs[:, slab.planes], kernel, out=kernel)
+            norms.append(_norm(kernel, weights=slab.derivative_weights))
+        return _slab_total(norms)
 
-    base = distance(_matvec(projector, coeffs))
+    base = distance(coeffs)
     for trial in range(kernel_trials):
         # trailing 1 keeps this seed stream disjoint from any [seed, trial]
         # stream a caller used for phi (SeedSequence drops trailing zeros)
         raw = spectrum.draw(op.dim_v, [seed, trial, 1])
-        if base > distance(_matvec(projector, raw)) + slack:
+        if base > distance(raw) + slack:
             return False
     return True
 

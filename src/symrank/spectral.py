@@ -33,38 +33,43 @@ GridField.pointwise_norm scales each point by its own maximum
 (pinv._fiber_norm).
 
 A _Spectrum names the frequencies such a chain runs on, with the tables,
-weights, grid norm and random draw there.  The whole mesh
-(_mesh_spectrum) has the N^n tables and goes back by a complex inverse
-FFT.  Band-limited random fields keep 0 < |xi|_inf <= B <= N/4, so
-products of symbols and fields stay well inside the grid, and are real:
-c(-xi) = conj(c(xi)).  Such a field is its values at the band's
-primaries, one of each pair {xi, -xi}, (2B+1)^n / 2 frequencies whatever
-N is, drawn by one generator call (_band_draw); random_band_limited
-scatters them onto the whole mesh.  The band spectrum (_band_spectrum)
-holds M and P_A at the primaries only (_tables, built per spectrum and
-freed with it), and weights that count each primary twice, for its
-mirror, so at p = 2 it holds nothing of the grid.  At any other p the
-band's own real inverse FFT (_band_grid) forms its grid values: numpy's
-irfftn steps, one fiber at a time, one ifftn on the half spectrum's
-first-axis planes 0..B only, the nonzero ones, then irfft, with irfftn's
-bits, into one fiber's buffer just before _grid_norm squares it.  The
-buffers are listed once (_band_buffers), one fiber and the accumulator
-beside the half spectrum whatever the field's fiber count, and allocated
-when the spectrum is built, so a trial allocates no array the size of
-the grid.
+weights, grid norm and random draw there.  A p = 2 norm reads them one
+slab at a time (_Slab), and the norm is pinv._norm of the slabs' norms.
+The whole mesh (_mesh_spectrum) has the N^n tables, cached for one
+(operator, grid, tol), and goes back by a complex inverse FFT; its slabs
+are runs of first-axis planes of about _MATVEC_CHUNK frequencies, each
+forming its own |xi|^2k from the sparse axes (_mesh_slabs), so a p = 2
+norm on the mesh holds no N^n weight array or temporary.  Band-limited
+random fields keep 0 < |xi|_inf <= B <= N/4, so products of symbols and
+fields stay well inside the grid, and are real: c(-xi) = conj(c(xi)).
+Such a field is its values at the band's primaries, one of each pair
+{xi, -xi}, (2B+1)^n / 2 frequencies whatever N is, drawn by one
+generator call (_band_draw); random_band_limited scatters them onto the
+whole mesh.  The band spectrum (_band_spectrum) holds M and P_A at the
+primaries only (_tables, built per spectrum and freed with it), and
+weights that count each primary twice, for its mirror, in one slab, so
+at p = 2 it holds nothing of the grid.  At any other p the band's own
+real inverse FFT (_band_grid) forms its grid values: numpy's irfftn
+steps, one fiber at a time, one ifftn on the half spectrum's first-axis
+planes 0..B only, the nonzero ones, then irfft, with irfftn's bits, into
+one fiber's buffer just before _grid_norm squares it.  The buffers are
+listed once (_band_buffers), one fiber and the accumulator beside the
+half spectrum whatever the field's fiber count, and allocated when the
+spectrum is built, so a trial allocates no array the size of the grid.
 An exact witness rung is one coefficient at one frequency, and its
-spectrum (_rung_spectrum) holds M and P_A there alone (_tables) and no
-grid route: a single mode has the same modulus at every grid point, so
-its ratio is the same at every p, taken at p = 2, and nothing of size
-N^n is built.
+spectrum (_rung_spectra, every rung of a ladder from one _tables call)
+holds M and P_A there alone and no grid route: a single mode has the
+same modulus at every grid point, so its ratio is the same at every p,
+taken at p = 2, and nothing of size N^n is built.
 
 Every SVD table is one call of a pinv routine, which owns the blocking
 and gives a matrix the same bits anywhere in a stack, so the band and
 rung tables are the mesh tables at their frequencies.  One estimate
 (_refuse_oversized) sizes the mesh and band routes before anything is
 allocated: their tables with what pinv holds while it builds one
-(pinv._held_entries), a trial's fields and, at p != 2, the grid buffers
-of one fiber; an estimate too large for a float is refused too.
+(pinv._held_entries), a trial's fields (one slab's on the mesh at p =
+2, beside the whole fields a caller holds) and, at p != 2, the grid
+buffers of one fiber; an estimate too large for a float is refused too.
 """
 
 import math
@@ -311,7 +316,7 @@ def _refuse_oversized(op: Operator, grid: Grid, count: int, per_frequency: float
                           f"{op.name} on a {grid.size}^{grid.n} grid", "for its tables and fields")
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     """M(xi) over the whole frequency mesh, shape (size, ..., size, dimW, dimV), float64.
 
@@ -323,7 +328,9 @@ def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     large (_refuse_oversized), counting the table, the monomials it is
     formed from (operators._column_count) and the largest field the
     calculus makes, all order-k derivatives, with their monomials
-    (_derivative_columns).
+    (_derivative_columns).  The cache holds one entry, as do those of the
+    projector and pseudoinverse tables: a process measures one (operator,
+    grid, tol), and a second grid's tables replace the first's.
     """
     count = grid.size ** grid.n
     _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + _column_count(op.alpha_array)
@@ -402,7 +409,7 @@ def _mesh_table(op: Operator, grid: Grid, tol: float, pseudoinverse: bool) -> np
     return table
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """Projector onto ker A(xi) per frequency, shape (size, ..., size, dimV, dimV).
 
@@ -414,7 +421,7 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     return _mesh_table(op, grid, tol, pseudoinverse=False)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """M+ per frequency for the real symbol table M, shape (size, ..., size, dimV, dimW).
 
@@ -559,35 +566,81 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
 
 
 @dataclass(frozen=True)
+class _Slab:
+    """A run of a spectrum's frequencies, with what a p = 2 norm reads there.
+
+    planes indexes the first frequency axis of the spectrum's coefficient
+    arrays (fiber, ...): a run of first-axis planes of the whole mesh, or
+    slice(None) for all of a band's primaries or of a rung.  symbols and
+    projector are the spectrum's tables there (views), and
+    derivative_weights |xi|^2k there, times the spectrum's norm_weights.
+    """
+
+    planes: slice
+    symbols: np.ndarray
+    projector: np.ndarray
+    derivative_weights: np.ndarray
+
+
+@dataclass(frozen=True)
 class _Spectrum:
     """The frequencies a coefficient array covers, and what the ratio and minimality read there.
 
     The whole mesh (_mesh_spectrum), the primaries of a band
-    (_band_spectrum) or one exact witness rung (_rung_spectrum).  xis are
+    (_band_spectrum) or one exact witness rung (_rung_spectra).  xis are
     the integer frequencies of the coefficient arrays (fiber, ...) on this
     spectrum, n coordinate arrays that broadcast to their frequency layout
     (on the whole mesh the sparse mesh of _frequency_axes); symbols (...,
     dimW, dimV) and projector (..., dimV, dimV) are the real tables of M
-    and P_A there.  With norm_weights and derivative_weights, pinv._norm of
-    a coefficient array is the whole-mesh L2 norm of its field and of its
-    order-k derivative array.  grid_norm(coeffs, p) gives _grid_norm of the
-    field's grid values (None on a band built for p = 2 and on a rung, whose
-    norms read no grid value).  On the whole mesh it overwrites coeffs with
-    them (_inverse) and takes one fiber's magnitudes at a time (_mesh_norm),
-    so a caller hands it coefficients it does not read again; on a band the
-    band's own real inverse FFT writes one fiber at a time into its buffer
-    (_band_grid).  draw(fiber_dim, seed) gives the coefficients of
-    random_band_limited on this spectrum (band N/4 on the whole mesh; a rung
-    has no draw).
+    and P_A there.  slabs() yields the spectrum's frequencies as _Slabs, a
+    p = 2 norm reads one at a time: runs of about _MATVEC_CHUNK frequencies
+    on the whole mesh (_mesh_slabs), one slab on a band or a rung.  With
+    norm_weights, and a slab's derivative_weights, pinv._norm of a
+    coefficient array there is the whole-mesh L2 norm of its field, and of
+    its order-k derivative array, on the slab; pinv._norm of the slabs'
+    norms is the norm (_slab_total).  grid_norm(coeffs, p) gives
+    _grid_norm of the field's grid values (None on a band built for p = 2
+    and on a rung, whose norms read no grid value).  On the whole mesh it
+    overwrites coeffs with them (_inverse) and takes one fiber's magnitudes
+    at a time (_mesh_norm), so a caller hands it coefficients it does not
+    read again; on a band the band's own real inverse FFT writes one fiber
+    at a time into its buffer (_band_grid).  draw(fiber_dim, seed) gives
+    the coefficients of random_band_limited on this spectrum (band N/4 on
+    the whole mesh; a rung has no draw).
     """
 
     xis: Sequence[np.ndarray]
     symbols: np.ndarray
     projector: np.ndarray
     norm_weights: float | None
-    derivative_weights: np.ndarray
+    slabs: Callable[[], Iterable[_Slab]]
     grid_norm: Callable[[np.ndarray, float], float] | None
     draw: Callable[[int, object], np.ndarray] | None
+
+
+def _slab_total(norms: Sequence[float]) -> float:
+    """The norm of a field from its slabs' norms: pinv._norm of them, or the one slab's own."""
+    return float(norms[0] if len(norms) == 1 else _norm(np.array(norms)))
+
+
+def _slab_planes(grid: Grid) -> int:
+    """First-axis planes per slab of the mesh: about _MATVEC_CHUNK frequencies, at least one."""
+    return max(1, min(grid.size, _MATVEC_CHUNK // grid.size ** (grid.n - 1)))
+
+
+def _mesh_slabs(op: Operator, grid: Grid, symbols: np.ndarray, projector: np.ndarray):
+    """The whole mesh as _Slabs of _slab_planes first-axis planes, each with its own |xi|^2k.
+
+    A generator: a slab's weights are formed from the sparse axes of
+    _frequency_axes as it is reached and dropped with it, so no N^n weight
+    array is held.
+    """
+    xis = _frequency_axes(grid)
+    rows = _slab_planes(grid)
+    for start in range(0, grid.size, rows):
+        planes = slice(start, start + rows)
+        weights = _xi_weights([xis[0][planes], *xis[1:]], op.k)
+        yield _Slab(planes, symbols[planes], projector[planes], weights)
 
 
 def _band_fibers(op: Operator) -> int:
@@ -609,27 +662,33 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     """The whole frequency mesh at exponent p: N^n tables (_symbol_tensor, _kernel_projector_table).
 
     Raises MemoryError before a table is looked up when the route does not
-    fit (_refuse_oversized), counting per frequency the tables (M, P_A, the
-    weights) and the largest of the symbol's monomials
-    (operators._column_count), the projector build and a trial, with held
-    complex fibers the caller keeps beside it (a windowed ladder's witness
-    field) and, at p != 2, one fiber's magnitudes and the accumulator of
-    _grid_norm (_mesh_norm), one real each.  The frequencies are the sparse
-    mesh (_frequency_axes), n * N numbers.  The grid norm transforms the
-    coefficients it is given in place, so a field's grid values take no
-    array of their own.
+    fit (_refuse_oversized), counting per frequency the tables (M, P_A), the
+    largest of the symbol's monomials (operators._column_count) and the
+    projector build and, beside them, held complex fibers of whole-mesh
+    fields the caller keeps outside a trial.  At p = 2 every norm is taken
+    one slab at a time (_mesh_slabs), so a trial holds one slab's arrays,
+    with the slab's weights: a field measured whole is held beside it, and a
+    windowed ladder, which builds its witness slab by slab, holds nothing
+    else of the mesh.  At p != 2 a trial holds whole-mesh arrays, with one
+    fiber's magnitudes and the accumulator of _grid_norm (_mesh_norm), one
+    real each.  The frequencies are the sparse mesh (_frequency_axes), n * N
+    numbers.  The grid norm transforms the coefficients it is given in
+    place, so a field's grid values take no array of their own.
     """
     count = grid.size ** grid.n
-    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + 1
-    trial = _trial_entries(op) + 2 * held + (2 if p != 2.0 else 0)
-    build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
-    _refuse_oversized(op, grid, count, tables + max(_column_count(op.alpha_array), build, trial))
+    kept = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * held
+    build = max(_column_count(op.alpha_array),
+                _held_entries(kernel_projector, op.dim_w, op.dim_v, count))
+    if p == 2.0:
+        slab = _slab_planes(grid) * grid.size ** (grid.n - 1)
+        _refuse_oversized(op, grid, count, kept + build, slab * (_trial_entries(op) + 1))
+    else:
+        _refuse_oversized(op, grid, count, kept + max(build, _trial_entries(op) + 2))
+    symbols = _symbol_tensor(op, grid)
     projector = _kernel_projector_table(op, grid, float(tol))
-    xis = _frequency_axes(grid)
-    weights = _xi_weights(xis, op.k)
-    weights.setflags(write=False)
     return _Spectrum(
-        xis, _symbol_tensor(op, grid), projector, None, weights,
+        _frequency_axes(grid), symbols, projector, None,
+        lambda: _mesh_slabs(op, grid, symbols, projector),
         lambda coeffs, p: _mesh_norm(_inverse(coeffs, grid), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
@@ -749,22 +808,32 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     symbols, projector = _tables(op, primaries, float(tol))
     weights = 2.0 * _xi_weights(primaries, op.k)
     weights.setflags(write=False)
+    slabs = (_Slab(slice(None), symbols, projector, weights),)
     grid_norm = _band_grid(grid, primaries)[1] if p != 2.0 else None
-    return _Spectrum(primaries, symbols, projector, 2.0, weights, grid_norm,
+    return _Spectrum(primaries, symbols, projector, 2.0, lambda: slabs, grid_norm,
                      lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 
 
-def _rung_spectrum(op: Operator, freq, tol: float) -> _Spectrum:
-    """The one frequency of an exact witness rung, a single mode at freq (n integers).
+def _rung_spectra(op: Operator, frequencies, tol: float):
+    """The one frequency of each exact witness rung, a single mode at each of frequencies.
 
-    M and P_A at the rung (_tables), bitwise the entries of the mesh tables
-    there, and the weights |xi|^2k, so a ratio of the rung's one coefficient
-    reads nothing the size of the grid.  Its norms are coefficient norms,
-    taken at p = 2 for every p (experiments._rung_ratio), so there is no
-    grid norm, and nothing is drawn on a rung (draw is None).
+    M and P_A at the rungs are one _tables call, bitwise the entries of the
+    mesh tables there, and each rung's spectrum holds its own entries and
+    weights |xi|^2k, one slab, so a ratio of a rung's one coefficient reads
+    nothing the size of the grid.  Its norms are coefficient norms, taken
+    at p = 2 for every p (experiments._rung_ratios), so there is no grid
+    norm, and nothing is drawn on a rung (draw is None).  A list, one
+    spectrum per rung, in the order of frequencies (tuples of n integers).
     """
-    xis = np.array(freq, dtype=float).reshape(op.n, 1)
-    return _Spectrum(xis, *_tables(op, xis, tol), None, _xi_weights(xis, op.k), None, None)
+    xis = np.array(frequencies, dtype=float).T
+    symbols, projector = _tables(op, xis, tol)
+    spectra = []
+    for rung in range(xis.shape[1]):
+        at = slice(rung, rung + 1)
+        slabs = (_Slab(slice(None), symbols[at], projector[at], _xi_weights(xis[:, at], op.k)),)
+        spectra.append(_Spectrum(xis[:, at], symbols[at], projector[at], None,
+                                 lambda slabs=slabs: slabs, None, None))
+    return spectra
 
 
 def periodic_bump(grid: Grid, width: float) -> np.ndarray:
@@ -804,12 +873,18 @@ def _bump_coefficients(grid: Grid, width: float) -> np.ndarray:
     return np.fft.fft(_bump_profile(grid, width), norm="ortho") * (TWO_PI / grid.size) ** 0.5
 
 
-def _envelope(coeffs: np.ndarray, factor: np.ndarray, shift) -> None:
-    """Multiply coeffs (fiber, N, ..., N) in place by the separable envelope rolled by shift.
+def _envelope(coeffs: np.ndarray, factor: np.ndarray, shift, planes: slice = slice(None)) -> None:
+    """Multiply coeffs (fiber, rows, N, ..., N) in place by the separable envelope rolled by shift.
 
     At eta the envelope is the product over axes j of factor[eta_j -
-    shift_j] (the 1-D factor rolled by shift_j); coeffs is multiplied by
-    one rolled factor per axis, so no array the size of the grid is made.
+    shift_j] (the 1-D factor rolled by shift_j); coeffs holds the
+    first-axis planes planes of the mesh (all of them by default) and is
+    multiplied by one rolled factor per axis, the first taken on those
+    planes, so no array the size of the grid is made and every entry has
+    the bits it has in the whole mesh.
     """
     for axis, step in enumerate(shift):
-        coeffs *= np.roll(factor, step).reshape((-1,) + (1,) * (coeffs.ndim - 2 - axis))
+        rolled = np.roll(factor, step)
+        if axis == 0:
+            rolled = rolled[planes]
+        coeffs *= rolled.reshape((-1,) + (1,) * (coeffs.ndim - 2 - axis))

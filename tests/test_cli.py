@@ -348,16 +348,19 @@ def test_counterexample_windowed_reports_smaller_growth(capsys):
     assert doc["parameters"]["window"] == 0.9
 
 
+@pytest.mark.parametrize("size", [32, 256])
 @pytest.mark.parametrize("p", ["2", "3"])
-def test_windowed_counterexample_ratios_are_those_of_the_witness_family(capsys, p):
-    # the command builds and measures one rung at a time; the ratios are bitwise
-    # those of witness_family's whole list
-    code, doc, _ = run_json(capsys, "counterexample", "zoo:wave", "--N", "32", "--rungs", "3",
-                            "--window", "0.5", "--factor", "1.25", "--p", p)
+def test_windowed_counterexample_ratios_are_those_of_the_witness_family(capsys, p, size):
+    # the command builds and measures one rung at a time, at p = 2 one slab of it at a
+    # time (one slab at N = 32, sixteen at 256); the ratios are bitwise those of
+    # witness_family's whole list
+    # at N = 256 and p = 3 the three rungs grow by 1.2
+    code, doc, _ = run_json(capsys, "counterexample", "zoo:wave", "--N", str(size), "--rungs",
+                            "3", "--window", "0.5", "--factor", "1.1", "--p", p)
     assert code == EXIT_OK
     op = zoo_get("wave")
     ladder = [tuple(freq) for freq in doc["ladder"]]
-    fields = experiments.witness_family(op, ladder, spectral.Grid(2, 32), 0.5)
+    fields = experiments.witness_family(op, ladder, spectral.Grid(2, size), 0.5)
     expected = [experiments.estimate_ratio(op, phi, float(p)) for phi in fields]
     assert [record["ratio"] for record in doc["records"]] == expected
 
@@ -380,6 +383,13 @@ def test_windowed_ladder_holds_one_witness_field(capsys):
     # within one field of one rung (d1d2 has one complex fiber)
     field_bytes = 16 * 256 ** 2
     assert windowed_ladder_peak(capsys, 6) <= windowed_ladder_peak(capsys, 1) + field_bytes
+
+
+def test_windowed_ladder_at_p2_holds_no_field_of_the_grid(capsys):
+    # at p = 2 each rung's witness is built and measured one slab at a time beside the
+    # cached tables, so six rungs from warm tables peak below one complex N^n field
+    # (d1d2 has one fiber), where a whole witness and its weights took three of them
+    assert windowed_ladder_peak(capsys, 6) < 16 * 256 ** 2
 
 
 @pytest.mark.parametrize("p", ["2", "3"])

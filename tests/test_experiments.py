@@ -392,7 +392,8 @@ def test_windowed_witness_is_built_in_its_complex_field():
     op, grid = zoo_get("curl"), Grid(3, 32)
 
     def build():
-        return next(experiments._witness_fields(op, [(3, 1, 1)], grid, 0.5, pinv.DEFAULT_TOL))
+        # the rung's builder, asked for the whole field
+        return next(experiments._witness_fields(op, [(3, 1, 1)], grid, 0.5, pinv.DEFAULT_TOL))()
 
     build()  # the symbol table and first-call caches
     tracemalloc.start()
@@ -401,7 +402,7 @@ def test_windowed_witness_is_built_in_its_complex_field():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= phi.coeffs.nbytes + 16 * np.getbufsize() + 2 ** 16
+    assert peak <= phi.nbytes + 16 * np.getbufsize() + 2 ** 16
 
 
 def test_witness_config_validation():
@@ -478,6 +479,30 @@ def test_d1d2_ladder_ratios_closed_form():
             assert math.isclose(ratio, (m * m + 1) / m, rel_tol=1e-10)
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] / ratios[0] >= 4.0
+
+
+def test_a_ladder_takes_one_stack_per_pinv_routine(monkeypatch):
+    # six rungs: their candidates are ranked, their probes decomposed and their tables
+    # built in one stack each, three pinv calls where one per rung took eighteen
+    op = zoo_get("d1d2")
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(mats, *args, **kwargs):
+            calls.append((name, len(mats)))
+            return original(mats, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((experiments, "numerical_rank"), (experiments, "_svd"),
+                         (spectral, "kernel_projector")):
+        counted(module, name)
+    ladder = build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=6)
+    ratios = experiments._rung_ratios(op, Grid(2, 256), ladder, pinv.DEFAULT_TOL)
+    assert calls == [("numerical_rank", 6 * 5), ("_svd", 6), ("kernel_projector", 6)]
+    assert ratios == [experiments._rung_ratio(op, Grid(2, 256), xi, pinv.DEFAULT_TOL)
+                      for xi in ladder]
 
 
 @pytest.mark.parametrize("size", [64, 256])

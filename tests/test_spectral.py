@@ -326,13 +326,55 @@ def test_spectrum_weights_give_the_whole_mesh_norm_from_either_spectrum(n, k):
     xi2 = (frequency_mesh(grid) ** 2).sum(axis=0)
     expected = math.sqrt(float((xi2 ** k * np.abs(coeffs) ** 2).sum()))
     mesh = spectral._mesh_spectrum(op, grid, DEFAULT_TOL, 2.0)
-    mesh_weights = mesh.derivative_weights if k else None
-    band_weights = band.derivative_weights if k else band.norm_weights
-    assert (mesh_weights is None) is (k == 0)
-    for weights in (mesh_weights, band_weights):
-        assert weights is None or np.isscalar(weights) or not weights.flags.writeable
-    for part, weights in ((coeffs, mesh_weights), (values, band_weights)):
-        assert math.isclose(float(pinv._norm(part, weights=weights)), expected, rel_tol=1e-14)
+    assert mesh.norm_weights is None
+    # the mesh's weights are formed per slab, and its norm is that of the slabs' norms
+    mesh_norm = spectral._slab_total([
+        pinv._norm(coeffs[:, slab.planes], weights=slab.derivative_weights if k else None)
+        for slab in mesh.slabs()])
+    (band_slab,) = band.slabs()
+    band_weights = band_slab.derivative_weights if k else band.norm_weights
+    assert np.isscalar(band_weights) or not band_weights.flags.writeable
+    assert math.isclose(mesh_norm, expected, rel_tol=1e-14)
+    assert math.isclose(float(pinv._norm(values, weights=band_weights)), expected, rel_tol=1e-14)
+
+
+def test_mesh_table_caches_hold_one_grid():
+    # a process builds the tables of one (operator, grid, tol), so a second grid's
+    # tables replace the first's
+    op = zoo_get("d1d2")
+    caches = (spectral._symbol_tensor, spectral._kernel_projector_table,
+              spectral._pseudoinverse_table)
+    for size in (16, 32):
+        grid = Grid(2, size)
+        phi = random_band_limited(grid, 1, 4, seed=size)
+        apply_multiplier(op, apply_A(op, phi))
+        apply_PA(op, phi)
+        for cache in caches:
+            assert cache.cache_info().currsize == 1
+    # the one entry is the second grid's
+    hits = spectral._symbol_tensor.cache_info().hits
+    spectral._symbol_tensor(op, Grid(2, 32))
+    assert spectral._symbol_tensor.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("n, size, planes", [(1, 8, 8), (2, 32, 32), (2, 256, 16), (3, 32, 4),
+                                             (3, 64, 1)])
+def test_mesh_slabs_are_runs_of_first_axis_planes(n, size, planes):
+    # about _MATVEC_CHUNK frequencies per slab, at least one plane, derived from N and n;
+    # each slab reads the cached tables on its planes and forms its own weights, bitwise
+    # those of the whole mesh there
+    op = Operator(name="d1", n=n, k=1, dim_v=1, dim_w=1,
+                  terms=(((1,) + (0,) * (n - 1), ((1.0,),)),))
+    grid = Grid(n, size)
+    mesh = spectral._mesh_spectrum(op, grid, DEFAULT_TOL, 2.0)
+    weights = spectral._xi_weights(spectral._frequency_axes(grid), op.k)
+    slabs = list(mesh.slabs())
+    assert [slab.planes for slab in slabs] == [slice(start, start + planes)
+                                              for start in range(0, size, planes)]
+    for slab in slabs:
+        assert np.shares_memory(slab.symbols, mesh.symbols)
+        assert np.shares_memory(slab.projector, mesh.projector)
+        assert slab.derivative_weights.tobytes() == weights[slab.planes].tobytes()
 
 
 @pytest.mark.parametrize("n, size, max_freq", [(1, 8, 2), (2, 16, 3), (3, 8, 2)])

@@ -33,13 +33,11 @@ GridField.pointwise_norm scales each point by its own maximum
 (pinv._fiber_norm).
 
 A _Spectrum names the frequencies such a chain runs on, with the tables,
-weights, grid norm and random draw there.  A p = 2 norm reads them one
-slab at a time (_Slab), and the norm is pinv._norm of the slabs' norms.
-The whole mesh (_mesh_spectrum) has the N^n tables, cached for one
-(operator, grid, tol), and goes back by a complex inverse FFT; its slabs
-are runs of first-axis planes of about _MATVEC_CHUNK frequencies, each
-forming its own |xi|^2k from the sparse axes (_mesh_slabs), so a p = 2
-norm on the mesh holds no N^n weight array or temporary.  Band-limited
+weights, grid norm and random draw there; a p = 2 norm reads it one
+_Slab at a time.  The whole mesh (_mesh_spectrum) has the N^n tables,
+cached for one (operator, grid, tol), and goes back by a complex inverse
+FFT; its slabs are runs of first-axis planes (_mesh_slabs), so a p = 2
+norm there holds nothing of size N^n.  Band-limited
 random fields keep 0 < |xi|_inf <= B <= N/4, so products of symbols and
 fields stay well inside the grid, and are real: c(-xi) = conj(c(xi)).
 Such a field is its values at the band's primaries, one of each pair
@@ -68,8 +66,8 @@ rung tables are the mesh tables at their frequencies.  One estimate
 (_refuse_oversized) sizes the mesh and band routes before anything is
 allocated: their tables with what pinv holds while it builds one
 (pinv._held_entries), a trial's fields (one slab's on the mesh at p =
-2, beside the whole fields a caller holds) and, at p != 2, the grid
-buffers of one fiber; an estimate too large for a float is refused too.
+2) and, at p != 2, the grid buffers of one fiber; an estimate too large
+for a float is refused too.
 """
 
 import math
@@ -328,9 +326,8 @@ def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     large (_refuse_oversized), counting the table, the monomials it is
     formed from (operators._column_count) and the largest field the
     calculus makes, all order-k derivatives, with their monomials
-    (_derivative_columns).  The cache holds one entry, as do those of the
-    projector and pseudoinverse tables: a process measures one (operator,
-    grid, tol), and a second grid's tables replace the first's.
+    (_derivative_columns).  Like the projector and pseudoinverse tables,
+    it caches one grid's table: a process measures one (operator, grid).
     """
     count = grid.size ** grid.n
     _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + _column_count(op.alpha_array)
@@ -567,13 +564,10 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
 
 @dataclass(frozen=True)
 class _Slab:
-    """A run of a spectrum's frequencies, with what a p = 2 norm reads there.
+    """Planes of the first frequency axis of a spectrum's coefficient arrays, and its tables there.
 
-    planes indexes the first frequency axis of the spectrum's coefficient
-    arrays (fiber, ...): a run of first-axis planes of the whole mesh, or
-    slice(None) for all of a band's primaries or of a rung.  symbols and
-    projector are the spectrum's tables there (views), and
-    derivative_weights |xi|^2k there, times the spectrum's norm_weights.
+    slice(None) on a band or a rung; derivative_weights are |xi|^2k there
+    times the spectrum's norm_weights.
     """
 
     planes: slice
@@ -592,13 +586,11 @@ class _Spectrum:
     spectrum, n coordinate arrays that broadcast to their frequency layout
     (on the whole mesh the sparse mesh of _frequency_axes); symbols (...,
     dimW, dimV) and projector (..., dimV, dimV) are the real tables of M
-    and P_A there.  slabs() yields the spectrum's frequencies as _Slabs, a
-    p = 2 norm reads one at a time: runs of about _MATVEC_CHUNK frequencies
-    on the whole mesh (_mesh_slabs), one slab on a band or a rung.  With
-    norm_weights, and a slab's derivative_weights, pinv._norm of a
-    coefficient array there is the whole-mesh L2 norm of its field, and of
-    its order-k derivative array, on the slab; pinv._norm of the slabs'
-    norms is the norm (_slab_total).  grid_norm(coeffs, p) gives
+    and P_A there.  slabs() yields its _Slabs: runs of about _MATVEC_CHUNK
+    frequencies on the mesh (_mesh_slabs), one slab on a band or a rung.
+    With norm_weights and a slab's derivative_weights, pinv._norm of
+    coefficients there is the whole-mesh L2 norm of the field, and of its
+    order-k derivatives, on the slab (_slab_total joins the slabs).  grid_norm(coeffs, p) gives
     _grid_norm of the field's grid values (None on a band built for p = 2
     and on a rung, whose norms read no grid value).  On the whole mesh it
     overwrites coeffs with them (_inverse) and takes one fiber's magnitudes
@@ -629,12 +621,7 @@ def _slab_planes(grid: Grid) -> int:
 
 
 def _mesh_slabs(op: Operator, grid: Grid, symbols: np.ndarray, projector: np.ndarray):
-    """The whole mesh as _Slabs of _slab_planes first-axis planes, each with its own |xi|^2k.
-
-    A generator: a slab's weights are formed from the sparse axes of
-    _frequency_axes as it is reached and dropped with it, so no N^n weight
-    array is held.
-    """
+    """The mesh's _Slabs of _slab_planes planes, a generator: each forms its |xi|^2k as it is reached."""
     xis = _frequency_axes(grid)
     rows = _slab_planes(grid)
     for start in range(0, grid.size, rows):
@@ -664,16 +651,12 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     Raises MemoryError before a table is looked up when the route does not
     fit (_refuse_oversized), counting per frequency the tables (M, P_A), the
     largest of the symbol's monomials (operators._column_count) and the
-    projector build and, beside them, held complex fibers of whole-mesh
-    fields the caller keeps outside a trial.  At p = 2 every norm is taken
-    one slab at a time (_mesh_slabs), so a trial holds one slab's arrays,
-    with the slab's weights: a field measured whole is held beside it, and a
-    windowed ladder, which builds its witness slab by slab, holds nothing
-    else of the mesh.  At p != 2 a trial holds whole-mesh arrays, with one
-    fiber's magnitudes and the accumulator of _grid_norm (_mesh_norm), one
-    real each.  The frequencies are the sparse mesh (_frequency_axes), n * N
-    numbers.  The grid norm transforms the coefficients it is given in
-    place, so a field's grid values take no array of their own.
+    projector build, held complex fibers of whole-mesh fields the caller
+    keeps, and a trial: one slab's arrays and weights at p = 2, where every
+    norm is taken slab by slab (_mesh_slabs), or at any other p whole-mesh
+    arrays with one fiber's magnitudes and the accumulator of _grid_norm
+    (_mesh_norm).  The grid norm transforms the coefficients it is given in
+    place.
     """
     count = grid.size ** grid.n
     kept = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * held
@@ -815,15 +798,11 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
 
 
 def _rung_spectra(op: Operator, frequencies, tol: float):
-    """The one frequency of each exact witness rung, a single mode at each of frequencies.
+    """A list of one-frequency spectra, one per exact rung at frequencies (tuples of n integers).
 
-    M and P_A at the rungs are one _tables call, bitwise the entries of the
-    mesh tables there, and each rung's spectrum holds its own entries and
-    weights |xi|^2k, one slab, so a ratio of a rung's one coefficient reads
-    nothing the size of the grid.  Its norms are coefficient norms, taken
-    at p = 2 for every p (experiments._rung_ratios), so there is no grid
-    norm, and nothing is drawn on a rung (draw is None).  A list, one
-    spectrum per rung, in the order of frequencies (tuples of n integers).
+    M and P_A at the rungs are one _tables call, bitwise the mesh tables'
+    entries; a rung is one slab with its |xi|^2k, read at p = 2 for every p
+    (experiments._rung_ratios), with no grid norm or draw.
     """
     xis = np.array(frequencies, dtype=float).T
     symbols, projector = _tables(op, xis, tol)
@@ -877,11 +856,9 @@ def _envelope(coeffs: np.ndarray, factor: np.ndarray, shift, planes: slice = sli
     """Multiply coeffs (fiber, rows, N, ..., N) in place by the separable envelope rolled by shift.
 
     At eta the envelope is the product over axes j of factor[eta_j -
-    shift_j] (the 1-D factor rolled by shift_j); coeffs holds the
-    first-axis planes planes of the mesh (all of them by default) and is
-    multiplied by one rolled factor per axis, the first taken on those
-    planes, so no array the size of the grid is made and every entry has
-    the bits it has in the whole mesh.
+    shift_j]; coeffs, the first-axis planes planes of the mesh, is
+    multiplied by one rolled factor per axis, so nothing the size of the
+    grid is made and each entry has its whole-mesh bits.
     """
     for axis, step in enumerate(shift):
         rolled = np.roll(factor, step)

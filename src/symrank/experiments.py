@@ -29,12 +29,13 @@ from functools import partial
 
 import numpy as np
 
-from .operators import Operator, _real_stack
+from .operators import Operator, _column_count, _real_stack
 from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Spectrum,
                        _band_spectrum, _bump_coefficients, _check_field, _derivatives, _envelope,
-                       _matvec, _mesh_spectrum, _rung_spectra, _slab_total, _symbol_tensor)
+                       _matvec, _mesh_spectrum, _refuse_oversized, _rung_spectra, _slab_total,
+                       _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -209,11 +210,6 @@ def _rung_ratios(op: Operator, grid: Grid, frequencies, tol: float) -> list[floa
             for spectrum, coefficient in zip(spectra, coefficients)]
 
 
-def _rung_ratio(op: Operator, grid: Grid, freq: tuple[int, ...], tol: float) -> float:
-    """_rung_ratios of the one rung at freq."""
-    return _rung_ratios(op, grid, [freq], tol)[0]
-
-
 def witness_family(op: Operator, frequencies, grid: Grid, window: float | None = None,
                    tol: float = DEFAULT_TOL) -> list[FrequencyField]:
     """One field per integer frequency xi_m, as coefficients: A* applied to a probe wave.
@@ -234,10 +230,15 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     with the probe; the windowed ratio approaches the single-mode value as
     the window widens.  Each field is built whole by _witness_fields'
     builder, the one a windowed counterexample ladder builds slab by slab.
-    Raises ValueError for no frequencies, a window outside (0, 1], a zero
+    Raises MemoryError before anything is built when the fields, with the
+    symbol table of a windowed family, cannot fit (spectral._refuse_oversized),
+    ValueError for no frequencies, a window outside (0, 1], a zero
     frequency or |xi_m|_inf > N/4, and DegenerateProbeError where the symbol
     vanishes.
     """
+    frequencies = list(frequencies)
+    table = 0 if window is None else op.dim_w * op.dim_v + _column_count(op.alpha_array)
+    _refuse_oversized(op, grid, grid.size ** grid.n, table + 2 * op.dim_v * len(frequencies))
     return [FrequencyField(grid, build()) for build in _witness_fields(op, frequencies, grid,
                                                                         window, tol)]
 

@@ -67,7 +67,9 @@ rung tables are the mesh tables at their frequencies.  One estimate
 allocated: their tables with what pinv holds while it builds one
 (pinv._held_entries), a trial's fields (one slab's on the mesh at p =
 2) and, at p != 2, the grid buffers of one fiber; an estimate too large
-for a float is refused too.
+for a float is refused too.  A table builder counts only its table and
+build, and each apply_* call the fields it makes, so no route is sized
+by a field it never holds.
 """
 
 import math
@@ -290,14 +292,14 @@ def _derivative_fibers(op: Operator) -> int:
     return op.dim_v * math.comb(op.n + op.k - 1, op.k)
 
 
-def _derivative_columns(op: Operator) -> int:
-    """Reals per frequency of the monomials _derivatives forms D^k phi from.
+def _derivative_columns(n: int, k: int) -> int:
+    """Reals per frequency of the monomials _derivatives forms order k from, in n axes.
 
     operators._column_count of the C(n + k - 1, k) multi-indices of order
     k, whose largest exponent on every axis is k: n (k - 1) power columns
     beside them, in Python ints.
     """
-    return math.comb(op.n + op.k - 1, op.k) + op.n * max(op.k - 1, 0)
+    return math.comb(n + k - 1, k) + n * max(k - 1, 0)
 
 
 def _refuse_oversized(op: Operator, grid: Grid, count: int, per_frequency: float,
@@ -323,15 +325,13 @@ def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     times an entry is symbol(op, xi) exactly.  Frequency axes in fft layout
     come first and the matrix axes last: the (..., m, n) stack layout of the
     pinv routines.  Raises MemoryError before building when the grid is too
-    large (_refuse_oversized), counting the table, the monomials it is
-    formed from (operators._column_count) and the largest field the
-    calculus makes, all order-k derivatives, with their monomials
-    (_derivative_columns).  Like the projector and pseudoinverse tables,
-    it caches one grid's table: a process measures one (operator, grid).
+    large (_refuse_oversized), counting the table and the monomials it is
+    formed from (operators._column_count); the fields a route makes are
+    counted by the route.  Like the projector and pseudoinverse tables, it
+    caches one grid's table: a process measures one (operator, grid).
     """
     count = grid.size ** grid.n
-    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + _column_count(op.alpha_array)
-                      + 2 * _derivative_fibers(op) + _derivative_columns(op))
+    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + _column_count(op.alpha_array))
     stack = _column_stack(op, _frequency_axes(grid))
     stack.setflags(write=False)
     return stack
@@ -377,9 +377,22 @@ def _check_field(op: Operator, field: GridField | FrequencyField, fiber_dim: int
         raise ValueError(f"{role} field must have fiber dimension {fiber_dim}")
 
 
+def _refuse_apply(op: Operator, grid: Grid, tables: int, build: float, fields: int) -> None:
+    """Raise MemoryError, before a table is looked up, when an apply_* call cannot fit.
+
+    Real entries per frequency: the tables the call reads, which stay in
+    their caches, beside the larger of their build (the symbol's monomials,
+    operators._column_count, or what the pinv routine holds) and the
+    fields, the coefficient arrays the call makes.
+    """
+    _refuse_oversized(op, grid, grid.size ** grid.n,
+                      tables + max(_column_count(op.alpha_array), build, fields))
+
+
 def apply_A(op: Operator, field: GridField) -> GridField:
     """Apply the operator spectrally: multiply coefficients by A(xi) = i^k M(xi)."""
     _check_field(op, field, op.dim_v, "input")
+    _refuse_apply(op, field.grid, op.dim_w * op.dim_v, 0, 2 * (op.dim_v + op.dim_w))
     out = _matvec(_symbol_tensor(op, field.grid), forward_transform(field).coeffs)
     out *= 1j ** op.k
     return GridField(field.grid, _inverse(out, field.grid))
@@ -389,18 +402,17 @@ def _mesh_table(op: Operator, grid: Grid, tol: float, pseudoinverse: bool) -> np
     """kernel_projector, or pinv_svd, of the symbol table (_symbol_tensor) in its layout; read-only.
 
     Refused when too large (_refuse_oversized), counting per frequency both
-    tables, what the pinv routine holds beside its output
-    (pinv._held_entries), the symbol's monomials (operators._column_count)
-    and the largest field, all order-k derivatives, with their monomials
-    (_derivative_columns).
+    tables beside the larger of the symbol's monomials
+    (operators._column_count), freed once the symbol table is built, and
+    what the pinv routine holds beside its output (pinv._held_entries); the
+    fields a route makes are counted by the route.
     """
     count = grid.size ** grid.n
     routine = pinv_svd if pseudoinverse else kernel_projector
     cols = op.dim_w if pseudoinverse else op.dim_v
     _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + op.dim_v * cols
-                      + _held_entries(routine, op.dim_w, op.dim_v, count)
-                      + _column_count(op.alpha_array) + 2 * _derivative_fibers(op)
-                      + _derivative_columns(op))
+                      + max(_column_count(op.alpha_array),
+                            _held_entries(routine, op.dim_w, op.dim_v, count)))
     table = routine(_symbol_tensor(op, grid), tol)
     table.setflags(write=False)
     return table
@@ -431,6 +443,9 @@ def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
 def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
     """Project every coefficient onto ker A(xi) (the canonical kernel part of the field)."""
     _check_field(op, field, op.dim_v, "input")
+    count = field.grid.size ** field.grid.n
+    _refuse_apply(op, field.grid, op.dim_w * op.dim_v + op.dim_v ** 2,
+                  _held_entries(kernel_projector, op.dim_w, op.dim_v, count), 4 * op.dim_v)
     table = _kernel_projector_table(op, field.grid, float(tol))
     coeffs = _matvec(table, forward_transform(field).coeffs)
     return GridField(field.grid, _inverse(coeffs, field.grid))
@@ -471,10 +486,16 @@ def apply_Dk(k: int, field: GridField) -> GridField:
     in an orthonormal basis, so the plain fiber norm is the tensor's
     Frobenius norm: |D^k phi-hat(xi)| = |xi|^k |phi-hat(xi)| (multinomial
     theorem).  Any field is accepted, so apply_Dk(1, apply_Dk(j, phi)) has
-    the norms of apply_Dk(j + 1, phi).
+    the norms of apply_Dk(j + 1, phi).  Raises MemoryError before the
+    transform when the coefficients, the monomials (_derivative_columns)
+    and the derivatives cannot fit.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
+    grid, fibers = field.grid, field.fiber_dim
+    entries = 2 * fibers * (1 + math.comb(grid.n + k - 1, k)) + _derivative_columns(grid.n, k)
+    _refuse_beyond_memory(lambda: 8 * grid.size ** grid.n * entries,
+                          f"D^{k} on a {grid.size}^{grid.n} grid", "for its fields")
     coeffs = _derivatives(k, forward_transform(field).coeffs, _frequency_axes(field.grid))
     return GridField(field.grid, _inverse(coeffs, field.grid))
 
@@ -491,9 +512,15 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     sqrt(k!/alpha_t!) (i xi)^alpha_t (A+ psi)_j for input psi, and it
     equals apply_Dk(k, phi - apply_PA(phi)) when the input is
     apply_A(phi).  The multiplier vanishes at frequency zero, where the
-    symbol is zero.
+    symbol is zero.  Refused before the table is looked up when the two
+    tables, or the fields with the derivatives' monomials, cannot fit.
     """
     _check_field(op, field, op.dim_w, "input")
+    count = field.grid.size ** field.grid.n
+    fields = (2 * (op.dim_w + op.dim_v + _derivative_fibers(op))
+              + _derivative_columns(op.n, op.k))
+    _refuse_apply(op, field.grid, 2 * op.dim_w * op.dim_v,
+                  _held_entries(pinv_svd, op.dim_w, op.dim_v, count), fields)
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
     out = _matvec(dagger, forward_transform(field).coeffs)
     out *= (-1j) ** op.k
@@ -642,7 +669,8 @@ def _trial_entries(op: Operator) -> int:
     _matvec output, _norm's magnitudes, temporaries) and D^k phi or A phi;
     real: the monomials D^k phi is formed from (_derivative_columns).
     """
-    return 2 * (6 * max(op.dim_v, op.dim_w) + _band_fibers(op)) + _derivative_columns(op)
+    return (2 * (6 * max(op.dim_v, op.dim_w) + _band_fibers(op))
+            + _derivative_columns(op.n, op.k))
 
 
 def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0) -> _Spectrum:

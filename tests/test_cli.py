@@ -348,15 +348,16 @@ def test_counterexample_windowed_reports_smaller_growth(capsys):
     assert doc["parameters"]["window"] == 0.9
 
 
-@pytest.mark.parametrize("size", [32, 256])
+# at N = 256 and p = 3 the three rungs grow by 1.196, so that grid asks for less
+@pytest.mark.parametrize("size, factor", [(32, "1.25"), (256, "1.1")])
 @pytest.mark.parametrize("p", ["2", "3"])
-def test_windowed_counterexample_ratios_are_those_of_the_witness_family(capsys, p, size):
+def test_windowed_counterexample_ratios_are_those_of_the_witness_family(capsys, p, size,
+                                                                        factor):
     # the command builds and measures one rung at a time, at p = 2 one slab of it at a
     # time (one slab at N = 32, sixteen at 256); the ratios are bitwise those of
     # witness_family's whole list
-    # at N = 256 and p = 3 the three rungs grow by 1.2
     code, doc, _ = run_json(capsys, "counterexample", "zoo:wave", "--N", str(size), "--rungs",
-                            "3", "--window", "0.5", "--factor", "1.1", "--p", p)
+                            "3", "--window", "0.5", "--factor", factor, "--p", p)
     assert code == EXIT_OK
     op = zoo_get("wave")
     ladder = [tuple(freq) for freq in doc["ladder"]]
@@ -398,7 +399,8 @@ def test_windowed_ladder_memory_estimate_bounds_its_peak(capsys, monkeypatch, na
     # a windowed ladder from empty mesh-table caches, on a grid large enough that
     # numpy's iteration buffers and Python objects, which the estimate leaves out,
     # are small beside the fields: its traced peak stays within the estimate its
-    # whole-mesh spectrum refuses by
+    # whole-mesh spectrum refuses by, and the largest estimate made on the way, the
+    # one that would refuse it, stays within three times that peak
     estimates = []
     monkeypatch.setattr(spectral, "_refuse_beyond_memory",
                         lambda needed, subject, purpose: estimates.append(needed()))
@@ -417,7 +419,9 @@ def test_windowed_ladder_memory_estimate_bounds_its_peak(capsys, monkeypatch, na
             capsys.readouterr()
 
     ladder()  # imports and first-call caches, which the estimate does not count
-    assert ladder() <= max(estimates)
+    estimates.clear()
+    peak = ladder()
+    assert peak <= max(estimates) <= 3 * peak
 
 
 def test_counterexample_unresolvable_rungs_exit_one(capsys):

@@ -501,7 +501,7 @@ def test_a_ladder_takes_one_stack_per_pinv_routine(monkeypatch):
     ladder = build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=6)
     ratios = experiments._rung_ratios(op, Grid(2, 256), ladder, pinv.DEFAULT_TOL)
     assert calls == [("numerical_rank", 6 * 5), ("_svd", 6), ("kernel_projector", 6)]
-    assert ratios == [experiments._rung_ratio(op, Grid(2, 256), xi, pinv.DEFAULT_TOL)
+    assert ratios == [experiments._rung_ratios(op, Grid(2, 256), [xi], pinv.DEFAULT_TOL)[0]
                       for xi in ladder]
 
 
@@ -517,7 +517,7 @@ def test_rung_ratio_is_the_whole_mesh_ratio_bitwise(name, rungs, p, size):
     op = operator(name)
     grid = Grid(op.n, size)
     for xi, phi in zip(rungs, witness_family(op, rungs, grid)):
-        ratio = experiments._rung_ratio(op, grid, xi, pinv.DEFAULT_TOL)
+        ratio = experiments._rung_ratios(op, grid, [xi], pinv.DEFAULT_TOL)[0]
         assert ratio == estimate_ratio(op, phi, 2.0)
         assert math.isclose(ratio, estimate_ratio(op, phi, p), rel_tol=1e-14)
 

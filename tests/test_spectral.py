@@ -792,7 +792,7 @@ def test_rung_memory_estimate_bounds_a_rung(monkeypatch, entry, p):
     def rung():
         tracemalloc.start()
         try:
-            experiments._rung_ratio(op, grid, xi, DEFAULT_TOL)
+            experiments._rung_ratios(op, grid, [xi], DEFAULT_TOL)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -801,13 +801,13 @@ def test_rung_memory_estimate_bounds_a_rung(monkeypatch, entry, p):
     assert rung() <= 2 ** 16 < 16 * grid.size ** grid.n
     assert estimates == []
     phi = experiments.witness_family(op, [xi], grid)[0]
-    assert math.isclose(experiments._rung_ratio(op, grid, xi, DEFAULT_TOL),
+    assert math.isclose(experiments._rung_ratios(op, grid, [xi], DEFAULT_TOL)[0],
                         experiments.estimate_ratio(op, phi, p), rel_tol=1e-14)
 
 
 def test_tables_refuse_to_build_beyond_physical_memory(monkeypatch):
-    # a 1e5-byte machine refuses even an 8^3 curl table (about 0.15 MB)
-    monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 5)
+    # a 4e4-byte machine refuses even an 8^3 curl table (about 49 kB with its monomials)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 4 * 10 ** 4)
     _symbol_tensor.cache_clear()
     _kernel_projector_table.cache_clear()
     spectral._pseudoinverse_table.cache_clear()
@@ -818,6 +818,80 @@ def test_tables_refuse_to_build_beyond_physical_memory(monkeypatch):
         _kernel_projector_table(op, Grid(3, 8), DEFAULT_TOL)
     with pytest.raises(MemoryError, match=r"8\^3 grid"):
         spectral._pseudoinverse_table(op, Grid(3, 8), DEFAULT_TOL)
+
+
+def apply_calls(op, grid):
+    """The four apply_* calls on a band-limited field of grid, drawn before they run."""
+    phi = random_band_limited(grid, op.dim_v, grid.size // 4, [grid.size, 0])
+    psi = apply_A(op, phi)
+    return {"apply_A": lambda: apply_A(op, phi), "apply_PA": lambda: apply_PA(op, phi),
+            "apply_Dk": lambda: apply_Dk(op.k, phi),
+            "apply_multiplier": lambda: apply_multiplier(op, psi)}
+
+
+def apply_peak(monkeypatch, op, size, name):
+    """The traced peak of one apply_* call from empty table caches, and its largest estimate."""
+    call = apply_calls(op, Grid(op.n, size))[name]
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed()))
+    for table in (_symbol_tensor, _kernel_projector_table, spectral._pseudoinverse_table):
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1], max(estimates)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["apply_A", "apply_PA", "apply_Dk", "apply_multiplier"])
+@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
+def test_apply_memory_estimate_bounds_its_peak(monkeypatch, entry, name):
+    # each apply_* call counts the tables it reads and the fields it makes, which
+    # the table builders do not count; the estimate leaves out numpy's ufunc
+    # buffers (8192 elements) and _matvec's chunk, constants of about 130 kB,
+    # hence the 256 kB allowance on grids where the fields take MBs
+    op = entry.build()
+    size = {2: 256, 3: 32}[op.n]
+    apply_peak(monkeypatch, op, size, name)  # first-call caches
+    peak, estimate = apply_peak(monkeypatch, op, size, name)
+    assert peak <= estimate + 2 ** 18
+
+
+def test_apply_calls_are_refused_before_their_tables(monkeypatch):
+    # on a machine that holds curl's 8^3 symbol table but not the fields a call
+    # makes beside it, every apply_* call is refused before a table is built, and
+    # the symbol table alone still fits
+    op, grid = zoo_get("curl"), Grid(3, 8)
+    calls = apply_calls(op, grid)
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 5 * 10 ** 4)
+    for name, call in calls.items():
+        for table in (_symbol_tensor, _kernel_projector_table, spectral._pseudoinverse_table):
+            table.cache_clear()
+        with pytest.raises(MemoryError, match=r"8\^3 grid"):
+            call()
+        assert _symbol_tensor.cache_info().currsize == 0, name
+    _symbol_tensor(op, grid)
+    # a derivative of order 2^62 + 5 on one axis is refused, not a loop of 2^62 powers
+    line = random_band_limited(Grid(1, 8), 1, 2, [8, 1])
+    with pytest.raises(MemoryError, match="more bytes|GB"):
+        apply_Dk(2 ** 62 + 5, line)
+
+
+def test_witness_family_is_refused_before_it_builds(monkeypatch):
+    # d1d2's fields on 32^2 take 16 kB each: six fit a 1e5-byte machine, seven do
+    # not, nor do six windowed ones beside the symbol table and its monomials
+    op, grid = zoo_get("d1d2"), Grid(2, 32)
+    ladder = [(m, 1) for m in range(1, 8)]
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 10 ** 5)
+    assert len(experiments.witness_family(op, ladder[:6], grid)) == 6
+    with pytest.raises(MemoryError, match=r"32\^2 grid"):
+        experiments.witness_family(op, ladder, grid)
+    _symbol_tensor.cache_clear()
+    with pytest.raises(MemoryError, match=r"32\^2 grid"):
+        experiments.witness_family(op, ladder[:6], grid, window=0.5)
+    assert _symbol_tensor.cache_info().currsize == 0
 
 
 # ------------------------------------------------------------------ projection

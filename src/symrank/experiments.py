@@ -32,10 +32,10 @@ import numpy as np
 from .operators import Operator, _column_count, _real_stack
 from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
-from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Spectrum,
-                       _band_spectrum, _bump_coefficients, _check_field, _derivatives, _envelope,
-                       _matvec, _mesh_spectrum, _refuse_oversized, _rung_spectra, _slab_total,
-                       _symbol_tensor)
+from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Rows,
+                       _Spectrum, _band_spectrum, _bump_coefficients, _check_field,
+                       _derivative_rows, _envelope, _matvec, _mesh_spectrum, _refuse_oversized,
+                       _rung_spectra, _slab_total, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -95,7 +95,9 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> f
     formed on the whole spectrum, then D^k(phi - P_A phi) and A phi = i^k M
     phi are measured by spectrum.grid_norm, _grid_norm of their grid values
     (the phase i^k is applied on coefficients, which is exact), one at a
-    time.  Either way phi - P_A phi is tested against phi under pinv's
+    time.  Each is handed over as its rows (spectral._derivative_rows,
+    _image_rows), formed only as the norm reads them: one at a time on a
+    band, all at once on the whole mesh.  Either way phi - P_A phi is tested against phi under pinv's
     cutoff first.  Nothing on the way is checked for finiteness: a
     non-finite intermediate makes a norm non-finite, which raises
     ValueError.
@@ -115,17 +117,25 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> f
         if kernel <= tol * whole:
             raise KernelInputError(f"{op.name}: field is in the kernel to tolerance {tol}")
         if p != 2.0:
-            derivatives = _derivatives(op.k, resolved, spectrum.xis)
+            numerator = spectrum.grid_norm(_derivative_rows(op.k, resolved, spectrum.xis), p)
             del resolved
-            numerator = spectrum.grid_norm(derivatives, p)
-            del derivatives
-            # M phi has the norms of A phi = i^k M phi
-            image = _matvec(spectrum.symbols, coeffs)
-            image *= 1j ** op.k
-            denominator = spectrum.grid_norm(image, p)
+            denominator = spectrum.grid_norm(_image_rows(op, spectrum.symbols, coeffs), p)
     if not math.isfinite(numerator) or not math.isfinite(denominator):
         raise ValueError("field has non-finite values")
     return numerator / denominator
+
+
+def _image_rows(op: Operator, symbols: np.ndarray, coeffs: np.ndarray) -> _Rows:
+    """The rows of A phi = i^k M phi, phi's coefficients on a spectrum, each formed when asked for.
+
+    Row i is _matvec of the symbol table's row i with phi, times the exact
+    phase i^k: the bits of row i of the whole product.
+    """
+    def make(at: slice) -> np.ndarray:
+        image = _matvec(symbols[..., at, :], coeffs)
+        image *= 1j ** op.k
+        return image
+    return _Rows(op.dim_w, make)
 
 
 def _l2_norms(spectrum: _Spectrum, field) -> tuple[float, float, float, float]:

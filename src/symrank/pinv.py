@@ -3,9 +3,9 @@
 Numerical rank, the pseudoinverse (pinv_svd) and the kernel projector
 I - A+ A all come from one SVD helper (_svd) with one rank cutoff (_kept,
 its tol bounded by _check_tol), on single matrices or stacks, real input
-staying real and complex complex.  Each routine takes any stack _BLOCK
-matrices at a time into one output (_blockwise), and _held_entries says
-what it holds beside it.  Every symbol matrix the package decomposes is
+staying real and complex complex.  Each routine takes any stack in equal
+blocks of at most _BLOCK matrices into one output (_blockwise), and
+_held_entries says what it holds beside it.  Every symbol matrix the package decomposes is
 the real M of A = i^k M (see operators._real_stack).  Real input takes a
 one-sided (Hestenes) Jacobi kernel, vectorized over blocks of the stack,
 so the Python loop runs over column pairs and sweeps where LAPACK's gesdd
@@ -91,12 +91,22 @@ def _fiber_norm(values: np.ndarray) -> np.ndarray:
     return norms
 
 
-# matrices per block of the Jacobi kernel: the working set is bounded for any
-# stack length, and blocks of this size also run faster than one whole stack
+# matrices per block of the Jacobi kernel, at most: the working set is bounded for
+# any stack length, and blocks of this size also run faster than one whole stack
 _BLOCK = 8192
 # small matrices converge in a few sweeps; a block still rotating after this
 # many has met a case the kernel does not handle
 _MAX_SWEEPS = 60
+
+
+def _block_size(count: int) -> int:
+    """Matrices per block of a stack of count: ceil(count / _BLOCK) blocks as equal as they go.
+
+    So a stack just beyond a block is two halves, not a whole block and a
+    sliver, and a stack of a multiple of _BLOCK, or of at most one block,
+    keeps blocks of _BLOCK, or one block.
+    """
+    return -(-count // -(-count // _BLOCK))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -234,7 +244,7 @@ def _svd_entries(rows: int, cols: int, count: int, want_u: bool, want_vh: bool) 
     working = (rank * length + rank * rank * accumulate + 2
                + max(rank * length + 2, 12, 2 * length + 2, 3 * rank + swapped))
     factors = rank * (1 + rows * want_u + cols * want_vh)
-    return factors + working * min(1.0, _BLOCK / count)
+    return factors + working * (_block_size(count) / count)
 
 
 def _physical_memory() -> int | None:
@@ -271,13 +281,13 @@ def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
     Returns (u, sigma, vh) in the dtype of mats, with u and vh None unless
     asked for, so a caller pays only for the factors it reads.  Complex
     stacks go to LAPACK, which computes values only when no factor is
-    asked for.  Real stacks take the Jacobi kernel (_jacobi_block)
-    on blocks of _BLOCK matrices, rotating the min(m, n) columns of A, or of
-    A^T when A is wide, so a row or column needs no rotation: sigma = |a|.
-    The normalized columns give u (vh for a wide A) and the accumulated
-    rotations vh (u), and each is computed only when asked for.  Each
-    matrix is first scaled exactly by a power of two, so operators scaled by
-    1e+-200 neither overflow nor underflow.  Singular vectors of a zero
+    asked for.  Real stacks take the Jacobi kernel (_jacobi_block) on
+    equal blocks of at most _BLOCK matrices (_block_size), rotating the
+    min(m, n) columns of A, or of A^T when A is wide, so a row or column
+    needs no rotation: sigma = |a|.  The normalized columns give u (vh for
+    a wide A) and the accumulated rotations vh (u), and each is computed
+    only when asked for.  Each matrix is first scaled exactly by a power of
+    two, so operators scaled by 1e+-200 neither overflow nor underflow.  Singular vectors of a zero
     singular value are zero, which the strict cutoff of _kept never keeps.
     A matrix decomposes to the same bits alone and anywhere in a stack.
     Raises LinAlgError (a ValueError) if a block does not converge.
@@ -295,8 +305,9 @@ def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
     sigma = np.empty((len(stack), rank))
     u = np.empty((len(stack), rows, rank)) if want_u else None
     vh = np.empty((len(stack), rank, cols)) if want_vh else None
-    for start in range(0, len(stack), _BLOCK):
-        block = stack[start:start + _BLOCK]
+    size = _block_size(len(stack))
+    for start in range(0, len(stack), size):
+        block = stack[start:start + size]
         # the columns of A, or of A^T for a wide A, each a (rows, B) slab
         work = np.empty((rank, max(rows, cols), len(block)))
         np.copyto(work, block.transpose((1, 2, 0) if wide else (2, 1, 0)))
@@ -339,16 +350,18 @@ def _blockwise(mat: np.ndarray, shape: tuple[int, ...], step: Callable, dtype=No
                want_u: bool = False, want_vh: bool = False) -> np.ndarray:
     """A routine's (..., *shape) output on mat (from _as_matrices), in mat's dtype or dtype.
 
-    Allocated once and filled a block of _BLOCK matrices at a time: each is
-    checked for finiteness and decomposed by _svd, and step(out, u, sigma,
-    vh) writes its part of the output from the factors.  So a routine holds
-    one block's working set beside its output (_held_entries), and no bit
-    depends on the blocks.
+    Allocated once and filled one block at a time, ceil(len / _BLOCK)
+    blocks of equal size (_block_size), so 8320 matrices are two blocks of
+    4160, not 8192 and 128: each is checked for finiteness and decomposed
+    by _svd, and step(out, u, sigma, vh) writes its part of the output from
+    the factors.  So a routine holds one block's working set beside its
+    output (_held_entries), and no bit depends on the blocks.
     """
     stack = mat.reshape((-1,) + mat.shape[-2:])
     out = np.empty((len(stack),) + shape, dtype=dtype or mat.dtype)
-    for start in range(0, len(stack), _BLOCK):
-        block = stack[start:start + _BLOCK]
+    size = _block_size(len(stack))
+    for start in range(0, len(stack), size):
+        block = stack[start:start + size]
         if not np.isfinite(block).all():
             raise ValueError("matrix has non-finite entries")
         step(out[start:start + len(block)], *_svd(block, want_u, want_vh))
@@ -363,9 +376,9 @@ def _held_entries(routine: Callable, rows: int, cols: int, count: int) -> float:
     peak (_svd_entries), or after it the factors read, the cutoff mask and
     product, and the count of kept values, or the masked vh and inverted
     mask, or the inverted sigma and scaled u^T, whichever is largest, a
-    flag counted as a whole entry, spread over the stack.
+    flag counted as a whole entry, spread over the stack (_block_size).
     """
-    rank, block = min(rows, cols), min(count, _BLOCK)
+    rank, block = min(rows, cols), _block_size(count)
     want_u, want_vh, after = {
         "numerical_rank": (False, False, 2 * rank + 2),
         "kernel_projector": (False, True, 3 * rank + 2 * rank * cols + 1),

@@ -46,14 +46,19 @@ generator call (_band_draw); random_band_limited scatters them onto the
 whole mesh.  The band spectrum (_band_spectrum) holds M and P_A at the
 primaries only (_tables, built per spectrum and freed with it), and
 weights that count each primary twice, for its mirror, in one slab, so
-at p = 2 it holds nothing of the grid.  At any other p the band's own
-real inverse FFT (_band_grid) forms its grid values: numpy's irfftn
-steps, one fiber at a time, one ifftn on the half spectrum's first-axis
-planes 0..B only, the nonzero ones, then irfft, with irfftn's bits, into
-one fiber's buffer just before _grid_norm squares it.  The buffers are
-listed once (_band_buffers), one fiber and the accumulator beside the
-half spectrum whatever the field's fiber count, and allocated when the
-spectrum is built, so a trial allocates no array the size of the grid.
+at p = 2 it holds nothing of the grid.  At any other p a ratio hands
+the band's grid norm the rows of D^k phi and A phi as _Rows, each row
+formed when it is read (_derivative_rows, one monomial times one row of
+phi - P_A phi), and the band's own real inverse FFT (_band_grid) takes
+one row at a time to the grid: numpy's irfftn steps, one ifftn on the
+half spectrum's first-axis planes 0..B only, the nonzero ones, then
+irfft, with irfftn's bits, one chunk of second-axis lines at a time into
+one buffer of about _GRID_CHUNK reals, just before _grid_norm squares it
+and adds it into the accumulator.  The buffers are listed once
+(_band_buffers), one chunk and the accumulator beside the half spectrum
+whatever the field's fiber count, and allocated when the spectrum is
+built, so a trial holds one coefficient row and allocates no array the
+size of the grid.
 An exact witness rung is one coefficient at one frequency, and its
 spectrum (_rung_spectra, every rung of a ladder from one _tables call)
 holds M and P_A there alone and no grid route: a single mode has the
@@ -66,14 +71,15 @@ rung tables are the mesh tables at their frequencies.  One estimate
 (_refuse_oversized) sizes the mesh and band routes before anything is
 allocated: their tables with what pinv holds while it builds one
 (pinv._held_entries), a trial's fields (one slab's on the mesh at p =
-2) and, at p != 2, the grid buffers of one fiber; an estimate too large
-for a float is refused too.  A table builder counts only its table and
-build, and each apply_* call the fields it makes, so no route is sized
-by a field it never holds.
+2, one grid row's beside phi on a band at p != 2) and, at p != 2, the
+band's grid buffers; an estimate too large for a float is refused too.
+A table builder counts only its table and build, and each apply_* call
+the fields it makes, so no route is sized by a field it never holds.
 """
 
 import math
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -88,6 +94,12 @@ TWO_PI = 2.0 * math.pi
 # frequencies per pass of _matvec: a chunk of a 3 x 3 table with its input, output
 # and temporary takes about 0.75 MB, which stays in a core's L2 cache
 _MATVEC_CHUNK = 4096
+# reals per chunk of the band's grid values (_band_buffers): 256 KB, transformed,
+# squared and added while it stays in a core's L2 cache
+_GRID_CHUNK = 32768
+# numpy's iteration buffer, in entries, for strided operations that cast nothing
+# (_uncast): numpy's default is 8192 (128 KiB of complex), though it is never filled
+_UNCAST_BUFFER = 256
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,20 @@ class Grid:
     @property
     def spacing(self) -> float:
         return TWO_PI / self.size
+
+
+@contextmanager
+def _uncast():
+    """numpy ufuncs within run with an iteration buffer of _UNCAST_BUFFER entries.
+
+    For operations whose operands share one dtype, so that the buffer is
+    never filled: numpy still allocates np.getbufsize() entries of it for
+    each operand of a broadcast or strided loop whose inner run is shorter
+    than that.  np.errstate restores the size on exit.
+    """
+    with np.errstate():
+        np.setbufsize(_UNCAST_BUFFER)
+        yield
 
 
 def _frequency_axes(grid: Grid) -> list[np.ndarray]:
@@ -238,12 +264,14 @@ def _exponent(bound) -> int:
     return int(np.clip(np.frexp(bound)[1], -1021, 1021))
 
 
-def _grid_norm(fibers: Iterable[np.ndarray], grid: Grid, p: float, exponent: int,
+def _grid_norm(parts: Iterable[tuple[np.ndarray, tuple]], grid: Grid, p: float, exponent: int,
                total: np.ndarray) -> float:
     """lp_norm of a field streamed fiber by fiber, as real values or magnitudes times 2^-exponent.
 
-    Each fiber is a float64 array of grid.shape that is not read again.
-    2^exponent bounds the field's |values|, so the squares, added one fiber
+    parts are (values, at) pairs: float64 values that are not read again,
+    the grid values of one fiber at the points total[at] (a whole fiber at
+    ..., or one chunk of it), every point's fibers in fiber order.
+    2^exponent bounds the field's |values|, so the squares, added one part
     at a time into the one accumulator total, do not overflow, and a square
     loses bits only for a value 2^-511 below the bound.  That loses nothing:
     the whole mesh's bound is max |data| (_mesh_norm), and the band's, from
@@ -255,9 +283,11 @@ def _grid_norm(fibers: Iterable[np.ndarray], grid: Grid, p: float, exponent: int
     every exponent at which nothing underflows.
     """
     total[...] = 0.0
-    for values in fibers:
+    for values, at in parts:
         np.square(values, out=values)
-        total += values
+        with _uncast():
+            part = total[at]
+            part += values
     np.sqrt(total, out=total)
     norm = np.ldexp(_norm(total, p, overwrite=True), exponent)
     return float(norm * grid.cell_volume ** (1.0 / p))
@@ -272,8 +302,9 @@ def _mesh_norm(data: np.ndarray, grid: Grid, p: float) -> float:
     magnitudes = np.empty(grid.shape)
     exponent = _exponent(max(np.abs(fiber, out=magnitudes).max() for fiber in data))
     scale = math.ldexp(1.0, -exponent)
-    fibers = (np.multiply(np.abs(fiber, out=magnitudes), scale, out=magnitudes) for fiber in data)
-    return _grid_norm(fibers, grid, p, exponent, np.empty(grid.shape))
+    parts = ((np.multiply(np.abs(fiber, out=magnitudes), scale, out=magnitudes), ...)
+             for fiber in data)
+    return _grid_norm(parts, grid, p, exponent, np.empty(grid.shape))
 
 
 def _xi_weights(xis: Sequence[np.ndarray], k: int) -> np.ndarray:
@@ -451,6 +482,50 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """A field's coefficient rows, formed when asked for: rows[at] is those at the slice at.
+
+    What a spectrum's grid norm reads, as it reads a (fiber, ...)
+    coefficient array: len(rows) rows, taken by slices of the fiber axis.
+    make(at) forms the rows at alone, so a band forms one row at a time
+    and the whole mesh all of them at once.
+    """
+
+    count: int
+    make: Callable[[slice], np.ndarray]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, at: slice) -> np.ndarray:
+        return self.make(at)
+
+
+def _derivative_rows(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray]) -> _Rows:
+    """The rows of _derivatives(k, coeffs, xis), each formed when asked for.
+
+    The monomial table is formed here, once; row j T + t is the t-th
+    monomial times coeffs[j], times i^k, so a row has the bits it has in
+    the whole array.
+    """
+    alphas = multi_indices(len(xis), k)
+    powers = _column_monomials(xis, alphas).reshape(-1, len(alphas))
+    powers *= np.sqrt([multinomial_weight(a) for a in alphas])
+    fibers = coeffs.reshape(len(coeffs), -1)
+    count = len(coeffs) * len(alphas)
+
+    def make(at: slice) -> np.ndarray:
+        indices = range(count)[at]
+        out = np.empty((len(indices), fibers.shape[1]), dtype=complex)
+        for index, row in zip(indices, out):
+            fiber, monomial = divmod(index, len(alphas))
+            np.multiply(powers[:, monomial], fibers[fiber], out=row)
+        out *= 1j ** k
+        return out.reshape((len(indices),) + coeffs.shape[1:])
+    return _Rows(count, make)
+
+
 def _derivatives(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray]) -> np.ndarray:
     """Coefficients of all order-k derivatives of coeffs, in apply_Dk's coordinates.
 
@@ -462,18 +537,9 @@ def _derivatives(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray]) -> np.nd
     monomial table is real, with the scales sqrt(k!/alpha!) of apply_Dk's
     layout in it, so they cost no pass over the field; it is multiplied
     into the output per fiber and multi-index, and the exact phase i^k is
-    applied to the output.
+    applied to the output (every row of _derivative_rows at once).
     """
-    alphas = multi_indices(len(xis), k)
-    powers = _column_monomials(xis, alphas).reshape(-1, len(alphas))
-    powers *= np.sqrt([multinomial_weight(a) for a in alphas])
-    fibers = coeffs.reshape(len(coeffs), -1)
-    out = np.empty((len(coeffs), len(alphas), fibers.shape[1]), dtype=complex)
-    for values, rows in zip(fibers, out):
-        for monomial, row in zip(powers.T, rows):
-            np.multiply(monomial, values, out=row)
-    out *= 1j ** k
-    return out.reshape((len(coeffs) * len(alphas),) + coeffs.shape[1:])
+    return _derivative_rows(k, coeffs, xis)[:]
 
 
 def apply_Dk(k: int, field: GridField) -> GridField:
@@ -554,10 +620,14 @@ def _band_draw(fiber_dim: int, count: int, seed) -> np.ndarray:
 
     Unit variance, real and imaginary parts from one standard_normal call of
     the seeded generator; random_band_limited's field has them at the
-    primaries and their conjugates at the mirrors.
+    primaries and their conjugates at the mirrors.  The draw is viewed as
+    complex and divided by sqrt(2) in place, the one division of
+    (re + 1j im) / sqrt(2), so nothing beside it is allocated.
     """
     draws = np.random.default_rng(seed).standard_normal((fiber_dim, count, 2))
-    return (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+    values = draws.view(complex)[..., 0]
+    values /= np.sqrt(2.0)
+    return values
 
 
 def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> FrequencyField:
@@ -617,13 +687,16 @@ class _Spectrum:
     frequencies on the mesh (_mesh_slabs), one slab on a band or a rung.
     With norm_weights and a slab's derivative_weights, pinv._norm of
     coefficients there is the whole-mesh L2 norm of the field, and of its
-    order-k derivatives, on the slab (_slab_total joins the slabs).  grid_norm(coeffs, p) gives
-    _grid_norm of the field's grid values (None on a band built for p = 2
-    and on a rung, whose norms read no grid value).  On the whole mesh it
-    overwrites coeffs with them (_inverse) and takes one fiber's magnitudes
-    at a time (_mesh_norm), so a caller hands it coefficients it does not
-    read again; on a band the band's own real inverse FFT writes one fiber
-    at a time into its buffer (_band_grid).  draw(fiber_dim, seed) gives
+    order-k derivatives, on the slab (_slab_total joins the slabs).
+    grid_norm(rows, p) gives _grid_norm of the grid values of the field
+    whose coefficient rows are rows, a (fiber, ...) array or _Rows that
+    form them (None on a band built for p = 2 and on a rung, whose norms
+    read no grid value).  On the whole mesh it forms every row at once
+    (rows[:]), overwrites them with the grid values (_inverse) and takes
+    one fiber's magnitudes at a time (_mesh_norm), so a caller hands it an
+    array it does not read again; on a band it reads one row at a time,
+    which the band's own real inverse FFT takes to the grid one chunk at a
+    time, in its buffer (_band_grid).  draw(fiber_dim, seed) gives
     the coefficients of random_band_limited on this spectrum (band N/4 on
     the whole mesh; a rung has no draw).
     """
@@ -633,7 +706,7 @@ class _Spectrum:
     projector: np.ndarray
     norm_weights: float | None
     slabs: Callable[[], Iterable[_Slab]]
-    grid_norm: Callable[[np.ndarray, float], float] | None
+    grid_norm: Callable[[np.ndarray | _Rows, float], float] | None
     draw: Callable[[int, object], np.ndarray] | None
 
 
@@ -673,6 +746,23 @@ def _trial_entries(op: Operator) -> int:
             + _derivative_columns(op.n, op.k))
 
 
+def _band_trial_entries(op: Operator, p: float) -> int:
+    """Real entries per primary of a ratio or minimality trial on a band, beside its tables and buffers.
+
+    Complex: phi, and at p = 2 the larger of a ratio's phi - P_A phi and M
+    phi with its magnitudes and a minimality trial's draw and projection
+    with its magnitudes, beside a _matvec chunk's term and numpy's buffer
+    for its real table entries (at most two rows).  At any other p phi -
+    P_A phi, one row of D^k phi or A phi and numpy's buffer for its real
+    factor (at most a row), and the real monomials D^k phi is formed from
+    (_derivative_columns) with the n float64 coordinates they are formed
+    from: _band_grid reads one row at a time.
+    """
+    if p == 2.0:
+        return 2 * op.dim_v + max(2 * op.dim_v + 3 * op.dim_w, 5 * op.dim_v) + 4
+    return 4 * op.dim_v + 4 + op.n + _derivative_columns(op.n, op.k)
+
+
 def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0) -> _Spectrum:
     """The whole frequency mesh at exponent p: N^n tables (_symbol_tensor, _kernel_projector_table).
 
@@ -700,7 +790,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     return _Spectrum(
         _frequency_axes(grid), symbols, projector, None,
         lambda: _mesh_slabs(op, grid, symbols, projector),
-        lambda coeffs, p: _mesh_norm(_inverse(coeffs, grid), grid, p),
+        lambda rows, p: _mesh_norm(_inverse(rows[:], grid), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
 
@@ -725,36 +815,46 @@ def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
 
     half: one fiber's half spectrum, whose first-axis planes 0..B are the
     scatter target that every ifftn pass writes (n >= 2), or those planes
-    alone, which irfft pads itself (n = 1).  out: one fiber's real N^n grid
-    values.  total: the N^n accumulator of _grid_norm.
+    alone, which irfft pads itself (n = 1).  out: one chunk of a fiber's
+    real grid values, every first-axis point on a run of second-axis lines,
+    about _GRID_CHUNK reals (a whole fiber in 1-D, which has no second
+    axis).  total: the N^n accumulator of _grid_norm.
     """
-    first = grid.size // 2 + 1 if grid.n > 1 else max_freq + 1
-    return {"half": ((first,) + grid.shape[1:], complex),
-            "out": (grid.shape, float), "total": (grid.shape, float)}
+    if grid.n == 1:
+        return {"half": ((max_freq + 1,), complex), "out": (grid.shape, float),
+                "total": (grid.shape, float)}
+    lines = max(1, min(grid.size, _GRID_CHUNK // grid.size ** (grid.n - 1)))
+    return {"half": ((grid.size // 2 + 1,) + grid.shape[1:], complex),
+            "out": ((grid.size, lines) + grid.shape[2:], float), "total": (grid.shape, float)}
 
 
 def _band_grid(grid: Grid, primaries: np.ndarray):
     """grid_values and grid_norm of the band, by numpy's irfftn steps on buffers allocated once.
 
-    A band field's first components lie in 0..B (_primaries), so its half
-    spectrum is zero beyond first-axis plane B.  grid_values(coeffs,
-    exponent) yields a field's fibers one at a time, each fiber's real grid
-    values times 2^-exponent in the one out buffer (_band_buffers).  It
-    scatters the fiber into planes 0..B of the half spectrum: the primaries
-    and, in plane 0, their mirrors, which take the conjugates so that the
-    plane is Hermitian as irfft reads it.  Then one ifftn runs on those
-    planes in place (out=): numpy passes over the listed axes last to
-    first, so listed n-1..1 they run 1..n-1, as in irfftn, and planes
-    B+1..N/2 stay zero; in 1-D there is no pass, and irfft pads the planes
-    itself.  The passes fill the planes, so they are zeroed before each
-    scatter.  irfft along the first axis writes out, which is divided by
-    irfftn's scale times 2^exponent.  Every line transform is independent,
-    every skipped line is zero and 2^exponent is exact, so each value has
-    irfftn's bits times 2^-exponent.  grid_norm takes the exponent of an
-    upper bound of |values| from the coefficients, 2 sum |c| / (2pi)^(n/2)
-    over a fiber's primaries, and streams the fibers through _grid_norm
-    into the total buffer.  The buffers are allocated here, once per route;
-    neither function allocates an array the size of the grid.
+    A field is given by its rows (a (fiber, P) array at the primaries, or
+    _Rows that form them), one row read at a time.  A band field's first
+    components lie in 0..B (_primaries), so its half spectrum is zero
+    beyond first-axis plane B.  grid_values(rows, exponent) yields a
+    field's real grid values times 2^-exponent one chunk at a time, in the
+    one out buffer (_band_buffers), as (values, at) pairs, at the index of
+    the chunk's points in a fiber.  It scatters a row into planes 0..B of
+    the half spectrum: the primaries and, in plane 0, their mirrors, which
+    take the conjugates so that the plane is Hermitian as irfft reads it.
+    Then one ifftn runs on those planes in place (out=): numpy passes over
+    the listed axes last to first, so listed n-1..1 they run 1..n-1, as in
+    irfftn, and planes B+1..N/2 stay zero; in 1-D there is no pass, and
+    irfft pads the planes itself.  The passes fill the planes, so they are
+    zeroed before each scatter.  irfft along the first axis, on the half
+    spectrum's run of second-axis lines of each chunk in turn, writes out,
+    which is divided by irfftn's scale times 2^exponent.  Every line
+    transform is independent, every skipped line is zero and 2^exponent is
+    exact, so each value has irfftn's bits times 2^-exponent.  grid_norm
+    takes the exponent of an upper bound of |values| from the
+    coefficients, 2 sum |c| / (2pi)^(n/2) over a row's primaries, the
+    largest over the rows, which it forms once for the bound and once for
+    the values, and streams the chunks through _grid_norm into the total
+    buffer.  The buffers are allocated here, once per route; neither
+    function allocates an array the size of the grid.
     """
     max_freq = int(primaries[0].max())
     buffers = {name: np.zeros(shape, dtype) for name, (shape, dtype)
@@ -767,23 +867,36 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
     on_plane0 = np.flatnonzero(primaries[0] == 0)
     mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0]), target.shape, mode="wrap")
     scale = (TWO_PI / grid.size) ** (grid.n / 2.0)
+    # runs of second-axis lines, one chunk each; in 1-D one chunk, the whole fiber
+    chunks = [(slice(None),)]
+    if grid.n > 1:
+        lines = buffers["out"].shape[1]
+        chunks = [(slice(None), slice(start, start + lines))
+                  for start in range(0, grid.size, lines)]
 
-    def grid_values(coeffs: np.ndarray, exponent: int):
+    def each(rows):
+        # one row at a time, each formed as it is reached
+        for index in range(len(rows)):
+            yield rows[index:index + 1][0]
+
+    def grid_values(rows, exponent: int):
         out, divisor = buffers["out"], math.ldexp(scale, exponent)
-        for values in coeffs:
+        for values in each(rows):
             target.fill(0.0)
             flat[at] = values
             flat[mirrors] = values[on_plane0].conj()
+            del values
             if grid.n > 1:
                 np.fft.ifftn(target, axes=range(grid.n - 1, 0, -1), norm="ortho", out=target)
-            np.fft.irfft(half, grid.size, axis=0, norm="ortho", out=out)
-            out /= divisor
-            yield out
+            for chunk in chunks:
+                np.fft.irfft(half[chunk], grid.size, axis=0, norm="ortho", out=out)
+                out /= divisor
+                yield out, chunk
 
-    def grid_norm(coeffs: np.ndarray, p: float) -> float:
-        bound = 2.0 * max(np.abs(values).sum() for values in coeffs) / TWO_PI ** (grid.n / 2.0)
+    def grid_norm(rows, p: float) -> float:
+        bound = 2.0 * max(np.abs(values).sum() for values in each(rows)) / TWO_PI ** (grid.n / 2.0)
         exponent = _exponent(bound)
-        return _grid_norm(grid_values(coeffs, exponent), grid, p, exponent, buffers["total"])
+        return _grid_norm(grid_values(rows, exponent), grid, p, exponent, buffers["total"])
     return grid_values, grid_norm
 
 
@@ -796,9 +909,10 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     (_tables, 2 |xi|^2k formed here) with the primaries and their scatter
     positions (dimW dimV + dimV^2 + n + 3 reals) and the largest of the
     symbol's monomials (operators._column_count), the projector build and
-    a trial.  At p != 2 it adds the grid route's buffers
-    (_band_buffers), one fiber and the accumulator beside the half
-    spectrum, whatever the fiber count of the field.
+    a trial (_band_trial_entries: at p != 2 one grid row beside phi and
+    phi - P_A phi).  At p != 2 it adds the grid route's buffers
+    (_band_buffers), one output chunk and the accumulator beside the half
+    spectrum, whatever the fiber count of the field and the grid's size.
     A field here is its (fiber, P) values at the primaries (_band_draw),
     the field of random_band_limited with the same seed.  Only p != 2
     builds the grid route (_band_grid): a p = 2 norm reads no grid value,
@@ -813,7 +927,8 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
     _refuse_oversized(op, grid, count,
-                      tables + max(_column_count(op.alpha_array), build, _trial_entries(op)),
+                      tables + max(_column_count(op.alpha_array), build,
+                                   _band_trial_entries(op, p)),
                       grid_entries)
     primaries = _primaries(op.n, max_freq)
     symbols, projector = _tables(op, primaries, float(tol))
@@ -886,10 +1001,13 @@ def _envelope(coeffs: np.ndarray, factor: np.ndarray, shift, planes: slice = sli
     At eta the envelope is the product over axes j of factor[eta_j -
     shift_j]; coeffs, the first-axis planes planes of the mesh, is
     multiplied by one rolled factor per axis, so nothing the size of the
-    grid is made and each entry has its whole-mesh bits.
+    grid is made and each entry has its whole-mesh bits.  The factor is
+    complex like coeffs, so the broadcast multiplies run _uncast, with no
+    128 KiB numpy iteration buffer.
     """
-    for axis, step in enumerate(shift):
-        rolled = np.roll(factor, step)
-        if axis == 0:
-            rolled = rolled[planes]
-        coeffs *= rolled.reshape((-1,) + (1,) * (coeffs.ndim - 2 - axis))
+    with _uncast():
+        for axis, step in enumerate(shift):
+            rolled = np.roll(factor, step)
+            if axis == 0:
+                rolled = rolled[planes]
+            coeffs *= rolled.reshape((-1,) + (1,) * (coeffs.ndim - 2 - axis))

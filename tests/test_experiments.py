@@ -387,8 +387,8 @@ def test_windowed_witness_obeys_the_shift_theorem(name, xi):
 def test_windowed_witness_is_built_in_its_complex_field():
     # curl's 32^3 rung (1.5 MiB) is contracted into the real parts of its own
     # complex field, then multiplied there by the phase and the envelope, where a
-    # real contraction and its complex copy held 1.5 times the field; each of the
-    # envelope's broadcast multiplies takes one numpy ufunc buffer of complex entries
+    # real contraction and its complex copy held 1.5 times the field; the
+    # envelope's broadcast multiplies take no 128 KiB numpy iteration buffer
     op, grid = zoo_get("curl"), Grid(3, 32)
 
     def build():
@@ -402,7 +402,7 @@ def test_windowed_witness_is_built_in_its_complex_field():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= phi.nbytes + 16 * np.getbufsize() + 2 ** 16
+    assert peak <= phi.nbytes + 2 ** 16
 
 
 def test_witness_config_validation():

@@ -403,15 +403,19 @@ def test_jacobi_kernel_matches_lapack(rows, cols, specs, seed):
         assert orthonormal_columns(exact, np.ones(len(s1), dtype=bool)) <= 1e-14
 
 
+@pytest.mark.parametrize("count, block", [(pinv._BLOCK + 40, 4116), (8320, 4160)])
 @pytest.mark.parametrize("shape", [(3, 3), (3, 2), (2, 3), (1, 3), (4, 4), (3, 1)])
-def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape):
+def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape, count, block):
     # report bytes must not depend on how many frequencies share a block or on
     # which factors a caller reads, so for every choice of factors a matrix
     # decomposes to the same bits alone and anywhere in a stack longer than
     # one block, signed zeros included, and to the bits it has next to both
-    # factors; a factor not asked for is never allocated
+    # factors; a factor not asked for is never allocated.  Such a stack is
+    # two equal blocks: 8320 matrices, a 256^2 grid's band 64, are two of 4160
+    assert pinv._block_size(count) == block
+    assert [pinv._block_size(c) for c in (5, pinv._BLOCK, 3 * pinv._BLOCK)] == [5] + 2 * [pinv._BLOCK]
     rng = np.random.default_rng(3)
-    mats = rng.standard_normal((pinv._BLOCK + 40,) + shape)
+    mats = rng.standard_normal((count,) + shape)
     mats[::7] = 0.0
     mats[1::5, 0] = -0.0
     mats[2::9, :, -1] = 0.0
@@ -427,7 +431,7 @@ def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape):
             assert (got is not None) == want
             if want:
                 assert got.tobytes() == full.tobytes()
-        for i in [*range(30), *range(pinv._BLOCK - 5, len(mats))]:
+        for i in [*range(30), *range(block - 5, block + 5), *range(pinv._BLOCK - 5, len(mats))]:
             alone = pinv._svd(mats[i], want_u=want_u, want_vh=want_vh)
             for got, full, want in zip(alone, both, wanted):
                 assert (got is not None) == want

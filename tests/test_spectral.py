@@ -396,40 +396,47 @@ def test_random_coefficients_scatter_the_band_draw(n, size, max_freq):
     assert not coeffs[:, rest].any()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_band_grid_values_are_those_of_the_whole_mesh(n):
+@pytest.mark.parametrize("n, size", [(1, 8), (2, 8), (3, 8), (2, 256), (3, 64)])
+def test_band_grid_values_are_those_of_the_whole_mesh(n, size):
     # the scatter into the half spectrum, with conjugate mirrors in plane 0,
-    # then the real inverse FFT of each fiber gives the real part of
+    # then the real inverse FFT of each row gives the real part of
     # inverse_transform; a second call scatters into the same planes, and each
-    # fiber is copied out of the one buffer that every fiber is yielded in
-    grid = Grid(n, 8)
+    # chunk of a fiber (two on 256^2, eight on 64^3) is copied out of the one
+    # buffer that every chunk is yielded in
+    grid = Grid(n, size)
     op = {1: LINE, 2: zoo_get("symmetric_gradient"), 3: zoo_get("curl")}[n]
     band = spectral._band_spectrum(op, grid, 2, DEFAULT_TOL, 3.0)
     grid_values, _ = spectral._band_grid(grid, band.xis)
     for seed in ([n, 1], [n, 2]):
         values = band.draw(op.dim_v, seed)
         full = inverse_transform(spectral._random_coefficients(grid, op.dim_v, 2, seed)).data
-        data = np.stack([fiber.copy() for fiber in grid_values(values, 0)])
-        assert data.dtype == np.float64 and data.shape == full.shape
+        data = np.full(full.shape, np.nan)
+        for fiber, row in zip(data, values):
+            for chunk, at in grid_values(row[None], 0):
+                fiber[at] = chunk
         np.testing.assert_allclose(data, full.real, rtol=0, atol=1e-15 * np.abs(full).max())
 
 
 @pytest.mark.parametrize("n, size, max_freq", [(1, 16384, 8), (2, 128, 4), (3, 32, 4),
-                                                (2, 256, 64), (3, 32, 8), (4, 16, 4)])
+                                                (2, 256, 64), (3, 32, 8), (4, 16, 4),
+                                                (3, 64, 16)])
 def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
-    # the fiber-by-fiber steps on planes 0..B have numpy irfftn's bits on the
-    # whole half spectrum, below and at the full band B = N/4, and grid_norm
-    # those of the streamed rule on its values: each fiber's squares added in
-    # order, their square roots, pinv._norm over the points (a power-of-two
-    # scale moves no bit), the real and complex routes alike; after the first
-    # call, no call allocates a fiber (one fiber is larger than numpy's
-    # 8192-entry iteration buffer on these grids)
+    # the row-by-row steps on planes 0..B, then chunk by chunk of second-axis
+    # lines (two chunks on 256^2 and 16^4, eight on 64^3), have numpy
+    # irfftn's bits on the whole half spectrum, below and at the full band
+    # B = N/4, and grid_norm those of the streamed rule on its values: each
+    # fiber's squares added in order, their square roots, pinv._norm over the
+    # points (a power-of-two scale moves no bit), the real and complex routes
+    # alike; after the first call, no call allocates a chunk (one chunk is at
+    # least numpy's 8192-entry iteration buffer on these grids)
     grid = Grid(n, size)
     primaries = spectral._primaries(n, max_freq)
     grid_values, grid_norm = spectral._band_grid(grid, primaries)
     axes = tuple(range(1, n + 1))
     scale = (TWO_PI / size) ** (n / 2.0)
-    fiber_bytes = 8 * size ** n
+    chunk = spectral._band_buffers(grid, max_freq)["out"][0]
+    chunk_bytes, per_fiber = 8 * math.prod(chunk), size ** n // math.prod(chunk)
+    assert per_fiber == {(2, 256): 2, (3, 64): 8, (4, 16): 2}.get((n, size), 1)
     for fibers in range(1, 10):
         seed = [n, fibers]
         values = spectral._band_draw(fibers, primaries.shape[1], seed)
@@ -439,14 +446,18 @@ def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
         grid_norm(values, 3.0)
         tracemalloc.start()
         try:
-            # the peak is read before each fiber's bits are compared, and reset after
-            for data, want in zip(grid_values(values, 0), expected, strict=True):
-                assert tracemalloc.get_traced_memory()[1] < fiber_bytes
+            # the peak is read before each chunk's bits are compared, and reset after
+            parts = 0
+            for data, at in grid_values(values, 0):
+                assert tracemalloc.get_traced_memory()[1] < chunk_bytes
+                want = expected[parts // per_fiber][at]
                 assert data.shape == want.shape and data.tobytes() == want.tobytes()
+                parts += 1
                 tracemalloc.reset_peak()
+            assert parts == fibers * per_fiber
             tracemalloc.reset_peak()
             norm = grid_norm(values, 3.0)
-            assert tracemalloc.get_traced_memory()[1] < fiber_bytes
+            assert tracemalloc.get_traced_memory()[1] < chunk_bytes
         finally:
             tracemalloc.stop()
         for p, value in ((3.0, norm), (math.inf, grid_norm(values, math.inf))):
@@ -755,7 +766,9 @@ def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name):
 def test_band_memory_estimate_bounds_three_trials(monkeypatch, op, size, p):
     # the band route, its tables built afresh, then three ratio trials, on fields
     # drawn before tracing: the first draw imports numpy.random, and one untraced
-    # trial fills first-call caches, neither of which the estimate counts
+    # trial fills first-call caches, neither of which the estimate counts.  At
+    # p != 2 it counts what a trial holds, one grid row at a time, so it stays
+    # within 1.5 times the peak
     grid = Grid(op.n, size)
     estimates = []
     monkeypatch.setattr(spectral, "_refuse_beyond_memory",
@@ -774,6 +787,41 @@ def test_band_memory_estimate_bounds_three_trials(monkeypatch, op, size, p):
     finally:
         tracemalloc.stop()
     assert peak <= estimates[-1]
+    if p != 2.0:
+        assert estimates[-1] <= 1.5 * peak
+
+
+@pytest.mark.parametrize("name, size", [("curl", 32), ("symmetric_gradient", 256)])
+def test_band_ratio_holds_one_grid_row_at_a_time(name, size):
+    # a warm p = 3 ratio on the band forms D^k(phi - P_A phi) and A phi one row
+    # at a time as its grid norm reads them: beside phi it holds phi - P_A phi,
+    # a row and numpy's buffer for the row's real factor, and the monomials, where
+    # holding every row of D phi took curl's nine (559 KB at 32^3)
+    op = zoo_get(name)
+    grid = Grid(op.n, size)
+    spectrum = spectral._band_spectrum(op, grid, size // 4, DEFAULT_TOL, 3.0)
+    phi = spectrum.draw(op.dim_v, [size, 0])
+    experiments._ratio(op, spectrum, phi, 3.0, DEFAULT_TOL)  # first-call caches
+    count = spectrum.xis.shape[1]
+    tracemalloc.start()
+    try:
+        experiments._ratio(op, spectrum, phi, 3.0, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monomials = 8 * count * spectral._derivative_columns(op.n, op.k)
+    assert peak <= 2 * phi.nbytes + 2 * 16 * count + monomials + 2 ** 16
+
+
+@pytest.mark.parametrize("seed", [0, [3, 32, 1], 12345])
+def test_band_draw_is_the_complex_formula_in_place(seed):
+    # the draw viewed as complex and divided by sqrt(2) in place has the bits of
+    # (re + 1j im) / sqrt(2) on a fresh array, for every fiber count
+    for fibers in range(1, 10):
+        draws = np.random.default_rng(seed).standard_normal((fibers, 41, 2))
+        want = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+        values = spectral._band_draw(fibers, 41, seed)
+        assert values.shape == want.shape and values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("p", [3.0, math.inf])

@@ -95,10 +95,9 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> f
     formed on the whole spectrum, then D^k(phi - P_A phi) and A phi = i^k M
     phi are measured by spectrum.grid_norm, _grid_norm of their grid values
     (the phase i^k is applied on coefficients, which is exact), one at a
-    time.  Each is handed over as its rows (spectral._derivative_rows,
-    _image_rows), formed only as the norm reads them: one at a time on a
-    band, all at once on the whole mesh.  Either way phi - P_A phi is tested against phi under pinv's
-    cutoff first.  Nothing on the way is checked for finiteness: a
+    time, handed over as rows formed when read (_derivative_rows,
+    _image_rows).  Either way phi - P_A phi is tested against phi under
+    pinv's cutoff first.  Nothing on the way is checked for finiteness: a
     non-finite intermediate makes a norm non-finite, which raises
     ValueError.
     """
@@ -126,11 +125,7 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> f
 
 
 def _image_rows(op: Operator, symbols: np.ndarray, coeffs: np.ndarray) -> _Rows:
-    """The rows of A phi = i^k M phi, phi's coefficients on a spectrum, each formed when asked for.
-
-    Row i is _matvec of the symbol table's row i with phi, times the exact
-    phase i^k: the bits of row i of the whole product.
-    """
+    """The rows of A phi = i^k M phi as _Rows: row i is _matvec of M's row i with phi, times i^k."""
     def make(at: slice) -> np.ndarray:
         image = _matvec(symbols[..., at, :], coeffs)
         image *= 1j ** op.k

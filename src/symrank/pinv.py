@@ -5,12 +5,13 @@ I - A+ A all come from one SVD helper (_svd) with one rank cutoff (_kept,
 its tol bounded by _check_tol), on single matrices or stacks, real input
 staying real and complex complex.  Each routine takes any stack in equal
 blocks of at most _BLOCK matrices into one output (_blockwise), and
-_held_entries says what it holds beside it.  Every symbol matrix the package decomposes is
-the real M of A = i^k M (see operators._real_stack).  Real input takes a
-one-sided (Hestenes) Jacobi kernel, vectorized over blocks of the stack,
-so the Python loop runs over column pairs and sweeps where LAPACK's gesdd
-costs one call per matrix; one-sided Jacobi computes small singular
-values at least as accurately as QR-based SVD (Demmel & Veselic, 1992).
+_held_entries says what it holds beside it.  Every symbol matrix the
+package decomposes is the real M of A = i^k M (see operators._real_stack).
+Real input takes a one-sided (Hestenes) Jacobi kernel, vectorized over
+blocks of the stack, so the Python loop runs over column pairs and sweeps
+where LAPACK's gesdd costs one call per matrix; one-sided Jacobi computes
+small singular values at least as accurately as QR-based SVD (Demmel &
+Veselic, 1992).
 Complex input comes only from public-API callers and goes to LAPACK
 (numpy.linalg.svd).  _norm and _fiber_norm are the overflow-free norms of
 values that carry the operator's scale: _norm scales by the largest
@@ -100,12 +101,7 @@ _MAX_SWEEPS = 60
 
 
 def _block_size(count: int) -> int:
-    """Matrices per block of a stack of count: ceil(count / _BLOCK) blocks as equal as they go.
-
-    So a stack just beyond a block is two halves, not a whole block and a
-    sliver, and a stack of a multiple of _BLOCK, or of at most one block,
-    keeps blocks of _BLOCK, or one block.
-    """
+    """Matrices per block of a stack of count: ceil(count / _BLOCK) blocks, as equal as they go."""
     return -(-count // -(-count // _BLOCK))
 
 
@@ -287,9 +283,10 @@ def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
     needs no rotation: sigma = |a|.  The normalized columns give u (vh for
     a wide A) and the accumulated rotations vh (u), and each is computed
     only when asked for.  Each matrix is first scaled exactly by a power of
-    two, so operators scaled by 1e+-200 neither overflow nor underflow.  Singular vectors of a zero
-    singular value are zero, which the strict cutoff of _kept never keeps.
-    A matrix decomposes to the same bits alone and anywhere in a stack.
+    two, so operators scaled by 1e+-200 neither overflow nor underflow.
+    Singular vectors of a zero singular value are zero, which the strict
+    cutoff of _kept never keeps.  A matrix decomposes to the same bits
+    alone and anywhere in a stack.
     Raises LinAlgError (a ValueError) if a block does not converge.
     """
     if np.iscomplexobj(mats):
@@ -350,9 +347,8 @@ def _blockwise(mat: np.ndarray, shape: tuple[int, ...], step: Callable, dtype=No
                want_u: bool = False, want_vh: bool = False) -> np.ndarray:
     """A routine's (..., *shape) output on mat (from _as_matrices), in mat's dtype or dtype.
 
-    Allocated once and filled one block at a time, ceil(len / _BLOCK)
-    blocks of equal size (_block_size), so 8320 matrices are two blocks of
-    4160, not 8192 and 128: each is checked for finiteness and decomposed
+    Allocated once and filled one block (_block_size) at a time, so 8320
+    matrices are two of 4160: each is checked for finiteness and decomposed
     by _svd, and step(out, u, sigma, vh) writes its part of the output from
     the factors.  So a routine holds one block's working set beside its
     output (_held_entries), and no bit depends on the blocks.

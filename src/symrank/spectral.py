@@ -46,19 +46,15 @@ generator call (_band_draw); random_band_limited scatters them onto the
 whole mesh.  The band spectrum (_band_spectrum) holds M and P_A at the
 primaries only (_tables, built per spectrum and freed with it), and
 weights that count each primary twice, for its mirror, in one slab, so
-at p = 2 it holds nothing of the grid.  At any other p a ratio hands
-the band's grid norm the rows of D^k phi and A phi as _Rows, each row
-formed when it is read (_derivative_rows, one monomial times one row of
-phi - P_A phi), and the band's own real inverse FFT (_band_grid) takes
-one row at a time to the grid: numpy's irfftn steps, one ifftn on the
-half spectrum's first-axis planes 0..B only, the nonzero ones, then
-irfft, with irfftn's bits, one chunk of second-axis lines at a time into
-one buffer of about _GRID_CHUNK reals, just before _grid_norm squares it
-and adds it into the accumulator.  The buffers are listed once
-(_band_buffers), one chunk and the accumulator beside the half spectrum
-whatever the field's fiber count, and allocated when the spectrum is
-built, so a trial holds one coefficient row and allocates no array the
-size of the grid.
+at p = 2 it holds nothing of the grid.  At any other p the band's own
+real inverse FFT (_band_grid) forms its grid values: numpy's irfftn
+steps, one coefficient row at a time, formed as it is read (_Rows), one
+ifftn on the half spectrum's first-axis planes 0..B only, the nonzero
+ones, then irfft, with irfftn's bits, one chunk of second-axis lines at a
+time into one buffer just before _grid_norm squares it.  The buffers are
+listed once (_band_buffers), one chunk and the accumulator beside the
+half spectrum whatever the field's fiber count, and allocated when the
+spectrum is built, so a trial allocates no array the size of the grid.
 An exact witness rung is one coefficient at one frequency, and its
 spectrum (_rung_spectra, every rung of a ladder from one _tables call)
 holds M and P_A there alone and no grid route: a single mode has the
@@ -71,8 +67,8 @@ rung tables are the mesh tables at their frequencies.  One estimate
 (_refuse_oversized) sizes the mesh and band routes before anything is
 allocated: their tables with what pinv holds while it builds one
 (pinv._held_entries), a trial's fields (one slab's on the mesh at p =
-2, one grid row's beside phi on a band at p != 2) and, at p != 2, the
-band's grid buffers; an estimate too large for a float is refused too.
+2, one row's on a band at p != 2) and, at p != 2, the grid buffers; an
+estimate too large for a float is refused too.
 A table builder counts only its table and build, and each apply_* call
 the fields it makes, so no route is sized by a field it never holds.
 """
@@ -94,11 +90,9 @@ TWO_PI = 2.0 * math.pi
 # frequencies per pass of _matvec: a chunk of a 3 x 3 table with its input, output
 # and temporary takes about 0.75 MB, which stays in a core's L2 cache
 _MATVEC_CHUNK = 4096
-# reals per chunk of the band's grid values (_band_buffers): 256 KB, transformed,
-# squared and added while it stays in a core's L2 cache
+# reals per chunk of the band's grid values (_band_buffers): 256 KB stays in L2
 _GRID_CHUNK = 32768
-# numpy's iteration buffer, in entries, for strided operations that cast nothing
-# (_uncast): numpy's default is 8192 (128 KiB of complex), though it is never filled
+# numpy's iteration buffer in entries for operations that cast nothing (_uncast)
 _UNCAST_BUFFER = 256
 
 
@@ -131,12 +125,11 @@ class Grid:
 
 @contextmanager
 def _uncast():
-    """numpy ufuncs within run with an iteration buffer of _UNCAST_BUFFER entries.
+    """Run numpy ufuncs in the block with an iteration buffer of _UNCAST_BUFFER entries.
 
-    For operations whose operands share one dtype, so that the buffer is
-    never filled: numpy still allocates np.getbufsize() entries of it for
-    each operand of a broadcast or strided loop whose inner run is shorter
-    than that.  np.errstate restores the size on exit.
+    For operands of one dtype, which never fill it: numpy still allocates
+    np.getbufsize() entries (128 KiB of complex) per operand of a strided
+    loop whose inner run is shorter than that.  np.errstate restores it.
     """
     with np.errstate():
         np.setbufsize(_UNCAST_BUFFER)
@@ -268,17 +261,17 @@ def _grid_norm(parts: Iterable[tuple[np.ndarray, tuple]], grid: Grid, p: float, 
                total: np.ndarray) -> float:
     """lp_norm of a field streamed fiber by fiber, as real values or magnitudes times 2^-exponent.
 
-    parts are (values, at) pairs: float64 values that are not read again,
-    the grid values of one fiber at the points total[at] (a whole fiber at
-    ..., or one chunk of it), every point's fibers in fiber order.
-    2^exponent bounds the field's |values|, so the squares, added one part
-    at a time into the one accumulator total, do not overflow, and a square
-    loses bits only for a value 2^-511 below the bound.  That loses nothing:
-    the whole mesh's bound is max |data| (_mesh_norm), and the band's, from
-    its coefficients (_band_grid), is at most sqrt(2P) times the maximum,
-    since by Parseval a trigonometric polynomial of P terms reaches
-    sum |c| / sqrt(P); such a value lies hundreds of binary orders below
-    the field's maximum, far below rounding.  pinv._norm of the square
+    parts are (values, at) pairs: float64 values, not read again, of one
+    fiber at the points total[at] (a whole fiber or a chunk), each point's
+    fibers in order.  2^exponent bounds the field's |values|, so the
+    squares, added one part at a time into the one accumulator total, do
+    not overflow, and a square loses bits only for a value 2^-511 below the
+    bound.  That loses nothing: the whole mesh's bound is max |data|
+    (_mesh_norm), and the band's, from its coefficients (_band_grid), is at
+    most sqrt(2P) times the maximum, since by Parseval a trigonometric
+    polynomial of P terms reaches sum |c| / sqrt(P); such a value lies
+    hundreds of binary orders below the field's maximum, far below
+    rounding.  pinv._norm of the square
     roots, scaled back by 2^exponent, is the norm, with the same bits for
     every exponent at which nothing underflows.
     """
@@ -484,12 +477,10 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
 
 @dataclass(frozen=True)
 class _Rows:
-    """A field's coefficient rows, formed when asked for: rows[at] is those at the slice at.
+    """Coefficient rows formed when read: rows[at] is make(at), the rows at the slice at.
 
-    What a spectrum's grid norm reads, as it reads a (fiber, ...)
-    coefficient array: len(rows) rows, taken by slices of the fiber axis.
-    make(at) forms the rows at alone, so a band forms one row at a time
-    and the whole mesh all of them at once.
+    A grid norm reads it as a (fiber, ...) array: a band one row at a
+    time, the whole mesh all at once.
     """
 
     count: int
@@ -503,12 +494,7 @@ class _Rows:
 
 
 def _derivative_rows(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray]) -> _Rows:
-    """The rows of _derivatives(k, coeffs, xis), each formed when asked for.
-
-    The monomial table is formed here, once; row j T + t is the t-th
-    monomial times coeffs[j], times i^k, so a row has the bits it has in
-    the whole array.
-    """
+    """_derivatives(k, coeffs, xis) as _Rows: row j T + t is monomial t times coeffs[j], times i^k."""
     alphas = multi_indices(len(xis), k)
     powers = _column_monomials(xis, alphas).reshape(-1, len(alphas))
     powers *= np.sqrt([multinomial_weight(a) for a in alphas])
@@ -537,7 +523,7 @@ def _derivatives(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray]) -> np.nd
     monomial table is real, with the scales sqrt(k!/alpha!) of apply_Dk's
     layout in it, so they cost no pass over the field; it is multiplied
     into the output per fiber and multi-index, and the exact phase i^k is
-    applied to the output (every row of _derivative_rows at once).
+    applied to the output (all rows of _derivative_rows).
     """
     return _derivative_rows(k, coeffs, xis)[:]
 
@@ -620,9 +606,8 @@ def _band_draw(fiber_dim: int, count: int, seed) -> np.ndarray:
 
     Unit variance, real and imaginary parts from one standard_normal call of
     the seeded generator; random_band_limited's field has them at the
-    primaries and their conjugates at the mirrors.  The draw is viewed as
-    complex and divided by sqrt(2) in place, the one division of
-    (re + 1j im) / sqrt(2), so nothing beside it is allocated.
+    primaries and their conjugates at the mirrors.  Viewed as complex and
+    divided by sqrt(2) in place: the bits of (re + 1j im) / sqrt(2).
     """
     draws = np.random.default_rng(seed).standard_normal((fiber_dim, count, 2))
     values = draws.view(complex)[..., 0]
@@ -689,14 +674,12 @@ class _Spectrum:
     coefficients there is the whole-mesh L2 norm of the field, and of its
     order-k derivatives, on the slab (_slab_total joins the slabs).
     grid_norm(rows, p) gives _grid_norm of the grid values of the field
-    whose coefficient rows are rows, a (fiber, ...) array or _Rows that
-    form them (None on a band built for p = 2 and on a rung, whose norms
-    read no grid value).  On the whole mesh it forms every row at once
-    (rows[:]), overwrites them with the grid values (_inverse) and takes
-    one fiber's magnitudes at a time (_mesh_norm), so a caller hands it an
-    array it does not read again; on a band it reads one row at a time,
-    which the band's own real inverse FFT takes to the grid one chunk at a
-    time, in its buffer (_band_grid).  draw(fiber_dim, seed) gives
+    with coefficient rows rows, an array or _Rows (None on a band built for
+    p = 2 and on a rung, whose norms read no grid value).  On the whole
+    mesh it overwrites rows[:] with them (_inverse) and takes one fiber's
+    magnitudes at a time (_mesh_norm), so a caller hands it rows it does
+    not read again; on a band the band's own real inverse FFT takes one row
+    at a time to its buffer (_band_grid).  draw(fiber_dim, seed) gives
     the coefficients of random_band_limited on this spectrum (band N/4 on
     the whole mesh; a rung has no draw).
     """
@@ -747,16 +730,13 @@ def _trial_entries(op: Operator) -> int:
 
 
 def _band_trial_entries(op: Operator, p: float) -> int:
-    """Real entries per primary of a ratio or minimality trial on a band, beside its tables and buffers.
+    """Real entries per primary of a ratio or minimality trial on a band, beside its tables.
 
-    Complex: phi, and at p = 2 the larger of a ratio's phi - P_A phi and M
-    phi with its magnitudes and a minimality trial's draw and projection
-    with its magnitudes, beside a _matvec chunk's term and numpy's buffer
-    for its real table entries (at most two rows).  At any other p phi -
-    P_A phi, one row of D^k phi or A phi and numpy's buffer for its real
-    factor (at most a row), and the real monomials D^k phi is formed from
-    (_derivative_columns) with the n float64 coordinates they are formed
-    from: _band_grid reads one row at a time.
+    phi and, at p = 2, the larger of a ratio's phi - P_A phi, M phi and
+    its magnitudes and a minimality trial's draw, projection and its
+    magnitudes, with a _matvec chunk and numpy's cast buffer (two rows);
+    at any other p phi - P_A phi, one row with its cast buffer, and the
+    monomials of D^k phi (_derivative_columns) with the n coordinates.
     """
     if p == 2.0:
         return 2 * op.dim_v + max(2 * op.dim_v + 3 * op.dim_w, 5 * op.dim_v) + 4
@@ -816,9 +796,8 @@ def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
     half: one fiber's half spectrum, whose first-axis planes 0..B are the
     scatter target that every ifftn pass writes (n >= 2), or those planes
     alone, which irfft pads itself (n = 1).  out: one chunk of a fiber's
-    real grid values, every first-axis point on a run of second-axis lines,
-    about _GRID_CHUNK reals (a whole fiber in 1-D, which has no second
-    axis).  total: the N^n accumulator of _grid_norm.
+    real grid values, a run of second-axis lines of about _GRID_CHUNK reals
+    (in 1-D the whole fiber).  total: the N^n accumulator of _grid_norm.
     """
     if grid.n == 1:
         return {"half": ((max_freq + 1,), complex), "out": (grid.shape, float),
@@ -831,28 +810,26 @@ def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
 def _band_grid(grid: Grid, primaries: np.ndarray):
     """grid_values and grid_norm of the band, by numpy's irfftn steps on buffers allocated once.
 
-    A field is given by its rows (a (fiber, P) array at the primaries, or
-    _Rows that form them), one row read at a time.  A band field's first
-    components lie in 0..B (_primaries), so its half spectrum is zero
-    beyond first-axis plane B.  grid_values(rows, exponent) yields a
-    field's real grid values times 2^-exponent one chunk at a time, in the
-    one out buffer (_band_buffers), as (values, at) pairs, at the index of
-    the chunk's points in a fiber.  It scatters a row into planes 0..B of
-    the half spectrum: the primaries and, in plane 0, their mirrors, which
+    A band field's first components lie in 0..B (_primaries), so its half
+    spectrum is zero beyond first-axis plane B.  grid_values(rows,
+    exponent) takes a field's (fiber, P) rows, an array or _Rows, one at a
+    time and yields its real grid values times 2^-exponent one chunk at a
+    time, as (values, at) pairs, values in the one out buffer
+    (_band_buffers).  It scatters a row into planes 0..B of the half
+    spectrum: the primaries and, in plane 0, their mirrors, which
     take the conjugates so that the plane is Hermitian as irfft reads it.
     Then one ifftn runs on those planes in place (out=): numpy passes over
     the listed axes last to first, so listed n-1..1 they run 1..n-1, as in
     irfftn, and planes B+1..N/2 stay zero; in 1-D there is no pass, and
     irfft pads the planes itself.  The passes fill the planes, so they are
-    zeroed before each scatter.  irfft along the first axis, on the half
-    spectrum's run of second-axis lines of each chunk in turn, writes out,
-    which is divided by irfftn's scale times 2^exponent.  Every line
-    transform is independent, every skipped line is zero and 2^exponent is
-    exact, so each value has irfftn's bits times 2^-exponent.  grid_norm
-    takes the exponent of an upper bound of |values| from the
-    coefficients, 2 sum |c| / (2pi)^(n/2) over a row's primaries, the
-    largest over the rows, which it forms once for the bound and once for
-    the values, and streams the chunks through _grid_norm into the total
+    zeroed before each scatter.  irfft along the first axis, one chunk's
+    lines at a time, writes out, which is divided by irfftn's scale times
+    2^exponent.  Every line transform is independent, every skipped line
+    is zero and 2^exponent is exact, so each value has irfftn's bits times
+    2^-exponent.  grid_norm takes the exponent of an upper bound of
+    |values| from the coefficients, 2 sum |c| / (2pi)^(n/2) over a row's
+    primaries (it forms each row for the bound, then again for its
+    values), and streams the chunks through _grid_norm into the total
     buffer.  The buffers are allocated here, once per route; neither
     function allocates an array the size of the grid.
     """
@@ -867,7 +844,7 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
     on_plane0 = np.flatnonzero(primaries[0] == 0)
     mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0]), target.shape, mode="wrap")
     scale = (TWO_PI / grid.size) ** (grid.n / 2.0)
-    # runs of second-axis lines, one chunk each; in 1-D one chunk, the whole fiber
+    # runs of second-axis lines; in 1-D the whole fiber
     chunks = [(slice(None),)]
     if grid.n > 1:
         lines = buffers["out"].shape[1]
@@ -875,7 +852,6 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
                   for start in range(0, grid.size, lines)]
 
     def each(rows):
-        # one row at a time, each formed as it is reached
         for index in range(len(rows)):
             yield rows[index:index + 1][0]
 
@@ -909,10 +885,9 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     (_tables, 2 |xi|^2k formed here) with the primaries and their scatter
     positions (dimW dimV + dimV^2 + n + 3 reals) and the largest of the
     symbol's monomials (operators._column_count), the projector build and
-    a trial (_band_trial_entries: at p != 2 one grid row beside phi and
-    phi - P_A phi).  At p != 2 it adds the grid route's buffers
-    (_band_buffers), one output chunk and the accumulator beside the half
-    spectrum, whatever the fiber count of the field and the grid's size.
+    a trial (_band_trial_entries).  At p != 2 it adds the grid route's
+    buffers (_band_buffers), one chunk and the accumulator beside the half
+    spectrum, whatever the fiber count of the field.
     A field here is its (fiber, P) values at the primaries (_band_draw),
     the field of random_band_limited with the same seed.  Only p != 2
     builds the grid route (_band_grid): a p = 2 norm reads no grid value,
@@ -1002,8 +977,7 @@ def _envelope(coeffs: np.ndarray, factor: np.ndarray, shift, planes: slice = sli
     shift_j]; coeffs, the first-axis planes planes of the mesh, is
     multiplied by one rolled factor per axis, so nothing the size of the
     grid is made and each entry has its whole-mesh bits.  The factor is
-    complex like coeffs, so the broadcast multiplies run _uncast, with no
-    128 KiB numpy iteration buffer.
+    complex like coeffs, so the multiplies run _uncast.
     """
     with _uncast():
         for axis, step in enumerate(shift):

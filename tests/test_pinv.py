@@ -413,7 +413,7 @@ def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape, count, block):
     # factors; a factor not asked for is never allocated.  Such a stack is
     # two equal blocks: 8320 matrices, a 256^2 grid's band 64, are two of 4160
     assert pinv._block_size(count) == block
-    assert [pinv._block_size(c) for c in (5, pinv._BLOCK, 3 * pinv._BLOCK)] == [5] + 2 * [pinv._BLOCK]
+    assert [pinv._block_size(c) for c in (5, pinv._BLOCK, 3 * pinv._BLOCK)] == [5, 8192, 8192]
     rng = np.random.default_rng(3)
     mats = rng.standard_normal((count,) + shape)
     mats[::7] = 0.0

@@ -413,6 +413,7 @@ def test_band_grid_values_are_those_of_the_whole_mesh(n, size):
         data = np.full(full.shape, np.nan)
         for fiber, row in zip(data, values):
             for chunk, at in grid_values(row[None], 0):
+                assert chunk.dtype == np.float64
                 fiber[at] = chunk
         np.testing.assert_allclose(data, full.real, rtol=0, atol=1e-15 * np.abs(full).max())
 

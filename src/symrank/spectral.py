@@ -799,12 +799,11 @@ def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
     real grid values, a run of second-axis lines of about _GRID_CHUNK reals
     (in 1-D the whole fiber).  total: the N^n accumulator of _grid_norm.
     """
-    if grid.n == 1:
-        return {"half": ((max_freq + 1,), complex), "out": (grid.shape, float),
-                "total": (grid.shape, float)}
-    lines = max(1, min(grid.size, _GRID_CHUNK // grid.size ** (grid.n - 1)))
-    return {"half": ((grid.size // 2 + 1,) + grid.shape[1:], complex),
-            "out": ((grid.size, lines) + grid.shape[2:], float), "total": (grid.shape, float)}
+    half, out = (max_freq + 1,), grid.shape
+    if grid.n > 1:
+        lines = max(1, min(grid.size, _GRID_CHUNK // grid.size ** (grid.n - 1)))
+        half, out = (grid.size // 2 + 1,) + grid.shape[1:], (grid.size, lines) + grid.shape[2:]
+    return {"half": (half, complex), "out": (out, float), "total": (grid.shape, float)}
 
 
 def _band_grid(grid: Grid, primaries: np.ndarray):
@@ -816,10 +815,10 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
     time and yields its real grid values times 2^-exponent one chunk at a
     time, as (values, at) pairs, values in the one out buffer
     (_band_buffers).  It scatters a row into planes 0..B of the half
-    spectrum: the primaries and, in plane 0, their mirrors, which
-    take the conjugates so that the plane is Hermitian as irfft reads it.
-    Then one ifftn runs on those planes in place (out=): numpy passes over
-    the listed axes last to first, so listed n-1..1 they run 1..n-1, as in
+    spectrum: the primaries and, in plane 0, their mirrors, which take the
+    conjugates so that the plane is Hermitian as irfft reads it.  Then one
+    ifftn runs on those planes in place (out=): numpy passes over the
+    listed axes last to first, so listed n-1..1 they run 1..n-1, as in
     irfftn, and planes B+1..N/2 stay zero; in 1-D there is no pass, and
     irfft pads the planes itself.  The passes fill the planes, so they are
     zeroed before each scatter.  irfft along the first axis, one chunk's

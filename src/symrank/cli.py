@@ -154,9 +154,9 @@ def cmd_counterexample(args) -> int:
     so the ladder holds the two tables and one slab, and the estimate
     counts just that.  At any other p the norms need grid values, so each
     rung's whole field is built and measured before the next one, and the
-    estimate counts one N^n witness field beside a ratio's trial.  Either
-    way the ratios are bitwise those of estimate_ratio on witness_family's
-    list.
+    estimate counts what a ratio holds on the whole mesh, with that field
+    as its phi.  Either way the ratios are bitwise those of estimate_ratio
+    on witness_family's list.
     """
     if not (math.isfinite(args.factor) and args.factor > 0):
         raise ValueError("--factor must be a finite number greater than 0")
@@ -176,10 +176,9 @@ def cmd_counterexample(args) -> int:
     if args.window is None:
         ratios = _rung_ratios(op, grid, ladder, args.tol)
     else:
-        # the spectrum refuses an oversized grid before any witness is built; at p != 2
-        # it counts a whole witness field beside a ratio's trial, at p = 2 one slab
-        spectrum = _mesh_spectrum(op, grid, args.tol, args.p,
-                                  held=0 if args.p == 2.0 else op.dim_v)
+        # the spectrum refuses an oversized grid before any witness is built; a trial
+        # builds its witness, whole at p != 2 and one slab at a time at p = 2
+        spectrum = _mesh_spectrum(op, grid, args.tol, args.p)
         ratios = [_ratio(op, spectrum, build, args.p, args.tol)
                   for build in _witness_fields(op, ladder, grid, args.window, args.tol)]
     records = []

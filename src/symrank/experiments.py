@@ -32,10 +32,10 @@ import numpy as np
 from .operators import Operator, _column_count, _real_stack
 from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
 from .rank import RankDropWitness
-from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Rows,
-                       _Spectrum, _band_spectrum, _bump_coefficients, _check_field,
-                       _derivative_rows, _envelope, _matvec, _mesh_spectrum, _refuse_oversized,
-                       _rung_spectra, _slab_total, _symbol_tensor)
+from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Spectrum,
+                       _band_spectrum, _bump_coefficients, _check_field, _derivative_rows,
+                       _envelope, _matvec, _mesh_spectrum, _refuse_oversized, _rung_spectra,
+                       _slab_total, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -95,11 +95,12 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> f
     formed on the whole spectrum, then D^k(phi - P_A phi) and A phi = i^k M
     phi are measured by spectrum.grid_norm, _grid_norm of their grid values
     (the phase i^k is applied on coefficients, which is exact), one at a
-    time, handed over as rows formed when read (_derivative_rows,
-    _image_rows).  Either way phi - P_A phi is tested against phi under
-    pinv's cutoff first.  Nothing on the way is checked for finiteness: a
-    non-finite intermediate makes a norm non-finite, which raises
-    ValueError.
+    time, each handed over as a generator of its coefficient rows
+    (_derivative_rows, _image_rows): every row is formed once, when the
+    grid norm reads it, so a trial holds one row of either field.  Either
+    way phi - P_A phi is tested against phi under pinv's cutoff first.
+    Nothing on the way is checked for finiteness: a non-finite intermediate
+    makes a norm non-finite, which raises ValueError.
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
@@ -124,13 +125,16 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> f
     return numerator / denominator
 
 
-def _image_rows(op: Operator, symbols: np.ndarray, coeffs: np.ndarray) -> _Rows:
-    """The rows of A phi = i^k M phi as _Rows: row i is _matvec of M's row i with phi, times i^k."""
-    def make(at: slice) -> np.ndarray:
-        image = _matvec(symbols[..., at, :], coeffs)
+def _image_rows(op: Operator, symbols: np.ndarray, coeffs: np.ndarray):
+    """The rows of A phi = i^k M phi, a generator: row i is _matvec of M's row i with phi, times i^k.
+
+    Each row is dropped before the next is formed (spectral._derivative_rows).
+    """
+    for row in range(op.dim_w):
+        image = _matvec(symbols[..., row:row + 1, :], coeffs)[0]
         image *= 1j ** op.k
-        return image
-    return _Rows(op.dim_w, make)
+        yield image
+        del image
 
 
 def _l2_norms(spectrum: _Spectrum, field) -> tuple[float, float, float, float]:

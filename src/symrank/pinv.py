@@ -16,8 +16,8 @@ Complex input comes only from public-API callers and goes to LAPACK
 (numpy.linalg.svd).  _norm and _fiber_norm are the overflow-free norms of
 values that carry the operator's scale: _norm scales by the largest
 magnitude, _fiber_norm each point by its own (GridField.pointwise_norm),
-while an L^p grid norm (spectral._grid_norm) scales a whole field by one
-power of two and takes _norm of its fiber norms.  _refuse_beyond_memory is the one
+while an L^p grid norm (spectral._grid_norm) scales a whole field by a
+running power of two and takes _norm of its fiber norms.  _refuse_beyond_memory is the one
 physical-memory check behind the refusals of oversized tables (spectral)
 and sphere sweeps (rank); it evaluates their estimates, so one too large
 for a float is refused too.

@@ -26,9 +26,9 @@ several steps, such as the estimate ratio, stays on coefficients and
 transforms back only the fields whose grid values an L^p norm with
 p != 2 needs: at p = 2 the grid norm is a weighted coefficient sum
 (pinv._norm), and otherwise _grid_norm, lp_norm's own, of the grid values.
-_grid_norm streams a field one fiber at a time: the whole field is scaled
-by one power of two, each fiber's squares are added into one N^n
-accumulator, and pinv._norm is taken of their square roots; only
+_grid_norm is the one loop behind every such norm: it reads a field one
+fiber at a time, adds its squares into one N^n accumulator under a running
+power-of-two scale, and takes pinv._norm of their square roots; only
 GridField.pointwise_norm scales each point by its own maximum
 (pinv._fiber_norm).
 
@@ -46,15 +46,14 @@ generator call (_band_draw); random_band_limited scatters them onto the
 whole mesh.  The band spectrum (_band_spectrum) holds M and P_A at the
 primaries only (_tables, built per spectrum and freed with it), and
 weights that count each primary twice, for its mirror, in one slab, so
-at p = 2 it holds nothing of the grid.  At any other p the band's own
-real inverse FFT (_band_grid) forms its grid values: numpy's irfftn
-steps, one coefficient row at a time, formed as it is read (_Rows), one
-ifftn on the half spectrum's first-axis planes 0..B only, the nonzero
-ones, then irfft, with irfftn's bits, one chunk of second-axis lines at a
-time into one buffer just before _grid_norm squares it.  The buffers are
-listed once (_band_buffers), one chunk and the accumulator beside the
-half spectrum whatever the field's fiber count, and allocated when the
-spectrum is built, so a trial allocates no array the size of the grid.
+at p = 2 it holds nothing of the grid.  At any other p a coefficient row
+is formed once, as _grid_norm reads it, and taken to the grid: on the
+whole mesh in place by a complex inverse FFT, on a band by the band's own
+irfftn steps (_band_grid), one ifftn on the half spectrum's first-axis
+planes 0..B only, then irfft one chunk of second-axis lines at a time
+into one buffer, with irfftn's bits.  The band's buffers (_band_buffers)
+are allocated when the spectrum is built, so its trial allocates no array
+the size of the grid.
 An exact witness rung is one coefficient at one frequency, and its
 spectrum (_rung_spectra, every rung of a ladder from one _tables call)
 holds M and P_A there alone and no grid route: a single mode has the
@@ -67,8 +66,8 @@ rung tables are the mesh tables at their frequencies.  One estimate
 (_refuse_oversized) sizes the mesh and band routes before anything is
 allocated: their tables with what pinv holds while it builds one
 (pinv._held_entries), a trial's fields (one slab's on the mesh at p =
-2, one row's on a band at p != 2) and, at p != 2, the grid buffers; an
-estimate too large for a float is refused too.
+2, one grid row's at p != 2) and a band's grid buffers; an estimate too
+large for a float is refused too.
 A table builder counts only its table and build, and each apply_* call
 the fields it makes, so no route is sized by a field it never holds.
 """
@@ -78,6 +77,7 @@ from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
@@ -240,8 +240,8 @@ def lp_norm(field: GridField, p: float) -> float:
     """Grid L^p norm: Riemann sum of the pointwise fiber norm; p = inf gives the max.
 
     _grid_norm of one fiber's magnitudes at a time (_mesh_norm): the field
-    is scaled by one power of two, where pointwise_norm scales each point
-    by its own maximum.  field.data is not written.
+    is scaled by a running power of two, where pointwise_norm scales each
+    point by its own maximum.  field.data is not written.
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
@@ -251,53 +251,65 @@ def lp_norm(field: GridField, p: float) -> float:
 def _exponent(bound) -> int:
     """e with bound * 2^-e in [0.5, 1), within [-1021, 1021] so that 2^-e and 2^e are floats.
 
-    0 for a zero or non-finite bound: a non-finite one comes from non-finite
-    values, whose norm is then non-finite too.
+    -1021 for a zero bound, so that it raises no running scale (_grid_norm);
+    0 for a non-finite one, which comes from non-finite values, whose norm
+    is then non-finite too.
     """
-    return int(np.clip(np.frexp(bound)[1], -1021, 1021))
+    return int(np.clip(np.frexp(bound)[1], -1021, 1021)) if bound else -1021
 
 
-def _grid_norm(parts: Iterable[tuple[np.ndarray, tuple]], grid: Grid, p: float, exponent: int,
+def _grid_norm(fibers: Iterable[tuple[float, Callable[[int], Iterable]]], grid: Grid, p: float,
                total: np.ndarray) -> float:
-    """lp_norm of a field streamed fiber by fiber, as real values or magnitudes times 2^-exponent.
+    """lp_norm of a field read one fiber at a time, under a running power-of-two scale.
 
-    parts are (values, at) pairs: float64 values, not read again, of one
-    fiber at the points total[at] (a whole fiber or a chunk), each point's
-    fibers in order.  2^exponent bounds the field's |values|, so the
-    squares, added one part at a time into the one accumulator total, do
-    not overflow, and a square loses bits only for a value 2^-511 below the
-    bound.  That loses nothing: the whole mesh's bound is max |data|
-    (_mesh_norm), and the band's, from its coefficients (_band_grid), is at
-    most sqrt(2P) times the maximum, since by Parseval a trigonometric
-    polynomial of P terms reaches sum |c| / sqrt(P); such a value lies
-    hundreds of binary orders below the field's maximum, far below
-    rounding.  pinv._norm of the square
-    roots, scaled back by 2^exponent, is the norm, with the same bits for
-    every exponent at which nothing underflows.
+    fibers are (bound, parts) pairs, each point's fibers in order: bound is
+    at least the fiber's max |value|, that maximum itself on the whole mesh
+    (_mesh_norm), at most sqrt(2P) times it on a band (_band_grid).
+    parts(exponent) yields the fiber's values times 2^-exponent, float64
+    and not read again, as (values, at) pairs for the points total[at].
+    exponent is that of the largest bound so far, so no square added into
+    the accumulator total overflows; when a fiber raises it, the squares in
+    total are scaled down by that power of four, which is exact, as in
+    LAPACK's scaled sum of squares xLASSQ (Blue 1978).  A square loses bits
+    only for a value 2^-511 below the largest bound, far below rounding.
+    pinv._norm of the square roots, scaled back by 2^exponent, is the norm,
+    with the same bits in whatever order the bounds rise, wherever nothing
+    underflows.
     """
     total[...] = 0.0
-    for values, at in parts:
-        np.square(values, out=values)
-        with _uncast():
-            part = total[at]
-            part += values
+    exponent = None
+    for bound, parts in fibers:
+        raised = _exponent(bound)
+        if exponent is None:
+            exponent = raised
+        elif raised > exponent:
+            np.ldexp(total, 2 * (exponent - raised), out=total)
+            exponent = raised
+        for values, at in parts(exponent):
+            np.square(values, out=values)
+            with _uncast():
+                part = total[at]
+                part += values
     np.sqrt(total, out=total)
     norm = np.ldexp(_norm(total, p, overwrite=True), exponent)
     return float(norm * grid.cell_volume ** (1.0 / p))
 
 
-def _mesh_norm(data: np.ndarray, grid: Grid, p: float) -> float:
-    """_grid_norm of whole-mesh grid values data (complex, fiber axis first); data is not written.
+def _mesh_norm(fibers: Iterable[np.ndarray], grid: Grid, p: float) -> float:
+    """_grid_norm of whole-mesh grid values, complex fibers of shape grid.shape, not written.
 
-    The exponent is that of max |data|; each fiber's magnitudes, scaled by
-    it, are written into one real N^n buffer just before they are squared.
+    A fiber's magnitudes go once into one real N^n buffer, whose maximum is
+    its bound, and are scaled there; the fiber is dropped before the next.
     """
     magnitudes = np.empty(grid.shape)
-    exponent = _exponent(max(np.abs(fiber, out=magnitudes).max() for fiber in data))
-    scale = math.ldexp(1.0, -exponent)
-    parts = ((np.multiply(np.abs(fiber, out=magnitudes), scale, out=magnitudes), ...)
-             for fiber in data)
-    return _grid_norm(parts, grid, p, exponent, np.empty(grid.shape))
+
+    def each():
+        for fiber in fibers:
+            np.abs(fiber, out=magnitudes)
+            del fiber
+            yield magnitudes.max(), lambda exponent: (
+                (np.multiply(magnitudes, math.ldexp(1.0, -exponent), out=magnitudes), ...),)
+    return _grid_norm(each(), grid, p, np.empty(grid.shape))
 
 
 def _xi_weights(xis: Sequence[np.ndarray], k: int) -> np.ndarray:
@@ -475,57 +487,41 @@ def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridFi
     return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """Coefficient rows formed when read: rows[at] is make(at), the rows at the slice at.
+def _derivative_rows(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray], out=None):
+    """The rows of _derivatives, a generator: row j T + t is monomial t times coeffs[j], times i^k.
 
-    A grid norm reads it as a (fiber, ...) array: a band one row at a
-    time, the whole mesh all at once.
+    Each row is formed when read, in out[j T + t] if out, a (rows,
+    frequencies) array, is given; otherwise it is dropped before the next
+    is formed, so a reader that drops it too holds one row.
     """
-
-    count: int
-    make: Callable[[slice], np.ndarray]
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, at: slice) -> np.ndarray:
-        return self.make(at)
-
-
-def _derivative_rows(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray]) -> _Rows:
-    """_derivatives(k, coeffs, xis) as _Rows: row j T + t is monomial t times coeffs[j], times i^k."""
     alphas = multi_indices(len(xis), k)
     powers = _column_monomials(xis, alphas).reshape(-1, len(alphas))
     powers *= np.sqrt([multinomial_weight(a) for a in alphas])
     fibers = coeffs.reshape(len(coeffs), -1)
-    count = len(coeffs) * len(alphas)
-
-    def make(at: slice) -> np.ndarray:
-        indices = range(count)[at]
-        out = np.empty((len(indices), fibers.shape[1]), dtype=complex)
-        for index, row in zip(indices, out):
-            fiber, monomial = divmod(index, len(alphas))
-            np.multiply(powers[:, monomial], fibers[fiber], out=row)
-        out *= 1j ** k
-        return out.reshape((len(indices),) + coeffs.shape[1:])
-    return _Rows(count, make)
+    for index, (fiber, monomial) in enumerate(product(fibers, powers.T)):
+        row = np.multiply(monomial, fiber, out=None if out is None else out[index])
+        row *= 1j ** k
+        yield row.reshape(coeffs.shape[1:])
+        del row
 
 
 def _derivatives(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray]) -> np.ndarray:
     """Coefficients of all order-k derivatives of coeffs, in apply_Dk's coordinates.
 
     coeffs is a (fiber, ...) coefficient array at the integer frequencies
-    xis, n coordinate arrays that broadcast to its frequency shape: the
-    sparse whole mesh (_frequency_axes), or the rows of an (n, P) array of
-    a band's int64 primaries or a rung, which operators._column_monomials
-    casts to float64; the output covers the same frequencies.  The
-    monomial table is real, with the scales sqrt(k!/alpha!) of apply_Dk's
-    layout in it, so they cost no pass over the field; it is multiplied
-    into the output per fiber and multi-index, and the exact phase i^k is
-    applied to the output (all rows of _derivative_rows).
+    xis, n float64 coordinate arrays that broadcast to its frequency shape:
+    the sparse whole mesh (_frequency_axes), or the rows of an (n, P) array
+    of a band's primaries or a rung; the output covers the same
+    frequencies.  The monomial table is real, with the scales
+    sqrt(k!/alpha!) of apply_Dk's layout in it, so they cost no pass over
+    the field; _derivative_rows forms each output row from it and applies
+    the exact phase i^k.
     """
-    return _derivative_rows(k, coeffs, xis)[:]
+    shape = coeffs.shape[1:]
+    out = np.empty((len(coeffs) * math.comb(len(xis) + k - 1, k), math.prod(shape)), dtype=complex)
+    for _ in _derivative_rows(k, coeffs, xis, out):
+        pass
+    return out.reshape((len(out),) + shape)
 
 
 def apply_Dk(k: int, field: GridField) -> GridField:
@@ -665,7 +661,7 @@ class _Spectrum:
     The whole mesh (_mesh_spectrum), the primaries of a band
     (_band_spectrum) or one exact witness rung (_rung_spectra).  xis are
     the integer frequencies of the coefficient arrays (fiber, ...) on this
-    spectrum, n coordinate arrays that broadcast to their frequency layout
+    spectrum, n float64 coordinate arrays that broadcast to their layout
     (on the whole mesh the sparse mesh of _frequency_axes); symbols (...,
     dimW, dimV) and projector (..., dimV, dimV) are the real tables of M
     and P_A there.  slabs() yields its _Slabs: runs of about _MATVEC_CHUNK
@@ -674,14 +670,14 @@ class _Spectrum:
     coefficients there is the whole-mesh L2 norm of the field, and of its
     order-k derivatives, on the slab (_slab_total joins the slabs).
     grid_norm(rows, p) gives _grid_norm of the grid values of the field
-    with coefficient rows rows, an array or _Rows (None on a band built for
-    p = 2 and on a rung, whose norms read no grid value).  On the whole
-    mesh it overwrites rows[:] with them (_inverse) and takes one fiber's
-    magnitudes at a time (_mesh_norm), so a caller hands it rows it does
-    not read again; on a band the band's own real inverse FFT takes one row
-    at a time to its buffer (_band_grid).  draw(fiber_dim, seed) gives
-    the coefficients of random_band_limited on this spectrum (band N/4 on
-    the whole mesh; a rung has no draw).
+    whose coefficient rows the iterable rows yields (None on a band built
+    for p = 2 and on a rung, whose norms read no grid value).  Each row is
+    taken to the grid as it is read and dropped before the next: on the
+    whole mesh in place (_inverse), so a caller hands over rows it does not
+    read again, with its magnitudes in one buffer (_mesh_norm); on a band
+    by the band's own real inverse FFT into its buffers (_band_grid).
+    draw(fiber_dim, seed) gives the coefficients of random_band_limited on
+    this spectrum (band N/4 on the whole mesh; a rung has no draw).
     """
 
     xis: Sequence[np.ndarray]
@@ -689,7 +685,7 @@ class _Spectrum:
     projector: np.ndarray
     norm_weights: float | None
     slabs: Callable[[], Iterable[_Slab]]
-    grid_norm: Callable[[np.ndarray | _Rows, float], float] | None
+    grid_norm: Callable[[Iterable[np.ndarray], float], float] | None
     draw: Callable[[int, object], np.ndarray] | None
 
 
@@ -713,34 +709,20 @@ def _mesh_slabs(op: Operator, grid: Grid, symbols: np.ndarray, projector: np.nda
         yield _Slab(planes, symbols[planes], projector[planes], weights)
 
 
-def _band_fibers(op: Operator) -> int:
-    """Fibers of the largest field a ratio takes to the grid: D^k phi or A phi."""
-    return max(_derivative_fibers(op), op.dim_w)
+def _trial_entries(op: Operator, p: float) -> int:
+    """Real entries per frequency of a ratio or minimality trial, beside its tables and buffers.
 
-
-def _trial_entries(op: Operator) -> int:
-    """Real entries per frequency of a ratio or minimality trial on a spectrum's coefficients.
-
-    Complex: six arrays of max(dimV, dimW) fibers (phi, phi - P_A phi, a
-    _matvec output, _norm's magnitudes, temporaries) and D^k phi or A phi;
-    real: the monomials D^k phi is formed from (_derivative_columns).
-    """
-    return (2 * (6 * max(op.dim_v, op.dim_w) + _band_fibers(op))
-            + _derivative_columns(op.n, op.k))
-
-
-def _band_trial_entries(op: Operator, p: float) -> int:
-    """Real entries per primary of a ratio or minimality trial on a band, beside its tables.
-
-    phi and, at p = 2, the larger of a ratio's phi - P_A phi, M phi and
-    its magnitudes and a minimality trial's draw, projection and its
-    magnitudes, with a _matvec chunk and numpy's cast buffer (two rows);
-    at any other p phi - P_A phi, one row with its cast buffer, and the
-    monomials of D^k phi (_derivative_columns) with the n coordinates.
+    phi and, at p = 2, the larger of a ratio's phi - P_A phi, M phi and its
+    magnitudes and a minimality trial's draw, projection and its
+    magnitudes, with a _matvec chunk and numpy's cast buffer (two rows).
+    At any other p phi - P_A phi, and the larger of the magnitudes _norm
+    takes of either field and what a grid norm holds: the monomials of D^k
+    phi (_derivative_columns) and one complex row with, on a band, numpy's
+    cast buffer, or on the whole mesh its magnitudes and the accumulator.
     """
     if p == 2.0:
         return 2 * op.dim_v + max(2 * op.dim_v + 3 * op.dim_w, 5 * op.dim_v) + 4
-    return 4 * op.dim_v + 4 + op.n + _derivative_columns(op.n, op.k)
+    return 4 * op.dim_v + max(op.dim_v, _derivative_columns(op.n, op.k) + 4)
 
 
 def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0) -> _Spectrum:
@@ -750,11 +732,11 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     fit (_refuse_oversized), counting per frequency the tables (M, P_A), the
     largest of the symbol's monomials (operators._column_count) and the
     projector build, held complex fibers of whole-mesh fields the caller
-    keeps, and a trial: one slab's arrays and weights at p = 2, where every
-    norm is taken slab by slab (_mesh_slabs), or at any other p whole-mesh
-    arrays with one fiber's magnitudes and the accumulator of _grid_norm
-    (_mesh_norm).  The grid norm transforms the coefficients it is given in
-    place.
+    keeps, and a trial (_trial_entries): on one slab with its weights at p
+    = 2, where every norm is taken slab by slab (_mesh_slabs), or on the
+    whole mesh at any other p, where the grid norm takes one coefficient
+    row at a time to the grid in place (_inverse) and measures its
+    magnitudes (_mesh_norm).
     """
     count = grid.size ** grid.n
     kept = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * held
@@ -762,26 +744,33 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
                 _held_entries(kernel_projector, op.dim_w, op.dim_v, count))
     if p == 2.0:
         slab = _slab_planes(grid) * grid.size ** (grid.n - 1)
-        _refuse_oversized(op, grid, count, kept + build, slab * (_trial_entries(op) + 1))
+        _refuse_oversized(op, grid, count, kept + build, slab * (_trial_entries(op, p) + 1))
     else:
-        _refuse_oversized(op, grid, count, kept + max(build, _trial_entries(op) + 2))
+        _refuse_oversized(op, grid, count, kept + max(build, _trial_entries(op, p)))
     symbols = _symbol_tensor(op, grid)
     projector = _kernel_projector_table(op, grid, float(tol))
+
+    def grid_values(rows):
+        for row in rows:
+            values = _inverse(row[None], grid)[0]
+            del row
+            yield values
+            del values
     return _Spectrum(
         _frequency_axes(grid), symbols, projector, None,
         lambda: _mesh_slabs(op, grid, symbols, projector),
-        lambda rows, p: _mesh_norm(_inverse(rows[:], grid), grid, p),
+        lambda rows, p: _mesh_norm(grid_values(rows), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
 
 def _tables(op: Operator, xis: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """M (P, dimW, dimV) and P_A (P, dimV, dimV) at the integer frequencies xis (n, P); read-only.
 
-    M is operators._column_stack of the n rows of xis, which it casts to
-    float64, and P_A its kernel_projector, bitwise the entries of
-    _symbol_tensor and _kernel_projector_table at xis, so a band's or a
-    rung's tables do not depend on N.  Built per spectrum, not cached: they
-    are freed with the route that reads them.
+    M is operators._column_stack of the n float64 rows of xis, and P_A its
+    kernel_projector, bitwise the entries of _symbol_tensor and
+    _kernel_projector_table at xis, so a band's or a rung's tables do not
+    depend on N.  Built per spectrum, not cached: they are freed with the
+    route that reads them.
     """
     symbols = _column_stack(op, xis)
     projector = kernel_projector(symbols, tol)
@@ -809,28 +798,22 @@ def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
 def _band_grid(grid: Grid, primaries: np.ndarray):
     """grid_values and grid_norm of the band, by numpy's irfftn steps on buffers allocated once.
 
-    A band field's first components lie in 0..B (_primaries), so its half
-    spectrum is zero beyond first-axis plane B.  grid_values(rows,
-    exponent) takes a field's (fiber, P) rows, an array or _Rows, one at a
-    time and yields its real grid values times 2^-exponent one chunk at a
-    time, as (values, at) pairs, values in the one out buffer
-    (_band_buffers).  It scatters a row into planes 0..B of the half
-    spectrum: the primaries and, in plane 0, their mirrors, which take the
-    conjugates so that the plane is Hermitian as irfft reads it.  Then one
-    ifftn runs on those planes in place (out=): numpy passes over the
-    listed axes last to first, so listed n-1..1 they run 1..n-1, as in
-    irfftn, and planes B+1..N/2 stay zero; in 1-D there is no pass, and
-    irfft pads the planes itself.  The passes fill the planes, so they are
-    zeroed before each scatter.  irfft along the first axis, one chunk's
-    lines at a time, writes out, which is divided by irfftn's scale times
-    2^exponent.  Every line transform is independent, every skipped line
-    is zero and 2^exponent is exact, so each value has irfftn's bits times
-    2^-exponent.  grid_norm takes the exponent of an upper bound of
-    |values| from the coefficients, 2 sum |c| / (2pi)^(n/2) over a row's
-    primaries (it forms each row for the bound, then again for its
-    values), and streams the chunks through _grid_norm into the total
-    buffer.  The buffers are allocated here, once per route; neither
-    function allocates an array the size of the grid.
+    A band field's first components lie in 0..B (_primaries, int64), so
+    its half spectrum is zero beyond first-axis plane B.  A field's (fiber,
+    P) rows, any iterable of them, are _grid_norm's fibers: a row's bound is
+    2 sum |c| / (2pi)^(n/2) over its primaries, and the row is scattered
+    into planes 0..B of the half spectrum, the primaries and, in plane 0,
+    their mirrors, which take the conjugates so that the plane is Hermitian
+    as irfft reads it, then dropped.  One ifftn runs on those planes in
+    place (out=): numpy passes over the listed axes last to first, so
+    listed n-1..1 they run 1..n-1, as in irfftn, and planes B+1..N/2 stay
+    zero; in 1-D there is no pass, and irfft pads the planes itself.  The
+    passes fill the planes, so they are zeroed before each scatter.  The
+    row's parts are irfft along the first axis, one chunk's lines at a
+    time into the one out buffer (_band_buffers), divided by irfftn's scale
+    times 2^exponent, which is exact, so each value has irfftn's bits times
+    2^-exponent.  grid_values(rows, exponent) yields every row's parts at
+    one exponent.  Neither function allocates an array the size of the grid.
     """
     max_freq = int(primaries[0].max())
     buffers = {name: np.zeros(shape, dtype) for name, (shape, dtype)
@@ -850,28 +833,30 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
         chunks = [(slice(None), slice(start, start + lines))
                   for start in range(0, grid.size, lines)]
 
-    def each(rows):
-        for index in range(len(rows)):
-            yield rows[index:index + 1][0]
-
-    def grid_values(rows, exponent: int):
+    def parts(exponent: int):
         out, divisor = buffers["out"], math.ldexp(scale, exponent)
-        for values in each(rows):
+        for chunk in chunks:
+            np.fft.irfft(half[chunk], grid.size, axis=0, norm="ortho", out=out)
+            out /= divisor
+            yield out, chunk
+
+    def fibers(rows):
+        for row in rows:
+            bound = 2.0 * np.abs(row).sum() / TWO_PI ** (grid.n / 2.0)
             target.fill(0.0)
-            flat[at] = values
-            flat[mirrors] = values[on_plane0].conj()
-            del values
+            flat[at] = row
+            flat[mirrors] = row[on_plane0].conj()
+            del row
             if grid.n > 1:
                 np.fft.ifftn(target, axes=range(grid.n - 1, 0, -1), norm="ortho", out=target)
-            for chunk in chunks:
-                np.fft.irfft(half[chunk], grid.size, axis=0, norm="ortho", out=out)
-                out /= divisor
-                yield out, chunk
+            yield bound, parts
+
+    def grid_values(rows, exponent: int):
+        for _, row_parts in fibers(rows):
+            yield from row_parts(exponent)
 
     def grid_norm(rows, p: float) -> float:
-        bound = 2.0 * max(np.abs(values).sum() for values in each(rows)) / TWO_PI ** (grid.n / 2.0)
-        exponent = _exponent(bound)
-        return _grid_norm(grid_values(rows, exponent), grid, p, exponent, buffers["total"])
+        return _grid_norm(fibers(rows), grid, p, buffers["total"])
     return grid_values, grid_norm
 
 
@@ -881,12 +866,12 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     Raises ValueError unless 1 <= max_freq <= N/4 and MemoryError when the
     route does not fit (_refuse_oversized), both before any table is built
     or field drawn.  The estimate counts per primary the band's tables
-    (_tables, 2 |xi|^2k formed here) with the primaries and their scatter
-    positions (dimW dimV + dimV^2 + n + 3 reals) and the largest of the
-    symbol's monomials (operators._column_count), the projector build and
-    a trial (_band_trial_entries).  At p != 2 it adds the grid route's
-    buffers (_band_buffers), one chunk and the accumulator beside the half
-    spectrum, whatever the fiber count of the field.
+    (_tables, 2 |xi|^2k formed here) with the int64 primaries, their
+    float64 coordinates xis, cast once here so that no trial casts them,
+    and the scatter positions (dimW dimV + dimV^2 + 2n + 3 reals), and the
+    largest of the symbol's monomials (operators._column_count), the
+    projector build and a trial (_trial_entries); at p != 2 it adds the
+    grid route's buffers (_band_buffers), whatever the field's fiber count.
     A field here is its (fiber, P) values at the primaries (_band_draw),
     the field of random_band_limited with the same seed.  Only p != 2
     builds the grid route (_band_grid): a p = 2 norm reads no grid value,
@@ -898,19 +883,21 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     if p != 2.0:
         grid_entries = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
                            for shape, dtype in _band_buffers(grid, max_freq).values())
-    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 3
+    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * op.n + 3
     build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
     _refuse_oversized(op, grid, count,
                       tables + max(_column_count(op.alpha_array), build,
-                                   _band_trial_entries(op, p)),
+                                   _trial_entries(op, p)),
                       grid_entries)
     primaries = _primaries(op.n, max_freq)
-    symbols, projector = _tables(op, primaries, float(tol))
-    weights = 2.0 * _xi_weights(primaries, op.k)
+    xis = primaries.astype(float)
+    xis.setflags(write=False)
+    symbols, projector = _tables(op, xis, float(tol))
+    weights = 2.0 * _xi_weights(xis, op.k)
     weights.setflags(write=False)
     slabs = (_Slab(slice(None), symbols, projector, weights),)
     grid_norm = _band_grid(grid, primaries)[1] if p != 2.0 else None
-    return _Spectrum(primaries, symbols, projector, 2.0, lambda: slabs, grid_norm,
+    return _Spectrum(xis, symbols, projector, 2.0, lambda: slabs, grid_norm,
                      lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 
 

@@ -406,7 +406,7 @@ def test_band_grid_values_are_those_of_the_whole_mesh(n, size):
     grid = Grid(n, size)
     op = {1: LINE, 2: zoo_get("symmetric_gradient"), 3: zoo_get("curl")}[n]
     band = spectral._band_spectrum(op, grid, 2, DEFAULT_TOL, 3.0)
-    grid_values, _ = spectral._band_grid(grid, band.xis)
+    grid_values, _ = spectral._band_grid(grid, spectral._primaries(n, 2))
     for seed in ([n, 1], [n, 2]):
         values = band.draw(op.dim_v, seed)
         full = inverse_transform(spectral._random_coefficients(grid, op.dim_v, 2, seed)).data
@@ -508,6 +508,18 @@ def test_grid_norm_scales_a_field_by_one_power_of_two(p):
         factor = 2.0 ** power
         assert grid_norm(values * factor, p) == factor * band
         assert mesh_norm(coeffs * factor) == factor * mesh
+    # nine copies of one fiber, each 2^40 times the last: whether the running scale
+    # rises with every fiber or is set by the first, each square is the one the
+    # largest fiber's exponent gives, so the norm has the bits of the largest fiber's
+    # alone, whose squares the others' lie 2^80 and more below
+    growth = 2.0 ** (40 * np.arange(9))
+    for norm, fibers in ((lambda rows: grid_norm(rows, p), values[:1] * growth[:, None]),
+                         (mesh_norm, coeffs[:1] * growth[:, None, None, None])):
+        largest = norm(fibers[-1:])
+        assert norm(fibers) == norm(fibers[::-1]) == largest
+        # a zero fiber ahead of one at 2^-600 sets no scale, at which its squares underflow
+        small = fibers[:1] * 2.0 ** -600
+        assert norm(np.concatenate([0 * small, small])) == norm(small) > 0
     apart = np.array([1e150, 1e-150])[:, None]
     values *= apart
     coeffs *= apart[..., None, None]
@@ -732,12 +744,14 @@ def test_a_finished_sweep_holds_no_band_tables():
     assert held < tables
 
 
-@pytest.mark.parametrize("name", ["curl", "symmetric_gradient"])
-def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name):
-    # the public estimate_ratio at p = 3 on the whole mesh, from empty mesh-table
+@pytest.mark.parametrize("p", [3.0, math.inf])
+@pytest.mark.parametrize("name", ["curl", "symmetric_gradient", "d1d2"])
+def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name, p):
+    # the public estimate_ratio at p != 2 on the whole mesh, from empty mesh-table
     # caches, on grids large enough that numpy's iteration buffers and Python
     # objects, which the estimate leaves out, are small beside the fields: its
-    # traced peak stays within the largest estimate it refuses by
+    # traced peak stays within the largest estimate it refuses by, which counts
+    # what a trial holds, one grid row at a time, so it stays within 1.5 times the peak
     op = zoo_get(name)
     grid = Grid(op.n, {2: 256, 3: 32}[op.n])
     phi = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, [0, 1])
@@ -750,13 +764,15 @@ def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name):
         _kernel_projector_table.cache_clear()
         tracemalloc.start()
         try:
-            experiments.estimate_ratio(op, phi, 3.0)
+            experiments.estimate_ratio(op, phi, p)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     ratio()  # imports and first-call caches, which the estimate does not count
-    assert ratio() <= max(estimates)
+    estimates.clear()
+    peak = ratio()
+    assert peak <= max(estimates) <= 1.5 * peak
 
 
 @pytest.mark.parametrize("op, size, p", [
@@ -812,6 +828,36 @@ def test_band_ratio_holds_one_grid_row_at_a_time(name, size):
         tracemalloc.stop()
     monomials = 8 * count * spectral._derivative_columns(op.n, op.k)
     assert peak <= 2 * phi.nbytes + 2 * 16 * count + monomials + 2 ** 16
+
+
+@pytest.mark.parametrize("p", [3.0, math.inf])
+def test_band_ratio_forms_each_row_of_a_phi_once(monkeypatch, p):
+    # one _matvec projects phi, and one more forms each row of A phi as the band's
+    # grid norm reads it: the row's bound and its grid values come from that one
+    # forming, where taking the bound first formed every row twice
+    op = zoo_get("curl")
+    spectrum = spectral._band_spectrum(op, Grid(3, 16), 4, DEFAULT_TOL, p)
+    phi = spectrum.draw(op.dim_v, [16, 0])
+    calls = []
+    matvec = experiments._matvec
+    monkeypatch.setattr(experiments, "_matvec",
+                        lambda table, coeffs: calls.append(table.shape) or matvec(table, coeffs))
+    experiments._ratio(op, spectrum, phi, p, DEFAULT_TOL)
+    assert len(calls) == 1 + op.dim_w
+
+
+@pytest.mark.parametrize("p", [3.0, math.inf])
+def test_mesh_ratio_holds_one_grid_row_at_a_time(p):
+    # a warm estimate_ratio at p != 2 on the whole mesh takes D phi and A phi to the
+    # grid one row at a time: beside phi's coefficients and phi - P_A phi it holds the
+    # monomials, two complex rows and two real N^n buffers (the magnitudes and the
+    # accumulator), where forming every row of D phi at once held curl's nine
+    op, grid = zoo_get("curl"), Grid(3, 32)
+    phi = random_band_limited(grid, op.dim_v, 8, [0, 1])
+    _, peak = traced_peak(lambda: experiments.estimate_ratio(op, phi, p))
+    count = grid.size ** grid.n
+    monomials = 8 * count * spectral._derivative_columns(op.n, op.k)
+    assert peak <= 2 * 16 * count * op.dim_v + monomials + 2 * 16 * count + 2 * 8 * count + 2 ** 16
 
 
 @pytest.mark.parametrize("seed", [0, [3, 32, 1], 12345])

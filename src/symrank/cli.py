@@ -144,8 +144,8 @@ def cmd_counterexample(args) -> int:
     no exact float64 frequency).  An exact rung (no --window) is a single
     mode, one coefficient at its frequency, whose ratio is the same at
     every p; it is taken there alone at p = 2 (_rung_ratios, with every
-    rung's probe and tables in one stack each), and nothing of size N^n is
-    built.  A windowed rung spreads over the whole mesh, so the N^n symbol
+    rung's probe and tables from one decomposition), and nothing of size
+    N^n is built.  A windowed rung spreads over the whole mesh, so the N^n symbol
     and projector tables are built: the whole-mesh spectrum
     (_mesh_spectrum) is built once, before the first witness, and refuses
     an oversized grid up front; the envelope is one factor of N entries per

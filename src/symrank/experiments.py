@@ -30,7 +30,8 @@ from functools import partial
 import numpy as np
 
 from .operators import Operator, _column_count, _real_stack
-from .pinv import DEFAULT_TOL, _kept, _norm, _svd, numerical_rank
+from .pinv import (DEFAULT_TOL, _blockwise, _kept, _norm, _projectors, _ranks, _Table,
+                   numerical_rank)
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Spectrum,
                        _band_spectrum, _bump_coefficients, _check_field, _derivative_rows,
@@ -157,13 +158,13 @@ def _l2_norms(spectrum: _Spectrum, field) -> tuple[float, float, float, float]:
     return tuple(_slab_total(norms) for norms in zip(*parts))
 
 
-def _rungs(op: Operator, frequencies: list[tuple[int, ...]], grid: Grid,
-           tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The probes of witness rungs at frequencies and the one coefficient of each exact single mode.
+def _rungs(op: Operator, frequencies: list[tuple[int, ...]], grid: Grid, tol: float):
+    """The probes, exact coefficients and real M and P_A tables of witness rungs at frequencies.
 
     A rung's probe is u_{r-1}, the left singular vector of M(xi)'s smallest
     kept singular value, with M read by _real_stack (bitwise the symbol
-    table's entry) and every rung decomposed in one _svd stack.  M is the
+    table's entry).  Every rung's rank, probe and kernel projector come
+    from one decomposition of the rungs' stack (pinv._blockwise).  M is the
     real factor of A = i^k M, so u_{r-1} is real and a left singular vector
     of A(xi) as well.  r is the rank under pinv's one cutoff (_kept), so
     |A*(xi) u_{r-1}| = sigma_r(A(xi)) is the singular value that vanishes at
@@ -174,7 +175,7 @@ def _rungs(op: Operator, frequencies: list[tuple[int, ...]], grid: Grid,
     (2pi)^(n/2).  Raises ValueError for a zero frequency or |xi|_inf > N/4,
     at the first such rung, before anything is decomposed, and then
     DegenerateProbeError at the first rung where the symbol vanishes (r =
-    0).  probes is (rungs, dimW).
+    0).  Returns (probes, coefficients, M, P_A), probes (rungs, dimW).
     """
     for freq in frequencies:
         if not any(freq):
@@ -182,20 +183,25 @@ def _rungs(op: Operator, frequencies: list[tuple[int, ...]], grid: Grid,
         if max(abs(x) for x in freq) > grid.size // 4:
             raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
                              f"(|xi|_inf must be <= {grid.size // 4})")
+
+    def fill_probes(out, u, sigma, vh):
+        ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
+        scales = np.ldexp(1.0, -np.frexp(sigma[:, 0])[1])
+        out[...] = u[np.arange(len(ranks)), :, ranks - 1] * scales[:, None]
+
     symbols = _real_stack(op, frequencies)
-    u, sigma, _ = _svd(symbols, want_u=True)
-    ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
+    ranks, probes, projector = _blockwise(
+        symbols, _ranks(tol), _Table((op.dim_w,), None, True, False, fill_probes),
+        _projectors(op.dim_v, tol))
     for freq, rank in zip(frequencies, ranks):
         if not rank:
             raise DegenerateProbeError(f"{op.name}: the symbol vanishes at {freq}")
-    scales = np.ldexp(1.0, -np.frexp(sigma[:, 0])[1])
-    probes = u[np.arange(len(ranks)), :, ranks - 1] * scales[:, None]
     coefficients = []
     for symbol, probe in zip(symbols, probes):
         coefficient = (-1j) ** op.k * np.einsum("ij,i->j", symbol, probe)
         coefficient *= TWO_PI ** (grid.n / 2.0)
         coefficients.append(coefficient)
-    return probes, coefficients
+    return probes, coefficients, symbols, projector
 
 
 def _rung_ratios(op: Operator, grid: Grid, frequencies, tol: float) -> list[float]:
@@ -208,13 +214,12 @@ def _rung_ratios(op: Operator, grid: Grid, frequencies, tol: float) -> list[floa
     and the ratio is the same at every p >= 1 and at inf.  It is _ratio at
     p = 2 of the rung's one coefficient on its spectrum (_rung_spectra),
     bitwise the whole-mesh p = 2 ratio of the witness field; grid gives n
-    and the |xi|_inf <= N/4 bound.  The probes are one _svd stack and the
-    tables one kernel_projector stack (_rungs, _rung_spectra), so a ladder
-    of any length makes two pinv calls.  Raises as _rungs does, before
-    anything is built.
+    and the |xi|_inf <= N/4 bound.  The probes and the tables come from one
+    stack (_rungs), so a ladder of any length decomposes once.  Raises as
+    _rungs does, before anything is built.
     """
-    coefficients = _rungs(op, frequencies, grid, tol)[1]
-    spectra = _rung_spectra(op, frequencies, tol)
+    _, coefficients, symbols, projector = _rungs(op, frequencies, grid, tol)
+    spectra = _rung_spectra(op, frequencies, symbols, projector)
     return [_ratio(op, spectrum, coefficient[:, None], 2.0, tol)
             for spectrum, coefficient in zip(spectra, coefficients)]
 
@@ -256,7 +261,7 @@ def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None,
     """witness_family's fields one rung at a time, a generator of builders.
 
     The arguments are checked, every rung's probe and coefficient formed
-    (_rungs, one _svd stack), and the envelope's one-axis factor and the
+    (_rungs, one pinv pass), and the envelope's one-axis factor and the
     symbol table looked up, at the first builder.  A rung's builder,
     called with a slice of first-axis planes (all of them by default),
     returns its (dimV, rows, N, ..., N) coefficients on those planes alone
@@ -271,7 +276,7 @@ def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None,
         raise ValueError("window width must lie in (0, 1]")
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
-    probes, coefficients = _rungs(op, frequencies, grid, tol)
+    probes, coefficients = _rungs(op, frequencies, grid, tol)[:2]
     symbols = factor = None
     if window is not None:
         factor = _bump_coefficients(grid, window)

@@ -3,30 +3,34 @@
 Numerical rank, the pseudoinverse (pinv_svd) and the kernel projector
 I - A+ A all come from one SVD helper (_svd) with one rank cutoff (_kept,
 its tol bounded by _check_tol), on single matrices or stacks, real input
-staying real and complex complex.  Each routine takes any stack in equal
-blocks of at most _BLOCK matrices into one output (_blockwise), and
-_held_entries says what it holds beside it.  Every symbol matrix the
-package decomposes is the real M of A = i^k M (see operators._real_stack).
+staying real and complex complex.  _blockwise is the one loop over a
+stack: it takes any stack in equal blocks of at most _BLOCK matrices,
+decomposes each block once with the factors its tables read, and fills
+every table (_Table: ranks, projectors, pseudoinverses, norms or a
+caller's own) from that one decomposition, so no module outside pinv
+calls _svd; _held_entries says what a routine holds beside its output.
+Every symbol matrix the package decomposes is the real M of A = i^k M
+(see operators._real_stack).
 Real input takes a one-sided (Hestenes) Jacobi kernel, vectorized over
 blocks of the stack, so the Python loop runs over column pairs and sweeps
 where LAPACK's gesdd costs one call per matrix; one-sided Jacobi computes
 small singular values at least as accurately as QR-based SVD (Demmel &
 Veselic, 1992).
 Complex input comes only from public-API callers and goes to LAPACK
-(numpy.linalg.svd).  _norm and _fiber_norm are the overflow-free norms of
-values that carry the operator's scale: _norm scales by the largest
-magnitude, _fiber_norm each point by its own (GridField.pointwise_norm),
-while an L^p grid norm (spectral._grid_norm) scales a whole field by a
-running power of two and takes _norm of its fiber norms.  _refuse_beyond_memory is the one
-physical-memory check behind the refusals of oversized tables (spectral)
-and sphere sweeps (rank); it evaluates their estimates, so one too large
-for a float is refused too.
+(numpy.linalg.svd).  _norm is the overflow-free norm of values that carry
+the operator's scale: it scales by the largest magnitude, while an L^p
+grid norm (spectral._grid_norm) scales a whole field by a running power
+of two and takes _norm of its fiber norms.  _refuse_beyond_memory is the
+one physical-memory check behind the refusals of oversized tables
+(spectral) and sphere sweeps (rank); it evaluates their estimates, so one
+too large for a float is refused too.
 """
 
 import itertools
 import math
 import os
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,27 +73,6 @@ def _norm(values, p: float = 2.0, weights=None, overwrite: bool = False) -> np.f
             row *= weights
     total = mags.sum()
     return (np.sqrt(total) if p == 2.0 else np.power(total, 1.0 / p)) * top
-
-
-def _fiber_norm(values: np.ndarray) -> np.ndarray:
-    """sqrt(sum_c |values[c]|^2) at every point, fiber axis c first; a view of the magnitudes.
-
-    Scaled per point by its largest |values[c]|, as _norm scales, so a
-    point's norm keeps its bits whatever the other points hold.
-    """
-    mags = np.abs(values)
-    top = mags.max(axis=0)
-    np.maximum(top, np.finfo(float).smallest_subnormal, out=top)
-    # row by row, numpy's order for a sum over axis 0, with no 64 KB iteration buffer
-    for row in mags:
-        row /= top
-    np.square(mags, out=mags)
-    norms = mags[0]
-    for row in mags[1:]:
-        norms += row
-    np.sqrt(norms, out=norms)
-    norms *= top
-    return norms
 
 
 # matrices per block of the Jacobi kernel, at most: the working set is bounded for
@@ -221,17 +204,16 @@ def _jacobi_block(work: np.ndarray, normalize: bool, accumulate: bool):
     return sigma, (work if normalize else None), v
 
 
-def _svd_entries(rows: int, cols: int, count: int, want_u: bool, want_vh: bool) -> float:
-    """Real entries per matrix that _svd holds at its peak on a real stack of count matrices.
+def _svd_entries(rows: int, cols: int, want_u: bool, want_vh: bool) -> int:
+    """Real entries per matrix that _svd holds at its peak on a real block.
 
-    sigma and the factors asked for, plus the Jacobi working set of one
-    block spread over the stack: per matrix of the block, the columns, the
-    rotations when they are accumulated, the rank cutoff's floor and the
-    prescaling exponent, and beside them the largest of |A| while
-    prescaling; a rotation's inner products, tangent and their temporaries
-    (_rotation), or its two column temporaries (_rotate); and sigma while it
-    is built, sorted, with one swapped column's temporary (_swap), and
-    divided out.
+    sigma and the factors asked for, plus the Jacobi working set: per
+    matrix, the columns, the rotations when they are accumulated, the rank
+    cutoff's floor and the prescaling exponent, and beside them the largest
+    of |A| while prescaling; a rotation's inner products, tangent and their
+    temporaries (_rotation), or its two column temporaries (_rotate); and
+    sigma while it is built, sorted, with one swapped column's temporary
+    (_swap), and divided out.
     """
     rank, length = min(rows, cols), max(rows, cols)
     wide = rows < cols
@@ -239,8 +221,7 @@ def _svd_entries(rows: int, cols: int, count: int, want_u: bool, want_vh: bool) 
     swapped = max(length * normalize, rank * accumulate, 1)
     working = (rank * length + rank * rank * accumulate + 2
                + max(rank * length + 2, 12, 2 * length + 2, 3 * rank + swapped))
-    factors = rank * (1 + rows * want_u + cols * want_vh)
-    return factors + working * (_block_size(count) / count)
+    return rank * (1 + rows * want_u + cols * want_vh) + working
 
 
 def _physical_memory() -> int | None:
@@ -272,22 +253,21 @@ def _refuse_beyond_memory(needed: Callable[[], float], subject: str, purpose: st
 
 
 def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
-    """numpy.linalg.svd(mats, full_matrices=False) of a stack from _as_matrices.
+    """numpy.linalg.svd(mats, full_matrices=False) of one block, a stack from _as_matrices.
 
-    Returns (u, sigma, vh) in the dtype of mats, with u and vh None unless
-    asked for, so a caller pays only for the factors it reads.  Complex
-    stacks go to LAPACK, which computes values only when no factor is
-    asked for.  Real stacks take the Jacobi kernel (_jacobi_block) on
-    equal blocks of at most _BLOCK matrices (_block_size), rotating the
-    min(m, n) columns of A, or of A^T when A is wide, so a row or column
-    needs no rotation: sigma = |a|.  The normalized columns give u (vh for
-    a wide A) and the accumulated rotations vh (u), and each is computed
-    only when asked for.  Each matrix is first scaled exactly by a power of
-    two, so operators scaled by 1e+-200 neither overflow nor underflow.
-    Singular vectors of a zero singular value are zero, which the strict
-    cutoff of _kept never keeps.  A matrix decomposes to the same bits
-    alone and anywhere in a stack.
-    Raises LinAlgError (a ValueError) if a block does not converge.
+    Returns (u, sigma, vh) in the dtype of mats, C-contiguous, with u and
+    vh None unless asked for, so a caller pays only for the factors it
+    reads.  Complex stacks go to LAPACK, which computes values only when no
+    factor is asked for.  Real stacks take the Jacobi kernel
+    (_jacobi_block) as one block, rotating the min(m, n) columns of A, or
+    of A^T when A is wide, so a row or column needs no rotation: sigma =
+    |a|.  The normalized columns give u (vh for a wide A) and the
+    accumulated rotations vh (u).  Each matrix is first scaled exactly by a
+    power of two, so operators scaled by 1e+-200 neither overflow nor
+    underflow.  Singular vectors of a zero singular value are zero, which
+    the strict cutoff of _kept never keeps.  A matrix decomposes to the
+    same bits alone and anywhere in a stack.
+    Raises LinAlgError (a ValueError) if the block does not converge.
     """
     if np.iscomplexobj(mats):
         if not (want_u or want_vh):
@@ -299,32 +279,21 @@ def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
     wide = rows < cols
     normalize, accumulate = (want_vh, want_u) if wide else (want_u, want_vh)
     stack = mats.reshape((-1, rows, cols))
-    sigma = np.empty((len(stack), rank))
-    u = np.empty((len(stack), rows, rank)) if want_u else None
-    vh = np.empty((len(stack), rank, cols)) if want_vh else None
-    size = _block_size(len(stack))
-    for start in range(0, len(stack), size):
-        block = stack[start:start + size]
-        # the columns of A, or of A^T for a wide A, each a (rows, B) slab
-        work = np.empty((rank, max(rows, cols), len(block)))
-        np.copyto(work, block.transpose((1, 2, 0) if wide else (2, 1, 0)))
-        exponent = np.frexp(np.abs(work).max(axis=(0, 1)))[1]
-        np.ldexp(work, -exponent, out=work)
-        part_sigma, unit, v = _jacobi_block(work, normalize, accumulate)
-        stop = start + len(block)
-        sigma[start:stop] = np.ldexp(part_sigma, exponent).T
-        # A = unit diag(sigma) v^T, or its transpose for a wide A
-        left, right = (v, unit) if wide else (unit, v)
-        if want_u:
-            u[start:stop] = left.transpose(2, 1, 0)
-        if want_vh:
-            vh[start:stop] = right.transpose(2, 0, 1)
+    # the columns of A, or of A^T for a wide A, each a (rows, B) slab
+    work = np.empty((rank, max(rows, cols), len(stack)))
+    np.copyto(work, stack.transpose((1, 2, 0) if wide else (2, 1, 0)))
+    exponent = np.frexp(np.abs(work).max(axis=(0, 1)))[1]
+    np.ldexp(work, -exponent, out=work)
+    sigma, unit, v = _jacobi_block(work, normalize, accumulate)
+    # A = unit diag(sigma) v^T, or its transpose for a wide A
+    left, right = (v, unit) if wide else (unit, v)
     lead = mats.shape[:-2]
+    u = vh = None
     if want_u:
-        u = u.reshape(lead + (rows, rank))
+        u = np.ascontiguousarray(left.transpose(2, 1, 0)).reshape(lead + (rows, rank))
     if want_vh:
-        vh = vh.reshape(lead + (rank, cols))
-    return u, sigma.reshape(lead + (rank,)), vh
+        vh = np.ascontiguousarray(right.transpose(2, 0, 1)).reshape(lead + (rank, cols))
+    return u, np.ascontiguousarray(np.ldexp(sigma, exponent).T).reshape(lead + (rank,)), vh
 
 
 def _check_tol(tol: float) -> None:
@@ -343,25 +312,69 @@ def _kept(sigma: np.ndarray, tol: float) -> np.ndarray:
     return sigma > tol * sigma[..., :1]
 
 
-def _blockwise(mat: np.ndarray, shape: tuple[int, ...], step: Callable, dtype=None,
-               want_u: bool = False, want_vh: bool = False) -> np.ndarray:
-    """A routine's (..., *shape) output on mat (from _as_matrices), in mat's dtype or dtype.
+class _Table(NamedTuple):
+    """One output of a _blockwise pass: shape and dtype per matrix, factors read, and its fill.
 
-    Allocated once and filled one block (_block_size) at a time, so 8320
-    matrices are two of 4160: each is checked for finiteness and decomposed
-    by _svd, and step(out, u, sigma, vh) writes its part of the output from
-    the factors.  So a routine holds one block's working set beside its
-    output (_held_entries), and no bit depends on the blocks.
+    dtype None is the stack's; fill(out, u, sigma, vh) writes a block's part from its factors.
+    """
+
+    shape: tuple[int, ...]
+    dtype: type | None
+    want_u: bool
+    want_vh: bool
+    fill: Callable
+
+
+def _blockwise(mat: np.ndarray, *tables: _Table) -> list[np.ndarray]:
+    """Each table's (..., *shape) output on mat (from _as_matrices), from one decomposition.
+
+    The one loop over a stack: every output is allocated once and filled
+    one block (_block_size) at a time, so 8320 matrices are two of 4160.
+    Each block is checked for finiteness and decomposed by one _svd call
+    with every factor some table reads, and each table's fill writes its
+    part from those factors.  So a routine holds one block's working set
+    beside its outputs (_held_entries), and no bit depends on the blocks
+    or on which other tables share the pass (_jacobi_block).
     """
     stack = mat.reshape((-1,) + mat.shape[-2:])
-    out = np.empty((len(stack),) + shape, dtype=dtype or mat.dtype)
+    outs = [np.empty((len(stack),) + table.shape, dtype=table.dtype or mat.dtype)
+            for table in tables]
+    want_u = any(table.want_u for table in tables)
+    want_vh = any(table.want_vh for table in tables)
     size = _block_size(len(stack))
     for start in range(0, len(stack), size):
         block = stack[start:start + size]
         if not np.isfinite(block).all():
             raise ValueError("matrix has non-finite entries")
-        step(out[start:start + len(block)], *_svd(block, want_u, want_vh))
-    return out.reshape(mat.shape[:-2] + shape)
+        factors = _svd(block, want_u, want_vh)
+        for table, out in zip(tables, outs):
+            table.fill(out[start:start + len(block)], *factors)
+        del factors  # before the next block is decomposed
+    return [out.reshape(mat.shape[:-2] + table.shape) for table, out in zip(tables, outs)]
+
+
+def _ranks(tol: float) -> _Table:
+    """numerical_rank's table: the count of kept singular values (_kept) of each matrix."""
+    def count(out, u, sigma, vh):
+        out[...] = np.count_nonzero(_kept(sigma, tol), axis=-1)
+    return _Table((), np.intp, False, False, count)
+
+
+def _projectors(dim_v: int, tol: float) -> _Table:
+    """kernel_projector's table for matrices of dim_v columns."""
+    def project(out, u, sigma, vh):
+        kept_rows = np.conjugate(vh)
+        np.copyto(kept_rows, 0.0, where=~_kept(sigma, tol)[..., None])
+        np.einsum("miv,miw->mvw", kept_rows, vh, out=out)
+        np.subtract(np.eye(dim_v, dtype=out.dtype), out, out=out)
+    return _Table((dim_v, dim_v), None, False, True, project)
+
+
+def _spectral_norms(mat: np.ndarray) -> np.ndarray:
+    """|A|_2, the largest singular value, of every matrix of mat (from _as_matrices)."""
+    def largest(out, u, sigma, vh):
+        out[...] = sigma[..., 0]
+    return _blockwise(mat, _Table((), float, False, False, largest))[0]
 
 
 def _held_entries(routine: Callable, rows: int, cols: int, count: int) -> float:
@@ -379,7 +392,7 @@ def _held_entries(routine: Callable, rows: int, cols: int, count: int) -> float:
         "numerical_rank": (False, False, 2 * rank + 2),
         "kernel_projector": (False, True, 3 * rank + 2 * rank * cols + 1),
         "pinv_svd": (True, True, rank * (2 * rows + cols + 3) + 1)}[routine.__name__]
-    held = max(rows * cols, _svd_entries(rows, cols, block, want_u, want_vh), after)
+    held = max(rows * cols, _svd_entries(rows, cols, want_u, want_vh), after)
     return held * (block / count)  # a ratio first: count may be too large for a float
 
 
@@ -391,9 +404,7 @@ def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int | np.ndarray:
     input is decomposed in real arithmetic by the Jacobi kernel (see _svd),
     a block at a time (_blockwise).
     """
-    def count(out, u, sigma, vh):
-        out[...] = np.count_nonzero(_kept(sigma, tol), axis=-1)
-    ranks = _blockwise(_as_matrices(mat), (), count, np.intp)
+    ranks = _blockwise(_as_matrices(mat), _ranks(tol))[0]
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -411,7 +422,7 @@ def pinv_svd(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
         np.matmul(np.swapaxes(vh.conj(), -1, -2),
                   inv[..., :, None] * np.swapaxes(u.conj(), -1, -2), out=out)
     mat = _as_matrices(mat)
-    return _blockwise(mat, mat.shape[:-3:-1], invert, want_u=True, want_vh=True)
+    return _blockwise(mat, _Table(mat.shape[:-3:-1], None, True, True, invert))[0]
 
 
 def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -423,11 +434,5 @@ def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     Real input gives a real, exactly symmetric projector (see _svd).  A
     nonzero row a gives I - a* a / |a|^2, a nonzero column the 1 x 1 zero.
     """
-    def project(out, u, sigma, vh):
-        kept_rows = np.conjugate(vh)
-        np.copyto(kept_rows, 0.0, where=~_kept(sigma, tol)[..., None])
-        np.einsum("miv,miw->mvw", kept_rows, vh, out=out)
-        np.subtract(np.eye(dim_v, dtype=out.dtype), out, out=out)
     mat = _as_matrices(mat)
-    dim_v = mat.shape[-1]
-    return _blockwise(mat, (dim_v, dim_v), project, want_vh=True)
+    return _blockwise(mat, _projectors(mat.shape[-1], tol))[0]

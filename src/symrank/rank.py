@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import Operator, _column_count, _real_stack
-from .pinv import (_BLOCK, DEFAULT_TOL, _check_tol, _held_entries, _refuse_beyond_memory, _svd,
-                   kernel_projector, numerical_rank, pinv_svd)
+from .pinv import (_BLOCK, DEFAULT_TOL, _blockwise, _check_tol, _held_entries, _projectors,
+                   _ranks, _refuse_beyond_memory, _spectral_norms, numerical_rank, pinv_svd)
 
 # refinement target for drop directions, radians
 ANGULAR_RESOLUTION = 1e-3
@@ -155,12 +155,13 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     (_rank_dtype), and lows low-rank rows, each with its nearest full-rank
     row and score, 2n + 1 doubles (the structured rows when lows is None,
     which is what a sweep that is not replayed pairs).  The rest is the
-    most of two phases.  The stream holds one block's rows and the most of
-    four steps per row: drawing (the block before, the norms and a column
-    of squares); building the real symbol M (its monomials,
-    operators._column_count, and M); ranking M (M,
-    the ranks and what numerical_rank holds beside them, as pinv says); and
-    pairing (the scores, their clipped copy and the masks).  Bisection steps up to
+    most of two phases.  The stream holds one block's rows, or all the
+    structured rows, which are ranked and scored as one block, and the most
+    of four steps per row: drawing (the block before, the norms and a
+    column of squares); building the real symbol M (its monomials,
+    operators._column_count, and M); ranking M (M, the ranks and what
+    numerical_rank holds beside them, as pinv says); and pairing (the
+    scores, their clipped copy and the masks).  Bisection steps up to
     pinv._BLOCK low-rank rows together, their ends shrunk in place: each
     row's midpoint, the drop and neighbour it may leave, its index and a
     flag, and the larger of building and ranking the midpoints.  Before the
@@ -179,8 +180,8 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     def ranking(rows):
         return entries + 1 + _held_entries(numerical_rank, op.dim_w, op.dim_v, rows)
 
-    # the structured rows are ranked in blocks too
-    block, steps = min(max(structured, num_samples), _BLOCK), min(lows, _BLOCK)
+    # the structured rows are ranked and scored in one stack, each random block in another
+    block, steps = max(structured, min(num_samples, _BLOCK)), min(lows, _BLOCK)
     stream = block * (op.n + max(op.n + 2, build, ranking(block), 3))
     bisection = steps * (3 * op.n + 2 + max(build, ranking(steps))) if steps else 0
     _refuse_beyond_memory(
@@ -255,7 +256,7 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     structured = next(stream)
     head = len(structured)
     ranks = np.empty(head + num_samples, dtype=_rank_dtype(op))
-    _rank_into(op, structured, tol, ranks[:head])
+    ranks[:head] = numerical_rank(_real_stack(op, structured), tol)
     top = ranks[:head].max()
     low = ranks[:head] < top
     nearest = _Nearest(structured[low])
@@ -263,7 +264,7 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     streamed = True
     for start, block in _offsets(stream, head):
         block_ranks = ranks[start:start + len(block)]
-        _rank_into(op, block, tol, block_ranks)
+        block_ranks[...] = numerical_rank(_real_stack(op, block), tol)
         streamed = streamed and bool((block_ranks == top).all())
         if streamed:
             nearest.score(block, block_ranks < top)
@@ -291,20 +292,14 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     )
 
 
-def _rank_into(op: Operator, rows: np.ndarray, tol: float, out: np.ndarray) -> None:
-    """numerical_rank of M at every row of rows, written into out, pinv._BLOCK rows at a time."""
-    for start in range(0, len(rows), _BLOCK):
-        out[start:start + _BLOCK] = numerical_rank(_real_stack(op, rows[start:start + _BLOCK]), tol)
-
-
 class _Nearest:
     """Low-rank rows, each with its nearest full-rank row among the rows scored so far.
 
-    score takes the rows of the sweep in their order, a mask of those that
-    are not full-rank beside them.  Each low-rank row's dot products with
-    one block of them at a time (a score array of at most pinv._BLOCK
-    entries) are clipped at 1, so a product rounded past 1 ties at 1; the
-    largest is kept, the first of ties.
+    score takes the rows of the sweep in their order, one block of the
+    stream (or the structured rows) at a time, a mask of those that are
+    not full-rank beside them.  Each low-rank row's dot products with them
+    are clipped at 1, so a product rounded past 1 ties at 1; the largest is
+    kept, the first of ties.
     """
 
     def __init__(self, lows: np.ndarray):
@@ -313,14 +308,12 @@ class _Nearest:
         self.scores = np.full(len(lows), -np.inf)
 
     def score(self, rows: np.ndarray, rest: np.ndarray) -> None:
-        for start in range(0, len(rows), _BLOCK):
-            block, masked = rows[start:start + _BLOCK], rest[start:start + _BLOCK]
-            for i, low in enumerate(self.lows):
-                dots = np.minimum(block @ low, 1.0)
-                dots[masked] = -np.inf
-                index = int(np.argmax(dots))
-                if dots[index] > self.scores[i]:
-                    self.scores[i], self.highs[i] = dots[index], block[index]
+        for i, low in enumerate(self.lows):
+            dots = np.minimum(rows @ low, 1.0)
+            dots[rest] = -np.inf
+            index = int(np.argmax(dots))
+            if dots[index] > self.scores[i]:
+                self.scores[i], self.highs[i] = dots[index], rows[index]
 
 
 def _replayed_pairs(op: Operator, num_samples: int, seed: int, ranks: np.ndarray,
@@ -428,10 +421,11 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
     and xi_high are the pair minimizing |A(xi_high) - A(xi_low)|, ties
     broken by angular distance and then lexicographic order.  The gaps of
     all pairs are the largest singular values of one stack of real
-    differences M(xi_high) - M(xi_low).
-    The columns of the kernel projector of M(xi_low) span its kernel; v is
-    the column with the largest part off ker A(xi_high), that part
-    normalized.
+    differences M(xi_high) - M(xi_low).  The ranks and kernel projectors of
+    M(xi_low) and M(xi_high) come from one decomposition of the pair
+    (pinv._blockwise).  The columns of the kernel projector of M(xi_low)
+    span its kernel; v is the column with the largest part off ker
+    A(xi_high), that part normalized.
     """
     if profile.operator != op.name:
         raise ValueError(f"profile was built for {profile.operator!r}, not {op.name!r}")
@@ -442,13 +436,13 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
     if not pairs:
         raise DegenerateWitnessError(f"{op.name}: no full-rank direction near any drop direction")
     lows, highs = (np.array(side) for side in zip(*pairs))
-    gaps = _svd(_real_stack(op, highs) - _real_stack(op, lows))[1][:, 0]
+    gaps = _spectral_norms(_real_stack(op, highs) - _real_stack(op, lows))
     best = min(range(len(pairs)), key=lambda c: (gaps[c], angular_distance(*pairs[c]),
                                                  tuple(pairs[c][0]), tuple(pairs[c][1])))
     low, high = pairs[best]
-    mats = _real_stack(op, [low, high])
-    rank_low, rank_high = numerical_rank(mats, tol).tolist()
-    proj_low, proj_high = kernel_projector(mats, tol)
+    ranks, (proj_low, proj_high) = _blockwise(_real_stack(op, [low, high]), _ranks(tol),
+                                              _projectors(op.dim_v, tol))
+    rank_low, rank_high = ranks.tolist()
     visible = proj_low - proj_high @ proj_low
     norms = np.linalg.norm(visible, axis=0)
     column = int(np.argmax(norms))
@@ -480,7 +474,7 @@ def daggerbound_check(op: Operator, witness: RankDropWitness,
     without asserting anything).
     """
     dagger = pinv_svd(_real_stack(op, [witness.xi_high])[0], tol)
-    lhs = float(_svd(dagger)[1][0])  # |A+| = |M+|, its largest singular value
+    lhs = float(_spectral_norms(dagger))  # |A+| = |M+|, its largest singular value
     rhs = witness.dagger_lower_bound
     applies = witness.rank_high > witness.rank_low
     return DaggerBound(lhs=lhs, rhs=rhs, holds=(not applies) or lhs >= rhs * (1.0 - 1e-8))

@@ -28,9 +28,7 @@ p != 2 needs: at p = 2 the grid norm is a weighted coefficient sum
 (pinv._norm), and otherwise _grid_norm, lp_norm's own, of the grid values.
 _grid_norm is the one loop behind every such norm: it reads a field one
 fiber at a time, adds its squares into one N^n accumulator under a running
-power-of-two scale, and takes pinv._norm of their square roots; only
-GridField.pointwise_norm scales each point by its own maximum
-(pinv._fiber_norm).
+power-of-two scale, and takes pinv._norm of their square roots.
 
 A _Spectrum names the frequencies such a chain runs on, with the tables,
 weights, grid norm and random draw there; a p = 2 norm reads it one
@@ -44,7 +42,7 @@ Such a field is its values at the band's primaries, one of each pair
 {xi, -xi}, (2B+1)^n / 2 frequencies whatever N is, drawn by one
 generator call (_band_draw); random_band_limited scatters them onto the
 whole mesh.  The band spectrum (_band_spectrum) holds M and P_A at the
-primaries only (_tables, built per spectrum and freed with it), and
+primaries only (built per spectrum and freed with it), and
 weights that count each primary twice, for its mirror, in one slab, so
 at p = 2 it holds nothing of the grid.  At any other p a coefficient row
 is formed once, as _grid_norm reads it, and taken to the grid: on the
@@ -55,14 +53,16 @@ into one buffer, with irfftn's bits.  The band's buffers (_band_buffers)
 are allocated when the spectrum is built, so its trial allocates no array
 the size of the grid.
 An exact witness rung is one coefficient at one frequency, and its
-spectrum (_rung_spectra, every rung of a ladder from one _tables call)
+spectrum (_rung_spectra, every rung of a ladder on the M and P_A tables
+that experiments._rungs fills in the same pinv pass as the probes)
 holds M and P_A there alone and no grid route: a single mode has the
 same modulus at every grid point, so its ratio is the same at every p,
 taken at p = 2, and nothing of size N^n is built.
 
-Every SVD table is one call of a pinv routine, which owns the blocking
-and gives a matrix the same bits anywhere in a stack, so the band and
-rung tables are the mesh tables at their frequencies.  One estimate
+Every SVD table comes from one pass of pinv._blockwise, which owns the
+blocking and gives a matrix the same bits anywhere in a stack and
+whichever tables share the pass, so the band and rung tables are the
+mesh tables at their frequencies.  One estimate
 (_refuse_oversized) sizes the mesh and band routes before anything is
 allocated: their tables with what pinv holds while it builds one
 (pinv._held_entries), a trial's fields (one slab's on the mesh at p =
@@ -83,8 +83,8 @@ import numpy as np
 
 from .operators import (Operator, _column_count, _column_monomials, _column_stack, multi_indices,
                         multinomial_weight)
-from .pinv import (DEFAULT_TOL, _fiber_norm, _held_entries, _norm, _refuse_beyond_memory,
-                   kernel_projector, pinv_svd)
+from .pinv import (DEFAULT_TOL, _held_entries, _norm, _refuse_beyond_memory, kernel_projector,
+                   pinv_svd)
 
 TWO_PI = 2.0 * math.pi
 # frequencies per pass of _matvec: a chunk of a 3 x 3 table with its input, output
@@ -182,10 +182,6 @@ class GridField:
             raise ValueError("fields have different fiber dimensions")
         return GridField(self.grid, self.data - other.data)
 
-    def pointwise_norm(self) -> np.ndarray:
-        """sqrt(sum_c |f_c(x)|^2) at every grid point x, by pinv._fiber_norm (scaled per point)."""
-        return _fiber_norm(self.data).copy()
-
 
 @dataclass(frozen=True)
 class FrequencyField:
@@ -240,8 +236,7 @@ def lp_norm(field: GridField, p: float) -> float:
     """Grid L^p norm: Riemann sum of the pointwise fiber norm; p = inf gives the max.
 
     _grid_norm of one fiber's magnitudes at a time (_mesh_norm): the field
-    is scaled by a running power of two, where pointwise_norm scales each
-    point by its own maximum.  field.data is not written.
+    is scaled by a running power of two.  field.data is not written.
     """
     if not p >= 1.0:
         raise ValueError("p must be at least 1")
@@ -328,14 +323,13 @@ def _derivative_fibers(op: Operator) -> int:
     return op.dim_v * math.comb(op.n + op.k - 1, op.k)
 
 
-def _derivative_columns(n: int, k: int) -> int:
-    """Reals per frequency of the monomials _derivatives forms order k from, in n axes.
+def _derivative_columns(k: int) -> int:
+    """Reals per frequency of the monomial a row of _derivative_rows is formed with, at order k.
 
-    operators._column_count of the C(n + k - 1, k) multi-indices of order
-    k, whose largest exponent on every axis is k: n (k - 1) power columns
-    beside them, in Python ints.
+    operators._column_count of one multi-index of order k: its monomial
+    and at most k - 1 power columns, in Python ints.
     """
-    return math.comb(n + k - 1, k) + n * max(k - 1, 0)
+    return max(k, 1)
 
 
 def _refuse_oversized(op: Operator, grid: Grid, count: int, per_frequency: float,
@@ -377,7 +371,7 @@ def _matvec(table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """table[xi] @ coeffs[:, xi] at every frequency xi: the one symbol-multiplier step.
 
     table is a real (..., m, n) stack in _symbol_tensor's layout, or a flat
-    (P, m, n) stack at the primaries of a band or at a rung (_tables), and
+    (P, m, n) stack at the primaries of a band or at a rung, and
     coeffs a complex (n, ...) coefficient array on the same frequencies.
     Row i of the output is sum_j table[..., i, j] * coeffs[j], m x n
     broadcast multiply-adds in order j = 0, 1, ..., run on _MATVEC_CHUNK
@@ -492,14 +486,19 @@ def _derivative_rows(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray], out=
 
     Each row is formed when read, in out[j T + t] if out, a (rows,
     frequencies) array, is given; otherwise it is dropped before the next
-    is formed, so a reader that drops it too holds one row.
+    is formed, so a reader that drops it too holds one row.  Its monomial
+    is formed with it, by operators._column_monomials of its one
+    multi-index, whose products are those of all T at once, and dropped
+    before the row is read, so no row holds more than one monomial.
     """
     alphas = multi_indices(len(xis), k)
-    powers = _column_monomials(xis, alphas).reshape(-1, len(alphas))
-    powers *= np.sqrt([multinomial_weight(a) for a in alphas])
+    weights = np.sqrt([multinomial_weight(a) for a in alphas])
     fibers = coeffs.reshape(len(coeffs), -1)
-    for index, (fiber, monomial) in enumerate(product(fibers, powers.T)):
+    for index, (fiber, (alpha, weight)) in enumerate(product(fibers, zip(alphas, weights))):
+        monomial = _column_monomials(xis, [alpha]).reshape(-1)
+        monomial *= weight
         row = np.multiply(monomial, fiber, out=None if out is None else out[index])
+        del monomial
         row *= 1j ** k
         yield row.reshape(coeffs.shape[1:])
         del row
@@ -535,13 +534,13 @@ def apply_Dk(k: int, field: GridField) -> GridField:
     Frobenius norm: |D^k phi-hat(xi)| = |xi|^k |phi-hat(xi)| (multinomial
     theorem).  Any field is accepted, so apply_Dk(1, apply_Dk(j, phi)) has
     the norms of apply_Dk(j + 1, phi).  Raises MemoryError before the
-    transform when the coefficients, the monomials (_derivative_columns)
+    transform when the coefficients, a row's monomial (_derivative_columns)
     and the derivatives cannot fit.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     grid, fibers = field.grid, field.fiber_dim
-    entries = 2 * fibers * (1 + math.comb(grid.n + k - 1, k)) + _derivative_columns(grid.n, k)
+    entries = 2 * fibers * (1 + math.comb(grid.n + k - 1, k)) + _derivative_columns(k)
     _refuse_beyond_memory(lambda: 8 * grid.size ** grid.n * entries,
                           f"D^{k} on a {grid.size}^{grid.n} grid", "for its fields")
     coeffs = _derivatives(k, forward_transform(field).coeffs, _frequency_axes(field.grid))
@@ -566,7 +565,7 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     _check_field(op, field, op.dim_w, "input")
     count = field.grid.size ** field.grid.n
     fields = (2 * (op.dim_w + op.dim_v + _derivative_fibers(op))
-              + _derivative_columns(op.n, op.k))
+              + _derivative_columns(op.k))
     _refuse_apply(op, field.grid, 2 * op.dim_w * op.dim_v,
                   _held_entries(pinv_svd, op.dim_w, op.dim_v, count), fields)
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
@@ -716,13 +715,14 @@ def _trial_entries(op: Operator, p: float) -> int:
     magnitudes and a minimality trial's draw, projection and its
     magnitudes, with a _matvec chunk and numpy's cast buffer (two rows).
     At any other p phi - P_A phi, and the larger of the magnitudes _norm
-    takes of either field and what a grid norm holds: the monomials of D^k
-    phi (_derivative_columns) and one complex row with, on a band, numpy's
-    cast buffer, or on the whole mesh its magnitudes and the accumulator.
+    takes of either field and what a grid norm holds: the monomial of a
+    row of D^k phi (_derivative_columns) and that complex row with, on a
+    band, numpy's cast buffer, or on the whole mesh its magnitudes and the
+    accumulator.
     """
     if p == 2.0:
         return 2 * op.dim_v + max(2 * op.dim_v + 3 * op.dim_w, 5 * op.dim_v) + 4
-    return 4 * op.dim_v + max(op.dim_v, _derivative_columns(op.n, op.k) + 4)
+    return 4 * op.dim_v + max(op.dim_v, _derivative_columns(op.k) + 4)
 
 
 def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0) -> _Spectrum:
@@ -761,22 +761,6 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
         lambda: _mesh_slabs(op, grid, symbols, projector),
         lambda rows, p: _mesh_norm(grid_values(rows), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
-
-
-def _tables(op: Operator, xis: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """M (P, dimW, dimV) and P_A (P, dimV, dimV) at the integer frequencies xis (n, P); read-only.
-
-    M is operators._column_stack of the n float64 rows of xis, and P_A its
-    kernel_projector, bitwise the entries of _symbol_tensor and
-    _kernel_projector_table at xis, so a band's or a rung's tables do not
-    depend on N.  Built per spectrum, not cached: they are freed with the
-    route that reads them.
-    """
-    symbols = _column_stack(op, xis)
-    projector = kernel_projector(symbols, tol)
-    for table in (symbols, projector):
-        table.setflags(write=False)
-    return symbols, projector
 
 
 def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
@@ -865,9 +849,13 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
 
     Raises ValueError unless 1 <= max_freq <= N/4 and MemoryError when the
     route does not fit (_refuse_oversized), both before any table is built
-    or field drawn.  The estimate counts per primary the band's tables
-    (_tables, 2 |xi|^2k formed here) with the int64 primaries, their
-    float64 coordinates xis, cast once here so that no trial casts them,
+    or field drawn.  The tables are M, operators._column_stack of the n
+    float64 rows of xis, and its kernel_projector P_A, bitwise the entries
+    of _symbol_tensor and _kernel_projector_table at the primaries, so they
+    do not depend on N; built per spectrum, not cached, they are freed with
+    the route.  The estimate counts per primary those tables and 2 |xi|^2k
+    with the int64 primaries, their float64 coordinates xis, cast once here
+    so that no trial casts them,
     and the scatter positions (dimW dimV + dimV^2 + 2n + 3 reals), and the
     largest of the symbol's monomials (operators._column_count), the
     projector build and a trial (_trial_entries); at p != 2 it adds the
@@ -891,25 +879,28 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
                       grid_entries)
     primaries = _primaries(op.n, max_freq)
     xis = primaries.astype(float)
-    xis.setflags(write=False)
-    symbols, projector = _tables(op, xis, float(tol))
+    symbols = _column_stack(op, xis)
+    projector = kernel_projector(symbols, float(tol))
     weights = 2.0 * _xi_weights(xis, op.k)
-    weights.setflags(write=False)
+    for table in (xis, symbols, projector, weights):
+        table.setflags(write=False)
     slabs = (_Slab(slice(None), symbols, projector, weights),)
     grid_norm = _band_grid(grid, primaries)[1] if p != 2.0 else None
     return _Spectrum(xis, symbols, projector, 2.0, lambda: slabs, grid_norm,
                      lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 
 
-def _rung_spectra(op: Operator, frequencies, tol: float):
+def _rung_spectra(op: Operator, frequencies, symbols: np.ndarray, projector: np.ndarray):
     """A list of one-frequency spectra, one per exact rung at frequencies (tuples of n integers).
 
-    M and P_A at the rungs are one _tables call, bitwise the mesh tables'
-    entries; a rung is one slab with its |xi|^2k, read at p = 2 for every p
+    symbols and projector are M and P_A at the rungs, bitwise the mesh
+    tables' entries (experiments._rungs fills both in one pinv pass); a
+    rung is one slab with its |xi|^2k, read at p = 2 for every p
     (experiments._rung_ratios), with no grid norm or draw.
     """
     xis = np.array(frequencies, dtype=float).T
-    symbols, projector = _tables(op, xis, tol)
+    for table in (symbols, projector):
+        table.setflags(write=False)
     spectra = []
     for rung in range(xis.shape[1]):
         at = slice(rung, rung + 1)

@@ -410,8 +410,9 @@ def test_jacobi_kernel_is_bitwise_independent_of_the_stack(shape, count, block):
     # which factors a caller reads, so for every choice of factors a matrix
     # decomposes to the same bits alone and anywhere in a stack longer than
     # one block, signed zeros included, and to the bits it has next to both
-    # factors; a factor not asked for is never allocated.  Such a stack is
-    # two equal blocks: 8320 matrices, a 256^2 grid's band 64, are two of 4160
+    # factors; a factor not asked for is never allocated.  _svd takes such a
+    # stack as one block, where _blockwise hands it two equal blocks: 8320
+    # matrices, a 256^2 grid's band 64, are two of 4160
     assert pinv._block_size(count) == block
     assert [pinv._block_size(c) for c in (5, pinv._BLOCK, 3 * pinv._BLOCK)] == [5, 8192, 8192]
     rng = np.random.default_rng(3)
@@ -518,7 +519,7 @@ def test_jacobi_working_set_grows_by_under_25_doubles_per_matrix(want_u, want_vh
     (peak, beyond), (half_peak, half_beyond) = (svd_peak(m, want_u, want_vh)
                                                 for m in (mats, mats[:512]))
     assert beyond - half_beyond < 25 * 8 * 512
-    assert peak - half_peak <= 8 * 512 * pinv._svd_entries(3, 2, 1024, want_u, want_vh)
+    assert peak - half_peak <= 8 * 512 * pinv._svd_entries(3, 2, want_u, want_vh)
 
 
 @pytest.mark.parametrize("count", [1, pinv._BLOCK + 1, 3 * pinv._BLOCK + 1],

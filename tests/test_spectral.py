@@ -211,13 +211,6 @@ def test_lp_norm_absolute_homogeneity(t, p, seed):
                         rel_tol=1e-10, abs_tol=1e-12)
 
 
-def test_pointwise_norm_scales_each_point_by_its_own_max():
-    # one scale for the whole field squares 1e-200 and 3e-170 to zero next to 1
-    values = [1.0, 1e-200, 3e-170, 0.0]
-    norm = GridField(Grid(1, 4), [values]).pointwise_norm()
-    assert np.allclose(norm, values, rtol=1e-15, atol=0.0)
-
-
 # ------------------------------------------------------------------ operators
 
 def test_apply_A_on_single_mode_is_symbol_action():
@@ -613,7 +606,8 @@ def test_band_tables_are_the_mesh_tables_at_the_primaries(op, max_freq, size):
     # the band route and the whole mesh project with the same bits
     grid = Grid(op.n, size)
     assert max_freq < 64 or spectral._primaries(op.n, max_freq).shape[1] > pinv._BLOCK
-    symbols, projector = spectral._tables(op, spectral._primaries(op.n, max_freq), DEFAULT_TOL)
+    band = spectral._band_spectrum(op, grid, max_freq, DEFAULT_TOL, 2.0)
+    symbols, projector = band.symbols, band.projector
     at = tuple(spectral._primaries(op.n, max_freq) % size)
     assert symbols.tobytes() == np.ascontiguousarray(_symbol_tensor(op, grid)[at]).tobytes()
     mesh_projector = _kernel_projector_table(op, grid, DEFAULT_TOL)[at]
@@ -812,7 +806,7 @@ def test_band_memory_estimate_bounds_three_trials(monkeypatch, op, size, p):
 def test_band_ratio_holds_one_grid_row_at_a_time(name, size):
     # a warm p = 3 ratio on the band forms D^k(phi - P_A phi) and A phi one row
     # at a time as its grid norm reads them: beside phi it holds phi - P_A phi,
-    # a row and numpy's buffer for the row's real factor, and the monomials, where
+    # a row and numpy's buffer for the row's real factor, and the row's monomial, where
     # holding every row of D phi took curl's nine (559 KB at 32^3)
     op = zoo_get(name)
     grid = Grid(op.n, size)
@@ -826,7 +820,7 @@ def test_band_ratio_holds_one_grid_row_at_a_time(name, size):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monomials = 8 * count * spectral._derivative_columns(op.n, op.k)
+    monomials = 8 * count * spectral._derivative_columns(op.k)
     assert peak <= 2 * phi.nbytes + 2 * 16 * count + monomials + 2 ** 16
 
 
@@ -850,13 +844,13 @@ def test_band_ratio_forms_each_row_of_a_phi_once(monkeypatch, p):
 def test_mesh_ratio_holds_one_grid_row_at_a_time(p):
     # a warm estimate_ratio at p != 2 on the whole mesh takes D phi and A phi to the
     # grid one row at a time: beside phi's coefficients and phi - P_A phi it holds the
-    # monomials, two complex rows and two real N^n buffers (the magnitudes and the
+    # row's monomial, two complex rows and two real N^n buffers (the magnitudes and the
     # accumulator), where forming every row of D phi at once held curl's nine
     op, grid = zoo_get("curl"), Grid(3, 32)
     phi = random_band_limited(grid, op.dim_v, 8, [0, 1])
     _, peak = traced_peak(lambda: experiments.estimate_ratio(op, phi, p))
     count = grid.size ** grid.n
-    monomials = 8 * count * spectral._derivative_columns(op.n, op.k)
+    monomials = 8 * count * spectral._derivative_columns(op.k)
     assert peak <= 2 * 16 * count * op.dim_v + monomials + 2 * 16 * count + 2 * 8 * count + 2 ** 16
 
 
@@ -1059,7 +1053,7 @@ def test_apply_Dk_norm_is_xi_power():
             phi = plane_wave(grid, xi, 1.0)
             out = apply_Dk(k, phi)
             expected = np.linalg.norm(xi) ** k
-            assert np.allclose(out.pointwise_norm(), expected, rtol=1e-10)
+            assert np.allclose(np.linalg.norm(out.data, axis=0), expected, rtol=1e-10)
 
 
 def test_apply_Dk_l2_matches_raw_multiplier_sum():

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .operators import Operator, _column_count, _real_stack
+from .operators import Operator, _real_stack
 from .pinv import (DEFAULT_TOL, _blockwise, _kept, _norm, _projectors, _ranks, _Table,
                    numerical_rank)
 from .rank import RankDropWitness
@@ -103,8 +103,6 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> f
     Nothing on the way is checked for finiteness: a non-finite intermediate
     makes a norm non-finite, which raises ValueError.
     """
-    if not p >= 1.0:
-        raise ValueError("p must be at least 1")
     field = coeffs if callable(coeffs) else (lambda planes: coeffs[:, planes])
     with np.errstate(over="ignore", invalid="ignore"):
         if p == 2.0:
@@ -158,6 +156,15 @@ def _l2_norms(spectrum: _Spectrum, field) -> tuple[float, float, float, float]:
     return tuple(_slab_total(norms) for norms in zip(*parts))
 
 
+def _probes(dim_w: int, tol: float) -> _Table:
+    """_rungs' probe table: u_{r-1} of each matrix of dim_w rows, scaled by a power of two."""
+    def fill(out, u, sigma, vh):
+        ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
+        scales = np.ldexp(1.0, -np.frexp(sigma[:, 0])[1])
+        out[...] = u[np.arange(len(ranks)), :, ranks - 1] * scales[:, None]
+    return _Table((dim_w,), None, True, False, fill)
+
+
 def _rungs(op: Operator, frequencies: list[tuple[int, ...]], grid: Grid, tol: float):
     """The probes, exact coefficients and real M and P_A tables of witness rungs at frequencies.
 
@@ -184,15 +191,9 @@ def _rungs(op: Operator, frequencies: list[tuple[int, ...]], grid: Grid, tol: fl
             raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
                              f"(|xi|_inf must be <= {grid.size // 4})")
 
-    def fill_probes(out, u, sigma, vh):
-        ranks = np.count_nonzero(_kept(sigma, tol), axis=-1)
-        scales = np.ldexp(1.0, -np.frexp(sigma[:, 0])[1])
-        out[...] = u[np.arange(len(ranks)), :, ranks - 1] * scales[:, None]
-
     symbols = _real_stack(op, frequencies)
-    ranks, probes, projector = _blockwise(
-        symbols, _ranks(tol), _Table((op.dim_w,), None, True, False, fill_probes),
-        _projectors(op.dim_v, tol))
+    ranks, probes, projector = _blockwise(symbols, _ranks(tol), _probes(op.dim_w, tol),
+                                          _projectors(op.dim_v, tol))
     for freq, rank in zip(frequencies, ranks):
         if not rank:
             raise DegenerateProbeError(f"{op.name}: the symbol vanishes at {freq}")
@@ -245,13 +246,13 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     the window widens.  Each field is built whole by _witness_fields'
     builder, the one a windowed counterexample ladder builds slab by slab.
     Raises MemoryError before anything is built when the fields, with the
-    symbol table of a windowed family, cannot fit (spectral._refuse_oversized),
-    ValueError for no frequencies, a window outside (0, 1], a zero
-    frequency or |xi_m|_inf > N/4, and DegenerateProbeError where the symbol
-    vanishes.
+    symbol table of a windowed family, cannot fit (spectral._refuse_oversized;
+    _symbol_tensor sizes its own build), ValueError for no frequencies, a
+    window outside (0, 1], a zero frequency or |xi_m|_inf > N/4, and
+    DegenerateProbeError where the symbol vanishes.
     """
     frequencies = list(frequencies)
-    table = 0 if window is None else op.dim_w * op.dim_v + _column_count(op.alpha_array)
+    table = 0 if window is None else op.dim_w * op.dim_v
     _refuse_oversized(op, grid, grid.size ** grid.n, table + 2 * op.dim_v * len(frequencies))
     return [FrequencyField(grid, build()) for build in _witness_fields(op, frequencies, grid,
                                                                         window, tol)]
@@ -355,13 +356,15 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
 
     Competitors are kernel projections of seeded random band-limited
     fields.  Returns True when no competitor beats the canonical
-    projection by more than slack.  Raises ValueError for fewer than one
-    competitor, which would pass without comparing anything.  Every norm
-    here is L2, so the check runs on coefficients (_minimality on the whole
-    mesh): phi is a GridField, transformed once, or its FrequencyField, and
-    competitors are drawn as coefficients and projected with the cached
-    projector table, one slab at a time.
+    projection by more than slack.  Raises ValueError, before the route is
+    sized, for fewer than one competitor, which would compare nothing.
+    Every norm here is L2, so the check runs on coefficients (_minimality
+    on the whole mesh): phi is a GridField, transformed once, or its
+    FrequencyField, and competitors are drawn as coefficients and projected
+    with the cached projector table, one slab at a time.
     """
+    if kernel_trials < 1:
+        raise ValueError("kernel_trials must be at least 1")
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
     # phi and a competitor's draw are held whole beside one slab
@@ -377,9 +380,6 @@ def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_tr
     projection and distance are taken one slab at a time; the slabs'
     weights give whole-mesh norms, which slack is measured in.
     """
-    if kernel_trials < 1:
-        raise ValueError("kernel_trials must be at least 1")
-
     def distance(field: np.ndarray) -> float:
         norms = []
         for slab in spectrum.slabs():
@@ -497,9 +497,9 @@ def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int |
     never leaves the band, and any other p scatters each of its two grid
     fields into the half spectrum for one real inverse FFT.  Neither the
     N^n symbol table nor the projector table is built.  A band outside
-    [1, N/4] or a route too large for memory is refused before its first
-    field is drawn.  Kernel inputs are excluded and counted rather than
-    reported as ratios.
+    [1, N/4], p < 1 or a tol pinv refuses, checked before the route is
+    sized, or a route too large for memory is refused before its first
+    field is drawn.  Kernel inputs are excluded and counted, not reported.
     """
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -8,7 +8,7 @@ stack: it takes any stack in equal blocks of at most _BLOCK matrices,
 decomposes each block once with the factors its tables read, and fills
 every table (_Table: ranks, projectors, pseudoinverses, norms or a
 caller's own) from that one decomposition, so no module outside pinv
-calls _svd; _held_entries says what a routine holds beside its output.
+calls _svd; _held_entries sizes a pass from the tables it fills.
 Every symbol matrix the package decomposes is the real M of A = i^k M
 (see operators._real_stack).
 Real input takes a one-sided (Hestenes) Jacobi kernel, vectorized over
@@ -325,6 +325,11 @@ class _Table(NamedTuple):
     fill: Callable
 
 
+def _factors(tables) -> tuple[bool, bool]:
+    """(want_u, want_vh) of a pass that fills tables: every factor some table reads."""
+    return any(table.want_u for table in tables), any(table.want_vh for table in tables)
+
+
 def _blockwise(mat: np.ndarray, *tables: _Table) -> list[np.ndarray]:
     """Each table's (..., *shape) output on mat (from _as_matrices), from one decomposition.
 
@@ -332,15 +337,14 @@ def _blockwise(mat: np.ndarray, *tables: _Table) -> list[np.ndarray]:
     one block (_block_size) at a time, so 8320 matrices are two of 4160.
     Each block is checked for finiteness and decomposed by one _svd call
     with every factor some table reads, and each table's fill writes its
-    part from those factors.  So a routine holds one block's working set
-    beside its outputs (_held_entries), and no bit depends on the blocks
-    or on which other tables share the pass (_jacobi_block).
+    part from those factors.  So the pass holds beside its outputs one
+    block's working set, which its tables size (_held_entries), and no bit
+    depends on the blocks or on the other tables in the pass (_jacobi_block).
     """
     stack = mat.reshape((-1,) + mat.shape[-2:])
     outs = [np.empty((len(stack),) + table.shape, dtype=table.dtype or mat.dtype)
             for table in tables]
-    want_u = any(table.want_u for table in tables)
-    want_vh = any(table.want_vh for table in tables)
+    want_u, want_vh = _factors(tables)
     size = _block_size(len(stack))
     for start in range(0, len(stack), size):
         block = stack[start:start + size]
@@ -370,30 +374,33 @@ def _projectors(dim_v: int, tol: float) -> _Table:
     return _Table((dim_v, dim_v), None, False, True, project)
 
 
+def _pseudoinverses(rows: int, cols: int, tol: float) -> _Table:
+    """pinv_svd's table for (rows, cols) matrices: V diag(1 / sigma) U^H over the kept values."""
+    def invert(out, u, sigma, vh):
+        inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=_kept(sigma, tol))
+        np.matmul(np.swapaxes(vh.conj(), -1, -2),
+                  inv[..., :, None] * np.swapaxes(u.conj(), -1, -2), out=out)
+    return _Table((cols, rows), None, True, True, invert)
+
+
+def _held_entries(rows: int, cols: int, count: int, *tables: _Table) -> float:
+    """Real entries per matrix that a _blockwise pass filling tables holds beside their outputs.
+
+    _svd's peak with the factors the tables read (_svd_entries; no table
+    for a values-only pass) on a real stack of count (rows, cols) matrices,
+    spread over it (_block_size).  A block's finiteness flags, and what a
+    fill makes from the factors, come without the Jacobi working set (over
+    rank * length = rows * cols entries) and take less than it.
+    """
+    held = _svd_entries(rows, cols, *_factors(tables))
+    return held * (_block_size(count) / count)  # a ratio first: count may be too large for a float
+
+
 def _spectral_norms(mat: np.ndarray) -> np.ndarray:
     """|A|_2, the largest singular value, of every matrix of mat (from _as_matrices)."""
     def largest(out, u, sigma, vh):
         out[...] = sigma[..., 0]
     return _blockwise(mat, _Table((), float, False, False, largest))[0]
-
-
-def _held_entries(routine: Callable, rows: int, cols: int, count: int) -> float:
-    """Real entries per matrix that routine holds beside its output on a real stack of count.
-
-    routine is numerical_rank, kernel_projector or pinv_svd, on (rows,
-    cols) matrices.  One block's (_blockwise) finiteness flags, or _svd's
-    peak (_svd_entries), or after it the factors read, the cutoff mask and
-    product, and the count of kept values, or the masked vh and inverted
-    mask, or the inverted sigma and scaled u^T, whichever is largest, a
-    flag counted as a whole entry, spread over the stack (_block_size).
-    """
-    rank, block = min(rows, cols), _block_size(count)
-    want_u, want_vh, after = {
-        "numerical_rank": (False, False, 2 * rank + 2),
-        "kernel_projector": (False, True, 3 * rank + 2 * rank * cols + 1),
-        "pinv_svd": (True, True, rank * (2 * rows + cols + 3) + 1)}[routine.__name__]
-    held = max(rows * cols, _svd_entries(rows, cols, want_u, want_vh), after)
-    return held * (block / count)  # a ratio first: count may be too large for a float
 
 
 def numerical_rank(mat, tol: float = DEFAULT_TOL) -> int | np.ndarray:
@@ -417,12 +424,8 @@ def pinv_svd(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     Real input gives a real pseudoinverse (see _svd); a nonzero row or
     column a gives a* / |a|^2.
     """
-    def invert(out, u, sigma, vh):
-        inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=_kept(sigma, tol))
-        np.matmul(np.swapaxes(vh.conj(), -1, -2),
-                  inv[..., :, None] * np.swapaxes(u.conj(), -1, -2), out=out)
     mat = _as_matrices(mat)
-    return _blockwise(mat, _Table(mat.shape[:-3:-1], None, True, True, invert))[0]
+    return _blockwise(mat, _pseudoinverses(*mat.shape[-2:], tol))[0]
 
 
 def kernel_projector(mat, tol: float = DEFAULT_TOL) -> np.ndarray:

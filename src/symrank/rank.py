@@ -159,9 +159,9 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     structured rows, which are ranked and scored as one block, and the most
     of four steps per row: drawing (the block before, the norms and a
     column of squares); building the real symbol M (its monomials,
-    operators._column_count, and M); ranking M (M, the ranks and what
-    numerical_rank holds beside them, as pinv says); and pairing (the
-    scores, their clipped copy and the masks).  Bisection steps up to
+    operators._column_count, and M); ranking M (M, the ranks and what a
+    values-only pinv pass holds, pinv._held_entries); and pairing (scores,
+    a clipped copy, masks: at most drawing's n + 2).  Bisection steps up to
     pinv._BLOCK low-rank rows together, their ends shrunk in place: each
     row's midpoint, the drop and neighbour it may leave, its index and a
     flag, and the larger of building and ranking the midpoints.  Before the
@@ -178,11 +178,11 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     build = _column_count(op.alpha_array) + entries
 
     def ranking(rows):
-        return entries + 1 + _held_entries(numerical_rank, op.dim_w, op.dim_v, rows)
+        return entries + 1 + _held_entries(op.dim_w, op.dim_v, rows)
 
     # the structured rows are ranked and scored in one stack, each random block in another
     block, steps = max(structured, min(num_samples, _BLOCK)), min(lows, _BLOCK)
-    stream = block * (op.n + max(op.n + 2, build, ranking(block), 3))
+    stream = block * (op.n + max(op.n + 2, build, ranking(block)))
     bisection = steps * (3 * op.n + 2 + max(build, ranking(steps))) if steps else 0
     _refuse_beyond_memory(
         lambda: _rank_dtype(op).itemsize * count + 8 * (

@@ -62,14 +62,15 @@ taken at p = 2, and nothing of size N^n is built.
 Every SVD table comes from one pass of pinv._blockwise, which owns the
 blocking and gives a matrix the same bits anywhere in a stack and
 whichever tables share the pass, so the band and rung tables are the
-mesh tables at their frequencies.  One estimate
-(_refuse_oversized) sizes the mesh and band routes before anything is
-allocated: their tables with what pinv holds while it builds one
-(pinv._held_entries), a trial's fields (one slab's on the mesh at p =
-2, one grid row's at p != 2) and a band's grid buffers; an estimate too
-large for a float is refused too.
-A table builder counts only its table and build, and each apply_* call
-the fields it makes, so no route is sized by a field it never holds.
+mesh tables at their frequencies.  One estimate (_refuse_oversized)
+sizes the mesh and band routes before anything is allocated: their tables
+with what the pass that fills one holds, read from its _Table
+(pinv._held_entries), a trial's fields (one slab's on the mesh at p = 2,
+one grid row's at p != 2) and a band's grid buffers; an estimate too
+large for a float is refused too.  Each estimate counts the arrays its
+own code makes: a table builder its table and build, an apply_* call the
+tables it reads and the fields it makes, so no call is sized by a field
+it never holds or a build that does not run.
 """
 
 import math
@@ -83,8 +84,8 @@ import numpy as np
 
 from .operators import (Operator, _column_count, _column_monomials, _column_stack, multi_indices,
                         multinomial_weight)
-from .pinv import (DEFAULT_TOL, _held_entries, _norm, _refuse_beyond_memory, kernel_projector,
-                   pinv_svd)
+from .pinv import (DEFAULT_TOL, _blockwise, _check_tol, _held_entries, _norm, _projectors,
+                   _pseudoinverses, _refuse_beyond_memory, _Table)
 
 TWO_PI = 2.0 * math.pi
 # frequencies per pass of _matvec: a chunk of a 3 x 3 table with its input, output
@@ -407,45 +408,30 @@ def _check_field(op: Operator, field: GridField | FrequencyField, fiber_dim: int
         raise ValueError(f"{role} field must have fiber dimension {fiber_dim}")
 
 
-def _refuse_apply(op: Operator, grid: Grid, tables: int, build: float, fields: int) -> None:
-    """Raise MemoryError, before a table is looked up, when an apply_* call cannot fit.
-
-    Real entries per frequency: the tables the call reads, which stay in
-    their caches, beside the larger of their build (the symbol's monomials,
-    operators._column_count, or what the pinv routine holds) and the
-    fields, the coefficient arrays the call makes.
-    """
-    _refuse_oversized(op, grid, grid.size ** grid.n,
-                      tables + max(_column_count(op.alpha_array), build, fields))
-
-
 def apply_A(op: Operator, field: GridField) -> GridField:
     """Apply the operator spectrally: multiply coefficients by A(xi) = i^k M(xi)."""
     _check_field(op, field, op.dim_v, "input")
-    _refuse_apply(op, field.grid, op.dim_w * op.dim_v, 0, 2 * (op.dim_v + op.dim_w))
+    _refuse_oversized(op, field.grid, field.grid.size ** field.grid.n,
+                      op.dim_w * op.dim_v + 2 * (op.dim_v + op.dim_w))
     out = _matvec(_symbol_tensor(op, field.grid), forward_transform(field).coeffs)
     out *= 1j ** op.k
     return GridField(field.grid, _inverse(out, field.grid))
 
 
-def _mesh_table(op: Operator, grid: Grid, tol: float, pseudoinverse: bool) -> np.ndarray:
-    """kernel_projector, or pinv_svd, of the symbol table (_symbol_tensor) in its layout; read-only.
+def _mesh_table(op: Operator, grid: Grid, table: _Table) -> np.ndarray:
+    """table (pinv._projectors or _pseudoinverses) of _symbol_tensor, in its layout; read-only.
 
-    Refused when too large (_refuse_oversized), counting per frequency both
-    tables beside the larger of the symbol's monomials
-    (operators._column_count), freed once the symbol table is built, and
-    what the pinv routine holds beside its output (pinv._held_entries); the
-    fields a route makes are counted by the route.
+    One pinv._blockwise pass, refused when too large (_refuse_oversized):
+    per frequency the symbol table, this one (table.shape) and what the
+    pass holds beside them (pinv._held_entries).  _symbol_tensor sizes its
+    own build, and a route the fields it makes.
     """
     count = grid.size ** grid.n
-    routine = pinv_svd if pseudoinverse else kernel_projector
-    cols = op.dim_w if pseudoinverse else op.dim_v
-    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + op.dim_v * cols
-                      + max(_column_count(op.alpha_array),
-                            _held_entries(routine, op.dim_w, op.dim_v, count)))
-    table = routine(_symbol_tensor(op, grid), tol)
-    table.setflags(write=False)
-    return table
+    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + math.prod(table.shape)
+                      + _held_entries(op.dim_w, op.dim_v, count, table))
+    out = _blockwise(_symbol_tensor(op, grid), table)[0]
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -453,29 +439,28 @@ def _kernel_projector_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """Projector onto ker A(xi) per frequency, shape (size, ..., size, dimV, dimV).
 
     Same layout as _symbol_tensor and real like it: P_A = P_M, so the table
-    is kernel_projector of the real symbol table (_mesh_table).  Frequency
+    is pinv's kernel projector of the real symbol table (_mesh_table).  Frequency
     zero (and any exact rank-0 frequency) gets the identity: everything
     there is kernel, so the projection keeps constants intact.
     """
-    return _mesh_table(op, grid, tol, pseudoinverse=False)
+    return _mesh_table(op, grid, _projectors(op.dim_v, tol))
 
 
 @lru_cache(maxsize=1)
 def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
     """M+ per frequency for the real symbol table M, shape (size, ..., size, dimV, dimW).
 
-    A+ = i^-k M+.  pinv_svd of the real symbol table (_mesh_table), cached
-    like _kernel_projector_table.
+    A+ = i^-k M+.  pinv's pseudoinverse of the real symbol table
+    (_mesh_table), cached like _kernel_projector_table.
     """
-    return _mesh_table(op, grid, tol, pseudoinverse=True)
+    return _mesh_table(op, grid, _pseudoinverses(op.dim_w, op.dim_v, tol))
 
 
 def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
     """Project every coefficient onto ker A(xi) (the canonical kernel part of the field)."""
     _check_field(op, field, op.dim_v, "input")
-    count = field.grid.size ** field.grid.n
-    _refuse_apply(op, field.grid, op.dim_w * op.dim_v + op.dim_v ** 2,
-                  _held_entries(kernel_projector, op.dim_w, op.dim_v, count), 4 * op.dim_v)
+    _refuse_oversized(op, field.grid, field.grid.size ** field.grid.n,
+                      op.dim_w * op.dim_v + op.dim_v ** 2 + 4 * op.dim_v)
     table = _kernel_projector_table(op, field.grid, float(tol))
     coeffs = _matvec(table, forward_transform(field).coeffs)
     return GridField(field.grid, _inverse(coeffs, field.grid))
@@ -550,7 +535,7 @@ def apply_Dk(k: int, field: GridField) -> GridField:
 def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
     """Apply the derivative recovery multiplier: A+(xi), then the derivatives.
 
-    One batched pinv_svd table of the real symbol table M
+    One batched pseudoinverse table of the real symbol table M
     (_pseudoinverse_table, cached like the projector table), the phase
     i^-k on its output (A = i^k M gives A+ = i^-k M+), then the derivative
     step of apply_Dk.  Input is a codomain-valued field (fiber dimW,
@@ -560,14 +545,13 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     equals apply_Dk(k, phi - apply_PA(phi)) when the input is
     apply_A(phi).  The multiplier vanishes at frequency zero, where the
     symbol is zero.  Refused before the table is looked up when the two
-    tables, or the fields with the derivatives' monomials, cannot fit.
+    tables, with the fields and a derivative row's monomial, cannot fit.
     """
     _check_field(op, field, op.dim_w, "input")
-    count = field.grid.size ** field.grid.n
     fields = (2 * (op.dim_w + op.dim_v + _derivative_fibers(op))
               + _derivative_columns(op.k))
-    _refuse_apply(op, field.grid, 2 * op.dim_w * op.dim_v,
-                  _held_entries(pinv_svd, op.dim_w, op.dim_v, count), fields)
+    _refuse_oversized(op, field.grid, field.grid.size ** field.grid.n,
+                      2 * op.dim_w * op.dim_v + fields)
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
     out = _matvec(dagger, forward_transform(field).coeffs)
     out *= (-1j) ** op.k
@@ -578,6 +562,13 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
 def _check_band(grid: Grid, max_freq: int) -> None:
     if not 1 <= max_freq <= grid.size // 4:
         raise ValueError(f"max_freq must lie in [1, {grid.size // 4}] on this grid")
+
+
+def _check_route(p: float, tol: float) -> None:
+    """A spectrum's first check: ValueError unless p >= 1 (nan is not) and pinv accepts tol."""
+    if not p >= 1.0:
+        raise ValueError("p must be at least 1")
+    _check_tol(tol)
 
 
 @lru_cache(maxsize=64)
@@ -728,20 +719,21 @@ def _trial_entries(op: Operator, p: float) -> int:
 def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0) -> _Spectrum:
     """The whole frequency mesh at exponent p: N^n tables (_symbol_tensor, _kernel_projector_table).
 
-    Raises MemoryError before a table is looked up when the route does not
-    fit (_refuse_oversized), counting per frequency the tables (M, P_A), the
-    largest of the symbol's monomials (operators._column_count) and the
-    projector build, held complex fibers of whole-mesh fields the caller
-    keeps, and a trial (_trial_entries): on one slab with its weights at p
-    = 2, where every norm is taken slab by slab (_mesh_slabs), or on the
-    whole mesh at any other p, where the grid norm takes one coefficient
-    row at a time to the grid in place (_inverse) and measures its
-    magnitudes (_mesh_norm).
+    Raises ValueError unless _check_route passes, then MemoryError before a
+    table is looked up when the route does not fit (_refuse_oversized),
+    counting per frequency the tables (M, P_A), the largest of the symbol's
+    monomials (operators._column_count) and the projector build, held
+    complex fibers of whole-mesh fields the caller keeps, and a trial
+    (_trial_entries): on one slab with its weights at p = 2, where every
+    norm is taken slab by slab (_mesh_slabs), or on the whole mesh at any
+    other p, where the grid norm takes one coefficient row at a time to the
+    grid in place (_inverse) and measures its magnitudes (_mesh_norm).
     """
+    _check_route(p, tol)
     count = grid.size ** grid.n
     kept = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * held
     build = max(_column_count(op.alpha_array),
-                _held_entries(kernel_projector, op.dim_w, op.dim_v, count))
+                _held_entries(op.dim_w, op.dim_v, count, _projectors(op.dim_v, tol)))
     if p == 2.0:
         slab = _slab_planes(grid) * grid.size ** (grid.n - 1)
         _refuse_oversized(op, grid, count, kept + build, slab * (_trial_entries(op, p) + 1))
@@ -847,32 +839,35 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
 def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float) -> _Spectrum:
     """The primaries of the band max_freq on grid, for the route at exponent p.
 
-    Raises ValueError unless 1 <= max_freq <= N/4 and MemoryError when the
-    route does not fit (_refuse_oversized), both before any table is built
-    or field drawn.  The tables are M, operators._column_stack of the n
-    float64 rows of xis, and its kernel_projector P_A, bitwise the entries
+    Raises ValueError unless 1 <= max_freq <= N/4 and _check_route accepts
+    p and tol, and MemoryError when the route does not fit
+    (_refuse_oversized), all before any table is built or field drawn.  The
+    tables are M, operators._column_stack of the n float64 rows of xis, and
+    its kernel projector P_A (one pinv._projectors pass), bitwise the entries
     of _symbol_tensor and _kernel_projector_table at the primaries, so they
     do not depend on N; built per spectrum, not cached, they are freed with
     the route.  The estimate counts per primary those tables and 2 |xi|^2k
     with the int64 primaries, their float64 coordinates xis, cast once here
-    so that no trial casts them,
-    and the scatter positions (dimW dimV + dimV^2 + 2n + 3 reals), and the
-    largest of the symbol's monomials (operators._column_count), the
-    projector build and a trial (_trial_entries); at p != 2 it adds the
-    grid route's buffers (_band_buffers), whatever the field's fiber count.
+    so that no trial casts them, and the scatter positions (dimW dimV +
+    dimV^2 + 2n + 3 reals), and the largest of the symbol's monomials
+    (operators._column_count), the projector build and a trial
+    (_trial_entries); at p != 2 it adds the grid route's buffers
+    (_band_buffers), whatever the field's fiber count.
     A field here is its (fiber, P) values at the primaries (_band_draw),
     the field of random_band_limited with the same seed.  Only p != 2
     builds the grid route (_band_grid): a p = 2 norm reads no grid value,
     so there N only names the grid.
     """
     _check_band(grid, max_freq)
+    _check_route(p, tol)
     count = ((2 * max_freq + 1) ** op.n - 1) // 2
     grid_entries = 0
     if p != 2.0:
         grid_entries = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
                            for shape, dtype in _band_buffers(grid, max_freq).values())
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * op.n + 3
-    build = _held_entries(kernel_projector, op.dim_w, op.dim_v, count)
+    projection = _projectors(op.dim_v, float(tol))
+    build = _held_entries(op.dim_w, op.dim_v, count, projection)
     _refuse_oversized(op, grid, count,
                       tables + max(_column_count(op.alpha_array), build,
                                    _trial_entries(op, p)),
@@ -880,7 +875,7 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     primaries = _primaries(op.n, max_freq)
     xis = primaries.astype(float)
     symbols = _column_stack(op, xis)
-    projector = kernel_projector(symbols, float(tol))
+    projector = _blockwise(symbols, projection)[0]
     weights = 2.0 * _xi_weights(xis, op.k)
     for table in (xis, symbols, projector, weights):
         table.setflags(write=False)

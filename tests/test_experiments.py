@@ -108,8 +108,33 @@ def test_estimate_ratio_rejects_kernel_fields():
 def test_estimate_ratio_rejects_p_below_one_or_nan(p, as_coefficients):
     op = zoo_get("curl")
     phi = random_band_limited(Grid(3, 8), 3, 2, seed=8)
+    spectral._symbol_tensor.cache_clear()
     with pytest.raises(ValueError, match="at least 1"):
         estimate_ratio(op, forward_transform(phi) if as_coefficients else phi, p)
+    # p is checked before the route is sized, so no table is built
+    assert spectral._symbol_tensor.cache_info().currsize == 0
+
+
+def test_entry_points_check_their_arguments_before_sizing_a_route(monkeypatch):
+    # an exponent below 1, a cutoff below pinv's floor or no competitor raises
+    # ValueError before any route is sized: no estimate is made and no table built
+    op = zoo_get("curl")
+    phi = random_band_limited(Grid(3, 8), 3, 2, seed=8)
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed()))
+    spectral._symbol_tensor.cache_clear()
+    spectral._kernel_projector_table.cache_clear()
+    for call, message in [(lambda: estimate_ratio(op, phi, 2.0, tol=1e-20), "tol must lie in"),
+                          (lambda: l2_minimality_check(op, phi, kernel_trials=0), "at least 1"),
+                          (lambda: l2_minimality_check(op, phi, tol=1e-20), "tol must lie in"),
+                          (lambda: ratio_sweep(op, 0.5, 1, [8]), "at least 1"),
+                          (lambda: ratio_sweep(op, 3.0, 1, [8], tol=1e-20), "tol must lie in")]:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert estimates == []
+    assert spectral._symbol_tensor.cache_info().currsize == 0
+    assert spectral._kernel_projector_table.cache_info().currsize == 0
 
 
 def grid_composition_ratio(op, phi, p):

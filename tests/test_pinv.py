@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrank import pinv
+from symrank import experiments, pinv
 from symrank.pinv import DEFAULT_TOL, kernel_projector, numerical_rank, pinv_svd
 from symrank.operators import Operator, _real_stack, symbol, symbol_stack
 from symrank.rank import rank_profile, sphere_samples
@@ -522,28 +522,44 @@ def test_jacobi_working_set_grows_by_under_25_doubles_per_matrix(want_u, want_vh
     assert peak - half_peak <= 8 * 512 * pinv._svd_entries(3, 2, want_u, want_vh)
 
 
+# the tables each pass fills on (rows, cols) matrices: the three public routines,
+# and the joint passes of the drop witness (rank.find_rank_drop_witness) and of an
+# exact ladder's rungs (experiments._rungs)
+PASSES = {
+    "numerical_rank": lambda rows, cols: [pinv._ranks(DEFAULT_TOL)],
+    "kernel_projector": lambda rows, cols: [pinv._projectors(cols, DEFAULT_TOL)],
+    "pinv_svd": lambda rows, cols: [pinv._pseudoinverses(rows, cols, DEFAULT_TOL)],
+    "witness": lambda rows, cols: [pinv._ranks(DEFAULT_TOL), pinv._projectors(cols, DEFAULT_TOL)],
+    "rungs": lambda rows, cols: [pinv._ranks(DEFAULT_TOL), experiments._probes(rows, DEFAULT_TOL),
+                                 pinv._projectors(cols, DEFAULT_TOL)],
+}
+ROUTINES = {"numerical_rank": numerical_rank, "kernel_projector": kernel_projector,
+            "pinv_svd": pinv_svd}
+
+
 @pytest.mark.parametrize("count", [1, pinv._BLOCK + 1, 3 * pinv._BLOCK + 1],
                          ids=["1", "block+1", "3block+1"])
 @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (3, 1), (1, 3), (12, 5)],
                          ids=lambda shape: "x".join(map(str, shape)))
-@pytest.mark.parametrize("routine", [numerical_rank, kernel_projector, pinv_svd],
-                         ids=lambda routine: routine.__name__)
+@pytest.mark.parametrize("routine", list(PASSES))
 def test_routines_hold_at_most_their_estimate_beside_the_output(routine, shape, count):
-    # each routine takes its stack a block at a time into one preallocated output,
-    # so beside the output it holds one block's working set, which pinv's estimate
-    # bounds; Python objects and numpy's iteration buffers, which the estimate
-    # leaves out, stay under 64 KiB
+    # each routine takes its stack a block at a time into preallocated outputs, so
+    # beside them it holds one block's working set, which pinv's estimate from the
+    # tables it fills bounds; Python objects and numpy's iteration buffers, which
+    # the estimate leaves out, stay under 64 KiB
+    tables = PASSES[routine](*shape)
+    run = ROUTINES.get(routine, lambda mats: pinv._blockwise(mats, *tables))
     mats = np.random.default_rng(4).standard_normal((count,) + shape)
     mats[::3, :, 0] = 0.0
-    routine(mats[:2])  # first-call allocations
+    run(mats[:2])  # first-call allocations
     tracemalloc.start()
     try:
-        out = routine(mats)
+        out = run(mats)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = peak - out.nbytes
-    assert held <= 8 * count * pinv._held_entries(routine, *shape, count) + 2 ** 16
+    held = peak - sum(part.nbytes for part in (out if isinstance(out, list) else [out]))
+    assert held <= 8 * count * pinv._held_entries(*shape, count, *tables) + 2 ** 16
 
 
 def test_complex_sigma_alone_is_lapacks_values_only_call():

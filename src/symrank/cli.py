@@ -94,6 +94,8 @@ def _write_csv(report, args) -> None:
 
 def cmd_analyze(args) -> int:
     op = _load_operator(args.source)
+    if args.samples < op.n + 1:
+        raise ValueError(f"--samples must be at least n + 1 = {op.n + 1}")
     profile = rank_profile(op, num_samples=args.samples, tol=args.tol, seed=args.seed)
     doc = profile.to_dict()
     doc.update(n=op.n, k=op.k, dim_v=op.dim_v, dim_w=op.dim_w)

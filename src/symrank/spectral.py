@@ -47,11 +47,12 @@ weights that count each primary twice, for its mirror, in one slab, so
 at p = 2 it holds nothing of the grid.  At any other p a coefficient row
 is formed once, as _grid_norm reads it, and taken to the grid: on the
 whole mesh in place by a complex inverse FFT, on a band by the band's own
-irfftn steps (_band_grid), one ifftn on the half spectrum's first-axis
-planes 0..B only, then irfft one chunk of second-axis lines at a time
-into one buffer, with irfftn's bits.  The band's buffers (_band_buffers)
-are allocated when the spectrum is built, so its trial allocates no array
-the size of the grid.
+irfftn steps (_band_grid), the same for every n: an ifft along each axis
+after the first on the half spectrum's first-axis planes 0..B only, then
+irfft along the first axis, the grid read as N^(n-1) lines of N values
+(one line in 1-D), one chunk of lines at a time into one buffer, with
+irfftn's bits.  The band's buffers (_band_buffers) are allocated when the
+spectrum is built, so its trial allocates no array the size of the grid.
 An exact witness rung is one coefficient at one frequency, and its
 spectrum (_rung_spectra, every rung of a ladder on the M and P_A tables
 that experiments._rungs fills in the same pinv pass as the probes)
@@ -251,7 +252,7 @@ def _exponent(bound) -> int:
     0 for a non-finite one, which comes from non-finite values, whose norm
     is then non-finite too.
     """
-    return int(np.clip(np.frexp(bound)[1], -1021, 1021)) if bound else -1021
+    return min(max(math.frexp(bound)[1], -1021), 1021) if bound else -1021
 
 
 def _grid_norm(fibers: Iterable[tuple[float, Callable[[int], Iterable]]], grid: Grid, p: float,
@@ -274,16 +275,16 @@ def _grid_norm(fibers: Iterable[tuple[float, Callable[[int], Iterable]]], grid: 
     """
     total[...] = 0.0
     exponent = None
-    for bound, parts in fibers:
-        raised = _exponent(bound)
-        if exponent is None:
-            exponent = raised
-        elif raised > exponent:
-            np.ldexp(total, 2 * (exponent - raised), out=total)
-            exponent = raised
-        for values, at in parts(exponent):
-            np.square(values, out=values)
-            with _uncast():
+    with _uncast():
+        for bound, parts in fibers:
+            raised = _exponent(bound)
+            if exponent is None:
+                exponent = raised
+            elif raised > exponent:
+                np.ldexp(total, 2 * (exponent - raised), out=total)
+                exponent = raised
+            for values, at in parts(exponent):
+                np.square(values, out=values)
                 part = total[at]
                 part += values
     np.sqrt(total, out=total)
@@ -755,20 +756,21 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
 
-def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
+def _band_buffers(grid: Grid) -> dict[str, tuple[tuple, type]]:
     """The arrays of the band's grid route (_band_grid) as (shape, dtype), in exact integers.
 
-    half: one fiber's half spectrum, whose first-axis planes 0..B are the
-    scatter target that every ifftn pass writes (n >= 2), or those planes
-    alone, which irfft pads itself (n = 1).  out: one chunk of a fiber's
-    real grid values, a run of second-axis lines of about _GRID_CHUNK reals
-    (in 1-D the whole fiber).  total: the N^n accumulator of _grid_norm.
+    The grid is read as N first-axis values times N^(n-1) lines, one line
+    in 1-D.  half: one fiber's half spectrum, N/2 + 1 first-axis planes.
+    out: one chunk of a fiber's real grid values, a run of w lines of N
+    reals, w = max(1, min(N^(n-1), _GRID_CHUNK / N)), so at most
+    max(N, _GRID_CHUNK) reals; N and _GRID_CHUNK are powers of two, so the
+    chunks tile the lines.  total: the N^n accumulator of _grid_norm, as
+    (N, N^(n-1)).
     """
-    half, out = (max_freq + 1,), grid.shape
-    if grid.n > 1:
-        lines = max(1, min(grid.size, _GRID_CHUNK // grid.size ** (grid.n - 1)))
-        half, out = (grid.size // 2 + 1,) + grid.shape[1:], (grid.size, lines) + grid.shape[2:]
-    return {"half": (half, complex), "out": (out, float), "total": (grid.shape, float)}
+    lines = grid.size ** (grid.n - 1)
+    width = max(1, min(lines, _GRID_CHUNK // grid.size))
+    return {"half": ((grid.size // 2 + 1,) + grid.shape[1:], complex),
+            "out": ((grid.size, width), float), "total": ((grid.size, lines), float)}
 
 
 def _band_grid(grid: Grid, primaries: np.ndarray):
@@ -780,51 +782,47 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
     2 sum |c| / (2pi)^(n/2) over its primaries, and the row is scattered
     into planes 0..B of the half spectrum, the primaries and, in plane 0,
     their mirrors, which take the conjugates so that the plane is Hermitian
-    as irfft reads it, then dropped.  One ifftn runs on those planes in
-    place (out=): numpy passes over the listed axes last to first, so
-    listed n-1..1 they run 1..n-1, as in irfftn, and planes B+1..N/2 stay
-    zero; in 1-D there is no pass, and irfft pads the planes itself.  The
-    passes fill the planes, so they are zeroed before each scatter.  The
-    row's parts are irfft along the first axis, one chunk's lines at a
-    time into the one out buffer (_band_buffers), divided by irfftn's scale
-    times 2^exponent, which is exact, so each value has irfftn's bits times
-    2^-exponent.  grid_values(rows, exponent) yields every row's parts at
-    one exponent.  Neither function allocates an array the size of the grid.
+    as irfft reads it, then dropped.  An ifft along each axis 1..n-1 in
+    turn, the order of irfftn's passes, runs on those planes in place
+    (out=), none in 1-D, and planes B+1..N/2 stay zero.  The passes fill
+    the planes, so they are zeroed before each scatter.  The row's parts
+    are irfft along the first axis of the half spectrum read as N/2 + 1
+    planes of N^(n-1) lines, one chunk of lines at a time into the one out
+    buffer (_band_buffers), divided by irfftn's scale times 2^exponent,
+    which is exact, so each value has irfftn's bits times 2^-exponent; a
+    part's at indexes the (N, N^(n-1)) accumulator.  grid_values(rows,
+    exponent) yields every row's parts at one exponent.  Neither function
+    allocates an array the size of the grid.
     """
-    max_freq = int(primaries[0].max())
-    buffers = {name: np.zeros(shape, dtype) for name, (shape, dtype)
-               in _band_buffers(grid, max_freq).items()}
-    half = buffers["half"]
-    target = half[:max_freq + 1]
+    half, out, total = (np.zeros(shape, dtype) for shape, dtype in _band_buffers(grid).values())
+    lines = half.reshape(grid.size // 2 + 1, -1)
+    target = half[:primaries[0].max() + 1]
     flat = target.reshape(-1)
     # mode="wrap" takes the other axes' indices modulo N; first components lie in 0..B
-    at = np.ravel_multi_index(tuple(primaries), target.shape, mode="wrap")
+    scatter = np.ravel_multi_index(tuple(primaries), target.shape, mode="wrap")
     on_plane0 = np.flatnonzero(primaries[0] == 0)
     mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0]), target.shape, mode="wrap")
     scale = (TWO_PI / grid.size) ** (grid.n / 2.0)
-    # runs of second-axis lines; in 1-D the whole fiber
-    chunks = [(slice(None),)]
-    if grid.n > 1:
-        lines = buffers["out"].shape[1]
-        chunks = [(slice(None), slice(start, start + lines))
-                  for start in range(0, grid.size, lines)]
+    width = out.shape[1]
+    chunks = [(slice(None), slice(start, start + width))
+              for start in range(0, lines.shape[1], width)]
 
     def parts(exponent: int):
-        out, divisor = buffers["out"], math.ldexp(scale, exponent)
-        for chunk in chunks:
-            np.fft.irfft(half[chunk], grid.size, axis=0, norm="ortho", out=out)
-            out /= divisor
-            yield out, chunk
+        divisor = math.ldexp(scale, exponent)
+        for at in chunks:
+            np.fft.irfft(lines[at], grid.size, axis=0, norm="ortho", out=out)
+            np.divide(out, divisor, out=out)
+            yield out, at
 
     def fibers(rows):
         for row in rows:
             bound = 2.0 * np.abs(row).sum() / TWO_PI ** (grid.n / 2.0)
             target.fill(0.0)
-            flat[at] = row
+            flat[scatter] = row
             flat[mirrors] = row[on_plane0].conj()
             del row
-            if grid.n > 1:
-                np.fft.ifftn(target, axes=range(grid.n - 1, 0, -1), norm="ortho", out=target)
+            for axis in range(1, grid.n):
+                np.fft.ifft(target, axis=axis, norm="ortho", out=target)
             yield bound, parts
 
     def grid_values(rows, exponent: int):
@@ -832,7 +830,7 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
             yield from row_parts(exponent)
 
     def grid_norm(rows, p: float) -> float:
-        return _grid_norm(fibers(rows), grid, p, buffers["total"])
+        return _grid_norm(fibers(rows), grid, p, total)
     return grid_values, grid_norm
 
 
@@ -864,7 +862,7 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     grid_entries = 0
     if p != 2.0:
         grid_entries = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
-                           for shape, dtype in _band_buffers(grid, max_freq).values())
+                           for shape, dtype in _band_buffers(grid).values())
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * op.n + 3
     projection = _projectors(op.dim_v, float(tol))
     build = _held_entries(op.dim_w, op.dim_v, count, projection)

@@ -44,6 +44,16 @@ def test_analyze_constant_rank_exits_zero(capsys):
     assert any("sampling-based" in note for note in doc["notes"])
 
 
+@pytest.mark.parametrize("source, samples, bound", [("zoo:d1d2", "2", 3), ("zoo:d1d2", "-5", 3),
+                                                   ("zoo:curl", "3", 4)])
+def test_analyze_names_samples_below_n_plus_one(capsys, source, samples, bound):
+    # the sweep needs n + 1 random directions; the error names the option, not the
+    # library's num_random, and is raised before the sweep is sized or drawn
+    code, out, err = run(capsys, "analyze", source, "--samples", samples)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == f"error: --samples must be at least n + 1 = {bound}\n"
+
+
 def test_analyze_elliptic(capsys):
     code, doc, _ = run_json(capsys, "analyze", "zoo:laplacian")
     assert code == EXIT_OK

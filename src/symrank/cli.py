@@ -33,7 +33,7 @@ from .experiments import (_MAX_RUNGS, CONTEXT_WITNESS_FAMILY, TrialRecord, _mini
                           ratio_sweep)
 from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
-from .rank import (DegenerateWitnessError, Verdict, daggerbound_check,
+from .rank import (DegenerateWitnessError, Verdict, _check_samples, daggerbound_check,
                    find_rank_drop_witness, rank_profile)
 from .spectral import Grid, _band_spectrum, _mesh_spectrum
 from .zoo import UnknownOperatorError, zoo_get, zoo_list
@@ -94,8 +94,7 @@ def _write_csv(report, args) -> None:
 
 def cmd_analyze(args) -> int:
     op = _load_operator(args.source)
-    if args.samples < op.n + 1:
-        raise ValueError(f"--samples must be at least n + 1 = {op.n + 1}")
+    _check_samples(op.n, args.samples, "--samples")
     profile = rank_profile(op, num_samples=args.samples, tol=args.tol, seed=args.seed)
     doc = profile.to_dict()
     doc.update(n=op.n, k=op.k, dim_v=op.dim_v, dim_w=op.dim_w)

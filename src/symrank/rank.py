@@ -79,6 +79,16 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
     return out
 
 
+def _check_samples(n: int, count: int, name: str = "num_random") -> None:
+    """Raise ValueError, naming count as name, unless count >= n + 1.
+
+    A sweep in n variables draws at least n + 1 random directions; every
+    caller that takes such a count, the CLI included, checks it here.
+    """
+    if count < n + 1:
+        raise ValueError(f"need {name} >= n + 1 = {n + 1}")
+
+
 def _sample_blocks(n: int, num_random: int, seed: int):
     """sphere_samples' rows as a stream: the structured rows, then blocks of pinv._BLOCK random rows.
 
@@ -92,8 +102,7 @@ def _sample_blocks(n: int, num_random: int, seed: int):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if num_random < n + 1:
-        raise ValueError("need num_random >= n + 1")
+    _check_samples(n, num_random)
     structured = np.zeros((2 * n + (2 ** n if n >= 2 else 0), n))
     index = np.arange(n)
     structured[2 * index, index] = 1.0
@@ -246,11 +255,13 @@ def rank_profile(op: Operator, num_samples: int = 1024, tol: float = DEFAULT_TOL
     from the seed (_replayed_pairs), which gives the same rows.  All
     bisections advance in lockstep (_bisect).  Every output is bitwise that
     of one block spanning the whole sweep and of one bisection at a time.
-    Raises MemoryError before sampling when that would exceed physical
+    Raises ValueError for num_samples < n + 1 before the sweep is sized,
+    and MemoryError before sampling when that would exceed physical
     memory (2^n sign vectors make that so for large n), and again before a
     replay when its low-rank rows would (_refuse_oversized_sweep).
     """
     _check_tol(tol)
+    _check_samples(op.n, num_samples, "num_samples")
     _refuse_oversized_sweep(op, num_samples)
     stream = _sample_blocks(op.n, num_samples, seed)
     structured = next(stream)

@@ -275,16 +275,16 @@ def _grid_norm(fibers: Iterable[tuple[float, Callable[[int], Iterable]]], grid: 
     """
     total[...] = 0.0
     exponent = None
-    with _uncast():
-        for bound, parts in fibers:
-            raised = _exponent(bound)
-            if exponent is None:
-                exponent = raised
-            elif raised > exponent:
-                np.ldexp(total, 2 * (exponent - raised), out=total)
-                exponent = raised
-            for values, at in parts(exponent):
-                np.square(values, out=values)
+    for bound, parts in fibers:
+        raised = _exponent(bound)
+        if exponent is None:
+            exponent = raised
+        elif raised > exponent:
+            np.ldexp(total, 2 * (exponent - raised), out=total)
+            exponent = raised
+        for values, at in parts(exponent):
+            np.square(values, out=values)
+            with _uncast():
                 part = total[at]
                 part += values
     np.sqrt(total, out=total)
@@ -756,20 +756,23 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
 
-def _band_buffers(grid: Grid) -> dict[str, tuple[tuple, type]]:
+def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
     """The arrays of the band's grid route (_band_grid) as (shape, dtype), in exact integers.
 
     The grid is read as N first-axis values times N^(n-1) lines, one line
-    in 1-D.  half: one fiber's half spectrum, N/2 + 1 first-axis planes.
-    out: one chunk of a fiber's real grid values, a run of w lines of N
-    reals, w = max(1, min(N^(n-1), _GRID_CHUNK / N)), so at most
-    max(N, _GRID_CHUNK) reals; N and _GRID_CHUNK are powers of two, so the
-    chunks tile the lines.  total: the N^n accumulator of _grid_norm, as
-    (N, N^(n-1)).
+    in 1-D.  half: one fiber's half spectrum, N/2 + 1 first-axis planes,
+    whose planes 0..B every complex pass writes; in 1-D no pass runs, so
+    it is planes 0..B alone, which irfft pads with zeros as it reads them,
+    making no padded copy.  out: one chunk of a fiber's real grid values,
+    a run of w lines of N reals, w = max(1, min(N^(n-1), _GRID_CHUNK / N)),
+    so at most max(N, _GRID_CHUNK) reals; N and _GRID_CHUNK are powers of
+    two, so the chunks tile the lines.  total: the N^n accumulator of
+    _grid_norm, as (N, N^(n-1)).
     """
     lines = grid.size ** (grid.n - 1)
     width = max(1, min(lines, _GRID_CHUNK // grid.size))
-    return {"half": ((grid.size // 2 + 1,) + grid.shape[1:], complex),
+    planes = max_freq + 1 if grid.n == 1 else grid.size // 2 + 1
+    return {"half": ((planes,) + grid.shape[1:], complex),
             "out": ((grid.size, width), float), "total": ((grid.size, lines), float)}
 
 
@@ -784,19 +787,21 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
     their mirrors, which take the conjugates so that the plane is Hermitian
     as irfft reads it, then dropped.  An ifft along each axis 1..n-1 in
     turn, the order of irfftn's passes, runs on those planes in place
-    (out=), none in 1-D, and planes B+1..N/2 stay zero.  The passes fill
-    the planes, so they are zeroed before each scatter.  The row's parts
-    are irfft along the first axis of the half spectrum read as N/2 + 1
-    planes of N^(n-1) lines, one chunk of lines at a time into the one out
-    buffer (_band_buffers), divided by irfftn's scale times 2^exponent,
-    which is exact, so each value has irfftn's bits times 2^-exponent; a
-    part's at indexes the (N, N^(n-1)) accumulator.  grid_values(rows,
-    exponent) yields every row's parts at one exponent.  Neither function
-    allocates an array the size of the grid.
+    (out=), none in 1-D, and planes B+1..N/2 stay zero (in 1-D irfft pads
+    them).  The passes fill the planes, so they are zeroed before each
+    scatter.  The row's parts are irfft along the first axis of the half
+    spectrum read as planes of N^(n-1) lines, one chunk of lines at a time
+    into the one out buffer (_band_buffers), divided by irfftn's scale
+    times 2^exponent, which is exact, so each value has irfftn's bits times
+    2^-exponent; a part's at indexes the (N, N^(n-1)) accumulator.
+    grid_values(rows, exponent) yields every row's parts at one exponent.
+    Neither function allocates an array the size of the grid.
     """
-    half, out, total = (np.zeros(shape, dtype) for shape, dtype in _band_buffers(grid).values())
-    lines = half.reshape(grid.size // 2 + 1, -1)
-    target = half[:primaries[0].max() + 1]
+    max_freq = int(primaries[0].max())
+    half, out, total = (np.zeros(shape, dtype)
+                        for shape, dtype in _band_buffers(grid, max_freq).values())
+    lines = half.reshape(len(half), -1)
+    target = half[:max_freq + 1]
     flat = target.reshape(-1)
     # mode="wrap" takes the other axes' indices modulo N; first components lie in 0..B
     scatter = np.ravel_multi_index(tuple(primaries), target.shape, mode="wrap")
@@ -862,7 +867,7 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     grid_entries = 0
     if p != 2.0:
         grid_entries = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
-                           for shape, dtype in _band_buffers(grid).values())
+                           for shape, dtype in _band_buffers(grid, max_freq).values())
     tables = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * op.n + 3
     projection = _projectors(op.dim_v, float(tol))
     build = _held_entries(op.dim_w, op.dim_v, count, projection)

@@ -51,7 +51,7 @@ def test_analyze_names_samples_below_n_plus_one(capsys, source, samples, bound):
     # library's num_random, and is raised before the sweep is sized or drawn
     code, out, err = run(capsys, "analyze", source, "--samples", samples)
     assert code == EXIT_INPUT_ERROR and out == ""
-    assert err == f"error: --samples must be at least n + 1 = {bound}\n"
+    assert err == f"error: need --samples >= n + 1 = {bound}\n"
 
 
 def test_analyze_elliptic(capsys):

@@ -165,6 +165,9 @@ def test_sweep_beyond_physical_memory_is_refused(monkeypatch):
     op = Operator("x40", 40, 1, 1, 1, (((1,) + (0,) * 39, ((1.0,),)),))
     with pytest.raises(MemoryError, match="sphere sweep of 1099511628880 directions"):
         rank_profile(op)
+    # too few random directions is an argument error, raised before the sweep is sized
+    with pytest.raises(ValueError, match=r"need num_samples >= n \+ 1 = 41"):
+        rank_profile(op, num_samples=1)
     # a machine with exactly the estimate runs the sweep; one byte less refuses it
     curl = zoo_get("curl")
     needed = sweep_estimate(monkeypatch, curl, 64)

@@ -417,16 +417,18 @@ def test_band_buffers_follow_one_chunk_rule_in_every_dimension(n, size, max_freq
     # shapes only, no grid allocated: a chunk of out is a run of lines of N
     # reals, at most max(N, _GRID_CHUNK) of them, and the runs tile the
     # N^(n-1) lines exactly; half has all N/2 + 1 first-axis planes, the
-    # band's planes 0..B among them; total is the N^n accumulator as
-    # (N, N^(n-1))
-    buffers = spectral._band_buffers(Grid(n, size))
+    # band's planes 0..B among them, except in 1-D, where no complex pass
+    # runs and it is planes 0..B alone, which irfft pads; total is the N^n
+    # accumulator as (N, N^(n-1))
+    buffers = spectral._band_buffers(Grid(n, size), max_freq)
     (half, half_type), (out, out_type), (total, total_type) = (
         buffers[name] for name in ("half", "out", "total"))
     lines = size ** (n - 1)
     assert (half_type, out_type, total_type) == (complex, float, float)
     assert out[0] == size and math.prod(out) <= max(size, spectral._GRID_CHUNK)
     assert lines % out[1] == 0 and total == (size, lines)
-    assert half == (size // 2 + 1,) + (size,) * (n - 1) and max_freq < half[0]
+    planes = max_freq + 1 if n == 1 else size // 2 + 1
+    assert half == (planes,) + (size,) * (n - 1) and max_freq < half[0]
 
 
 @pytest.mark.parametrize("n, size, max_freq", [(1, 16384, 8), (2, 128, 4), (3, 32, 4),
@@ -446,7 +448,7 @@ def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
     grid_values, grid_norm = spectral._band_grid(grid, primaries)
     axes = tuple(range(1, n + 1))
     scale = (TWO_PI / size) ** (n / 2.0)
-    chunk = spectral._band_buffers(grid)["out"][0]
+    chunk = spectral._band_buffers(grid, max_freq)["out"][0]
     chunk_bytes, per_fiber = 8 * math.prod(chunk), size ** n // math.prod(chunk)
     assert per_fiber == {(2, 256): 2, (3, 64): 8, (4, 16): 2}.get((n, size), 1)
     for fibers in range(1, 10):
@@ -482,12 +484,13 @@ def test_band_grid_route_is_irfftn_on_buffers_allocated_once(n, size, max_freq):
 @pytest.mark.parametrize("n, size, max_freq", [(1, 2 ** 16, 8), (3, 32, 8)])
 def test_band_grid_norm_holds_one_fiber_whatever_the_fiber_count(n, size, max_freq):
     # building the band's grid route and one grid_norm call allocate less
-    # than three grid fibers beside the half spectrum, for a field of 1 fiber
-    # as of 9: one fiber's values, the accumulator and index arrays, where
-    # holding every fiber took ten
+    # than three grid fibers beside the half spectrum (in 1-D its planes
+    # 0..B, which irfft pads), for a field of 1 fiber as of 9: one fiber's
+    # values, the accumulator and index arrays, where holding every fiber
+    # took ten
     grid = Grid(n, size)
     primaries = spectral._primaries(n, max_freq)
-    half = spectral._band_buffers(grid)["half"][0]
+    half = spectral._band_buffers(grid, max_freq)["half"][0]
     limit = 8 * 3 * size ** n + 16 * math.prod(half)
     for fibers in (1, 9):
         values = spectral._band_draw(fibers, primaries.shape[1], [n, fibers])

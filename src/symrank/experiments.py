@@ -26,6 +26,7 @@ and measures it one slab at a time.
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .pinv import (DEFAULT_TOL, _blockwise, _kept, _norm, _projectors, _ranks, _
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Spectrum,
                        _band_spectrum, _bump_coefficients, _check_field, _derivative_rows,
-                       _envelope, _matvec, _mesh_spectrum, _refuse_oversized, _rung_spectra,
+                       _envelope, _listed_spectrum, _matvec, _mesh_spectrum, _refuse_oversized,
                        _slab_total, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
@@ -87,7 +88,7 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> f
     """estimate_ratio of the field with these coefficients on spectrum.
 
     spectrum is the whole mesh (_mesh_spectrum), the primaries of a band
-    (_band_spectrum) or, at p = 2, an exact rung (_rung_spectra), and
+    (_band_spectrum) or, at p = 2, an exact rung (_rung_ratios), and
     coeffs the (dimV, ...) coefficients there, or a function of a slab's
     planes that gives them on those planes alone (_witness_fields), called
     with slice(None) for the whole field.  At p = 2 both sides are weighted
@@ -140,19 +141,20 @@ def _l2_norms(spectrum: _Spectrum, field) -> tuple[float, float, float, float]:
     """||phi - P_A phi||, ||phi||, ||D^k(phi - P_A phi)|| and ||A phi|| in L2, a slab at a time.
 
     field(planes) gives phi's coefficients on a slab's planes
-    (spectrum.slabs()); M phi has the norms of A phi = i^k M phi.  Each slab
-    holds its projection and image only while its four norms are taken, and
-    each norm is _slab_total of the slabs' norms.
+    (spectrum.slabs()), where the tables are read as views; M phi has the
+    norms of A phi = i^k M phi.  Each slab holds its projection and image
+    only while its four norms are taken, and each norm is _slab_total of
+    the slabs' norms.
     """
     weights = spectrum.norm_weights
     parts = []
-    for slab in spectrum.slabs():
-        phi = field(slab.planes)
-        resolved = _matvec(slab.projector, phi)
+    for planes, derivative_weights in spectrum.slabs():
+        phi = field(planes)
+        resolved = _matvec(spectrum.projector[planes], phi)
         np.subtract(phi, resolved, out=resolved)
         parts.append((_norm(resolved, weights=weights), _norm(phi, weights=weights),
-                      _norm(resolved, weights=slab.derivative_weights),
-                      _norm(_matvec(slab.symbols, phi), weights=weights)))
+                      _norm(resolved, weights=derivative_weights),
+                      _norm(_matvec(spectrum.symbols[planes], phi), weights=weights)))
     return tuple(_slab_total(norms) for norms in zip(*parts))
 
 
@@ -179,18 +181,10 @@ def _rungs(op: Operator, frequencies: list[tuple[int, ...]], grid: Grid, tol: fl
     probe comes back scaled exactly by the power of two that brings
     sigma_max(A(xi)) into [0.5, 1), so no field built from it overflows
     under A.  The coefficient is A*(xi) u (2pi)^(n/2) = (-i)^k M(xi)^T u
-    (2pi)^(n/2).  Raises ValueError for a zero frequency or |xi|_inf > N/4,
-    at the first such rung, before anything is decomposed, and then
+    (2pi)^(n/2).  frequencies have passed _check_rungs.  Raises
     DegenerateProbeError at the first rung where the symbol vanishes (r =
     0).  Returns (probes, coefficients, M, P_A), probes (rungs, dimW).
     """
-    for freq in frequencies:
-        if not any(freq):
-            raise ValueError("frequencies must be nonzero integer vectors")
-        if max(abs(x) for x in freq) > grid.size // 4:
-            raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
-                             f"(|xi|_inf must be <= {grid.size // 4})")
-
     symbols = _real_stack(op, frequencies)
     ranks, probes, projector = _blockwise(symbols, _ranks(tol), _probes(op.dim_w, tol),
                                           _projectors(op.dim_v, tol))
@@ -205,6 +199,31 @@ def _rungs(op: Operator, frequencies: list[tuple[int, ...]], grid: Grid, tol: fl
     return probes, coefficients, symbols, projector
 
 
+def _check_rungs(op: Operator, frequencies, grid: Grid,
+                 window: float | None = None) -> list[tuple[int, ...]]:
+    """frequencies as tuples of ints, once every argument of a family of rungs on grid is checked.
+
+    Raises ValueError for no frequencies, a window outside (0, 1], a grid
+    whose axes are not the operator's, or, at the first such rung, a zero
+    frequency or |xi|_inf > N/4.  Callers run it before any estimate or
+    table is made, so an invalid argument is named on any grid.
+    """
+    frequencies = [tuple(int(x) for x in freq) for freq in frequencies]
+    if not frequencies:
+        raise ValueError("frequencies must be nonempty")
+    if window is not None and not 0.0 < window <= 1.0:
+        raise ValueError("window width must lie in (0, 1]")
+    if grid.n != op.n:
+        raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
+    for freq in frequencies:
+        if not any(freq):
+            raise ValueError("frequencies must be nonzero integer vectors")
+        if max(abs(x) for x in freq) > grid.size // 4:
+            raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
+                             f"(|xi|_inf must be <= {grid.size // 4})")
+    return frequencies
+
+
 def _rung_ratios(op: Operator, grid: Grid, frequencies, tol: float) -> list[float]:
     """estimate_ratio of witness_family's exact rungs at frequencies, at every p, each on its own.
 
@@ -213,16 +232,22 @@ def _rung_ratios(op: Operator, grid: Grid, frequencies, tol: float) -> list[floa
     of its L^p norms is its L2 norm times (2pi)^(n/p - n/2).  D^k(phi - P_A
     phi) and A phi are single modes at the same xi, so that factor cancels
     and the ratio is the same at every p >= 1 and at inf.  It is _ratio at
-    p = 2 of the rung's one coefficient on its spectrum (_rung_spectra),
+    p = 2 of the rung's one coefficient on its spectrum, its frequency with
+    its rows of the rungs' M and P_A tables (spectral._listed_spectrum),
     bitwise the whole-mesh p = 2 ratio of the witness field; grid gives n
     and the |xi|_inf <= N/4 bound.  The probes and the tables come from one
     stack (_rungs), so a ladder of any length decomposes once.  Raises as
-    _rungs does, before anything is built.
+    _check_rungs and _rungs do, before anything is built.
     """
+    frequencies = _check_rungs(op, frequencies, grid)
     _, coefficients, symbols, projector = _rungs(op, frequencies, grid, tol)
-    spectra = _rung_spectra(op, frequencies, symbols, projector)
-    return [_ratio(op, spectrum, coefficient[:, None], 2.0, tol)
-            for spectrum, coefficient in zip(spectra, coefficients)]
+    xis = np.array(frequencies, dtype=float).T
+    ratios = []
+    for rung, coefficient in enumerate(coefficients):
+        at = slice(rung, rung + 1)
+        spectrum = _listed_spectrum(op, xis[:, at], symbols[at], projector[at])
+        ratios.append(_ratio(op, spectrum, coefficient[:, None], 2.0, tol))
+    return ratios
 
 
 def witness_family(op: Operator, frequencies, grid: Grid, window: float | None = None,
@@ -245,13 +270,14 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     with the probe; the windowed ratio approaches the single-mode value as
     the window widens.  Each field is built whole by _witness_fields'
     builder, the one a windowed counterexample ladder builds slab by slab.
-    Raises MemoryError before anything is built when the fields, with the
-    symbol table of a windowed family, cannot fit (spectral._refuse_oversized;
-    _symbol_tensor sizes its own build), ValueError for no frequencies, a
-    window outside (0, 1], a zero frequency or |xi_m|_inf > N/4, and
+    Raises ValueError for no frequencies, a window outside (0, 1], a grid
+    whose axes are not the operator's, a zero frequency or |xi_m|_inf > N/4
+    (_check_rungs), then MemoryError before anything is built when the
+    fields, with the symbol table of a windowed family, cannot fit
+    (spectral._refuse_oversized; _symbol_tensor sizes its own build), and
     DegenerateProbeError where the symbol vanishes.
     """
-    frequencies = list(frequencies)
+    frequencies = _check_rungs(op, frequencies, grid, window)
     table = 0 if window is None else op.dim_w * op.dim_v
     _refuse_oversized(op, grid, grid.size ** grid.n, table + 2 * op.dim_v * len(frequencies))
     return [FrequencyField(grid, build()) for build in _witness_fields(op, frequencies, grid,
@@ -261,22 +287,16 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
 def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None, tol: float):
     """witness_family's fields one rung at a time, a generator of builders.
 
-    The arguments are checked, every rung's probe and coefficient formed
-    (_rungs, one pinv pass), and the envelope's one-axis factor and the
-    symbol table looked up, at the first builder.  A rung's builder,
-    called with a slice of first-axis planes (all of them by default),
-    returns its (dimV, rows, N, ..., N) coefficients on those planes alone
-    (_witness), so a caller can take a p = 2 norm slab by slab and hold no
-    N^n field, or build the whole field, as witness_family does; either
-    way every entry has the same bits.
+    The arguments are checked (_check_rungs), every rung's probe and
+    coefficient formed (_rungs, one pinv pass), and the envelope's one-axis
+    factor and the symbol table looked up, at the first builder.  A rung's
+    builder, called with a slice of first-axis planes (all of them by
+    default), returns its (dimV, rows, N, ..., N) coefficients on those
+    planes alone (_witness), so a caller can take a p = 2 norm slab by slab
+    and hold no N^n field, or build the whole field, as witness_family
+    does; either way every entry has the same bits.
     """
-    frequencies = [tuple(int(x) for x in freq) for freq in frequencies]
-    if not frequencies:
-        raise ValueError("frequencies must be nonempty")
-    if window is not None and not 0.0 < window <= 1.0:
-        raise ValueError("window width must lie in (0, 1]")
-    if grid.n != op.n:
-        raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
+    frequencies = _check_rungs(op, frequencies, grid, window)
     probes, coefficients = _rungs(op, frequencies, grid, tol)[:2]
     symbols = factor = None
     if window is not None:
@@ -320,12 +340,16 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     (the cutoff _rung counts the probe's rank with), is the generic
     rank witness.rank_high.  On the drop set the rank is lower, so
     _rung would probe a singular value that does not vanish there
-    and the ratios would not grow.  When the rounded frequency is not usable
-    (for example exactly on the degenerate axis), the first axis offset
-    +-e_i that is usable is taken.  For the mixed second derivative with
-    u = e1 this yields the family (m, 1), m = 2^(j+1).  Raises
+    and the ratios would not grow.  A rung's candidates are, in order, the
+    rounded frequency, its axis offsets +-e_i (i = 1..n, + before -) and
+    its pair offsets +-e_i +-e_j (i < j, in lexicographic order of (i, j),
+    then of the signs, + before -), and the first usable one is taken: the
+    rounded frequency can lie exactly on a degenerate axis, and where two
+    drop planes meet, as for d1 d2 on R^3 along e3, every axis offset
+    stays on one of them.  For the mixed second derivative with u = e1
+    this yields the family (m, 1), m = 2^(j+1).  Raises
     DegenerateProbeError when no candidate of a rung is usable, and
-    ValueError unless 1 <= rungs <= _MAX_RUNGS.  Every rung's 2n + 1
+    ValueError unless 1 <= rungs <= _MAX_RUNGS.  Every rung's 2n^2 + 1
     candidates are ranked in one numerical_rank stack.
     """
     if not 1 <= rungs <= _MAX_RUNGS:
@@ -333,7 +357,9 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     u = np.asarray(witness.xi_low, dtype=float)
     u = u / np.linalg.norm(u)
     axes = np.eye(op.n, dtype=int)
-    offsets = np.vstack([0 * axes[0]] + [s * e for e in axes for s in (1, -1)])
+    offsets = np.vstack([0 * axes[0]] + [s * e for e in axes for s in (1, -1)]
+                        + [s * axes[i] + t * axes[j] for i, j in combinations(range(op.n), 2)
+                           for s in (1, -1) for t in (1, -1)])
     scales = [2 ** (j + 1) for j in range(rungs)]
     cands = np.stack([np.rint(scale * u).astype(int) + offsets for scale in scales])
     # every rung's candidates in one rank stack, one row of candidates per rung
@@ -344,7 +370,7 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
         if not usable.size:
             raise DegenerateProbeError(
                 f"{op.name}: no frequency of rank {witness.rank_high} near rung {scale} "
-                f"of direction {tuple(u)}")
+                f"of direction {tuple(float(x) for x in u)}")
         ladder.append(tuple(int(x) for x in rung[usable[0]]))
     return ladder
 
@@ -382,11 +408,11 @@ def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_tr
     """
     def distance(field: np.ndarray) -> float:
         norms = []
-        for slab in spectrum.slabs():
+        for planes, derivative_weights in spectrum.slabs():
             # phi minus the slab's projection of field, written over the projection
-            kernel = _matvec(slab.projector, field[:, slab.planes])
-            np.subtract(coeffs[:, slab.planes], kernel, out=kernel)
-            norms.append(_norm(kernel, weights=slab.derivative_weights))
+            kernel = _matvec(spectrum.projector[planes], field[:, planes])
+            np.subtract(coeffs[:, planes], kernel, out=kernel)
+            norms.append(_norm(kernel, weights=derivative_weights))
         return _slab_total(norms)
 
     base = distance(coeffs)

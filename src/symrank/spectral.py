@@ -30,12 +30,15 @@ _grid_norm is the one loop behind every such norm: it reads a field one
 fiber at a time, adds its squares into one N^n accumulator under a running
 power-of-two scale, and takes pinv._norm of their square roots.
 
-A _Spectrum names the frequencies such a chain runs on, with the tables,
-weights, grid norm and random draw there; a p = 2 norm reads it one
-_Slab at a time.  The whole mesh (_mesh_spectrum) has the N^n tables,
-cached for one (operator, grid, tol), and goes back by a complex inverse
-FFT; its slabs are runs of first-axis planes (_mesh_slabs), so a p = 2
-norm there holds nothing of size N^n.  Band-limited
+A _Spectrum names the frequencies such a chain runs on, with the one
+copy of each table, the weights, grid norm and random draw there; a p = 2
+norm reads it one slab at a time, a run of first-axis planes with its
+weights, on which the tables are read as views.  The whole mesh
+(_mesh_spectrum) has the N^n tables, cached for one (operator, grid,
+tol), and goes back by a complex inverse FFT; its slabs are runs of
+first-axis planes (_mesh_slabs), so a p = 2 norm there holds nothing of
+size N^n.  A spectrum on an explicit frequency list (_listed_spectrum) is
+one slab: the primaries of a band, or one exact witness rung.  Band-limited
 random fields keep 0 < |xi|_inf <= B <= N/4, so products of symbols and
 fields stay well inside the grid, and are real: c(-xi) = conj(c(xi)).
 Such a field is its values at the band's primaries, one of each pair
@@ -43,8 +46,8 @@ Such a field is its values at the band's primaries, one of each pair
 generator call (_band_draw); random_band_limited scatters them onto the
 whole mesh.  The band spectrum (_band_spectrum) holds M and P_A at the
 primaries only (built per spectrum and freed with it), and
-weights that count each primary twice, for its mirror, in one slab, so
-at p = 2 it holds nothing of the grid.  At any other p a coefficient row
+weights that count each primary twice, for its mirror, so at p = 2 it
+holds nothing of the grid.  At any other p a coefficient row
 is formed once, as _grid_norm reads it, and taken to the grid: on the
 whole mesh in place by a complex inverse FFT, on a band by the band's own
 irfftn steps (_band_grid), the same for every n: an ifft along each axis
@@ -54,11 +57,11 @@ irfft along the first axis, the grid read as N^(n-1) lines of N values
 irfftn's bits.  The band's buffers (_band_buffers) are allocated when the
 spectrum is built, so its trial allocates no array the size of the grid.
 An exact witness rung is one coefficient at one frequency, and its
-spectrum (_rung_spectra, every rung of a ladder on the M and P_A tables
-that experiments._rungs fills in the same pinv pass as the probes)
-holds M and P_A there alone and no grid route: a single mode has the
-same modulus at every grid point, so its ratio is the same at every p,
-taken at p = 2, and nothing of size N^n is built.
+spectrum (experiments._rung_ratios, on the M and P_A tables that
+experiments._rungs fills in the same pinv pass as the probes) holds M and
+P_A there alone and no grid route: a single mode has the same modulus at
+every grid point, so its ratio is the same at every p, taken at p = 2,
+and nothing of size N^n is built.
 
 Every SVD table comes from one pass of pinv._blockwise, which owns the
 blocking and gives a matrix the same bits anywhere in a stack and
@@ -572,7 +575,7 @@ def _check_route(p: float, tol: float) -> None:
     _check_tol(tol)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _primaries(n: int, max_freq: int) -> np.ndarray:
     """One frequency of each pair {xi, -xi} with 0 < |xi|_inf <= max_freq, shape (n, P); read-only.
 
@@ -632,34 +635,25 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
 
 
 @dataclass(frozen=True)
-class _Slab:
-    """Planes of the first frequency axis of a spectrum's coefficient arrays, and its tables there.
-
-    slice(None) on a band or a rung; derivative_weights are |xi|^2k there
-    times the spectrum's norm_weights.
-    """
-
-    planes: slice
-    symbols: np.ndarray
-    projector: np.ndarray
-    derivative_weights: np.ndarray
-
-
-@dataclass(frozen=True)
 class _Spectrum:
     """The frequencies a coefficient array covers, and what the ratio and minimality read there.
 
-    The whole mesh (_mesh_spectrum), the primaries of a band
-    (_band_spectrum) or one exact witness rung (_rung_spectra).  xis are
-    the integer frequencies of the coefficient arrays (fiber, ...) on this
-    spectrum, n float64 coordinate arrays that broadcast to their layout
-    (on the whole mesh the sparse mesh of _frequency_axes); symbols (...,
-    dimW, dimV) and projector (..., dimV, dimV) are the real tables of M
-    and P_A there.  slabs() yields its _Slabs: runs of about _MATVEC_CHUNK
-    frequencies on the mesh (_mesh_slabs), one slab on a band or a rung.
-    With norm_weights and a slab's derivative_weights, pinv._norm of
-    coefficients there is the whole-mesh L2 norm of the field, and of its
-    order-k derivatives, on the slab (_slab_total joins the slabs).
+    The whole mesh (_mesh_spectrum), or an explicit frequency list
+    (_listed_spectrum): the primaries of a band (_band_spectrum) or one
+    exact witness rung (experiments._rung_ratios).  xis are the integer
+    frequencies of the coefficient arrays (fiber, ...) on this spectrum, n
+    float64 coordinate arrays that broadcast to their layout (on the whole
+    mesh the sparse mesh of _frequency_axes); symbols (..., dimW, dimV) and
+    projector (..., dimV, dimV) are the real tables of M and P_A there, the
+    one copy of each.  slabs() yields its slabs as (planes,
+    derivative_weights) pairs: planes is a slice of the first frequency
+    axis, whose tables are symbols[planes] and projector[planes] (views),
+    runs of about _MATVEC_CHUNK frequencies on the mesh (_mesh_slabs) and
+    slice(None) on a frequency list, which is one slab.  With norm_weights
+    and a slab's derivative_weights, |xi|^2k there times norm_weights,
+    pinv._norm of coefficients there is the whole-mesh L2 norm of the
+    field, and of its order-k derivatives, on the slab (_slab_total joins
+    the slabs).
     grid_norm(rows, p) gives _grid_norm of the grid values of the field
     whose coefficient rows the iterable rows yields (None on a band built
     for p = 2 and on a rung, whose norms read no grid value).  Each row is
@@ -675,7 +669,7 @@ class _Spectrum:
     symbols: np.ndarray
     projector: np.ndarray
     norm_weights: float | None
-    slabs: Callable[[], Iterable[_Slab]]
+    slabs: Callable[[], Iterable[tuple[slice, np.ndarray]]]
     grid_norm: Callable[[Iterable[np.ndarray], float], float] | None
     draw: Callable[[int, object], np.ndarray] | None
 
@@ -690,14 +684,13 @@ def _slab_planes(grid: Grid) -> int:
     return max(1, min(grid.size, _MATVEC_CHUNK // grid.size ** (grid.n - 1)))
 
 
-def _mesh_slabs(op: Operator, grid: Grid, symbols: np.ndarray, projector: np.ndarray):
-    """The mesh's _Slabs of _slab_planes planes, a generator: each forms its |xi|^2k as it is reached."""
+def _mesh_slabs(op: Operator, grid: Grid):
+    """The mesh's slabs of _slab_planes planes, a generator: each forms its |xi|^2k as it is reached."""
     xis = _frequency_axes(grid)
     rows = _slab_planes(grid)
     for start in range(0, grid.size, rows):
         planes = slice(start, start + rows)
-        weights = _xi_weights([xis[0][planes], *xis[1:]], op.k)
-        yield _Slab(planes, symbols[planes], projector[planes], weights)
+        yield planes, _xi_weights([xis[0][planes], *xis[1:]], op.k)
 
 
 def _trial_entries(op: Operator, p: float) -> int:
@@ -751,7 +744,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
             del values
     return _Spectrum(
         _frequency_axes(grid), symbols, projector, None,
-        lambda: _mesh_slabs(op, grid, symbols, projector),
+        lambda: _mesh_slabs(op, grid),
         lambda rows, p: _mesh_norm(grid_values(rows), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 
@@ -855,7 +848,9 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     dimV^2 + 2n + 3 reals), and the largest of the symbol's monomials
     (operators._column_count), the projector build and a trial
     (_trial_entries); at p != 2 it adds the grid route's buffers
-    (_band_buffers), whatever the field's fiber count.
+    (_band_buffers), whatever the field's fiber count.  The spectrum is
+    the primaries' list (_listed_spectrum) with norm_weights 2, for each
+    primary's mirror.
     A field here is its (fiber, P) values at the primaries (_band_draw),
     the field of random_band_limited with the same seed.  Only p != 2
     builds the grid route (_band_grid): a p = 2 norm reads no grid value,
@@ -878,34 +873,29 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     primaries = _primaries(op.n, max_freq)
     xis = primaries.astype(float)
     symbols = _column_stack(op, xis)
-    projector = _blockwise(symbols, projection)[0]
-    weights = 2.0 * _xi_weights(xis, op.k)
+    return _listed_spectrum(op, xis, symbols, _blockwise(symbols, projection)[0], 2.0,
+                            _band_grid(grid, primaries)[1] if p != 2.0 else None,
+                            lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
+
+
+def _listed_spectrum(op: Operator, xis: np.ndarray, symbols: np.ndarray, projector: np.ndarray,
+                     norm_weights: float | None = None, grid_norm=None, draw=None) -> _Spectrum:
+    """The spectrum on an explicit frequency list: a band's primaries or one exact rung.
+
+    xis is the (n, P) float64 list, and symbols and projector M and P_A
+    there, bitwise the mesh tables' entries.  It is one slab, whose |xi|^2k
+    are formed once, times norm_weights where a frequency stands for its
+    mirror too (2 on a band); xis, the tables and the weights are made
+    read-only.  grid_norm and draw are those of _Spectrum, None on a rung,
+    whose ratio is read at p = 2 for every p (experiments._rung_ratios).
+    """
+    weights = _xi_weights(xis, op.k)
+    if norm_weights is not None:
+        weights *= norm_weights
     for table in (xis, symbols, projector, weights):
         table.setflags(write=False)
-    slabs = (_Slab(slice(None), symbols, projector, weights),)
-    grid_norm = _band_grid(grid, primaries)[1] if p != 2.0 else None
-    return _Spectrum(xis, symbols, projector, 2.0, lambda: slabs, grid_norm,
-                     lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
-
-
-def _rung_spectra(op: Operator, frequencies, symbols: np.ndarray, projector: np.ndarray):
-    """A list of one-frequency spectra, one per exact rung at frequencies (tuples of n integers).
-
-    symbols and projector are M and P_A at the rungs, bitwise the mesh
-    tables' entries (experiments._rungs fills both in one pinv pass); a
-    rung is one slab with its |xi|^2k, read at p = 2 for every p
-    (experiments._rung_ratios), with no grid norm or draw.
-    """
-    xis = np.array(frequencies, dtype=float).T
-    for table in (symbols, projector):
-        table.setflags(write=False)
-    spectra = []
-    for rung in range(xis.shape[1]):
-        at = slice(rung, rung + 1)
-        slabs = (_Slab(slice(None), symbols[at], projector[at], _xi_weights(xis[:, at], op.k)),)
-        spectra.append(_Spectrum(xis[:, at], symbols[at], projector[at], None,
-                                 lambda slabs=slabs: slabs, None, None))
-    return spectra
+    slabs = ((slice(None), weights),)
+    return _Spectrum(xis, symbols, projector, norm_weights, lambda: slabs, grid_norm, draw)
 
 
 def periodic_bump(grid: Grid, width: float) -> np.ndarray:

@@ -274,6 +274,24 @@ def test_counterexample_vector_valued_drop_blowup(tmp_path, capsys, name):
     assert doc["growth"] >= 4
 
 
+def test_counterexample_finds_a_ladder_where_two_drop_planes_meet(capsys):
+    # d1 d2 on R^3 drops on the planes x1 = 0 and x2 = 0, which meet along e3; every
+    # axis offset of (0, 0, -m) stays on one of them, so the pair offset e1 + e2 is
+    # taken: rungs (1, 1, -m), ratios |xi|^2 / |x1 x2| = m^2 + 2
+    source = str(Path(__file__).parent / "d1d2_3d.json")
+    code, doc, _ = run_json(capsys, "analyze", source, "--samples", "64")
+    assert code == EXIT_NON_CONSTANT_RANK
+    assert doc["witness"]["xi_low"] == [0.0, 0.0, -1.0]
+    code, doc, _ = run_json(capsys, "counterexample", source, "--N", "32", "--rungs", "3")
+    assert code == EXIT_OK
+    assert doc["ladder"] == [[1, 1, -2], [1, 1, -4], [1, 1, -8]]
+    assert [r["ratio"] for r in doc["records"]] == [6.0, 18.0, 66.0]
+    assert doc["growth"] == 11.0
+    code, doc, _ = run_json(capsys, "counterexample", source)
+    assert code == EXIT_OK
+    assert doc["growth"] == 43.0
+
+
 def test_counterexample_ladder_counts_ranks_at_the_probe_tol(capsys):
     # at a coarse --tol, a rung of full rank under the default cutoff can have
     # rank 1 under tol, where the probe would see sigma_1 and the ratio stay 1

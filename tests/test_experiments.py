@@ -35,9 +35,13 @@ VECTOR_DROPS = {
                                    terms=(((1, 0), ((1.0, 0.0), (0.0, 1.0))),
                                           ((0, 1), ((0.0, 0.0), (0.0, 1.0))))),
 }
+# d1 d2 on R^3: its drop planes x1 = 0 and x2 = 0 meet along e3
+D1D2_3D = parse_operator((Path(__file__).parent / "d1d2_3d.json").read_text())
 
 
 def operator(name: str) -> Operator:
+    if name == D1D2_3D.name:
+        return D1D2_3D
     return VECTOR_DROPS[name] if name in VECTOR_DROPS else zoo_get(name)
 
 
@@ -441,6 +445,18 @@ def test_witness_config_validation():
         witness_family(op, [(1, 1)], grid, window=1.5)
 
 
+@pytest.mark.parametrize("n, frequencies, window, message", [
+    (2, [(2, 1)], 2.0, "width"), (2, [(0, 0)], 0.5, "nonzero"), (3, [(1, 1, 1)], None, "axes")])
+def test_witness_family_checks_its_arguments_before_it_sizes_the_route(n, frequencies, window,
+                                                                       message):
+    # a 2^200 grid cannot fit, yet an invalid argument is named there as on a small
+    # grid, not read as out of memory
+    op = zoo_get("d1d2")
+    for size in (16, 2 ** 200):
+        with pytest.raises(ValueError, match=message):
+            witness_family(op, frequencies, Grid(n, size), window)
+
+
 def test_windowed_witness_converges_to_single_mode_value():
     # localized version of the witness: ratio approaches the single-mode
     # value as the window widens; at generic frequencies half the torus is
@@ -524,7 +540,7 @@ def test_a_ladder_decomposes_its_rungs_once(monkeypatch):
         if hasattr(module, "_svd"):
             monkeypatch.setattr(module, "_svd", counted)
     ladder = build_frequency_ladder(op, witness, rungs=6)
-    assert calls == [6 * 5]
+    assert calls == [6 * 9]
     calls.clear()
     ratios = experiments._rung_ratios(op, Grid(2, 256), ladder, pinv.DEFAULT_TOL)
     assert calls == [6]
@@ -532,11 +548,13 @@ def test_a_ladder_decomposes_its_rungs_once(monkeypatch):
                       for xi in ladder]
 
 
-@pytest.mark.parametrize("size", [64, 256])
 @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
-@pytest.mark.parametrize("name, rungs", [("d1d2", [(2, 1), (16, 1)]),
-                                         ("wave", [(4, 3), (12, 11)]),
-                                         ("lap_plus_d1d2", [(1, 4), (16, 1)])])
+@pytest.mark.parametrize("name, rungs, size", [
+    (name, rungs, size) for size in (64, 256)
+    for name, rungs in [("d1d2", [(2, 1), (16, 1)]), ("wave", [(4, 3), (12, 11)]),
+                        ("lap_plus_d1d2", [(1, 4), (16, 1)])]]
+    # a 3-D ladder's pair-offset rungs; 256^3 is too large for the whole-mesh reference
+    + [("d1d2_3d", [(1, 1, -2), (1, 1, -8)], 32)])
 def test_rung_ratio_is_the_whole_mesh_ratio_bitwise(name, rungs, p, size):
     # an exact rung measured on its one frequency equals the whole-mesh p = 2
     # ratio of its witness field bit for bit; a single mode has constant

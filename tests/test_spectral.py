@@ -322,10 +322,10 @@ def test_spectrum_weights_give_the_whole_mesh_norm_from_either_spectrum(n, k):
     assert mesh.norm_weights is None
     # the mesh's weights are formed per slab, and its norm is that of the slabs' norms
     mesh_norm = spectral._slab_total([
-        pinv._norm(coeffs[:, slab.planes], weights=slab.derivative_weights if k else None)
-        for slab in mesh.slabs()])
-    (band_slab,) = band.slabs()
-    band_weights = band_slab.derivative_weights if k else band.norm_weights
+        pinv._norm(coeffs[:, planes], weights=derivative_weights if k else None)
+        for planes, derivative_weights in mesh.slabs()])
+    ((_, band_derivative_weights),) = band.slabs()
+    band_weights = band_derivative_weights if k else band.norm_weights
     assert np.isscalar(band_weights) or not band_weights.flags.writeable
     assert math.isclose(mesh_norm, expected, rel_tol=1e-14)
     assert math.isclose(float(pinv._norm(values, weights=band_weights)), expected, rel_tol=1e-14)
@@ -354,20 +354,17 @@ def test_mesh_table_caches_hold_one_grid():
                                              (3, 64, 1)])
 def test_mesh_slabs_are_runs_of_first_axis_planes(n, size, planes):
     # about _MATVEC_CHUNK frequencies per slab, at least one plane, derived from N and n;
-    # each slab reads the cached tables on its planes and forms its own weights, bitwise
-    # those of the whole mesh there
+    # each slab forms its own weights, bitwise those of the whole mesh there
     op = Operator(name="d1", n=n, k=1, dim_v=1, dim_w=1,
                   terms=(((1,) + (0,) * (n - 1), ((1.0,),)),))
     grid = Grid(n, size)
     mesh = spectral._mesh_spectrum(op, grid, DEFAULT_TOL, 2.0)
     weights = spectral._xi_weights(spectral._frequency_axes(grid), op.k)
     slabs = list(mesh.slabs())
-    assert [slab.planes for slab in slabs] == [slice(start, start + planes)
-                                              for start in range(0, size, planes)]
-    for slab in slabs:
-        assert np.shares_memory(slab.symbols, mesh.symbols)
-        assert np.shares_memory(slab.projector, mesh.projector)
-        assert slab.derivative_weights.tobytes() == weights[slab.planes].tobytes()
+    assert [at for at, _ in slabs] == [slice(start, start + planes)
+                                      for start in range(0, size, planes)]
+    for at, derivative_weights in slabs:
+        assert derivative_weights.tobytes() == weights[at].tobytes()
 
 
 @pytest.mark.parametrize("n, size, max_freq", [(1, 8, 2), (2, 16, 3), (3, 8, 2)])

@@ -28,14 +28,12 @@ import math
 import sys
 from pathlib import Path
 
-from .experiments import (_MAX_RUNGS, CONTEXT_WITNESS_FAMILY, TrialRecord, _minimality, _ratio,
-                          _rung_ratios, _witness_fields, assemble_report, build_frequency_ladder,
-                          ratio_sweep)
+from .experiments import (_MAX_RUNGS, CONTEXT_WITNESS_FAMILY, TrialRecord, _ladder_ratios,
+                          _minimality_trials, assemble_report, build_frequency_ladder, ratio_sweep)
 from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
 from .rank import (DegenerateWitnessError, Verdict, _check_samples, daggerbound_check,
                    find_rank_drop_witness, rank_profile)
-from .spectral import Grid, _band_spectrum, _mesh_spectrum
 from .zoo import UnknownOperatorError, zoo_get, zoo_list
 
 EXIT_OK = 0
@@ -78,18 +76,18 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
-def _emit(doc: dict, args) -> None:
+def _emit(doc: dict, args, report=None) -> None:
+    """Write report's rows to --csv, then doc to --out, then to stdout.
+
+    The files come first, so a path that cannot be written exits 1 with
+    nothing on stdout.
+    """
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if report is not None and args.csv:
+        Path(args.csv).write_text("\n".join(report.csv_rows()) + "\n")
+    if args.out:
+        Path(args.out).write_text(text)
     sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
-
-
-def _write_csv(report, args) -> None:
-    path = getattr(args, "csv", None)
-    if path:
-        Path(path).write_text("\n".join(report.csv_rows()) + "\n")
 
 
 def cmd_analyze(args) -> int:
@@ -120,7 +118,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     op = _load_operator(args.source)
-    report = ratio_sweep(op, p=args.p, trials=args.trials, grid_sizes=[args.N],
+    report = ratio_sweep(op, p=args.p, trials=args.trials, size=args.N,
                          max_freq=args.max_freq, seed=args.seed, tol=args.tol)
     profile = rank_profile(op, tol=args.tol, seed=args.seed)
     report = dataclasses.replace(report, verdict=profile.verdict.value)
@@ -132,32 +130,16 @@ def cmd_verify(args) -> int:
     if args.p in (1.0, math.inf):
         notes.append(ENDPOINT_NOTE)
     doc["notes"] = notes
-    _emit(doc, args)
-    _write_csv(report, args)
+    _emit(doc, args, report)
     return EXIT_OK
 
 
 def cmd_counterexample(args) -> int:
-    """The ratio ladder along a rank-drop direction, one rung per frequency.
+    """The ratio ladder along a rank-drop direction, one rung per frequency (_ladder_ratios).
 
     --factor, --rungs and --window are checked before the sphere sweep, so
     an invalid one exits 1 whatever the operator (past 52 rungs a rung has
-    no exact float64 frequency).  An exact rung (no --window) is a single
-    mode, one coefficient at its frequency, whose ratio is the same at
-    every p; it is taken there alone at p = 2 (_rung_ratios, with every
-    rung's probe and tables from one decomposition), and nothing of size
-    N^n is built.  A windowed rung spreads over the whole mesh, so the N^n symbol
-    and projector tables are built: the whole-mesh spectrum
-    (_mesh_spectrum) is built once, before the first witness, and refuses
-    an oversized grid up front; the envelope is one factor of N entries per
-    axis.  At p = 2 each rung's witness is built one slab of first-axis
-    planes at a time by its builder (_witness_fields) and measured there,
-    so the ladder holds the two tables and one slab, and the estimate
-    counts just that.  At any other p the norms need grid values, so each
-    rung's whole field is built and measured before the next one, and the
-    estimate counts what a ratio holds on the whole mesh, with that field
-    as its phi.  Either way the ratios are bitwise those of estimate_ratio
-    on witness_family's list.
+    no exact float64 frequency).
     """
     if not (math.isfinite(args.factor) and args.factor > 0):
         raise ValueError("--factor must be a finite number greater than 0")
@@ -173,19 +155,10 @@ def cmd_counterexample(args) -> int:
         return EXIT_NO_RANK_DROP
     witness = find_rank_drop_witness(op, profile, args.tol)
     ladder = build_frequency_ladder(op, witness, rungs=args.rungs, tol=args.tol)
-    grid = Grid(op.n, args.N)
-    if args.window is None:
-        ratios = _rung_ratios(op, grid, ladder, args.tol)
-    else:
-        # the spectrum refuses an oversized grid before any witness is built; a trial
-        # builds its witness, whole at p != 2 and one slab at a time at p = 2
-        spectrum = _mesh_spectrum(op, grid, args.tol, args.p)
-        ratios = [_ratio(op, spectrum, build, args.p, args.tol)
-                  for build in _witness_fields(op, ladder, grid, args.window, args.tol)]
-    records = []
-    for index, (freq, ratio) in enumerate(zip(ladder, ratios)):
-        label = "xi=[" + " ".join(str(x) for x in freq) + "]"
-        records.append(TrialRecord(index=index, grid_size=args.N, detail=label, ratio=ratio))
+    ratios = _ladder_ratios(op, ladder, args.N, args.window, args.p, args.tol)
+    records = [TrialRecord(index=index, grid_size=args.N, ratio=ratio,
+                           detail="xi=[" + " ".join(str(x) for x in freq) + "]")
+               for index, (freq, ratio) in enumerate(zip(ladder, ratios))]
     growth = records[-1].ratio / records[0].ratio
     report = assemble_report(
         operator=op.name, context=CONTEXT_WITNESS_FAMILY, p=args.p,
@@ -200,35 +173,25 @@ def cmd_counterexample(args) -> int:
     doc["notes"] = [DOMAIN_NOTE]
     if args.p in (1.0, math.inf):
         doc["notes"].append(ENDPOINT_NOTE)
-    _emit(doc, args)
-    _write_csv(report, args)
+    _emit(doc, args, report)
     if growth >= args.factor:
         return EXIT_OK
     return EXIT_CHECK_FAILED
 
 
 def cmd_minimality(args) -> int:
-    """The minimality spot check on random fields, drawn, projected and measured on the band.
+    """The minimality spot check on random fields (_minimality_trials).
 
-    The test fields and their competitors are random band-limited fields
-    with band N/4, so the check runs on that band's primaries
-    (_band_spectrum): neither the N^n projector table nor a grid field is
-    built.  --trials and --kernel-trials are checked before the operator is
-    loaded, so an empty count exits 1 with its own message on any grid; an
-    oversized route is refused before any field is drawn.
+    --trials and --kernel-trials are checked before the operator is loaded,
+    so an empty count exits 1 with its own message on any grid.
     """
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     if args.kernel_trials < 1:
         raise ValueError("--kernel-trials must be at least 1")
     op = _load_operator(args.source)
-    grid = Grid(op.n, args.N)
-    spectrum = _band_spectrum(op, grid, grid.size // 4, args.tol, 2.0)
-    results = []
-    for trial in range(args.trials):
-        phi = spectrum.draw(op.dim_v, [args.seed, trial])
-        ok = _minimality(op, spectrum, phi, args.kernel_trials, args.seed, slack=1e-10)
-        results.append({"trial": trial, "pass": ok})
+    outcomes = _minimality_trials(op, args.N, args.trials, args.kernel_trials, args.seed, args.tol)
+    results = [{"trial": trial, "pass": ok} for trial, ok in enumerate(outcomes)]
     all_pass = all(r["pass"] for r in results)
     _emit({"operator": op.name, "context": "Minimality", "grid_size": args.N,
            "trials": args.trials, "kernel_trials": args.kernel_trials,

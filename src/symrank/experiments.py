@@ -14,11 +14,13 @@ a time.  One private pipeline each, _ratio and _minimality, runs on
 whichever spectrum (spectral._Spectrum) its caller hands it: the whole
 mesh, as the public functions pass, or the primaries of a band, as
 ratio_sweep and the minimality command pass for the random fields they
-draw, which never touch the N^n tables.  An exact witness rung is one
-coefficient at one frequency (_rungs), and the counterexample command
-takes its ratio there (_rung_ratios), with no witness field and no N^n
-table: a single mode's ratio is the same at every p, so it is taken at
-p = 2.  A windowed rung's builder (_witness_fields) gives its
+draw, which never touch the N^n tables.  Each measuring command of the
+CLI makes one call here, which picks its route: ratio_sweep (verify),
+_ladder_ratios (counterexample) and _minimality_trials (minimality).  An
+exact witness rung is one coefficient at one frequency (_rungs), and a
+ladder takes its ratio there (_ladder_ratios), with no witness field and
+no N^n table: a single mode's ratio is the same at every p, so it is
+taken at p = 2.  A windowed rung's builder (_witness_fields) gives its
 coefficients on any run of first-axis planes, so a p = 2 ladder builds
 and measures it one slab at a time.
 """
@@ -88,7 +90,7 @@ def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> f
     """estimate_ratio of the field with these coefficients on spectrum.
 
     spectrum is the whole mesh (_mesh_spectrum), the primaries of a band
-    (_band_spectrum) or, at p = 2, an exact rung (_rung_ratios), and
+    (_band_spectrum) or, at p = 2, an exact rung (_ladder_ratios), and
     coeffs the (dimV, ...) coefficients there, or a function of a slab's
     planes that gives them on those planes alone (_witness_fields), called
     with slice(None) for the whole field.  At p = 2 both sides are weighted
@@ -224,22 +226,39 @@ def _check_rungs(op: Operator, frequencies, grid: Grid,
     return frequencies
 
 
-def _rung_ratios(op: Operator, grid: Grid, frequencies, tol: float) -> list[float]:
-    """estimate_ratio of witness_family's exact rungs at frequencies, at every p, each on its own.
+def _ladder_ratios(op: Operator, frequencies, size: int, window: float | None, p: float,
+                   tol: float) -> list[float]:
+    """estimate_ratio of witness_family's rungs at frequencies on the size^n grid, one at a time.
 
-    A rung is a single mode c exp(i x.xi), with the same modulus at every
+    The rungs are checked first (_check_rungs), so a rung out of range is
+    named on any grid, before any table is sized.  An exact rung (window
+    None) is a single mode c exp(i x.xi), with the same modulus at every
     grid point, so its Riemann sums and its grid maximum are exact and each
     of its L^p norms is its L2 norm times (2pi)^(n/p - n/2).  D^k(phi - P_A
     phi) and A phi are single modes at the same xi, so that factor cancels
-    and the ratio is the same at every p >= 1 and at inf.  It is _ratio at
+    and the ratio is the same at every p >= 1 and at inf: it is _ratio at
     p = 2 of the rung's one coefficient on its spectrum, its frequency with
     its rows of the rungs' M and P_A tables (spectral._listed_spectrum),
-    bitwise the whole-mesh p = 2 ratio of the witness field; grid gives n
-    and the |xi|_inf <= N/4 bound.  The probes and the tables come from one
-    stack (_rungs), so a ladder of any length decomposes once.  Raises as
-    _check_rungs and _rungs do, before anything is built.
+    bitwise the whole-mesh p = 2 ratio of the witness field, and nothing of
+    size N^n is built.  The probes and the tables come from one stack
+    (_rungs), so a ladder of any length decomposes once.  A windowed rung
+    spreads over the whole mesh, so the whole-mesh spectrum (_mesh_spectrum)
+    is built once, before the first witness, and refuses an oversized grid
+    up front; the envelope is one factor of N entries per axis.  At p = 2
+    each rung's witness is built one slab of first-axis planes at a time by
+    its builder (_witness_fields) and measured there, so the ladder holds
+    the two tables and one slab, and the estimate counts just that.  At any
+    other p the norms need grid values, so each rung's whole field is built
+    and measured before the next one, and the estimate counts what a ratio
+    holds on the whole mesh, with that field as its phi.  Either way the
+    ratios are bitwise those of estimate_ratio on witness_family's list.
     """
-    frequencies = _check_rungs(op, frequencies, grid)
+    grid = Grid(op.n, size)
+    frequencies = _check_rungs(op, frequencies, grid, window)
+    if window is not None:
+        spectrum = _mesh_spectrum(op, grid, tol, p)
+        return [_ratio(op, spectrum, build, p, tol)
+                for build in _witness_fields(op, frequencies, grid, window, tol)]
     _, coefficients, symbols, projector = _rungs(op, frequencies, grid, tol)
     xis = np.array(frequencies, dtype=float).T
     ratios = []
@@ -287,16 +306,16 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
 def _witness_fields(op: Operator, frequencies, grid: Grid, window: float | None, tol: float):
     """witness_family's fields one rung at a time, a generator of builders.
 
-    The arguments are checked (_check_rungs), every rung's probe and
-    coefficient formed (_rungs, one pinv pass), and the envelope's one-axis
-    factor and the symbol table looked up, at the first builder.  A rung's
-    builder, called with a slice of first-axis planes (all of them by
-    default), returns its (dimV, rows, N, ..., N) coefficients on those
-    planes alone (_witness), so a caller can take a p = 2 norm slab by slab
-    and hold no N^n field, or build the whole field, as witness_family
-    does; either way every entry has the same bits.
+    The arguments have passed _check_rungs, which its callers run first.
+    Every rung's probe and coefficient is formed (_rungs, one pinv pass),
+    and the envelope's one-axis factor and the symbol table looked up, at
+    the first builder.  A rung's builder, called with a slice of first-axis
+    planes (all of them by default), returns its (dimV, rows, N, ..., N)
+    coefficients on those planes alone (_witness), so a caller can take a
+    p = 2 norm slab by slab and hold no N^n field, or build the whole
+    field, as witness_family does; either way every entry has the same
+    bits.
     """
-    frequencies = _check_rungs(op, frequencies, grid, window)
     probes, coefficients = _rungs(op, frequencies, grid, tol)[:2]
     symbols = factor = None
     if window is not None:
@@ -425,6 +444,23 @@ def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_tr
     return True
 
 
+def _minimality_trials(op: Operator, size: int, trials: int, kernel_trials: int, seed: int,
+                       tol: float) -> list[bool]:
+    """l2_minimality_check of `trials` random fields, drawn, projected and measured on the band.
+
+    The test fields on the size^n grid, trial t drawn from [seed, t], and
+    their competitors are random band-limited fields with band N/4, so the
+    check runs on that band's primaries (_band_spectrum): neither the N^n
+    projector table nor a grid field is built.  An oversized route is
+    refused before any field is drawn.  Returns each trial's outcome, at
+    slack 1e-10.
+    """
+    spectrum = _band_spectrum(op, Grid(op.n, size), size // 4, tol, 2.0)
+    return [_minimality(op, spectrum, spectrum.draw(op.dim_v, [seed, trial]), kernel_trials,
+                        seed, slack=1e-10)
+            for trial in range(trials)]
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One measured ratio: trial index, grid size, provenance detail, value."""
@@ -511,47 +547,41 @@ def assemble_report(operator: str, context: str, p: float, grid_sizes, trials: i
     )
 
 
-def ratio_sweep(op: Operator, p: float, trials: int, grid_sizes, max_freq: int | None = None,
+def ratio_sweep(op: Operator, p: float, trials: int, size: int, max_freq: int | None = None,
                 seed: int = 0, tol: float = DEFAULT_TOL) -> EstimateReport:
-    """Measure estimate_ratio on seeded random band-limited fields.
+    """Measure estimate_ratio on seeded random band-limited fields on the size^n grid.
 
-    Runs `trials` fields per grid size; each trial derives its randomness
-    from (seed, grid size, trial index).  The fields are those of
-    random_band_limited with band max_freq (default N/4), drawn as their
-    values at the band's primaries, one of each +-xi pair, and every ratio
-    is taken by _ratio on those primaries (_band_spectrum): a p = 2 sweep
-    never leaves the band, and any other p scatters each of its two grid
-    fields into the half spectrum for one real inverse FFT.  Neither the
-    N^n symbol table nor the projector table is built.  A band outside
-    [1, N/4], p < 1 or a tol pinv refuses, checked before the route is
-    sized, or a route too large for memory is refused before its first
-    field is drawn.  Kernel inputs are excluded and counted, not reported.
+    Runs `trials` fields; each trial derives its randomness from (seed,
+    size, trial index).  The fields are those of random_band_limited with
+    band max_freq (default N/4), drawn as their values at the band's
+    primaries, one of each +-xi pair, and every ratio is taken by _ratio on
+    those primaries (_band_spectrum): a p = 2 sweep never leaves the band,
+    and any other p scatters each of its two grid fields into the half
+    spectrum for one real inverse FFT.  Neither the N^n symbol table nor the
+    projector table is built.  A band outside [1, N/4], p < 1 or a tol pinv
+    refuses, checked before the route is sized, or a route too large for
+    memory is refused before its first field is drawn.  Kernel inputs are
+    excluded and counted, not reported; the report's grid_sizes is [size].
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    grid_sizes = [int(size) for size in grid_sizes]
-    if not grid_sizes:
-        raise ValueError("grid_sizes must be nonempty")
+    grid = Grid(op.n, int(size))
+    band = max_freq if max_freq is not None else grid.size // 4
+    spectrum = _band_spectrum(op, grid, band, tol, p)
     records = []
     excluded = 0
-    index = 0
-    for size in grid_sizes:
-        grid = Grid(op.n, size)
-        band = max_freq if max_freq is not None else grid.size // 4
-        spectrum = _band_spectrum(op, grid, band, tol, p)
-        for trial in range(trials):
-            phi = spectrum.draw(op.dim_v, [seed, size, trial])
-            try:
-                ratio = _ratio(op, spectrum, phi, p, tol)
-            except KernelInputError:
-                excluded += 1
-                continue
-            records.append(TrialRecord(index=index, grid_size=grid.size,
-                                       detail=f"seed={seed} N={grid.size} trial={trial}",
-                                       ratio=ratio))
-            index += 1
+    for trial in range(trials):
+        phi = spectrum.draw(op.dim_v, [seed, grid.size, trial])
+        try:
+            ratio = _ratio(op, spectrum, phi, p, tol)
+        except KernelInputError:
+            excluded += 1
+            continue
+        records.append(TrialRecord(index=len(records), grid_size=grid.size,
+                                   detail=f"seed={seed} N={grid.size} trial={trial}",
+                                   ratio=ratio))
     return assemble_report(
-        operator=op.name, context=CONTEXT_RANDOM_FIELDS, p=p, grid_sizes=grid_sizes,
+        operator=op.name, context=CONTEXT_RANDOM_FIELDS, p=p, grid_sizes=[grid.size],
         trials=trials, seed=seed, records=records, excluded=excluded,
         parameters={"max_freq": "size//4" if max_freq is None else max_freq, "tol": tol},
     )

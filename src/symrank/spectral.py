@@ -57,7 +57,7 @@ irfft along the first axis, the grid read as N^(n-1) lines of N values
 irfftn's bits.  The band's buffers (_band_buffers) are allocated when the
 spectrum is built, so its trial allocates no array the size of the grid.
 An exact witness rung is one coefficient at one frequency, and its
-spectrum (experiments._rung_ratios, on the M and P_A tables that
+spectrum (experiments._ladder_ratios, on the M and P_A tables that
 experiments._rungs fills in the same pinv pass as the probes) holds M and
 P_A there alone and no grid route: a single mode has the same modulus at
 every grid point, so its ratio is the same at every p, taken at p = 2,
@@ -640,7 +640,7 @@ class _Spectrum:
 
     The whole mesh (_mesh_spectrum), or an explicit frequency list
     (_listed_spectrum): the primaries of a band (_band_spectrum) or one
-    exact witness rung (experiments._rung_ratios).  xis are the integer
+    exact witness rung (experiments._ladder_ratios).  xis are the integer
     frequencies of the coefficient arrays (fiber, ...) on this spectrum, n
     float64 coordinate arrays that broadcast to their layout (on the whole
     mesh the sparse mesh of _frequency_axes); symbols (..., dimW, dimV) and
@@ -887,7 +887,7 @@ def _listed_spectrum(op: Operator, xis: np.ndarray, symbols: np.ndarray, project
     are formed once, times norm_weights where a frequency stands for its
     mirror too (2 on a band); xis, the tables and the weights are made
     read-only.  grid_norm and draw are those of _Spectrum, None on a rung,
-    whose ratio is read at p = 2 for every p (experiments._rung_ratios).
+    whose ratio is read at p = 2 for every p (experiments._ladder_ratios).
     """
     weights = _xi_weights(xis, op.k)
     if norm_weights is not None:

@@ -179,9 +179,9 @@ def test_criterion_07_constant_rank_ratio_stability(capsys):
     for name in ("divergence", "curl"):
         op = zoo_get(name)
         for p in (1.5, 2.0, 3.0):
-            coarse = ratio_sweep(op, p=p, trials=50, grid_sizes=[16], seed=0)
-            fine = ratio_sweep(op, p=p, trials=50, grid_sizes=[32], seed=0)
-            reseeded = ratio_sweep(op, p=p, trials=50, grid_sizes=[16], seed=1)
+            coarse = ratio_sweep(op, p=p, trials=50, size=16, seed=0)
+            fine = ratio_sweep(op, p=p, trials=50, size=32, seed=0)
+            reseeded = ratio_sweep(op, p=p, trials=50, size=16, seed=1)
             for other in (fine.max_ratio, reseeded.max_ratio):
                 pair = (coarse.max_ratio, other)
                 worst = max(worst, max(pair) / min(pair))

@@ -117,10 +117,13 @@ def test_malformed_document_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("zoo", "--out", "{dir}"),
     ("verify", "zoo:gradient", "--N", "8", "--trials", "1", "--csv", "{dir}/missing/x.csv"),
-], ids=["out-is-a-directory", "csv-in-missing-directory"])
+    # the command would otherwise exit 3
+    ("analyze", "zoo:d1d2", "--samples", "64", "--out", "{dir}"),
+], ids=["out-is-a-directory", "csv-in-missing-directory", "analyze-out-is-a-directory"])
 def test_unwritable_output_path_is_a_one_line_error(tmp_path, capsys, argv):
-    code, _, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
-    assert code == EXIT_INPUT_ERROR
+    # the files are written before stdout, so a failed one leaves no report there
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == EXIT_INPUT_ERROR and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -588,6 +591,17 @@ def test_exact_counterexample_runs_on_a_grid_beyond_a_float(capsys, p):
     assert huge == small
 
 
+@pytest.mark.parametrize("window", [(), ("--window", "0.5")], ids=["exact", "windowed"])
+def test_a_rung_beyond_the_band_is_named_before_the_grid_is_sized(capsys, window):
+    # d1d2's rung (1, -2^39) lies beyond N/4 = 2^38: a windowed ladder sized its
+    # 2^40-point mesh first and read as out of memory, where the exact one named it
+    code, out, err = run(capsys, "counterexample", "zoo:d1d2", "--N", str(2 ** 40),
+                         "--rungs", "52", *window)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == (f"error: frequency (1, {-2 ** 39}) unresolvable on grid size {2 ** 40} "
+                   f"(|xi|_inf must be <= {2 ** 38})\n")
+
+
 @pytest.mark.parametrize("size", [2 ** 600, 2 ** 40])
 def test_verify_at_p2_runs_on_a_grid_beyond_memory(capsys, size):
     # a p = 2 ratio reads only the band's primaries, so a band of one on a grid
@@ -619,7 +633,7 @@ def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch)
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((spectral, "_band_draw"), (spectral, "_random_coefficients"),
-                         (cli, "_witness_fields")):
+                         (experiments, "_witness_fields")):
         counted(module, name)
     for argv in (("verify", "zoo:curl", "--N", "8", "--trials", "1"),
                  ("verify", "zoo:curl", "--N", "8", "--trials", "1", "--p", "3"),

@@ -132,8 +132,8 @@ def test_entry_points_check_their_arguments_before_sizing_a_route(monkeypatch):
     for call, message in [(lambda: estimate_ratio(op, phi, 2.0, tol=1e-20), "tol must lie in"),
                           (lambda: l2_minimality_check(op, phi, kernel_trials=0), "at least 1"),
                           (lambda: l2_minimality_check(op, phi, tol=1e-20), "tol must lie in"),
-                          (lambda: ratio_sweep(op, 0.5, 1, [8]), "at least 1"),
-                          (lambda: ratio_sweep(op, 3.0, 1, [8], tol=1e-20), "tol must lie in")]:
+                          (lambda: ratio_sweep(op, 0.5, 1, 8), "at least 1"),
+                          (lambda: ratio_sweep(op, 3.0, 1, 8, tol=1e-20), "tol must lie in")]:
         with pytest.raises(ValueError, match=message):
             call()
     assert estimates == []
@@ -177,10 +177,10 @@ def test_ratio_sweep_transforms_only_for_p_other_than_two(monkeypatch):
         wrapper = counted(name)
         for module in (spectral, experiments):
             monkeypatch.setattr(module, name, wrapper, raising=False)
-    ratio_sweep(op, p=2.0, trials=3, grid_sizes=[8])
+    ratio_sweep(op, p=2.0, trials=3, size=8)
     assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0,
                      "_grid_norm": 0}
-    ratio_sweep(op, p=3.0, trials=3, grid_sizes=[8])
+    ratio_sweep(op, p=3.0, trials=3, size=8)
     assert calls == {"forward_transform": 0, "inverse_transform": 0, "_inverse": 0,
                      "_grid_norm": 2 * 3}
     estimate_ratio(op, witness, 3.0)
@@ -457,6 +457,22 @@ def test_witness_family_checks_its_arguments_before_it_sizes_the_route(n, freque
             witness_family(op, frequencies, Grid(n, size), window)
 
 
+def test_rungs_are_checked_once_per_family_and_per_ladder(monkeypatch):
+    # the callers check the rungs; the builder generator takes them checked
+    op, rungs = zoo_get("d1d2"), [(2, 1), (4, 1)]
+    calls = []
+    check = experiments._check_rungs
+
+    def counted(*args):
+        calls.append(args[1])
+        return check(*args)
+    monkeypatch.setattr(experiments, "_check_rungs", counted)
+    witness_family(op, rungs, Grid(2, 16), 0.5)
+    for window in (None, 0.5):
+        experiments._ladder_ratios(op, rungs, 16, window, 2.0, pinv.DEFAULT_TOL)
+    assert calls == [rungs] * 3
+
+
 def test_windowed_witness_converges_to_single_mode_value():
     # localized version of the witness: ratio approaches the single-mode
     # value as the window widens; at generic frequencies half the torus is
@@ -542,9 +558,9 @@ def test_a_ladder_decomposes_its_rungs_once(monkeypatch):
     ladder = build_frequency_ladder(op, witness, rungs=6)
     assert calls == [6 * 9]
     calls.clear()
-    ratios = experiments._rung_ratios(op, Grid(2, 256), ladder, pinv.DEFAULT_TOL)
+    ratios = experiments._ladder_ratios(op, ladder, 256, None, 2.0, pinv.DEFAULT_TOL)
     assert calls == [6]
-    assert ratios == [experiments._rung_ratios(op, Grid(2, 256), [xi], pinv.DEFAULT_TOL)[0]
+    assert ratios == [experiments._ladder_ratios(op, [xi], 256, None, 2.0, pinv.DEFAULT_TOL)[0]
                       for xi in ladder]
 
 
@@ -562,7 +578,7 @@ def test_rung_ratio_is_the_whole_mesh_ratio_bitwise(name, rungs, p, size):
     op = operator(name)
     grid = Grid(op.n, size)
     for xi, phi in zip(rungs, witness_family(op, rungs, grid)):
-        ratio = experiments._rung_ratios(op, grid, [xi], pinv.DEFAULT_TOL)[0]
+        ratio = experiments._ladder_ratios(op, [xi], grid.size, None, 2.0, pinv.DEFAULT_TOL)[0]
         assert ratio == estimate_ratio(op, phi, 2.0)
         assert math.isclose(ratio, estimate_ratio(op, phi, p), rel_tol=1e-14)
 
@@ -674,7 +690,7 @@ def test_report_rejects_empty_and_invalid():
 # ------------------------------------------------------------------ sweeps
 
 def test_ratio_sweep_divergence_exactness():
-    report = ratio_sweep(zoo_get("divergence"), p=2.0, trials=5, grid_sizes=[16], seed=0)
+    report = ratio_sweep(zoo_get("divergence"), p=2.0, trials=5, size=16, seed=0)
     assert len(report.records) == 5
     assert report.excluded == 0
     assert all(math.isclose(r, 1.0, rel_tol=1e-8) for r in report.ratios)
@@ -685,42 +701,41 @@ def test_ratio_sweep_of_order_6_does_not_wrap():
     # the band N/4 of N = 8192 reaches |xi|^6 = 2^66: the band's derivatives are
     # formed from float64 frequencies, where int64 ones wrapped to a ratio of 0.173
     op = Operator(name="d6", n=1, k=6, dim_v=1, dim_w=1, terms=(((6,), ((1.0,),)),))
-    report = ratio_sweep(op, p=3.0, trials=2, grid_sizes=[8192])
+    report = ratio_sweep(op, p=3.0, trials=2, size=8192)
     assert len(report.ratios) == 2
     assert all(abs(ratio - 1.0) <= 1e-12 for ratio in report.ratios)
 
 
-def test_ratio_sweep_multiple_grid_sizes():
-    report = ratio_sweep(zoo_get("laplacian"), p=2.0, trials=3, grid_sizes=[8, 16], seed=1)
-    assert [r.grid_size for r in report.records] == [8, 8, 8, 16, 16, 16]
+def test_ratio_sweep_on_one_grid():
+    report = ratio_sweep(zoo_get("laplacian"), p=2.0, trials=3, size=16, seed=1)
+    assert [r.grid_size for r in report.records] == [16, 16, 16]
+    assert report.grid_sizes == (16,)
     assert report.parameters["max_freq"] == "size//4"
-    assert [r.index for r in report.records] == list(range(6))
+    assert [r.index for r in report.records] == list(range(3))
 
 
 def test_ratio_sweep_is_deterministic():
-    a = ratio_sweep(zoo_get("curl"), p=1.5, trials=3, grid_sizes=[8], seed=4)
-    b = ratio_sweep(zoo_get("curl"), p=1.5, trials=3, grid_sizes=[8], seed=4)
+    a = ratio_sweep(zoo_get("curl"), p=1.5, trials=3, size=8, seed=4)
+    b = ratio_sweep(zoo_get("curl"), p=1.5, trials=3, size=8, seed=4)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
 def test_ratio_sweep_seed_stability_for_constant_rank():
     op = zoo_get("divergence")
-    a = ratio_sweep(op, p=3.0, trials=10, grid_sizes=[16], seed=0)
-    b = ratio_sweep(op, p=3.0, trials=10, grid_sizes=[16], seed=99)
+    a = ratio_sweep(op, p=3.0, trials=10, size=16, seed=0)
+    b = ratio_sweep(op, p=3.0, trials=10, size=16, seed=99)
     assert a.max_ratio <= 2.0 * b.max_ratio
     assert b.max_ratio <= 2.0 * a.max_ratio
 
 
 def test_ratio_sweep_validation():
     with pytest.raises(ValueError, match="trials"):
-        ratio_sweep(zoo_get("divergence"), p=2.0, trials=0, grid_sizes=[16])
-    with pytest.raises(ValueError, match="nonempty"):
-        ratio_sweep(zoo_get("divergence"), p=2.0, trials=1, grid_sizes=[])
+        ratio_sweep(zoo_get("divergence"), p=2.0, trials=0, size=16)
 
 
 @given(st.sampled_from(["divergence", "curl"]), st.sampled_from([1.5, 2.0, 3.0]),
        st.integers(0, 100))
 @settings(max_examples=10, deadline=None)
 def test_ratio_sweep_bounded_for_constant_rank(name, p, seed):
-    report = ratio_sweep(zoo_get(name), p=p, trials=3, grid_sizes=[8], seed=seed)
+    report = ratio_sweep(zoo_get(name), p=p, trials=3, size=8, seed=seed)
     assert report.max_ratio < 10.0

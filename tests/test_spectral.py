@@ -729,7 +729,7 @@ def test_band_memory_estimate_bounds_a_sweep(monkeypatch, entry, p):
         spectral._primaries.cache_clear()
         tracemalloc.start()
         try:
-            experiments.ratio_sweep(op, p, 1, [size])
+            experiments.ratio_sweep(op, p, 1, size)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -743,13 +743,13 @@ def test_a_finished_sweep_holds_no_band_tables():
     # 32^3 sweep returns, less than those two tables is still held, the band's
     # primaries (rebuilt into their cache) and the report included
     op = zoo_get("curl")
-    experiments.ratio_sweep(op, 2.0, 1, [16])  # imports and first-call caches
+    experiments.ratio_sweep(op, 2.0, 1, 16)  # imports and first-call caches
     count = spectral._primaries(op.n, 8).shape[1]
     tables = 8 * count * (op.dim_w * op.dim_v + op.dim_v ** 2)
     spectral._primaries.cache_clear()
     tracemalloc.start()
     try:
-        report = experiments.ratio_sweep(op, 2.0, 1, [32])
+        report = experiments.ratio_sweep(op, 2.0, 1, 32)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -900,7 +900,7 @@ def test_rung_memory_estimate_bounds_a_rung(monkeypatch, entry, p):
     def rung():
         tracemalloc.start()
         try:
-            experiments._rung_ratios(op, grid, [xi], DEFAULT_TOL)
+            experiments._ladder_ratios(op, [xi], grid.size, None, 2.0, DEFAULT_TOL)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -909,7 +909,7 @@ def test_rung_memory_estimate_bounds_a_rung(monkeypatch, entry, p):
     assert rung() <= 2 ** 16 < 16 * grid.size ** grid.n
     assert estimates == []
     phi = experiments.witness_family(op, [xi], grid)[0]
-    assert math.isclose(experiments._rung_ratios(op, grid, [xi], DEFAULT_TOL)[0],
+    assert math.isclose(experiments._ladder_ratios(op, [xi], grid.size, None, 2.0, DEFAULT_TOL)[0],
                         experiments.estimate_ratio(op, phi, p), rel_tol=1e-14)
 
 

@@ -10,9 +10,8 @@ on the periodic domain: bounded over random band-limited fields at constant
 rank, unbounded along single-mode witness families near rank drops.
 """
 
-from .experiments import (EstimateReport, KernelInputError, TrialRecord,
-                          build_frequency_ladder, estimate_ratio, l2_minimality_check,
-                          ratio_sweep, witness_family)
+from .experiments import (KernelInputError, build_frequency_ladder, estimate_ratio,
+                          l2_minimality_check, ratio_sweep, witness_family)
 from .operators import (Operator, OperatorSpecError, multi_indices, multinomial_weight,
                         operator_from_document, parse_operator, serialize_operator, symbol,
                         symbol_stack)
@@ -27,14 +26,13 @@ from .zoo import UnknownOperatorError, ZooEntry, zoo_get, zoo_list
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL", "DaggerBound", "EstimateReport", "FrequencyField", "Grid", "GridField",
-    "KernelInputError", "Operator", "OperatorSpecError", "RankDropWitness", "RankProfile",
-    "TrialRecord", "UnknownOperatorError", "Verdict", "ZooEntry", "apply_A", "apply_Dk",
-    "apply_PA", "apply_multiplier", "build_frequency_ladder", "daggerbound_check",
-    "estimate_ratio", "find_rank_drop_witness", "forward_transform", "inverse_transform",
-    "kernel_projector", "l2_minimality_check", "lp_norm", "multi_indices",
-    "multinomial_weight", "numerical_rank", "operator_from_document", "parse_operator",
-    "periodic_bump", "pinv_svd", "random_band_limited", "rank_profile", "ratio_sweep",
-    "serialize_operator", "sphere_samples", "symbol", "symbol_stack", "witness_family",
-    "zoo_get", "zoo_list",
+    "DEFAULT_TOL", "DaggerBound", "FrequencyField", "Grid", "GridField", "KernelInputError",
+    "Operator", "OperatorSpecError", "RankDropWitness", "RankProfile", "UnknownOperatorError",
+    "Verdict", "ZooEntry", "apply_A", "apply_Dk", "apply_PA", "apply_multiplier",
+    "build_frequency_ladder", "daggerbound_check", "estimate_ratio", "find_rank_drop_witness",
+    "forward_transform", "inverse_transform", "kernel_projector", "l2_minimality_check",
+    "lp_norm", "multi_indices", "multinomial_weight", "numerical_rank",
+    "operator_from_document", "parse_operator", "periodic_bump", "pinv_svd",
+    "random_band_limited", "rank_profile", "ratio_sweep", "serialize_operator",
+    "sphere_samples", "symbol", "symbol_stack", "witness_family", "zoo_get", "zoo_list",
 ]

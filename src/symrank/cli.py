@@ -22,14 +22,13 @@ comparison lost).
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
-from .experiments import (_MAX_RUNGS, CONTEXT_WITNESS_FAMILY, TrialRecord, _ladder_ratios,
-                          _minimality_trials, assemble_report, build_frequency_ladder, ratio_sweep)
+from .experiments import (_MAX_RUNGS, CONTEXT_WITNESS_FAMILY, _ladder_ratios, _minimality_trials,
+                          _report, build_frequency_ladder, ratio_sweep)
 from .operators import Operator, parse_operator
 from .pinv import DEFAULT_TOL
 from .rank import (DegenerateWitnessError, Verdict, _check_samples, daggerbound_check,
@@ -76,15 +75,18 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
-def _emit(doc: dict, args, report=None) -> None:
-    """Write report's rows to --csv, then doc to --out, then to stdout.
+def _emit(doc: dict, args) -> None:
+    """Write doc's records to --csv, then doc to --out, then to stdout.
 
     The files come first, so a path that cannot be written exits 1 with
-    nothing on stdout.
+    nothing on stdout.  A document without records, such as counterexample's
+    "no rank drop", writes no --csv file.
     """
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if report is not None and args.csv:
-        Path(args.csv).write_text("\n".join(report.csv_rows()) + "\n")
+    if "records" in doc and args.csv:
+        rows = ["index,grid_size,detail,ratio"] + [
+            "{index},{grid_size},{detail},{ratio!r}".format(**r) for r in doc["records"]]
+        Path(args.csv).write_text("\n".join(rows) + "\n")
     if args.out:
         Path(args.out).write_text(text)
     sys.stdout.write(text)
@@ -118,11 +120,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     op = _load_operator(args.source)
-    report = ratio_sweep(op, p=args.p, trials=args.trials, size=args.N,
-                         max_freq=args.max_freq, seed=args.seed, tol=args.tol)
+    doc = ratio_sweep(op, p=args.p, trials=args.trials, size=args.N,
+                      max_freq=args.max_freq, seed=args.seed, tol=args.tol)
     profile = rank_profile(op, tol=args.tol, seed=args.seed)
-    report = dataclasses.replace(report, verdict=profile.verdict.value)
-    doc = report.to_dict()
+    doc["verdict"] = profile.verdict.value
     notes = [DOMAIN_NOTE, SAMPLING_CAVEAT]
     if profile.verdict is Verdict.NON_CONSTANT_RANK:
         notes.append("random fields rarely concentrate near rank drops; "
@@ -130,7 +131,7 @@ def cmd_verify(args) -> int:
     if args.p in (1.0, math.inf):
         notes.append(ENDPOINT_NOTE)
     doc["notes"] = notes
-    _emit(doc, args, report)
+    _emit(doc, args)
     return EXIT_OK
 
 
@@ -156,25 +157,17 @@ def cmd_counterexample(args) -> int:
     witness = find_rank_drop_witness(op, profile, args.tol)
     ladder = build_frequency_ladder(op, witness, rungs=args.rungs, tol=args.tol)
     ratios = _ladder_ratios(op, ladder, args.N, args.window, args.p, args.tol)
-    records = [TrialRecord(index=index, grid_size=args.N, ratio=ratio,
-                           detail="xi=[" + " ".join(str(x) for x in freq) + "]")
-               for index, (freq, ratio) in enumerate(zip(ladder, ratios))]
-    growth = records[-1].ratio / records[0].ratio
-    report = assemble_report(
-        operator=op.name, context=CONTEXT_WITNESS_FAMILY, p=args.p,
-        grid_sizes=[args.N], trials=len(records), seed=args.seed, records=records,
-        verdict=profile.verdict.value,
-        parameters={"rungs": args.rungs, "factor": args.factor, "tol": args.tol,
-                    "window": args.window})
-    doc = report.to_dict()
-    doc["witness"] = witness.to_dict()
-    doc["ladder"] = [list(freq) for freq in ladder]
-    doc["growth"] = growth
-    doc["notes"] = [DOMAIN_NOTE]
+    details = ["xi=[" + " ".join(str(x) for x in freq) + "]" for freq in ladder]
+    doc = _report(op.name, CONTEXT_WITNESS_FAMILY, args.p, args.N, args.seed, ratios, details,
+                  parameters={"rungs": args.rungs, "factor": args.factor, "tol": args.tol,
+                              "window": args.window})
+    doc.update(verdict=profile.verdict.value, witness=witness.to_dict(),
+               ladder=[list(freq) for freq in ladder], growth=ratios[-1] / ratios[0],
+               notes=[DOMAIN_NOTE])
     if args.p in (1.0, math.inf):
         doc["notes"].append(ENDPOINT_NOTE)
-    _emit(doc, args, report)
-    if growth >= args.factor:
+    _emit(doc, args)
+    if doc["growth"] >= args.factor:
         return EXIT_OK
     return EXIT_CHECK_FAILED
 

@@ -22,11 +22,12 @@ ladder takes its ratio there (_ladder_ratios), with no witness field and
 no N^n table: a single mode's ratio is the same at every p, so it is
 taken at p = 2.  A windowed rung's builder (_witness_fields) gives its
 coefficients on any run of first-axis planes, so a p = 2 ladder builds
-and measures it one slab at a time.
+and measures it one slab at a time.  A ratio report is its JSON document,
+a dict made by one builder (_report): ratio_sweep returns it, and the CLI
+adds the verdict and notes and writes --csv from its records.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 
@@ -37,9 +38,9 @@ from .pinv import (DEFAULT_TOL, _blockwise, _kept, _norm, _projectors, _ranks, _
                    numerical_rank)
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Spectrum,
-                       _band_spectrum, _bump_coefficients, _check_field, _derivative_rows,
-                       _envelope, _listed_spectrum, _matvec, _mesh_spectrum, _refuse_oversized,
-                       _slab_total, _symbol_tensor)
+                       _band_spectrum, _bump_coefficients, _check_field, _check_int,
+                       _derivative_rows, _envelope, _listed_spectrum, _matvec, _mesh_spectrum,
+                       _refuse_oversized, _slab_total, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -207,19 +208,22 @@ def _check_rungs(op: Operator, frequencies, grid: Grid,
 
     Raises ValueError for no frequencies, a window outside (0, 1], a grid
     whose axes are not the operator's, or, at the first such rung, a zero
-    frequency or |xi|_inf > N/4.  Callers run it before any estimate or
-    table is made, so an invalid argument is named on any grid.
+    frequency, a component that is not an integer value (1.5 is not
+    truncated to 1; 2.0 is 2) or |xi|_inf > N/4.  Callers run it before any
+    estimate or table is made, so an invalid argument is named on any grid.
     """
-    frequencies = [tuple(int(x) for x in freq) for freq in frequencies]
+    frequencies = [tuple(freq) for freq in frequencies]
     if not frequencies:
         raise ValueError("frequencies must be nonempty")
     if window is not None and not 0.0 < window <= 1.0:
         raise ValueError("window width must lie in (0, 1]")
     if grid.n != op.n:
         raise ValueError(f"grid has {grid.n} axes, operator acts on {op.n}")
-    for freq in frequencies:
-        if not any(freq):
+    for rung, freq in enumerate(frequencies):
+        if not any(freq) or not all(isinstance(x, (int, np.integer)) or float(x).is_integer()
+                                    for x in freq):
             raise ValueError("frequencies must be nonzero integer vectors")
+        frequencies[rung] = freq = tuple(int(x) for x in freq)
         if max(abs(x) for x in freq) > grid.size // 4:
             raise ValueError(f"frequency {freq} unresolvable on grid size {grid.size} "
                              f"(|xi|_inf must be <= {grid.size // 4})")
@@ -368,9 +372,11 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     stays on one of them.  For the mixed second derivative with u = e1
     this yields the family (m, 1), m = 2^(j+1).  Raises
     DegenerateProbeError when no candidate of a rung is usable, and
-    ValueError unless 1 <= rungs <= _MAX_RUNGS.  Every rung's 2n^2 + 1
-    candidates are ranked in one numerical_rank stack.
+    ValueError unless rungs is an integer (not a bool) in [1, _MAX_RUNGS].
+    Every rung's 2n^2 + 1 candidates are ranked in one numerical_rank
+    stack.
     """
+    _check_int(rungs, "rungs")
     if not 1 <= rungs <= _MAX_RUNGS:
         raise ValueError(f"rungs must lie in [1, {_MAX_RUNGS}]")
     u = np.asarray(witness.xi_low, dtype=float)
@@ -461,94 +467,37 @@ def _minimality_trials(op: Operator, size: int, trials: int, kernel_trials: int,
             for trial in range(trials)]
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One measured ratio: trial index, grid size, provenance detail, value."""
+def _report(operator: str, context: str, p: float, size: int, seed: int | None, ratios, details,
+            excluded: int = 0, parameters: dict | None = None) -> dict:
+    """The JSON document of a ratio experiment on the size^n grid, its records indexed in order.
 
-    index: int
-    grid_size: int
-    detail: str
-    ratio: float
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Aggregated, reproducible record of an estimate-ratio experiment."""
-
-    operator: str
-    context: str
-    p: float
-    grid_sizes: tuple[int, ...]
-    trials: int
-    seed: int | None
-    records: tuple[TrialRecord, ...]
-    excluded: int = 0
-    verdict: str | None = None
-    parameters: dict = field(default_factory=dict)
-
-    @property
-    def ratios(self) -> list[float]:
-        return [r.ratio for r in self.records]
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.ratios)
-
-    def to_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "context": self.context,
-            "p": self.p if np.isfinite(self.p) else "inf",
-            "grid_sizes": list(self.grid_sizes),
-            "trials": self.trials,
-            "seed": self.seed,
-            "excluded": self.excluded,
-            "verdict": self.verdict,
-            "parameters": {k: self.parameters[k] for k in sorted(self.parameters)},
-            "max_ratio": self.max_ratio,
-            "records": [
-                {"index": r.index, "grid_size": r.grid_size, "detail": r.detail, "ratio": r.ratio}
-                for r in self.records
-            ],
-        }
-
-    def csv_rows(self) -> list[str]:
-        rows = ["index,grid_size,detail,ratio"]
-        rows.extend(f"{r.index},{r.grid_size},{r.detail},{r.ratio!r}" for r in self.records)
-        return rows
-
-
-def assemble_report(operator: str, context: str, p: float, grid_sizes, trials: int,
-                    seed: int | None, records, excluded: int = 0,
-                    verdict: str | None = None, parameters: dict | None = None) -> EstimateReport:
-    """Validate and freeze an experiment into an EstimateReport.
-
-    Serialization of the result is deterministic: the same inputs produce
-    byte-identical documents.  Raises EmptyExperimentError when no trial
-    completed.
+    ratios is a list, and record i holds ratios[i] with details[i]; trials
+    counts the records and the excluded inputs, and verdict is None for the
+    caller to set.  p is written as a float, or as "inf" at p = inf, so the
+    document is strict JSON; with sorted keys the same inputs give
+    byte-identical output.  Raises EmptyExperimentError when there is no
+    ratio, and ValueError for a ratio that is not a finite nonnegative
+    number.
     """
-    records = tuple(records)
-    if not records:
+    if not ratios:
         raise EmptyExperimentError(f"{operator}: no completed trials to report")
-    for record in records:
-        if not np.isfinite(record.ratio) or record.ratio < 0:
-            raise ValueError(f"trial {record.index}: ratio {record.ratio} is not a finite nonnegative number")
-    return EstimateReport(
-        operator=operator,
-        context=context,
-        p=float(p),
-        grid_sizes=tuple(int(s) for s in grid_sizes),
-        trials=int(trials),
-        seed=seed,
-        records=records,
-        excluded=int(excluded),
-        verdict=verdict,
-        parameters=dict(parameters or {}),
-    )
+    for index, ratio in enumerate(ratios):
+        if not np.isfinite(ratio) or ratio < 0:
+            raise ValueError(f"trial {index}: ratio {ratio} is not a finite nonnegative number")
+    return {
+        "operator": operator, "context": context,
+        "p": float(p) if np.isfinite(p) else "inf",
+        "grid_sizes": [size], "trials": len(ratios) + excluded, "seed": seed,
+        "excluded": excluded, "verdict": None,
+        "parameters": dict(sorted((parameters or {}).items())),
+        "max_ratio": max(ratios),
+        "records": [{"index": index, "grid_size": size, "detail": detail, "ratio": ratio}
+                    for index, (detail, ratio) in enumerate(zip(details, ratios))],
+    }
 
 
 def ratio_sweep(op: Operator, p: float, trials: int, size: int, max_freq: int | None = None,
-                seed: int = 0, tol: float = DEFAULT_TOL) -> EstimateReport:
+                seed: int = 0, tol: float = DEFAULT_TOL) -> dict:
     """Measure estimate_ratio on seeded random band-limited fields on the size^n grid.
 
     Runs `trials` fields; each trial derives its randomness from (seed,
@@ -560,28 +509,25 @@ def ratio_sweep(op: Operator, p: float, trials: int, size: int, max_freq: int | 
     spectrum for one real inverse FFT.  Neither the N^n symbol table nor the
     projector table is built.  A band outside [1, N/4], p < 1 or a tol pinv
     refuses, checked before the route is sized, or a route too large for
-    memory is refused before its first field is drawn.  Kernel inputs are
-    excluded and counted, not reported; the report's grid_sizes is [size].
+    memory is refused before its first field is drawn.  Returns the
+    report's JSON document (_report), verdict None: kernel inputs are
+    excluded and counted, not recorded, so trials is the requested count,
+    and grid_sizes is [size].
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     grid = Grid(op.n, int(size))
     band = max_freq if max_freq is not None else grid.size // 4
     spectrum = _band_spectrum(op, grid, band, tol, p)
-    records = []
-    excluded = 0
+    ratios, details = [], []
     for trial in range(trials):
         phi = spectrum.draw(op.dim_v, [seed, grid.size, trial])
         try:
-            ratio = _ratio(op, spectrum, phi, p, tol)
+            ratios.append(_ratio(op, spectrum, phi, p, tol))
         except KernelInputError:
-            excluded += 1
             continue
-        records.append(TrialRecord(index=len(records), grid_size=grid.size,
-                                   detail=f"seed={seed} N={grid.size} trial={trial}",
-                                   ratio=ratio))
-    return assemble_report(
-        operator=op.name, context=CONTEXT_RANDOM_FIELDS, p=p, grid_sizes=[grid.size],
-        trials=trials, seed=seed, records=records, excluded=excluded,
-        parameters={"max_freq": "size//4" if max_freq is None else max_freq, "tol": tol},
-    )
+        details.append(f"seed={seed} N={grid.size} trial={trial}")
+    return _report(op.name, CONTEXT_RANDOM_FIELDS, p, grid.size, seed, ratios, details,
+                   excluded=trials - len(ratios),
+                   parameters={"max_freq": "size//4" if max_freq is None else max_freq,
+                               "tol": tol})

@@ -563,7 +563,14 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
+def _check_int(value, name: str) -> None:
+    """ValueError naming the argument unless value is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+
+
 def _check_band(grid: Grid, max_freq: int) -> None:
+    _check_int(max_freq, "max_freq")
     if not 1 <= max_freq <= grid.size // 4:
         raise ValueError(f"max_freq must lie in [1, {grid.size // 4}] on this grid")
 
@@ -628,7 +635,8 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
     Every integer frequency with 0 < |xi|_inf <= max_freq (max_freq at most
     size/4) carries a complex gaussian coefficient, Hermitian-paired so the
     field is real up to rounding; the mean (frequency zero) is exactly zero.
-    Deterministic for a given seed (an int or sequence of ints).
+    Deterministic for a given seed (an int or sequence of ints).  Raises
+    ValueError unless max_freq is an integer (not a bool) in [1, size/4].
     """
     coeffs = _random_coefficients(grid, fiber_dim, max_freq, seed).coeffs
     return GridField(grid, _inverse(coeffs, grid))

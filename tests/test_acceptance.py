@@ -182,8 +182,8 @@ def test_criterion_07_constant_rank_ratio_stability(capsys):
             coarse = ratio_sweep(op, p=p, trials=50, size=16, seed=0)
             fine = ratio_sweep(op, p=p, trials=50, size=32, seed=0)
             reseeded = ratio_sweep(op, p=p, trials=50, size=16, seed=1)
-            for other in (fine.max_ratio, reseeded.max_ratio):
-                pair = (coarse.max_ratio, other)
+            for other in (fine["max_ratio"], reseeded["max_ratio"]):
+                pair = (coarse["max_ratio"], other)
                 worst = max(worst, max(pair) / min(pair))
     ok = worst < 2.0
     report(capsys, 7, ok, f"divergence/curl max ratios at p in (1.5, 2, 3), worst "

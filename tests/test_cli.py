@@ -215,6 +215,33 @@ def test_verify_inf_p_and_csv(tmp_path, capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "zoo:curl", "--N", "8", "--trials", "3", "--p", "3"),
+    ("counterexample", "zoo:d1d2", "--N", "32", "--rungs", "3", "--factor", "3"),
+], ids=["verify", "counterexample"])
+def test_report_csv_rows(tmp_path, capsys, argv):
+    # the header, then one row per JSON record; repr round-trips each ratio exactly
+    csv = tmp_path / "rows.csv"
+    code, doc, _ = run_json(capsys, *argv, "--csv", str(csv))
+    assert code == EXIT_OK
+    rows = csv.read_text().split("\n")
+    assert rows[0] == "index,grid_size,detail,ratio" and rows[-1] == ""
+    assert rows[1:-1] == [f"{r['index']},{r['grid_size']},{r['detail']},{r['ratio']!r}"
+                          for r in doc["records"]]
+    assert [float(row.rsplit(",", 1)[1]) for row in rows[1:-1]] == [
+        r["ratio"] for r in doc["records"]]
+    assert len(rows) == 2 + 3
+
+
+def test_counterexample_without_a_rank_drop_writes_no_csv(tmp_path, capsys):
+    # the exit-4 document has no records, so there is no row to write
+    csv = tmp_path / "rows.csv"
+    code, doc, err = run_json(capsys, "counterexample", "zoo:laplacian", "--csv", str(csv))
+    assert code == EXIT_NO_RANK_DROP and err == ""
+    assert "records" not in doc
+    assert not csv.exists()
+
+
 def test_verify_runs_on_non_constant_rank_with_caveat(capsys):
     code, doc, _ = run_json(capsys, "verify", "zoo:wave", "--N", "16", "--trials", "3")
     assert code == EXIT_OK

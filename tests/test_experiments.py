@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from symrank import experiments, pinv, rank, spectral
 from symrank.experiments import (DegenerateProbeError, EmptyExperimentError, KernelInputError,
-                                 TrialRecord, assemble_report, build_frequency_ladder,
-                                 estimate_ratio, l2_minimality_check, ratio_sweep,
-                                 witness_family)
+                                 build_frequency_ladder, estimate_ratio, l2_minimality_check,
+                                 ratio_sweep, witness_family)
 from symrank.operators import Operator, _real_stack, parse_operator, symbol, symbol_stack
 from symrank.pinv import kernel_projector
 from symrank.rank import Verdict, find_rank_drop_witness, rank_profile
@@ -457,6 +456,24 @@ def test_witness_family_checks_its_arguments_before_it_sizes_the_route(n, freque
             witness_family(op, frequencies, Grid(n, size), window)
 
 
+@pytest.mark.parametrize("freq", [(1.5, 2), (1, -2.5), (math.nan, 1), (math.inf, 1)])
+def test_a_frequency_that_is_not_an_integer_vector_is_refused_not_truncated(freq):
+    # (1.5, 2) was read as (1, 2); the exact and windowed ladders check the same way
+    op, grid = zoo_get("d1d2"), Grid(2, 16)
+    with pytest.raises(ValueError, match="frequencies must be nonzero integer vectors"):
+        witness_family(op, [(2, 1), freq], grid)
+    for window in (None, 0.5):
+        with pytest.raises(ValueError, match="frequencies must be nonzero integer vectors"):
+            experiments._ladder_ratios(op, [freq], 16, window, 2.0, pinv.DEFAULT_TOL)
+
+
+def test_an_integer_valued_frequency_of_any_type_is_that_integer():
+    op, grid = zoo_get("d1d2"), Grid(2, 16)
+    want = witness_family(op, [(2, 1)], grid)[0].coeffs
+    for freq in [(2.0, 1), (np.int64(2), np.float64(1.0)), np.array([2, 1])]:
+        assert np.array_equal(witness_family(op, [freq], grid)[0].coeffs, want)
+
+
 def test_rungs_are_checked_once_per_family_and_per_ladder(monkeypatch):
     # the callers check the rungs; the builder generator takes them checked
     op, rungs = zoo_get("d1d2"), [(2, 1), (4, 1)]
@@ -522,6 +539,23 @@ def test_ladder_validation():
     for rungs in (0, 53, 1100):
         with pytest.raises(ValueError, match=r"rungs must lie in \[1, 52\]"):
             build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=rungs)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_a_band_or_rung_count_that_is_not_an_integer_is_named(value):
+    # a float or bool band reached numpy (IndexError, TypeError) or was read as 1, and a
+    # float rung count raised TypeError; each is refused as a ValueError that names it
+    op = zoo_get("d1d2")
+    with pytest.raises(ValueError, match="max_freq must be an integer"):
+        random_band_limited(Grid(2, 16), 1, value, 0)
+    with pytest.raises(ValueError, match="max_freq must be an integer"):
+        ratio_sweep(zoo_get("laplacian"), 2.0, 1, 16, max_freq=value)
+    with pytest.raises(ValueError, match="rungs must be an integer"):
+        build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=value)
+    # numpy integers are integers
+    assert build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=np.int64(2)) == [
+        (2, 1), (4, 1)]
+    assert random_band_limited(Grid(2, 16), 1, np.int32(2), 0).data.shape == (1, 16, 16)
 
 
 def test_d1d2_ladder_ratios_closed_form():
@@ -648,84 +682,79 @@ def test_minimality_on_the_half_spectrum_matches_the_whole_mesh(name, slack):
 # ------------------------------------------------------------------ reports
 
 def make_report(p=2.0):
-    records = [TrialRecord(index=0, grid_size=16, detail="seed=0 N=16 trial=0", ratio=1.0),
-               TrialRecord(index=1, grid_size=16, detail="seed=0 N=16 trial=1", ratio=2.5)]
-    return assemble_report(operator="demo", context="RandomFields", p=p, grid_sizes=[16],
-                           trials=2, seed=0, records=records, parameters={"tol": 1e-10})
+    return experiments._report("demo", "RandomFields", p, 16, 0, [1.0, 2.5],
+                               ["seed=0 N=16 trial=0", "seed=0 N=16 trial=1"],
+                               parameters={"tol": 1e-10})
 
 
 def test_report_round_trip_and_determinism():
-    report = make_report()
-    doc = report.to_dict()
+    doc = make_report()
+    assert doc == {
+        "operator": "demo", "context": "RandomFields", "p": 2.0, "grid_sizes": [16],
+        "trials": 2, "seed": 0, "excluded": 0, "verdict": None, "parameters": {"tol": 1e-10},
+        "max_ratio": 2.5,
+        "records": [{"index": 0, "grid_size": 16, "detail": "seed=0 N=16 trial=0", "ratio": 1.0},
+                    {"index": 1, "grid_size": 16, "detail": "seed=0 N=16 trial=1", "ratio": 2.5}]}
     assert doc["max_ratio"] == 2.5
     assert doc["p"] == 2.0
-    assert json.dumps(doc, sort_keys=True) == json.dumps(make_report().to_dict(), sort_keys=True)
+    assert json.dumps(doc, sort_keys=True) == json.dumps(make_report(), sort_keys=True)
+    # an integer p is written as a float, and excluded inputs count as trials
+    other = experiments._report("demo", "RandomFields", 2, 16, 0, [1.0], ["d"], excluded=3)
+    assert other["p"] == 2.0 and other["trials"] == 4 and other["excluded"] == 3
 
 
 def test_report_inf_p_serializes_as_string():
-    doc = make_report(p=math.inf).to_dict()
+    doc = make_report(p=math.inf)
     assert doc["p"] == "inf"
     json.dumps(doc)  # strict JSON, no Infinity token
 
 
-def test_report_csv_rows():
-    rows = make_report().csv_rows()
-    assert rows[0] == "index,grid_size,detail,ratio"
-    assert len(rows) == 3
-    assert rows[2].startswith("1,16,seed=0 N=16 trial=1,")
-    # repr round-trips the float exactly
-    assert float(rows[2].rsplit(",", 1)[1]) == 2.5
-
-
 def test_report_rejects_empty_and_invalid():
     with pytest.raises(EmptyExperimentError):
-        assemble_report(operator="demo", context="RandomFields", p=2.0, grid_sizes=[16],
-                        trials=0, seed=0, records=[])
-    bad = [TrialRecord(index=0, grid_size=16, detail="d", ratio=float("nan"))]
+        experiments._report("demo", "RandomFields", 2.0, 16, 0, [], [])
     with pytest.raises(ValueError, match="finite"):
-        assemble_report(operator="demo", context="RandomFields", p=2.0, grid_sizes=[16],
-                        trials=1, seed=0, records=bad)
+        experiments._report("demo", "RandomFields", 2.0, 16, 0, [float("nan")], ["d"])
 
 
 # ------------------------------------------------------------------ sweeps
 
 def test_ratio_sweep_divergence_exactness():
     report = ratio_sweep(zoo_get("divergence"), p=2.0, trials=5, size=16, seed=0)
-    assert len(report.records) == 5
-    assert report.excluded == 0
-    assert all(math.isclose(r, 1.0, rel_tol=1e-8) for r in report.ratios)
-    assert report.records[0].detail == "seed=0 N=16 trial=0"
+    assert len(report["records"]) == 5
+    assert report["excluded"] == 0
+    assert all(math.isclose(r["ratio"], 1.0, rel_tol=1e-8) for r in report["records"])
+    assert report["records"][0]["detail"] == "seed=0 N=16 trial=0"
 
 
 def test_ratio_sweep_of_order_6_does_not_wrap():
     # the band N/4 of N = 8192 reaches |xi|^6 = 2^66: the band's derivatives are
     # formed from float64 frequencies, where int64 ones wrapped to a ratio of 0.173
     op = Operator(name="d6", n=1, k=6, dim_v=1, dim_w=1, terms=(((6,), ((1.0,),)),))
-    report = ratio_sweep(op, p=3.0, trials=2, size=8192)
-    assert len(report.ratios) == 2
-    assert all(abs(ratio - 1.0) <= 1e-12 for ratio in report.ratios)
+    ratios = [r["ratio"] for r in ratio_sweep(op, p=3.0, trials=2, size=8192)["records"]]
+    assert len(ratios) == 2
+    assert all(abs(ratio - 1.0) <= 1e-12 for ratio in ratios)
 
 
 def test_ratio_sweep_on_one_grid():
     report = ratio_sweep(zoo_get("laplacian"), p=2.0, trials=3, size=16, seed=1)
-    assert [r.grid_size for r in report.records] == [16, 16, 16]
-    assert report.grid_sizes == (16,)
-    assert report.parameters["max_freq"] == "size//4"
-    assert [r.index for r in report.records] == list(range(3))
+    assert [r["grid_size"] for r in report["records"]] == [16, 16, 16]
+    assert report["grid_sizes"] == [16]
+    assert report["parameters"]["max_freq"] == "size//4"
+    assert [r["index"] for r in report["records"]] == list(range(3))
 
 
 def test_ratio_sweep_is_deterministic():
     a = ratio_sweep(zoo_get("curl"), p=1.5, trials=3, size=8, seed=4)
     b = ratio_sweep(zoo_get("curl"), p=1.5, trials=3, size=8, seed=4)
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_ratio_sweep_seed_stability_for_constant_rank():
     op = zoo_get("divergence")
     a = ratio_sweep(op, p=3.0, trials=10, size=16, seed=0)
     b = ratio_sweep(op, p=3.0, trials=10, size=16, seed=99)
-    assert a.max_ratio <= 2.0 * b.max_ratio
-    assert b.max_ratio <= 2.0 * a.max_ratio
+    assert a["max_ratio"] <= 2.0 * b["max_ratio"]
+    assert b["max_ratio"] <= 2.0 * a["max_ratio"]
 
 
 def test_ratio_sweep_validation():
@@ -738,4 +767,4 @@ def test_ratio_sweep_validation():
 @settings(max_examples=10, deadline=None)
 def test_ratio_sweep_bounded_for_constant_rank(name, p, seed):
     report = ratio_sweep(zoo_get(name), p=p, trials=3, size=8, seed=seed)
-    assert report.max_ratio < 10.0
+    assert report["max_ratio"] < 10.0

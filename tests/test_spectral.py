@@ -753,7 +753,7 @@ def test_a_finished_sweep_holds_no_band_tables():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(report.records) == 1
+    assert len(report["records"]) == 1
     assert held < tables
 
 

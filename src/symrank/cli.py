@@ -30,7 +30,7 @@ from pathlib import Path
 from .experiments import (_MAX_RUNGS, CONTEXT_WITNESS_FAMILY, _ladder_ratios, _minimality_trials,
                           _report, build_frequency_ladder, ratio_sweep)
 from .operators import Operator, parse_operator
-from .pinv import DEFAULT_TOL
+from .pinv import DEFAULT_TOL, _check_int
 from .rank import (DegenerateWitnessError, Verdict, _check_samples, daggerbound_check,
                    find_rank_drop_witness, rank_profile)
 from .zoo import UnknownOperatorError, zoo_get, zoo_list
@@ -104,10 +104,8 @@ def cmd_analyze(args) -> int:
         notes.append("rank drops on the sphere: the derivative recovery estimate "
                      "fails along witness families near the drop directions")
         try:
-            witness = find_rank_drop_witness(op, profile, args.tol)
-            bound = daggerbound_check(op, witness, args.tol)
-            doc["witness"] = witness.to_dict()
-            doc["daggerbound"] = {"lhs": bound.lhs, "rhs": bound.rhs, "holds": bound.holds}
+            witness = find_rank_drop_witness(op, profile)
+            doc.update(witness=witness.to_dict(), daggerbound=daggerbound_check(op, witness))
         except DegenerateWitnessError as exc:
             doc["witness"] = None
             notes.append(f"witness extraction failed: {exc}")
@@ -144,8 +142,7 @@ def cmd_counterexample(args) -> int:
     """
     if not (math.isfinite(args.factor) and args.factor > 0):
         raise ValueError("--factor must be a finite number greater than 0")
-    if not 1 <= args.rungs <= _MAX_RUNGS:
-        raise ValueError(f"--rungs must lie in [1, {_MAX_RUNGS}]")
+    _check_int(args.rungs, "--rungs", high=_MAX_RUNGS)
     if args.window is not None and not 0.0 < args.window <= 1.0:
         raise ValueError("--window must lie in (0, 1]")
     op = _load_operator(args.source)
@@ -154,8 +151,8 @@ def cmd_counterexample(args) -> int:
         _emit({"operator": op.name, "verdict": profile.verdict.value,
                "message": "no rank drop - no counterexample expected"}, args)
         return EXIT_NO_RANK_DROP
-    witness = find_rank_drop_witness(op, profile, args.tol)
-    ladder = build_frequency_ladder(op, witness, rungs=args.rungs, tol=args.tol)
+    witness = find_rank_drop_witness(op, profile)
+    ladder = build_frequency_ladder(op, witness, rungs=args.rungs)
     ratios = _ladder_ratios(op, ladder, args.N, args.window, args.p, args.tol)
     details = ["xi=[" + " ".join(str(x) for x in freq) + "]" for freq in ladder]
     doc = _report(op.name, CONTEXT_WITNESS_FAMILY, args.p, args.N, args.seed, ratios, details,
@@ -178,10 +175,8 @@ def cmd_minimality(args) -> int:
     --trials and --kernel-trials are checked before the operator is loaded,
     so an empty count exits 1 with its own message on any grid.
     """
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    if args.kernel_trials < 1:
-        raise ValueError("--kernel-trials must be at least 1")
+    _check_int(args.trials, "--trials")
+    _check_int(args.kernel_trials, "--kernel-trials")
     op = _load_operator(args.source)
     outcomes = _minimality_trials(op, args.N, args.trials, args.kernel_trials, args.seed, args.tol)
     results = [{"trial": trial, "pass": ok} for trial, ok in enumerate(outcomes)]

@@ -34,13 +34,13 @@ from itertools import combinations
 import numpy as np
 
 from .operators import Operator, _real_stack
-from .pinv import (DEFAULT_TOL, _blockwise, _kept, _norm, _projectors, _ranks, _Table,
-                   numerical_rank)
+from .pinv import (DEFAULT_TOL, _blockwise, _check_int, _check_tol, _kept, _norm, _projectors,
+                   _ranks, _Table, numerical_rank)
 from .rank import RankDropWitness
 from .spectral import (TWO_PI, FrequencyField, Grid, GridField, forward_transform, _Spectrum,
-                       _band_spectrum, _bump_coefficients, _check_field, _check_int,
-                       _derivative_rows, _envelope, _listed_spectrum, _matvec, _mesh_spectrum,
-                       _refuse_oversized, _slab_total, _symbol_tensor)
+                       _band_spectrum, _bump_coefficients, _check_field, _derivative_rows,
+                       _envelope, _listed_spectrum, _matvec, _mesh_spectrum, _refuse_oversized,
+                       _slab_total, _symbol_tensor)
 
 CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
@@ -293,13 +293,15 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     with the probe; the windowed ratio approaches the single-mode value as
     the window widens.  Each field is built whole by _witness_fields'
     builder, the one a windowed counterexample ladder builds slab by slab.
-    Raises ValueError for no frequencies, a window outside (0, 1], a grid
-    whose axes are not the operator's, a zero frequency or |xi_m|_inf > N/4
-    (_check_rungs), then MemoryError before anything is built when the
-    fields, with the symbol table of a windowed family, cannot fit
-    (spectral._refuse_oversized; _symbol_tensor sizes its own build), and
-    DegenerateProbeError where the symbol vanishes.
+    Raises ValueError for a tol pinv refuses (_check_tol), no frequencies,
+    a window outside (0, 1], a grid whose axes are not the operator's, a
+    zero frequency or |xi_m|_inf > N/4 (_check_rungs), then MemoryError
+    before anything is built when the fields, with the symbol table of a
+    windowed family, cannot fit (spectral._refuse_oversized; _symbol_tensor
+    sizes its own build), and DegenerateProbeError where the symbol
+    vanishes.
     """
+    _check_tol(tol)
     frequencies = _check_rungs(op, frequencies, grid, window)
     table = 0 if window is None else op.dim_w * op.dim_v
     _refuse_oversized(op, grid, grid.size ** grid.n, table + 2 * op.dim_v * len(frequencies))
@@ -354,31 +356,30 @@ def _witness(op: Operator, grid: Grid, freq: tuple[int, ...], probe: np.ndarray,
     return coeffs
 
 
-def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 4,
-                           tol: float = DEFAULT_TOL) -> list[tuple[int, ...]]:
+def build_frequency_ladder(op: Operator, witness: RankDropWitness,
+                           rungs: int = 4) -> list[tuple[int, ...]]:
     """Integer frequencies approaching the witness's drop direction with doubling magnitude.
 
     Rung j targets 2^(j+1) * u rounded to integers, u = xi_low / |xi_low|.
-    A rung is usable iff numerical_rank of the real symbol M there, at tol
-    (the cutoff _rung counts the probe's rank with), is the generic
-    rank witness.rank_high.  On the drop set the rank is lower, so
-    _rung would probe a singular value that does not vanish there
-    and the ratios would not grow.  A rung's candidates are, in order, the
-    rounded frequency, its axis offsets +-e_i (i = 1..n, + before -) and
-    its pair offsets +-e_i +-e_j (i < j, in lexicographic order of (i, j),
-    then of the signs, + before -), and the first usable one is taken: the
-    rounded frequency can lie exactly on a degenerate axis, and where two
-    drop planes meet, as for d1 d2 on R^3 along e3, every axis offset
-    stays on one of them.  For the mixed second derivative with u = e1
-    this yields the family (m, 1), m = 2^(j+1).  Raises
-    DegenerateProbeError when no candidate of a rung is usable, and
-    ValueError unless rungs is an integer (not a bool) in [1, _MAX_RUNGS].
-    Every rung's 2n^2 + 1 candidates are ranked in one numerical_rank
-    stack.
+    A rung is usable iff numerical_rank of the real symbol M there, at
+    witness.tolerance (the cutoff of the profile the witness came from,
+    which the counterexample command also hands _rungs to count each
+    probe's rank with), is the generic rank witness.rank_high.  On the
+    drop set the rank is lower, so the rung's probe (_rungs) would see a
+    singular value that does not vanish there and the ratios would not
+    grow.  A rung's candidates are, in order, the rounded frequency, its
+    axis offsets +-e_i (i = 1..n, + before -) and its pair offsets +-e_i
+    +-e_j (i < j, in lexicographic order of (i, j), then of the signs, +
+    before -), and the first usable one is taken: the rounded frequency
+    can lie exactly on a degenerate axis, and where two drop planes meet,
+    as for d1 d2 on R^3 along e3, every axis offset stays on one of them.
+    For the mixed second derivative with u = e1 this yields the family
+    (m, 1), m = 2^(j+1).  Raises DegenerateProbeError when no candidate of a
+    rung is usable, and ValueError unless rungs is an integer (not a bool)
+    in [1, _MAX_RUNGS].  Every rung's 2n^2 + 1 candidates are ranked in one
+    numerical_rank stack.
     """
-    _check_int(rungs, "rungs")
-    if not 1 <= rungs <= _MAX_RUNGS:
-        raise ValueError(f"rungs must lie in [1, {_MAX_RUNGS}]")
+    rungs = _check_int(rungs, "rungs", high=_MAX_RUNGS)
     u = np.asarray(witness.xi_low, dtype=float)
     u = u / np.linalg.norm(u)
     axes = np.eye(op.n, dtype=int)
@@ -388,9 +389,9 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness, rungs: int = 
     scales = [2 ** (j + 1) for j in range(rungs)]
     cands = np.stack([np.rint(scale * u).astype(int) + offsets for scale in scales])
     # every rung's candidates in one rank stack, one row of candidates per rung
-    ranks = numerical_rank(_real_stack(op, cands.reshape(-1, op.n)), tol).reshape(rungs, -1)
+    ranks = numerical_rank(_real_stack(op, cands.reshape(-1, op.n)), witness.tolerance)
     ladder = []
-    for scale, rung, rung_ranks in zip(scales, cands, ranks):
+    for scale, rung, rung_ranks in zip(scales, cands, ranks.reshape(rungs, -1)):
         usable = np.flatnonzero(rung_ranks == witness.rank_high)
         if not usable.size:
             raise DegenerateProbeError(
@@ -408,14 +409,14 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
     Competitors are kernel projections of seeded random band-limited
     fields.  Returns True when no competitor beats the canonical
     projection by more than slack.  Raises ValueError, before the route is
-    sized, for fewer than one competitor, which would compare nothing.
+    sized, unless kernel_trials is an integer (not a bool) at least 1:
+    fewer competitors would compare nothing.
     Every norm here is L2, so the check runs on coefficients (_minimality
     on the whole mesh): phi is a GridField, transformed once, or its
     FrequencyField, and competitors are drawn as coefficients and projected
     with the cached projector table, one slab at a time.
     """
-    if kernel_trials < 1:
-        raise ValueError("kernel_trials must be at least 1")
+    _check_int(kernel_trials, "kernel_trials")
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     _check_field(op, freq, op.dim_v, "input")
     # phi and a competitor's draw are held whole beside one slab
@@ -507,16 +508,16 @@ def ratio_sweep(op: Operator, p: float, trials: int, size: int, max_freq: int | 
     those primaries (_band_spectrum): a p = 2 sweep never leaves the band,
     and any other p scatters each of its two grid fields into the half
     spectrum for one real inverse FFT.  Neither the N^n symbol table nor the
-    projector table is built.  A band outside [1, N/4], p < 1 or a tol pinv
-    refuses, checked before the route is sized, or a route too large for
-    memory is refused before its first field is drawn.  Returns the
-    report's JSON document (_report), verdict None: kernel inputs are
-    excluded and counted, not recorded, so trials is the requested count,
-    and grid_sizes is [size].
+    projector table is built.  A trial count that is not an integer (not a
+    bool) at least 1, a size Grid refuses, a band outside [1, N/4], p < 1
+    or a tol pinv refuses, checked before the route is sized, or a route
+    too large for memory is refused before its first field is drawn.
+    Returns the report's JSON document (_report), verdict None: kernel
+    inputs are excluded and counted, not recorded, so trials is the
+    requested count, and grid_sizes is [size].
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    grid = Grid(op.n, int(size))
+    trials = _check_int(trials, "trials")
+    grid = Grid(op.n, size)
     band = max_freq if max_freq is not None else grid.size // 4
     spectrum = _band_spectrum(op, grid, band, tol, p)
     ratios, details = [], []

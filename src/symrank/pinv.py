@@ -23,7 +23,8 @@ grid norm (spectral._grid_norm) scales a whole field by a running power
 of two and takes _norm of its fiber norms.  _refuse_beyond_memory is the
 one physical-memory check behind the refusals of oversized tables
 (spectral) and sphere sweeps (rank); it evaluates their estimates, so one
-too large for a float is refused too.
+too large for a float is refused too.  _check_int is the one check of
+every count argument the package takes.
 """
 
 import itertools
@@ -294,6 +295,21 @@ def _svd(mats: np.ndarray, want_u: bool = False, want_vh: bool = False):
     if want_vh:
         vh = np.ascontiguousarray(right.transpose(2, 0, 1)).reshape(lead + (rank, cols))
     return u, np.ascontiguousarray(np.ldexp(sigma, exponent).T).reshape(lead + (rank,)), vh
+
+
+def _check_int(value, name: str, low: int | None = 1, high: int | None = None) -> int:
+    """value as an int: ValueError naming it unless it is an integer (a bool is not) in [low, high].
+
+    The one count check of the package.  high None leaves the range open
+    above, and low None checks the type only.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}]")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return int(value)
 
 
 def _check_tol(tol: float) -> None:

@@ -13,13 +13,13 @@ spectral norms of A, and |A+| = |M+|.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 from .operators import Operator, _column_count, _real_stack
-from .pinv import (_BLOCK, DEFAULT_TOL, _blockwise, _check_tol, _held_entries, _projectors,
-                   _ranks, _refuse_beyond_memory, _spectral_norms, numerical_rank, pinv_svd)
+from .pinv import (_BLOCK, DEFAULT_TOL, _blockwise, _check_int, _check_tol, _held_entries,
+                   _projectors, _ranks, _refuse_beyond_memory, _spectral_norms, numerical_rank,
+                   pinv_svd)
 
 # refinement target for drop directions, radians
 ANGULAR_RESOLUTION = 1e-3
@@ -80,12 +80,12 @@ def sphere_samples(n: int, num_random: int, seed: int = 0) -> np.ndarray:
 
 
 def _check_samples(n: int, count: int, name: str = "num_random") -> None:
-    """Raise ValueError, naming count as name, unless count >= n + 1.
+    """Raise ValueError, naming count as name, unless count is an integer (_check_int) >= n + 1.
 
     A sweep in n variables draws at least n + 1 random directions; every
     caller that takes such a count, the CLI included, checks it here.
     """
-    if count < n + 1:
+    if _check_int(count, name, None) < n + 1:
         raise ValueError(f"need {name} >= n + 1 = {n + 1}")
 
 
@@ -97,11 +97,11 @@ def _sample_blocks(n: int, num_random: int, seed: int):
     its row norms and yielded before the next is drawn.  A row of norm below
     _MIN_NORM, which essentially never occurs, is redrawn within its block,
     right after the block's draw, in index order, so only a sweep with such
-    a row differs from one draw of every row.  Raises ValueError for n < 1
-    or num_random < n + 1 at the first row.
+    a row differs from one draw of every row.  Raises ValueError unless n
+    and num_random are integers (_check_int), n >= 1 and num_random >= n +
+    1, at the first row.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_int(n, "n")
     _check_samples(n, num_random)
     structured = np.zeros((2 * n + (2 ** n if n >= 2 else 0), n))
     index = np.arange(n)
@@ -402,7 +402,10 @@ class RankDropWitness:
 
         |A+(xi_high)| >= 1 / |A(xi_high) - A(xi_low)| = dagger_lower_bound,
 
-    which grows without bound as xi_high approaches xi_low.
+    which grows without bound as xi_high approaches xi_low.  tolerance is
+    the rank cutoff of the profile it came from (find_rank_drop_witness),
+    which daggerbound_check and build_frequency_ladder rank at; to_dict
+    leaves it out, since the analyze report holds the profile's.
     """
 
     xi_high: np.ndarray
@@ -411,6 +414,7 @@ class RankDropWitness:
     dagger_lower_bound: float
     rank_high: int
     rank_low: int
+    tolerance: float = DEFAULT_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -423,8 +427,7 @@ class RankDropWitness:
         }
 
 
-def find_rank_drop_witness(op: Operator, profile: RankProfile,
-                           tol: float = DEFAULT_TOL) -> RankDropWitness:
+def find_rank_drop_witness(op: Operator, profile: RankProfile) -> RankDropWitness:
     """Extract a rank-drop certificate from a NonConstantRank profile.
 
     Each drop direction is paired with the full-rank end of its bracket
@@ -436,7 +439,8 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
     M(xi_low) and M(xi_high) come from one decomposition of the pair
     (pinv._blockwise).  The columns of the kernel projector of M(xi_low)
     span its kernel; v is the column with the largest part off ker
-    A(xi_high), that part normalized.
+    A(xi_high), that part normalized.  Every rank here is at
+    profile.tolerance, which the witness keeps.
     """
     if profile.operator != op.name:
         raise ValueError(f"profile was built for {profile.operator!r}, not {op.name!r}")
@@ -451,6 +455,7 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
     best = min(range(len(pairs)), key=lambda c: (gaps[c], angular_distance(*pairs[c]),
                                                  tuple(pairs[c][0]), tuple(pairs[c][1])))
     low, high = pairs[best]
+    tol = profile.tolerance
     ranks, (proj_low, proj_high) = _blockwise(_real_stack(op, [low, high]), _ranks(tol),
                                               _projectors(op.dim_v, tol))
     rank_low, rank_high = ranks.tolist()
@@ -467,25 +472,20 @@ def find_rank_drop_witness(op: Operator, profile: RankProfile,
         dagger_lower_bound=1.0 / float(gaps[best]),
         rank_high=rank_high,
         rank_low=rank_low,
+        tolerance=tol,
     )
 
 
-class DaggerBound(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
+def daggerbound_check(op: Operator, witness: RankDropWitness) -> dict:
+    """Check |A+(xi_high)| >= dagger_lower_bound on a witness: the report's {"lhs", "rhs", "holds"}.
 
-
-def daggerbound_check(op: Operator, witness: RankDropWitness,
-                      tol: float = DEFAULT_TOL) -> DaggerBound:
-    """Check |A+(xi_high)| >= dagger_lower_bound on a witness.
-
-    The inequality is only claimed when rank_high > rank_low; a witness
-    with equal ranks makes the check vacuous (holds is returned True
-    without asserting anything).
+    The pseudoinverse is taken at witness.tolerance.  The inequality is
+    only claimed when rank_high > rank_low; a witness with equal ranks
+    makes the check vacuous (holds is returned True without asserting
+    anything).
     """
-    dagger = pinv_svd(_real_stack(op, [witness.xi_high])[0], tol)
+    dagger = pinv_svd(_real_stack(op, [witness.xi_high])[0], witness.tolerance)
     lhs = float(_spectral_norms(dagger))  # |A+| = |M+|, its largest singular value
     rhs = witness.dagger_lower_bound
     applies = witness.rank_high > witness.rank_low
-    return DaggerBound(lhs=lhs, rhs=rhs, holds=(not applies) or lhs >= rhs * (1.0 - 1e-8))
+    return {"lhs": lhs, "rhs": rhs, "holds": (not applies) or lhs >= rhs * (1.0 - 1e-8)}

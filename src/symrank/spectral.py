@@ -88,8 +88,8 @@ import numpy as np
 
 from .operators import (Operator, _column_count, _column_monomials, _column_stack, multi_indices,
                         multinomial_weight)
-from .pinv import (DEFAULT_TOL, _blockwise, _check_tol, _held_entries, _norm, _projectors,
-                   _pseudoinverses, _refuse_beyond_memory, _Table)
+from .pinv import (DEFAULT_TOL, _blockwise, _check_int, _check_tol, _held_entries, _norm,
+                   _projectors, _pseudoinverses, _refuse_beyond_memory, _Table)
 
 TWO_PI = 2.0 * math.pi
 # frequencies per pass of _matvec: a chunk of a 3 x 3 table with its input, output
@@ -103,16 +103,15 @@ _UNCAST_BUFFER = 256
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid: n axes, size points per axis."""
+    """Uniform periodic grid: n axes, size points per axis, both stored as ints (_check_int)."""
 
     n: int
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if (not isinstance(self.size, int) or self.size < 4
-                or self.size & (self.size - 1) != 0):
+        object.__setattr__(self, "n", _check_int(self.n, "n"))
+        object.__setattr__(self, "size", _check_int(self.size, "size", None))
+        if self.size < 4 or self.size & (self.size - 1) != 0:
             raise ValueError("size must be a power of two, at least 4")
 
     @property
@@ -461,7 +460,11 @@ def _pseudoinverse_table(op: Operator, grid: Grid, tol: float) -> np.ndarray:
 
 
 def apply_PA(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -> GridField:
-    """Project every coefficient onto ker A(xi) (the canonical kernel part of the field)."""
+    """Project every coefficient onto ker A(xi) (the canonical kernel part of the field).
+
+    Raises ValueError for a tol pinv refuses (_check_tol) before any table is looked up.
+    """
+    _check_tol(tol)
     _check_field(op, field, op.dim_v, "input")
     _refuse_oversized(op, field.grid, field.grid.size ** field.grid.n,
                       op.dim_w * op.dim_v + op.dim_v ** 2 + 4 * op.dim_v)
@@ -522,12 +525,12 @@ def apply_Dk(k: int, field: GridField) -> GridField:
     in an orthonormal basis, so the plain fiber norm is the tensor's
     Frobenius norm: |D^k phi-hat(xi)| = |xi|^k |phi-hat(xi)| (multinomial
     theorem).  Any field is accepted, so apply_Dk(1, apply_Dk(j, phi)) has
-    the norms of apply_Dk(j + 1, phi).  Raises MemoryError before the
+    the norms of apply_Dk(j + 1, phi).  Raises ValueError unless k is an
+    integer (not a bool) at least 1, and MemoryError before the
     transform when the coefficients, a row's monomial (_derivative_columns)
     and the derivatives cannot fit.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    k = _check_int(k, "k")
     grid, fibers = field.grid, field.fiber_dim
     entries = 2 * fibers * (1 + math.comb(grid.n + k - 1, k)) + _derivative_columns(k)
     _refuse_beyond_memory(lambda: 8 * grid.size ** grid.n * entries,
@@ -548,9 +551,11 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     sqrt(k!/alpha_t!) (i xi)^alpha_t (A+ psi)_j for input psi, and it
     equals apply_Dk(k, phi - apply_PA(phi)) when the input is
     apply_A(phi).  The multiplier vanishes at frequency zero, where the
-    symbol is zero.  Refused before the table is looked up when the two
-    tables, with the fields and a derivative row's monomial, cannot fit.
+    symbol is zero.  A tol pinv refuses (_check_tol) raises ValueError
+    first; then the call is refused before the table is looked up when the
+    two tables, with the fields and a derivative row's monomial, cannot fit.
     """
+    _check_tol(tol)
     _check_field(op, field, op.dim_w, "input")
     fields = (2 * (op.dim_w + op.dim_v + _derivative_fibers(op))
               + _derivative_columns(op.k))
@@ -563,14 +568,8 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     return GridField(field.grid, _inverse(coeffs, field.grid))
 
 
-def _check_int(value, name: str) -> None:
-    """ValueError naming the argument unless value is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer")
-
-
 def _check_band(grid: Grid, max_freq: int) -> None:
-    _check_int(max_freq, "max_freq")
+    _check_int(max_freq, "max_freq", None)
     if not 1 <= max_freq <= grid.size // 4:
         raise ValueError(f"max_freq must lie in [1, {grid.size // 4}] on this grid")
 
@@ -618,8 +617,7 @@ def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Fre
     The band draw (_band_draw at _primaries) scattered onto the whole mesh,
     each primary's conjugate at its mirror.
     """
-    if fiber_dim < 1:
-        raise ValueError("fiber_dim must be positive")
+    fiber_dim = _check_int(fiber_dim, "fiber_dim")
     _check_band(grid, max_freq)
     primaries = _primaries(grid.n, max_freq)
     values = _band_draw(fiber_dim, primaries.shape[1], seed)
@@ -636,7 +634,8 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
     size/4) carries a complex gaussian coefficient, Hermitian-paired so the
     field is real up to rounding; the mean (frequency zero) is exactly zero.
     Deterministic for a given seed (an int or sequence of ints).  Raises
-    ValueError unless max_freq is an integer (not a bool) in [1, size/4].
+    ValueError unless fiber_dim is an integer (not a bool) at least 1 and
+    max_freq one in [1, size/4].
     """
     coeffs = _random_coefficients(grid, fiber_dim, max_freq, seed).coeffs
     return GridField(grid, _inverse(coeffs, grid))

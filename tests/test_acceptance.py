@@ -244,7 +244,7 @@ def test_criterion_10_daggerbound_and_blowup_along_path(capsys):
         op = zoo_get(name)
         witness = find_rank_drop_witness(op, rank_profile(op, seed=0))
         bound = daggerbound_check(op, witness)
-        slack_ok = bound.holds and bound.lhs >= bound.rhs * (1 - 1e-8)
+        slack_ok = bound["holds"] and bound["lhs"] >= bound["rhs"] * (1 - 1e-8)
         # step along the great circle to 1e-4 radians from the drop direction
         span = angular_distance(witness.xi_low, witness.xi_high)
         point = slerp(witness.xi_low, witness.xi_high, 1e-4 / span)

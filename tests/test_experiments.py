@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from symrank.experiments import (DegenerateProbeError, EmptyExperimentError, Ker
                                  ratio_sweep, witness_family)
 from symrank.operators import Operator, _real_stack, parse_operator, symbol, symbol_stack
 from symrank.pinv import kernel_projector
-from symrank.rank import Verdict, find_rank_drop_witness, rank_profile
+from symrank.rank import Verdict, find_rank_drop_witness, rank_profile, sphere_samples
 from symrank.spectral import (Grid, GridField, apply_A, apply_Dk, apply_PA, forward_transform,
                               lp_norm, periodic_bump, random_band_limited)
 from symrank.zoo import zoo_get, zoo_list
@@ -556,6 +557,101 @@ def test_a_band_or_rung_count_that_is_not_an_integer_is_named(value):
     assert build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=np.int64(2)) == [
         (2, 1), (4, 1)]
     assert random_band_limited(Grid(2, 16), 1, np.int32(2), 0).data.shape == (1, 16, 16)
+
+
+# every count the library takes, each passing pinv._check_int: (call with the count, the
+# name its messages use, a value the package misread or lost inside numpy, the message
+# for 0, below every range)
+COUNTS = {
+    "Grid-n": (lambda v: Grid(v, 8), "n", True, "n must be at least 1"),
+    "Grid-size": (lambda v: Grid(2, v), "size", np.float64(16.0),
+                  "size must be a power of two, at least 4"),
+    "apply_Dk-k": (lambda v: apply_Dk(v, random_band_limited(Grid(2, 8), 1, 2, 0)), "k", True,
+                   "k must be at least 1"),
+    "random_band_limited-fiber_dim": (lambda v: random_band_limited(Grid(2, 16), v, 2, 0),
+                                      "fiber_dim", 1.5, "fiber_dim must be at least 1"),
+    "random_band_limited-max_freq": (lambda v: random_band_limited(Grid(2, 16), 1, v, 0),
+                                     "max_freq", 1.5, "max_freq must lie in [1, 4] on this grid"),
+    "ratio_sweep-trials": (lambda v: ratio_sweep(zoo_get("laplacian"), 2.0, v, 16), "trials",
+                           2.5, "trials must be at least 1"),
+    "ratio_sweep-size": (lambda v: ratio_sweep(zoo_get("laplacian"), 2.0, 2, v), "size", 32.7,
+                         "size must be a power of two, at least 4"),
+    "ratio_sweep-max_freq": (lambda v: ratio_sweep(zoo_get("laplacian"), 2.0, 1, 16, max_freq=v),
+                             "max_freq", 2.5, "max_freq must lie in [1, 4] on this grid"),
+    "l2_minimality_check-kernel_trials": (
+        lambda v: l2_minimality_check(zoo_get("laplacian"),
+                                      random_band_limited(Grid(2, 8), 1, 2, 0), kernel_trials=v),
+        "kernel_trials", 2.5, "kernel_trials must be at least 1"),
+    "build_frequency_ladder-rungs": (
+        lambda v: build_frequency_ladder(zoo_get("d1d2"),
+                                         witness_toward(zoo_get("d1d2"), (1.0, 0.0)), rungs=v),
+        "rungs", 2.5, "rungs must lie in [1, 52]"),
+    "rank_profile-num_samples": (lambda v: rank_profile(zoo_get("d1d2"), num_samples=v),
+                                 "num_samples", 100.5, "need num_samples >= n + 1 = 3"),
+    "sphere_samples-num_random": (lambda v: sphere_samples(2, v), "num_random", 3.5,
+                                  "need num_random >= n + 1 = 3"),
+    "sphere_samples-n": (lambda v: sphere_samples(v, 8), "n", 1.5, "n must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_is_an_integer_in_its_range(entry):
+    # a float count was truncated (ratio_sweep ran 32.7 as N = 32), raised TypeError inside
+    # range() or numpy (trials, kernel_trials and fiber_dim at 2.5 or 1.5), or failed inside
+    # numpy (num_samples 100.5, num_random 3.5); a bool was read as 1 (Grid(True, 8),
+    # apply_Dk(True, phi), ratio_sweep's one trial); each is now a ValueError naming it
+    call, name, misread, below = COUNTS[entry]
+    for value in (2.0, True, misread):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer$"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(below)}$"):
+        call(0)
+
+
+def test_a_numpy_integer_grid_is_the_int_grid():
+    # Grid(2, np.int64(16)) was refused as "size must be a power of two, at least 4"
+    grid = Grid(np.int32(2), np.int64(16))
+    assert grid == Grid(2, 16) and hash(grid) == hash(Grid(2, 16))
+    assert type(grid.n) is int and type(grid.size) is int
+    # a count passes as the int it holds, so the report names the plain size
+    assert ratio_sweep(zoo_get("laplacian"), 2.0, np.int64(1), np.int64(16))["grid_sizes"] == [16]
+
+
+def test_the_witness_ranks_at_its_profiles_cutoff(monkeypatch):
+    # the witness keeps the cutoff of the profile it came from, and the ladder and the
+    # dagger bound rank at it, where each took its own tol, DEFAULT_TOL unless passed
+    op = zoo_get("d1d2")
+    tol = 1e-6
+    witness = find_rank_drop_witness(op, rank_profile(op, num_samples=64, tol=tol))
+    assert witness.tolerance == tol
+    seen = []
+
+    def spy(real):
+        def spied(mat, tol=pinv.DEFAULT_TOL):
+            seen.append((real.__name__, tol))
+            return real(mat, tol)
+        return spied
+
+    monkeypatch.setattr(experiments, "numerical_rank", spy(pinv.numerical_rank))
+    monkeypatch.setattr(rank, "pinv_svd", spy(pinv.pinv_svd))
+    assert build_frequency_ladder(op, witness, rungs=2) == [(-2, 1), (-4, 1)]
+    assert rank.daggerbound_check(op, witness)["holds"]
+    assert seen == [("numerical_rank", tol), ("pinv_svd", tol)]
+
+
+def test_a_cutoff_is_checked_before_the_route_is_sized_or_built():
+    # witness_family sized its 2^200 grid, and apply_PA and apply_multiplier built the
+    # symbol table, before pinv's cutoff refused the tol
+    with pytest.raises(ValueError, match="tol must lie in"):
+        witness_family(zoo_get("d1d2"), [(1, 2)], Grid(2, 2 ** 200), 0.5, tol=2.0)
+    op = zoo_get("curl")
+    phi = random_band_limited(Grid(3, 8), 3, 2, seed=8)
+    image = apply_A(op, phi)
+    spectral._symbol_tensor.cache_clear()
+    for apply, field in ((apply_PA, phi), (spectral.apply_multiplier, image)):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            apply(op, field, tol=2.0)
+    assert spectral._symbol_tensor.cache_info().misses == 0
 
 
 def test_d1d2_ladder_ratios_closed_form():

@@ -62,7 +62,7 @@ def test_grid_validation():
     for bad in (3, 6, 2, 0, -8):
         with pytest.raises(ValueError, match="power of two"):
             Grid(2, bad)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="n must be at least 1"):
         Grid(0, 8)
 
 
@@ -1090,7 +1090,7 @@ def test_apply_Dk_l2_matches_raw_multiplier_sum():
 def test_apply_Dk_validation():
     grid = Grid(2, 4)
     phi = GridField(grid, np.ones((1, 4, 4), dtype=complex))
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="k must be at least 1"):
         apply_Dk(0, phi)
 
 

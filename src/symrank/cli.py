@@ -117,6 +117,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """The estimate-ratio sweep on random fields (ratio_sweep), with the verdict and notes.
+
+    --trials is checked before the operator is loaded, as minimality does,
+    so an empty count exits 1 with the option's name on any grid.
+    """
+    _check_int(args.trials, "--trials")
     op = _load_operator(args.source)
     doc = ratio_sweep(op, p=args.p, trials=args.trials, size=args.N,
                       max_freq=args.max_freq, seed=args.seed, tol=args.tol)
@@ -267,7 +273,3 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -46,6 +46,8 @@ CONTEXT_RANDOM_FIELDS = "RandomFields"
 CONTEXT_WITNESS_FAMILY = "WitnessFamily"
 # rung j of a ladder targets 2^(j+1) u, and beyond 2^53 a float64 frequency is not exact
 _MAX_RUNGS = 52
+# how far, in whole-mesh L2 norm, a kernel competitor may beat P_A phi before minimality fails
+_SLACK = 1e-10
 
 
 class KernelInputError(ValueError):
@@ -402,15 +404,15 @@ def build_frequency_ladder(op: Operator, witness: RankDropWitness,
 
 
 def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_trials: int = 20,
-                        seed: int = 0, tol: float = DEFAULT_TOL,
-                        slack: float = 1e-10) -> bool:
+                        seed: int = 0, tol: float = DEFAULT_TOL) -> bool:
     """Check that P_A phi minimizes ||D^k(phi - psi)||_2 over kernel fields psi.
 
     Competitors are kernel projections of seeded random band-limited
     fields.  Returns True when no competitor beats the canonical
-    projection by more than slack.  Raises ValueError, before the route is
-    sized, unless kernel_trials is an integer (not a bool) at least 1:
-    fewer competitors would compare nothing.
+    projection by more than _SLACK (1e-10, the one slack of every caller,
+    the minimality command's included).  Raises ValueError, before the
+    route is sized, unless kernel_trials is an integer (not a bool) at
+    least 1: fewer competitors would compare nothing.
     Every norm here is L2, so the check runs on coefficients (_minimality
     on the whole mesh): phi is a GridField, transformed once, or its
     FrequencyField, and competitors are drawn as coefficients and projected
@@ -421,16 +423,16 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
     _check_field(op, freq, op.dim_v, "input")
     # phi and a competitor's draw are held whole beside one slab
     spectrum = _mesh_spectrum(op, freq.grid, tol, 2.0, held=2 * op.dim_v)
-    return _minimality(op, spectrum, freq.coeffs, kernel_trials, seed, slack)
+    return _minimality(op, spectrum, freq.coeffs, kernel_trials, seed)
 
 
 def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_trials: int,
-                seed: int, slack: float) -> bool:
+                seed: int) -> bool:
     """l2_minimality_check of the field with these coefficients on spectrum, as for _ratio.
 
     Each competitor is drawn on the same spectrum (spectrum.draw), and its
     projection and distance are taken one slab at a time; the slabs'
-    weights give whole-mesh norms, which slack is measured in.
+    weights give whole-mesh norms, which _SLACK is measured in.
     """
     def distance(field: np.ndarray) -> float:
         norms = []
@@ -446,7 +448,7 @@ def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_tr
         # trailing 1 keeps this seed stream disjoint from any [seed, trial]
         # stream a caller used for phi (SeedSequence drops trailing zeros)
         raw = spectrum.draw(op.dim_v, [seed, trial, 1])
-        if base > distance(raw) + slack:
+        if base > distance(raw) + _SLACK:
             return False
     return True
 
@@ -459,12 +461,11 @@ def _minimality_trials(op: Operator, size: int, trials: int, kernel_trials: int,
     their competitors are random band-limited fields with band N/4, so the
     check runs on that band's primaries (_band_spectrum): neither the N^n
     projector table nor a grid field is built.  An oversized route is
-    refused before any field is drawn.  Returns each trial's outcome, at
-    slack 1e-10.
+    refused before any field is drawn.  Returns each trial's outcome, with
+    l2_minimality_check's _SLACK.
     """
     spectrum = _band_spectrum(op, Grid(op.n, size), size // 4, tol, 2.0)
-    return [_minimality(op, spectrum, spectrum.draw(op.dim_v, [seed, trial]), kernel_trials,
-                        seed, slack=1e-10)
+    return [_minimality(op, spectrum, spectrum.draw(op.dim_v, [seed, trial]), kernel_trials, seed)
             for trial in range(trials)]
 
 

@@ -403,9 +403,10 @@ class RankDropWitness:
         |A+(xi_high)| >= 1 / |A(xi_high) - A(xi_low)| = dagger_lower_bound,
 
     which grows without bound as xi_high approaches xi_low.  tolerance is
-    the rank cutoff of the profile it came from (find_rank_drop_witness),
-    which daggerbound_check and build_frequency_ladder rank at; to_dict
-    leaves it out, since the analyze report holds the profile's.
+    the rank cutoff of the profile it came from (find_rank_drop_witness
+    sets it), which daggerbound_check and build_frequency_ladder rank at;
+    it has no default, so a witness built by hand states its cutoff too.
+    to_dict leaves it out, since the analyze report holds the profile's.
     """
 
     xi_high: np.ndarray
@@ -414,7 +415,7 @@ class RankDropWitness:
     dagger_lower_bound: float
     rank_high: int
     rank_low: int
-    tolerance: float = DEFAULT_TOL
+    tolerance: float
 
     def to_dict(self) -> dict:
         return {

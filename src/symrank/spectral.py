@@ -122,10 +122,6 @@ class Grid:
     def cell_volume(self) -> float:
         return (TWO_PI / self.size) ** self.n
 
-    @property
-    def spacing(self) -> float:
-        return TWO_PI / self.size
-
 
 @contextmanager
 def _uncast():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ from symrank.cli import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_NO_RANK_DROP,
                          EXIT_NON_CONSTANT_RANK, EXIT_OK, main)
 from symrank.operators import Operator, parse_operator, serialize_operator, symbol
 from symrank.pinv import numerical_rank
+from symrank.rank import DegenerateWitnessError
 from symrank.zoo import zoo_get, zoo_list
 
 
@@ -69,6 +71,19 @@ def test_analyze_non_constant_rank_exits_three_with_witness(capsys):
     assert witness["rank_low"] == 0 and witness["rank_high"] == 1
     assert witness["dagger_lower_bound"] > 1e2
     assert doc["daggerbound"]["holds"] is True
+
+
+def test_analyze_reports_a_witness_it_cannot_extract(capsys, monkeypatch):
+    def degenerate(op, profile):
+        raise DegenerateWitnessError(f"{op.name}: no full-rank direction near any drop direction")
+
+    monkeypatch.setattr(cli, "find_rank_drop_witness", degenerate)
+    code, doc, _ = run_json(capsys, "analyze", "zoo:d1d2")
+    assert code == EXIT_NON_CONSTANT_RANK
+    assert doc["verdict"] == "NonConstantRank"
+    assert doc["witness"] is None and "daggerbound" not in doc
+    assert doc["notes"][-1] == ("witness extraction failed: "
+                                "d1d2: no full-rank direction near any drop direction")
 
 
 def test_analyze_output_is_byte_identical(capsys):
@@ -160,10 +175,13 @@ def test_refused_documents_exit_one(tmp_path, capsys, text, message, command):
     assert err == f"error: {message}\n"
 
 
-def test_invalid_p_is_an_argparse_error(capsys):
+@pytest.mark.parametrize("p, message", [("0.5", "p must satisfy p >= 1"),
+                                        ("abc", "not a number: 'abc'")])
+def test_invalid_p_is_an_argparse_error(capsys, p, message):
     with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "zoo:divergence", "--p", "0.5"])
+        main(["verify", "zoo:divergence", "--p", p])
     assert excinfo.value.code == 2
+    assert f"argument --p: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify", "counterexample", "minimality"])
@@ -185,6 +203,13 @@ def test_verify_divergence_defaults(capsys):
     assert doc["grid_sizes"] == [32]
     assert abs(doc["max_ratio"] - 1.0) < 1e-8
     assert len(doc["records"]) == 20
+
+
+def test_verify_with_every_trial_excluded_is_an_input_error(capsys):
+    # at tol 0.83 every one of curl's twenty fields lies in its kernel to that tolerance
+    code, out, err = run(capsys, "verify", "zoo:curl", "--N", "16", "--tol", "0.83")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == "error: curl: no completed trials to report\n"
 
 
 def test_verify_gradient_ratio_is_trivially_one(capsys):
@@ -512,11 +537,30 @@ def test_minimality_gradient_trivial_kernel(capsys):
     assert doc["all_pass"] is True
 
 
-@pytest.mark.parametrize("counts", [("--trials", "0"), ("--trials", "1", "--kernel-trials", "0"),
-                                    # the counts are checked before the band route is sized
-                                    ("--N", str(2 ** 600), "--kernel-trials", "0")])
-def test_minimality_rejects_empty_work(capsys, counts):
-    code, out, err = run(capsys, "minimality", "zoo:divergence", "--N", "8", *counts)
+def test_minimality_with_a_failing_trial_exits_five(capsys, monkeypatch):
+    trials = cli._minimality_trials
+
+    def one_fails(*args):
+        outcomes = trials(*args)
+        outcomes[1] = False
+        return outcomes
+
+    monkeypatch.setattr(cli, "_minimality_trials", one_fails)
+    code, doc, _ = run_json(capsys, "minimality", "zoo:divergence", "--N", "8", "--trials", "3",
+                            "--kernel-trials", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert doc["results"] == [{"trial": 0, "pass": True}, {"trial": 1, "pass": False},
+                              {"trial": 2, "pass": True}]
+    assert doc["all_pass"] is False
+
+
+@pytest.mark.parametrize("command, counts", [
+    ("minimality", ("--trials", "0")), ("minimality", ("--trials", "1", "--kernel-trials", "0")),
+    # the counts are checked before the band route is sized, and each names its option
+    ("minimality", ("--N", str(2 ** 600), "--kernel-trials", "0")),
+    ("verify", ("--trials", "0")), ("verify", ("--N", str(2 ** 600), "--trials", "0"))])
+def test_minimality_and_verify_reject_empty_work(capsys, command, counts):
+    code, out, err = run(capsys, command, "zoo:divergence", "--N", "8", *counts)
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert err.startswith("error:") and "trials" in err
@@ -799,6 +843,16 @@ def test_analyze_finds_the_rank_drop_at_extreme_scales(tmp_path, capsys, c):
 
 
 # ------------------------------------------------------------------ zoo
+
+def test_the_module_entry_is_the_cli(capsys, monkeypatch):
+    # python -m symrank runs symrank/__main__.py, which exits with main's code
+    expected = run(capsys, "zoo")[1]
+    monkeypatch.setattr(sys, "argv", ["symrank", "zoo"])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_module("symrank", run_name="__main__")
+    assert excinfo.value.code == EXIT_OK
+    assert capsys.readouterr().out == expected
+
 
 def test_zoo_lists_all_operators(capsys):
     code, doc, _ = run_json(capsys, "zoo")

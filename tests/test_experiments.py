@@ -540,6 +540,11 @@ def test_ladder_validation():
     for rungs in (0, 53, 1100):
         with pytest.raises(ValueError, match=r"rungs must lie in \[1, 52\]"):
             build_frequency_ladder(op, witness_toward(op, (1.0, 0.0)), rungs=rungs)
+    # a scalar symbol has rank at most 1, so no candidate has a claimed rank of 2
+    witness = dataclasses.replace(witness_toward(op, (1.0, 0.0)), rank_high=2)
+    with pytest.raises(DegenerateProbeError, match=r"no frequency of rank 2 near rung 2 "
+                                                   r"of direction \(1\.0, 0\.0\)"):
+        build_frequency_ladder(op, witness)
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
@@ -723,15 +728,17 @@ def test_l2_minimality_holds_on_zoo_samples():
         assert l2_minimality_check(op, phi, kernel_trials=8, seed=0)
 
 
-def test_l2_minimality_slack_handles_the_equality_competitor():
+def test_l2_minimality_slack_handles_the_equality_competitor(monkeypatch):
     # when a competitor draw reproduces phi itself, its projection equals
-    # the canonical one, so the comparison is an exact tie: default slack
+    # the canonical one, so the comparison is an exact tie: the slack
     # tolerates it, a doctored negative slack flags it
     op = zoo_get("divergence")
     grid = Grid(3, 8)
     phi = random_band_limited(grid, 3, grid.size // 4, seed=[6, 0, 1])
+    assert experiments._SLACK == 1e-10
     assert l2_minimality_check(op, phi, kernel_trials=1, seed=6)
-    assert not l2_minimality_check(op, phi, kernel_trials=1, seed=6, slack=-1e-6)
+    monkeypatch.setattr(experiments, "_SLACK", -1e-6)
+    assert not l2_minimality_check(op, phi, kernel_trials=1, seed=6)
 
 
 def grid_composition_minimality(op, phi, kernel_trials, seed, slack):
@@ -746,32 +753,34 @@ def grid_composition_minimality(op, phi, kernel_trials, seed, slack):
 
 @pytest.mark.parametrize("name", CONSTANT_RANK)
 @pytest.mark.parametrize("slack", [1e-10, -1e-6])
-def test_l2_minimality_coefficient_route_matches_grid_composition(name, slack):
+def test_l2_minimality_coefficient_route_matches_grid_composition(name, slack, monkeypatch):
+    monkeypatch.setattr(experiments, "_SLACK", slack)
     op = zoo_get(name)
     grid = Grid(op.n, 8)
     # a generic field, and one that competitor 0 reproduces (an exact tie)
     for phi_seed in ([22, 0], [3, 0, 1]):
         phi = random_band_limited(grid, op.dim_v, grid.size // 4, seed=phi_seed)
         expected = grid_composition_minimality(op, phi, 3, 3, slack)
-        assert l2_minimality_check(op, phi, kernel_trials=3, seed=3, slack=slack) is expected
+        assert l2_minimality_check(op, phi, kernel_trials=3, seed=3) is expected
 
 
 @pytest.mark.parametrize("name", CONSTANT_RANK)
 @pytest.mark.parametrize("slack", [1e-10, -1e-6])
-def test_minimality_on_the_half_spectrum_matches_the_whole_mesh(name, slack):
+def test_minimality_on_the_half_spectrum_matches_the_whole_mesh(name, slack, monkeypatch):
     # the fields the minimality command draws, and their competitors, are
     # random band-limited fields with band N/4, so the band's primaries give
     # l2_minimality_check's verdicts on the whole mesh
+    monkeypatch.setattr(experiments, "_SLACK", slack)
     op = zoo_get(name)
     grid = Grid(op.n, 8)
     verdicts = []
     # a generic field, and one that competitor 0 reproduces (an exact tie)
     for phi_seed in ([22, 0], [3, 0, 1]):
         spectrum, values, freq = band_field(op, grid, phi_seed)
-        expected = l2_minimality_check(op, freq, kernel_trials=3, seed=3, slack=slack)
-        assert experiments._minimality(op, spectrum, values, 3, 3, slack) is expected
+        expected = l2_minimality_check(op, freq, kernel_trials=3, seed=3)
+        assert experiments._minimality(op, spectrum, values, 3, 3) is expected
         verdicts.append(expected)
-    # the tie passes under the default slack and fails under the negative one
+    # the tie passes under the 1e-10 slack and fails under the negative one
     assert verdicts[1] is (slack > 0)
 
 
@@ -851,6 +860,15 @@ def test_ratio_sweep_seed_stability_for_constant_rank():
     b = ratio_sweep(op, p=3.0, trials=10, size=16, seed=99)
     assert a["max_ratio"] <= 2.0 * b["max_ratio"]
     assert b["max_ratio"] <= 2.0 * a["max_ratio"]
+
+
+def test_ratio_sweep_counts_a_kernel_input_as_excluded_not_recorded():
+    # at tol 0.81, four of curl's ten fields lie in its kernel to that tolerance
+    report = ratio_sweep(zoo_get("curl"), 2.0, 10, 16, tol=0.81)
+    assert report["trials"] == 10 and report["excluded"] == 4
+    assert [r["index"] for r in report["records"]] == list(range(6))
+    assert [r["detail"] for r in report["records"]] == [
+        f"seed=0 N=16 trial={trial}" for trial in (2, 3, 4, 6, 7, 9)]
 
 
 def test_ratio_sweep_validation():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symrank.operators import (Operator, OperatorSpecError, multi_indices, multinomial_weight,
-                               operator_from_document, parse_operator, serialize_operator,
-                               symbol, symbol_stack)
+from symrank.operators import (Operator, OperatorSpecError, _real_stack, multi_indices,
+                               multinomial_weight, operator_from_document, parse_operator,
+                               serialize_operator, symbol, symbol_stack)
 from symrank.zoo import zoo_get, zoo_list
 
 
@@ -20,6 +20,12 @@ def test_multi_indices_n2_k2_explicit():
 
 def test_multi_indices_n3_k1_explicit():
     assert multi_indices(3, 1) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (2, -1)])
+def test_multi_indices_need_an_axis_and_a_nonnegative_degree(n, k):
+    with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+        multi_indices(n, k)
 
 
 @given(st.integers(1, 4), st.integers(0, 5))
@@ -75,6 +81,9 @@ def test_terms_are_canonicalized():
     ((((1, 1), ((True,),)),), "non-numeric entry True"),
     ((((2 ** 63, 0), ((1.0,),)),), r"terms\[0\]\.alpha: exponent beyond the int64 range"),
     (5, "terms: expected an iterable"),
+    ((((1, 1), ((1.0,),), 3),), r"terms\[0\]: expected an \(alpha, matrix\) pair"),
+    ((((1, 1), 1.0),), r"terms\[0\]\.matrix: expected a list of rows"),
+    ((((1, 1), (1.0,)),), r"terms\[0\]\.matrix: expected a list of rows"),
 ])
 def test_invalid_terms_rejected(terms, message):
     n = len(terms[0][0]) if isinstance(terms, tuple) and terms else 2
@@ -140,6 +149,9 @@ def test_symbol_shape_and_input_validation():
         symbol(op, (1.0, 2.0))
     with pytest.raises(ValueError, match="non-finite"):
         symbol(op, (1.0, float("inf"), 0.0))
+    for xis in ([1.0, 0.0, 0.0], [[1.0, 0.0]], np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match=r"expected an array of shape \(m, 3\)"):
+            _real_stack(op, xis)
 
 
 @pytest.mark.parametrize("name", [e.name for e in zoo_list()])

@@ -38,6 +38,10 @@ def test_slerp_endpoints_and_midpoint():
     assert np.allclose(slerp(e1, e2, 0.0), e1)
     assert np.allclose(slerp(e1, e2, 1.0), e2)
     assert np.allclose(slerp(e1, e2, 0.5), [1 / math.sqrt(2), 1 / math.sqrt(2)])
+    # an arc of no length is its start point, whatever t, and a copy of it
+    for t in (0.0, 0.5, 1.0):
+        point = slerp(e1, e1, t)
+        assert point.tobytes() == e1.tobytes() and point is not e1
 
 
 @given(st.integers(2, 4), st.floats(0.0, 1.0), st.integers(0, 2 ** 31))
@@ -579,6 +583,13 @@ def test_witness_refuses_a_neighbour_beyond_its_angle():
     assert np.array_equal(witness.xi_low, low) and np.array_equal(witness.xi_high, high)
 
 
+def test_witness_refuses_a_neighbour_at_its_drop():
+    # a neighbour equal to its drop has the drop's kernel, so no kernel vector is visible
+    op, low = zoo_get("d1d2"), np.array([1.0, 0.0])
+    with pytest.raises(DegenerateWitnessError, match="invisible to the adjoint"):
+        find_rank_drop_witness(op, hand_built_profile(op, low, low.copy()))
+
+
 @pytest.mark.parametrize("name", ["d1d2", "wave"])
 def test_witness_certificate_properties(name):
     op = zoo_get(name)
@@ -640,7 +651,8 @@ def test_wave_witness_closed_form():
     gap = operator_norm(symbol(op, hi) - symbol(op, lo))
     assert math.isclose(gap, abs(math.sin(2 * delta)), rel_tol=1e-10)
     witness = RankDropWitness(xi_high=hi, xi_low=lo, v=np.array([1.0 + 0j]),
-                              dagger_lower_bound=1.0 / gap, rank_high=1, rank_low=0)
+                              dagger_lower_bound=1.0 / gap, rank_high=1, rank_low=0,
+                              tolerance=pinv.DEFAULT_TOL)
     check = daggerbound_check(op, witness)
     assert check["holds"]
     # scalar case: |A+| = 1/|A(high)| and A(low) = 0, so lhs equals rhs exactly
@@ -660,7 +672,8 @@ def test_daggerbound_vacuous_without_rank_gap():
     op = zoo_get("wave")
     xi = np.array([1.0, 0.0])
     witness = RankDropWitness(xi_high=xi, xi_low=xi, v=np.array([1.0 + 0j]),
-                              dagger_lower_bound=1e9, rank_high=1, rank_low=1)
+                              dagger_lower_bound=1e9, rank_high=1, rank_low=1,
+                              tolerance=pinv.DEFAULT_TOL)
     assert daggerbound_check(op, witness)["holds"]
 
 

@@ -36,7 +36,7 @@ def grid_inner(a: GridField, b: GridField) -> complex:
 
 def plane_wave(grid: Grid, xi, amplitude) -> GridField:
     """amplitude * exp(i x.xi) on the grid, with plain numpy; amplitude is the fiber vector."""
-    axis = np.arange(grid.size) * grid.spacing
+    axis = np.arange(grid.size) * (TWO_PI / grid.size)
     phase = sum(f * x for f, x in zip(xi, np.meshgrid(*([axis] * grid.n), indexing="ij")))
     return GridField(grid, np.multiply.outer(np.atleast_1d(amplitude), np.exp(1j * phase)))
 
@@ -58,7 +58,6 @@ def test_grid_validation():
     grid = Grid(2, 8)
     assert grid.shape == (8, 8)
     assert math.isclose(grid.cell_volume, (TWO_PI / 8) ** 2)
-    assert math.isclose(grid.spacing, TWO_PI / 8)
     for bad in (3, 6, 2, 0, -8):
         with pytest.raises(ValueError, match="power of two"):
             Grid(2, bad)
@@ -88,6 +87,8 @@ def test_gridfield_validation():
     b = GridField(Grid(2, 8), np.ones((1, 8, 8)))
     with pytest.raises(ValueError, match="different grids"):
         a - b
+    with pytest.raises(ValueError, match="different fiber dimensions"):
+        a - GridField(grid, np.ones((2, 4, 4)))
 
 
 # ------------------------------------------------------------------ transform
@@ -244,6 +245,8 @@ def test_apply_A_fiber_dim_guard():
     grid = Grid(3, 4)
     with pytest.raises(ValueError, match="fiber dimension 3"):
         apply_A(op, GridField(grid, np.ones((1, 4, 4, 4), dtype=complex)))
+    with pytest.raises(ValueError, match="field has 2 axes, operator acts on 3"):
+        apply_A(op, GridField(Grid(2, 4), np.ones((3, 4, 4), dtype=complex)))
 
 
 # ------------------------------------------------------------------ tables
@@ -668,6 +671,14 @@ def test_memory_estimate_of_a_large_grid(monkeypatch):
         spectral._refuse_oversized(curl, Grid(3, 2 ** 600), 1, per_frequency, 2 ** 1800)
     monkeypatch.setattr(pinv, "_physical_memory", lambda: None)
     spectral._refuse_oversized(curl, Grid(3, 256), 256 ** 3, per_frequency)
+    # a platform whose sysconf cannot say gives no bound, so nothing is refused
+    monkeypatch.undo()
+    for error in (AttributeError, ValueError, OSError):
+        def unknown(name, error=error):
+            raise error(name)
+        monkeypatch.setattr(pinv.os, "sysconf", unknown)
+        assert pinv._physical_memory() is None
+        spectral._refuse_oversized(curl, Grid(3, 256), 256 ** 3, per_frequency)
 
 
 def table_build_peak(monkeypatch, table, op, size):
@@ -1211,7 +1222,7 @@ def test_random_band_limited_validation():
 
 def test_periodic_bump_profile():
     grid = Grid(1, 64)
-    x = np.arange(64) * grid.spacing
+    x = np.arange(64) * (TWO_PI / 64)
     bump = periodic_bump(grid, 0.5)
     assert bump.min() >= 0.0 and bump.max() <= 1.0
     center = np.abs(x - math.pi) <= 0.25 * math.pi

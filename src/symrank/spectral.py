@@ -581,14 +581,15 @@ def _check_route(p: float, tol: float) -> None:
 def _primaries(n: int, max_freq: int) -> np.ndarray:
     """One frequency of each pair {xi, -xi} with 0 < |xi|_inf <= max_freq, shape (n, P); read-only.
 
-    The xi whose first nonzero component is positive (xi > -xi as tuples),
-    in the lexicographic order of the band, P = ((2 max_freq + 1)^n - 1) / 2.
-    Their first components lie in 0..max_freq.
+    The band's columns after its centre, zero, in lexicographic order: the
+    xi whose first nonzero component is positive (xi > -xi as tuples), P =
+    ((2 max_freq + 1)^n - 1) / 2.  Their first components lie in
+    0..max_freq: the first ((2 max_freq + 1)^(n-1) - 1) / 2 are those on
+    plane 0, and the last is (max_freq, ..., max_freq).
     """
     axis = np.arange(-max_freq, max_freq + 1)
     band = np.stack(np.meshgrid(*([axis] * n), indexing="ij")).reshape(n, -1)
-    first_nonzero = band[(band != 0).argmax(axis=0), np.arange(band.shape[1])]
-    primaries = band[:, first_nonzero > 0]
+    primaries = band[:, band.shape[1] // 2 + 1:].copy()
     primaries.setflags(write=False)
     return primaries
 
@@ -773,27 +774,27 @@ def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
 
 
 def _band_grid(grid: Grid, primaries: np.ndarray):
-    """grid_values and grid_norm of the band, by numpy's irfftn steps on buffers allocated once.
+    """The band's grid_norm, by numpy's irfftn steps on buffers allocated once.
 
-    A band field's first components lie in 0..B (_primaries, int64), so
-    its half spectrum is zero beyond first-axis plane B.  A field's (fiber,
-    P) rows, any iterable of them, are _grid_norm's fibers: a row's bound is
-    2 sum |c| / (2pi)^(n/2) over its primaries, and the row is scattered
-    into planes 0..B of the half spectrum, the primaries and, in plane 0,
-    their mirrors, which take the conjugates so that the plane is Hermitian
-    as irfft reads it, then dropped.  An ifft along each axis 1..n-1 in
-    turn, the order of irfftn's passes, runs on those planes in place
-    (out=), none in 1-D, and planes B+1..N/2 stay zero (in 1-D irfft pads
-    them).  The passes fill the planes, so they are zeroed before each
+    A band field's first components lie in 0..B (_primaries, int64), B
+    the last primary's first component, so its half spectrum is zero
+    beyond first-axis plane B.  A field's (fiber, P) rows, any iterable of
+    them, are _grid_norm's fibers: a row's bound is 2 sum |c| / (2pi)^(n/2)
+    over its primaries, and the row is scattered into planes 0..B of the
+    half spectrum, the primaries and the mirrors of the leading ((2B+1)^(n-1)
+    - 1) / 2, those in plane 0, which take the conjugates so that the plane
+    is Hermitian as irfft reads it, then dropped.  An ifft along each axis
+    1..n-1 in turn, the order of irfftn's passes, runs on those planes in
+    place (out=), none in 1-D, and planes B+1..N/2 stay zero (in 1-D irfft
+    pads them).  The passes fill the planes, so they are zeroed before each
     scatter.  The row's parts are irfft along the first axis of the half
     spectrum read as planes of N^(n-1) lines, one chunk of lines at a time
     into the one out buffer (_band_buffers), divided by irfftn's scale
     times 2^exponent, which is exact, so each value has irfftn's bits times
     2^-exponent; a part's at indexes the (N, N^(n-1)) accumulator.
-    grid_values(rows, exponent) yields every row's parts at one exponent.
-    Neither function allocates an array the size of the grid.
+    grid_norm(rows, p) allocates no array the size of the grid.
     """
-    max_freq = int(primaries[0].max())
+    max_freq = int(primaries[0, -1])
     half, out, total = (np.zeros(shape, dtype)
                         for shape, dtype in _band_buffers(grid, max_freq).values())
     lines = half.reshape(len(half), -1)
@@ -801,8 +802,8 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
     flat = target.reshape(-1)
     # mode="wrap" takes the other axes' indices modulo N; first components lie in 0..B
     scatter = np.ravel_multi_index(tuple(primaries), target.shape, mode="wrap")
-    on_plane0 = np.flatnonzero(primaries[0] == 0)
-    mirrors = np.ravel_multi_index(tuple(-primaries[:, on_plane0]), target.shape, mode="wrap")
+    on_plane0 = ((2 * max_freq + 1) ** (grid.n - 1) - 1) // 2
+    mirrors = np.ravel_multi_index(tuple(-primaries[:, :on_plane0]), target.shape, mode="wrap")
     scale = (TWO_PI / grid.size) ** (grid.n / 2.0)
     width = out.shape[1]
     chunks = [(slice(None), slice(start, start + width))
@@ -820,19 +821,13 @@ def _band_grid(grid: Grid, primaries: np.ndarray):
             bound = 2.0 * np.abs(row).sum() / TWO_PI ** (grid.n / 2.0)
             target.fill(0.0)
             flat[scatter] = row
-            flat[mirrors] = row[on_plane0].conj()
+            flat[mirrors] = row[:on_plane0].conj()
             del row
             for axis in range(1, grid.n):
                 np.fft.ifft(target, axis=axis, norm="ortho", out=target)
             yield bound, parts
 
-    def grid_values(rows, exponent: int):
-        for _, row_parts in fibers(rows):
-            yield from row_parts(exponent)
-
-    def grid_norm(rows, p: float) -> float:
-        return _grid_norm(fibers(rows), grid, p, total)
-    return grid_values, grid_norm
+    return lambda rows, p: _grid_norm(fibers(rows), grid, p, total)
 
 
 def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float) -> _Spectrum:
@@ -877,7 +872,7 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     xis = primaries.astype(float)
     symbols = _column_stack(op, xis)
     return _listed_spectrum(op, xis, symbols, _blockwise(symbols, projection)[0], 2.0,
-                            _band_grid(grid, primaries)[1] if p != 2.0 else None,
+                            _band_grid(grid, primaries) if p != 2.0 else None,
                             lambda fiber_dim, seed: _band_draw(fiber_dim, count, seed))
 
 

@@ -1,4 +1,4 @@
-"""A known-answer set of scalar second-order operators, each labelled by its numerical truth.
+"""Known-answer sets of operators, each labelled by its numerical truth.
 
 known_answers builds 88 operators sum_ij q_ij d_i d_j from symmetric form
 matrices q:
@@ -16,6 +16,14 @@ q is at most tol times its largest absolute eigenvalue.  The label is
 taken of the q the operator holds, its coefficients as stored in floats,
 not of the form it was built from: a rotated d1^2 can come out definite in
 floats, with a margin of about 1e-16, and it is still labelled as a drop.
+
+known_systems builds 200 first-order systems A1 d1 + A2 d2 of 2 x 2 real
+matrices with gaussian entries from a generator seeded with 11, A1 then A2
+for each system.  det(A1 xi1 + A2 xi2) = a xi1^2 + b xi1 xi2 + c xi2^2,
+so the symbol is singular at a real direction exactly when the
+discriminant b^2 - 4ac is at least 0; a system is labelled by its sign,
+with the relative margin (b^2 - 4ac) / (b^2 + |4ac|), and none at seed 11
+lies within 1e-6 of zero.
 Not a test module: pytest collects only test_*.py files.
 """
 
@@ -30,10 +38,18 @@ from symrank.zoo import zoo_get
 
 ROTATIONS = 20
 ROTATION_SEED = 1
+SYSTEMS = 200
+SYSTEM_SEED = 11
+# the relative discriminant margin within which a system's label is not trusted
+SYSTEM_MARGIN = 1e-6
 
 
 class KnownAnswer(NamedTuple):
-    """An operator, whether its rank drops at tol, and the margin lambda_min / max |lambda| of q."""
+    """An operator, whether its rank drops, and the relative margin of that label.
+
+    For a form, lambda_min / max |lambda| of q, a drop at tol; for a system,
+    (b^2 - 4ac) / (b^2 + |4ac|), a drop above zero.
+    """
 
     operator: Operator
     drops: bool
@@ -85,3 +101,32 @@ def known_answers(tol: float = DEFAULT_TOL) -> list[KnownAnswer]:
                                  [math.sin(angle), math.cos(angle)]])
             operators.append(form_operator(f"{name}@{index}", rotation.T @ q @ rotation))
     return [known_answer(op, tol) for op in operators]
+
+
+def system_operator(name: str, a1: np.ndarray, a2: np.ndarray) -> Operator:
+    """The first-order system A1 d1 + A2 d2 of two 2 x 2 matrices."""
+    terms = tuple((alpha, tuple(map(tuple, matrix.tolist())))
+                  for alpha, matrix in (((1, 0), a1), ((0, 1), a2)))
+    return Operator(name=name, n=2, k=1, dim_v=2, dim_w=2, terms=terms)
+
+
+def system_margin(a1: np.ndarray, a2: np.ndarray) -> float:
+    """(b^2 - 4ac) / (b^2 + |4ac|) of det(A1 xi1 + A2 xi2) = a xi1^2 + b xi1 xi2 + c xi2^2.
+
+    0 where the determinant vanishes identically (a = b = c = 0).
+    """
+    a, c = float(np.linalg.det(a1)), float(np.linalg.det(a2))
+    b = float(a1[0, 0] * a2[1, 1] + a2[0, 0] * a1[1, 1] - a1[0, 1] * a2[1, 0] - a2[0, 1] * a1[1, 0])
+    scale = b * b + abs(4 * a * c)
+    return (b * b - 4 * a * c) / scale if scale else 0.0
+
+
+def known_systems() -> list[KnownAnswer]:
+    """The 200 systems of the set, in a fixed order, each labelled by its discriminant's sign."""
+    rng = np.random.default_rng(SYSTEM_SEED)
+    answers = []
+    for index in range(SYSTEMS):
+        a1, a2 = rng.standard_normal((2, 2, 2))
+        margin = system_margin(a1, a2)
+        answers.append(KnownAnswer(system_operator(f"system@{index}", a1, a2), margin > 0, margin))
+    return answers

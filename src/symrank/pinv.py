@@ -211,7 +211,8 @@ def _svd_entries(rows: int, cols: int, want_u: bool, want_vh: bool) -> int:
     sigma and the factors asked for, plus the Jacobi working set: per
     matrix, the columns, the rotations when they are accumulated, the rank
     cutoff's floor and the prescaling exponent, and beside them the largest
-    of |A| while prescaling; a rotation's inner products, tangent and their
+    of |A| while prescaling; where the matrices have a column pair
+    (min(rows, cols) >= 2), a rotation's inner products, tangent and their
     temporaries (_rotation), or its two column temporaries (_rotate); and
     sigma while it is built, sorted, with one swapped column's temporary
     (_swap), and divided out.
@@ -220,8 +221,9 @@ def _svd_entries(rows: int, cols: int, want_u: bool, want_vh: bool) -> int:
     wide = rows < cols
     normalize, accumulate = (want_vh, want_u) if wide else (want_u, want_vh)
     swapped = max(length * normalize, rank * accumulate, 1)
+    rotation = max(12, 2 * length + 2) if rank >= 2 else 0
     working = (rank * length + rank * rank * accumulate + 2
-               + max(rank * length + 2, 12, 2 * length + 2, 3 * rank + swapped))
+               + max(rank * length + 2, rotation, 3 * rank + swapped))
     return rank * (1 + rows * want_u + cols * want_vh) + working
 
 

@@ -23,6 +23,8 @@ from symrank.pinv import numerical_rank
 from symrank.rank import DegenerateWitnessError
 from symrank.zoo import zoo_get, zoo_list
 
+from test_spectral import LINE
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -37,12 +39,18 @@ def run_json(capsys, *argv):
 
 # ------------------------------------------------------------------ analyze
 
-def test_analyze_constant_rank_exits_zero(capsys):
-    code, doc, _ = run_json(capsys, "analyze", "zoo:divergence")
+@pytest.mark.parametrize("source, samples, rank", [
+    ("zoo:divergence", None, 1), ("zoo:curl", 64, 2),
+    # 20014 directions are three blocks of the batched Jacobi SVD, and every curl
+    # symbol off zero has rank 2
+    ("zoo:curl", 20000, 2)])
+def test_analyze_constant_rank_exits_zero(capsys, source, samples, rank):
+    argv = () if samples is None else ("--samples", str(samples))
+    code, doc, _ = run_json(capsys, "analyze", source, *argv)
     assert code == EXIT_OK
     assert doc["verdict"] == "ConstantRank"
-    assert doc["min_rank"] == doc["max_rank"] == 1
-    assert doc["parameters"]["samples"] == 1024
+    assert doc["min_rank"] == doc["max_rank"] == rank
+    assert doc["parameters"]["samples"] == (samples or 1024)
     assert any("sampling-based" in note for note in doc["notes"])
 
 
@@ -56,21 +64,37 @@ def test_analyze_names_samples_below_n_plus_one(capsys, source, samples, bound):
     assert err == f"error: need --samples >= n + 1 = {bound}\n"
 
 
-def test_analyze_elliptic(capsys):
-    code, doc, _ = run_json(capsys, "analyze", "zoo:laplacian")
+@pytest.mark.parametrize("argv", [
+    ("zoo:laplacian",),
+    (str(Path(__file__).parents[1] / "bench/operators/laplacian3.json"), "--samples", "64")],
+    ids=["laplacian", "laplacian3"])
+def test_analyze_elliptic(capsys, argv):
+    code, doc, _ = run_json(capsys, "analyze", *argv)
     assert code == EXIT_OK
     assert doc["verdict"] == "Elliptic"
 
 
-def test_analyze_non_constant_rank_exits_three_with_witness(capsys):
-    code, doc, _ = run_json(capsys, "analyze", "zoo:d1d2")
+# 20008 directions are three blocks of the sweep: each axis drop direction is paired
+# with its nearest full-rank sample across all three
+@pytest.mark.parametrize("samples", ["1024", "20000"])
+def test_analyze_non_constant_rank_exits_three_with_witness(capsys, samples):
+    code, doc, _ = run_json(capsys, "analyze", "zoo:d1d2", "--samples", samples)
     assert code == EXIT_NON_CONSTANT_RANK
     assert doc["verdict"] == "NonConstantRank"
     assert len(doc["drop_directions"]) == 4
+    assert all(min(abs(x) for x in d) < 1e-3 for d in doc["drop_directions"])
     witness = doc["witness"]
     assert witness["rank_low"] == 0 and witness["rank_high"] == 1
     assert witness["dagger_lower_bound"] > 1e2
     assert doc["daggerbound"]["holds"] is True
+
+
+def test_analyze_pairs_many_low_rank_samples_on_a_replay(capsys):
+    # at --tol 0.3, 787 of lap_plus_d1d2's 2000 random samples rank low: they are
+    # paired on a replay of the draw, and their bisections advance together
+    source = str(Path(__file__).parent / "lap_plus_d1d2.json")
+    code, doc, _ = run_json(capsys, "analyze", source, "--samples", "2000", "--tol", "0.3")
+    assert code == EXIT_NON_CONSTANT_RANK and doc["witness"] is not None
 
 
 def test_analyze_reports_a_witness_it_cannot_extract(capsys, monkeypatch):
@@ -212,10 +236,14 @@ def test_verify_with_every_trial_excluded_is_an_input_error(capsys):
     assert err == "error: curl: no completed trials to report\n"
 
 
-def test_verify_gradient_ratio_is_trivially_one(capsys):
-    code, doc, _ = run_json(capsys, "verify", "zoo:gradient", "--N", "16", "--trials", "5")
+@pytest.mark.parametrize("argv", [("--N", "16", "--trials", "5"),
+                                  # the two grid fields are the same gradient, formed on half
+                                  # the spectrum and taken back by real inverse FFTs
+                                  ("--N", "32", "--trials", "2", "--p", "3")], ids=["p2", "p3"])
+def test_verify_gradient_ratio_is_trivially_one(capsys, argv):
+    code, doc, _ = run_json(capsys, "verify", "zoo:gradient", *argv)
     assert code == EXIT_OK
-    assert abs(doc["max_ratio"] - 1.0) < 1e-10
+    assert abs(doc["max_ratio"] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("p", ["1", "3", "inf"])
@@ -422,6 +450,16 @@ def test_analyze_refuses_a_cutoff_below_the_svd_rounding(capsys):
     assert err == "error: tol must lie in [1.42e-14, 1)\n"
 
 
+@pytest.mark.parametrize("argv", [("verify", "zoo:curl", "--p", "3"), ("minimality", "zoo:curl")],
+                         ids=lambda argv: argv[0])
+def test_a_cutoff_below_the_floor_is_named_on_any_grid(capsys, argv):
+    # the cutoff is checked before the band route is sized, so a grid that could
+    # not be held does not read as out of memory
+    code, out, err = run(capsys, *argv, "--N", str(2 ** 600), "--tol", "1e-20")
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == "error: tol must lie in [1.42e-14, 1)\n"
+
+
 def test_counterexample_windowed_reports_smaller_growth(capsys):
     # localized witnesses measure below the single-mode closed form at this
     # width, so the default factor is not reached
@@ -431,20 +469,25 @@ def test_counterexample_windowed_reports_smaller_growth(capsys):
     assert doc["parameters"]["window"] == 0.9
 
 
-# at N = 256 and p = 3 the three rungs grow by 1.196, so that grid asks for less
-@pytest.mark.parametrize("size, factor", [(32, "1.25"), (256, "1.1")])
-@pytest.mark.parametrize("p", ["2", "3"])
-def test_windowed_counterexample_ratios_are_those_of_the_witness_family(capsys, p, size,
-                                                                        factor):
+# wave at N = 256 and p = 3 grows by 1.196 over three rungs, so that grid asks for less;
+# d1 d2 on R^3 takes the pair offsets e1 + e2
+@pytest.mark.parametrize("source, size, factor, p", [
+    ("zoo:wave", 32, "1.25", "2"), ("zoo:wave", 256, "1.1", "2"), ("zoo:wave", 512, "1.25", "2"),
+    ("zoo:wave", 32, "1.25", "3"), ("zoo:wave", 64, "1.25", "3"), ("zoo:wave", 256, "1.1", "3"),
+    ("d1d2_3d.json", 32, "1.25", "2"), ("d1d2_3d.json", 32, "1.25", "3")])
+def test_windowed_counterexample_ratios_are_those_of_the_witness_family(capsys, source, size,
+                                                                        factor, p):
     # the command builds and measures one rung at a time, at p = 2 one slab of it at a
-    # time (one slab at N = 32, sixteen at 256); the ratios are bitwise those of
-    # witness_family's whole list
-    code, doc, _ = run_json(capsys, "counterexample", "zoo:wave", "--N", str(size), "--rungs",
+    # time (one slab at N = 32, sixteen at 256, 64 at 512); the ratios are bitwise
+    # those of witness_family's whole list
+    if not source.startswith("zoo:"):
+        source = str(Path(__file__).parent / source)
+    code, doc, _ = run_json(capsys, "counterexample", source, "--N", str(size), "--rungs",
                             "3", "--window", "0.5", "--factor", factor, "--p", p)
     assert code == EXIT_OK
-    op = zoo_get("wave")
+    op = cli._load_operator(source)
     ladder = [tuple(freq) for freq in doc["ladder"]]
-    fields = experiments.witness_family(op, ladder, spectral.Grid(2, size), 0.5)
+    fields = experiments.witness_family(op, ladder, spectral.Grid(op.n, size), 0.5)
     expected = [experiments.estimate_ratio(op, phi, float(p)) for phi in fields]
     assert [record["ratio"] for record in doc["records"]] == expected
 
@@ -597,16 +640,21 @@ def test_grid_beyond_physical_memory_is_refused(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["analyze", "counterexample"])
-def test_sphere_sweep_beyond_physical_memory_is_refused(capsys, tmp_path, command):
+@pytest.mark.parametrize("alphas", [
     # 2^40 sign vectors of a 40-variable operator: refused up front, not killed
-    doc = {"name": "x40", "n": 40, "k": 1, "dimV": 1, "dimW": 1,
-           "terms": [{"alpha": [1] + [0] * 39, "matrix": [[1.0]]}]}
-    path = tmp_path / "x40.json"
+    [[1] + [0] * 39],
+    # per-axis powers of 2^62 + 5, whose int64 sum wrapped negative: the sweep was not
+    # refused, and forming the monomials began a loop of about 2^62 steps
+    [[2 ** 62 + 5, 0, 0], [0, 2 ** 62 + 5, 0]]], ids=["x40", "wrapped"])
+@pytest.mark.parametrize("command", ["analyze", "counterexample"])
+def test_sphere_sweep_beyond_physical_memory_is_refused(capsys, tmp_path, command, alphas):
+    doc = {"name": "x", "n": len(alphas[0]), "k": sum(alphas[0]), "dimV": 1, "dimW": 1,
+           "terms": [{"alpha": alpha, "matrix": [[1.0]]} for alpha in alphas]}
+    path = tmp_path / "x.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, str(path))
     assert code == EXIT_INPUT_ERROR and out == ""
-    assert err.startswith("error: out of memory: x40: a sphere sweep of") and err.count("\n") == 1
+    assert err.startswith("error: out of memory: x: a sphere sweep of") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -673,7 +721,7 @@ def test_a_rung_beyond_the_band_is_named_before_the_grid_is_sized(capsys, window
                    f"(|xi|_inf must be <= {2 ** 38})\n")
 
 
-@pytest.mark.parametrize("size", [2 ** 600, 2 ** 40])
+@pytest.mark.parametrize("size", [2 ** 600, 2 ** 40], ids=["2^600", "2^40"])
 def test_verify_at_p2_runs_on_a_grid_beyond_memory(capsys, size):
     # a p = 2 ratio reads only the band's primaries, so a band of one on a grid
     # that could not be held, or whose index count overflows a C long, still runs:
@@ -724,7 +772,9 @@ def test_tables_are_looked_up_before_any_field_is_allocated(capsys, monkeypatch)
     ("verify", "zoo:symmetric_gradient", "--N", "32", "--trials", "2", "--p", "inf"),
     ("minimality", "zoo:curl", "--N", "8", "--trials", "2", "--kernel-trials", "2"),
     ("counterexample", "zoo:d1d2", "--N", "64"),
-    ("counterexample", "zoo:wave", "--N", "64", "--p", "3")])
+    ("counterexample", "zoo:wave", "--N", "64", "--p", "3"),
+    # a report holds finite ratios only, so the sums of |values|^400 must not overflow
+    ("verify", "zoo:curl", "--N", "16", "--trials", "3", "--p", "400")])
 def test_verify_and_minimality_build_no_mesh_table(capsys, monkeypatch, argv):
     # random fields are drawn, projected and measured on the band, and an exact
     # witness rung on its one frequency: neither the N^n symbol table nor the
@@ -743,14 +793,58 @@ def test_verify_and_minimality_build_no_mesh_table(capsys, monkeypatch, argv):
     assert calls == []
 
 
-def test_verify_band_below_n_over_4_gives_ratio_one(capsys):
-    # the band's tables do not depend on the grid: a band of 2 on a
-    # 32^3 grid measures curl's p = 2 ratio of exactly 1
-    code, doc, _ = run_json(capsys, "verify", "zoo:curl", "--N", "32", "--max-freq", "2",
-                            "--trials", "4")
-    assert code == EXIT_OK and doc["parameters"]["max_freq"] == 2
-    assert len(doc["records"]) == 4
+@pytest.mark.parametrize("size, max_freq, trials", [
+    (32, None, 2),
+    # the band's tables do not depend on the grid: a band below N/4 measures 1 too
+    (32, 2, 4),
+    # the band 16 has 17968 primaries, whose projector table is built in three
+    # blocks; a wrong entry in any of them shows as a ratio other than 1
+    (64, 16, 1)])
+def test_verify_curl_ratio_is_one_at_p2(capsys, size, max_freq, trials):
+    # curl recovers |xi| |phi - P_A phi| exactly, and verify draws, projects and
+    # measures its fields at the band's primaries only
+    band = () if max_freq is None else ("--max-freq", str(max_freq))
+    code, doc, _ = run_json(capsys, "verify", "zoo:curl", "--N", str(size), "--trials",
+                            str(trials), *band)
+    assert code == EXIT_OK and doc["parameters"]["max_freq"] == (max_freq or "size//4")
+    assert len(doc["records"]) == trials
     assert all(abs(r["ratio"] - 1.0) <= 1e-9 for r in doc["records"])
+
+
+# operators with no zoo entry, which verify reads from a document
+DOCUMENTS = {"line": LINE, "div4": Operator(
+    name="div4", n=4, k=1, dim_v=4, dim_w=1,
+    terms=tuple((tuple(int(i == j) for j in range(4)), (tuple(float(i == j) for j in range(4)),))
+                for i in range(4)))}
+
+
+# the full band N/4 and a band below it, in 3-D, in 1-D, where no ifft pass runs before
+# the irfft, on a 256^2 grid, whose band 64 is two output chunks and two projector
+# blocks of 4160 primaries, and for a 4-D divergence on 16^4, whose 4096 lines are two
+# output chunks
+@pytest.mark.parametrize("name, size, max_freq", [
+    ("curl", 32, 8), ("curl", 32, 3), ("line", 32, 8), ("line", 32, 3),
+    ("symmetric_gradient", 256, 64), ("div4", 16, 4)])
+@pytest.mark.parametrize("p", ["3", "inf"])
+def test_verify_ratios_are_those_of_estimate_ratio_on_the_whole_mesh(tmp_path, capsys, p, name,
+                                                                      size, max_freq):
+    # verify takes its fields to the grid on the band, by real inverse FFTs one chunk
+    # of lines at a time under a running power-of-two scale; the public
+    # estimate_ratio takes the same fields back by complex inverse FFTs on the mesh
+    op, source = DOCUMENTS.get(name), f"zoo:{name}"
+    if op is None:
+        op = zoo_get(name)
+    else:
+        source = tmp_path / f"{name}.json"
+        source.write_text(serialize_operator(op))
+    code, doc, _ = run_json(capsys, "verify", str(source), "--N", str(size), "--p", p,
+                            "--trials", "2", "--seed", "4", "--max-freq", str(max_freq))
+    assert code == EXIT_OK and len(doc["records"]) == 2
+    for record in doc["records"]:
+        phi = spectral.random_band_limited(spectral.Grid(op.n, size), op.dim_v, max_freq,
+                                           seed=[4, size, record["index"]])
+        want = experiments.estimate_ratio(op, phi, float(p))
+        assert abs(record["ratio"] - want) <= 1e-12, (record, want)
 
 
 @pytest.mark.parametrize("max_freq", ["5", "0", "-1"])

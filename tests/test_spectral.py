@@ -842,9 +842,9 @@ def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name, p):
 
 
 # the rows of the estimate table that hold within 1.5 times the peak today: a
-# windowed ladder at p != 2 (1.06) and the sphere sweep on curl (1.09).  A windowed
-# ladder at p = 2 (1.77 on d1d2, 2.24 on wave) and the 1 x 1 sweep at 250000
-# samples (1.65) over-count by more, and are not rows yet
+# windowed ladder at p != 2 (1.06), the windowed d1d2 ladder at p = 2 (1.42), and
+# the sphere sweep on curl (1.09) and on the 1 x 1 d1d2 at 250000 samples (1.10).
+# The windowed wave ladder at p = 2 (2.24) over-counts by more, and is not a row yet
 LADDERS = {"d1d2": [(1, -2), (1, -4), (1, -8), (1, -16)],
            "wave": [(2, 1), (4, 3), (7, 6), (12, 11)]}
 
@@ -856,11 +856,13 @@ def windowed_ladder(name, p):
 
 
 ESTIMATE_ROWS = {
+    "ladder-d1d2-p2": windowed_ladder("d1d2", 2.0),
     "ladder-d1d2-p3": windowed_ladder("d1d2", 3.0),
     "ladder-d1d2-pinf": windowed_ladder("d1d2", math.inf),
     "ladder-wave-p3": windowed_ladder("wave", 3.0),
     "ladder-wave-pinf": windowed_ladder("wave", math.inf),
     "sweep-curl": lambda: rank.rank_profile(zoo_get("curl"), num_samples=100000),
+    "sweep-d1d2": lambda: rank.rank_profile(zoo_get("d1d2"), num_samples=250000),
 }
 
 
@@ -1206,15 +1208,19 @@ def test_apply_Dk_composes(n, j, p):
 
 # ------------------------------------------------------------------ multiplier
 
-@pytest.mark.parametrize("entry", zoo_list(), ids=lambda e: e.name)
-def test_multiplier_recovers_derivatives_from_A(entry):
-    op = entry.build()
-    grid = Grid(op.n, 8)
-    phi = random_band_limited(grid, op.dim_v, 2, seed=31)
+# every zoo operator on 8^n, and curl on 32^3, whose whole-mesh symbol, projector and
+# pseudoinverse tables are formed on the frequency axes and built in blocks
+@pytest.mark.parametrize("op, size, seed", [
+    pytest.param(entry.build(), 8, 31, id=entry.name) for entry in zoo_list()] + [
+    pytest.param(zoo_get("curl"), 32, [0, 2], id="curl-32")])
+def test_multiplier_recovers_derivatives_from_A(op, size, seed):
+    grid = Grid(op.n, size)
+    phi = random_band_limited(grid, op.dim_v, size // 4, seed=seed)
     via_multiplier = apply_multiplier(op, apply_A(op, phi))
     direct = apply_Dk(op.k, phi - apply_PA(op, phi))
     scale = max(1.0, lp_norm(direct, 2))
     assert lp_norm(via_multiplier - direct, 2) < 1e-10 * scale
+    assert np.abs(via_multiplier.data - direct.data).max() <= 1e-10 * np.abs(direct.data).max()
 
 
 def test_multiplier_zero_mode_convention():

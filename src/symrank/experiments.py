@@ -253,9 +253,11 @@ def _ladder_ratios(op: Operator, frequencies, size: int, window: float | None, p
     up front; the envelope is one factor of N entries per axis.  At p = 2
     each rung's witness is built one slab of first-axis planes at a time by
     its builder (_witness_fields) and measured there, so the ladder holds
-    the two tables and one slab, and the estimate counts just that.  At any
-    other p the norms need grid values, so each rung's whole field is built
-    and measured before the next one, and the estimate counts what a ratio
+    the two tables and one slab, and the estimate counts just that, or the
+    tables' build where it holds more (the symbol's monomials on the mesh's
+    axes, which operators counts, or the projector pass).  At any other p
+    the norms need grid values, so each rung's whole field is built and
+    measured before the next one, and the estimate counts what a ratio
     holds on the whole mesh, with that field as its phi.  Either way the
     ratios are bitwise those of estimate_ratio on witness_family's list.
     """
@@ -300,8 +302,9 @@ def witness_family(op: Operator, frequencies, grid: Grid, window: float | None =
     zero frequency or |xi_m|_inf > N/4 (_check_rungs), then MemoryError
     before anything is built when the fields, with the symbol table of a
     windowed family, cannot fit (spectral._refuse_oversized; _symbol_tensor
-    sizes its own build), and DegenerateProbeError where the symbol
-    vanishes.
+    sizes its own build, and every symbol build its monomials,
+    operators._column_monomials, so the rungs' M of a huge order is refused
+    too), and DegenerateProbeError where the symbol vanishes.
     """
     _check_tol(tol)
     frequencies = _check_rungs(op, frequencies, grid, window)

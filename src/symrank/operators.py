@@ -25,6 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .pinv import _refuse_beyond_memory
+
 MultiIndex = tuple[int, ...]
 
 _DOCUMENT_FIELDS = ("name", "n", "k", "dimV", "dimW", "terms")
@@ -163,14 +165,19 @@ def symbol(op: Operator, xi) -> np.ndarray:
 def _column_monomials(columns, alphas) -> np.ndarray:
     """xi^alpha for every multi-index alpha at the frequencies whose coordinates are columns.
 
-    columns are n arrays that broadcast together, coordinate j of every
-    frequency in columns[j]: the n rows of an (n, m) array, or a sparse
-    mesh of one 1-D axis per coordinate; the output has their broadcast
-    shape and a last axis of T.  They are cast to float64 once, so integer
-    coordinates cannot wrap: products of per-axis powers x_j, x_j * x_j, ...
-    by repeated multiplication, exact on integers while below 2^53.
+    columns are n arrays of one ndim that broadcast together, coordinate j
+    of every frequency in columns[j]: the n rows of an (n, m) array, or a
+    sparse mesh of one 1-D axis per coordinate; the output has their
+    broadcast shape and a last axis of T.  They are cast to float64 once,
+    so integer coordinates cannot wrap: products of per-axis powers x_j,
+    x_j * x_j, ... by repeated multiplication, exact on integers while
+    below 2^53.  Raises MemoryError (pinv._refuse_beyond_memory) before
+    the first power when what it holds (_column_entries) cannot fit, so a
+    huge order is refused, not a loop of as many powers.
     """
     columns = [np.asarray(column, dtype=float) for column in columns]
+    _refuse_beyond_memory(lambda: 8 * _column_entries([x.shape for x in columns], alphas),
+                          f"a symbol of order {sum(map(int, alphas[0]))}", "for its monomials")
     axis_powers = []
     for column, top in zip(columns, np.max(alphas, axis=0)):
         axis_powers.append([column])
@@ -184,15 +191,19 @@ def _column_monomials(columns, alphas) -> np.ndarray:
     return powers
 
 
-def _column_count(alphas) -> int:
-    """Reals per frequency, at most, that _column_monomials holds for the (T, n) alphas.
+def _column_entries(shapes, alphas) -> int:
+    """Reals that _column_monomials holds for the (T, n) alphas on n columns of these shapes.
 
-    Its T monomials and a power column per exponent above 1 of each axis's
-    largest exponent (one axis of a sparse mesh holds its powers along that
-    axis only), counted in Python ints: an int64 sum of exponents near 2^62
-    wraps negative.
+    The one count of a symbol build's monomials, which every estimate of a
+    route that builds one asks for with the column shapes it builds on: the
+    T monomials at the columns' broadcast shape, and a power column per
+    exponent above 1 of each axis's largest exponent, at that axis's
+    column's own size (per axis on a sparse mesh, per frequency on a list
+    of rows).  In Python ints, from shapes of any size: an int64 sum of
+    exponents near 2^62 wraps negative.
     """
-    return len(alphas) + sum(max(int(top) - 1, 0) for top in np.max(alphas, axis=0))
+    return len(alphas) * math.prod(map(max, zip(*shapes))) + sum(
+        math.prod(shape) * max(int(top) - 1, 0) for shape, top in zip(shapes, np.max(alphas, axis=0)))
 
 
 def _column_stack(op: Operator, columns) -> np.ndarray:

@@ -401,17 +401,17 @@ def _pseudoinverses(rows: int, cols: int, tol: float) -> _Table:
     return _Table((cols, rows), None, True, True, invert)
 
 
-def _held_entries(rows: int, cols: int, count: int, *tables: _Table) -> float:
-    """Real entries per matrix that a _blockwise pass filling tables holds beside their outputs.
+def _held_entries(rows: int, cols: int, count: int, *tables: _Table) -> int:
+    """Real entries that a _blockwise pass filling tables holds beside their outputs.
 
     _svd's peak with the factors the tables read (_svd_entries; no table
-    for a values-only pass) on a real stack of count (rows, cols) matrices,
-    spread over it (_block_size).  A block's finiteness flags, and what a
-    fill makes from the factors, come without the Jacobi working set (over
-    rank * length = rows * cols entries) and take less than it.
+    for a values-only pass) on one block of a real stack of count (rows,
+    cols) matrices (_block_size), an exact integer whatever count is.  A
+    block's finiteness flags, and what a fill makes from the factors, come
+    without the Jacobi working set (over rank * length = rows * cols
+    entries) and take less than it.
     """
-    held = _svd_entries(rows, cols, *_factors(tables))
-    return held * (_block_size(count) / count)  # a ratio first: count may be too large for a float
+    return _svd_entries(rows, cols, *_factors(tables)) * _block_size(count)
 
 
 def _spectral_norms(mat: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operators import Operator, _column_count, _real_stack
+from .operators import Operator, _column_entries, _real_stack
 from .pinv import (_BLOCK, DEFAULT_TOL, _blockwise, _check_int, _check_tol, _held_entries,
                    _projectors, _ranks, _refuse_beyond_memory, _spectral_norms, numerical_rank,
                    pinv_svd)
@@ -167,32 +167,34 @@ def _refuse_oversized_sweep(op: Operator, num_samples: int, lows: int | None = N
     most of two phases.  The stream holds one block's rows, or all the
     structured rows, which are ranked and scored as one block, and the most
     of four steps per row: drawing (the block before, the norms and a
-    column of squares); building the real symbol M (its monomials,
-    operators._column_count, and M); ranking M (M, the ranks and what a
-    values-only pinv pass holds, pinv._held_entries); and pairing (scores,
-    a clipped copy, masks: at most drawing's n + 2).  Bisection steps up to
-    pinv._BLOCK low-rank rows together, their ends shrunk in place: each
-    row's midpoint, the drop and neighbour it may leave, its index and a
-    flag, and the larger of building and ranking the midpoints.  Before the
-    stream, three columns of 2^n sign bits are held.  The check runs before
-    anything is allocated, so a sweep too large for the machine is refused
-    instead of being killed part way; a replayed sweep (rank_profile) runs
-    it again with its count of low-rank rows before it gathers them.
+    column of squares); building the real symbol M (its monomials on the
+    rows' n columns, operators._column_entries, and M); ranking M (M, the
+    ranks and what a values-only pinv pass holds, pinv._held_entries); and
+    pairing (scores, a clipped copy, masks: at most drawing's n + 2).
+    Bisection steps up to pinv._BLOCK low-rank rows together, their ends
+    shrunk in place: each row's midpoint, the drop and neighbour it may
+    leave, its index and a flag, and the larger of building and ranking the
+    midpoints.  Before the stream, three columns of 2^n sign bits are held.
+    The check runs before anything is allocated, so a sweep too large for
+    the machine is refused instead of being killed part way; a replayed
+    sweep (rank_profile) runs it again with its count of low-rank rows
+    before it gathers them.
     """
     signs = 2 ** op.n if op.n >= 2 else 0
     structured = 2 * op.n + signs
     count = structured + num_samples
     lows = structured if lows is None else lows
     entries = op.dim_w * op.dim_v
-    build = _column_count(op.alpha_array) + entries
 
-    def ranking(rows):
-        return entries + 1 + _held_entries(op.dim_w, op.dim_v, rows)
+    def symbols(rows):
+        # the larger of building M on the rows and ranking it
+        return max(_column_entries([(rows,)] * op.n, op.alpha_array) + rows * entries,
+                   rows * (entries + 1) + _held_entries(op.dim_w, op.dim_v, rows))
 
     # the structured rows are ranked and scored in one stack, each random block in another
     block, steps = max(structured, min(num_samples, _BLOCK)), min(lows, _BLOCK)
-    stream = block * (op.n + max(op.n + 2, build, ranking(block)))
-    bisection = steps * (3 * op.n + 2 + max(build, ranking(steps))) if steps else 0
+    stream = block * op.n + max(block * (op.n + 2), symbols(block))
+    bisection = steps * (3 * op.n + 2) + symbols(steps) if steps else 0
     _refuse_beyond_memory(
         lambda: _rank_dtype(op).itemsize * count + 8 * (
             structured * op.n + lows * (2 * op.n + 1) + max(3 * signs, stream, bisection)),

@@ -69,12 +69,14 @@ whichever tables share the pass, so the band and rung tables are the
 mesh tables at their frequencies.  One estimate (_refuse_oversized)
 sizes the mesh and band routes before anything is allocated: their tables
 with what the pass that fills one holds, read from its _Table
-(pinv._held_entries), a trial's fields (one slab's on the mesh at p = 2,
-one grid row's at p != 2) and a band's grid buffers; an estimate too
-large for a float is refused too.  Each estimate counts the arrays its
-own code makes: a table builder its table and build, an apply_* call the
-tables it reads and the fields it makes, so no call is sized by a field
-it never holds or a build that does not run.
+(pinv._held_entries), the symbol's monomials, which operators counts at
+the column shapes the build runs on (_column_entries: per axis on the
+mesh, per frequency on a list), a trial's fields (one slab's on the mesh
+at p = 2, one grid row's at p != 2) and a grid norm's buffers; an
+estimate too large for a float is refused too.  Each estimate counts the
+arrays its own code makes: a table builder its table and build, an
+apply_* call the tables it reads and the fields it makes, so no call is
+sized by a field it never holds or a build that does not run.
 """
 
 import math
@@ -86,7 +88,7 @@ from itertools import product
 
 import numpy as np
 
-from .operators import (Operator, _column_count, _column_monomials, _column_stack, multi_indices,
+from .operators import (Operator, _column_entries, _column_monomials, _column_stack, multi_indices,
                         multinomial_weight)
 from .pinv import (DEFAULT_TOL, _blockwise, _check_int, _check_tol, _held_entries, _norm,
                    _projectors, _pseudoinverses, _refuse_beyond_memory, _Table)
@@ -97,7 +99,7 @@ TWO_PI = 2.0 * math.pi
 _MATVEC_CHUNK = 4096
 # reals per chunk of the band's grid values (_band_buffers): 256 KB stays in L2
 _GRID_CHUNK = 32768
-# numpy's iteration buffer in entries for operations that cast nothing (_uncast)
+# numpy's iteration buffer in entries under _uncast
 _UNCAST_BUFFER = 256
 
 
@@ -129,7 +131,8 @@ def _uncast():
 
     For operands of one dtype, which never fill it: numpy still allocates
     np.getbufsize() entries (128 KiB of complex) per operand of a strided
-    loop whose inner run is shorter than that.  np.errstate restores it.
+    loop whose inner run is shorter than that; and for a cast, which it
+    then runs _UNCAST_BUFFER entries at a time.  np.errstate restores it.
     """
     with np.errstate():
         np.setbufsize(_UNCAST_BUFFER)
@@ -144,6 +147,11 @@ def _frequency_axes(grid: Grid) -> list[np.ndarray]:
     """
     axis = np.fft.fftfreq(grid.size, d=1.0 / grid.size)
     return np.meshgrid(*([axis] * grid.n), indexing="ij", sparse=True)
+
+
+def _axis_shapes(grid: Grid) -> list[tuple[int, ...]]:
+    """The shapes of _frequency_axes(grid), in Python ints, without making them: N on axis j only."""
+    return [tuple(grid.size if i == j else 1 for i in range(grid.n)) for j in range(grid.n)]
 
 
 def _checked(grid: Grid, values, name: str, holder: str) -> np.ndarray:
@@ -323,26 +331,28 @@ def _derivative_fibers(op: Operator) -> int:
     return op.dim_v * math.comb(op.n + op.k - 1, op.k)
 
 
-def _derivative_columns(k: int) -> int:
-    """Reals per frequency of the monomial a row of _derivative_rows is formed with, at order k.
+def _derivative_columns(k: int, shapes) -> int:
+    """Reals that the monomial a row of _derivative_rows is formed with holds, at order k.
 
-    operators._column_count of one multi-index of order k: its monomial
-    and at most k - 1 power columns, in Python ints.
+    operators._column_entries on columns of these shapes of (k, 0, ..., 0),
+    the multi-index of order k with the most power columns.
     """
-    return max(k, 1)
+    return _column_entries(shapes, [(k,) + (0,) * (len(shapes) - 1)])
 
 
 def _refuse_oversized(op: Operator, grid: Grid, count: int, per_frequency: float,
-                      grid_entries: int = 0) -> None:
+                      entries: int = 0) -> None:
     """Raise MemoryError, before anything is allocated, when a route on this grid cannot fit.
 
     spectral's one estimate, in float64 entries (a complex number is two):
     per_frequency at each of count frequencies (the mesh or a band's
-    primaries), plus grid_entries.  count and grid_entries are exact
-    integers, multiplied inside the estimate _refuse_beyond_memory
-    evaluates, so one too large for a float is refused too.
+    primaries), plus entries, those not counted per frequency (a symbol
+    build's monomials, operators._column_entries, or a band's grid
+    buffers).  count and entries are exact integers, multiplied inside the
+    estimate _refuse_beyond_memory evaluates, so one too large for a float
+    is refused too.
     """
-    _refuse_beyond_memory(lambda: 8 * (count * per_frequency + grid_entries),
+    _refuse_beyond_memory(lambda: 8 * (count * per_frequency + entries),
                           f"{op.name} on a {grid.size}^{grid.n} grid", "for its tables and fields")
 
 
@@ -356,12 +366,13 @@ def _symbol_tensor(op: Operator, grid: Grid) -> np.ndarray:
     come first and the matrix axes last: the (..., m, n) stack layout of the
     pinv routines.  Raises MemoryError before building when the grid is too
     large (_refuse_oversized), counting the table and the monomials it is
-    formed from (operators._column_count); the fields a route makes are
+    formed from, on the axes' shapes (operators._column_entries, which
+    _column_monomials refuses by too); the fields a route makes are
     counted by the route.  Like the projector and pseudoinverse tables, it
     caches one grid's table: a process measures one (operator, grid).
     """
-    count = grid.size ** grid.n
-    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + _column_count(op.alpha_array))
+    _refuse_oversized(op, grid, grid.size ** grid.n, op.dim_w * op.dim_v,
+                      _column_entries(_axis_shapes(grid), op.alpha_array))
     stack = _column_stack(op, _frequency_axes(grid))
     stack.setflags(write=False)
     return stack
@@ -421,13 +432,13 @@ def _mesh_table(op: Operator, grid: Grid, table: _Table) -> np.ndarray:
     """table (pinv._projectors or _pseudoinverses) of _symbol_tensor, in its layout; read-only.
 
     One pinv._blockwise pass, refused when too large (_refuse_oversized):
-    per frequency the symbol table, this one (table.shape) and what the
+    per frequency the symbol table and this one (table.shape), and what the
     pass holds beside them (pinv._held_entries).  _symbol_tensor sizes its
     own build, and a route the fields it makes.
     """
     count = grid.size ** grid.n
-    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + math.prod(table.shape)
-                      + _held_entries(op.dim_w, op.dim_v, count, table))
+    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + math.prod(table.shape),
+                      _held_entries(op.dim_w, op.dim_v, count, table))
     out = _blockwise(_symbol_tensor(op, grid), table)[0]
     out.setflags(write=False)
     return out
@@ -477,7 +488,9 @@ def _derivative_rows(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray], out=
     is formed, so a reader that drops it too holds one row.  Its monomial
     is formed with it, by operators._column_monomials of its one
     multi-index, whose products are those of all T at once, and dropped
-    before the row is read, so no row holds more than one monomial.
+    before the row is read, so no row holds more than one monomial.  The
+    real monomial is cast as the row is formed, _uncast, so numpy's buffer
+    for the cast holds _UNCAST_BUFFER entries, not np.getbufsize().
     """
     alphas = multi_indices(len(xis), k)
     weights = np.sqrt([multinomial_weight(a) for a in alphas])
@@ -485,7 +498,8 @@ def _derivative_rows(k: int, coeffs: np.ndarray, xis: Sequence[np.ndarray], out=
     for index, (fiber, (alpha, weight)) in enumerate(product(fibers, zip(alphas, weights))):
         monomial = _column_monomials(xis, [alpha]).reshape(-1)
         monomial *= weight
-        row = np.multiply(monomial, fiber, out=None if out is None else out[index])
+        with _uncast():
+            row = np.multiply(monomial, fiber, out=None if out is None else out[index])
         del monomial
         row *= 1j ** k
         yield row.reshape(coeffs.shape[1:])
@@ -523,13 +537,13 @@ def apply_Dk(k: int, field: GridField) -> GridField:
     theorem).  Any field is accepted, so apply_Dk(1, apply_Dk(j, phi)) has
     the norms of apply_Dk(j + 1, phi).  Raises ValueError unless k is an
     integer (not a bool) at least 1, and MemoryError before the
-    transform when the coefficients, a row's monomial (_derivative_columns)
-    and the derivatives cannot fit.
+    transform when the coefficients, a row's monomial on the mesh's axes
+    (_derivative_columns) and the derivatives cannot fit.
     """
     k = _check_int(k, "k")
     grid, fibers = field.grid, field.fiber_dim
-    entries = 2 * fibers * (1 + math.comb(grid.n + k - 1, k)) + _derivative_columns(k)
-    _refuse_beyond_memory(lambda: 8 * grid.size ** grid.n * entries,
+    fields = 2 * fibers * (1 + math.comb(grid.n + k - 1, k)) * grid.size ** grid.n
+    _refuse_beyond_memory(lambda: 8 * (fields + _derivative_columns(k, _axis_shapes(grid))),
                           f"D^{k} on a {grid.size}^{grid.n} grid", "for its fields")
     coeffs = _derivatives(k, forward_transform(field).coeffs, _frequency_axes(field.grid))
     return GridField(field.grid, _inverse(coeffs, field.grid))
@@ -549,14 +563,15 @@ def apply_multiplier(op: Operator, field: GridField, tol: float = DEFAULT_TOL) -
     apply_A(phi).  The multiplier vanishes at frequency zero, where the
     symbol is zero.  A tol pinv refuses (_check_tol) raises ValueError
     first; then the call is refused before the table is looked up when the
-    two tables, with the fields and a derivative row's monomial, cannot fit.
+    two tables, with the fields and a derivative row's monomial on the
+    mesh's axes, cannot fit.
     """
     _check_tol(tol)
     _check_field(op, field, op.dim_w, "input")
-    fields = (2 * (op.dim_w + op.dim_v + _derivative_fibers(op))
-              + _derivative_columns(op.k))
+    fields = 2 * (op.dim_w + op.dim_v + _derivative_fibers(op))
     _refuse_oversized(op, field.grid, field.grid.size ** field.grid.n,
-                      2 * op.dim_w * op.dim_v + fields)
+                      2 * op.dim_w * op.dim_v + fields,
+                      _derivative_columns(op.k, _axis_shapes(field.grid)))
     dagger = _pseudoinverse_table(op, field.grid, float(tol))
     out = _matvec(dagger, forward_transform(field).coeffs)
     out *= (-1j) ** op.k
@@ -577,7 +592,6 @@ def _check_route(p: float, tol: float) -> None:
     _check_tol(tol)
 
 
-@lru_cache(maxsize=1)
 def _primaries(n: int, max_freq: int) -> np.ndarray:
     """One frequency of each pair {xi, -xi} with 0 < |xi|_inf <= max_freq, shape (n, P); read-only.
 
@@ -697,21 +711,24 @@ def _mesh_slabs(op: Operator, grid: Grid):
         yield planes, _xi_weights([xis[0][planes], *xis[1:]], op.k)
 
 
-def _trial_entries(op: Operator, p: float) -> int:
-    """Real entries per frequency of a ratio or minimality trial, beside its tables and buffers.
+def _trial_entries(op: Operator, p: float, count: int, shapes=None) -> int:
+    """Real entries of a ratio or minimality trial on count frequencies, beside its tables and buffers.
 
-    phi and, at p = 2, the larger of a ratio's phi - P_A phi, M phi and its
-    magnitudes and a minimality trial's draw, projection and its
-    magnitudes, with a _matvec chunk and numpy's cast buffer (two rows).
-    At any other p phi - P_A phi, and the larger of the magnitudes _norm
-    takes of either field and what a grid norm holds: the monomial of a
-    row of D^k phi (_derivative_columns) and that complex row with, on a
-    band, numpy's cast buffer, or on the whole mesh its magnitudes and the
-    accumulator.
+    Per frequency phi and, at p = 2, the larger of a ratio's phi - P_A phi,
+    M phi and its magnitudes and a minimality trial's draw, projection and
+    its magnitudes.  At any other p phi - P_A phi, and the larger of the
+    magnitudes _norm takes of either field and a complex row of a grid
+    norm, with the monomial a row of D^k phi is formed from on columns of
+    these shapes (_derivative_columns); the grid norm's own buffers are
+    the route's.  And once a _matvec chunk with numpy's buffer for the
+    cast of its table entries, two complex entries per frequency of the
+    chunk.
     """
+    chunk = 4 * min(count, _MATVEC_CHUNK)
     if p == 2.0:
-        return 2 * op.dim_v + max(2 * op.dim_v + 3 * op.dim_w, 5 * op.dim_v) + 4
-    return 4 * op.dim_v + max(op.dim_v, _derivative_columns(op.k) + 4)
+        return count * (2 * op.dim_v + max(2 * op.dim_v + 3 * op.dim_w, 5 * op.dim_v)) + chunk
+    return count * 4 * op.dim_v + max(count * op.dim_v,
+                                      _derivative_columns(op.k, shapes) + 2 * count) + chunk
 
 
 def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0) -> _Spectrum:
@@ -719,24 +736,25 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
 
     Raises ValueError unless _check_route passes, then MemoryError before a
     table is looked up when the route does not fit (_refuse_oversized),
-    counting per frequency the tables (M, P_A), the largest of the symbol's
-    monomials (operators._column_count) and the projector build, held
-    complex fibers of whole-mesh fields the caller keeps, and a trial
-    (_trial_entries): on one slab with its weights at p = 2, where every
-    norm is taken slab by slab (_mesh_slabs), or on the whole mesh at any
-    other p, where the grid norm takes one coefficient row at a time to the
-    grid in place (_inverse) and measures its magnitudes (_mesh_norm).
+    counting per frequency the tables (M, P_A) and held complex fibers of
+    whole-mesh fields the caller keeps, and the larger of two phases that
+    run one after the other: the build, the larger of the symbol's
+    monomials on the mesh's axes (operators._column_entries) and the
+    projector pass (pinv._held_entries), and a trial (_trial_entries): on
+    one slab with its weights at p = 2, where every norm is taken slab by
+    slab (_mesh_slabs), or on the whole mesh at any other p, where the grid
+    norm takes one coefficient row at a time to the grid in place
+    (_inverse) and measures its magnitudes into one real N^n buffer beside
+    the accumulator (_mesh_norm).
     """
     _check_route(p, tol)
-    count = grid.size ** grid.n
-    kept = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * held
-    build = max(_column_count(op.alpha_array),
+    count, slab = grid.size ** grid.n, _slab_planes(grid) * grid.size ** (grid.n - 1)
+    build = max(_column_entries(_axis_shapes(grid), op.alpha_array),
                 _held_entries(op.dim_w, op.dim_v, count, _projectors(op.dim_v, tol)))
-    if p == 2.0:
-        slab = _slab_planes(grid) * grid.size ** (grid.n - 1)
-        _refuse_oversized(op, grid, count, kept + build, slab * (_trial_entries(op, p) + 1))
-    else:
-        _refuse_oversized(op, grid, count, kept + max(build, _trial_entries(op, p)))
+    trial = (slab + _trial_entries(op, p, slab) if p == 2.0
+             else 2 * count + _trial_entries(op, p, count, _axis_shapes(grid)))
+    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * held,
+                      max(build, trial))
     symbols = _symbol_tensor(op, grid)
     projector = _kernel_projector_table(op, grid, float(tol))
 
@@ -840,15 +858,16 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     its kernel projector P_A (one pinv._projectors pass), bitwise the entries
     of _symbol_tensor and _kernel_projector_table at the primaries, so they
     do not depend on N; built per spectrum, not cached, they are freed with
-    the route.  The estimate counts per primary those tables and 2 |xi|^2k
-    with the int64 primaries, their float64 coordinates xis, cast once here
-    so that no trial casts them, and the scatter positions (dimW dimV +
-    dimV^2 + 2n + 3 reals), and the largest of the symbol's monomials
-    (operators._column_count), the projector build and a trial
-    (_trial_entries); at p != 2 it adds the grid route's buffers
-    (_band_buffers), whatever the field's fiber count.  The spectrum is
-    the primaries' list (_listed_spectrum) with norm_weights 2, for each
-    primary's mirror.
+    the route.  The estimate counts per primary those tables, |xi|^2k and
+    the primaries' float64 coordinates xis, cast once here so that no
+    trial casts them (dimW dimV + dimV^2 + n + 1 reals), and the larger of
+    two phases that run one after the other: the build, the int64
+    primaries with the larger of the symbol's monomials on the rows of xis
+    (operators._column_entries) and the projector pass
+    (pinv._held_entries), and a trial (_trial_entries), with at p != 2 the
+    scatter positions and the grid route's buffers (_band_buffers),
+    whatever the field's fiber count.  The spectrum is the primaries' list
+    (_listed_spectrum) with norm_weights 2, for each primary's mirror.
     A field here is its (fiber, P) values at the primaries (_band_draw),
     the field of random_band_limited with the same seed.  Only p != 2
     builds the grid route (_band_grid): a p = 2 norm reads no grid value,
@@ -857,17 +876,16 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     _check_band(grid, max_freq)
     _check_route(p, tol)
     count = ((2 * max_freq + 1) ** op.n - 1) // 2
-    grid_entries = 0
-    if p != 2.0:
-        grid_entries = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
-                           for shape, dtype in _band_buffers(grid, max_freq).values())
-    tables = op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * op.n + 3
+    rows = [(count,)] * op.n
     projection = _projectors(op.dim_v, float(tol))
-    build = _held_entries(op.dim_w, op.dim_v, count, projection)
-    _refuse_oversized(op, grid, count,
-                      tables + max(_column_count(op.alpha_array), build,
-                                   _trial_entries(op, p)),
-                      grid_entries)
+    build = count * op.n + max(_column_entries(rows, op.alpha_array),
+                               _held_entries(op.dim_w, op.dim_v, count, projection))
+    trial = _trial_entries(op, p, count, rows)
+    if p != 2.0:
+        trial += count + sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
+                             for shape, dtype in _band_buffers(grid, max_freq).values())
+    _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + op.dim_v ** 2 + op.n + 1,
+                      max(build, trial))
     primaries = _primaries(op.n, max_freq)
     xis = primaries.astype(float)
     symbols = _column_stack(op, xis)

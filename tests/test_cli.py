@@ -683,6 +683,36 @@ def test_huge_order_in_one_dimension_is_refused(tmp_path, command):
     assert done.stderr.startswith("error: out of memory:") and done.stderr.count("\n") == 1
 
 
+HUGE_ORDER_CALLS = """
+import sys
+from symrank.experiments import witness_family
+from symrank.operators import parse_operator, symbol, symbol_stack
+from symrank.spectral import Grid
+line, plane = map(parse_operator, sys.argv[1:])
+calls = [lambda: symbol(line, [1.0]), lambda: symbol_stack(line, [[1.0], [2.0]]),
+         lambda: witness_family(line, [(1,)], Grid(1, 8)), lambda: symbol(plane, [1.0, 2.0])]
+for call in calls:
+    try:
+        call()
+    except MemoryError:
+        print("refused")
+"""
+
+
+def test_symbol_builds_of_huge_orders_are_refused():
+    # a symbol build forms each axis's powers up to its largest exponent: outside
+    # the routes' estimates, symbol, symbol_stack and witness_family on d^(2^62 + 5)
+    # and symbol on a 2-D document of order 2^40 each began a loop of as many
+    # powers.  The build refuses itself; run in a child, so that a hang fails the
+    # test at its timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(symrank.__file__).parents[1]))
+    documents = [one_term_document([2 ** 62 + 5]), one_term_document([2 ** 39, 2 ** 39])]
+    done = subprocess.run([sys.executable, "-c", HUGE_ORDER_CALLS, *documents],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "refused\n" * 4
+
+
 def test_grid_route_beyond_a_float_is_refused(capsys):
     # at p != 2 the band route's grid buffers join the estimate, whose count of
     # N^n points then overflows a float

@@ -559,7 +559,7 @@ def test_routines_hold_at_most_their_estimate_beside_the_output(routine, shape, 
     finally:
         tracemalloc.stop()
     held = peak - sum(part.nbytes for part in (out if isinstance(out, list) else [out]))
-    assert held <= 8 * count * pinv._held_entries(*shape, count, *tables) + 2 ** 16
+    assert held <= 8 * pinv._held_entries(*shape, count, *tables) + 2 ** 16
 
 
 def test_complex_sigma_alone_is_lapacks_values_only_call():

@@ -73,7 +73,12 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
     phi is a GridField, transformed once, or its FrequencyField, and the
     ratio is taken by _ratio on the whole mesh of coefficients: at p = 2 as
     a quotient of coefficient l2 norms (Parseval), one slab at a time, with
-    no transform; at any other p with two inverse transforms.  Raises
+    no transform; at any other p with two inverse transforms.  phi is
+    checked and the tables looked up (_mesh_spectrum) before a GridField
+    is transformed, so while a table is built the route has made no field
+    and the builder counts its build alone (a FrequencyField phi is the
+    caller's, as an apply_* input is); the route's own estimate counts
+    the tables, phi's coefficients and one trial.  Raises
     ValueError unless p >= 1, or when an intermediate field is not finite,
     and KernelInputError when ||phi - P_A phi||_2 <= tol * ||phi||_2 (P_A
     uses pinv's relative cutoff, so A -> cA scales the ratio by 1/c and
@@ -82,10 +87,10 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
     under rescaling of phi; for p = 2 this is the sharp constant of the
     derivative recovery estimate on the given field.
     """
-    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
-    _check_field(op, freq, op.dim_v, "input")
+    _check_field(op, phi, op.dim_v, "input")
     # at p = 2 a trial holds one slab, and phi is held whole beside it
-    spectrum = _mesh_spectrum(op, freq.grid, tol, p, held=op.dim_v if p == 2.0 else 0)
+    spectrum = _mesh_spectrum(op, phi.grid, tol, p, held=op.dim_v if p == 2.0 else 0)
+    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
     return _ratio(op, spectrum, freq.coeffs, p, tol)
 
 
@@ -250,15 +255,15 @@ def _ladder_ratios(op: Operator, frequencies, size: int, window: float | None, p
     (_rungs), so a ladder of any length decomposes once.  A windowed rung
     spreads over the whole mesh, so the whole-mesh spectrum (_mesh_spectrum)
     is built once, before the first witness, and refuses an oversized grid
-    up front; the envelope is one factor of N entries per axis.  At p = 2
-    each rung's witness is built one slab of first-axis planes at a time by
-    its builder (_witness_fields) and measured there, so the ladder holds
-    the two tables and one slab, and the estimate counts just that, or the
-    tables' build where it holds more (the symbol's monomials on the mesh's
-    axes, which operators counts, or the projector pass).  At any other p
-    the norms need grid values, so each rung's whole field is built and
-    measured before the next one, and the estimate counts what a ratio
-    holds on the whole mesh, with that field as its phi.  Either way the
+    up front; the envelope is one factor of N entries per axis.  A table
+    that is not cached is built then, sized by its builder, before the
+    ladder holds anything else.  At p = 2 each rung's witness is built one
+    slab of first-axis planes at a time by its builder (_witness_fields)
+    and measured there, so the ladder holds the two tables and one slab,
+    and the route's estimate counts just that.  At any other p the norms
+    need grid values, so each rung's whole field is built and measured
+    before the next one, and the estimate counts what a ratio holds on the
+    whole mesh, with that field as its phi.  Either way the
     ratios are bitwise those of estimate_ratio on witness_family's list.
     """
     grid = Grid(op.n, size)
@@ -419,13 +424,17 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
     Every norm here is L2, so the check runs on coefficients (_minimality
     on the whole mesh): phi is a GridField, transformed once, or its
     FrequencyField, and competitors are drawn as coefficients and projected
-    with the cached projector table, one slab at a time.
+    with the cached projector table, one slab at a time.  As in
+    estimate_ratio, phi is checked and the tables looked up before a
+    GridField is transformed, so a table's builder sizes its build alone,
+    and the route counts phi's coefficients, one competitor and the larger
+    of a slab's trial and a draw's band work (_mesh_spectrum).
     """
     _check_int(kernel_trials, "kernel_trials")
+    _check_field(op, phi, op.dim_v, "input")
+    # phi and a competitor's draw are held whole beside one slab or the draw's band work
+    spectrum = _mesh_spectrum(op, phi.grid, tol, 2.0, held=2 * op.dim_v, draws=True)
     freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
-    _check_field(op, freq, op.dim_v, "input")
-    # phi and a competitor's draw are held whole beside one slab
-    spectrum = _mesh_spectrum(op, freq.grid, tol, 2.0, held=2 * op.dim_v)
     return _minimality(op, spectrum, freq.coeffs, kernel_trials, seed)
 
 
@@ -435,7 +444,9 @@ def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_tr
 
     Each competitor is drawn on the same spectrum (spectrum.draw), and its
     projection and distance are taken one slab at a time; the slabs'
-    weights give whole-mesh norms, which _SLACK is measured in.
+    weights give whole-mesh norms, which _SLACK is measured in.  A draw is
+    dropped before the next is drawn, so the check holds one competitor,
+    as the route's estimate counts.
     """
     def distance(field: np.ndarray) -> float:
         norms = []
@@ -450,8 +461,7 @@ def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_tr
     for trial in range(kernel_trials):
         # trailing 1 keeps this seed stream disjoint from any [seed, trial]
         # stream a caller used for phi (SeedSequence drops trailing zeros)
-        raw = spectrum.draw(op.dim_v, [seed, trial, 1])
-        if base > distance(raw) + _SLACK:
+        if base > distance(spectrum.draw(op.dim_v, [seed, trial, 1])) + _SLACK:
             return False
     return True
 

@@ -67,16 +67,21 @@ Every SVD table comes from one pass of pinv._blockwise, which owns the
 blocking and gives a matrix the same bits anywhere in a stack and
 whichever tables share the pass, so the band and rung tables are the
 mesh tables at their frequencies.  One estimate (_refuse_oversized)
-sizes the mesh and band routes before anything is allocated: their tables
-with what the pass that fills one holds, read from its _Table
-(pinv._held_entries), the symbol's monomials, which operators counts at
-the column shapes the build runs on (_column_entries: per axis on the
-mesh, per frequency on a list), a trial's fields (one slab's on the mesh
-at p = 2, one grid row's at p != 2) and a grid norm's buffers; an
-estimate too large for a float is refused too.  Each estimate counts the
-arrays its own code makes: a table builder its table and build, an
-apply_* call the tables it reads and the fields it makes, so no call is
-sized by a field it never holds or a build that does not run.
+sizes the mesh and band routes before anything is allocated, by one
+rule: each counts the arrays its own code makes.  A cached mesh table's
+builder (_symbol_tensor, _mesh_table) counts its table and its build,
+and runs only on a cache miss: what the pass that fills a table holds,
+read from its _Table (pinv._held_entries), and the symbol's monomials,
+which operators counts at the column shapes the build runs on
+(_column_entries: per axis on the mesh, per frequency on a list).  A
+mesh route (_mesh_spectrum) makes no field before its tables are there,
+and counts what it holds with them: the tables, the fields its caller
+keeps and one trial's (one slab's at p = 2, one grid row's with the
+grid norm's buffers at p != 2).  An apply_* call counts the tables it
+reads and the fields it makes, and a band route (_band_spectrum), which
+builds its own tables, counts them with their build.  So no call is
+sized by a field it never holds or a build that does not run, and an
+estimate too large for a float is refused too.
 """
 
 import math
@@ -626,16 +631,27 @@ def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Fre
     """Coefficients of random_band_limited(grid, fiber_dim, max_freq, seed).
 
     The band draw (_band_draw at _primaries) scattered onto the whole mesh,
-    each primary's conjugate at its mirror.
+    each primary's conjugate at its mirror: the primaries' mesh indices xi
+    mod N are written over by the mirrors' (N - xi mod N) mod N, and the
+    draw by its conjugate, in place, so the scatters hold what
+    _draw_entries counts beside the output.
     """
     fiber_dim = _check_int(fiber_dim, "fiber_dim")
     _check_band(grid, max_freq)
-    primaries = _primaries(grid.n, max_freq)
-    values = _band_draw(fiber_dim, primaries.shape[1], seed)
+    at = _primaries(grid.n, max_freq) % grid.size
+    values = _band_draw(fiber_dim, at.shape[1], seed)
     coeffs = np.zeros((fiber_dim,) + grid.shape, dtype=complex)
-    coeffs[(slice(None), *(primaries % grid.size))] = values
-    coeffs[(slice(None), *(-primaries % grid.size))] = values.conj()
+    coeffs[(slice(None), *at)] = values
+    np.subtract(grid.size, at, out=at)
+    at %= grid.size
+    coeffs[(slice(None), *at)] = np.conjugate(values, out=values)
+    del at, values  # before FrequencyField's finiteness check makes its N^n flags
     return FrequencyField(grid, coeffs)
+
+
+def _draw_entries(grid: Grid, fiber_dim: int, max_freq: int) -> int:
+    """Reals _random_coefficients holds beside its output: n int64 indices and the draw per primary."""
+    return ((2 * max_freq + 1) ** grid.n - 1) // 2 * (grid.n + 2 * fiber_dim)
 
 
 def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> GridField:
@@ -702,9 +718,8 @@ def _slab_planes(grid: Grid) -> int:
     return max(1, min(grid.size, _MATVEC_CHUNK // grid.size ** (grid.n - 1)))
 
 
-def _mesh_slabs(op: Operator, grid: Grid):
-    """The mesh's slabs of _slab_planes planes, a generator: each forms its |xi|^2k as it is reached."""
-    xis = _frequency_axes(grid)
+def _mesh_slabs(op: Operator, grid: Grid, xis: Sequence[np.ndarray]):
+    """The mesh's slabs of _slab_planes planes on its axes xis, a generator; each forms its |xi|^2k."""
     rows = _slab_planes(grid)
     for start in range(0, grid.size, rows):
         planes = slice(start, start + rows)
@@ -731,32 +746,37 @@ def _trial_entries(op: Operator, p: float, count: int, shapes=None) -> int:
                                       _derivative_columns(op.k, shapes) + 2 * count) + chunk
 
 
-def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0) -> _Spectrum:
+def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0,
+                   draws: bool = False) -> _Spectrum:
     """The whole frequency mesh at exponent p: N^n tables (_symbol_tensor, _kernel_projector_table).
 
     Raises ValueError unless _check_route passes, then MemoryError before a
     table is looked up when the route does not fit (_refuse_oversized),
-    counting per frequency the tables (M, P_A) and held complex fibers of
-    whole-mesh fields the caller keeps, and the larger of two phases that
-    run one after the other: the build, the larger of the symbol's
-    monomials on the mesh's axes (operators._column_entries) and the
-    projector pass (pinv._held_entries), and a trial (_trial_entries): on
-    one slab with its weights at p = 2, where every norm is taken slab by
-    slab (_mesh_slabs), or on the whole mesh at any other p, where the grid
-    norm takes one coefficient row at a time to the grid in place
-    (_inverse) and measures its magnitudes into one real N^n buffer beside
-    the accumulator (_mesh_norm).
+    counting only what the route holds: per frequency the tables (M, P_A)
+    and held complex fibers of whole-mesh fields the caller keeps, the
+    mesh's n axes (xis, which the slabs read too), and a trial
+    (_trial_entries): on one slab with its weights at p = 2, where
+    every norm is taken slab by slab (_mesh_slabs), or on the whole mesh at
+    any other p, where the grid norm takes one coefficient row at a time to
+    the grid in place (_inverse) and measures its magnitudes into one real
+    N^n buffer beside the accumulator (_mesh_norm).  With draws, for a
+    caller that draws on the spectrum, the trial is the larger of that and
+    a draw's band work (_draw_entries), which runs before it; the drawn
+    field is one of the held.  A table that is not cached is built here by
+    its builder, which sizes the build, so the caller makes no field before
+    this returns, and a warm call is not sized by a build that does not run.
     """
     _check_route(p, tol)
     count, slab = grid.size ** grid.n, _slab_planes(grid) * grid.size ** (grid.n - 1)
-    build = max(_column_entries(_axis_shapes(grid), op.alpha_array),
-                _held_entries(op.dim_w, op.dim_v, count, _projectors(op.dim_v, tol)))
     trial = (slab + _trial_entries(op, p, slab) if p == 2.0
              else 2 * count + _trial_entries(op, p, count, _axis_shapes(grid)))
+    if draws:
+        trial = max(trial, _draw_entries(grid, op.dim_v, grid.size // 4))
     _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * held,
-                      max(build, trial))
+                      grid.n * grid.size + trial)
     symbols = _symbol_tensor(op, grid)
     projector = _kernel_projector_table(op, grid, float(tol))
+    xis = _frequency_axes(grid)
 
     def grid_values(rows):
         for row in rows:
@@ -765,8 +785,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
             yield values
             del values
     return _Spectrum(
-        _frequency_axes(grid), symbols, projector, None,
-        lambda: _mesh_slabs(op, grid),
+        xis, symbols, projector, None, lambda: _mesh_slabs(op, grid, xis),
         lambda rows, p: _mesh_norm(grid_values(rows), grid, p),
         lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -840,10 +841,19 @@ def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name, p):
 
 
 # the rows of the estimate table: a windowed ladder at p != 2 (1.02), the windowed
-# ladders at p = 2 (d1d2 1.15, wave 1.33), and the sphere sweep on curl (1.09) and
-# on the 1 x 1 d1d2 at 250000 samples (1.10)
+# ladders at p = 2 (d1d2 1.15, wave 1.08), the sphere sweep on curl (1.09) and on
+# the 1 x 1 d1d2 at 250000 samples (1.10), and the public whole-mesh routes on
+# grid fields: estimate_ratio on curl 32^3 at p = 2 (1.07), and
+# l2_minimality_check on curl 32^3 (1.03) and on d1d2 256^2 (1.02)
 LADDERS = {"d1d2": [(1, -2), (1, -4), (1, -8), (1, -16)],
            "wave": [(2, 1), (4, 3), (7, 6), (12, 11)]}
+
+
+@functools.cache
+def drawn(name, size):
+    """A band-limited grid field for zoo operator name on the size^n grid, drawn once and kept."""
+    op = zoo_get(name)
+    return random_band_limited(Grid(op.n, size), op.dim_v, size // 4, [size, 1])
 
 
 def windowed_ladder(name, p):
@@ -861,6 +871,11 @@ ESTIMATE_ROWS = {
     "ladder-wave-pinf": windowed_ladder("wave", math.inf),
     "sweep-curl": lambda: rank.rank_profile(zoo_get("curl"), num_samples=100000),
     "sweep-d1d2": lambda: rank.rank_profile(zoo_get("d1d2"), num_samples=250000),
+    "ratio-curl-p2": lambda: experiments.estimate_ratio(zoo_get("curl"), drawn("curl", 32), 2.0),
+    "minimality-curl": lambda: experiments.l2_minimality_check(zoo_get("curl"), drawn("curl", 32),
+                                                               kernel_trials=3),
+    "minimality-d1d2": lambda: experiments.l2_minimality_check(zoo_get("d1d2"), drawn("d1d2", 256),
+                                                               kernel_trials=3),
 }
 
 
@@ -888,6 +903,35 @@ def test_memory_estimate_is_within_half_again_of_the_peak(monkeypatch, row):
     estimates.clear()
     traced = peak()
     assert traced <= max(estimates) <= 1.5 * traced
+
+
+@pytest.mark.parametrize("call", ["ratio-p2", "ratio-p3", "minimality"])
+@pytest.mark.parametrize("name, size", [("curl", 16), ("symmetric_gradient", 128), ("d1d2", 256)])
+def test_warm_mesh_estimate_counts_no_table_build(monkeypatch, name, size, call):
+    # a second whole-mesh call finds both tables cached and builds nothing, so its
+    # largest estimate, the route's own, counts the tables, the fields it holds and
+    # one trial: it covers the traced peak with the resident tables, and stays
+    # within 1.5 times them
+    op = zoo_get(name)
+    grid = Grid(op.n, size)
+    phi = random_band_limited(grid, op.dim_v, size // 4, [size, 0])
+    run = {"ratio-p2": lambda: experiments.estimate_ratio(op, phi, 2.0),
+           "ratio-p3": lambda: experiments.estimate_ratio(op, phi, 3.0),
+           "minimality": lambda: experiments.l2_minimality_check(op, phi, kernel_trials=3)}[call]
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed()))
+    run()
+    estimates.clear()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = _symbol_tensor(op, grid).nbytes + _kernel_projector_table(op, grid, DEFAULT_TOL).nbytes
+    held = peak + tables
+    assert held <= max(estimates) <= 1.5 * held
 
 
 @pytest.mark.parametrize("op, size, p", [

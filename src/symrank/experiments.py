@@ -71,27 +71,35 @@ def estimate_ratio(op: Operator, phi: GridField | FrequencyField, p: float,
     """||D^k(phi - P_A phi)||_p / ||A phi||_p on phi's grid.
 
     phi is a GridField, transformed once, or its FrequencyField, and the
-    ratio is taken by _ratio on the whole mesh of coefficients: at p = 2 as
-    a quotient of coefficient l2 norms (Parseval), one slab at a time, with
-    no transform; at any other p with two inverse transforms.  phi is
-    checked and the tables looked up (_mesh_spectrum) before a GridField
-    is transformed, so while a table is built the route has made no field
-    and the builder counts its build alone (a FrequencyField phi is the
-    caller's, as an apply_* input is); the route's own estimate counts
-    the tables, phi's coefficients and one trial.  Raises
-    ValueError unless p >= 1, or when an intermediate field is not finite,
-    and KernelInputError when ||phi - P_A phi||_2 <= tol * ||phi||_2 (P_A
-    uses pinv's relative cutoff, so A -> cA scales the ratio by 1/c and
-    rejects the same fields), and MemoryError before any table is built
-    when the whole-mesh route does not fit (_mesh_spectrum).  Invariant
-    under rescaling of phi; for p = 2 this is the sharp constant of the
-    derivative recovery estimate on the given field.
+    ratio is taken by _ratio on the whole mesh of coefficients (_mesh_route):
+    at p = 2 as a quotient of coefficient l2 norms (Parseval), one slab at
+    a time, with no transform; at any other p with two inverse transforms.
+    Raises ValueError unless p >= 1, or when an intermediate field is not
+    finite, and KernelInputError when ||phi - P_A phi||_2 <= tol *
+    ||phi||_2 (P_A uses pinv's relative cutoff, so A -> cA scales the ratio
+    by 1/c and rejects the same fields), and MemoryError before any table
+    is built when the whole-mesh route does not fit (_mesh_spectrum).
+    Invariant under rescaling of phi; for p = 2 this is the sharp constant
+    of the derivative recovery estimate on the given field.
+    """
+    return _ratio(op, *_mesh_route(op, phi, tol, p), p, tol)
+
+
+def _mesh_route(op: Operator, phi: GridField | FrequencyField, tol: float, p: float,
+                draws: bool = False) -> tuple[_Spectrum, np.ndarray]:
+    """The whole-mesh spectrum at exponent p (spectral._mesh_spectrum), then phi's coefficients.
+
+    phi is checked and the tables looked up before a GridField is
+    transformed, so while a table is built the route has made no field
+    and the builder counts its build alone.  The route counts the
+    coefficients of a GridField, which it makes, at every p; a
+    FrequencyField is the caller's, as an apply_* input is, and is not
+    counted.  draws is _mesh_spectrum's.
     """
     _check_field(op, phi, op.dim_v, "input")
-    # at p = 2 a trial holds one slab, and phi is held whole beside it
-    spectrum = _mesh_spectrum(op, phi.grid, tol, p, held=op.dim_v if p == 2.0 else 0)
-    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
-    return _ratio(op, spectrum, freq.coeffs, p, tol)
+    made = not isinstance(phi, FrequencyField)
+    spectrum = _mesh_spectrum(op, phi.grid, tol, p, held=op.dim_v if made else 0, draws=draws)
+    return spectrum, (forward_transform(phi) if made else phi).coeffs
 
 
 def _ratio(op: Operator, spectrum: _Spectrum, coeffs, p: float, tol: float) -> float:
@@ -260,16 +268,17 @@ def _ladder_ratios(op: Operator, frequencies, size: int, window: float | None, p
     ladder holds anything else.  At p = 2 each rung's witness is built one
     slab of first-axis planes at a time by its builder (_witness_fields)
     and measured there, so the ladder holds the two tables and one slab,
-    and the route's estimate counts just that.  At any other p the norms
-    need grid values, so each rung's whole field is built and measured
-    before the next one, and the estimate counts what a ratio holds on the
-    whole mesh, with that field as its phi.  Either way the
-    ratios are bitwise those of estimate_ratio on witness_family's list.
+    and the route's estimate counts just that, the slab of phi with it
+    (_mesh_spectrum).  At any other p the norms need grid values, so each
+    rung's whole field is built and measured before the next one: the
+    ladder makes that field and counts it, as held, beside what a ratio
+    holds on the whole mesh.  Either way the ratios are bitwise those of
+    estimate_ratio on witness_family's list.
     """
     grid = Grid(op.n, size)
     frequencies = _check_rungs(op, frequencies, grid, window)
     if window is not None:
-        spectrum = _mesh_spectrum(op, grid, tol, p)
+        spectrum = _mesh_spectrum(op, grid, tol, p, held=op.dim_v if p != 2.0 else 0)
         return [_ratio(op, spectrum, build, p, tol)
                 for build in _witness_fields(op, frequencies, grid, window, tol)]
     _, coefficients, symbols, projector = _rungs(op, frequencies, grid, tol)
@@ -422,20 +431,15 @@ def l2_minimality_check(op: Operator, phi: GridField | FrequencyField, kernel_tr
     route is sized, unless kernel_trials is an integer (not a bool) at
     least 1: fewer competitors would compare nothing.
     Every norm here is L2, so the check runs on coefficients (_minimality
-    on the whole mesh): phi is a GridField, transformed once, or its
-    FrequencyField, and competitors are drawn as coefficients and projected
-    with the cached projector table, one slab at a time.  As in
-    estimate_ratio, phi is checked and the tables looked up before a
-    GridField is transformed, so a table's builder sizes its build alone,
-    and the route counts phi's coefficients, one competitor and the larger
-    of a slab's trial and a draw's band work (_mesh_spectrum).
+    on the whole mesh, _mesh_route as in estimate_ratio): phi is a
+    GridField, transformed once, or its FrequencyField, and competitors are
+    drawn as coefficients and projected with the cached projector table,
+    one slab at a time.  The route counts one competitor, with the larger
+    of a slab's trial and a draw's band work (_mesh_spectrum), and phi's
+    coefficients only where it transforms a GridField.
     """
     _check_int(kernel_trials, "kernel_trials")
-    _check_field(op, phi, op.dim_v, "input")
-    # phi and a competitor's draw are held whole beside one slab or the draw's band work
-    spectrum = _mesh_spectrum(op, phi.grid, tol, 2.0, held=2 * op.dim_v, draws=True)
-    freq = phi if isinstance(phi, FrequencyField) else forward_transform(phi)
-    return _minimality(op, spectrum, freq.coeffs, kernel_trials, seed)
+    return _minimality(op, *_mesh_route(op, phi, tol, 2.0, draws=True), kernel_trials, seed)
 
 
 def _minimality(op: Operator, spectrum: _Spectrum, coeffs: np.ndarray, kernel_trials: int,

@@ -74,14 +74,20 @@ and runs only on a cache miss: what the pass that fills a table holds,
 read from its _Table (pinv._held_entries), and the symbol's monomials,
 which operators counts at the column shapes the build runs on
 (_column_entries: per axis on the mesh, per frequency on a list).  A
-mesh route (_mesh_spectrum) makes no field before its tables are there,
-and counts what it holds with them: the tables, the fields its caller
-keeps and one trial's (one slab's at p = 2, one grid row's with the
-grid norm's buffers at p != 2).  An apply_* call counts the tables it
-reads and the fields it makes, and a band route (_band_spectrum), which
-builds its own tables, counts them with their build.  So no call is
-sized by a field it never holds or a build that does not run, and an
-estimate too large for a float is refused too.
+field is counted where it is made, and a field the caller passes is the
+caller's: an estimate_ratio or l2_minimality_check counts phi's
+coefficients only when it transforms a GridField, a spectrum the field
+it draws (the band's phi, a minimality competitor), and a windowed
+ladder its rung (a slab of it at p = 2).  A mesh route (_mesh_spectrum)
+makes no field before its tables are there, and counts what it holds
+with them: the tables, the fields it makes and keeps and one trial's
+(one slab's at p = 2, one grid row's with the grid norm's buffers at p
+!= 2; _trial_entries).  An apply_* call counts the tables it reads and
+the fields it makes, and a band route (_band_spectrum), which builds its
+own tables, counts them with their build.  random_band_limited counts
+its field, with the larger of its draw's band work and its finiteness
+flags.  So no call is sized by a field it never holds or a build that
+does not run, and an estimate too large for a float is refused too.
 """
 
 import math
@@ -627,17 +633,17 @@ def _band_draw(fiber_dim: int, count: int, seed) -> np.ndarray:
     return values
 
 
-def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> FrequencyField:
-    """Coefficients of random_band_limited(grid, fiber_dim, max_freq, seed).
+def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> np.ndarray:
+    """The (fiber, N, ..., N) coefficients of random_band_limited(grid, fiber_dim, max_freq, seed).
 
-    The band draw (_band_draw at _primaries) scattered onto the whole mesh,
-    each primary's conjugate at its mirror: the primaries' mesh indices xi
-    mod N are written over by the mirrors' (N - xi mod N) mod N, and the
-    draw by its conjugate, in place, so the scatters hold what
-    _draw_entries counts beside the output.
+    The arguments are valid (random_band_limited checks them).  The band
+    draw (_band_draw at _primaries) scattered onto the whole mesh, each
+    primary's conjugate at its mirror: the primaries' mesh indices xi mod
+    N are written over by the mirrors' (N - xi mod N) mod N, and the draw
+    by its conjugate, in place, so the scatters hold what _draw_entries
+    counts beside the output.  It returns the array as it is: each value
+    is a finite draw or zero, so no finiteness check runs on it.
     """
-    fiber_dim = _check_int(fiber_dim, "fiber_dim")
-    _check_band(grid, max_freq)
     at = _primaries(grid.n, max_freq) % grid.size
     values = _band_draw(fiber_dim, at.shape[1], seed)
     coeffs = np.zeros((fiber_dim,) + grid.shape, dtype=complex)
@@ -645,8 +651,7 @@ def _random_coefficients(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Fre
     np.subtract(grid.size, at, out=at)
     at %= grid.size
     coeffs[(slice(None), *at)] = np.conjugate(values, out=values)
-    del at, values  # before FrequencyField's finiteness check makes its N^n flags
-    return FrequencyField(grid, coeffs)
+    return coeffs
 
 
 def _draw_entries(grid: Grid, fiber_dim: int, max_freq: int) -> int:
@@ -662,9 +667,19 @@ def random_band_limited(grid: Grid, fiber_dim: int, max_freq: int, seed) -> Grid
     field is real up to rounding; the mean (frequency zero) is exactly zero.
     Deterministic for a given seed (an int or sequence of ints).  Raises
     ValueError unless fiber_dim is an integer (not a bool) at least 1 and
-    max_freq one in [1, size/4].
+    max_freq one in [1, size/4], then MemoryError before it draws when the
+    field cannot fit: its complex N^n values, made once and taken to the
+    grid in place (_inverse), with the larger of the draw's band work
+    (_draw_entries) and the one-byte flags per value of GridField's
+    finiteness check, which run one after the other.
     """
-    coeffs = _random_coefficients(grid, fiber_dim, max_freq, seed).coeffs
+    fiber_dim = _check_int(fiber_dim, "fiber_dim")
+    _check_band(grid, max_freq)
+    values = fiber_dim * grid.size ** grid.n
+    _refuse_beyond_memory(lambda: 16 * values + max(8 * _draw_entries(grid, fiber_dim, max_freq),
+                                                    values),
+                          f"a random field on a {grid.size}^{grid.n} grid", "for its values")
+    coeffs = _random_coefficients(grid, fiber_dim, max_freq, seed)
     return GridField(grid, _inverse(coeffs, grid))
 
 
@@ -729,20 +744,22 @@ def _mesh_slabs(op: Operator, grid: Grid, xis: Sequence[np.ndarray]):
 def _trial_entries(op: Operator, p: float, count: int, shapes=None) -> int:
     """Real entries of a ratio or minimality trial on count frequencies, beside its tables and buffers.
 
-    Per frequency phi and, at p = 2, the larger of a ratio's phi - P_A phi,
-    M phi and its magnitudes and a minimality trial's draw, projection and
-    its magnitudes.  At any other p phi - P_A phi, and the larger of the
-    magnitudes _norm takes of either field and a complex row of a grid
-    norm, with the monomial a row of D^k phi is formed from on columns of
-    these shapes (_derivative_columns); the grid norm's own buffers are
-    the route's.  And once a _matvec chunk with numpy's buffer for the
-    cast of its table entries, two complex entries per frequency of the
-    chunk.
+    phi is not one of them: the code that makes a field counts it (the
+    route that transforms or draws it, or a witness rung's builder), and a
+    field the caller passes is the caller's.  Per frequency, at p = 2, the
+    larger of a ratio's phi - P_A phi, M phi and its magnitudes and a
+    minimality trial's draw, projection and its magnitudes.  At any other p
+    phi - P_A phi, and the larger of the magnitudes _norm takes of either
+    field and a complex row of a grid norm, with the monomial a row of D^k
+    phi is formed from on columns of these shapes (_derivative_columns);
+    the grid norm's own buffers are the route's.  And once a _matvec chunk
+    with numpy's buffer for the cast of its table entries, two complex
+    entries per frequency of the chunk.
     """
     chunk = 4 * min(count, _MATVEC_CHUNK)
     if p == 2.0:
-        return count * (2 * op.dim_v + max(2 * op.dim_v + 3 * op.dim_w, 5 * op.dim_v)) + chunk
-    return count * 4 * op.dim_v + max(count * op.dim_v,
+        return count * max(2 * op.dim_v + 3 * op.dim_w, 5 * op.dim_v) + chunk
+    return count * 2 * op.dim_v + max(count * op.dim_v,
                                       _derivative_columns(op.k, shapes) + 2 * count) + chunk
 
 
@@ -753,24 +770,27 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     Raises ValueError unless _check_route passes, then MemoryError before a
     table is looked up when the route does not fit (_refuse_oversized),
     counting only what the route holds: per frequency the tables (M, P_A)
-    and held complex fibers of whole-mesh fields the caller keeps, the
-    mesh's n axes (xis, which the slabs read too), and a trial
-    (_trial_entries): on one slab with its weights at p = 2, where
-    every norm is taken slab by slab (_mesh_slabs), or on the whole mesh at
-    any other p, where the grid norm takes one coefficient row at a time to
+    and held complex fibers of whole-mesh fields its caller makes and
+    keeps (not a field passed to the caller, which is not the route's),
+    the mesh's n axes (xis, which the slabs read too), and a trial
+    (_trial_entries): at p = 2 on one slab, with its weights and a slab
+    of phi, which a windowed rung's builder makes slab by slab, where
+    every norm is taken slab by slab (_mesh_slabs); at any other p on the
+    whole mesh, where the grid norm takes one coefficient row at a time to
     the grid in place (_inverse) and measures its magnitudes into one real
     N^n buffer beside the accumulator (_mesh_norm).  With draws, for a
-    caller that draws on the spectrum, the trial is the larger of that and
-    a draw's band work (_draw_entries), which runs before it; the drawn
-    field is one of the held.  A table that is not cached is built here by
-    its builder, which sizes the build, so the caller makes no field before
+    caller that draws on the spectrum, the drawn field is held too, and
+    the trial is the larger of that and a draw's band work (_draw_entries),
+    which runs before it.  A table that is not cached is built here by its
+    builder, which sizes the build, so the caller makes no field before
     this returns, and a warm call is not sized by a build that does not run.
     """
     _check_route(p, tol)
     count, slab = grid.size ** grid.n, _slab_planes(grid) * grid.size ** (grid.n - 1)
-    trial = (slab + _trial_entries(op, p, slab) if p == 2.0
+    trial = (slab * (1 + 2 * op.dim_v) + _trial_entries(op, p, slab) if p == 2.0
              else 2 * count + _trial_entries(op, p, count, _axis_shapes(grid)))
     if draws:
+        held += op.dim_v
         trial = max(trial, _draw_entries(grid, op.dim_v, grid.size // 4))
     _refuse_oversized(op, grid, count, op.dim_w * op.dim_v + op.dim_v ** 2 + 2 * held,
                       grid.n * grid.size + trial)
@@ -787,7 +807,7 @@ def _mesh_spectrum(op: Operator, grid: Grid, tol: float, p: float, held: int = 0
     return _Spectrum(
         xis, symbols, projector, None, lambda: _mesh_slabs(op, grid, xis),
         lambda rows, p: _mesh_norm(grid_values(rows), grid, p),
-        lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed).coeffs)
+        lambda fiber_dim, seed: _random_coefficients(grid, fiber_dim, grid.size // 4, seed))
 
 
 def _band_buffers(grid: Grid, max_freq: int) -> dict[str, tuple[tuple, type]]:
@@ -883,8 +903,9 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     two phases that run one after the other: the build, the int64
     primaries with the larger of the symbol's monomials on the rows of xis
     (operators._column_entries) and the projector pass
-    (pinv._held_entries), and a trial (_trial_entries), with at p != 2 the
-    scatter positions and the grid route's buffers (_band_buffers),
+    (pinv._held_entries), and a trial: phi, the field the spectrum draws
+    (draw), and what a trial holds beside it (_trial_entries), with at p
+    != 2 the scatter positions and the grid route's buffers (_band_buffers),
     whatever the field's fiber count.  The spectrum is the primaries' list
     (_listed_spectrum) with norm_weights 2, for each primary's mirror.
     A field here is its (fiber, P) values at the primaries (_band_draw),
@@ -899,7 +920,7 @@ def _band_spectrum(op: Operator, grid: Grid, max_freq: int, tol: float, p: float
     projection = _projectors(op.dim_v, float(tol))
     build = count * op.n + max(_column_entries(rows, op.alpha_array),
                                _held_entries(op.dim_w, op.dim_v, count, projection))
-    trial = _trial_entries(op, p, count, rows)
+    trial = 2 * op.dim_v * count + _trial_entries(op, p, count, rows)
     if p != 2.0:
         trial += count + sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
                              for shape, dtype in _band_buffers(grid, max_freq).values())

@@ -713,6 +713,28 @@ def test_symbol_builds_of_huge_orders_are_refused():
     assert done.stdout == "refused\n" * 4
 
 
+STARTUP_IMPORTS = """
+import sys
+import symrank.cli
+from symrank import spectral, zoo
+print([name for name in ("numpy.random", "numpy.fft") if name in sys.modules])
+"""
+
+
+def test_start_up_imports_neither_numpy_random_nor_numpy_fft():
+    # the benchmark times a job from after these imports (bench/child.py), and a
+    # job that draws or transforms imports numpy.random or numpy.fft inside it:
+    # importing either at start-up would only move that time (about 12 ms for
+    # numpy.random) from job time to set-up time, so such a move has to come with
+    # an edit of this test.  Run in a fresh interpreter, where nothing else has
+    # imported them
+    env = dict(os.environ, PYTHONPATH=str(Path(symrank.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", STARTUP_IMPORTS], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "[]\n"
+
+
 def test_grid_route_beyond_a_float_is_refused(capsys):
     # at p != 2 the band route's grid buffers join the estimate, whose count of
     # N^n points then overflows a float

@@ -201,7 +201,8 @@ def band_field(op: Operator, grid: Grid, seed, p=2.0):
     """The band spectrum with band N/4, a field drawn on it, and that field on the whole mesh."""
     spectrum = spectral._band_spectrum(op, grid, grid.size // 4, pinv.DEFAULT_TOL, p)
     values = spectrum.draw(op.dim_v, seed)
-    return spectrum, values, spectral._random_coefficients(grid, op.dim_v, grid.size // 4, seed)
+    coeffs = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, seed)
+    return spectrum, values, spectral.FrequencyField(grid, coeffs)
 
 
 def is_real_band_limited(freq) -> bool:
@@ -230,7 +231,7 @@ def test_real_route_matches_public_function_oracle(name, N, p):
 
 def fields_off_the_real_route(op: Operator, grid: Grid) -> dict:
     """A random field with one Nyquist coefficient, one with a broken Hermitian pair, witnesses."""
-    coeffs = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, seed=[3, 1]).coeffs
+    coeffs = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, seed=[3, 1])
     nyquist = coeffs.copy()
     # a real coefficient at (0, ..., 0, N/2) keeps the pair condition and the field real
     nyquist[(0,) * grid.n + (grid.size // 2,)] = 0.5

@@ -301,7 +301,7 @@ def test_inverse_real_is_the_real_part_of_inverse_transform(n):
     # rounding; the band's real values are irfftn's bits
     # (test_band_grid_route_is_irfftn_on_buffers_allocated_once)
     grid = Grid(n, 8)
-    freq = spectral._random_coefficients(grid, 2, 2, seed=[n, 4])
+    freq = FrequencyField(grid, spectral._random_coefficients(grid, 2, 2, seed=[n, 4]))
     full = inverse_transform(freq).data
     coeffs = freq.coeffs.copy()
     data = spectral._inverse(coeffs, grid)
@@ -319,7 +319,7 @@ def test_spectrum_weights_give_the_whole_mesh_norm_from_either_spectrum(n, k):
                   terms=(((max(k, 1),) + (0,) * (n - 1), ((1.0,),)),))
     band = spectral._band_spectrum(op, grid, 2, DEFAULT_TOL, 2.0)
     values = band.draw(2, [n, k])
-    coeffs = spectral._random_coefficients(grid, 2, 2, seed=[n, k]).coeffs
+    coeffs = spectral._random_coefficients(grid, 2, 2, seed=[n, k])
     xi2 = (frequency_mesh(grid) ** 2).sum(axis=0)
     expected = math.sqrt(float((xi2 ** k * np.abs(coeffs) ** 2).sum()))
     mesh = spectral._mesh_spectrum(op, grid, DEFAULT_TOL, 2.0)
@@ -380,7 +380,7 @@ def test_random_coefficients_scatter_the_band_draw(n, size, max_freq):
     assert primaries.shape == (n, ((2 * max_freq + 1) ** n - 1) // 2)
     assert not primaries.flags.writeable
     values = spectral._band_draw(2, primaries.shape[1], [n, 9])
-    coeffs = spectral._random_coefficients(grid, 2, max_freq, [n, 9]).coeffs
+    coeffs = spectral._random_coefficients(grid, 2, max_freq, [n, 9])
     at = (slice(None),) + tuple(primaries % size)
     mirrors = (slice(None),) + tuple(-primaries % size)
     assert coeffs[at].tobytes() == values.tobytes()
@@ -438,7 +438,8 @@ def test_band_grid_values_are_those_of_the_whole_mesh(monkeypatch, n, size):
     grid_norm = spectral._band_grid(grid, spectral._primaries(n, 2))
     for seed in ([n, 1], [n, 2]):
         values = band.draw(op.dim_v, seed)
-        full = inverse_transform(spectral._random_coefficients(grid, op.dim_v, 2, seed)).data
+        coeffs = spectral._random_coefficients(grid, op.dim_v, 2, seed)
+        full = inverse_transform(FrequencyField(grid, coeffs)).data
         data = np.full(full.shape, np.nan)
         for fiber, row in zip(data, values):
             def copy(chunk, at, fiber=fiber):
@@ -493,7 +494,7 @@ def test_band_grid_route_is_irfftn_on_buffers_allocated_once(monkeypatch, n, siz
     for fibers in range(1, 10):
         seed = [n, fibers]
         values = spectral._band_draw(fibers, primaries.shape[1], seed)
-        target = spectral._random_coefficients(grid, fibers, max_freq, seed).coeffs
+        target = spectral._random_coefficients(grid, fibers, max_freq, seed)
         target = target[:, :size // 2 + 1]
         expected = np.fft.irfftn(target, grid.shape, axes[1:] + axes[:1], norm="ortho") / scale
         grid_norm(values, 3.0)
@@ -556,7 +557,7 @@ def test_grid_norm_scales_a_field_by_one_power_of_two(p):
     primaries = spectral._primaries(3, 4)
     grid_norm = spectral._band_grid(grid, primaries)
     values = spectral._band_draw(2, primaries.shape[1], 11)
-    coeffs = spectral._random_coefficients(grid, 2, 4, 11).coeffs
+    coeffs = spectral._random_coefficients(grid, 2, 4, 11)
 
     def mesh_norm(coeffs):
         return lp_norm(inverse_transform(FrequencyField(grid, coeffs)), p)
@@ -819,7 +820,8 @@ def test_mesh_memory_estimate_bounds_a_ratio(monkeypatch, name, p):
     # what a trial holds, one grid row at a time, so it stays within 1.5 times the peak
     op = zoo_get(name)
     grid = Grid(op.n, {2: 256, 3: 32}[op.n])
-    phi = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, [0, 1])
+    coeffs = spectral._random_coefficients(grid, op.dim_v, grid.size // 4, [0, 1])
+    phi = FrequencyField(grid, coeffs)
     estimates = []
     monkeypatch.setattr(spectral, "_refuse_beyond_memory",
                         lambda needed, subject, purpose: estimates.append(needed()))
@@ -905,16 +907,20 @@ def test_memory_estimate_is_within_half_again_of_the_peak(monkeypatch, row):
     assert traced <= max(estimates) <= 1.5 * traced
 
 
+@pytest.mark.parametrize("given", ["grid", "coefficients"])
 @pytest.mark.parametrize("call", ["ratio-p2", "ratio-p3", "minimality"])
 @pytest.mark.parametrize("name, size", [("curl", 16), ("symmetric_gradient", 128), ("d1d2", 256)])
-def test_warm_mesh_estimate_counts_no_table_build(monkeypatch, name, size, call):
+def test_warm_mesh_estimate_counts_no_table_build(monkeypatch, name, size, call, given):
     # a second whole-mesh call finds both tables cached and builds nothing, so its
-    # largest estimate, the route's own, counts the tables, the fields it holds and
+    # largest estimate, the route's own, counts the tables, the fields it makes and
     # one trial: it covers the traced peak with the resident tables, and stays
-    # within 1.5 times them
+    # within 1.5 times them.  A GridField's coefficients are made by the route; a
+    # FrequencyField is the caller's, and the route does not count it
     op = zoo_get(name)
     grid = Grid(op.n, size)
     phi = random_band_limited(grid, op.dim_v, size // 4, [size, 0])
+    if given == "coefficients":
+        phi = forward_transform(phi)
     run = {"ratio-p2": lambda: experiments.estimate_ratio(op, phi, 2.0),
            "ratio-p3": lambda: experiments.estimate_ratio(op, phi, 3.0),
            "minimality": lambda: experiments.l2_minimality_check(op, phi, kernel_trials=3)}[call]
@@ -1103,12 +1109,14 @@ def test_apply_memory_estimate_bounds_its_peak(monkeypatch, entry, name):
     # each apply_* call counts the tables it reads and the fields it makes, which
     # the table builders do not count; the estimate leaves out numpy's ufunc
     # buffers (8192 elements) and _matvec's chunk, constants of about 130 kB,
-    # hence the 256 kB allowance on grids where the fields take MBs
+    # hence the 256 kB allowance on grids where the fields take MBs; and it
+    # stays within 1.5 times the peak
     op = entry.build()
     size = {2: 256, 3: 32}[op.n]
     apply_peak(monkeypatch, op, size, name)  # first-call caches
     peak, estimate = apply_peak(monkeypatch, op, size, name)
     assert peak <= estimate + 2 ** 18
+    assert estimate <= 1.5 * peak
 
 
 def test_apply_calls_are_refused_before_their_tables(monkeypatch):
@@ -1353,6 +1361,44 @@ def test_random_band_limited_validation():
         random_band_limited(grid, 1, 3, seed=0)
     with pytest.raises(ValueError, match="max_freq"):
         random_band_limited(grid, 1, 0, seed=0)
+
+
+def test_random_band_limited_is_refused_before_it_draws(monkeypatch):
+    # a 64^2 field takes 64 kB: a 40 kB machine refuses it, naming the grid,
+    # before the band is drawn, as it refuses apply_A and apply_Dk on that
+    # field; a 32^2 field, 16 kB beside its draw, still fits
+    drawn = []
+    band_draw = spectral._band_draw
+    monkeypatch.setattr(spectral, "_band_draw", lambda *args: drawn.append(args) or band_draw(*args))
+    monkeypatch.setattr(pinv, "_physical_memory", lambda: 4 * 10 ** 4)
+    with pytest.raises(MemoryError, match=r"64\^2 grid"):
+        random_band_limited(Grid(2, 64), 1, 16, [64, 1])
+    assert drawn == []
+    assert random_band_limited(Grid(2, 32), 1, 8, [32, 1]).data.shape == (1, 32, 32)
+
+
+@pytest.mark.parametrize("n, size, fibers, max_freq", [(2, 256, 1, 64), (3, 32, 3, 8),
+                                                       (2, 256, 1, 1)])
+def test_random_band_limited_memory_estimate_bounds_its_peak(monkeypatch, n, size, fibers,
+                                                             max_freq):
+    # the field, with the larger of the draw's band work (8320 primaries at band
+    # 64 on 256^2) and the finiteness flags of its values, which exceed the draw
+    # at band 1; Python objects are left out, hence the 64 kB allowance, and the
+    # estimate stays within 1.5 times the peak
+    estimates = []
+    monkeypatch.setattr(spectral, "_refuse_beyond_memory",
+                        lambda needed, subject, purpose: estimates.append(needed()))
+    grid = Grid(n, size)
+    random_band_limited(grid, fibers, max_freq, [size, 2])  # imports numpy.random
+    estimates.clear()
+    tracemalloc.start()
+    try:
+        random_band_limited(grid, fibers, max_freq, [size, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimates[0] + 2 ** 16
+    assert estimates[0] <= 1.5 * peak
 
 
 # ------------------------------------------------------------------ bump window
